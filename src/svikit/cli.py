@@ -106,8 +106,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--grid", required=True, help="start:stop:count")
     sp.add_argument("--x0", required=True)
     sp.add_argument("--cold-start", action="store_true")
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="parallel rows (cold start only)")
 
     sp = sub.add_parser("estimate-inc", help="bracket the increase/decrease bound")
     common(sp)
@@ -162,7 +160,7 @@ def _cmd_sweep(args) -> int:
     cfg = _solver_cfg(args)
     grid = _parse_grid(args.grid)
     table = sweep(problem, grid, _parse_vector(args.x0), cfg,
-                  warm_start=not args.cold_start, jobs=args.jobs)
+                  warm_start=not args.cold_start)
     solved = sum(1 for r in table.rows if r.solved)
     print(f"rows = {len(table.rows)}  solved = {solved}")
     if len(table.rows) >= 2:
@@ -260,7 +258,7 @@ def _cmd_verify(args) -> int:
     for p in ps[:4]:
         for x in xs[:10]:
             vp = evaluate(problem, p, x)
-            exact = float(np.max(cone.distances(vp.vertices)))
+            exact = merit(problem, p, x)
             w = rng.dirichlet(np.ones(len(vp.vertices)), size=2000)
             sampled = float(np.max(cone.distances(w @ vp.vertices)))
             ok &= sampled <= exact + 1e-9
@@ -270,7 +268,7 @@ def _cmd_verify(args) -> int:
     for p in ps[:4]:
         for x in xs[:10]:
             vp = evaluate(problem, p, x)
-            exact = float(np.max(cone.distances(vp.vertices)))
+            exact = merit(problem, p, x)
             mus = rng.uniform(0.0, 2.0, size=(50, len(cone.generators)))
             shifted = np.vstack([vp.vertices + mu @ cone.generators for mu in mus]
                                 + [vp.vertices])

@@ -20,9 +20,6 @@ import numpy as np
 #: membership means distance <= GEOM_TOL
 GEOM_TOL = 1e-9
 
-#: distance to an empty set (guards malformed constraint data)
-EMPTY_DISTANCE = math.inf
-
 
 def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
     """Coerce to a finite 1-D float array, optionally checking its length."""
@@ -502,7 +499,7 @@ def hausdorff(A: VPolytope, B: VPolytope) -> float:
 
 
 # ---------------------------------------------------------------------------
-# direction sets
+# direction sets and finite differences
 # ---------------------------------------------------------------------------
 
 def unit_directions(m: int, count: Optional[int] = None) -> np.ndarray:
@@ -529,6 +526,27 @@ def unit_directions(m: int, count: Optional[int] = None) -> np.ndarray:
     pts = rng.standard_normal((max(count, 2 * m), m))
     pts = np.vstack([np.eye(m), -np.eye(m), pts])
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def seeded_rotation(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random orthogonal n x n matrix drawn from ``rng`` (the identity for
+    n = 1, which draws nothing); rotates a direction set per seed."""
+    if n == 1:
+        return np.eye(1)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def numgrad(fn, x: np.ndarray, h: Optional[float] = None) -> np.ndarray:
+    """Central-difference gradient of a scalar function at x."""
+    if h is None:
+        h = 1e-6 * max(1.0, float(np.linalg.norm(x)))
+    g = np.zeros_like(x, dtype=float)
+    for i in range(len(x)):
+        e = np.zeros_like(g)
+        e[i] = h
+        g[i] = (fn(x + e) - fn(x - e)) / (2.0 * h)
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .geometry import (PolyCone, SumSet, VPolytope, as_vector, dist_many,
-                       enlargement_inclusion, unit_directions)
+                       enlargement_inclusion, numgrad, seeded_rotation,
+                       unit_directions)
 from .setmaps import SviProblem, evaluate, is_all_space, merit
 
 MapAt = Callable[[np.ndarray], VPolytope]
@@ -89,24 +90,6 @@ def _stable_seed(base: int, p: Optional[float], x: np.ndarray) -> np.random.Gene
     return np.random.default_rng([base, *words.tolist()])
 
 
-def _seeded_rotation(n: int, rng: np.random.Generator) -> np.ndarray:
-    if n == 1:
-        return np.eye(1)
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.sign(np.diag(r))
-
-
-def _numgrad(fn, x: np.ndarray, h: Optional[float] = None) -> np.ndarray:
-    if h is None:
-        h = 1e-6 * max(1.0, float(np.linalg.norm(x)))
-    g = np.zeros_like(x, dtype=float)
-    for i in range(len(x)):
-        e = np.zeros_like(g)
-        e[i] = h
-        g[i] = (fn(x + e) - fn(x - e)) / (2.0 * h)
-    return g
-
-
 def scaled_rotation_witness(Q: np.ndarray, cone: PolyCone) -> Optional[np.ndarray]:
     """Unit direction d such that u = x + r*d maps the image ball's center
     straight into the cone's bulk, for an invertible 2x2 scaled rotation Q.
@@ -166,15 +149,13 @@ def _candidates(map_at: MapAt, target: SumSet, cone: PolyCone,
     # set and toward the cone (worst-vertex distance reduction)
     for fn in (lambda u: float(np.max(dist_many(map_at(u).vertices, target))),
                lambda u: float(np.max(cone.distances(map_at(u).vertices)))):
-        g = _numgrad(fn, x)
+        g = numgrad(fn, x)
         n = float(np.linalg.norm(g))
         if n > 1e-14:
             yield x - (r / n) * g
 
     n_dim = len(x)
-    dirs = unit_directions(n_dim, cfg.directions)
-    if n_dim > 1:
-        dirs = dirs @ _seeded_rotation(n_dim, rng).T
+    dirs = unit_directions(n_dim, cfg.directions) @ seeded_rotation(n_dim, rng).T
     for mag in cfg.magnitudes:
         for d in dirs:
             yield x + (mag * r) * d
@@ -355,6 +336,27 @@ def infimum_over_samples(map_at_of_p: Callable[[float], MapAt], cone: PolyCone,
     return InfimumResult(alpha=best, samples_used=used, estimates=estimates)
 
 
+def nonsolution_pairs(problem, p_grid: Sequence[float], x_samples, dim: int,
+                      cfg: SamplingConfig, project: bool) -> list:
+    """(p, x) pairs with positive merit over the grid, x taken from the
+    given points or ``x_samples`` seeded draws in [-2, 2]^dim, and projected
+    into R(p) first when ``project``."""
+    if isinstance(x_samples, int):
+        rng = np.random.default_rng(cfg.seed)
+        xs = rng.uniform(-2.0, 2.0, size=(x_samples, dim))
+    else:
+        xs = np.asarray(x_samples, dtype=float).reshape(-1, dim)
+    pairs = []
+    for p in p_grid:
+        for x in xs:
+            if project and not is_all_space(problem.constraint):
+                x = problem.constraint.project(x, p)[0]
+            if merit(problem, p, x) <= cfg.tolerance:
+                continue  # the constants only quantify over non-solutions
+            pairs.append((float(p), x))
+    return pairs
+
+
 def global_infimum(problem: SviProblem, p_grid: Sequence[float],
                    x_samples, cfg: Optional[SamplingConfig] = None,
                    constrained: bool = False) -> InfimumResult:
@@ -364,20 +366,8 @@ def global_infimum(problem: SviProblem, p_grid: Sequence[float],
     cfg = cfg or SamplingConfig()
     if not len(p_grid):
         raise ValueError("parameter grid must be nonempty")
-    n = problem.dim_in
-    if isinstance(x_samples, int):
-        rng = np.random.default_rng(cfg.seed)
-        xs = rng.uniform(-2.0, 2.0, size=(x_samples, n))
-    else:
-        xs = np.asarray(x_samples, dtype=float).reshape(-1, n)
-    pairs = []
-    for p in p_grid:
-        for x in xs:
-            if constrained and not is_all_space(problem.constraint):
-                x = problem.constraint.project(x, p)[0]
-            if merit(problem, p, x) <= cfg.tolerance:
-                continue  # the constant only quantifies over non-solutions
-            pairs.append((float(p), x))
+    pairs = nonsolution_pairs(problem, p_grid, x_samples, problem.dim_in, cfg,
+                              project=constrained)
     return infimum_over_samples(
         lambda p: (lambda xx: evaluate(problem, p, xx)),
         problem.cone, pairs, cfg,

@@ -13,12 +13,12 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .setmaps import merit
 from .solver import MaxItersExceeded, NoDescentStep, SolverConfig, solve
 
 
@@ -67,14 +67,6 @@ def _problem_hash(problem) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _penalized_merit(problem, p: float, x, kappa: float) -> float:
-    vp = problem.evaluate(p, x)
-    m = float(np.max(problem.cone.distances(vp.vertices)))
-    if kappa > 0:
-        m += kappa * problem.constraint.project(np.asarray(x, float), p)[1]
-    return m
-
-
 def _segment_pullback(problem, p: float, x_from, x_to, kappa: float,
                       tol: float, iters: int = 45) -> np.ndarray:
     """Earliest point on the segment [x_from, x_to] with merit <= tol.
@@ -87,7 +79,7 @@ def _segment_pullback(problem, p: float, x_from, x_to, kappa: float,
     x_to = np.asarray(x_to, dtype=float)
 
     def m(t):
-        return _penalized_merit(problem, p, x_from + t * (x_to - x_from), kappa)
+        return merit(problem, p, x_from + t * (x_to - x_from), kappa)
 
     if m(0.0) <= tol:
         return x_from
@@ -107,7 +99,7 @@ def _ray_entry(problem, p, anchor, v, kappa, tol, t_hint, iters=48):
     feas = None
     for c in (1.0, 1.3, 1.8, 2.6, 4.0):
         t = t_hint * c
-        if _penalized_merit(problem, p, anchor + t * v, kappa) <= tol:
+        if merit(problem, p, anchor + t * v, kappa) <= tol:
             feas = t
             break
     if feas is None:
@@ -115,7 +107,7 @@ def _ray_entry(problem, p, anchor, v, kappa, tol, t_hint, iters=48):
     lo, hi = 0.0, feas
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if _penalized_merit(problem, p, anchor + mid * v, kappa) <= tol:
+        if merit(problem, p, anchor + mid * v, kappa) <= tol:
             hi = mid
         else:
             lo = mid
@@ -131,7 +123,7 @@ def _anchored_projection_2d(problem, p, anchor, x_feas, kappa, tol):
     drift-free selection: the anchor never moves, so step ratios reflect
     the selection's true speed."""
     anchor = np.asarray(anchor, dtype=float)
-    if _penalized_merit(problem, p, anchor, kappa) <= tol:
+    if merit(problem, p, anchor, kappa) <= tol:
         return anchor.copy()
     gap = np.asarray(x_feas, float) - anchor
     base_t = float(np.linalg.norm(gap))
@@ -186,7 +178,7 @@ def _solve_row(problem, p: float, x_start: np.ndarray,
             else:
                 x_row = _segment_pullback(problem, p, anchor, x_row,
                                           res.kappa, cfg.tol)
-        m_row = _penalized_merit(problem, p, x_row, res.kappa)
+        m_row = merit(problem, p, x_row, res.kappa)
         bound_holds = (float(np.linalg.norm(x_row - np.asarray(x_start, float)))
                        <= res.bound_rhs + cfg.tol)
         return SweepRow(p=float(p), x=x_row, merit=m_row,
@@ -202,10 +194,9 @@ def _solve_row(problem, p: float, x_start: np.ndarray,
 
 
 def sweep(problem, grid: Sequence[float], x_init,
-          cfg: Optional[SolverConfig] = None, warm_start: bool = True,
-          jobs: int = 1) -> SweepTable:
-    """Solve along a sorted grid; warm-started by default (sequential), or
-    cold-started from x_init on every row (parallelizable, per-row seeds)."""
+          cfg: Optional[SolverConfig] = None, warm_start: bool = True) -> SweepTable:
+    """Solve along a sorted grid; warm-started by default, or cold-started
+    from x_init on every row (row i seeded with cfg.rng_seed + i)."""
     cfg = cfg or SolverConfig()
     grid = [float(p) for p in grid]
     if not grid:
@@ -222,16 +213,9 @@ def sweep(problem, grid: Sequence[float], x_init,
             rows.append(row)
             x_start = row.x  # best available iterate, solved or not
     else:
-        def run(i_p):
-            i, p = i_p
-            row_cfg = SolverConfig(**{**cfg.__dict__, "rng_seed": cfg.rng_seed + i})
-            return _solve_row(problem, p, x_init, row_cfg, anchor=x_init)
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(run, enumerate(grid)))
-        else:
-            rows = [run(ip) for ip in enumerate(grid)]
+        for i, p in enumerate(grid):
+            row_cfg = replace(cfg, rng_seed=cfg.rng_seed + i)
+            rows.append(_solve_row(problem, p, x_init, row_cfg, anchor=x_init))
     meta = {
         "problem_hash": _problem_hash(problem),
         "cfg": dict(cfg.__dict__),

@@ -1,6 +1,11 @@
 """Problem data model: parametric matrix families, concave terms, fans,
-constraint families, and the merit functions of the inclusion problem
+constraint families, and the merit of the inclusion problem
 F(p, x) = M(p) x + h(x) + H(x)  subset-of  C.
+
+``merit`` is the one merit of the package: the excess of F(p, x) beyond C,
+optionally penalized by kappa * dist(x, R(p)).  It serves every problem
+object with ``evaluate``, ``cone`` and ``constraint`` (SviProblem here,
+VopProblem in vopt).
 
 The catalog is deliberately narrow so that concavity and Lipschitz constants
 are declared and machine-checkable instead of inferred from arbitrary code.
@@ -281,8 +286,13 @@ class Box:
     def __post_init__(self):
         if self.knots is not None:
             (ps, lo), (ps2, hi) = self.knots
-            object.__setattr__(self, "knots",
-                               (_Knots(ps, lo), _Knots(ps2, hi)))
+            lo, hi = _Knots(ps, lo), _Knots(ps2, hi)
+            if not np.array_equal(lo.ps, hi.ps):
+                raise ValueError("box bound knots must share their parameters")
+            # interpolating between valid knots keeps lower <= upper
+            if not np.all(lo.values <= hi.values):
+                raise ValueError("box lower bound exceeds upper bound at a knot")
+            object.__setattr__(self, "knots", (lo, hi))
         else:
             if self.lower is None or self.upper is None:
                 raise ValueError("box requires bounds or bound knots")
@@ -329,6 +339,12 @@ class Ball:
             if self.center is None or self.radius is None:
                 raise ValueError("ball requires center/radius or knot tables")
             object.__setattr__(self, "center", as_vector(self.center))
+            radii = np.array([self.radius], dtype=float)
+        else:
+            radii = self.radius_knots.values
+        # interpolating between valid knots keeps the radius valid
+        if not np.all(np.isfinite(radii) & (radii >= 0)):
+            raise ValueError("ball radius must be finite and nonnegative")
 
     def data_at(self, p: float) -> tuple[np.ndarray, float]:
         if self.center_knots is not None:
@@ -338,8 +354,6 @@ class Ball:
     def project(self, x, p: float) -> tuple[np.ndarray, float]:
         x = as_vector(x)
         c, r = self.data_at(p)
-        if r < 0:
-            return x.copy(), math.inf  # malformed data sentinel
         gap = x - c
         nrm = float(np.linalg.norm(gap))
         if nrm <= r:
@@ -438,9 +452,6 @@ class SviProblem:
     def evaluate(self, p: float, x) -> VPolytope:
         return evaluate(self, p, x)
 
-    def merit(self, p: float, x) -> float:
-        return merit(self, p, x)
-
     def to_dict(self) -> dict:
         d = {"matrix": self.matrix.to_dict(),
              "cone": {"generators": self.cone.generators.tolist()},
@@ -482,21 +493,17 @@ def evaluate(problem: SviProblem, p: float, x) -> VPolytope:
     return VPolytope(base + problem.fan.vertex_images(x))
 
 
-def merit(problem: SviProblem, p: float, x) -> float:
-    """Excess of F(p, x) beyond the cone; zero exactly on solutions."""
-    vp = evaluate(problem, p, x)
-    return float(np.max(problem.cone.distances(vp.vertices)))
-
-
-def constrained_merit(problem: SviProblem, p: float, x, kappa: float) -> float:
-    """merit + kappa * dist(x, R(p)) using the constraint's exact projection."""
+def merit(problem, p: float, x, kappa: float = 0.0) -> float:
+    """Excess of F(p, x) beyond the cone, plus kappa * dist(x, R(p)) when
+    kappa > 0 (the constraint's exact projection); zero exactly on feasible
+    solutions.  ``problem`` is any object with ``evaluate(p, x)``, ``cone``
+    and ``constraint``."""
     if kappa < 0:
         raise ValueError("penalty weight must be nonnegative")
-    base = merit(problem, p, x)
-    if kappa == 0 or is_all_space(problem.constraint):
-        return base
-    _, d = problem.constraint.project(as_vector(x, problem.dim_in), p)
-    return base + kappa * d
+    m = float(np.max(problem.cone.distances(problem.evaluate(p, x).vertices)))
+    if kappa > 0:
+        m += kappa * problem.constraint.project(x, p)[1]
+    return m
 
 
 @dataclass(frozen=True)

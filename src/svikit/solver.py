@@ -20,8 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import as_vector, unit_directions
-from .setmaps import SviProblem, is_all_space, lipschitz_budget
+from .geometry import as_vector, numgrad, seeded_rotation, unit_directions
+from .setmaps import SviProblem, is_all_space, lipschitz_budget, merit
 
 
 class NoDescentStep(Exception):
@@ -113,30 +113,6 @@ class StepOutcome:
         return self.status == "converged"
 
 
-def _step_directions(n: int, count: int, seed_words) -> np.ndarray:
-    dirs = unit_directions(n, count)
-    if n == 1:
-        return dirs
-    rng = np.random.default_rng(seed_words)
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return dirs @ (q * np.sign(np.diag(r))).T
-
-
-def _merit_gradient(merit_fn, x: np.ndarray):
-    """Central-difference gradient of the merit; returns (unit dir, norm)
-    or (None, 0) at a numerically flat point."""
-    h = 1e-6 * max(1.0, float(np.linalg.norm(x)))
-    g = np.zeros_like(x, dtype=float)
-    for i in range(len(x)):
-        e = np.zeros_like(g)
-        e[i] = h
-        g[i] = (merit_fn(x + e) - merit_fn(x - e)) / (2.0 * h)
-    n = float(np.linalg.norm(g))
-    if n <= 1e-14:
-        return None, 0.0
-    return g / n, n
-
-
 def caristi_step(merit_fn: Callable[[np.ndarray], float], x, descent_k: float,
                  cfg: Optional[SolverConfig] = None, step_seed: int = 0,
                  extra_candidates=()) -> StepOutcome:
@@ -171,7 +147,9 @@ def caristi_step(merit_fn: Callable[[np.ndarray], float], x, descent_k: float,
         if u is not None:
             return StepOutcome("accepted", u)
 
-    grad_dir, grad_norm = _merit_gradient(merit_fn, x)
+    grad = numgrad(merit_fn, x)
+    grad_norm = float(np.linalg.norm(grad))
+    grad_dir = grad / grad_norm if grad_norm > 1e-14 else None  # flat point
     if grad_dir is not None:
         # Newton-style lengths fx/|grad| land near the zero level without
         # overshooting deep into it; the Caristi test still gates acceptance
@@ -181,7 +159,8 @@ def caristi_step(merit_fn: Callable[[np.ndarray], float], x, descent_k: float,
             if u is not None:
                 return StepOutcome("accepted", u)
     n = len(x)
-    dirs = _step_directions(n, cfg.direction_samples, [cfg.rng_seed, step_seed])
+    rng = np.random.default_rng([cfg.rng_seed, step_seed])
+    dirs = unit_directions(n, cfg.direction_samples) @ seeded_rotation(n, rng).T
 
     # acceptance needs descent_k * ||u - x|| <= fx, so larger radii are futile
     r = min(cfg.radius0, fx / descent_k)
@@ -252,13 +231,8 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
     """
     cfg = cfg or SolverConfig()
     x0 = as_vector(x0)
-    cone = problem.cone
     constraint = problem.constraint
     constrained = not is_all_space(constraint)
-
-    def psi(x):
-        vp = problem.evaluate(p, x)
-        return float(np.max(cone.distances(vp.vertices)))
 
     if cfg.ell is not None:
         ell = float(cfg.ell)
@@ -283,9 +257,7 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
     else:
         alpha_tilde = cfg.alpha_tilde
         if alpha_tilde is None:
-            alpha_tilde = (float(problem.declared_alpha)
-                           if getattr(problem, "declared_alpha", None) is not None
-                           else _resolve_alpha_estimate(problem, p, cfg))
+            alpha_tilde = _resolve_alpha_estimate(problem, p, cfg)
         lo_a = 0.5 * (alpha_tilde - ell + 1.0)
         hi_a = alpha_tilde - ell
         if lo_a < hi_a:
@@ -308,9 +280,8 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
             certified_constants = False
 
     def psit(x):
-        if not constrained or kappa == 0.0:
-            return psi(x)
-        return psi(x) + kappa * constraint.project(x, p)[1]
+        # reads kappa at call time: the back-off retry below reassigns it
+        return merit(problem, p, x, kappa)
 
     psit0 = psit(x0)
     bound_rhs = psit0 / k_run

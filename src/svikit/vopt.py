@@ -16,14 +16,15 @@ import itertools
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .geometry import PolyCone, VPolytope, as_vector, unit_directions
 from .increase import (InfimumResult, Mode, SamplingConfig, estimate_bound,
-                       hints_for_matrix, infimum_over_samples)
+                       hints_for_matrix, infimum_over_samples,
+                       nonsolution_pairs)
 from .parametric import SweepRow, SweepTable, _problem_hash
 from .setmaps import (AllSpace, Ball, Box, ConstraintFamily, PolytopeSet,
                       _Knots, constraint_from_dict, is_all_space,
@@ -229,6 +230,12 @@ def _compositions(total: int, parts: int):
             yield (head, *tail)
 
 
+def _grid(lo, hi, density: int) -> np.ndarray:
+    axes = [np.linspace(l, h, max(2, density)) for l, h in zip(lo, hi)]
+    grid = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([g.ravel() for g in grid])
+
+
 def sample_constraint(constraint: ConstraintFamily, p: float, density: int,
                       bounds=None) -> np.ndarray:
     """Deterministic sample of the feasible set (always includes its
@@ -244,10 +251,7 @@ def sample_constraint(constraint: ConstraintFamily, p: float, density: int,
         pts = [np.asarray(c, float) @ verts / d for c in _compositions(d, k)]
         return np.unique(np.asarray(pts), axis=0)
     if isinstance(constraint, Box):
-        lo, hi = constraint.bounds_at(p)
-        axes = [np.linspace(l, h, max(2, density)) for l, h in zip(lo, hi)]
-        grid = np.meshgrid(*axes, indexing="ij")
-        return np.column_stack([g.ravel() for g in grid])
+        return _grid(*constraint.bounds_at(p), density)
     if isinstance(constraint, Ball):
         c, r = constraint.data_at(p)
         n = len(c)
@@ -261,11 +265,20 @@ def sample_constraint(constraint: ConstraintFamily, p: float, density: int,
         if bounds is None:
             raise UnsupportedCombination(
                 "sampling an unconstrained feasible set needs explicit bounds")
-        lo, hi = (as_vector(bounds[0]), as_vector(bounds[1]))
-        axes = [np.linspace(l, h, max(2, density)) for l, h in zip(lo, hi)]
-        grid = np.meshgrid(*axes, indexing="ij")
-        return np.column_stack([g.ravel() for g in grid])
+        return _grid(as_vector(bounds[0]), as_vector(bounds[1]), density)
     raise UnsupportedCombination(f"cannot sample {type(constraint).__name__}")
+
+
+def _affine_vertex_points(spec: VopSpec, p: float) -> Optional[np.ndarray]:
+    """Vertices of a polytope or box feasible set under an affine objective,
+    whose images span the exact image polytope; None otherwise."""
+    constraint = spec.constraint
+    if not (spec.objective.is_affine and isinstance(constraint, (PolytopeSet, Box))):
+        return None
+    if isinstance(constraint, PolytopeSet):
+        return constraint.polytope.vertices
+    lo, hi = constraint.bounds_at(p)
+    return np.asarray(list(itertools.product(*zip(lo, hi))), float)
 
 
 def _component_minimizers(spec: VopSpec, p: float, bounds) -> list:
@@ -339,30 +352,19 @@ class VopProblem:
     def _cached(self, p: float):
         key = round(float(p), 12)
         if key not in self._image_cache:
-            obj, constraint = self.spec.objective, self.spec.constraint
-            if obj.is_affine and isinstance(constraint, (PolytopeSet, Box)):
-                # vertex images span the exact image polytope
-                if isinstance(constraint, PolytopeSet):
-                    pts = constraint.polytope.vertices
-                else:
-                    lo, hi = constraint.bounds_at(p)
-                    corners = itertools.product(*[(l, h) for l, h in zip(lo, hi)])
-                    pts = np.asarray(list(corners), float)
-            else:
-                pts = sample_constraint(constraint, p, self.image_sampling, self.bounds)
+            pts = _affine_vertex_points(self.spec, p)
+            if pts is None:
+                pts = sample_constraint(self.spec.constraint, p, self.image_sampling,
+                                        self.bounds)
             extra = _component_minimizers(self.spec, p, self.bounds)
             if extra:
                 pts = np.vstack([pts, np.asarray(extra)])
-            self._image_cache[key] = (pts, obj.values_many(p, pts))
+            self._image_cache[key] = (pts, self.spec.objective.values_many(p, pts))
         return self._image_cache[key]
 
     def evaluate(self, p: float, x) -> VPolytope:
         x = as_vector(x, self.spec.objective.dim_in)
         return VPolytope(self.image_values(p) - self.spec.objective.value(p, x))
-
-    def merit(self, p: float, x) -> float:
-        vp = self.evaluate(p, x)
-        return float(np.max(self.cone.distances(vp.vertices)))
 
     def to_dict(self) -> dict:
         return self.spec.to_dict()
@@ -395,20 +397,8 @@ def decrease_infimum(spec: VopSpec, p_grid: Sequence[float], x_samples,
     objective over feasible non-ideal points."""
     cfg = cfg or SamplingConfig()
     prob = VopProblem(spec, image_sampling=image_sampling, bounds=bounds)
-    n = spec.objective.dim_in
-    if isinstance(x_samples, int):
-        rng = np.random.default_rng(cfg.seed)
-        xs = rng.uniform(-2.0, 2.0, size=(x_samples, n))
-    else:
-        xs = np.asarray(x_samples, dtype=float).reshape(-1, n)
-    pairs = []
-    for p in p_grid:
-        for x in xs:
-            if not is_all_space(spec.constraint):
-                x = spec.constraint.project(x, p)[0]
-            if prob.merit(p, x) <= cfg.tolerance:
-                continue
-            pairs.append((float(p), x))
+    pairs = nonsolution_pairs(prob, p_grid, x_samples, spec.objective.dim_in, cfg,
+                              project=True)
     obj = spec.objective
     return infimum_over_samples(
         lambda p: (lambda xx: VPolytope(obj.value(p, xx)[None, :])),
@@ -471,28 +461,22 @@ def solve_ideal(spec: VopSpec, p: float, x0, cfg: Optional[SolverConfig] = None,
                 mode=Mode.DECREASE, hints=decrease_hints(spec, p), p_for_seed=p)
             alpha_under = est.alpha_lo
     prob.declared_alpha = float(alpha_under)
-    run_cfg = SolverConfig(**{**cfg.__dict__,
-                              "alpha_tilde": float(alpha_under),
-                              "ell": spec.objective_lipschitz if cfg.ell is None else cfg.ell,
-                              "allow_uncertified": True})
+    run_cfg = replace(cfg, alpha_tilde=float(alpha_under),
+                      ell=spec.objective_lipschitz if cfg.ell is None else cfg.ell,
+                      allow_uncertified=True)
     try:
         res = solve(prob, p, x0, run_cfg)
     except (NoDescentStep, MaxItersExceeded):
         out = IdealResult(status=NOT_FOUND)
-        if certify_empty:
-            oracle = brute_force_ideal(spec, p, oracle_density, bounds)
-            out.oracle = oracle
-            if not oracle.is_ideal:
-                out.status = CERTIFIED_EMPTY
-        return out
-    x = res.x_final
-    _, dx = spec.constraint.project(x, p)
-    if res.merit_final <= run_cfg.tol and dx <= max(run_cfg.tol, 1e-7):
-        return IdealResult(status=FOUND, x=x,
-                           value=spec.objective.value(p, x),
-                           merit_final=res.merit_final, solve_result=res)
-    out = IdealResult(status=NOT_FOUND, merit_final=res.merit_final,
-                      solve_result=res)
+    else:
+        x = res.x_final
+        _, dx = spec.constraint.project(x, p)
+        if res.merit_final <= run_cfg.tol and dx <= max(run_cfg.tol, 1e-7):
+            return IdealResult(status=FOUND, x=x,
+                               value=spec.objective.value(p, x),
+                               merit_final=res.merit_final, solve_result=res)
+        out = IdealResult(status=NOT_FOUND, merit_final=res.merit_final,
+                          solve_result=res)
     if certify_empty:
         oracle = brute_force_ideal(spec, p, oracle_density, bounds)
         out.oracle = oracle
@@ -508,14 +492,9 @@ def _oracle_once(spec: VopSpec, p: float, density: int, bounds,
     if extras:
         candidates = np.vstack([candidates, np.asarray(extras)])
     obj = spec.objective
-    if obj.is_affine and isinstance(spec.constraint, (PolytopeSet, Box)):
-        # linearity: dominance against the vertices decides dominance on the hull
-        if isinstance(spec.constraint, PolytopeSet):
-            ref_pts = spec.constraint.polytope.vertices
-        else:
-            lo, hi = spec.constraint.bounds_at(p)
-            ref_pts = np.asarray(list(itertools.product(*zip(lo, hi))), float)
-    else:
+    # linearity: dominance against the vertices decides dominance on the hull
+    ref_pts = _affine_vertex_points(spec, p)
+    if ref_pts is None:
         ref_pts = candidates
     cand_vals = obj.values_many(p, candidates)
     ref_vals = obj.values_many(p, ref_pts)

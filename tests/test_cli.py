@@ -59,7 +59,7 @@ def test_missing_problem_file_exit_code(capsys):
     assert "missing.json" in capsys.readouterr().err
 
 
-def test_usage_errors(problem_files, capsys):
+def test_usage_errors(problem_files, tmp_path, capsys):
     assert main(["solve", "--problem", problem_files["rotation"],
                  "--p", "0"]) == 1  # missing --x0
     assert main(["sweep", "--problem", problem_files["rotation"],
@@ -68,6 +68,12 @@ def test_usage_errors(problem_files, capsys):
                  "--p", "0", "--x0", "0,0"]) == 1  # wrong problem kind
     assert main(["vopt", "--problem", problem_files["rotation"],
                  "--p", "0", "--x0", "0,0"]) == 1
+    # malformed constraint data is rejected at load, not mid-solve
+    data = rotation_inclusion_problem().to_dict()
+    data["constraint"] = {"variant": "ball", "center": [0.0, 0.0], "radius": -1}
+    bad = tmp_path / "bad_ball.json"
+    bad.write_text(json.dumps(data))
+    assert main(["solve", "--problem", str(bad), "--p", "0", "--x0", "0,0"]) == 1
 
 
 def test_vopt_verb_single_point(problem_files, capsys):

@@ -1,0 +1,106 @@
+"""Golden-output regression: small fixed runs must reproduce the CSV files in
+``tests/data`` — numbers within 1e-12, text columns exactly.
+
+The fixtures pin outputs across commits, so a refactor that must not change
+results is checked against the code that wrote them.  Rewrite them (only
+when a change of results is intended) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+import csv
+import math
+import os
+import sys
+
+import numpy as np
+import pytest
+
+from svikit.parametric import sweep, write_csv
+from svikit.problems import (boxed_rotation_problem, rotation_inclusion_problem,
+                             triangle_vop_spec)
+from svikit.solver import SolverConfig, solve
+from svikit.vopt import ideal_value_sweep
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+TEXT_COLUMNS = {"bound_holds", "solved", "oracle_status"}
+STEP = 2.0 * math.pi / 64  # the criterion-5 grid step
+
+
+def rotation_warm(path):
+    """Warm sweep anchored at the origin (unconstrained, anchored projection)."""
+    table = sweep(rotation_inclusion_problem(), STEP * np.arange(9), [0.0, 0.0],
+                  SolverConfig(alpha=1.5))
+    write_csv(table, path)
+
+
+def boxed_cold(path):
+    """Cold sweep from an infeasible start (constrained path, kappa > 0)."""
+    table = sweep(boxed_rotation_problem(), np.linspace(0.0, 2.0 * math.pi, 9),
+                  [3.0, 0.5], SolverConfig(), warm_start=False)
+    write_csv(table, path)
+
+
+def triangle_ideal(path):
+    """Ideal-value sweep of the clockwise triangle with the oracle."""
+    table = ideal_value_sweep(triangle_vop_spec(clockwise=True),
+                              np.linspace(0.0, 2.0 * math.pi, 9), [0.3, 0.3],
+                              SolverConfig(), with_oracle=True, oracle_density=32)
+    write_csv(table, path, oracle_statuses=table.meta["statuses"])
+
+
+def _write_solves(path, prob, cfg, x0s):
+    lines = ["p,x0_1,x0_2,x_1,x_2,merit_final,bound_holds"]
+    for p, x0 in zip(np.linspace(0.0, 2.0 * math.pi, len(x0s)), x0s):
+        res = solve(prob, float(p), x0, cfg)
+        cells = [float(v) for v in (p, *x0, *res.x_final, res.merit_final)]
+        lines.append(",".join([*map(repr, cells), str(res.bound_holds).lower()]))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def cold_solves(path):
+    """Cold solves of the rotation instance from seeded start points."""
+    x0s = np.random.default_rng(7).uniform(-2.0, 2.0, size=(33, 2))
+    _write_solves(path, rotation_inclusion_problem(), SolverConfig(), x0s)
+
+
+def boxed_retries(path):
+    """Constrained solves with an overstated alpha_tilde and alpha near the
+    bottom of its interval: most runs back alpha off mid-run, which changes
+    the penalty weight of the merit."""
+    x0s = np.random.default_rng(11).uniform(-3.0, 3.0, size=(9, 2))
+    cfg = SolverConfig(alpha_tilde=8.0, alpha=4.3)
+    _write_solves(path, boxed_rotation_problem(), cfg, x0s)
+
+
+CASES = {"rotation_warm": rotation_warm, "boxed_cold": boxed_cold,
+         "triangle_ideal": triangle_ideal, "cold_solves": cold_solves,
+         "boxed_retries": boxed_retries}
+
+
+def _read(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, tmp_path):
+    out = tmp_path / f"{name}.csv"
+    CASES[name](out)
+    got, want = _read(out), _read(os.path.join(DATA, f"{name}.csv"))
+    assert len(got) == len(want)
+    assert list(got[0]) == list(want[0])
+    for i, (g, w) in enumerate(zip(got, want)):
+        for col in w:
+            if col in TEXT_COLUMNS:
+                assert g[col] == w[col], (i, col)
+            else:
+                a, b = float(g[col]), float(w[col])
+                assert (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-12, (i, col, a, b)
+
+
+if __name__ == "__main__":
+    os.makedirs(DATA, exist_ok=True)
+    for name in sys.argv[1:] or sorted(CASES):
+        CASES[name](os.path.join(DATA, f"{name}.csv"))
+        print(f"wrote {name}.csv")

@@ -7,7 +7,7 @@ from svikit.geometry import orthant
 from svikit.setmaps import (AbsComponent, AllSpace, Ball, Box, ConcaveTerm,
                             ConstantMatrix, FanSpec, InterpolatedTable,
                             PolytopeSet, RotationScaled, SviProblem,
-                            constrained_merit, evaluate, is_all_space,
+                            constraint_from_dict, evaluate, is_all_space,
                             lipschitz_budget, merit, problem_from_dict)
 from svikit.geometry import VPolytope
 
@@ -51,7 +51,7 @@ def test_merit_examples(rotation_problem):
 def test_constrained_merit_examples(rotation_problem, boxed_problem):
     p = 0.7
     x_in = np.array([0.5, 0.5])
-    assert constrained_merit(boxed_problem, p, x_in, 0.5) == pytest.approx(
+    assert merit(boxed_problem, p, x_in, kappa=0.5) == pytest.approx(
         merit(boxed_problem, p, x_in))
     # arithmetic composition: merit + kappa * distance
     prob = SviProblem(matrix=boxed_problem.matrix, cone=boxed_problem.cone,
@@ -59,8 +59,10 @@ def test_constrained_merit_examples(rotation_problem, boxed_problem):
                       constraint=Box(lower=[0.0, 0.0], upper=[1.0, 1.0]))
     x_out = np.array([2.0, 0.5])
     base = merit(prob, p, x_out)
-    assert constrained_merit(prob, p, x_out, 1.0) == pytest.approx(base + 1.0)
-    assert constrained_merit(prob, p, x_out, 0.5) == pytest.approx(base + 0.5)
+    assert merit(prob, p, x_out, kappa=1.0) == pytest.approx(base + 1.0)
+    assert merit(prob, p, x_out, kappa=0.5) == pytest.approx(base + 0.5)
+    with pytest.raises(ValueError):
+        merit(prob, p, x_out, kappa=-1.0)
 
 
 def test_lipschitz_budget(rotation_problem):
@@ -147,6 +149,20 @@ def test_constraint_projections():
 
     assert is_all_space(AllSpace())
     assert not is_all_space(box)
+
+
+def test_constraint_data_validation():
+    for radius in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            Ball(center=[0.0, 0.0], radius=radius)
+    with pytest.raises(ValueError):
+        constraint_from_dict({"variant": "ball", "knots": [
+            {"p": 0.0, "center": [0.0, 0.0], "radius": 1.0},
+            {"p": 1.0, "center": [1.0, 1.0], "radius": -0.5}]})
+    with pytest.raises(ValueError):  # lower 0 > upper -1 at the second knot
+        Box(knots=(([0.0, 1.0], [[0.0], [0.0]]), ([0.0, 1.0], [[1.0], [-1.0]])))
+    box = Box(knots=(([0.0, 1.0], [[0.0], [0.0]]), ([0.0, 1.0], [[1.0], [2.0]])))
+    assert np.allclose(box.bounds_at(0.5)[1], [1.5])
 
 
 def test_problem_dict_round_trip(rotation_problem, boxed_problem):

@@ -8,7 +8,7 @@ from svikit.geometry import SumSet, VPolytope, orthant, project_dist
 
 from svikit.problems import (deviation_vop_spec, sine_deviation_spec,
                              triangle_vop_spec)
-from svikit.setmaps import AllSpace, Box, ConstantMatrix
+from svikit.setmaps import AllSpace, Box, ConstantMatrix, merit
 from svikit.solver import SolverConfig
 from svikit.vopt import (CERTIFIED_EMPTY, FOUND, AffineFamily,
                          GridCoarseWarning, UnsupportedCombination, VopSpec,
@@ -72,7 +72,7 @@ def test_build_vop_problem_triangle_vertex_images(triangle_spec):
     got = sorted(map(tuple, np.round(vp.vertices, 12).tolist()))
     # at p = 0 the objective is the identity: images of the three vertices
     assert got == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]
-    assert prob.merit(0.0, [0.0, 0.0]) == 0.0
+    assert merit(prob, 0.0, [0.0, 0.0]) == 0.0
 
 
 def test_build_vop_problem_deviation_contains_minimizer():
@@ -80,8 +80,8 @@ def test_build_vop_problem_deviation_contains_minimizer():
     prob = build_vop_problem(spec, 0.0, image_sampling=9, bounds=([-1.0], [1.0]))
     vp = prob.evaluate(0.0, [0.0])
     assert np.all(vp.vertices >= -1e-12)  # x = phi(p) is ideal
-    assert prob.merit(0.0, [0.0]) <= 1e-12
-    assert prob.merit(0.0, [0.3]) > 0.1
+    assert merit(prob, 0.0, [0.0]) <= 1e-12
+    assert merit(prob, 0.0, [0.3]) > 0.1
 
 
 def test_build_vop_problem_affine_box_identity():
@@ -92,7 +92,7 @@ def test_build_vop_problem_affine_box_identity():
     vp = prob.evaluate(0.0, [0.0, 0.0])
     assert sorted(map(tuple, vp.vertices.tolist())) == [
         (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
-    assert prob.merit(0.0, [0.0, 0.0]) == 0.0
+    assert merit(prob, 0.0, [0.0, 0.0]) == 0.0
 
 
 def test_build_vop_problem_rejects_unbounded_affine_image():
@@ -198,7 +198,7 @@ def test_ideal_value_single_valuedness():
                    constraint=Box(lower=[0.0, 0.0], upper=[1.0, 1.0]),
                    cone=orthant(2), objective_lipschitz=1.0)
     prob = build_vop_problem(spec, 0.0)
-    ideal_xs = [x for x in prob.feasible_samples(0.0) if prob.merit(0.0, x) <= 1e-9]
+    ideal_xs = [x for x in prob.feasible_samples(0.0) if merit(prob, 0.0, x) <= 1e-9]
     assert len(ideal_xs) > 1
     vals = np.asarray([spec.objective.value(0.0, x) for x in ideal_xs])
     assert np.max(np.linalg.norm(vals - vals[0], axis=1)) <= 1e-9
