@@ -4,8 +4,9 @@ certificates.
 
 All sets live in R^m with m small (desk scale, m <= 4 typical).  Cones are
 finitely generated, polytopes are vertex lists.  Distances are exact up to
-floating point: projections onto a polytope-plus-cone are computed by an
-active-set elimination loop on the nonnegative coefficients.
+floating point: every polytope-plus-cone is projected through its face table
+(``_face_table``), cached on the set, a whole batch of points at a time; the
+orthant keeps its closed form.
 """
 from __future__ import annotations
 
@@ -55,9 +56,10 @@ def _as_points(rows, dim: Optional[int] = None) -> np.ndarray:
 def _nnls_project(y: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, float]:
     """Project y onto cone(G rows): argmin ||G.T mu - y||, mu >= 0.
 
-    Reuses the hull-plus-cone active-set kernel with the singleton base {0}.
+    Reuses the hull-plus-cone active-set kernel with the singleton base {0};
+    it serves the cone's construction checks (whole space, pointedness).
     (scipy.optimize.nnls 1.15 returns suboptimal points on some wedge
-    instances, so the projection stack stays on one audited kernel.)
+    instances, so the checks do not rely on it.)
     """
     return _hull_cone_project(y, np.zeros((1, y.shape[0])), G)
 
@@ -153,6 +155,111 @@ def _hull_cone_project(
 
 
 # ---------------------------------------------------------------------------
+# face tables
+# ---------------------------------------------------------------------------
+
+#: sets with more candidate faces are projected point by point with the
+#: active-set kernel; bounds the table's memory and build time
+_FACE_BUDGET = 512
+#: a batch is evaluated in chunks of at most this many (face, point) pairs
+_FACE_CHUNK = 1 << 17
+_FEASIBLE_TOL = 1e-12
+#: faces up to this condition number take the normal equations
+_NORMAL_COND = 100.0
+
+
+def _face_table(base: np.ndarray, gens: Optional[np.ndarray]):
+    """Face table of conv(base rows) + cone(gens rows); None above
+    ``_FACE_BUDGET`` faces.
+
+    The projection of y lies in the relative interior of a face, so by
+    Caratheodory it is a nonnegative combination of a base vertex b0 and
+    base vertices and generators whose directions b_i - b0, g_j are linearly
+    independent; least squares over that subset returns it.  Any subset with
+    nonnegative weights gives a point of the set, so the distance is the
+    least over the feasible candidates of all full-rank subsets.
+
+    Per subset, a (2m + 1) x m map of y - b0 gives its weights (zero-padded
+    to m), their negated base sum (b0 keeps 1 minus it) and its candidate
+    minus b0.  Returns the origins (S, m), the maps as one block matrix
+    (S * (2m + 1), k * m) acting on y - v stacked over the k vertices v, and
+    the feasible lower bounds (m + 1, 1) of weights and negated base sum.
+    """
+    k, m = base.shape
+    gens = np.zeros((0, m)) if gens is None else gens
+    g = gens.shape[0]
+    sizes = [(b, j) for b in range(1, min(k, m + 1) + 1)
+             for j in range(min(g, m + 1 - b) + 1)]
+    if sum(math.comb(k, b) * math.comb(g, j) for b, j in sizes) > _FACE_BUDGET:
+        return None
+    first, dirs, shape = [], [], []
+    for i in range(k):
+        for b, j in sizes:
+            for B in combinations(range(i + 1, k), b - 1):
+                for J in combinations(range(g), j):
+                    D = np.zeros((m, m))
+                    D[:, :b - 1] = (base[list(B)] - base[i]).T
+                    D[:, b - 1:b - 1 + j] = gens[list(J)].T
+                    first.append(i)
+                    dirs.append(D)
+                    shape.append((b - 1, b - 1 + j))
+    D = np.array(dirs)
+    nbase, ncols = np.array(shape).T
+    U, sv, Vt = np.linalg.svd(D)
+    keep = np.sum(sv > sv[:, :1] * m * np.finfo(float).eps, axis=1) == ncols
+    D, first, nbase, ncols, U, sv, Vt = (
+        a[keep] for a in (D, np.array(first), nbase, ncols, U, sv, Vt))
+    cols = np.arange(m)[None, :] < ncols[:, None]
+    inv_sv = np.where(cols, 1.0 / np.where(cols, sv, 1.0), 0.0)
+    P = (Vt.transpose(0, 2, 1) * inv_sv[:, None, :]) @ U.transpose(0, 2, 1)
+    M = (U * cols[:, None, :]) @ U.transpose(0, 2, 1)
+    # well-conditioned faces take the normal equations, which give the closed
+    # forms bit for bit (a segment's weight (y - a).d / |d|^2); the rest keep
+    # the SVD, whose projector avoids rebuilding a point from huge weights
+    well = sv[:, 0] <= _NORMAL_COND * sv[np.arange(len(D)), np.maximum(ncols - 1, 0)]
+    DT = D.transpose(0, 2, 1)
+    gram = DT @ D + np.eye(m) * ~cols[:, :, None]
+    P[well] = np.linalg.solve(gram[well], DT[well])
+    M[well] = D[well] @ P[well]
+    M[ncols == m] = np.eye(m)  # a full-dimensional face's candidate is y itself
+    base_sum = np.sum(P * (np.arange(m)[None, :] < nbase[:, None])[:, :, None], axis=1)
+    maps = np.concatenate([P, -base_sum[:, None, :], M], axis=1)
+    block = np.zeros((len(D), 2 * m + 1, k, m))
+    block[np.arange(len(D)), :, first] = maps
+    lower = np.append(np.zeros(m), -1.0)[:, None] - _FEASIBLE_TOL
+    return base[first], block.reshape(-1, k * m), lower
+
+
+def _nearest(owner, base: np.ndarray, gens: Optional[np.ndarray],
+             pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest points of conv(base) + cone(gens) to the rows of pts, and
+    their distances.  The face table is built on first use and cached on
+    ``owner``, an object that lives as long as the set."""
+    if "_faces" not in vars(owner):
+        object.__setattr__(owner, "_faces", _face_table(base, gens))
+    table = vars(owner)["_faces"]
+    if table is None:
+        out = [_hull_cone_project(y, base, gens) for y in pts]
+        return np.array([p for p, _ in out]).reshape(pts.shape), np.array([d for _, d in out])
+    b0, block, lower = table
+    step = max(1, _FACE_CHUNK // len(b0))
+    if len(pts) > step:
+        parts = [_nearest(owner, base, gens, pts[i:i + step])
+                 for i in range(0, len(pts), step)]
+        return np.vstack([p for p, _ in parts]), np.concatenate([d for _, d in parts])
+    n, m = pts.shape
+    rel = (pts.T[None, :, :] - base[:, :, None]).reshape(-1, n)
+    out = (block @ rel).reshape(len(b0), 2 * m + 1, n)
+    cand = b0[:, :, None] + out[:, m + 1:]
+    r = pts.T - cand
+    d = np.sqrt(np.add.reduce(r * r, axis=1))
+    d[~(out[:, :m + 1] >= lower).all(axis=1)] = np.inf
+    best = d.argmin(axis=0)
+    i = np.arange(n)
+    return cand[best, :, i], d[best, i]
+
+
+# ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
 
@@ -180,7 +287,6 @@ class PolyCone:
         _, d = _hull_cone_project(np.zeros(self.dim), unit, None)
         object.__setattr__(self, "pointed", bool(d > GEOM_TOL))
         object.__setattr__(self, "_orthant", self._detect_orthant())
-        object.__setattr__(self, "_pieces", self._triangulate())
 
     @property
     def dim(self) -> int:
@@ -207,105 +313,20 @@ class PolyCone:
             hit[axis] = True
         return bool(np.all(hit))
 
-    def _triangulate(self) -> Optional[list[np.ndarray]]:
-        """Split a pointed cone in R^1/R^2/R^3 into simplicial pieces
-        (generator index arrays) whose union is the cone.  Enables the
-        vectorized exact distance path; None means fall back to per-point
-        NNLS."""
-        if not self.pointed:
-            return None
-        gens = self.generators
-        m = self.dim
-        if m == 1:
-            return [np.array([0])]
-        unit = gens / np.linalg.norm(gens, axis=1, keepdims=True)
-        w = unit.sum(axis=0)
-        nw = np.linalg.norm(w)
-        if nw <= GEOM_TOL:
-            return None
-        w = w / nw
-        dots = unit @ w
-        if np.any(dots <= GEOM_TOL):
-            return None  # mean ray not strictly interior; NNLS fallback
-        if m == 2:
-            rel = np.arctan2(
-                gens[:, 1] * w[0] - gens[:, 0] * w[1],
-                gens[:, 0] * w[0] + gens[:, 1] * w[1],
-            )
-            lo, hi = int(np.argmin(rel)), int(np.argmax(rel))
-            if lo == hi:
-                return [np.array([lo])]
-            return [np.array([lo, hi])]
-        if m == 3:
-            # slice by the plane <w, y> = 1 and fan-triangulate the extreme
-            # points of the section polygon (redundant rays must drop out)
-            q = unit / dots[:, None]
-            b1 = np.eye(3)[int(np.argmin(np.abs(w)))]
-            b1 = b1 - (b1 @ w) * w
-            b1 /= np.linalg.norm(b1)
-            b2 = np.cross(w, b1)
-            uv = np.column_stack([q @ b1, q @ b2])
-            if len(uv) == 1:
-                return [np.array([0])]
-            if len(uv) == 2:
-                return [np.array([0, 1])]
-            try:
-                from scipy.spatial import ConvexHull, QhullError
-                hull = ConvexHull(uv)
-                order = hull.vertices  # counterclockwise extreme points
-            except (QhullError, ValueError):
-                return None  # degenerate section; NNLS fallback
-            if len(order) < 3:
-                return [np.asarray(order)]
-            anchor = order[0]
-            pieces = []
-            for j in range(1, len(order) - 1):
-                pieces.append(np.array([anchor, order[j], order[j + 1]]))
-            return pieces
-        return None
-
     def distances(self, points: np.ndarray) -> np.ndarray:
         """Exact Euclidean distances of many points to the cone (vectorized)."""
         pts = _as_points(points, self.dim)
         if getattr(self, "_orthant"):
             return np.linalg.norm(np.minimum(pts, 0.0), axis=1)
-        pieces = getattr(self, "_pieces")
-        if pieces is not None:
-            return self._distances_by_pieces(pts, pieces)
-        return np.array([_nnls_project(p, self.generators)[1] for p in pts])
-
-    def _distances_by_pieces(self, pts: np.ndarray, pieces) -> np.ndarray:
-        # the projection onto a simplicial cone is the nearest primal-feasible
-        # candidate among unconstrained least squares over generator subsets
-        best = np.linalg.norm(pts, axis=1)  # origin candidate
-        seen: set[tuple[int, ...]] = set()
-        for idx in pieces:
-            for r in range(1, len(idx) + 1):
-                for sub in combinations(idx.tolist(), r):
-                    key = tuple(sorted(sub))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    Gs = self.generators[list(key)]
-                    gram = Gs @ Gs.T
-                    try:
-                        coef = np.linalg.solve(gram, Gs @ pts.T)
-                    except np.linalg.LinAlgError:
-                        continue
-                    feas = np.all(coef >= -1e-12, axis=0)
-                    if not np.any(feas):
-                        continue
-                    proj = coef.T @ Gs
-                    d = np.linalg.norm(pts - proj, axis=1)
-                    best = np.where(feas, np.minimum(best, d), best)
-        return best
+        return _nearest(self, np.zeros((1, self.dim)), self.generators, pts)[1]
 
     def project(self, y: np.ndarray) -> tuple[np.ndarray, float]:
         y = as_vector(y, self.dim)
         if getattr(self, "_orthant"):
             proj = np.maximum(y, 0.0)
             return proj, float(np.linalg.norm(y - proj))
-        return _nnls_project(y, self.generators)
+        proj, d = _nearest(self, np.zeros((1, self.dim)), self.generators, y[None, :])
+        return proj[0], float(d[0])
 
     def deep_direction(self) -> np.ndarray:
         """Unit direction into the cone's bulk (normalized generator mean)."""
@@ -359,52 +380,6 @@ class SumSet:
 SetLike = Union[SumSet, PolyCone, VPolytope]
 
 
-_UNSET = object()
-
-
-def _hull2d_points(P: VPolytope) -> Optional[np.ndarray]:
-    """Counterclockwise hull points of a 2-D polytope, cached on the
-    instance; None when the hull is degenerate (fall back to the kernel)."""
-    cached = getattr(P, "_hull2d", _UNSET)
-    if cached is _UNSET:
-        verts = P.vertices
-        if verts.shape[0] <= 2:
-            cached = verts
-        else:
-            try:
-                from scipy.spatial import ConvexHull, QhullError
-                hull = ConvexHull(verts)
-                cached = verts[hull.vertices]
-            except (QhullError, ValueError):
-                cached = None
-        object.__setattr__(P, "_hull2d", cached)
-    return cached
-
-
-def _project_polytope_2d(y: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, float]:
-    if pts.shape[0] == 1:
-        return pts[0].copy(), float(np.linalg.norm(y - pts[0]))
-    if pts.shape[0] == 2:
-        a, d = pts[0], pts[1] - pts[0]
-        denom = float(d @ d)
-        t = 0.0 if denom == 0 else min(max(float((y - a) @ d) / denom, 0.0), 1.0)
-        proj = a + t * d
-        return proj, float(np.linalg.norm(y - proj))
-    A = pts
-    D = np.roll(pts, -1, axis=0) - pts
-    rel = y - A
-    cross = D[:, 0] * rel[:, 1] - D[:, 1] * rel[:, 0]
-    if np.all(cross >= -1e-12):
-        return y.copy(), 0.0
-    denom = np.einsum("ij,ij->i", D, D)
-    t = np.clip(np.einsum("ij,ij->i", rel, D) / np.where(denom == 0, 1.0, denom),
-                0.0, 1.0)
-    cand = A + t[:, None] * D
-    dd = np.linalg.norm(cand - y, axis=1)
-    j = int(np.argmin(dd))
-    return cand[j], float(dd[j])
-
-
 def _as_sumset(S: SetLike) -> SumSet:
     if isinstance(S, SumSet):
         return S
@@ -423,8 +398,8 @@ def project_dist(y, S: SetLike) -> tuple[np.ndarray, float]:
     """Euclidean nearest point of S to y, and the distance.
 
     S may be a SumSet, a bare PolyCone, or a bare VPolytope.  Exact up to
-    floating point (active-set / NNLS); distance zero within GEOM_TOL means
-    membership.
+    floating point (the face table of ``_face_table``); distance zero within
+    GEOM_TOL means membership.
     """
     ss = _as_sumset(S)
     y = as_vector(y, ss.dim)
@@ -435,48 +410,23 @@ def project_dist(y, S: SetLike) -> tuple[np.ndarray, float]:
             return base[0].copy(), float(np.linalg.norm(shifted))
         proj, d = ss.cone.project(shifted)
         return proj + base[0], d
-    if ss.cone is None and ss.dim == 2:
-        pts = _hull2d_points(ss.base)
-        if pts is not None:
-            return _project_polytope_2d(y, pts)
-    gens = ss.cone.generators if ss.cone is not None else None
-    return _hull_cone_project(y, base, gens)
-
-
-def _dist_many_segment_cone(pts: np.ndarray, v0: np.ndarray, v1: np.ndarray,
-                            cone: PolyCone, iters: int = 60) -> np.ndarray:
-    """Distances to (segment v0-v1) + cone, ternary search over the segment
-    parameter vectorized across the whole query batch (the per-query maps
-    t -> dist(p - v(t), cone) are convex, hence unimodal)."""
-    n = pts.shape[0]
-    lo = np.zeros(n)
-    hi = np.ones(n)
-    seg = v1 - v0
-
-    def f(t):
-        return cone.distances(pts - (v0 + t[:, None] * seg))
-
-    for _ in range(iters):
-        c = lo + (hi - lo) / 3.0
-        d = hi - (hi - lo) / 3.0
-        left = f(c) <= f(d)
-        hi = np.where(left, d, hi)
-        lo = np.where(left, lo, c)
-    return np.minimum(f(lo), np.minimum(f(hi), f(0.5 * (lo + hi))))
+    gens = None if ss.cone is None else ss.cone.generators
+    # a bare polytope gets a new wrapper on every call: cache on the polytope
+    proj, d = _nearest(ss.base if gens is None else ss, base, gens, y[None, :])
+    return proj[0], float(d[0])
 
 
 def dist_many(points: np.ndarray, S: SetLike) -> np.ndarray:
-    """Distances of many points (rows) to S; vectorized where possible."""
+    """Distances of many points (rows) to S, vectorized over the batch."""
     ss = _as_sumset(S)
     pts = _as_points(points, ss.dim)
     base = ss.base.vertices
-    if base.shape[0] == 1 and ss.cone is not None:
-        return ss.cone.distances(pts - base[0])
-    if base.shape[0] == 1 and ss.cone is None:
+    if base.shape[0] > 1:
+        gens = None if ss.cone is None else ss.cone.generators
+        return _nearest(ss.base if gens is None else ss, base, gens, pts)[1]
+    if ss.cone is None:
         return np.linalg.norm(pts - base[0], axis=1)
-    if base.shape[0] == 2 and ss.cone is not None and ss.cone.dim <= 3:
-        return _dist_many_segment_cone(pts, base[0], base[1], ss.cone)
-    return np.array([project_dist(p, ss)[1] for p in pts])
+    return ss.cone.distances(pts - base[0])
 
 
 def excess(A: VPolytope, S: SetLike) -> float:

@@ -34,6 +34,8 @@ class _Knots:
         self.values = np.asarray(values, dtype=float)
         if self.ps.ndim != 1 or len(self.ps) < 1:
             raise ValueError("knot table needs at least one parameter value")
+        if not (np.all(np.isfinite(self.ps)) and np.all(np.isfinite(self.values))):
+            raise ValueError("knot tables must be finite")
         if np.any(np.diff(self.ps) <= 0):
             raise ValueError("knot parameters must be strictly increasing")
         if self.values.shape[0] != len(self.ps):
@@ -163,6 +165,8 @@ class AbsComponent:
     def __post_init__(self):
         if self.c > 0:
             raise ValueError("abs coefficient must be <= 0 to keep the component concave")
+        if self.coord < 0:
+            raise ValueError("component coordinate must be nonnegative")
 
     def value(self, x: np.ndarray) -> float:
         xi = x[self.coord]
@@ -268,6 +272,8 @@ class FanSpec:
 
 @dataclass(frozen=True)
 class AllSpace:
+    dim = None  # fits every input dimension
+
     def project(self, x: np.ndarray, p: float) -> tuple[np.ndarray, float]:
         return np.asarray(x, dtype=float).copy(), 0.0
 
@@ -289,6 +295,8 @@ class Box:
             lo, hi = _Knots(ps, lo), _Knots(ps2, hi)
             if not np.array_equal(lo.ps, hi.ps):
                 raise ValueError("box bound knots must share their parameters")
+            if lo.values.ndim != 2 or lo.values.shape != hi.values.shape:
+                raise ValueError("box bounds must be vectors of one length at every knot")
             # interpolating between valid knots keeps lower <= upper
             if not np.all(lo.values <= hi.values):
                 raise ValueError("box lower bound exceeds upper bound at a knot")
@@ -297,11 +305,15 @@ class Box:
             if self.lower is None or self.upper is None:
                 raise ValueError("box requires bounds or bound knots")
             lo = as_vector(self.lower)
-            hi = as_vector(self.upper)
+            hi = as_vector(self.upper, len(lo))
             if np.any(lo > hi):
                 raise ValueError("box lower bound exceeds upper bound")
             object.__setattr__(self, "lower", lo)
             object.__setattr__(self, "upper", hi)
+
+    @property
+    def dim(self) -> int:
+        return len(self.lower) if self.knots is None else self.knots[0].values.shape[1]
 
     def bounds_at(self, p: float) -> tuple[np.ndarray, np.ndarray]:
         if self.knots is not None:
@@ -341,10 +353,17 @@ class Ball:
             object.__setattr__(self, "center", as_vector(self.center))
             radii = np.array([self.radius], dtype=float)
         else:
+            if self.center_knots.values.ndim != 2:
+                raise ValueError("ball center knots must be vectors")
             radii = self.radius_knots.values
         # interpolating between valid knots keeps the radius valid
         if not np.all(np.isfinite(radii) & (radii >= 0)):
             raise ValueError("ball radius must be finite and nonnegative")
+
+    @property
+    def dim(self) -> int:
+        return len(self.center) if self.center_knots is None \
+            else self.center_knots.values.shape[1]
 
     def data_at(self, p: float) -> tuple[np.ndarray, float]:
         if self.center_knots is not None:
@@ -377,6 +396,10 @@ class PolytopeSet:
     """Constant polytopal feasible set (vertex list in the x-space)."""
 
     polytope: VPolytope
+
+    @property
+    def dim(self) -> int:
+        return self.polytope.dim
 
     def project(self, x, p: float) -> tuple[np.ndarray, float]:
         return project_dist(x, self.polytope)
@@ -440,6 +463,10 @@ class SviProblem:
             raise ValueError("concave term output dimension mismatch")
         if self.fan is not None and self.fan.shape != (m, n):
             raise ValueError("fan matrix shape mismatch")
+        if self.h is not None and any(c.coord >= n for c in self.h.components):
+            raise ValueError("concave term reads a coordinate beyond the input dimension")
+        if self.constraint.dim not in (None, n):
+            raise ValueError("constraint dimension does not match the input dimension")
 
     @property
     def dim_in(self) -> int:

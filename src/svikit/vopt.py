@@ -200,6 +200,8 @@ class VopSpec:
             raise ValueError("the ordering cone must be pointed")
         if self.cone.dim != self.objective.dim_out:
             raise ValueError("cone dimension does not match the objective output")
+        if self.constraint.dim not in (None, self.objective.dim_in):
+            raise ValueError("constraint dimension does not match the objective input")
 
     def to_dict(self) -> dict:
         return {"objective": self.objective.to_dict(),

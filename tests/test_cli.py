@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -68,12 +69,35 @@ def test_usage_errors(problem_files, tmp_path, capsys):
                  "--p", "0", "--x0", "0,0"]) == 1  # wrong problem kind
     assert main(["vopt", "--problem", problem_files["rotation"],
                  "--p", "0", "--x0", "0,0"]) == 1
-    # malformed constraint data is rejected at load, not mid-solve
-    data = rotation_inclusion_problem().to_dict()
-    data["constraint"] = {"variant": "ball", "center": [0.0, 0.0], "radius": -1}
-    bad = tmp_path / "bad_ball.json"
-    bad.write_text(json.dumps(data))
-    assert main(["solve", "--problem", str(bad), "--p", "0", "--x0", "0,0"]) == 1
+    # malformed problem data is rejected at load, not mid-solve
+    nan = math.nan
+    edits = {
+        "ball_radius": ("constraint", {"variant": "ball", "center": [0.0, 0.0], "radius": -1}),
+        "box_1d": ("constraint", {"variant": "box", "lower": [0.0], "upper": [1.0]}),
+        "box_ragged": ("constraint", {"variant": "box", "lower": [0.0], "upper": [1.0, 1.0]}),
+        "ball_3d": ("constraint", {"variant": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}),
+        "polytope_1d": ("constraint", {"variant": "polytope", "vertices": [[0.0], [1.0]]}),
+        "matrix_nan": ("matrix", {"variant": "interpolated", "knots": [
+            {"p": 0.0, "matrix": [[nan, 0.0], [0.0, 1.0]]},
+            {"p": 7.0, "matrix": [[1.0, 0.0], [0.0, 1.0]]}]}),
+        "knot_p_nan": ("matrix", {"variant": "interpolated", "knots": [
+            {"p": nan, "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+            {"p": 7.0, "matrix": [[1.0, 0.0], [0.0, 1.0]]}]}),
+        "center_nan": ("constraint", {"variant": "ball", "knots": [
+            {"p": 0.0, "center": [nan, 0.0], "radius": 1.0},
+            {"p": 7.0, "center": [0.0, 0.0], "radius": 1.0}]}),
+        "coord_5": ("h", 5),
+        "coord_negative": ("h", -1),
+    }
+    for name, (key, value) in edits.items():
+        data = rotation_inclusion_problem().to_dict()
+        if key == "h":
+            data["h"]["components"][1]["coord"] = value
+        else:
+            data[key] = value
+        bad = tmp_path / f"bad_{name}.json"
+        bad.write_text(json.dumps(data))
+        assert main(["solve", "--problem", str(bad), "--p", "0", "--x0", "0,0"]) == 1, name
 
 
 def test_vopt_verb_single_point(problem_files, capsys):

@@ -6,10 +6,11 @@ import pytest
 from svikit.geometry import orthant
 from svikit.setmaps import (AbsComponent, AllSpace, Ball, Box, ConcaveTerm,
                             ConstantMatrix, FanSpec, InterpolatedTable,
-                            PolytopeSet, RotationScaled, SviProblem,
+                            PolytopeSet, RotationScaled, SviProblem, _Knots,
                             constraint_from_dict, evaluate, is_all_space,
                             lipschitz_budget, merit, problem_from_dict)
 from svikit.geometry import VPolytope
+from svikit.vopt import LinearRotation, VopSpec
 
 SQRT2 = math.sqrt(2.0)
 
@@ -163,6 +164,36 @@ def test_constraint_data_validation():
         Box(knots=(([0.0, 1.0], [[0.0], [0.0]]), ([0.0, 1.0], [[1.0], [-1.0]])))
     box = Box(knots=(([0.0, 1.0], [[0.0], [0.0]]), ([0.0, 1.0], [[1.0], [2.0]])))
     assert np.allclose(box.bounds_at(0.5)[1], [1.5])
+    # bounds of unequal length, directly and on knots
+    with pytest.raises(ValueError):
+        Box(lower=[0.0], upper=[1.0, 1.0])
+    with pytest.raises(ValueError):
+        Box(knots=(([0.0], [[0.0]]), ([0.0], [[1.0, 1.0]])))
+    # non-finite knot parameters or values
+    for ps, values in (([0.0, math.nan], [1.0, 2.0]), ([0.0, 1.0], [1.0, math.inf])):
+        with pytest.raises(ValueError):
+            _Knots(ps, values)
+    with pytest.raises(ValueError):
+        InterpolatedTable(np.array([0.0, 1.0]), np.array([np.eye(2), np.full((2, 2), math.nan)]))
+    with pytest.raises(ValueError):
+        Ball(center_knots=_Knots([0.0], [[math.nan, 0.0]]), radius_knots=_Knots([0.0], [1.0]))
+    with pytest.raises(ValueError):
+        AbsComponent(a=0.0, coord=-1)
+    # every constraint family must live in the problem's input space
+    assert AllSpace().dim is None
+    assert box.dim == 1 and Ball(center=[0.0, 0.0, 0.0], radius=1.0).dim == 3
+    wrong = (Box(lower=[0.0], upper=[1.0]), Ball(center=[0.0, 0.0, 0.0], radius=1.0),
+             PolytopeSet(VPolytope([[0.0], [1.0]])),
+             Box(knots=(([0.0], [[0.0, 0.0, 0.0]]), ([0.0], [[1.0, 1.0, 1.0]]))))
+    for constraint in wrong:
+        with pytest.raises(ValueError):
+            SviProblem(matrix=RotationScaled(1.0), cone=orthant(2), constraint=constraint)
+        with pytest.raises(ValueError):
+            VopSpec(objective=LinearRotation(), constraint=constraint, cone=orthant(2),
+                    objective_lipschitz=1.0)
+    with pytest.raises(ValueError):  # reads x[2] of a 2-D input
+        SviProblem(matrix=RotationScaled(1.0), cone=orthant(2),
+                   h=ConcaveTerm((AbsComponent(a=0.0), AbsComponent(a=0.0, coord=2))))
 
 
 def test_problem_dict_round_trip(rotation_problem, boxed_problem):
