@@ -292,10 +292,6 @@ class PolyCone:
     def dim(self) -> int:
         return self.generators.shape[1]
 
-    @property
-    def is_orthant(self) -> bool:
-        return getattr(self, "_orthant")
-
     def _is_whole_space(self) -> bool:
         # containing +e_i and -e_i for every axis forces C = R^m
         m = self.generators.shape[1]
@@ -353,9 +349,6 @@ class VPolytope:
     @property
     def dim(self) -> int:
         return self.vertices.shape[1]
-
-    def translate(self, v) -> "VPolytope":
-        return VPolytope(self.vertices + as_vector(v, self.dim))
 
     def __neg__(self) -> "VPolytope":
         return VPolytope(-self.vertices)
@@ -425,7 +418,7 @@ def dist_many(points: np.ndarray, S: SetLike) -> np.ndarray:
         gens = None if ss.cone is None else ss.cone.generators
         return _nearest(ss.base if gens is None else ss, base, gens, pts)[1]
     if ss.cone is None:
-        return np.linalg.norm(pts - base[0], axis=1)
+        return row_norms(pts - base[0])  # as project_dist, bit for bit
     return ss.cone.distances(pts - base[0])
 
 
@@ -487,16 +480,29 @@ def seeded_rotation(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def numgrad(fn, x: np.ndarray, h: Optional[float] = None) -> np.ndarray:
-    """Central-difference gradient of a scalar function at x."""
+def row_norms(D: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of D, each equal bit for bit to
+    ``np.linalg.norm(row)``: one dot product per row (a matrix product of
+    the whole batch would not be independent of the other rows)."""
+    return np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
+
+
+def matvec_rows(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M x for every row x of X, each equal bit for bit to ``M @ x``: one
+    matrix-vector product per row (``X @ M.T`` is one matrix product, whose
+    rows can change with the batch size)."""
+    return (M @ np.ascontiguousarray(X, dtype=float)[:, :, None])[..., 0]
+
+
+def numgrad(fn_many, x: np.ndarray, h: Optional[float] = None) -> np.ndarray:
+    """Central-difference gradient at x of a scalar function evaluated on
+    the rows of a batch: the 2n stencil points x + h e_i, x - h e_i (in that
+    order, by i) in one call."""
     if h is None:
         h = 1e-6 * max(1.0, float(np.linalg.norm(x)))
-    g = np.zeros_like(x, dtype=float)
-    for i in range(len(x)):
-        e = np.zeros_like(g)
-        e[i] = h
-        g[i] = (fn(x + e) - fn(x - e)) / (2.0 * h)
-    return g
+    E = h * np.eye(len(x))
+    f = fn_many(np.stack([x + E, x - E], axis=1).reshape(-1, len(x)))
+    return (f[0::2] - f[1::2]) / (2.0 * h)
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,7 @@ def _candidates(map_at: MapAt, target: SumSet, cone: PolyCone,
     # set and toward the cone (worst-vertex distance reduction)
     for fn in (lambda u: float(np.max(dist_many(map_at(u).vertices, target))),
                lambda u: float(np.max(cone.distances(map_at(u).vertices)))):
-        g = numgrad(fn, x)
+        g = numgrad(lambda U: np.array([fn(u) for u in U]), x)
         n = float(np.linalg.norm(g))
         if n > 1e-14:
             yield x - (r / n) * g

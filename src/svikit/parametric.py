@@ -18,8 +18,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .setmaps import merit
+from .setmaps import merit, merit_many
 from .solver import MaxItersExceeded, NoDescentStep, SolverConfig, solve
+
+#: bisection steps decided per batch: 2^d - 1 midpoints in one merit call
+_TREE_DEPTH = 5
 
 
 class TooFewRows(ValueError):
@@ -44,12 +47,6 @@ class SweepTable:
     rows: list
     meta: dict = field(default_factory=dict)
 
-    def solved_rows(self) -> list:
-        return [r for r in self.rows if r.solved]
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[r.p, *r.x, r.merit] for r in self.rows])
-
 
 @dataclass
 class ContinuityReport:
@@ -67,6 +64,37 @@ def _problem_hash(problem) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _bisect(holds_many, lo: float, hi: float, iters: int) -> float:
+    """``hi`` after ``iters`` bisection steps on [lo, hi], each moving hi to
+    the midpoint where the predicate holds and lo otherwise.  Run as midpoint
+    trees of depth _TREE_DEPTH: every midpoint the next steps can reach is
+    built with the step's own expression 0.5 * (lo + hi), all are tested in
+    one ``holds_many`` call and the tree is walked, so the result equals the
+    step-by-step loop's for any predicate."""
+    while iters > 0:
+        depth = min(_TREE_DEPTH, iters)
+        # level order: node i has children 2i + 1 (below it) and 2i + 2
+        bounds, mids = [(lo, hi)], []
+        for _ in range(depth):
+            level = [0.5 * (a + b) for a, b in bounds]
+            mids += level
+            bounds = [ab for (a, b), m in zip(bounds, level) for ab in ((a, m), (m, b))]
+        holds, i = holds_many(np.array(mids)), 0
+        for _ in range(depth):
+            if holds[i]:
+                hi, i = mids[i], 2 * i + 1
+            else:
+                lo, i = mids[i], 2 * i + 2
+        iters -= depth
+    return hi
+
+
+def _first_solved(problem, p, origin, v, kappa, tol, hi, iters):
+    """Bisected least t in (0, hi] with merit(origin + t*v) <= tol."""
+    return _bisect(lambda ts: merit_many(problem, p, origin + ts[:, None] * v, kappa) <= tol,
+                   0.0, hi, iters)
+
+
 def _segment_pullback(problem, p: float, x_from, x_to, kappa: float,
                       tol: float, iters: int = 45) -> np.ndarray:
     """Earliest point on the segment [x_from, x_to] with merit <= tol.
@@ -76,42 +104,20 @@ def _segment_pullback(problem, p: float, x_from, x_to, kappa: float,
     along segments, so the feasible part is a tail interval and bisection
     is exact."""
     x_from = np.asarray(x_from, dtype=float)
-    x_to = np.asarray(x_to, dtype=float)
-
-    def m(t):
-        return merit(problem, p, x_from + t * (x_to - x_from), kappa)
-
-    if m(0.0) <= tol:
+    v = np.asarray(x_to, dtype=float) - x_from
+    if merit(problem, p, x_from, kappa) <= tol:
         return x_from
-    lo, hi = 0.0, 1.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if m(mid) <= tol:
-            hi = mid
-        else:
-            lo = mid
-    return x_from + hi * (x_to - x_from)
+    return x_from + _first_solved(problem, p, x_from, v, kappa, tol, 1.0, iters) * v
 
 
 def _ray_entry(problem, p, anchor, v, kappa, tol, t_hint, iters=48):
     """First entry parameter of the ray anchor + t*v into the solved set;
     math.inf when no feasible point is bracketed near the hint."""
-    feas = None
-    for c in (1.0, 1.3, 1.8, 2.6, 4.0):
-        t = t_hint * c
-        if merit(problem, p, anchor + t * v, kappa) <= tol:
-            feas = t
-            break
-    if feas is None:
+    ts = t_hint * np.array([1.0, 1.3, 1.8, 2.6, 4.0])
+    feas = np.flatnonzero(merit_many(problem, p, anchor + ts[:, None] * v, kappa) <= tol)
+    if not feas.size:
         return math.inf
-    lo, hi = 0.0, feas
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if merit(problem, p, anchor + mid * v, kappa) <= tol:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _first_solved(problem, p, anchor, v, kappa, tol, float(ts[feas[0]]), iters)
 
 
 def _anchored_projection_2d(problem, p, anchor, x_feas, kappa, tol):

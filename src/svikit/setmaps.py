@@ -2,10 +2,11 @@
 constraint families, and the merit of the inclusion problem
 F(p, x) = M(p) x + h(x) + H(x)  subset-of  C.
 
-``merit`` is the one merit of the package: the excess of F(p, x) beyond C,
-optionally penalized by kappa * dist(x, R(p)).  It serves every problem
-object with ``evaluate``, ``cone`` and ``constraint`` (SviProblem here,
-VopProblem in vopt).
+``merit_many`` is the one merit of the package: the excess of F(p, x)
+beyond C, optionally penalized by kappa * dist(x, R(p)), for every row of a
+batch (``merit`` is its one-row view).  It serves every problem object with
+``evaluate_many``, ``cone`` and ``constraint`` (SviProblem here, VopProblem
+in vopt).
 
 The catalog is deliberately narrow so that concavity and Lipschitz constants
 are declared and machine-checkable instead of inferred from arbitrary code.
@@ -18,7 +19,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .geometry import PolyCone, VPolytope, as_vector, project_dist
+from .geometry import (PolyCone, VPolytope, _as_points, as_vector, dist_many,
+                       matvec_rows, project_dist, row_norms)
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +170,6 @@ class AbsComponent:
         if self.coord < 0:
             raise ValueError("component coordinate must be nonnegative")
 
-    def value(self, x: np.ndarray) -> float:
-        xi = x[self.coord]
-        return self.a + self.b * xi + self.c * abs(xi - self.d)
-
     @property
     def slope_bound(self) -> float:
         return abs(self.b) + abs(self.c)
@@ -197,6 +195,9 @@ class ConcaveTerm:
             raise ValueError(
                 f"declared Lipschitz constant {self.declared_lipschitz} is below "
                 f"the catalog bound {bound}")
+        # one row per coefficient: (1, k) operands broadcast fastest
+        object.__setattr__(self, "_coef", (np.array([c.coord for c in comps]), *np.array(
+            [(c.a, c.b, c.c, c.d) for c in comps]).T.copy()[:, None, :]))
 
     def lipschitz_bound(self) -> float:
         # rows touch a single coordinate each; the operator-norm bound is the
@@ -206,8 +207,11 @@ class ConcaveTerm:
             by_coord[comp.coord] = by_coord.get(comp.coord, 0.0) + comp.slope_bound ** 2
         return math.sqrt(max(by_coord.values()))
 
-    def value(self, x: np.ndarray) -> np.ndarray:
-        return np.array([comp.value(x) for comp in self.components])
+    def values_many(self, X: np.ndarray) -> np.ndarray:
+        """Values at the rows of X, shape (k, out_dim)."""
+        coord, a, b, c, d = getattr(self, "_coef")
+        xi = X.take(coord, axis=1)
+        return a + b * xi + c * np.abs(xi - d)
 
     @property
     def out_dim(self) -> int:
@@ -259,9 +263,6 @@ class FanSpec:
     def shape(self) -> tuple[int, int]:
         return tuple(self.matrices.shape[1:])
 
-    def vertex_images(self, x: np.ndarray) -> np.ndarray:
-        return self.matrices @ x
-
     def to_dict(self) -> dict:
         return {"matrices": self.matrices.tolist()}
 
@@ -276,6 +277,9 @@ class AllSpace:
 
     def project(self, x: np.ndarray, p: float) -> tuple[np.ndarray, float]:
         return np.asarray(x, dtype=float).copy(), 0.0
+
+    def distances(self, X: np.ndarray, p: float) -> np.ndarray:
+        return np.zeros(len(X))
 
     def to_dict(self) -> dict:
         return {"variant": "all_space"}
@@ -326,6 +330,9 @@ class Box:
         lo, hi = self.bounds_at(p)
         proj = np.clip(x, lo, hi)
         return proj, float(np.linalg.norm(x - proj))
+
+    def distances(self, X: np.ndarray, p: float) -> np.ndarray:
+        return row_norms(X - np.clip(X, *self.bounds_at(p)))
 
     def to_dict(self) -> dict:
         if self.knots is not None:
@@ -380,6 +387,10 @@ class Ball:
         proj = c + gap * (r / nrm)
         return proj, nrm - r
 
+    def distances(self, X: np.ndarray, p: float) -> np.ndarray:
+        c, r = self.data_at(p)
+        return np.maximum(row_norms(X - c) - r, 0.0)
+
     def to_dict(self) -> dict:
         if self.center_knots is not None:
             return {"variant": "ball",
@@ -403,6 +414,9 @@ class PolytopeSet:
 
     def project(self, x, p: float) -> tuple[np.ndarray, float]:
         return project_dist(x, self.polytope)
+
+    def distances(self, X: np.ndarray, p: float) -> np.ndarray:
+        return dist_many(X, self.polytope)
 
     def to_dict(self) -> dict:
         return {"variant": "polytope",
@@ -479,6 +493,17 @@ class SviProblem:
     def evaluate(self, p: float, x) -> VPolytope:
         return evaluate(self, p, x)
 
+    def evaluate_many(self, p: float, X) -> np.ndarray:
+        """Vertices of F(p, x) for every row x of X, shape (k, v, m): one
+        vertex M(p)x + h(x) without a fan, M(p)x + h(x) + L_i x with one."""
+        X = np.ascontiguousarray(_as_points(X, self.dim_in))
+        base = matvec_rows(self.matrix.matrix_at(p), X)
+        if self.h is not None:
+            base = base + self.h.values_many(X)
+        if self.fan is None:
+            return base[:, None, :]
+        return base[:, None, :] + (self.fan.matrices @ X[:, None, :, None])[..., 0]
+
     def to_dict(self) -> dict:
         d = {"matrix": self.matrix.to_dict(),
              "cone": {"generators": self.cone.generators.tolist()},
@@ -510,27 +535,28 @@ def problem_from_dict(d: dict) -> SviProblem:
 
 def evaluate(problem: SviProblem, p: float, x) -> VPolytope:
     """Value F(p, x) as a vertex polytope: {M(p)x + h(x) + L_i x} over the
-    fan's extreme matrices (a singleton without a fan)."""
-    x = as_vector(x, problem.dim_in)
-    base = problem.matrix.matrix_at(p) @ x
-    if problem.h is not None:
-        base = base + problem.h.value(x)
-    if problem.fan is None:
-        return VPolytope(base[None, :])
-    return VPolytope(base + problem.fan.vertex_images(x))
+    fan's extreme matrices (a singleton without a fan); the one-row view of
+    ``SviProblem.evaluate_many``, which validates the row."""
+    return VPolytope(problem.evaluate_many(p, np.asarray(x, dtype=float)[None])[0])
+
+
+def merit_many(problem, p: float, X, kappa: float = 0.0) -> np.ndarray:
+    """Excess of F(p, x) beyond the cone, plus kappa * dist(x, R(p)) when
+    kappa > 0 (the constraint's exact distance), for every row x of X; zero
+    exactly on feasible solutions.  ``problem`` is any object with
+    ``evaluate_many(p, X)``, ``cone`` and ``constraint``."""
+    if kappa < 0:
+        raise ValueError("penalty weight must be nonnegative")
+    V = problem.evaluate_many(p, X)
+    out = problem.cone.distances(V.reshape(-1, V.shape[2])).reshape(V.shape[:2]).max(axis=1)
+    if kappa > 0:
+        out = out + kappa * problem.constraint.distances(_as_points(X), p)
+    return out
 
 
 def merit(problem, p: float, x, kappa: float = 0.0) -> float:
-    """Excess of F(p, x) beyond the cone, plus kappa * dist(x, R(p)) when
-    kappa > 0 (the constraint's exact projection); zero exactly on feasible
-    solutions.  ``problem`` is any object with ``evaluate(p, x)``, ``cone``
-    and ``constraint``."""
-    if kappa < 0:
-        raise ValueError("penalty weight must be nonnegative")
-    m = float(np.max(problem.cone.distances(problem.evaluate(p, x).vertices)))
-    if kappa > 0:
-        m += kappa * problem.constraint.project(x, p)[1]
-    return m
+    """The merit at one point: the one-row view of ``merit_many``."""
+    return float(merit_many(problem, p, as_vector(x)[None, :], kappa)[0])
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,14 @@ ones take merit-descent steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import as_vector, numgrad, seeded_rotation, unit_directions
-from .setmaps import SviProblem, is_all_space, lipschitz_budget, merit
+from .geometry import as_vector, numgrad, row_norms, seeded_rotation, unit_directions
+from .setmaps import SviProblem, is_all_space, lipschitz_budget, merit_many
 
 
 class NoDescentStep(Exception):
@@ -72,7 +73,7 @@ class SolverConfig:
     min_descent: float = 0.05
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveResult:
     """Solution point with its run certificate.
 
@@ -81,8 +82,8 @@ class SolveResult:
     satisfies it when every accepted step passed the acceptance rule.
     ``caristi_certified`` records that the run used the mandated descent
     constants (False for best-effort runs on floor constants).
-    ``merit_history`` lists the accepted-step merit values, strictly
-    decreasing until below tolerance.
+    ``merit_history`` holds the initial and the accepted-step merit values
+    in a float array, strictly decreasing until below tolerance.
     """
 
     x_final: np.ndarray
@@ -95,7 +96,7 @@ class SolveResult:
     alpha_used: float = math.nan
     kappa: float = 0.0
     descent_k: float = math.nan
-    merit_history: tuple = ()
+    merit_history: array = field(default_factory=lambda: array("d"))
 
 
 @dataclass
@@ -103,6 +104,7 @@ class StepOutcome:
     status: str  # 'accepted' | 'converged' | 'no_step'
     u: Optional[np.ndarray] = None
     radii_tried: tuple = ()
+    merit: float = math.nan  # at u when accepted, at x otherwise
 
     @property
     def accepted(self) -> bool:
@@ -113,51 +115,57 @@ class StepOutcome:
         return self.status == "converged"
 
 
-def caristi_step(merit_fn: Callable[[np.ndarray], float], x, descent_k: float,
+def caristi_step(merit_many: Callable[[np.ndarray], np.ndarray], x, descent_k: float,
                  cfg: Optional[SolverConfig] = None, step_seed: int = 0,
                  extra_candidates=()) -> StepOutcome:
     """One accepted-descent step: the first candidate u with
     merit(u) + descent_k * ||u - x|| <= merit(x).
 
-    Candidates are ordered: caller-supplied extras, the numerical
-    steepest-descent direction, then seeded sampled directions over a
-    shrinking radius schedule.  Radius shrinking stops early once the best
-    sampled slope stabilizes above -descent_k (no acceptance possible along
-    the sampled rays).
+    ``merit_many`` maps a (k, n) batch of points to their k merits.
+    Candidates are ordered: caller-supplied extras, Newton-length steps
+    along the numerical steepest-descent direction, then per radius of a
+    shrinking schedule that direction and seeded sampled directions; each
+    group is one batch, of which the first passing row is taken.  Radius
+    shrinking stops early once the best sampled slope stabilizes above
+    -descent_k (no acceptance possible along the sampled rays).
     """
     if descent_k <= 0:
         raise ValueError("descent constant must be positive")
     cfg = cfg or SolverConfig()
     x = as_vector(x)
-    fx = merit_fn(x)
+    fx = float(merit_many(x[None, :])[0])
     if fx <= cfg.tol:
-        return StepOutcome("converged")
+        return StepOutcome("converged", merit=fx)
 
-    def accept(u):
-        d = float(np.linalg.norm(u - x))
-        if d <= 1e-15:
-            return None
-        fu = merit_fn(u)
-        if fu + descent_k * d <= fx:
-            return u
-        return None
+    def first_accepted(U, rays=0, r=0.0):
+        """The first row of U that passes the rule, and every merit.  The
+        last ``rays`` rows lie at distance r, the others at their measured
+        distance, where a step of (near) zero length is no candidate."""
+        fu = merit_many(U)
+        k = len(U) - rays
+        d = row_norms(U[:k] - x)
+        ok = np.append((d > 1e-15) & (fu[:k] + descent_k * d <= fx),
+                       fu[k:] + descent_k * r <= fx)
+        hit = np.flatnonzero(ok)
+        return (StepOutcome("accepted", U[hit[0]].copy(), merit=float(fu[hit[0]]))
+                if hit.size else None), fu
 
-    for cand in extra_candidates:
-        u = accept(np.asarray(cand, dtype=float))
-        if u is not None:
-            return StepOutcome("accepted", u)
+    extras = np.array(list(extra_candidates), dtype=float).reshape(-1, len(x))
+    out = first_accepted(extras)[0] if len(extras) else None
+    if out is not None:
+        return out
 
-    grad = numgrad(merit_fn, x)
+    grad = numgrad(merit_many, x)
     grad_norm = float(np.linalg.norm(grad))
     grad_dir = grad / grad_norm if grad_norm > 1e-14 else None  # flat point
     if grad_dir is not None:
         # Newton-style lengths fx/|grad| land near the zero level without
         # overshooting deep into it; the Caristi test still gates acceptance
         cap = fx / descent_k
-        for c in (1.0, 1.7, 3.0):
-            u = accept(x - min(c * fx / grad_norm, cap) * grad_dir)
-            if u is not None:
-                return StepOutcome("accepted", u)
+        lengths = np.array([min(c * fx / grad_norm, cap) for c in (1.0, 1.7, 3.0)])
+        out = first_accepted(x - lengths[:, None] * grad_dir)[0]
+        if out is not None:
+            return out
     n = len(x)
     rng = np.random.default_rng([cfg.rng_seed, step_seed])
     dirs = unit_directions(n, cfg.direction_samples) @ seeded_rotation(n, rng).T
@@ -168,19 +176,13 @@ def caristi_step(merit_fn: Callable[[np.ndarray], float], x, descent_k: float,
     prev_best_slope, stable = None, 0
     while r > cfg.min_radius:
         radii_tried.append(r)
+        U = x + r * dirs
         if grad_dir is not None:
-            u = accept(x - r * grad_dir)
-            if u is not None:
-                return StepOutcome("accepted", u)
-        best_slope = math.inf
-        for d in dirs:
-            cand = x + r * d
-            fu = merit_fn(cand)
-            dist = r
-            slope = (fu - fx) / dist
-            best_slope = min(best_slope, slope)
-            if fu + descent_k * dist <= fx:
-                return StepOutcome("accepted", cand)
+            U = np.vstack([x - r * grad_dir, U])
+        out, fu = first_accepted(U, len(dirs), r)
+        if out is not None:
+            return out
+        best_slope = float(np.min((fu[-len(dirs):] - fx) / r))
         # difference quotients of a convex merit only decrease as r shrinks;
         # once they stall above -descent_k the sampled rays are hopeless
         if prev_best_slope is not None and best_slope > -descent_k:
@@ -192,7 +194,7 @@ def caristi_step(merit_fn: Callable[[np.ndarray], float], x, descent_k: float,
                 stable = 0
         prev_best_slope = best_slope
         r *= cfg.radius_decay
-    return StepOutcome("no_step", radii_tried=tuple(radii_tried))
+    return StepOutcome("no_step", radii_tried=tuple(radii_tried), merit=fx)
 
 
 def segment_step(x, constraint, p: float, t: float) -> np.ndarray:
@@ -279,11 +281,11 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
             alpha_hi_limit = None
             certified_constants = False
 
-    def psit(x):
+    def psit(X):
         # reads kappa at call time: the back-off retry below reassigns it
-        return merit(problem, p, x, kappa)
+        return merit_many(problem, p, X, kappa)
 
-    psit0 = psit(x0)
+    psit0 = float(psit(x0[None, :])[0])
     bound_rhs = psit0 / k_run
     k_min = k_run
 
@@ -310,7 +312,7 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
             step = float(np.linalg.norm(out.u - x))
             path += step
             x = out.u
-            merits.append(psit(x))
+            merits.append(out.merit)
             iterations += 1
             continue
         if not retried:
@@ -329,12 +331,12 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
             k_min = min(k_min, k_run)
             bound_rhs = psit0 / k_min
             continue
-        raise NoDescentStep(x, psit(x), out.radii_tried)
+        raise NoDescentStep(x, out.merit, out.radii_tried)
     else:
         raise MaxItersExceeded(
-            f"merit {psit(x):.3e} after {cfg.max_iters} iterations")
+            f"merit {merits[-1]:.3e} after {cfg.max_iters} iterations")
 
-    merit_final = psit(x)
+    merit_final = out.merit
     dist_back = float(np.linalg.norm(x - x0))
     return SolveResult(
         x_final=x,
@@ -347,5 +349,5 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
         alpha_used=alpha,
         kappa=kappa,
         descent_k=k_min,
-        merit_history=tuple(merits),
+        merit_history=array("d", merits),
     )

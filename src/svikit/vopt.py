@@ -21,7 +21,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .geometry import PolyCone, VPolytope, as_vector, unit_directions
+from .geometry import (PolyCone, VPolytope, _as_points, as_vector, matvec_rows,
+                       unit_directions)
 from .increase import (InfimumResult, Mode, SamplingConfig, estimate_bound,
                        hints_for_matrix, infimum_over_samples,
                        nonsolution_pairs)
@@ -45,8 +46,14 @@ class GridCoarseWarning(UserWarning):
 # objective catalog
 # ---------------------------------------------------------------------------
 
+class _Objective:
+    def value(self, p: float, x) -> np.ndarray:
+        """f(p, x): the one-row view of ``values_many``."""
+        return self.values_many(p, as_vector(x)[None, :])[0]
+
+
 @dataclass(frozen=True)
-class LinearRotation:
+class LinearRotation(_Objective):
     """f(p, x) = scale * (rotation by p) x on R^2; clockwise flips the
     orientation (the transposed matrix)."""
 
@@ -64,11 +71,8 @@ class LinearRotation:
     def matrix_at(self, p: float) -> np.ndarray:
         return self.scale * rotation_matrix(-p if self.clockwise else p)
 
-    def value(self, p: float, x: np.ndarray) -> np.ndarray:
-        return self.matrix_at(p) @ x
-
     def values_many(self, p: float, pts: np.ndarray) -> np.ndarray:
-        return pts @ self.matrix_at(p).T
+        return matvec_rows(self.matrix_at(p), pts)
 
     @property
     def is_affine(self) -> bool:
@@ -80,7 +84,7 @@ class LinearRotation:
 
 
 @dataclass(frozen=True, eq=False)
-class AbsDeviation:
+class AbsDeviation(_Objective):
     """f(p, x) = (|x - phi(p)|, ..., |x - phi(p)|) with scalar x and
     piecewise-linear phi on knots."""
 
@@ -98,13 +102,8 @@ class AbsDeviation:
     def phi(self, p: float) -> float:
         return float(self.phi_knots.at(p))
 
-    def value(self, p: float, x: np.ndarray) -> np.ndarray:
-        dev = abs(float(x[0]) - self.phi(p))
-        return np.full(self.components, dev)
-
     def values_many(self, p: float, pts: np.ndarray) -> np.ndarray:
-        dev = np.abs(pts[:, 0] - self.phi(p))
-        return np.repeat(dev[:, None], self.components, axis=1)
+        return np.repeat(np.abs(pts[:, :1] - self.phi(p)), self.components, axis=1)
 
     @property
     def is_affine(self) -> bool:
@@ -117,7 +116,7 @@ class AbsDeviation:
 
 
 @dataclass(frozen=True, eq=False)
-class AffineFamily:
+class AffineFamily(_Objective):
     """f(p, x) = M(p) x + b(p) with b on knots (or constant)."""
 
     matrix: object  # ParamMatrixFamily
@@ -142,11 +141,8 @@ class AffineFamily:
             return np.asarray(self.offset, dtype=float)
         return np.zeros(self.dim_out)
 
-    def value(self, p: float, x: np.ndarray) -> np.ndarray:
-        return self.matrix_at(p) @ x + self.offset_at(p)
-
     def values_many(self, p: float, pts: np.ndarray) -> np.ndarray:
-        return pts @ self.matrix_at(p).T + self.offset_at(p)
+        return matvec_rows(self.matrix_at(p), pts) + self.offset_at(p)
 
     @property
     def is_affine(self) -> bool:
@@ -365,8 +361,12 @@ class VopProblem:
         return self._image_cache[key]
 
     def evaluate(self, p: float, x) -> VPolytope:
-        x = as_vector(x, self.spec.objective.dim_in)
-        return VPolytope(self.image_values(p) - self.spec.objective.value(p, x))
+        return VPolytope(self.evaluate_many(p, np.asarray(x, dtype=float)[None])[0])
+
+    def evaluate_many(self, p: float, X) -> np.ndarray:
+        """Vertices {f(p, s) - f(p, x)} for every row x of X, shape (k, v, m)."""
+        X = _as_points(X, self.spec.objective.dim_in)
+        return self.image_values(p)[None] - self.spec.objective.values_many(p, X)[:, None]
 
     def to_dict(self) -> dict:
         return self.spec.to_dict()

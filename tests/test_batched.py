@@ -1,0 +1,241 @@
+"""The batched paths against one-point references: ``merit_many`` and
+``evaluate_many`` against row-by-row evaluation, the batched Caristi step
+against a step that tries one candidate at a time, and the tree bisection
+against the step-by-step loop.  All comparisons are bit for bit except on
+face-table cones, whose batched matrix product may move a distance by an ulp
+with the batch size."""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from svikit.geometry import PolyCone, orthant, seeded_rotation, unit_directions
+from svikit.parametric import _TREE_DEPTH, _bisect
+from svikit.problems import (boxed_rotation_problem, deviation_vop_spec,
+                             rotation_inclusion_problem, triangle_vop_spec)
+from svikit.setmaps import (Ball, ConstantMatrix, SviProblem, _Knots, evaluate,
+                            merit, merit_many)
+from svikit.solver import SolverConfig, caristi_step, segment_step
+from svikit.vopt import VopProblem, build_vop_problem
+
+P = 0.7
+
+
+def _problems():
+    probs = {f"rotation h={h} fan={f}": rotation_inclusion_problem(with_h=h, with_fan=f)
+             for h in (True, False) for f in (True, False)}
+    probs["boxed"] = boxed_rotation_problem()
+    ps = [0.0, 1.0, 7.0]
+    probs["knotted ball"] = rotation_inclusion_problem(constraint=Ball(
+        center_knots=_Knots(ps, [[0.0, 0.0], [0.5, -1.0], [1.0, 1.0]]),
+        radius_knots=_Knots(ps, [1.0, 0.25, 2.0])))
+    probs["triangle"] = build_vop_problem(triangle_vop_spec(clockwise=True), P)
+    probs["deviation"] = build_vop_problem(
+        deviation_vop_spec([0.0, 1.0, -0.5], [0.0, 1.0, 2.0]), P)
+    return probs
+
+
+PROBLEMS = _problems()
+
+
+def _scalar_merit(prob, p, x, kappa):
+    """The merit computed one point at a time, as the library did before it
+    had a batched path."""
+    if isinstance(prob, VopProblem):
+        obj = prob.spec.objective
+        fx = (obj.matrix_at(p) @ x if hasattr(obj, "matrix_at")
+              else np.full(obj.dim_out, abs(float(x[0]) - obj.phi(p))))
+        verts = prob.image_values(p) - fx
+    else:
+        verts = prob.matrix.matrix_at(p) @ x
+        if prob.h is not None:
+            verts = verts + np.array([c.a + c.b * x[c.coord] + c.c * abs(x[c.coord] - c.d)
+                                      for c in prob.h.components])
+        verts = verts[None, :] if prob.fan is None else verts + prob.fan.matrices @ x
+    m = float(np.max(prob.cone.distances(verts)))
+    if kappa > 0:
+        m += kappa * prob.constraint.project(x, p)[1]
+    return m
+
+
+def _points(prob, size, seed):
+    n = prob.spec.objective.dim_in if isinstance(prob, VopProblem) else prob.dim_in
+    return np.random.default_rng(seed).uniform(-3.0, 3.0, size=(size, n))
+
+
+@pytest.mark.parametrize("size", [1, 3, 64, 257])
+@pytest.mark.parametrize("kappa", [0.0, 0.8])
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_merit_many_equals_one_row_merits(name, kappa, size):
+    prob = PROBLEMS[name]
+    X = _points(prob, size, size)
+    got = merit_many(prob, P, X, kappa)
+    assert got.shape == (size,)
+    assert np.array_equal(got, [merit(prob, P, x, kappa) for x in X])
+    assert np.array_equal(got, [_scalar_merit(prob, P, x, kappa) for x in X])
+    assert np.array_equal(prob.evaluate_many(P, X),
+                          [prob.evaluate(P, x).vertices for x in X])
+
+
+def test_merit_many_on_face_table_cones():
+    """Non-orthant cones go through the face table, whose batched matrix
+    product may change a distance by an ulp with the batch size."""
+    rng = np.random.default_rng(3)
+    wedge = SviProblem(matrix=ConstantMatrix([[2.0, -1.0], [0.5, 1.5]]),
+                       cone=PolyCone(np.array([[1.0, 0.2], [0.3, 1.0]])))
+    cone3 = SviProblem(matrix=ConstantMatrix(rng.standard_normal((3, 3))),
+                       cone=PolyCone(np.eye(3) + 0.3 * rng.random((3, 3))))
+    for prob in (wedge, cone3):
+        for size in (1, 3, 64, 257):
+            X = _points(prob, size, size)
+            got = merit_many(prob, P, X)
+            ref = np.array([merit(prob, P, x) for x in X])
+            assert np.max(np.abs(got - ref), initial=0.0) <= 1e-14
+
+
+def test_merit_many_validates_at_the_boundary(rotation_problem):
+    with pytest.raises(ValueError):
+        merit_many(rotation_problem, 0.0, np.zeros((4, 3)))
+    with pytest.raises(ValueError):
+        merit_many(rotation_problem, 0.0, [[0.0, math.nan]])
+    with pytest.raises(ValueError):
+        merit_many(rotation_problem, 0.0, np.zeros((2, 2)), kappa=-1.0)
+    with pytest.raises(ValueError):
+        evaluate(rotation_problem, 0.0, [0.0, 0.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# the Caristi step
+# ---------------------------------------------------------------------------
+
+def _sequential_step(merit_fn, x, k, cfg, step_seed, extras=()):
+    """One candidate at a time, in the order the batched step must keep."""
+    fx = merit_fn(x)
+    if fx <= cfg.tol:
+        return "converged", None, []
+
+    def accept(u):
+        d = float(np.linalg.norm(u - x))
+        return d > 1e-15 and merit_fn(u) + k * d <= fx
+
+    for u in extras:
+        if accept(u):
+            return "accepted", u, []
+    h = 1e-6 * max(1.0, float(np.linalg.norm(x)))
+    grad = np.array([(merit_fn(x + h * e) - merit_fn(x - h * e)) / (2.0 * h)
+                     for e in np.eye(len(x))])
+    gn = float(np.linalg.norm(grad))
+    gd = grad / gn if gn > 1e-14 else None
+    if gd is not None:
+        for c in (1.0, 1.7, 3.0):
+            u = x - min(c * fx / gn, fx / k) * gd
+            if accept(u):
+                return "accepted", u, []
+    rng = np.random.default_rng([cfg.rng_seed, step_seed])
+    dirs = unit_directions(len(x), cfg.direction_samples) @ seeded_rotation(len(x), rng).T
+    r, prev, stable, radii = min(cfg.radius0, fx / k), None, 0, []
+    while r > cfg.min_radius:
+        radii.append(r)
+        if gd is not None and accept(x - r * gd):
+            return "accepted", x - r * gd, radii
+        best = math.inf
+        for d in dirs:
+            fu = merit_fn(x + r * d)
+            best = min(best, (fu - fx) / r)
+            if fu + k * r <= fx:
+                return "accepted", x + r * d, radii
+        if prev is not None and best > -k:
+            if abs(best - prev) <= 1e-3 * max(1.0, abs(best)):
+                stable += 1
+                if stable >= 2:
+                    break
+            else:
+                stable = 0
+        prev = best
+        r *= cfg.radius_decay
+    return "no_step", None, radii
+
+
+def _assert_same_step(prob, p, x, k, kappa, step_seed, extras=()):
+    cfg = SolverConfig(rng_seed=5)
+    status, u, radii = _sequential_step(lambda y: merit(prob, p, y, kappa), x, k, cfg,
+                                        step_seed, extras)
+    out = caristi_step(lambda X: merit_many(prob, p, X, kappa), x, k, cfg,
+                       step_seed=step_seed, extra_candidates=extras)
+    assert out.status == status
+    if status == "no_step":
+        assert out.radii_tried == tuple(radii)
+    if u is not None:
+        assert np.array_equal(out.u, u)
+        assert out.merit == merit(prob, p, u, kappa)
+    return status
+
+
+@pytest.mark.parametrize("step_seed", range(4))
+def test_caristi_step_matches_sequential_rotation(rotation_problem, step_seed):
+    statuses = set()
+    for x in np.random.default_rng(step_seed).uniform(-2.0, 2.0, size=(6, 2)):
+        for k in (0.5, 3.0):
+            statuses.add(_assert_same_step(rotation_problem, 1.1, x, k, 0.0, step_seed))
+        # an extra candidate at x itself is a zero step, never accepted
+        _assert_same_step(rotation_problem, 1.1, x, 0.5, 0.0, step_seed, [x.copy()])
+    assert {"accepted", "no_step"} <= statuses
+
+
+@pytest.mark.parametrize("step_seed", range(4))
+def test_caristi_step_matches_sequential_triangle(step_seed):
+    prob = PROBLEMS["triangle"]
+    rng = np.random.default_rng(10 + step_seed)
+    for p in (0.3, 2.0, 5.0):
+        for x in rng.uniform(-0.5, 1.5, size=(3, 2)):
+            _, dx = prob.constraint.project(x, p)
+            extras = [segment_step(x, prob.constraint, p, dx)] if dx > 1e-8 else []
+            for k in (0.05, 3.0):
+                _assert_same_step(prob, p, x, k, 1.3, step_seed, extras)
+
+
+def test_caristi_step_matches_sequential_without_descent():
+    flat = SviProblem(matrix=ConstantMatrix(np.zeros((2, 2))), cone=orthant(2),
+                      constraint=Ball(center=[0.0, 0.0], radius=1.0))
+    assert _assert_same_step(flat, 0.0, np.array([0.2, 0.1]), 0.5, 0.0, 0) == "converged"
+    const = rotation_inclusion_problem(scale=0.0, with_fan=False)
+    assert _assert_same_step(const, 0.0, np.array([0.0, 0.0]), 0.5, 0.0, 1) == "no_step"
+
+
+# ---------------------------------------------------------------------------
+# the tree bisection
+# ---------------------------------------------------------------------------
+
+def _sequential_bisect(holds, lo, hi, iters):
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.floats(-1e3, 1e3), width=st.floats(0.0, 1e3),
+       iters=st.integers(0, 3 * _TREE_DEPTH + 4), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["random", "oscillating", "threshold"]))
+def test_tree_bisection_equals_sequential(lo, width, iters, seed, kind):
+    hi = lo + width
+    threshold = lo + width * (seed % 1000) / 1000.0
+    holds = {
+        # a fixed pseudo-random verdict per point, neither monotone nor smooth
+        "random": lambda t: hash((seed, float(t))) % 3 == 0,
+        "oscillating": lambda t: math.sin((seed % 97 + 1) * float(t)) > 0.0,
+        "threshold": lambda t: float(t) >= threshold,
+    }[kind]
+    calls = []
+
+    def holds_many(ts):
+        calls.append(len(ts))
+        return np.array([holds(t) for t in ts], dtype=bool)
+
+    got = _bisect(holds_many, lo, hi, iters)
+    assert got == _sequential_bisect(holds, lo, hi, iters)
+    assert len(calls) == -(-iters // _TREE_DEPTH)  # one call per tree

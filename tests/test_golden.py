@@ -15,9 +15,12 @@ import sys
 import numpy as np
 import pytest
 
+from svikit.geometry import orthant
 from svikit.parametric import sweep, write_csv
 from svikit.problems import (boxed_rotation_problem, rotation_inclusion_problem,
                              triangle_vop_spec)
+from svikit.setmaps import (AbsComponent, ConcaveTerm, FanSpec,
+                            InterpolatedTable, SviProblem)
 from svikit.solver import SolverConfig, solve
 from svikit.vopt import ideal_value_sweep
 
@@ -37,6 +40,27 @@ def boxed_cold(path):
     """Cold sweep from an infeasible start (constrained path, kappa > 0)."""
     table = sweep(boxed_rotation_problem(), np.linspace(0.0, 2.0 * math.pi, 9),
                   [3.0, 0.5], SolverConfig(), warm_start=False)
+    write_csv(table, path)
+
+
+def _axis_rotation(angle, axis):
+    k = np.asarray(axis, float) / np.linalg.norm(axis)
+    K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * K @ K
+
+
+def spatial_warm(path):
+    """Warm sweep of a 3-D problem anchored at the origin: twice a rotation
+    about (1, 2, 3) on knots, the concave offset and a +-I/5 fan over the
+    orthant.  Every row takes steps, so each goes through the segment
+    pullback toward the anchor (the n != 2 path)."""
+    ps = np.linspace(0.0, 1.2, 5)
+    mats = np.array([2.0 * _axis_rotation(p, [1.0, 2.0, 3.0]) for p in ps])
+    h = ConcaveTerm(tuple(AbsComponent(-1.0, 0.0, -0.25, 0.0, i) for i in range(3)))
+    fan = FanSpec(np.array([0.2 * np.eye(3), -0.2 * np.eye(3)]))
+    prob = SviProblem(matrix=InterpolatedTable(ps, mats), cone=orthant(3), h=h, fan=fan)
+    table = sweep(prob, np.linspace(0.0, 1.2, 9), [0.0, 0.0, 0.0],
+                  SolverConfig(alpha=1.5))
     write_csv(table, path)
 
 
@@ -75,7 +99,7 @@ def boxed_retries(path):
 
 CASES = {"rotation_warm": rotation_warm, "boxed_cold": boxed_cold,
          "triangle_ideal": triangle_ideal, "cold_solves": cold_solves,
-         "boxed_retries": boxed_retries}
+         "boxed_retries": boxed_retries, "spatial_warm": spatial_warm}
 
 
 def _read(path):

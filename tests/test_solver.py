@@ -6,7 +6,7 @@ import pytest
 from svikit.geometry import orthant
 from svikit.problems import rotation_solution_path
 from svikit.setmaps import (Ball, Box, ConcaveTerm, AbsComponent,
-                            ConstantMatrix, SviProblem, merit)
+                            ConstantMatrix, SviProblem, merit, merit_many)
 from svikit.solver import (AlreadyFeasible, MaxItersExceeded, NoDescentStep,
                            SolverConfig, caristi_step, segment_step, solve)
 
@@ -14,7 +14,7 @@ SQRT2 = math.sqrt(2.0)
 
 
 def merit_fn_for(problem, p):
-    return lambda x: merit(problem, p, x)
+    return lambda X: merit_many(problem, p, X)
 
 
 def test_caristi_step_accepts_descent(rotation_problem):
@@ -22,7 +22,9 @@ def test_caristi_step_accepts_descent(rotation_problem):
     out = caristi_step(fn, [0.0, 0.0], 0.5, SolverConfig(tol=1e-8))
     assert out.accepted
     d = float(np.linalg.norm(out.u))
-    assert fn(out.u) + 0.5 * d <= SQRT2 + 1e-12
+    fu = merit(rotation_problem, 0.0, out.u)
+    assert out.merit == fu  # the step reports the accepted point's merit
+    assert fu + 0.5 * d <= SQRT2 + 1e-12
 
 
 def test_caristi_step_converged_at_solution(rotation_problem):
@@ -32,7 +34,7 @@ def test_caristi_step_converged_at_solution(rotation_problem):
 
 
 def test_caristi_step_stalls_on_constant_infeasible_map():
-    fn = lambda x: SQRT2
+    fn = lambda X: np.full(len(X), SQRT2)
     out = caristi_step(fn, np.zeros(2), 0.5, SolverConfig(tol=1e-8))
     assert out.status == "no_step"
     assert out.radii_tried
