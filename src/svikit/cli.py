@@ -40,11 +40,38 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_vector(text: str) -> np.ndarray:
+def _finite(text: str) -> float:
     try:
-        return np.array([float(tok) for tok in text.split(",") if tok != ""])
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer of at least 1")
+    return value
+
+
+def _parse_vector(text: str, dim: int) -> np.ndarray:
+    """A finite comma-separated point with ``dim`` entries."""
+    try:
+        vec = np.array([float(tok) for tok in text.split(",") if tok != ""])
     except ValueError as err:
         raise UsageError(f"cannot parse vector {text!r}: {err}") from None
+    if not np.all(np.isfinite(vec)):
+        raise UsageError(f"vector {text!r} has non-finite entries")
+    if len(vec) != dim:
+        raise UsageError(f"vector {text!r} has {len(vec)} entries; the problem has "
+                         f"{dim} inputs")
+    return vec
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -58,6 +85,10 @@ def _parse_grid(text: str) -> np.ndarray:
         raise UsageError(f"cannot parse grid {text!r}: {err}") from None
     if count < 1:
         raise UsageError("grid count must be positive")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise UsageError(f"grid {text!r} has non-finite bounds")
+    if start > stop:
+        raise UsageError(f"grid {text!r} runs downward; start must not exceed stop")
     return np.linspace(start, stop, count)
 
 
@@ -98,7 +129,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("solve", help="solve at one parameter value")
     common(sp)
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--p", type=_finite, required=True)
     sp.add_argument("--x0", required=True, help="comma-separated start point")
 
     sp = sub.add_parser("sweep", help="warm-started parameter sweep")
@@ -110,24 +141,24 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("estimate-inc", help="bracket the increase/decrease bound")
     common(sp)
     sp.add_argument("--p-grid", default=None, help="start:stop:count")
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--x-samples", type=int, default=8)
+    sp.add_argument("--p", type=_finite, default=None)
+    sp.add_argument("--x-samples", type=_count, default=8)
     sp.add_argument("--mode", choices=["increase", "decrease"], default=None)
 
     sp = sub.add_parser("vopt", help="ideal-efficiency solve or sweep")
     common(sp)
-    sp.add_argument("--p", type=float, default=None)
+    sp.add_argument("--p", type=_finite, default=None)
     sp.add_argument("--grid", default=None, help="start:stop:count")
     sp.add_argument("--x0", required=True)
     sp.add_argument("--oracle", action="store_true",
                     help="cross-check with the brute-force oracle")
     sp.add_argument("--orientation", choices=["cw", "ccw"], default=None,
                     help="override rotation orientation of the objective")
-    sp.add_argument("--image-sampling", type=int, default=33)
+    sp.add_argument("--image-sampling", type=_count, default=33)
 
     sp = sub.add_parser("verify-props", help="run property suites on the problem")
     common(sp)
-    sp.add_argument("--trials", type=int, default=50)
+    sp.add_argument("--trials", type=_count, default=50)
     return parser
 
 
@@ -140,7 +171,7 @@ def _cmd_solve(args) -> int:
     if not isinstance(problem, SviProblem):
         raise UsageError("solve expects an inclusion problem file (use vopt instead)")
     cfg = _solver_cfg(args)
-    res = solve(problem, args.p, _parse_vector(args.x0), cfg)
+    res = solve(problem, args.p, _parse_vector(args.x0, problem.dim_in), cfg)
     print(f"p = {args.p}")
     print(f"x_final = {res.x_final.tolist()}")
     print(f"merit_final = {res.merit_final:.3e}")
@@ -159,7 +190,7 @@ def _cmd_sweep(args) -> int:
         raise UsageError("sweep expects an inclusion problem file (use vopt instead)")
     cfg = _solver_cfg(args)
     grid = _parse_grid(args.grid)
-    table = sweep(problem, grid, _parse_vector(args.x0), cfg,
+    table = sweep(problem, grid, _parse_vector(args.x0, problem.dim_in), cfg,
                   warm_start=not args.cold_start)
     solved = sum(1 for r in table.rows if r.solved)
     print(f"rows = {len(table.rows)}  solved = {solved}")
@@ -209,7 +240,7 @@ def _cmd_vopt(args) -> int:
         obj = LinearRotation(spec.objective.scale, args.orientation == "cw")
         spec = VopSpec(obj, spec.constraint, spec.cone, spec.objective_lipschitz)
     cfg = _solver_cfg(args)
-    x0 = _parse_vector(args.x0)
+    x0 = _parse_vector(args.x0, spec.objective.dim_in)
     if args.grid is not None:
         grid = _parse_grid(args.grid)
         table = ideal_value_sweep(spec, grid, x0, cfg,

@@ -219,15 +219,6 @@ def vop_spec_from_dict(d: dict) -> VopSpec:
 # feasible-set sampling
 # ---------------------------------------------------------------------------
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head, *tail)
-
-
 def _grid(lo, hi, density: int) -> np.ndarray:
     axes = [np.linspace(l, h, max(2, density)) for l, h in zip(lo, hi)]
     grid = np.meshgrid(*axes, indexing="ij")
@@ -237,7 +228,8 @@ def _grid(lo, hi, density: int) -> np.ndarray:
 def sample_constraint(constraint: ConstraintFamily, p: float, density: int,
                       bounds=None) -> np.ndarray:
     """Deterministic sample of the feasible set (always includes its
-    vertices/extremes where they exist)."""
+    vertices/extremes where they exist).  A polytope's sample is built once
+    per density, cached on the set and returned read-only."""
     if isinstance(constraint, PolytopeSet):
         verts = constraint.polytope.vertices
         k = len(verts)
@@ -246,8 +238,18 @@ def sample_constraint(constraint: ConstraintFamily, p: float, density: int,
         d = max(1, density)
         if (d + 1) ** (k - 1) > 20000:
             d = max(1, int(20000 ** (1.0 / (k - 1))) - 1)
-        pts = [np.asarray(c, float) @ verts / d for c in _compositions(d, k)]
-        return np.unique(np.asarray(pts), axis=0)
+        # the set is constant in p: one sample per density, cached on it
+        cache = vars(constraint).setdefault("_samples", {})
+        if d not in cache:
+            # compositions of d into k parts by stars and bars; the stacked
+            # products equal ``c @ verts / d`` bit for bit (a gemm does not)
+            bars = np.fromiter(itertools.chain.from_iterable(
+                itertools.combinations(range(d + k - 1), k - 1)), np.intp).reshape(-1, k - 1)
+            counts = np.diff(bars, axis=1, prepend=-1, append=d + k - 1) - 1
+            pts = np.unique(matvec_rows(verts.T, counts) / d, axis=0)
+            pts.flags.writeable = False
+            cache.setdefault(d, pts)  # concurrent first builds keep one array
+        return cache[d]
     if isinstance(constraint, Box):
         return _grid(*constraint.bounds_at(p), density)
     if isinstance(constraint, Ball):
@@ -506,7 +508,7 @@ def _oracle_once(spec: VopSpec, p: float, density: int, bounds,
     hits = np.flatnonzero(worst <= tol)
     if hits.size:
         i = int(hits[0])
-        return OracleResult(status="ideal", x=np.asarray(candidates[i], float),
+        return OracleResult(status="ideal", x=np.array(candidates[i], float),
                             value=cand_vals[i])
     return OracleResult(status="empty")
 

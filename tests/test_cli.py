@@ -69,6 +69,26 @@ def test_usage_errors(problem_files, tmp_path, capsys):
                  "--p", "0", "--x0", "0,0"]) == 1  # wrong problem kind
     assert main(["vopt", "--problem", problem_files["rotation"],
                  "--p", "0", "--x0", "0,0"]) == 1
+    # malformed grids, points and counts are usage errors, not internal ones
+    rot, tri = problem_files["rotation"], problem_files["triangle"]
+    bad_args = [
+        ["sweep", "--problem", rot, "--grid", "1:0:3", "--x0", "0,0"],
+        ["sweep", "--problem", rot, "--grid", "0:nan:3", "--x0", "0,0"],
+        ["sweep", "--problem", rot, "--grid=-inf:0:3", "--x0", "0,0"],
+        ["solve", "--problem", rot, "--p", "nan", "--x0", "0,0"],
+        ["vopt", "--problem", tri, "--p", "inf", "--x0", "0.3,0.3"],
+        ["solve", "--problem", rot, "--p", "0", "--x0", "nan,0"],
+        ["solve", "--problem", rot, "--p", "0", "--x0", "0"],
+        ["sweep", "--problem", rot, "--grid", "0:1:3", "--x0", "0,0,0"],
+        ["vopt", "--problem", tri, "--p", "0", "--x0", "0.3"],
+        ["estimate-inc", "--problem", rot, "--p", "0.4", "--x-samples", "0"],
+        ["estimate-inc", "--problem", rot, "--p", "0.4", "--x-samples", "-2"],
+        ["verify-props", "--problem", rot, "--trials", "-3"],
+        ["vopt", "--problem", tri, "--p", "0", "--x0", "0.3,0.3",
+         "--image-sampling", "-5"],
+    ]
+    for argv in bad_args:
+        assert main(argv) == 1, argv
     # malformed problem data is rejected at load, not mid-solve
     nan = math.nan
     edits = {

@@ -8,12 +8,14 @@ from svikit.geometry import SumSet, VPolytope, orthant, project_dist
 
 from svikit.problems import (deviation_vop_spec, sine_deviation_spec,
                              triangle_vop_spec)
-from svikit.setmaps import AllSpace, Box, ConstantMatrix, merit
+from svikit import vopt
+from svikit.setmaps import AllSpace, Box, ConstantMatrix, PolytopeSet, merit
 from svikit.solver import SolverConfig
 from svikit.vopt import (CERTIFIED_EMPTY, FOUND, AffineFamily,
                          GridCoarseWarning, UnsupportedCombination, VopSpec,
                          brute_force_ideal, build_vop_problem,
-                         decrease_infimum, ideal_value_sweep, solve_ideal)
+                         decrease_infimum, ideal_value_sweep, sample_constraint,
+                         solve_ideal)
 
 SQRT2 = math.sqrt(2.0)
 DEC_TRIANGLE = 1.0 / SQRT2 + 1.0
@@ -149,18 +151,73 @@ def test_brute_force_ideal_examples(triangle_spec):
     assert abs(res.x[0] - 0.3) <= abs(oracle_x - 0.3) + 1e-12
 
 
-def test_brute_force_grid_coarse_warning(triangle_spec):
-    # near the schedule boundary the decision flips between densities
+def test_triangle_oracle_decision_does_not_depend_on_density(triangle_spec):
+    # an ideal value of a linear map over a polytope is a vertex image, and
+    # the vertices are in every sample: density 3 decides as density 32 does
     boundary = math.pi / 2
-    flipped = False
-    for p in np.linspace(boundary - 0.02, boundary + 0.02, 9):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            brute_force_ideal(triangle_spec, float(p), 3)
-        if any(issubclass(w.category, GridCoarseWarning) for w in caught):
-            flipped = True
-    # with density 3 vs 6 at least one boundary-adjacent p must flip
-    assert flipped or True  # tolerated: flips depend on rounding at the boundary
+    for p in np.linspace(boundary - 0.02, boundary + 0.02, 41):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", GridCoarseWarning)
+            coarse = brute_force_ideal(triangle_spec, float(p), 3)
+        assert not coarse.coarse_flip
+        assert coarse.status == brute_force_ideal(triangle_spec, float(p), 32).status
+
+
+def test_brute_force_grid_coarse_warning(triangle_spec, monkeypatch):
+    # the flip bookkeeping: ideal at density d, empty at 2d
+    fine = vopt.OracleResult(status="empty")
+
+    def fake_once(spec, p, density, bounds, tol):
+        if density == 3:
+            return vopt.OracleResult(status="ideal", x=np.zeros(2), value=np.zeros(2))
+        return fine
+
+    monkeypatch.setattr(vopt, "_oracle_once", fake_once)
+    with pytest.warns(GridCoarseWarning):
+        res = brute_force_ideal(triangle_spec, 1.0, 3)
+    assert res is fine
+    assert res.coarse_flip and not res.is_ideal
+
+
+def _composition_sample(verts, density):
+    """The composition loop that the stacked polytope sample replaced."""
+    def compositions(total, parts):
+        if parts == 1:
+            yield (total,)
+            return
+        for head in range(total + 1):
+            for tail in compositions(total - head, parts - 1):
+                yield (head, *tail)
+
+    k = len(verts)
+    d = max(1, density)
+    if (d + 1) ** (k - 1) > 20000:
+        d = max(1, int(20000 ** (1.0 / (k - 1))) - 1)
+    pts = [np.asarray(c, float) @ verts / d for c in compositions(d, k)]
+    return np.unique(np.asarray(pts), axis=0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_polytope_sample_matches_composition_loop(k, n):
+    rng = np.random.default_rng(10 * k + n)
+    verts = rng.normal(size=(k, n))
+    constraint = PolytopeSet(VPolytope(verts))
+    for density in (1, 7, 33, 64):  # k = 4 at 33 and 64 hits the point cap
+        got = sample_constraint(constraint, 0.0, density)
+        ref = _composition_sample(verts, density)
+        assert np.array_equal(got, ref)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        assert not got.flags.writeable
+        assert sample_constraint(constraint, 0.0, density) is got
+        assert sample_constraint(constraint, 2.5, density) is got
+
+
+def test_oracle_point_is_a_writable_copy(triangle_spec):
+    res = brute_force_ideal(triangle_spec, 0.0, 16)
+    assert res.is_ideal and res.x.flags.writeable
+    sample = sample_constraint(triangle_spec.constraint, 0.0, 32)
+    assert not np.shares_memory(res.x, sample)
 
 
 def test_ideal_value_sweep_deviation():
