@@ -11,6 +11,7 @@ import logging
 import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -40,13 +41,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _finite(text: str) -> float:
+def _finite(text: str, above: float = -math.inf) -> float:
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    if value <= above:
+        raise argparse.ArgumentTypeError(f"{text!r} is not greater than {above:g}")
     return value
 
 
@@ -122,9 +125,10 @@ def _build_parser() -> _Parser:
     def common(sp):
         sp.add_argument("--problem", required=True, help="problem file (JSON)")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--alpha", type=float, default=None)
-        sp.add_argument("--alpha-tilde", dest="alpha_tilde", type=float, default=None)
+        sp.add_argument("--tol", type=partial(_finite, above=0.0), default=None)
+        sp.add_argument("--alpha", type=partial(_finite, above=1.0), default=None)
+        sp.add_argument("--alpha-tilde", dest="alpha_tilde", type=partial(_finite, above=1.0),
+                        default=None)
         sp.add_argument("--out", default=None, help="output file (CSV)")
 
     sp = sub.add_parser("solve", help="solve at one parameter value")

@@ -6,7 +6,10 @@ All sets live in R^m with m small (desk scale, m <= 4 typical).  Cones are
 finitely generated, polytopes are vertex lists.  Distances are exact up to
 floating point: every polytope-plus-cone is projected through its face table
 (``_face_table``), cached on the set, a whole batch of points at a time; the
-orthant keeps its closed form.
+orthant keeps its closed form.  Sets above the face budget, and a cone's
+construction checks (whole space, pointedness), take the one least-distance
+kernel (``_ldp_project``): the least-distance problem (LDP) solved as one
+Lawson-Hanson NNLS (LH ch. 23), which reports its KKT residual.
 """
 from __future__ import annotations
 
@@ -50,116 +53,101 @@ def _as_points(rows, dim: Optional[int] = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# nonnegative least squares kernels
+# least-distance kernel
 # ---------------------------------------------------------------------------
 
-def _nnls_project(y: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, float]:
-    """Project y onto cone(G rows): argmin ||G.T mu - y||, mu >= 0.
+#: a column enters the NNLS only above this dual value (the columns and the
+#: residual have norms of order 1)
+_DUAL_TOL = 1e-14
 
-    Reuses the hull-plus-cone active-set kernel with the singleton base {0};
-    it serves the cone's construction checks (whole space, pointedness).
-    (scipy.optimize.nnls 1.15 returns suboptimal points on some wedge
-    instances, so the checks do not rely on it.)
+
+def _nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Lawson-Hanson NNLS (1974, ch. 23): argmin ||E u - f|| over u >= 0.
+
+    Returns u, the residual r = E u - f and the KKT residual: the largest
+    violation of the dual sign E.T r >= 0 off the support, of
+    complementarity E.T r = 0 on it and of u >= 0.  A column enters only
+    with a positive trial weight (LH's guard against cycling), and each
+    interpolation step sets its blocking variable to exactly zero.  Raises
+    ``RuntimeError`` past an iteration cap, a safety check only.
     """
-    return _hull_cone_project(y, np.zeros((1, y.shape[0])), G)
-
-
-def _hull_cone_project(
-    y: np.ndarray,
-    base: np.ndarray,
-    gens: Optional[np.ndarray],
-    tol: float = 1e-12,
-    max_iter: Optional[int] = None,
-) -> tuple[np.ndarray, float]:
-    """Project y onto conv(base rows) + cone(gens rows).
-
-    Solves  min || A z - y ||  s.t.  z >= 0,  sum of the base weights = 1,
-    where the columns of A are the base vertices followed by the cone
-    generators.  Active-set elimination in the style of Lawson-Hanson,
-    extended with the single linear equality on the base weights.
-
-    Returns the projection point and its distance to y.  Raises
-    ``RuntimeError`` when the iteration budget is exceeded (degenerate
-    data; does not occur for valid inputs at desk scale).
-    """
-    k = base.shape[0]
-    cols = [base.T]
-    if gens is not None and len(gens):
-        cols.append(gens.T)
-    A = np.hstack(cols)
-    n = A.shape[1]
-    is_base = np.zeros(n, dtype=bool)
-    is_base[:k] = True
-    csum = is_base.astype(float)
-
-    if max_iter is None:
-        max_iter = 6 * n + 30
-
-    # feasible start: all weight on the base vertex nearest to y
-    start = int(np.argmin(np.linalg.norm(base - y, axis=1)))
-    z = np.zeros(n)
-    z[start] = 1.0
+    n = E.shape[1]
+    u = np.zeros(n)
     free = np.zeros(n, dtype=bool)
-    free[start] = True
-    scale = max(1.0, float(np.max(np.abs(A.T @ y))), float(np.max(np.abs(A))))
+    r = -f
 
-    def _solve_free() -> np.ndarray:
-        idx = np.flatnonzero(free)
-        Af = A[:, idx]
-        cf = csum[idx]
-        K = np.vstack([
-            np.hstack([Af.T @ Af, cf[:, None]]),
-            np.hstack([cf, 0.0]),
-        ])
-        rhs = np.concatenate([Af.T @ y, [1.0]])
-        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-        zf = np.zeros(n)
-        zf[idx] = sol[:-1]
-        return zf
+    def solve_free() -> np.ndarray:
+        z = np.zeros(n)
+        z[free] = np.linalg.lstsq(E[:, free], f, rcond=None)[0]
+        return z
 
-    for _ in range(max_iter):
-        z_new = _solve_free()
-        neg = free & (z_new < -tol)
-        if np.any(neg):
-            stuck = neg & (z <= tol)
-            if np.any(stuck):
-                # anti-cycling: a variable entered at zero and went negative
-                free[stuck] = False
-                z[stuck] = 0.0
-                continue
-            ratios = z[neg] / (z[neg] - z_new[neg])
-            step = min(1.0, float(np.min(ratios)))
-            z = z + step * (z_new - z)
-            hit = free & (z <= tol) & ~ (z_new > tol)
-            free_base = np.flatnonzero(free & is_base)
-            if free_base.size and np.all(hit[free_base]):
-                keep = free_base[int(np.argmax(z[free_base]))]
-                hit[keep] = False  # the sum-to-one row needs a base variable
-            z[hit] = 0.0
-            free[hit] = False
-            continue
-        z = np.where(free, np.maximum(z_new, 0.0), 0.0)
-        resid = y - A @ z
-        grad = -(A.T @ resid)
-        free_base = free & is_base
-        gbeta = float(np.mean(grad[free_base])) if np.any(free_base) else 0.0
-        # reduced optimality: active base vars must not beat the free base
-        # gradient; active cone vars must have nonnegative gradient
-        viol = np.where(is_base, gbeta - grad, -grad)
-        viol[free] = -np.inf
-        worst = int(np.argmax(viol))
-        if viol[worst] <= 1e-10 * scale:
-            return A @ z, float(np.linalg.norm(resid))
-        free[worst] = True
-    raise RuntimeError("projection active-set loop exceeded its iteration budget")
+    for _ in range(3 * n + 10):
+        dual = -(E.T @ r)
+        dual[free] = -np.inf
+        while True:
+            t = int(np.argmax(dual))
+            if dual[t] <= _DUAL_TOL:
+                g = E.T @ r
+                return u, r, float(max(np.max(-g[~free], initial=0.0),
+                                       np.max(np.abs(g[free]), initial=0.0), -u.min()))
+            free[t] = True
+            z = solve_free()
+            if z[t] > 0.0:
+                break
+            free[t] = False
+            dual[t] = -np.inf
+        while np.any(z[free] <= 0.0):
+            neg = np.flatnonzero(free & (z <= 0.0))
+            ratios = u[neg] / (u[neg] - z[neg])
+            j = int(np.argmin(ratios))
+            u = u + ratios[j] * (z - u)
+            u[neg[j]] = 0.0
+            free &= u > 0.0
+            u[~free] = 0.0
+            z = solve_free()
+        u = z
+        # independent free columns spanning the rows fit f exactly; the
+        # computed E u - f would only be rounding, amplified by large weights
+        r = np.zeros_like(f) if free.sum() == len(f) else E @ u - f
+    raise RuntimeError("NNLS exceeded its iteration cap")
+
+
+def _ldp_project(y: np.ndarray, base: np.ndarray,
+                 gens: Optional[np.ndarray]) -> tuple[np.ndarray, float, float]:
+    """Nearest point of conv(base rows) + cone(gens rows) to y, its distance
+    and the KKT residual of the NNLS that found it.
+
+    The normal w of the nearest point solves the least-distance problem
+    min ||w||  s.t.  w.(y - b_i) / s >= 1 for every vertex b_i and
+    -w.g_j / ||g_j|| >= 0 for every generator, with s = max(1, max|y - b_i|);
+    then the distance is s / ||w||.  The LDP is one NNLS (LH ch. 23):
+    min ||E u - e_{m+1}||, u >= 0, with one column ((y - b_i) / s, 1) per
+    vertex and (-g_j / ||g_j||, 0) per generator.  Its residual r has
+    ||r||^2 = -r_m at the optimum, so d = s ||r|| / sqrt(1 - ||r||^2) and the
+    nearest point is y - d r[:m] / ||r[:m]||; r = 0 (an infeasible LDP)
+    means y lies in the set.
+    """
+    k, m = base.shape
+    rel = y - base
+    s = max(1.0, float(np.max(np.abs(rel))))
+    E = np.vstack([rel.T / s, np.ones(k)])
+    if gens is not None and len(gens):
+        unit = gens / np.linalg.norm(gens, axis=1, keepdims=True)
+        E = np.hstack([E, np.vstack([-unit.T, np.zeros(len(gens))])])
+    _, r, kkt = _nnls(E, np.eye(m + 1)[m])
+    rn = float(np.linalg.norm(r))
+    d = s * rn / math.sqrt(1.0 - rn * rn)
+    rm = float(np.linalg.norm(r[:m]))
+    return (y - (d / rm) * r[:m] if rm > 0.0 else y.copy()), d, kkt
 
 
 # ---------------------------------------------------------------------------
 # face tables
 # ---------------------------------------------------------------------------
 
-#: sets with more candidate faces are projected point by point with the
-#: active-set kernel; bounds the table's memory and build time
+#: sets with more candidate faces are projected point by point by the
+#: least-distance kernel (``_ldp_project``); bounds the table's memory and
+#: build time
 _FACE_BUDGET = 512
 #: a batch is evaluated in chunks of at most this many (face, point) pairs
 _FACE_CHUNK = 1 << 17
@@ -239,7 +227,7 @@ def _nearest(owner, base: np.ndarray, gens: Optional[np.ndarray],
         object.__setattr__(owner, "_faces", _face_table(base, gens))
     table = vars(owner)["_faces"]
     if table is None:
-        out = [_hull_cone_project(y, base, gens) for y in pts]
+        out = [_ldp_project(y, base, gens)[:2] for y in pts]
         return np.array([p for p, _ in out]).reshape(pts.shape), np.array([d for _, d in out])
     b0, block, lower = table
     step = max(1, _FACE_CHUNK // len(b0))
@@ -268,7 +256,7 @@ class PolyCone:
     """Finitely generated closed convex cone {sum mu_i g_i : mu >= 0}.
 
     Must be neither {0} nor the whole space.  ``pointed`` is cached at
-    construction (origin-in-hull test on the normalized generators).
+    construction: the origin lies off the hull of the normalized generators.
     """
 
     generators: np.ndarray
@@ -284,7 +272,7 @@ class PolyCone:
         if self._is_whole_space():
             raise ValueError("cone equals the whole space; a proper cone is required")
         unit = gens / np.linalg.norm(gens, axis=1, keepdims=True)
-        _, d = _hull_cone_project(np.zeros(self.dim), unit, None)
+        d = _ldp_project(np.zeros(self.dim), unit, None)[1]
         object.__setattr__(self, "pointed", bool(d > GEOM_TOL))
         object.__setattr__(self, "_orthant", self._detect_orthant())
 
@@ -294,9 +282,9 @@ class PolyCone:
 
     def _is_whole_space(self) -> bool:
         # containing +e_i and -e_i for every axis forces C = R^m
-        m = self.generators.shape[1]
-        probes = np.vstack([np.eye(m), -np.eye(m)])
-        return all(_nnls_project(p, self.generators)[1] <= GEOM_TOL for p in probes)
+        m = self.dim
+        return all(_ldp_project(p, np.zeros((1, m)), self.generators)[1] <= GEOM_TOL
+                   for p in np.vstack([np.eye(m), -np.eye(m)]))
 
     def _detect_orthant(self) -> bool:
         m = self.dim

@@ -86,6 +86,11 @@ def test_usage_errors(problem_files, tmp_path, capsys):
         ["verify-props", "--problem", rot, "--trials", "-3"],
         ["vopt", "--problem", tri, "--p", "0", "--x0", "0.3,0.3",
          "--image-sampling", "-5"],
+        ["solve", "--problem", rot, "--p", "0.3", "--x0", "1,1", "--alpha", "-1"],
+        ["solve", "--problem", rot, "--p", "0.3", "--x0", "1,1", "--tol", "nan"],
+        ["solve", "--problem", rot, "--p", "0.3", "--x0", "1,1", "--tol", "-1"],
+        ["solve", "--problem", rot, "--p", "0.3", "--x0", "1,1", "--alpha", "nan"],
+        ["solve", "--problem", rot, "--p", "0.3", "--x0", "1,1", "--alpha-tilde", "nan"],
     ]
     for argv in bad_args:
         assert main(argv) == 1, argv
@@ -118,6 +123,18 @@ def test_usage_errors(problem_files, tmp_path, capsys):
         bad = tmp_path / f"bad_{name}.json"
         bad.write_text(json.dumps(data))
         assert main(["solve", "--problem", str(bad), "--p", "0", "--x0", "0,0"]) == 1, name
+
+
+def test_nearly_non_pointed_cone_is_not_an_internal_error(tmp_path):
+    # two almost opposite rays, e + 1e-7 noise and -e + 1e-7 noise + 1e-6 e_2
+    # (trial 111 of that family drawn from default_rng(0)); building the cone
+    # once raised RuntimeError, an internal error (exit 3)
+    data = rotation_inclusion_problem().to_dict()
+    data["cone"] = {"generators": [[-0.12398597845069126, 0.9922840157696188],
+                                   [0.12398586238863216, -0.9922829685981287]]}
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", "--problem", str(path), "--p", "0.3", "--x0", "1,1"]) in (0, 1, 2)
 
 
 def test_vopt_verb_single_point(problem_files, capsys):

@@ -3,16 +3,17 @@ import os
 import subprocess
 import sys
 import textwrap
+from itertools import combinations
 from pathlib import Path
-from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import nnls
 
-from svikit.geometry import (PolyCone, SumSet, Verdict, VPolytope,
-                             _hull_cone_project, _nearest, _nnls_project,
+from svikit import geometry
+from svikit.geometry import (PolyCone, SumSet, Verdict, VPolytope, _ldp_project,
                              ball_sup_dist, dist_many, enlargement_inclusion,
                              excess, hausdorff, orthant, project_dist)
 from conftest import random_pointed_cone
@@ -32,6 +33,42 @@ def brute_cone_distance(y, generators, grid=250, reach=5.0):
     mus = np.column_stack([g.ravel() for g in mesh])
     pts = mus @ gens
     return float(np.min(np.linalg.norm(pts - np.asarray(y, float), axis=1)))
+
+
+def mp_face_distance(y, base, gens, digits=50):
+    """Distance from y to conv(base) + cone(gens) by face enumeration in
+    ``digits``-digit arithmetic: least squares over every subset of one base
+    vertex b0 plus further vertices and generators with independent
+    directions, kept when its weights are feasible."""
+    def vec(v):
+        return mpmath.matrix([mpmath.mpf(float(c)) for c in v])
+
+    with mpmath.workdps(digits):
+        B = [vec(b) for b in base]
+        G = [] if gens is None else [vec(g) for g in gens]
+        k, m, best = len(B), len(vec(y)), mpmath.inf
+        for i in range(k):
+            rel = vec(y) - B[i]
+            for nb in range(min(k - 1 - i, m) + 1):
+                for J in combinations(range(i + 1, k), nb):
+                    for ng in range(min(len(G), m - nb) + 1):
+                        for L in combinations(range(len(G)), ng):
+                            cols = [B[j] - B[i] for j in J] + [G[j] for j in L]
+                            if not cols:
+                                best = min(best, mpmath.norm(rel))
+                                continue
+                            D = mpmath.matrix(m, len(cols))
+                            for c, col in enumerate(cols):
+                                for row in range(m):
+                                    D[row, c] = col[row]
+                            gram = D.T * D
+                            if abs(mpmath.det(gram)) < mpmath.mpf(10) ** (-digits):
+                                continue  # dependent directions
+                            z = mpmath.lu_solve(gram, D.T * rel)
+                            if min(z) < 0 or sum(z[:nb]) > 1:
+                                continue
+                            best = min(best, mpmath.norm(rel - D * z))
+        return float(best)
 
 
 def test_project_dist_orthant_examples(plane_orthant):
@@ -307,33 +344,40 @@ def assert_projection(y, proj, d, base, gens):
         assert float(np.max(gens @ (y - proj))) <= 1e-9
 
 
+def assert_kernel_matches(y, dist, base, gens):
+    """The least-distance kernel agrees with the distance ``dist`` of the
+    face table, and its point passes the variational inequality."""
+    proj, d, kkt = _ldp_project(y, base, gens)
+    assert abs(d - dist) <= 1e-9 * max(1.0, d)
+    assert kkt <= 1e-9
+    assert_projection(y, proj, d, base, gens)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-def test_distance_paths_match_the_active_set_kernel(seed):
-    # the kernel's point lies in the set, so no distance may exceed its
-    # distance; the kernel stops at its own optimality tolerance, and on
-    # degenerate cones it can stop 2e-8 short of the optimum (see
-    # CHANGES.md), so optimality is checked by the variational inequality
+def test_distance_paths_match_the_ldp_kernel(seed):
+    # the face table and the least-distance kernel are two exact paths to
+    # the same distance; both points pass the variational inequality and the
+    # kernel's NNLS its KKT conditions
     rng = np.random.default_rng(seed)
     S = degenerate_sumset(rng)
     base = S.base.vertices
     gens = None if S.cone is None else S.cone.generators
     pts = 3.0 * rng.standard_normal((10, S.dim))
-    ref = np.array([_hull_cone_project(y, base, gens)[1] for y in pts])
     got = dist_many(pts, S)
-    assert np.all(got <= ref + 1e-9)
     for y, dist in zip(pts, got):
         proj, d = project_dist(y, S)
         assert d == pytest.approx(dist, abs=1e-12)
         assert_projection(y, proj, d, base, gens)
+        assert_kernel_matches(y, dist, base, gens)
     if S.cone is not None:
-        cone_ref = np.array([_nnls_project(y, gens)[1] for y in pts])
+        origin = np.zeros((1, S.dim))
         got = S.cone.distances(pts)
-        assert np.all(got <= cone_ref + 1e-9)
         for y, dist in zip(pts, got):
             proj, d = S.cone.project(y)
             assert d == pytest.approx(dist, abs=1e-12)
-            assert_projection(y, proj, d, np.zeros((1, S.dim)), gens)
+            assert_projection(y, proj, d, origin, gens)
+            assert_kernel_matches(y, dist, origin, gens)
 
 
 @settings(max_examples=150, deadline=None)
@@ -353,33 +397,55 @@ def test_cone_distances_match_scipy_nnls(seed):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_nearly_non_pointed_cones_match_scipy_nnls(seed):
-    # two almost opposite rays.  The active-set kernel is unreliable here
-    # (see CHANGES.md), so nnls is the only reference, and the face table is
-    # called directly: PolyCone's construction checks run the kernel.  Both
-    # sides carry rounding error of the ill-conditioned faces: against a
-    # 50-digit oracle the face table was seen up to 3e-8 off, nnls 2e-7.
+    # two almost opposite rays.  Construction runs the kernel; the cone is
+    # pointed unless the hull of its unit rays passes within GEOM_TOL of the
+    # origin (about 1 draw in 1,000).  The face table and the kernel carry
+    # rounding error of the ill-conditioned faces; against nnls, and against
+    # a 50-digit oracle alone and with a two-vertex base, they stay within
+    # 1e-6.
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 5))
     e = rng.standard_normal(m)
     e /= np.linalg.norm(e)
-    gens = np.array([e + 1e-7 * rng.standard_normal(m),
-                     -e + 1e-7 * rng.standard_normal(m) + 1e-6 * np.eye(m)[-1]])
+    cone = PolyCone(np.array([e + 1e-7 * rng.standard_normal(m),
+                              -e + 1e-7 * rng.standard_normal(m) + 1e-6 * np.eye(m)[-1]]))
+    gens = cone.generators
+    unit = gens / np.linalg.norm(gens, axis=1, keepdims=True)
+    assert cone.pointed == (mp_face_distance(np.zeros(m), unit, None) > geometry.GEOM_TOL)
     pts = 2.0 * rng.standard_normal((10, m))
-    got = _nearest(SimpleNamespace(), np.zeros((1, m)), gens, pts)[1]
+    got = cone.distances(pts)
     ref = np.array([nnls(gens.T, y)[1] for y in pts])
     assert np.max(np.abs(got - ref)) <= 1e-6
+    origin = np.zeros((1, m))
+    base = rng.standard_normal((2, m))
+    got_sum = dist_many(pts[:3], SumSet(VPolytope(base), cone))
+    for y, face, face_sum in zip(pts[:3], got, got_sum):
+        for b, dist in ((origin, face), (base, face_sum)):
+            exact = mp_face_distance(y, b, gens)
+            assert abs(dist - exact) <= 1e-6
+            assert abs(_ldp_project(y, b, gens)[1] - exact) <= 1e-6
 
 
-def test_cone_above_the_face_budget_uses_the_kernel():
+def test_cone_above_the_face_budget_uses_the_kernel(monkeypatch):
     rng = np.random.default_rng(3)
     gens = rng.standard_normal((12, 4)) + 1.5  # 794 candidate faces
     cone = PolyCone(gens)
+    S = SumSet(VPolytope(rng.standard_normal((3, 4))), cone)  # 3,358 faces
     pts = 3.0 * rng.standard_normal((6, 4))
-    got = cone.distances(pts)
-    assert cone._faces is None
-    assert np.allclose(got, [_nnls_project(y, cone.generators)[1] for y in pts],
-                       atol=1e-12, rtol=0)
+    got, got_sum = cone.distances(pts), dist_many(pts, S)
+    assert cone._faces is None and S._faces is None
     assert np.allclose(got, [nnls(cone.generators.T, y)[1] for y in pts], atol=1e-9, rtol=0)
+    for y, dist in zip(pts, got_sum):
+        proj, d = project_dist(y, S)
+        assert d == dist
+        assert_projection(y, proj, d, S.base.vertices, cone.generators)
+    # the reference: face tables built with the budget raised
+    monkeypatch.setattr(geometry, "_FACE_BUDGET", 4096)
+    wide_cone = PolyCone(gens)
+    ref, ref_sum = wide_cone.distances(pts), dist_many(pts, SumSet(S.base, wide_cone))
+    assert wide_cone._faces is not None
+    assert np.allclose(got, ref, atol=1e-12, rtol=0)
+    assert np.allclose(got_sum, ref_sum, atol=1e-12, rtol=0)
 
 
 def test_runtime_does_not_import_scipy():
