@@ -20,7 +20,8 @@ from .increase import PropertyAbsent, SamplingConfig, global_infimum
 from .parametric import continuity_report, sweep, write_csv
 from .problems import load_problem_file
 from .setmaps import SviProblem, evaluate, is_all_space, lipschitz_budget, merit
-from .solver import MaxItersExceeded, NoDescentStep, SolverConfig, solve
+from .solver import (DescentConstantsError, MaxItersExceeded, NoDescentStep,
+                     SolverConfig, solve)
 from .vopt import (FOUND, LinearRotation, VopSpec, decrease_infimum,
                    ideal_value_sweep, solve_ideal)
 
@@ -362,7 +363,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _VERBS[args.verb](args)
-    except UsageError as err:
+    except (UsageError, DescentConstantsError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (NoDescentStep, MaxItersExceeded, PropertyAbsent) as err:

@@ -224,8 +224,7 @@ def check_increase(map_at: MapAt, cone: PolyCone, x, alpha: float, r: float,
                 survivors.append(i)
         for i in survivors:
             res = enlargement_inclusion(images[i], alpha * r, target, r,
-                                        dirs=cfg.directions, tol=cfg.tolerance,
-                                        rounds=cfg.refinement_rounds)
+                                        tol=cfg.tolerance)
             if res.holds:
                 return cands[i]
         return None

@@ -42,6 +42,11 @@ class MaxItersExceeded(Exception):
     pass
 
 
+class DescentConstantsError(ValueError):
+    """alpha or alpha_tilde does not fit the problem: out of range, or
+    leaving no room above its Lipschitz budget."""
+
+
 class AlreadyFeasible(ValueError):
     """Segment steps require an infeasible start point."""
 
@@ -252,7 +257,7 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
             if alpha <= 1.0:
                 alpha = 0.5 * (1.0 + est)
         if alpha <= 1.0:
-            raise ValueError("unconstrained descent needs alpha > 1")
+            raise DescentConstantsError("unconstrained descent needs alpha > 1")
         kappa = 0.0
         k_run = alpha - 1.0
         alpha_hi_limit = None
@@ -265,14 +270,14 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
         if lo_a < hi_a:
             alpha = cfg.alpha if cfg.alpha is not None else 0.5 * (lo_a + hi_a)
             if not (lo_a < alpha < hi_a):
-                raise ValueError(
+                raise DescentConstantsError(
                     f"alpha={alpha} outside the mandated interval ({lo_a}, {hi_a})")
             kappa = alpha_tilde - alpha
             k_run = alpha_tilde - alpha - ell
             alpha_hi_limit = hi_a
         else:
             if not cfg.allow_uncertified:
-                raise ValueError(
+                raise DescentConstantsError(
                     f"empty alpha interval: ell={ell} >= alpha_tilde-1={alpha_tilde - 1}; "
                     "set allow_uncertified to run with floor constants")
             alpha = alpha_tilde  # placeholder; the rule below runs on floors

@@ -64,7 +64,7 @@ def test_criterion_1_excess_calculus():
         # enlargement additivity, bracketed by the inclusion certificate
         if exact > 1e-6:
             s = rng.uniform(0.1, 1.0)
-            sup, _, _ = ball_sup_dist(A, s, cone)
+            sup, _ = ball_sup_dist(A, s, cone)
             assert abs(sup - (exact + s)) <= 1e-6
             assert enlargement_inclusion(A, s, cone, sup * (1 + 1e-6)).holds
             assert (enlargement_inclusion(A, s, cone, sup * (1 - 1e-6)).verdict

@@ -70,7 +70,7 @@ def test_usage_errors(problem_files, tmp_path, capsys):
     assert main(["vopt", "--problem", problem_files["rotation"],
                  "--p", "0", "--x0", "0,0"]) == 1
     # malformed grids, points and counts are usage errors, not internal ones
-    rot, tri = problem_files["rotation"], problem_files["triangle"]
+    rot, tri, boxed = (problem_files[k] for k in ("rotation", "triangle", "boxed"))
     bad_args = [
         ["sweep", "--problem", rot, "--grid", "1:0:3", "--x0", "0,0"],
         ["sweep", "--problem", rot, "--grid", "0:nan:3", "--x0", "0,0"],
@@ -91,6 +91,9 @@ def test_usage_errors(problem_files, tmp_path, capsys):
         ["solve", "--problem", rot, "--p", "0.3", "--x0", "1,1", "--tol", "-1"],
         ["solve", "--problem", rot, "--p", "0.3", "--x0", "1,1", "--alpha", "nan"],
         ["solve", "--problem", rot, "--p", "0.3", "--x0", "1,1", "--alpha-tilde", "nan"],
+        # in range for the flag, but outside the boxed problem's interval
+        ["solve", "--problem", boxed, "--p", "0.3", "--x0", "1,1", "--alpha", "100"],
+        ["solve", "--problem", boxed, "--p", "0.3", "--x0", "1,1", "--alpha-tilde", "1.0001"],
     ]
     for argv in bad_args:
         assert main(argv) == 1, argv

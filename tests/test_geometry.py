@@ -173,6 +173,113 @@ def test_enlargement_inclusion_fails_with_witness(plane_orthant):
     assert dist_many(res.witness[None, :], orthant(2))[0] > 1.0
 
 
+def test_enlargement_inclusion_refutes_a_narrow_4d_peak():
+    # the sphere's farthest point from D sits in a narrow peak that a
+    # direction cloud missed (it found 0.34742 and called the inclusion true);
+    # a 2,000,000-point sphere sample reaches 0.35263
+    b = [1.956346730654278, 1.0391325469050323, 0.8286913701837005, -0.7347941076711485]
+    G = [[-0.11525796277922806, 1.4935260751237454, 0.17340419775097526, 1.0666600406114077],
+         [2.8843841536775843, 1.782093332109346, 0.44051334977901413, -0.26169558658986847],
+         [0.40206965591695565, 2.180795317574323, -0.9529406467525732, 0.31764144306831654],
+         [2.0488222029668437, 0.8861965736805808, 1.4470443038738825, 0.36432397825202156]]
+    c = np.array([5.157718054116364, 3.3956140213469466, 1.7443487386850614,
+                  -0.5295191880912998])
+    s = 0.36094974697843757
+    D = SumSet(VPolytope([b]), PolyCone(G))
+    res = enlargement_inclusion(VPolytope([c]), s, D, 0.35)
+    assert res.verdict is Verdict.FAILS
+    assert np.linalg.norm(res.witness - c) <= s + 1e-12
+    assert dist_many(res.witness[None, :], D)[0] > 0.35
+
+
+def test_enlargement_inclusion_refutes_just_outside_an_obtuse_apex():
+    # c lies 1e-10 outside the apex, so no edge of the cone is feasible at
+    # c; the sup 1 + 1e-10 is reached along the apex's residual -e2
+    D = PolyCone([[1.0, 0.1], [-1.0, 0.1]])
+    c = np.array([0.0, -1e-10])
+    sup, pt = ball_sup_dist(VPolytope([c]), 1.0, D)
+    assert sup == pytest.approx(1.0 + 1e-10, abs=1e-15)
+    assert np.allclose(pt, [0.0, -1.0 - 1e-10], atol=1e-15)
+    res = enlargement_inclusion(VPolytope([c]), 1.0, D, 0.5)
+    assert res.verdict is Verdict.FAILS
+    assert dist_many(res.witness[None, :], D)[0] > 0.5
+
+
+def test_enlargement_inclusion_refutes_just_outside_a_4d_cone():
+    # c lies 2.8e-11 outside a lower face of D; the rounding of that face's
+    # residual tilts its direction, which alone fell 3.5e-9 short of the sup
+    b = [0.7587969441123137, 0.6758642730311216, -0.649541816746972, -0.969801259834367]
+    G = [[0.7931544693638513, 0.598072232835058, 0.7171066435957928, -0.1751565111976798],
+         [0.7011427581324657, 0.892513507398845, 1.4254396003192702, 0.337449436566753],
+         [1.269053471701523, -0.21866950318665, 1.1215599904571496, -0.3058114614232021],
+         [-0.3650131190704223, -0.40172143803072463, 1.458614331056341, -0.19350957901275836],
+         [0.27962320157444537, 0.30238433647221036, 0.6870640315857637, -0.49275372899489445]]
+    c = np.array([2.4714822842554818, 2.525982708431621, 4.224738321677751, -4.224498775757038])
+    s = 1.8794219403697512
+    D = SumSet(VPolytope([b]), PolyCone(G))
+    d = dist_many(c[None, :], D)[0]
+    assert 0.0 < d < geometry.GEOM_TOL
+    sup, _ = ball_sup_dist(VPolytope([c]), s, D)
+    assert sup == pytest.approx(s + d, abs=1e-12)
+    assert enlargement_inclusion(VPolytope([c]), s, D, s + d - 2.5e-9).verdict is Verdict.FAILS
+
+
+def dense_sphere(m, count):
+    """Unit directions: both of them for m = 1, uniform angles for m = 2, a
+    fixed-seed Gaussian cloud otherwise."""
+    if m == 1:
+        return np.array([[1.0], [-1.0]])
+    if m == 2:
+        t = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
+        return np.column_stack([np.cos(t), np.sin(t)])
+    dirs = np.random.default_rng(1).standard_normal((count, m))
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+
+def assert_sphere_max(c, s, D, sup, pt, reference_set=None, count=20_000):
+    """ball_sup_dist's (sup, pt) about the single point c against a dense
+    sphere sample (distances to ``reference_set``, the same set, when
+    given): the sup is at least the sample's largest distance and at most
+    s + dist(c, D), and is attained on the sphere."""
+    dense = dist_many(c + s * dense_sphere(len(c), count), reference_set or D)
+    assert sup >= float(np.max(dense)) - 1e-12
+    assert sup <= s + dist_many(c[None, :], D)[0] + 1e-12
+    assert abs(np.linalg.norm(pt - c) - s) <= 1e-12
+    assert dist_many(pt[None, :], D)[0] == pytest.approx(sup, abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_ball_sup_dist_matches_a_dense_sphere(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 5))
+    base = rng.standard_normal((int(rng.integers(1, 4)), m)) * rng.uniform(0.5, 2.0)
+    if m == 3 and rng.random() < 0.3:
+        cone = PolyCone(rng.standard_normal((1, 3)))  # D of lower dimension
+    else:
+        cone = None if rng.random() < 0.2 else random_pointed_cone(rng, m)
+    D = SumSet(VPolytope(base), cone)
+    roll, outside = rng.random(), False
+    if roll < 0.35:
+        c = base[int(rng.integers(len(base)))]  # on the boundary
+    elif roll < 0.6:
+        # just outside, 1e-14 to 1e-7 off the projection of a far point
+        # (often a vertex) along its normal
+        y = base[0] + 5.0 * rng.standard_normal(m)
+        proj, d = project_dist(y, D)
+        outside = d > 0.0
+        c = proj + 10.0 ** rng.uniform(-14, -7) * (y - proj) / d if outside else proj
+    else:
+        c = rng.dirichlet(np.ones(len(base))) @ base
+        if cone is not None:
+            c = c + rng.uniform(0.0, 1.5, len(cone.generators)) @ cone.generators
+    s = float(rng.uniform(0.05, 2.0))
+    sup, pt = ball_sup_dist(VPolytope([c]), s, D)
+    assert_sphere_max(c, s, D, sup, pt)
+    if outside:  # attained exactly along the outward normal
+        assert sup >= s + dist_many(c[None, :], D)[0] - 1e-12
+
+
 # ---------------------------------------------------------------------------
 # property suites
 # ---------------------------------------------------------------------------
@@ -225,7 +332,7 @@ def test_enlargement_additivity_of_excess():
         if exact <= 1e-6:
             continue
         s = rng.uniform(0.1, 1.5)
-        sup, _, _ = ball_sup_dist(A, s, cone)
+        sup, _ = ball_sup_dist(A, s, cone)
         assert sup == pytest.approx(exact + s, abs=1e-6)
         assert enlargement_inclusion(A, s, cone, sup * (1 + 1e-6)).holds
         assert enlargement_inclusion(A, s, cone, sup * (1 - 1e-6)).verdict is Verdict.FAILS
@@ -446,6 +553,34 @@ def test_cone_above_the_face_budget_uses_the_kernel(monkeypatch):
     assert wide_cone._faces is not None
     assert np.allclose(got, ref, atol=1e-12, rtol=0)
     assert np.allclose(got_sum, ref_sum, atol=1e-12, rtol=0)
+
+
+def test_sphere_max_above_the_face_budget(monkeypatch):
+    rng = np.random.default_rng(3)
+    S = SumSet(VPolytope(rng.standard_normal((3, 4))),
+               PolyCone(rng.standard_normal((12, 4)) + 1.5))  # 3,358 faces
+    centers = [S.base.vertices[0], S.base.vertices[1:].mean(axis=0)
+               + S.cone.generators[:3].sum(axis=0)]
+    built = []
+
+    def face_table(base, gens, subsets):
+        table = face_table_of(base, gens, subsets)
+        built.append(len(table[0]))
+        return table
+
+    face_table_of = geometry._face_table
+    monkeypatch.setattr(geometry, "_face_table", face_table)
+    sups = [ball_sup_dist(VPolytope([c]), 0.7, S) for c in centers]
+    assert S._faces is None  # no table cached for the set
+    # the subsets are walked in runs no longer than the budget
+    assert len(built) > 2 and max(built) <= geometry._FACE_BUDGET
+    monkeypatch.setattr(geometry, "_face_table", face_table_of)
+    # the sample's distances come from a face table built with the budget raised
+    monkeypatch.setattr(geometry, "_FACE_BUDGET", 4096)
+    wide = SumSet(S.base, PolyCone(S.cone.generators))
+    for c, (sup, pt) in zip(centers, sups):
+        assert_sphere_max(c, 0.7, S, sup, pt, reference_set=wide, count=4_000)
+        assert sup == pytest.approx(ball_sup_dist(VPolytope([c]), 0.7, wide)[0], abs=1e-12)
 
 
 def test_runtime_does_not_import_scipy():

@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 from svikit.geometry import orthant
+from svikit.increase import SamplingConfig, estimate_bound, hints_for_problem
 from svikit.parametric import sweep, write_csv
 from svikit.problems import (boxed_rotation_problem, rotation_inclusion_problem,
                              triangle_vop_spec)
 from svikit.setmaps import (AbsComponent, ConcaveTerm, FanSpec,
-                            InterpolatedTable, SviProblem)
+                            InterpolatedTable, SviProblem, evaluate)
 from svikit.solver import SolverConfig, solve
 from svikit.vopt import ideal_value_sweep
 
@@ -97,9 +98,30 @@ def boxed_retries(path):
     _write_solves(path, boxed_rotation_problem(), cfg, x0s)
 
 
+def rotation_increase(path):
+    """Increase-bound brackets of the rotation instance at seeded (p, x)
+    pairs, with the stored witnesses (r, u) of alpha_lo, under the rotation
+    bench's sampling budget: every witness passed the enlargement-inclusion
+    test, so the columns pin its verdicts."""
+    prob = rotation_inclusion_problem()
+    cfg = SamplingConfig(bracket_rtol=0.05, directions=64)
+    rng = np.random.default_rng(23)
+    lines = ["p,x_1,x_2,alpha_lo,alpha_hi,r_1,u1_1,u1_2,r_2,u2_1,u2_2"]
+    for _ in range(5):
+        p, x = float(rng.uniform(0.0, 2.0 * math.pi)), rng.uniform(-2.0, 2.0, 2)
+        est = estimate_bound(lambda xx, p=p: evaluate(prob, p, xx), prob.cone, x, cfg,
+                             hints=hints_for_problem(prob, p), p_for_seed=p)
+        cells = [p, *x, est.alpha_lo, est.alpha_hi,
+                 *[v for r, u in est.witnesses for v in (r, *u)]]
+        lines.append(",".join(repr(float(v)) for v in cells))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 CASES = {"rotation_warm": rotation_warm, "boxed_cold": boxed_cold,
          "triangle_ideal": triangle_ideal, "cold_solves": cold_solves,
-         "boxed_retries": boxed_retries, "spatial_warm": spatial_warm}
+         "boxed_retries": boxed_retries, "spatial_warm": spatial_warm,
+         "rotation_increase": rotation_increase}
 
 
 def _read(path):
