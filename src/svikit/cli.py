@@ -106,16 +106,9 @@ def _load(path):
 
 
 def _solver_cfg(args) -> SolverConfig:
-    kwargs = {}
-    if getattr(args, "alpha", None) is not None:
-        kwargs["alpha"] = args.alpha
-    if getattr(args, "alpha_tilde", None) is not None:
-        kwargs["alpha_tilde"] = args.alpha_tilde
-    if getattr(args, "tol", None) is not None:
-        kwargs["tol"] = args.tol
-    if getattr(args, "seed", None) is not None:
-        kwargs["rng_seed"] = args.seed
-    return SolverConfig(**kwargs)
+    flags = {"alpha": args.alpha, "alpha_tilde": args.alpha_tilde, "tol": args.tol,
+             "rng_seed": args.seed}
+    return SolverConfig(**{k: v for k, v in flags.items() if v is not None})
 
 
 def _build_parser() -> _Parser:
@@ -123,35 +116,38 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"svi {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(sp):
+    # each verb takes only the flags it reads
+    def common(sp, solver=False, out=False):
         sp.add_argument("--problem", required=True, help="problem file (JSON)")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=partial(_finite, above=0.0), default=None)
-        sp.add_argument("--alpha", type=partial(_finite, above=1.0), default=None)
-        sp.add_argument("--alpha-tilde", dest="alpha_tilde", type=partial(_finite, above=1.0),
-                        default=None)
-        sp.add_argument("--out", default=None, help="output file (CSV)")
+        if solver:
+            sp.add_argument("--tol", type=partial(_finite, above=0.0), default=None)
+            sp.add_argument("--alpha", type=partial(_finite, above=1.0), default=None)
+            sp.add_argument("--alpha-tilde", dest="alpha_tilde",
+                            type=partial(_finite, above=1.0), default=None)
+        if out:
+            sp.add_argument("--out", default=None, help="output file (CSV)")
 
     sp = sub.add_parser("solve", help="solve at one parameter value")
-    common(sp)
+    common(sp, solver=True)
     sp.add_argument("--p", type=_finite, required=True)
     sp.add_argument("--x0", required=True, help="comma-separated start point")
 
     sp = sub.add_parser("sweep", help="warm-started parameter sweep")
-    common(sp)
+    common(sp, solver=True, out=True)
     sp.add_argument("--grid", required=True, help="start:stop:count")
     sp.add_argument("--x0", required=True)
     sp.add_argument("--cold-start", action="store_true")
 
-    sp = sub.add_parser("estimate-inc", help="bracket the increase/decrease bound")
-    common(sp)
+    sp = sub.add_parser("estimate-inc", help="bracket the increase/decrease bound "
+                        "(the problem kind picks which)")
+    common(sp, out=True)
     sp.add_argument("--p-grid", default=None, help="start:stop:count")
     sp.add_argument("--p", type=_finite, default=None)
     sp.add_argument("--x-samples", type=_count, default=8)
-    sp.add_argument("--mode", choices=["increase", "decrease"], default=None)
 
     sp = sub.add_parser("vopt", help="ideal-efficiency solve or sweep")
-    common(sp)
+    common(sp, solver=True, out=True)
     sp.add_argument("--p", type=_finite, default=None)
     sp.add_argument("--grid", default=None, help="start:stop:count")
     sp.add_argument("--x0", required=True)

@@ -519,9 +519,10 @@ def matvec_rows(M: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def numgrad(fn_many, x: np.ndarray, h: Optional[float] = None) -> np.ndarray:
-    """Central-difference gradient at x of a scalar function evaluated on
-    the rows of a batch: the 2n stencil points x + h e_i, x - h e_i (in that
-    order, by i) in one call."""
+    """Central-difference gradient at x of a function evaluated on the rows
+    of a batch: the 2n stencil points x + h e_i, x - h e_i (in that order,
+    by i) in one call.  A function with one column per component gives one
+    gradient column per component."""
     if h is None:
         h = 1e-6 * max(1.0, float(np.linalg.norm(x)))
     E = h * np.eye(len(x))
@@ -552,9 +553,10 @@ class InclusionResult:
         return self.verdict is Verdict.HOLDS
 
 
-def _sphere_max(centers: np.ndarray, s: float, ss: SumSet) -> tuple[float, np.ndarray]:
-    """Largest dist(., D) over the spheres of radius s about the rows of
-    ``centers``, and a point attaining it, exactly.
+def _sphere_max(centers: np.ndarray, s: float, ss: SumSet) -> tuple[np.ndarray, np.ndarray]:
+    """Largest dist(., D) over the sphere of radius s about each row of
+    ``centers``, and a point attaining it, exactly: one sup and one point
+    per centre.
 
     A largest point y about c with dist(y) > 0 is c + s n, n the unit normal
     of D at P(y), which lies in the relative interior of a face F of less
@@ -564,8 +566,14 @@ def _sphere_max(centers: np.ndarray, s: float, ss: SumSet) -> tuple[float, np.nd
     normal cone, so below GEOM_TOL c -+ s times F's stored orthogonal vector
     (a facet normal, or one off D's affine hull) are candidates as well, and
     so is each candidate stepped to the normal at its projection.  Above the
-    budget the subsets are walked in uncached runs of that size.
+    budget the subsets are walked in uncached runs of that size, with a
+    running max per centre.  Centres go in chunks small enough that a
+    budget-sized table's candidates span at most ``_FACE_CHUNK`` pairs.
     """
+    step = _FACE_CHUNK // _FACE_BUDGET
+    if len(centers) > step:
+        parts = [_sphere_max(centers[i:i + step], s, ss) for i in range(0, len(centers), step)]
+        return np.concatenate([b for b, _ in parts]), np.vstack([p for _, p in parts])
     owner, base, gens, shift = _table_for(ss)
     ctr = centers - shift
     tables = [_faces(owner, base, gens)]
@@ -573,7 +581,7 @@ def _sphere_max(centers: np.ndarray, s: float, ss: SumSet) -> tuple[float, np.nd
         faces = _subsets(len(base), 0 if gens is None else len(gens), ss.dim)
         tables = (_face_table(base, gens, run)
                   for run in iter(lambda: list(islice(faces, _FACE_BUDGET)), []))
-    best, point = -math.inf, None
+    best, point = np.full(len(ctr), -math.inf), np.zeros_like(ctr)
     for table in tables:
         normal = table[3]
         cand, feasible = _face_candidates(table, base, ctr)
@@ -595,9 +603,11 @@ def _sphere_max(centers: np.ndarray, s: float, ss: SumSet) -> tuple[float, np.nd
         if out.any():
             y = np.vstack([y, ctr[at[out]] + s * (y[out] - proj[out]) / d[out][:, None]])
             d = np.concatenate([d, _nearest(owner, base, gens, y[len(d):])[1]])
-        if d.max() > best:
-            k = int(np.argmax(d))
-            best, point = float(d[k]), y[k] + shift
+            at = np.concatenate([at, at[out]])
+        o = np.lexsort((-d, at))
+        k = o[np.r_[True, at[o][1:] != at[o][:-1]]]  # each centre's first largest
+        k = k[d[k] > best[at[k]]]
+        best[at[k]], point[at[k]] = d[k], y[k] + shift
     return best, point
 
 
@@ -610,7 +620,9 @@ def ball_sup_dist(A: VPolytope, s: float, D: SetLike) -> tuple[float, np.ndarray
         raise ValueError("dimension mismatch between polytope and target set")
     if s < 0:
         raise ValueError("enlargement radius must be nonnegative")
-    return _sphere_max(A.vertices, s, ss)
+    sups, points = _sphere_max(A.vertices, s, ss)
+    k = int(np.argmax(sups))
+    return float(sups[k]), points[k]
 
 
 def enlargement_inclusion(A: VPolytope, s: float, D: SetLike, r: float,

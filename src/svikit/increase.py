@@ -20,9 +20,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import (PolyCone, SumSet, VPolytope, as_vector, dist_many,
-                       enlargement_inclusion, numgrad, seeded_rotation,
-                       unit_directions)
+from .geometry import (PolyCone, SumSet, VPolytope, _sphere_max, as_vector,
+                       dist_many, numgrad, seeded_rotation, unit_directions)
 from .setmaps import SviProblem, evaluate, is_all_space, merit
 
 MapAt = Callable[[np.ndarray], VPolytope]
@@ -90,28 +89,6 @@ def _stable_seed(base: int, p: Optional[float], x: np.ndarray) -> np.random.Gene
     return np.random.default_rng([base, *words.tolist()])
 
 
-def scaled_rotation_witness(Q: np.ndarray, cone: PolyCone) -> Optional[np.ndarray]:
-    """Unit direction d such that u = x + r*d maps the image ball's center
-    straight into the cone's bulk, for an invertible 2x2 scaled rotation Q.
-
-    Returns None when Q is not (close to) a positive multiple of a rotation.
-    """
-    Q = np.asarray(Q, dtype=float)
-    if Q.shape != (2, 2):
-        return None
-    lam2 = Q.T @ Q
-    lam = math.sqrt(max(lam2[0, 0], 0.0))
-    if lam <= 1e-12:
-        return None
-    if not np.allclose(lam2, lam * lam * np.eye(2), rtol=0, atol=1e-9 * lam * lam):
-        return None
-    if np.linalg.det(Q) <= 0:
-        return None
-    d = np.linalg.solve(Q, cone.deep_direction())
-    n = np.linalg.norm(d)
-    return d / n if n > 0 else None
-
-
 def hints_for_problem(problem: SviProblem, p: float) -> HintFn:
     """Witness-direction hints derived from the problem's matrix family."""
     M = problem.matrix.matrix_at(p)
@@ -119,15 +96,14 @@ def hints_for_problem(problem: SviProblem, p: float) -> HintFn:
 
 
 def hints_for_matrix(M: np.ndarray, cone: PolyCone) -> HintFn:
-    d = scaled_rotation_witness(M, cone)
-
-    if d is None and M.shape[0] == M.shape[1]:
+    d = None
+    if M.shape[0] == M.shape[1]:
         try:
             cand = np.linalg.solve(M, cone.deep_direction())
             n = np.linalg.norm(cand)
             d = cand / n if n > 1e-12 else None
         except np.linalg.LinAlgError:
-            d = None
+            pass
 
     def hints(x: np.ndarray, r: float) -> list:
         if d is None:
@@ -146,10 +122,16 @@ def _candidates(map_at: MapAt, target: SumSet, cone: PolyCone,
             yield np.asarray(u, dtype=float)
 
     # steepest-descent style heuristics: push the image toward the target
-    # set and toward the cone (worst-vertex distance reduction)
-    for fn in (lambda u: float(np.max(dist_many(map_at(u).vertices, target))),
-               lambda u: float(np.max(cone.distances(map_at(u).vertices)))):
-        g = numgrad(lambda U: np.array([fn(u) for u in U]), x)
+    # set and toward the cone (worst-vertex distance reduction), both
+    # differenced on one stencil
+    def worst(U):
+        images = [map_at(u).vertices for u in U]
+        starts = np.cumsum([0] + [len(v) for v in images[:-1]])
+        verts = np.vstack(images)
+        return np.column_stack([np.maximum.reduceat(dist_many(verts, target), starts),
+                                np.maximum.reduceat(cone.distances(verts), starts)])
+
+    for g in numgrad(worst, x).T:
         n = float(np.linalg.norm(g))
         if n > 1e-14:
             yield x - (r / n) * g
@@ -175,8 +157,9 @@ def check_increase(map_at: MapAt, cone: PolyCone, x, alpha: float, r: float,
     exhausted (absence of a witness is a value, not an error).  Since
     alpha > 1, a witness's whole image must lie inside G(x) + C (a vertex at
     distance d > 0 puts a ball point at d + alpha*r > r); that necessary
-    condition and a batched direction probe reject candidates cheaply
-    before the full inclusion test runs.
+    condition rejects candidates cheaply.  The rest are decided together by
+    one exact sphere max (``_sphere_max``) over all their image vertices: a
+    candidate passes when its largest sup is at most r + tolerance.
     """
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
@@ -187,47 +170,24 @@ def check_increase(map_at: MapAt, cone: PolyCone, x, alpha: float, r: float,
     if rng is None:
         rng = _stable_seed(cfg.seed, None, x)
     target = SumSet(map_at(x), cone)
-    m = cone.dim
-    probes = -np.vstack([np.eye(m), cone.deep_direction()[None, :],
-                         unit_directions(m, 8 if m <= 2 else 12)])
-    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
 
     def scan(chunk):
-        cands, images, slices = [], [], []
-        total = 0
-        for u in chunk:
-            if np.linalg.norm(u - x) <= 1e-15:
-                continue  # the witness must differ from the center
-            vp = map_at(u)
-            cands.append(u)
-            images.append(vp)
-            slices.append((total, total + len(vp.vertices)))
-            total += len(vp.vertices)
+        # the witness must differ from the center
+        cands = [u for u in chunk if np.linalg.norm(u - x) > 1e-15]
         if not cands:
             return None
-        vert_d = dist_many(np.vstack([vp.vertices for vp in images]), target)
-        inside = [i for i, (a, b) in enumerate(slices)
-                  if float(np.max(vert_d[a:b])) <= cfg.tolerance]
-        if not inside:
+        images = [map_at(u).vertices for u in cands]
+        owner = np.repeat(np.arange(len(cands)), [len(v) for v in images])
+        verts = np.vstack(images)
+        far = owner[dist_many(verts, target) > cfg.tolerance]
+        inside = np.bincount(far, minlength=len(cands)) == 0
+        if not inside.any():
             return None
-        survivors = []
-        probe_pts, probe_slices, tally = [], [], 0
-        for i in inside:
-            verts = images[i].vertices
-            pts = (verts[:, None, :] + (alpha * r) * probes[None, :, :]).reshape(-1, m)
-            probe_pts.append(pts)
-            probe_slices.append((tally, tally + len(pts)))
-            tally += len(pts)
-        probe_d = dist_many(np.vstack(probe_pts), target)
-        for i, (a, b) in zip(inside, probe_slices):
-            if float(np.max(probe_d[a:b])) <= r + cfg.tolerance:
-                survivors.append(i)
-        for i in survivors:
-            res = enlargement_inclusion(images[i], alpha * r, target, r,
-                                        tol=cfg.tolerance)
-            if res.holds:
-                return cands[i]
-        return None
+        rows = inside[owner]
+        worst = np.zeros(len(cands))
+        np.maximum.at(worst, owner[rows], _sphere_max(verts[rows], alpha * r, target)[0])
+        hits = np.flatnonzero(inside & (worst <= r + cfg.tolerance))
+        return cands[hits[0]] if len(hits) else None
 
     gen = _candidates(map_at, target, cone, x, r, cfg, hints, rng)
     head = list(itertools.islice(gen, 8))  # hints and heuristics first
@@ -315,15 +275,12 @@ class InfimumResult:
 def infimum_over_samples(map_at_of_p: Callable[[float], MapAt], cone: PolyCone,
                          pairs: Sequence[tuple], cfg: Optional[SamplingConfig] = None,
                          mode: Mode = Mode.INCREASE,
-                         hints_of_p: Optional[Callable[[float], HintFn]] = None,
-                         skip: Optional[Callable[[float, np.ndarray], bool]] = None
+                         hints_of_p: Optional[Callable[[float], HintFn]] = None
                          ) -> InfimumResult:
     """Minimum alpha_lo of estimate_bound over sampled (p, x) pairs."""
     cfg = cfg or SamplingConfig()
     best, used, estimates = math.inf, 0, []
     for p, x in pairs:
-        if skip is not None and skip(p, x):
-            continue
         hints = hints_of_p(p) if hints_of_p is not None else None
         est = estimate_bound(map_at_of_p(p), cone, x, cfg, mode=mode,
                              hints=hints, p_for_seed=p)

@@ -301,7 +301,7 @@ def _component_minimizers(spec: VopSpec, p: float, bounds) -> list:
     return out
 
 
-def _default_bounds(spec: VopSpec, p_hint: float = 0.0):
+def _default_bounds(spec: VopSpec):
     if isinstance(spec.objective, AbsDeviation) and is_all_space(spec.constraint):
         vals = spec.objective.phi_knots.values
         span = float(np.max(np.abs(vals))) + 1.0
@@ -521,7 +521,7 @@ def brute_force_ideal(spec: VopSpec, p: float, grid_density: int = 64,
     warns when the decision flips (GridCoarseWarning); the finer decision
     is returned."""
     if bounds is None and is_all_space(spec.constraint):
-        bounds = _default_bounds(spec, p)
+        bounds = _default_bounds(spec)
     coarse = _oracle_once(spec, p, grid_density, bounds, tol)
     fine = _oracle_once(spec, p, 2 * grid_density, bounds, tol)
     if coarse.is_ideal != fine.is_ideal:

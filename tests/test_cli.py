@@ -94,6 +94,14 @@ def test_usage_errors(problem_files, tmp_path, capsys):
         # in range for the flag, but outside the boxed problem's interval
         ["solve", "--problem", boxed, "--p", "0.3", "--x0", "1,1", "--alpha", "100"],
         ["solve", "--problem", boxed, "--p", "0.3", "--x0", "1,1", "--alpha-tilde", "1.0001"],
+        # each verb takes only the flags it reads
+        ["estimate-inc", "--problem", rot, "--p", "0.4", "--mode", "decrease"],
+        ["estimate-inc", "--problem", rot, "--p", "0.4", "--alpha", "7"],
+        ["estimate-inc", "--problem", rot, "--p", "0.4", "--alpha-tilde", "7"],
+        ["estimate-inc", "--problem", rot, "--p", "0.4", "--tol", "3"],
+        ["verify-props", "--problem", rot, "--out", str(tmp_path / "f.csv")],
+        ["verify-props", "--problem", rot, "--alpha", "2"],
+        ["solve", "--problem", rot, "--p", "0.3", "--x0", "1,1", "--out", str(tmp_path / "f.csv")],
     ]
     for argv in bad_args:
         assert main(argv) == 1, argv

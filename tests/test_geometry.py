@@ -583,6 +583,46 @@ def test_sphere_max_above_the_face_budget(monkeypatch):
         assert sup == pytest.approx(ball_sup_dist(VPolytope([c]), 0.7, wide)[0], abs=1e-12)
 
 
+def assert_per_centre_sups(centers, s, D):
+    """One ``_sphere_max`` call over all the centres against one
+    ``ball_sup_dist`` call per centre, to 1e-12, with each point on its
+    sphere and attaining its sup."""
+    sups, points = geometry._sphere_max(centers, s, D)
+    assert sups.shape == (len(centers),) and points.shape == centers.shape
+    for c, sup, pt in zip(centers, sups, points):
+        assert sup == pytest.approx(ball_sup_dist(VPolytope([c]), s, D)[0], abs=1e-12)
+        assert abs(np.linalg.norm(pt - c) - s) <= 1e-12
+        assert dist_many(pt[None, :], D)[0] == pytest.approx(sup, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_sphere_max_per_centre_matches_single_centres(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 5))
+    base = rng.standard_normal((int(rng.integers(1, 4)), m)) * rng.uniform(0.5, 2.0)
+    D = SumSet(VPolytope(base), None if rng.random() < 0.2 else random_pointed_cone(rng, m))
+    k = int(rng.integers(2, 9))
+    centers = np.vstack([base[rng.integers(len(base), size=k)],  # on the boundary
+                         base[0] + 2.0 * rng.standard_normal((k, m))])
+    assert_per_centre_sups(centers, float(rng.uniform(0.05, 2.0)), D)
+
+
+def test_sphere_max_per_centre_in_chunks_and_above_the_face_budget():
+    rng = np.random.default_rng(4)
+    D = SumSet(VPolytope(rng.standard_normal((3, 3))), random_pointed_cone(rng, 3))
+    centers = D.base.vertices[0] + 2.0 * rng.standard_normal((300, 3))
+    assert len(centers) > geometry._FACE_CHUNK // geometry._FACE_BUDGET  # two chunks
+    assert_per_centre_sups(centers, 0.6, D)
+    rng = np.random.default_rng(3)
+    S = SumSet(VPolytope(rng.standard_normal((3, 4))),
+               PolyCone(rng.standard_normal((12, 4)) + 1.5))  # 3,358 faces
+    centers = np.vstack([S.base.vertices[0], S.base.vertices[1:].mean(axis=0)
+                         + S.cone.generators[:3].sum(axis=0), S.base.vertices[2] - 1.0])
+    assert_per_centre_sups(centers, 0.7, S)
+    assert S._faces is None
+
+
 def test_runtime_does_not_import_scipy():
     code = textwrap.dedent("""
         import sys

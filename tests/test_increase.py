@@ -1,14 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from svikit.geometry import SumSet, VPolytope, enlargement_inclusion, orthant
+from svikit import increase
+from svikit.geometry import (SumSet, VPolytope, dist_many, enlargement_inclusion, numgrad,
+                             orthant)
 from svikit.increase import (HypothesisViolated, Mode, PropertyAbsent,
                              SamplingConfig, check_increase, estimate_bound,
                              global_infimum, hints_for_matrix, perturbed_bound)
 from svikit.problems import rotation_inclusion_problem
-from conftest import ROT_BOUND, PERTURBED_BOUND
+from conftest import ROT_BOUND, PERTURBED_BOUND, random_pointed_cone
 
 SQRT2 = math.sqrt(2.0)
 
@@ -51,6 +55,67 @@ def test_no_witness_above_the_exact_bound(plane_orthant):
 def test_constant_infeasible_map_has_no_witness(plane_orthant):
     g = lambda x: VPolytope(np.array([[-1.0, -1.0]]))
     assert check_increase(g, plane_orthant, [0.0, 0.0], 1.3, 1.0) is None
+
+
+def reference_check(map_at, cone, x, alpha, r, cfg, hints):
+    """check_increase's candidates in its order, each decided on its own:
+    the vertex gate, then ``enlargement_inclusion``."""
+    x = np.asarray(x, dtype=float)
+    target = SumSet(map_at(x), cone)
+    rng = increase._stable_seed(cfg.seed, None, x)
+    gen = increase._candidates(map_at, target, cone, x, r, cfg, hints, rng)
+    for u in itertools.chain(itertools.islice(gen, 8), gen):
+        if np.linalg.norm(u - x) <= 1e-15:
+            continue
+        image = map_at(u)
+        if float(np.max(dist_many(image.vertices, target))) > cfg.tolerance:
+            continue
+        if enlargement_inclusion(image, alpha * r, target, r, tol=cfg.tolerance).holds:
+            return u
+    return None
+
+
+def random_fan_instance(rng):
+    """A cone (the orthant or a random pointed one, m = 2..3), a fan map
+    u -> conv(M_i u) of 2-4 matrices near a scaled rotation, its matrices
+    and a point."""
+    m = int(rng.integers(2, 4))
+    cone = orthant(m) if rng.random() < 0.5 else random_pointed_cone(rng, m)
+    Q = np.linalg.qr(rng.standard_normal((m, m)))[0] * rng.uniform(1.5, 4.0)
+    mats = Q + 0.2 * rng.standard_normal((int(rng.integers(2, 5)), m, m))
+    return cone, mats, (lambda u: VPolytope(mats @ u)), rng.uniform(-2.0, 2.0, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_check_increase_matches_a_candidate_by_candidate_scan(seed):
+    rng = np.random.default_rng(seed)
+    cone, mats, map_at, x = random_fan_instance(rng)
+    alpha, r = float(rng.uniform(1.02, 4.0)), float(rng.choice([1.0, 0.5, 0.125]))
+    cfg = SamplingConfig(directions=16, seed=int(rng.integers(100)))
+    hints = hints_for_matrix(mats[0], cone) if rng.random() < 0.5 else None
+    got = check_increase(map_at, cone, x, alpha, r, cfg, hints)
+    want = reference_check(map_at, cone, x, alpha, r, cfg, hints)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert np.array_equal(got, want)
+
+
+def test_gradient_heuristics_match_one_stencil_per_heuristic():
+    for seed in range(20):
+        cone, _, map_at, x = random_fan_instance(np.random.default_rng(seed))
+        target, r = SumSet(map_at(x), cone), 0.5
+        want = []
+        for fn in (lambda u: float(np.max(dist_many(map_at(u).vertices, target))),
+                   lambda u: float(np.max(cone.distances(map_at(u).vertices)))):
+            g = numgrad(lambda U: np.array([fn(u) for u in U]), x)
+            n = float(np.linalg.norm(g))
+            if n > 1e-14:
+                want.append(x - (r / n) * g)
+        gen = increase._candidates(map_at, target, cone, x, r, SamplingConfig(), None,
+                                   np.random.default_rng(0))
+        got = list(itertools.islice(gen, len(want)))
+        assert np.allclose(got, want, rtol=0, atol=1e-9), seed
 
 
 def test_check_increase_validates_arguments(plane_orthant):
