@@ -155,7 +155,9 @@ def _build_parser() -> _Parser:
                     help="cross-check with the brute-force oracle")
     sp.add_argument("--orientation", choices=["cw", "ccw"], default=None,
                     help="override rotation orientation of the objective")
-    sp.add_argument("--image-sampling", type=_count, default=33)
+    sp.add_argument("--image-sampling", type=_count, default=33,
+                    help="sample density of a ball feasible set in n >= 2 "
+                    "(every other feasible set is spanned exactly)")
 
     sp = sub.add_parser("verify-props", help="run property suites on the problem")
     common(sp)
@@ -209,6 +211,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_estimate(args) -> int:
     problem = _load(args.problem)
+    if args.p_grid is not None and args.p is not None:
+        raise UsageError("estimate-inc takes --p or --p-grid, not both")
     if args.p_grid is not None:
         grid = _parse_grid(args.p_grid)
     elif args.p is not None:
@@ -237,7 +241,13 @@ def _cmd_vopt(args) -> int:
     spec = _load(args.problem)
     if not isinstance(spec, VopSpec):
         raise UsageError("vopt expects a vector-optimization problem file")
-    if args.orientation is not None and isinstance(spec.objective, LinearRotation):
+    if args.p is not None and args.grid is not None:
+        raise UsageError("vopt takes --p or --grid, not both")
+    if args.out is not None and args.grid is None:
+        raise UsageError("vopt writes --out only for a --grid sweep")
+    if args.orientation is not None:
+        if not isinstance(spec.objective, LinearRotation):
+            raise UsageError("--orientation needs a linear_rotation objective")
         obj = LinearRotation(spec.objective.scale, args.orientation == "cw")
         spec = VopSpec(obj, spec.constraint, spec.cone, spec.objective_lipschitz)
     cfg = _solver_cfg(args)

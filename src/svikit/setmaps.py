@@ -74,6 +74,10 @@ class RotationScaled:
     scale: float
     clockwise: bool = False
 
+    def __post_init__(self):
+        if not math.isfinite(self.scale):
+            raise ValueError("rotation scale must be finite")
+
     def matrix_at(self, p: float) -> np.ndarray:
         return self.scale * rotation_matrix(-p if self.clockwise else p)
 
@@ -165,6 +169,8 @@ class AbsComponent:
     coord: int = 0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.c, self.d))):
+            raise ValueError("abs component coefficients must be finite")
         if self.c > 0:
             raise ValueError("abs coefficient must be <= 0 to keep the component concave")
         if self.coord < 0:
@@ -191,6 +197,8 @@ class ConcaveTerm:
         bound = self.lipschitz_bound()
         if self.declared_lipschitz is None:
             object.__setattr__(self, "declared_lipschitz", bound)
+        elif not math.isfinite(self.declared_lipschitz):
+            raise ValueError("declared Lipschitz constant must be finite")
         elif self.declared_lipschitz < bound - 1e-12:
             raise ValueError(
                 f"declared Lipschitz constant {self.declared_lipschitz} is below "
@@ -471,6 +479,8 @@ class SviProblem:
 
     def __post_init__(self):
         m, n = self.matrix.shape
+        if self.declared_alpha is not None and not math.isfinite(self.declared_alpha):
+            raise ValueError("declared alpha must be finite")
         if self.cone.dim != m:
             raise ValueError("cone dimension does not match the matrix output")
         if self.h is not None and self.h.out_dim != m:

@@ -5,10 +5,11 @@ feasible value: f(p, R(p)) - f(p, x) lies in the ordering cone.  That set
 difference is itself a parameterized inclusion problem, so existence is
 decided by the same descent machinery, with the objective's cone-decrease
 bound playing the role of the increase constant.  The feasible image
-f(p, R(p)) is represented by a finite sample hull: exact (vertex images)
-for affine objectives on polytopal feasible sets, grid-sampled otherwise
-with the per-component minimizers always included so the hull is exact near
-the ideal value.
+f(p, R(p)) is the hull of the images of a few points: a polytope's
+vertices, the corners of a box or of the whole-space sampling bounds, or the
+ends of a 1-D interval, plus the per-component minimizers.  This is exact
+for every catalog pairing except an affine objective on a ball in n >= 2,
+whose ball is sampled.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .increase import (InfimumResult, Mode, SamplingConfig, estimate_bound,
 from .parametric import SweepRow, SweepTable, _problem_hash
 from .setmaps import (AllSpace, Ball, Box, ConstraintFamily, PolytopeSet,
                       _Knots, constraint_from_dict, is_all_space,
-                      matrix_family_from_dict, rotation_matrix)
+                      matrix_family_from_dict, merit_many, rotation_matrix)
 from .solver import (MaxItersExceeded, NoDescentStep, SolveResult,
                      SolverConfig, solve)
 
@@ -59,6 +60,10 @@ class LinearRotation(_Objective):
 
     scale: float = 1.0
     clockwise: bool = True
+
+    def __post_init__(self):
+        if not math.isfinite(self.scale):
+            raise ValueError("rotation scale must be finite")
 
     @property
     def dim_in(self) -> int:
@@ -122,6 +127,10 @@ class AffineFamily(_Objective):
     matrix: object  # ParamMatrixFamily
     offset: Optional[np.ndarray] = None
     offset_knots: Optional[_Knots] = None
+
+    def __post_init__(self):
+        if self.offset is not None and not np.all(np.isfinite(self.offset)):
+            raise ValueError("objective offset must be finite")
 
     @property
     def dim_in(self) -> int:
@@ -192,6 +201,8 @@ class VopSpec:
     objective_lipschitz: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.objective_lipschitz) and self.objective_lipschitz >= 0):
+            raise ValueError("objective Lipschitz constant must be finite and nonnegative")
         if not self.cone.pointed:
             raise ValueError("the ordering cone must be pointed")
         if self.cone.dim != self.objective.dim_out:
@@ -216,82 +227,42 @@ def vop_spec_from_dict(d: dict) -> VopSpec:
 
 
 # ---------------------------------------------------------------------------
-# feasible-set sampling
+# points spanning the feasible image
 # ---------------------------------------------------------------------------
 
-def _grid(lo, hi, density: int) -> np.ndarray:
-    axes = [np.linspace(l, h, max(2, density)) for l, h in zip(lo, hi)]
-    grid = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([g.ravel() for g in grid])
-
-
-def sample_constraint(constraint: ConstraintFamily, p: float, density: int,
-                      bounds=None) -> np.ndarray:
-    """Deterministic sample of the feasible set (always includes its
-    vertices/extremes where they exist).  A polytope's sample is built once
-    per density, cached on the set and returned read-only."""
-    if isinstance(constraint, PolytopeSet):
-        verts = constraint.polytope.vertices
-        k = len(verts)
-        if k == 1:
-            return verts.copy()
-        d = max(1, density)
-        if (d + 1) ** (k - 1) > 20000:
-            d = max(1, int(20000 ** (1.0 / (k - 1))) - 1)
-        # the set is constant in p: one sample per density, cached on it
-        cache = vars(constraint).setdefault("_samples", {})
-        if d not in cache:
-            # compositions of d into k parts by stars and bars; the stacked
-            # products equal ``c @ verts / d`` bit for bit (a gemm does not)
-            bars = np.fromiter(itertools.chain.from_iterable(
-                itertools.combinations(range(d + k - 1), k - 1)), np.intp).reshape(-1, k - 1)
-            counts = np.diff(bars, axis=1, prepend=-1, append=d + k - 1) - 1
-            pts = np.unique(matvec_rows(verts.T, counts) / d, axis=0)
-            pts.flags.writeable = False
-            cache.setdefault(d, pts)  # concurrent first builds keep one array
-        return cache[d]
-    if isinstance(constraint, Box):
-        return _grid(*constraint.bounds_at(p), density)
-    if isinstance(constraint, Ball):
-        c, r = constraint.data_at(p)
-        n = len(c)
-        if n == 1:
-            return np.linspace(c[0] - r, c[0] + r, max(3, density)).reshape(-1, 1)
-        dirs = unit_directions(n, max(8, density))
-        radii = np.linspace(0.0, r, max(2, density // 8))
-        pts = [c] + [c + rr * d for rr in radii[1:] for d in dirs]
-        return np.asarray(pts)
-    if isinstance(constraint, AllSpace):
-        if bounds is None:
-            raise UnsupportedCombination(
-                "sampling an unconstrained feasible set needs explicit bounds")
-        return _grid(as_vector(bounds[0]), as_vector(bounds[1]), density)
-    raise UnsupportedCombination(f"cannot sample {type(constraint).__name__}")
-
-
-def _affine_vertex_points(spec: VopSpec, p: float) -> Optional[np.ndarray]:
-    """Vertices of a polytope or box feasible set under an affine objective,
-    whose images span the exact image polytope; None otherwise."""
-    constraint = spec.constraint
-    if not (spec.objective.is_affine and isinstance(constraint, (PolytopeSet, Box))):
-        return None
+def span_points(constraint: ConstraintFamily, p: float, density: int,
+                bounds=None) -> np.ndarray:
+    """Points of R(p) whose images under any catalog objective span
+    f(p, R(p)), up to the per-component minimizers: a polytope's vertices,
+    the corners of a box or of the whole-space ``bounds``, the two ends of a
+    1-D ball.  Only a ball in n >= 2 is sampled, at ``density``."""
     if isinstance(constraint, PolytopeSet):
         return constraint.polytope.vertices
-    lo, hi = constraint.bounds_at(p)
-    return np.asarray(list(itertools.product(*zip(lo, hi))), float)
+    if isinstance(constraint, Ball):
+        c, r = constraint.data_at(p)
+        if len(c) == 1:
+            return np.array([c - r, c + r])
+        dirs = unit_directions(len(c), max(8, density))
+        radii = np.linspace(0.0, r, max(2, density // 8))
+        return np.asarray([c] + [c + rr * d for rr in radii[1:] for d in dirs])
+    if isinstance(constraint, Box):
+        lo, hi = constraint.bounds_at(p)
+    elif isinstance(constraint, AllSpace) and bounds is not None:
+        lo, hi = as_vector(bounds[0]), as_vector(bounds[1])
+    else:
+        raise UnsupportedCombination(
+            f"no spanning points for {type(constraint).__name__} without bounds")
+    return np.array(list(itertools.product(*zip(lo, hi))), float)
 
 
-def _component_minimizers(spec: VopSpec, p: float, bounds) -> list:
-    """Per-component argmin candidates over R(p); including them makes the
-    sampled image hull exact at the ideal value."""
+def _component_minimizers(spec: VopSpec, p: float) -> list:
+    """Per-component argmin candidates over R(p): proj phi(p) for the
+    deviation objective, the support points of a ball otherwise."""
     obj, constraint = spec.objective, spec.constraint
-    out = []
     if isinstance(obj, AbsDeviation):
-        s = np.array([obj.phi(p)])
-        if not is_all_space(constraint):
-            s = constraint.project(s, p)[0]
-        out.append(s)
-    elif obj.is_affine and isinstance(constraint, Ball):
+        return [constraint.project(np.array([obj.phi(p)]), p)[0]]
+    out = []
+    if obj.is_affine and isinstance(constraint, Ball):
         M = obj.matrix_at(p)
         c, r = constraint.data_at(p)
         for row in M:
@@ -301,14 +272,6 @@ def _component_minimizers(spec: VopSpec, p: float, bounds) -> list:
     return out
 
 
-def _default_bounds(spec: VopSpec):
-    if isinstance(spec.objective, AbsDeviation) and is_all_space(spec.constraint):
-        vals = spec.objective.phi_knots.values
-        span = float(np.max(np.abs(vals))) + 1.0
-        return (np.array([-span]), np.array([span]))
-    return None
-
-
 # ---------------------------------------------------------------------------
 # the built inclusion problem
 # ---------------------------------------------------------------------------
@@ -316,7 +279,7 @@ def _default_bounds(spec: VopSpec):
 @dataclass(eq=False)
 class VopProblem:
     """Inclusion-problem view of ideal efficiency: the map
-    x -> {f(p, s) - f(p, x) : s in sample(R(p))} must land in the cone."""
+    x -> {f(p, s) - f(p, x) : s spanning R(p)} must land in the cone."""
 
     spec: VopSpec
     image_sampling: int = 33
@@ -325,15 +288,14 @@ class VopProblem:
     _image_cache: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        obj, constraint = self.spec.objective, self.spec.constraint
-        if is_all_space(constraint) and obj.is_affine:
-            raise UnsupportedCombination(
-                "affine objectives over the whole space have no bounded image")
-        if is_all_space(constraint) and self.bounds is None:
-            self.bounds = _default_bounds(self.spec)
-            if self.bounds is None:
+        obj = self.spec.objective
+        if is_all_space(self.spec.constraint):
+            if obj.is_affine:
                 raise UnsupportedCombination(
-                    "unconstrained feasible set needs sampling bounds")
+                    "affine objectives over the whole space have no bounded image")
+            if self.bounds is None:  # the deviation objective: phi's range, widened
+                span = float(np.max(np.abs(obj.phi_knots.values))) + 1.0
+                self.bounds = (np.array([-span]), np.array([span]))
 
     @property
     def cone(self) -> PolyCone:
@@ -352,13 +314,8 @@ class VopProblem:
     def _cached(self, p: float):
         key = round(float(p), 12)
         if key not in self._image_cache:
-            pts = _affine_vertex_points(self.spec, p)
-            if pts is None:
-                pts = sample_constraint(self.spec.constraint, p, self.image_sampling,
-                                        self.bounds)
-            extra = _component_minimizers(self.spec, p, self.bounds)
-            if extra:
-                pts = np.vstack([pts, np.asarray(extra)])
+            pts = np.vstack([span_points(self.spec.constraint, p, self.image_sampling,
+                                         self.bounds), *_component_minimizers(self.spec, p)])
             self._image_cache[key] = (pts, self.spec.objective.values_many(p, pts))
         return self._image_cache[key]
 
@@ -451,7 +408,8 @@ def solve_ideal(spec: VopSpec, p: float, x0, cfg: Optional[SolverConfig] = None,
     objective; when the mandated alpha interval is empty (the Lipschitz
     budget is too large, which legitimately happens), the run proceeds
     best-effort with floor constants and an uncertified certificate.
-    Emptiness is only ever certified by the brute-force oracle.
+    Emptiness is only ever certified by the oracle (``brute_force_ideal``),
+    which is exact except on a ball in n >= 2.
     """
     cfg = cfg or SolverConfig()
     prob = build_vop_problem(spec, p, image_sampling, bounds)
@@ -491,37 +449,27 @@ def solve_ideal(spec: VopSpec, p: float, x0, cfg: Optional[SolverConfig] = None,
 
 def _oracle_once(spec: VopSpec, p: float, density: int, bounds,
                  tol: float) -> OracleResult:
-    candidates = sample_constraint(spec.constraint, p, density, bounds)
-    extras = _component_minimizers(spec, p, bounds)
-    if extras:
-        candidates = np.vstack([candidates, np.asarray(extras)])
-    obj = spec.objective
-    # linearity: dominance against the vertices decides dominance on the hull
-    ref_pts = _affine_vertex_points(spec, p)
-    if ref_pts is None:
-        ref_pts = candidates
-    cand_vals = obj.values_many(p, candidates)
-    ref_vals = obj.values_many(p, ref_pts)
-    nc, nr, m = len(cand_vals), len(ref_vals), spec.cone.dim
-    gaps = (ref_vals[None, :, :] - cand_vals[:, None, :]).reshape(-1, m)
-    worst = spec.cone.distances(gaps).reshape(nc, nr).max(axis=1)
-    hits = np.flatnonzero(worst <= tol)
+    """The first of the problem's spanning points whose merit is within tol."""
+    prob = VopProblem(spec, image_sampling=density, bounds=bounds)
+    pts = prob.feasible_samples(p)
+    hits = np.flatnonzero(merit_many(prob, p, pts) <= tol)
     if hits.size:
         i = int(hits[0])
-        return OracleResult(status="ideal", x=np.array(candidates[i], float),
-                            value=cand_vals[i])
+        return OracleResult(status="ideal", x=np.array(pts[i], float),
+                            value=prob.image_values(p)[i])
     return OracleResult(status="empty")
 
 
 def brute_force_ideal(spec: VopSpec, p: float, grid_density: int = 64,
                       bounds=None, tol: float = 1e-9) -> OracleResult:
-    """Independent oracle for ideal efficiency: candidate enumeration over
-    the feasible sample, with dominance checked against vertex images
-    (affine case, exact) or the full sample grid.  Doubles the density and
-    warns when the decision flips (GridCoarseWarning); the finer decision
-    is returned."""
-    if bounds is None and is_all_space(spec.constraint):
-        bounds = _default_bounds(spec)
+    """Oracle for ideal efficiency: one batched merit over the points that
+    span f(p, R(p)) (``span_points``).  It is exact: for an affine objective
+    the ideal set is the intersection of the argmin faces of the
+    scalarizations w . f, so it holds a vertex when nonempty, and the
+    deviation objective's images lie on one segment whose ends are spanning
+    points.  Only a ball in n >= 2 is sampled, at ``grid_density`` and twice
+    that; a flip between the two warns (GridCoarseWarning) and the finer
+    decision is returned."""
     coarse = _oracle_once(spec, p, grid_density, bounds, tol)
     fine = _oracle_once(spec, p, 2 * grid_density, bounds, tol)
     if coarse.is_ideal != fine.is_ideal:
@@ -543,6 +491,8 @@ def ideal_value_sweep(spec: VopSpec, grid: Sequence[float], x_init,
     solution sets."""
     cfg = cfg or SolverConfig()
     grid = [float(p) for p in grid]
+    if not grid:
+        raise ValueError("parameter grid must be nonempty")
     if sorted(grid) != grid:
         raise ValueError("parameter grid must be sorted")
     if alpha_under is None:

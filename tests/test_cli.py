@@ -102,6 +102,11 @@ def test_usage_errors(problem_files, tmp_path, capsys):
         ["verify-props", "--problem", rot, "--out", str(tmp_path / "f.csv")],
         ["verify-props", "--problem", rot, "--alpha", "2"],
         ["solve", "--problem", rot, "--p", "0.3", "--x0", "1,1", "--out", str(tmp_path / "f.csv")],
+        ["vopt", "--problem", tri, "--p", "0", "--x0", "0.3,0.3", "--out", str(tmp_path / "f.csv")],
+        ["vopt", "--problem", tri, "--p", "0", "--grid", "0:1:3", "--x0", "0.3,0.3"],
+        ["vopt", "--problem", problem_files["deviation"], "--p", "0", "--x0", "0",
+         "--orientation", "cw"],
+        ["estimate-inc", "--problem", rot, "--p", "0.4", "--p-grid", "0:1:3"],
     ]
     for argv in bad_args:
         assert main(argv) == 1, argv
@@ -124,16 +129,39 @@ def test_usage_errors(problem_files, tmp_path, capsys):
             {"p": 7.0, "center": [0.0, 0.0], "radius": 1.0}]}),
         "coord_5": ("h", 5),
         "coord_negative": ("h", -1),
+        "scale_nan": ("matrix", {"variant": "rotation_scaled", "scale": nan}),
+        "scale_inf": ("matrix", {"variant": "rotation_scaled", "scale": math.inf}),
+        "declared_alpha_nan": ("declared_alpha", nan),
+        "declared_lipschitz_nan": ("h", {"declared_lipschitz": nan}),
     }
+    edits.update({f"abs_{k}_nan": ("h", {k: nan}) for k in "abcd"})
     for name, (key, value) in edits.items():
         data = rotation_inclusion_problem().to_dict()
-        if key == "h":
+        if key == "h" and isinstance(value, int):
             data["h"]["components"][1]["coord"] = value
+        elif key == "h" and "declared_lipschitz" in value:
+            data["h"].update(value)
+        elif key == "h":
+            data["h"]["components"][1].update(value)
         else:
             data[key] = value
         bad = tmp_path / f"bad_{name}.json"
         bad.write_text(json.dumps(data))
         assert main(["solve", "--problem", str(bad), "--p", "0", "--x0", "0,0"]) == 1, name
+    vop_edits = {
+        "objective_scale_nan": ("objective", {"variant": "linear_rotation", "scale": nan}),
+        "objective_lipschitz_negative": ("objective_lipschitz", -1.0),
+        "objective_lipschitz_nan": ("objective_lipschitz", nan),
+        "objective_offset_nan": ("objective", {
+            "variant": "affine", "offset": [nan, 0.0],
+            "matrix": {"variant": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]]}}),
+    }
+    for name, (key, value) in vop_edits.items():
+        data = triangle_vop_spec().to_dict()
+        data[key] = value
+        bad = tmp_path / f"bad_{name}.json"
+        bad.write_text(json.dumps(data))
+        assert main(["vopt", "--problem", str(bad), "--p", "0", "--x0", "0.3,0.3"]) == 1, name
 
 
 def test_nearly_non_pointed_cone_is_not_an_internal_error(tmp_path):

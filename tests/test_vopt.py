@@ -1,21 +1,24 @@
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from svikit.geometry import SumSet, VPolytope, orthant, project_dist
+from conftest import random_pointed_cone
+from svikit.geometry import PolyCone, SumSet, VPolytope, orthant, project_dist
 
 from svikit.problems import (deviation_vop_spec, sine_deviation_spec,
                              triangle_vop_spec)
 from svikit import vopt
-from svikit.setmaps import AllSpace, Box, ConstantMatrix, PolytopeSet, merit
+from svikit.setmaps import (AllSpace, Ball, Box, ConstantMatrix, PolytopeSet,
+                            _Knots, merit, merit_many)
 from svikit.solver import SolverConfig
-from svikit.vopt import (CERTIFIED_EMPTY, FOUND, AffineFamily,
+from svikit.vopt import (CERTIFIED_EMPTY, FOUND, AbsDeviation, AffineFamily,
                          GridCoarseWarning, UnsupportedCombination, VopSpec,
                          brute_force_ideal, build_vop_problem,
-                         decrease_infimum, ideal_value_sweep, sample_constraint,
-                         solve_ideal)
+                         decrease_infimum, ideal_value_sweep, solve_ideal)
 
 SQRT2 = math.sqrt(2.0)
 DEC_TRIANGLE = 1.0 / SQRT2 + 1.0
@@ -139,21 +142,18 @@ def test_brute_force_ideal_examples(triangle_spec):
     res = brute_force_ideal(triangle_spec, math.pi, 16)
     assert not res.is_ideal
 
-    # deviation objective: the oracle's grid argmin approximates phi = 0.3
+    # deviation objective: the ideal point phi = 0.3 is a spanning point, so
+    # the oracle returns it exactly at any density
     spec = deviation_vop_spec([0.3, 0.3], [0.0, 1.0])
-    grid_density = 101
-    res = brute_force_ideal(spec, 0.5, grid_density, bounds=([-1.0], [1.0]))
-    # independent argmin over the same candidate grid
-    xs = np.linspace(-1.0, 1.0, 2 * grid_density)  # oracle doubles the density
-    oracle_x = xs[np.argmin(np.abs(xs - 0.3))]
-    assert res.is_ideal
-    assert res.x[0] == pytest.approx(0.3, abs=2.0 / grid_density)
-    assert abs(res.x[0] - 0.3) <= abs(oracle_x - 0.3) + 1e-12
+    for grid_density in (1, 101):
+        res = brute_force_ideal(spec, 0.5, grid_density, bounds=([-1.0], [1.0]))
+        assert res.is_ideal
+        assert res.x[0] == pytest.approx(0.3, abs=1e-15)
 
 
 def test_triangle_oracle_decision_does_not_depend_on_density(triangle_spec):
     # an ideal value of a linear map over a polytope is a vertex image, and
-    # the vertices are in every sample: density 3 decides as density 32 does
+    # the vertices span the image at every density: 3 decides as 32 does
     boundary = math.pi / 2
     for p in np.linspace(boundary - 0.02, boundary + 0.02, 41):
         with warnings.catch_warnings():
@@ -179,8 +179,20 @@ def test_brute_force_grid_coarse_warning(triangle_spec, monkeypatch):
     assert res.coarse_flip and not res.is_ideal
 
 
+_COMPOSITIONS = {}
+
+
 def _composition_sample(verts, density):
-    """The composition loop that the stacked polytope sample replaced."""
+    """The dense polytope sample of the grid oracle: every composition of the
+    density into one weight per vertex, capped at about 20,000 points;
+    memoized per vertex list and density."""
+    key = (verts.shape, verts.tobytes(), density)
+    if key not in _COMPOSITIONS:
+        _COMPOSITIONS[key] = _compositions_of(verts, density)
+    return _COMPOSITIONS[key]
+
+
+def _compositions_of(verts, density):
     def compositions(total, parts):
         if parts == 1:
             yield (total,)
@@ -197,27 +209,145 @@ def _composition_sample(verts, density):
     return np.unique(np.asarray(pts), axis=0)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("k", [2, 3, 4])
-def test_polytope_sample_matches_composition_loop(k, n):
-    rng = np.random.default_rng(10 * k + n)
-    verts = rng.normal(size=(k, n))
-    constraint = PolytopeSet(VPolytope(verts))
-    for density in (1, 7, 33, 64):  # k = 4 at 33 and 64 hits the point cap
-        got = sample_constraint(constraint, 0.0, density)
-        ref = _composition_sample(verts, density)
-        assert np.array_equal(got, ref)
-        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
-        assert not got.flags.writeable
-        assert sample_constraint(constraint, 0.0, density) is got
-        assert sample_constraint(constraint, 2.5, density) is got
+def _box_grid(lo, hi, density):
+    axes = [np.linspace(l, h, max(2, density)) for l, h in zip(lo, hi)]
+    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+
+
+def _grid_worst(spec, p, density, bounds=None, points=None):
+    """The dense-grid oracle that the exact one replaced, as a reference:
+    candidates on a grid of R(p) at twice ``density`` plus the component
+    minimizers, and for each (or for each of ``points``) the largest
+    distance to the cone of f(p, s) - f(p, x) over the vertex images s
+    (affine objective on a polytope or box) or over every candidate."""
+    constraint, obj, d = spec.constraint, spec.objective, 2 * density
+    if isinstance(constraint, PolytopeSet):
+        verts = constraint.polytope.vertices
+        cands = verts.copy() if len(verts) == 1 else _composition_sample(verts, d)
+    elif isinstance(constraint, Box):
+        cands = _box_grid(*constraint.bounds_at(p), d)
+    elif isinstance(constraint, Ball) and constraint.dim == 1:
+        c, r = constraint.data_at(p)
+        cands = np.linspace(c[0] - r, c[0] + r, max(3, d)).reshape(-1, 1)
+    else:
+        if bounds is None:
+            span = float(np.max(np.abs(obj.phi_knots.values))) + 1.0
+            bounds = ([-span], [span])
+        cands = _box_grid(bounds[0], bounds[1], d)
+    extras = vopt._component_minimizers(spec, p)
+    if extras:
+        cands = np.vstack([cands, np.asarray(extras)])
+    ref = cands
+    if obj.is_affine and isinstance(constraint, PolytopeSet):
+        ref = constraint.polytope.vertices
+    elif obj.is_affine and isinstance(constraint, Box):
+        ref = np.array(list(itertools.product(*zip(*constraint.bounds_at(p)))), float)
+    if points is not None:
+        cands = points
+    cand_vals, ref_vals = obj.values_many(p, cands), obj.values_many(p, ref)
+    gaps = (ref_vals[None, :, :] - cand_vals[:, None, :]).reshape(-1, spec.cone.dim)
+    return cands, spec.cone.distances(gaps).reshape(len(cands), len(ref)).max(axis=1)
+
+
+def _grid_oracle(spec, p, density, bounds=None, tol=1e-9):
+    """The reference's status and its first ideal candidate (or None)."""
+    cands, worst = _grid_worst(spec, p, density, bounds)
+    hits = np.flatnonzero(worst <= tol)
+    return ("ideal", cands[hits[0]]) if hits.size else ("empty", None)
 
 
 def test_oracle_point_is_a_writable_copy(triangle_spec):
     res = brute_force_ideal(triangle_spec, 0.0, 16)
     assert res.is_ideal and res.x.flags.writeable
-    sample = sample_constraint(triangle_spec.constraint, 0.0, 32)
-    assert not np.shares_memory(res.x, sample)
+    assert not np.shares_memory(res.x, triangle_spec.constraint.polytope.vertices)
+
+
+def test_empty_triangle_row_is_certified_on_the_vertices(triangle_spec, monkeypatch):
+    # the oracle's merit runs over the three vertices only, at both densities
+    rows = []
+
+    def counting_merit_many(problem, p, X, kappa=0.0):
+        rows.append(len(X))
+        return merit_many(problem, p, X, kappa)
+
+    monkeypatch.setattr(vopt, "merit_many", counting_merit_many)
+    res = solve_ideal(triangle_spec, math.pi, [0.3, 0.3], SolverConfig(rng_seed=0),
+                      alpha_under=DEC_TRIANGLE, certify_empty=True, oracle_density=64)
+    assert res.status == CERTIFIED_EMPTY
+    assert rows == [3, 3]
+
+
+def test_triangle_oracle_matches_the_grid_oracle_on_257_rows(triangle_spec):
+    for p in np.linspace(0.0, 2.0 * math.pi, 257):
+        res = brute_force_ideal(triangle_spec, float(p), 32)
+        status, x = _grid_oracle(triangle_spec, float(p), 32)
+        assert res.status == status, f"p={p}"
+        assert (x is None and res.x is None) or np.array_equal(res.x, x), f"p={p}"
+
+
+def _check_against_the_grid_oracle(spec, p, density, bounds=None):
+    res = brute_force_ideal(spec, p, density, bounds)
+    assert res.status == _grid_oracle(spec, p, density, bounds)[0]
+    if res.is_ideal:  # the exact point is feasible and ideal against the grid
+        assert _grid_worst(spec, p, density, bounds, res.x[None])[1][0] <= 1e-9
+        assert spec.constraint.project(res.x, p)[1] <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_exact_oracle_matches_the_grid_oracle_on_affine_instances(seed):
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    cone = orthant(m) if m == 1 or rng.random() < 0.5 else random_pointed_cone(rng, m)
+    kind = rng.integers(4)
+    if kind == 0:  # generic
+        M = rng.standard_normal((m, n))
+    elif kind == 1:  # rank deficient: the ideal set can be a face
+        r = int(rng.integers(0, min(m, n) + 1))
+        M = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+    else:  # one direction inside the cone (or its negative): often ideal
+        u = rng.uniform(0.0, 1.0, len(cone.generators)) @ cone.generators
+        if kind == 3:
+            u = -u
+        M = np.outer(u, rng.standard_normal(n))
+    obj = AffineFamily(ConstantMatrix(M), offset=rng.standard_normal(m))
+    if rng.random() < 0.5:
+        constraint = PolytopeSet(VPolytope(rng.standard_normal((int(rng.integers(1, 6)), n))))
+    else:
+        lo = rng.standard_normal(n)
+        constraint = Box(lower=lo, upper=lo + rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.8))
+    spec = VopSpec(obj, constraint, cone, objective_lipschitz=float(np.linalg.norm(M, 2)))
+    _check_against_the_grid_oracle(spec, 0.0, 5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_exact_oracle_matches_the_grid_oracle_on_deviation_instances(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 5))
+    if m == 1 or rng.random() < 0.5:
+        cone = orthant(m)
+    else:
+        cone = random_pointed_cone(rng, m)
+    if rng.random() < 0.25:  # the ray -1 inside the cone: the far end is ideal
+        cone = PolyCone(-cone.generators)
+    ps = np.sort(rng.uniform(0.0, 3.0, 3))
+    obj = AbsDeviation(_Knots(ps, rng.uniform(-2.0, 2.0, 3)), components=m)
+    lo = float(rng.uniform(-2.0, 1.0))
+    hi = lo + float(rng.uniform(0.0, 2.0))
+    bounds, kind = None, rng.integers(5)
+    if kind == 0:
+        constraint = AllSpace()
+    elif kind == 1:
+        constraint, bounds = AllSpace(), ([lo], [hi])
+    elif kind == 2:
+        constraint = Box(lower=[lo], upper=[hi])
+    elif kind == 3:
+        constraint = Ball(center=[lo], radius=hi - lo)
+    else:
+        constraint = PolytopeSet(VPolytope(rng.uniform(lo, hi, (int(rng.integers(1, 4)), 1))))
+    spec = VopSpec(obj, constraint, cone, objective_lipschitz=math.sqrt(m))
+    _check_against_the_grid_oracle(spec, float(rng.uniform(ps[0], ps[-1])), 8, bounds)
 
 
 def test_ideal_value_sweep_deviation():
@@ -229,6 +359,12 @@ def test_ideal_value_sweep_deviation():
     for r in table.rows:
         assert r.x[0] == pytest.approx(math.sin(r.p), abs=1e-6)
         assert np.allclose(r.value, 0.0, atol=1e-9)
+
+
+def test_ideal_value_sweep_rejects_an_empty_grid(triangle_spec):
+    for alpha_under in (None, DEC_TRIANGLE):  # with and without the estimate
+        with pytest.raises(ValueError, match="nonempty"):
+            ideal_value_sweep(triangle_spec, [], [0.3, 0.3], alpha_under=alpha_under)
 
 
 def test_ideal_value_sweep_triangle_plateau(triangle_spec):
