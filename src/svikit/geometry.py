@@ -109,8 +109,10 @@ def _nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
             z = solve_free()
         u = z
         # independent free columns spanning the rows fit f exactly; the
-        # computed E u - f would only be rounding, amplified by large weights
-        r = np.zeros_like(f) if free.sum() == len(f) else E @ u - f
+        # computed E u - f would only be rounding, amplified by large weights.
+        # Dependent ones (a repeated ray, both rays of a line) need not fit it
+        exact = free.sum() == len(f) and np.linalg.matrix_rank(E[:, free]) == len(f)
+        r = np.zeros_like(f) if exact else E @ u - f
     raise RuntimeError("NNLS exceeded its iteration cap")
 
 
@@ -153,6 +155,7 @@ def _ldp_project(y: np.ndarray, base: np.ndarray,
 _FACE_BUDGET = 512
 #: a batch is evaluated in chunks of at most this many (face, point) pairs
 _FACE_CHUNK = 1 << 17
+#: slack on a face's weights when ``_sphere_max`` picks the faces of a centre
 _FEASIBLE_TOL = 1e-12
 #: faces up to this condition number take the normal equations
 _NORMAL_COND = 100.0
@@ -223,7 +226,7 @@ def _face_table(base: np.ndarray, gens: Optional[np.ndarray], subsets):
     maps = np.concatenate([P, -base_sum[:, None, :], M], axis=1)
     block = np.zeros((len(D), 2 * m + 1, k, m))
     block[np.arange(len(D)), :, first] = maps
-    lower = np.append(np.zeros(m), -1.0)[:, None] - _FEASIBLE_TOL
+    lower = np.append(np.zeros(m), -1.0)[:, None]
     normal = U[np.arange(len(D)), :, np.minimum(ncols, m - 1)] * (ncols < m)[:, None]
     return base[first], block.reshape(-1, k * m), lower, normal
 
@@ -240,15 +243,15 @@ def _faces(owner, base: np.ndarray, gens: Optional[np.ndarray]):
     return vars(owner)["_faces"]
 
 
-def _face_candidates(table, base: np.ndarray,
-                     pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _face_candidates(table, base: np.ndarray, pts: np.ndarray,
+                     slack: float) -> tuple[np.ndarray, np.ndarray]:
     """Every face's candidate for every row of pts (S, m, n), and whether
-    its weights are feasible (S, n): one matrix product."""
+    its weights are feasible to within ``slack`` (S, n): one matrix product."""
     b0, block, lower, _ = table
     n, m = pts.shape
     rel = (pts.T[None, :, :] - base[:, :, None]).reshape(-1, n)
     out = (block @ rel).reshape(len(b0), 2 * m + 1, n)
-    return b0[:, :, None] + out[:, m + 1:], (out[:, :m + 1] >= lower).all(axis=1)
+    return b0[:, :, None] + out[:, m + 1:], (out[:, :m + 1] >= lower - slack).all(axis=1)
 
 
 def _nearest(owner, base: np.ndarray, gens: Optional[np.ndarray],
@@ -264,7 +267,11 @@ def _nearest(owner, base: np.ndarray, gens: Optional[np.ndarray],
         parts = [_nearest(owner, base, gens, pts[i:i + step])
                  for i in range(0, len(pts), step)]
         return np.vstack([p for p, _ in parts]), np.concatenate([d for _, d in parts])
-    cand, feasible = _face_candidates(table, base, pts)
+    # only truly feasible weights: a candidate whose weights fall short of
+    # zero by rounding lies outside the set and can read short of the
+    # distance (2.8e-16 for a point 1.05e-12 outside); every vertex's own
+    # face is feasible, so some candidate always is
+    cand, feasible = _face_candidates(table, base, pts, 0.0)
     r = pts.T - cand
     d = np.sqrt(np.add.reduce(r * r, axis=1))
     d[~feasible] = np.inf
@@ -584,7 +591,7 @@ def _sphere_max(centers: np.ndarray, s: float, ss: SumSet) -> tuple[np.ndarray, 
     best, point = np.full(len(ctr), -math.inf), np.zeros_like(ctr)
     for table in tables:
         normal = table[3]
-        cand, feasible = _face_candidates(table, base, ctr)
+        cand, feasible = _face_candidates(table, base, ctr, _FEASIBLE_TOL)
         feasible &= normal.any(axis=1)[:, None]  # a full-dimensional face has none
         r = ctr.T[None, :, :] - cand
         norm = np.sqrt(np.add.reduce(r * r, axis=1))

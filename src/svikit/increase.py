@@ -12,16 +12,14 @@ listed radius.
 """
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import (PolyCone, SumSet, VPolytope, _sphere_max, as_vector,
-                       dist_many, numgrad, seeded_rotation, unit_directions)
+from .geometry import (PolyCone, SumSet, VPolytope, _sphere_max, as_vector, dist_many,
+                       numgrad, row_norms, seeded_rotation, unit_directions)
 from .setmaps import SviProblem, evaluate, is_all_space, merit
 
 MapAt = Callable[[np.ndarray], VPolytope]
@@ -91,8 +89,7 @@ def _stable_seed(base: int, p: Optional[float], x: np.ndarray) -> np.random.Gene
 
 def hints_for_problem(problem: SviProblem, p: float) -> HintFn:
     """Witness-direction hints derived from the problem's matrix family."""
-    M = problem.matrix.matrix_at(p)
-    return hints_for_matrix(M, problem.cone)
+    return hints_for_matrix(problem.matrix.matrix_at(p), problem.cone)
 
 
 def hints_for_matrix(M: np.ndarray, cone: PolyCone) -> HintFn:
@@ -106,24 +103,15 @@ def hints_for_matrix(M: np.ndarray, cone: PolyCone) -> HintFn:
             pass
 
     def hints(x: np.ndarray, r: float) -> list:
-        if d is None:
-            return []
-        return [x + r * d, x + 0.5 * r * d]
+        return [] if d is None else [x + r * d, x + 0.5 * r * d]
 
     return hints
 
 
-def _candidates(map_at: MapAt, target: SumSet, cone: PolyCone,
-                x: np.ndarray, r: float, cfg: SamplingConfig,
-                hints: Optional[HintFn], rng: np.random.Generator):
-    """Candidate witnesses u in B(x, r), most promising first."""
-    if hints is not None:
-        for u in hints(x, r):
-            yield np.asarray(u, dtype=float)
-
-    # steepest-descent style heuristics: push the image toward the target
-    # set and toward the cone (worst-vertex distance reduction), both
-    # differenced on one stencil
+def _gradients(map_at: MapAt, target: SumSet, cone: PolyCone, x: np.ndarray) -> list:
+    """(g, |g|) for the steepest-descent heuristics that push the image toward
+    the target set and toward the cone (worst-vertex distances), both
+    differenced on one stencil; vanishing gradients are dropped."""
     def worst(U):
         images = [map_at(u).vertices for u in U]
         starts = np.cumsum([0] + [len(v) for v in images[:-1]])
@@ -131,21 +119,84 @@ def _candidates(map_at: MapAt, target: SumSet, cone: PolyCone,
         return np.column_stack([np.maximum.reduceat(dist_many(verts, target), starts),
                                 np.maximum.reduceat(cone.distances(verts), starts)])
 
-    for g in numgrad(worst, x).T:
-        n = float(np.linalg.norm(g))
-        if n > 1e-14:
-            yield x - (r / n) * g
+    return [(g, n) for g in numgrad(worst, x).T if (n := float(np.linalg.norm(g))) > 1e-14]
 
-    n_dim = len(x)
-    dirs = unit_directions(n_dim, cfg.directions) @ seeded_rotation(n_dim, rng).T
-    for mag in cfg.magnitudes:
-        for d in dirs:
-            yield x + (mag * r) * d
+
+def _candidates(x: np.ndarray, r: float, grads: list, hints: Optional[HintFn],
+                units: np.ndarray, magnitudes: Sequence[float], rng: np.random.Generator):
+    """Candidate witnesses in B(x, r), most promising first, as blocks of rows:
+    the hints and a step of length r against each of ``grads``, then the
+    ``units`` at each magnitude, rotated by a draw from ``rng`` made lazily."""
+    fixed = [np.asarray(u, dtype=float) for u in (hints(x, r) if hints is not None else ())]
+    yield np.array(fixed + [x - (r / n) * g for g, n in grads]).reshape(-1, len(x))
+    dirs = units @ seeded_rotation(len(x), rng).T
+    for mag in magnitudes:
+        yield x + (mag * r) * dirs
 
 
 # ---------------------------------------------------------------------------
 # witness check and bound bracketing
 # ---------------------------------------------------------------------------
+
+class _Search:
+    """What every witness check at one point x shares: the target G(x) + C
+    (its face table is cached on it), the heuristic gradients of one stencil,
+    the unit directions, and per radius the hint and gradient images."""
+
+    def __init__(self, map_at: MapAt, cone: PolyCone, x: np.ndarray,
+                 cfg: SamplingConfig, hints: Optional[HintFn]):
+        self.map_at, self.x, self.cfg, self.hints = map_at, x, cfg, hints
+        self.target = SumSet(map_at(x), cone)
+        self.grads = _gradients(map_at, self.target, cone, x)
+        self.units = unit_directions(len(x), cfg.directions)
+        self.fixed = {}  # radius -> images of the hint and gradient candidates
+
+    def images(self, U: np.ndarray) -> list:
+        """Image vertices of the rows of U; None at x (no witness)."""
+        keep = row_norms(U - self.x) > 1e-15
+        return [self.map_at(u).vertices if k else None for u, k in zip(U, keep)]
+
+    def scan(self, U: np.ndarray, images: list, alpha: float, r: float):
+        """The first row of U whose image passes, or None; ``images`` holds
+        those of a prefix of the rows.  Since alpha > 1, a witness's whole
+        image must lie inside G(x) + C (a vertex at distance d > 0 puts a
+        ball point at d + alpha*r > r), which rejects candidates cheaply; the
+        rest are decided by one exact sphere max over all their vertices."""
+        images = images + self.images(U[len(images):])
+        rows = [i for i, v in enumerate(images) if v is not None]
+        if not rows:
+            return None
+        owner = np.repeat(np.arange(len(rows)), [len(images[i]) for i in rows])
+        verts = np.vstack([images[i] for i in rows])
+        far = owner[dist_many(verts, self.target) > self.cfg.tolerance]
+        inside = np.bincount(far, minlength=len(rows)) == 0
+        if not inside.any():
+            return None
+        gated = inside[owner]
+        worst = np.zeros(len(rows))
+        np.maximum.at(worst, owner[gated],
+                      _sphere_max(verts[gated], alpha * r, self.target)[0])
+        hits = np.flatnonzero(inside & (worst <= r + self.cfg.tolerance))
+        return U[rows[hits[0]]].copy() if len(hits) else None
+
+
+def _witness(s: _Search, alpha: float, r: float, rng: np.random.Generator):
+    """One witness check at s.x: the first eight candidates are decided
+    before the rest."""
+    if alpha <= 1 or r <= 0:
+        raise ValueError("alpha must exceed 1" if alpha <= 1 else "radius must be positive")
+    blocks = _candidates(s.x, r, s.grads, s.hints, s.units, s.cfg.magnitudes, rng)
+    U = next(blocks)  # the hint and gradient candidates
+    if r not in s.fixed:
+        s.fixed[r] = s.images(U)
+    images = s.fixed[r]
+    if len(U) < 8:  # the head takes directions too
+        U = np.vstack([U, *blocks])
+    found = s.scan(U[:8], images[:8], alpha, r)
+    if found is None:  # the directions are drawn here if the head had none
+        found = s.scan(np.vstack([U, *blocks])[8:], images[8:], alpha, r)
+    return found
+
 
 def check_increase(map_at: MapAt, cone: PolyCone, x, alpha: float, r: float,
                    cfg: Optional[SamplingConfig] = None,
@@ -154,51 +205,13 @@ def check_increase(map_at: MapAt, cone: PolyCone, x, alpha: float, r: float,
     """Search for u in B(x, r) with B(G(u), alpha*r) inside B(G(x) + C, r).
 
     Returns the first passing candidate, or None when the budget is
-    exhausted (absence of a witness is a value, not an error).  Since
-    alpha > 1, a witness's whole image must lie inside G(x) + C (a vertex at
-    distance d > 0 puts a ball point at d + alpha*r > r); that necessary
-    condition rejects candidates cheaply.  The rest are decided together by
-    one exact sphere max (``_sphere_max``) over all their image vertices: a
-    candidate passes when its largest sup is at most r + tolerance.
+    exhausted (absence of a witness is a value, not an error).
     """
-    if alpha <= 1:
-        raise ValueError("alpha must exceed 1")
-    if r <= 0:
-        raise ValueError("radius must be positive")
     cfg = cfg or SamplingConfig()
     x = as_vector(x)
     if rng is None:
         rng = _stable_seed(cfg.seed, None, x)
-    target = SumSet(map_at(x), cone)
-
-    def scan(chunk):
-        # the witness must differ from the center
-        cands = [u for u in chunk if np.linalg.norm(u - x) > 1e-15]
-        if not cands:
-            return None
-        images = [map_at(u).vertices for u in cands]
-        owner = np.repeat(np.arange(len(cands)), [len(v) for v in images])
-        verts = np.vstack(images)
-        far = owner[dist_many(verts, target) > cfg.tolerance]
-        inside = np.bincount(far, minlength=len(cands)) == 0
-        if not inside.any():
-            return None
-        rows = inside[owner]
-        worst = np.zeros(len(cands))
-        np.maximum.at(worst, owner[rows], _sphere_max(verts[rows], alpha * r, target)[0])
-        hits = np.flatnonzero(inside & (worst <= r + cfg.tolerance))
-        return cands[hits[0]] if len(hits) else None
-
-    gen = _candidates(map_at, target, cone, x, r, cfg, hints, rng)
-    head = list(itertools.islice(gen, 8))  # hints and heuristics first
-    found = scan(head)
-    if found is not None:
-        return found
-    return scan(list(gen))
-
-
-def _negated(map_at: MapAt) -> MapAt:
-    return lambda x: -map_at(x)
+    return _witness(_Search(map_at, cone, x, cfg, hints), alpha, r, rng)
 
 
 def estimate_bound(map_at: MapAt, cone: PolyCone, x,
@@ -211,19 +224,20 @@ def estimate_bound(map_at: MapAt, cone: PolyCone, x,
     alpha_lo is certified by stored witnesses at every qualifying radius;
     alpha_hi is the smallest tested alpha with a refuted qualifying radius
     (or the cap).  Raises PropertyAbsent when not even the probe value
-    just above 1 admits witnesses.
+    just above 1 admits witnesses.  Every check shares one ``_Search``.
     """
     cfg = cfg or SamplingConfig()
     x = as_vector(x)
     rng = _stable_seed(cfg.seed, p_for_seed, x)
-    fn = map_at if mode is Mode.INCREASE else _negated(map_at)
+    fn = map_at if mode is Mode.INCREASE else (lambda u: -map_at(u))
+    search = _Search(fn, cone, x, cfg, hints)
     k = max(1, min(cfg.qualifying_radii, len(cfg.radii)))
     qualifying = list(cfg.radii)[-k:]
 
     def qualify(alpha: float) -> Optional[list]:
         wits = []
         for r in qualifying:
-            u = check_increase(fn, cone, x, alpha, r, cfg, hints, rng)
+            u = _witness(search, alpha, r, rng)
             if u is None:
                 return None
             wits.append((r, u))
@@ -234,11 +248,11 @@ def estimate_bound(map_at: MapAt, cone: PolyCone, x,
     if wits is None:
         raise PropertyAbsent(
             f"no witnesses at alpha = {probe} for the qualifying radii {qualifying}")
-    lo, lo_wits = probe, wits
-    hi = None
-    a = probe
-    while hi is None:
-        a = min(2.0 * a, cfg.alpha_max)
+    # double alpha until a refutation (or the cap), then bisect at most 60 times
+    lo, lo_wits, hi, halvings = probe, wits, None, 0
+    while hi is None or (halvings < 60 and hi - lo > cfg.bracket_rtol * lo):
+        a = min(2.0 * lo, cfg.alpha_max) if hi is None else 0.5 * (lo + hi)
+        halvings += hi is not None
         w = qualify(a)
         if w is None:
             hi = a
@@ -246,19 +260,8 @@ def estimate_bound(map_at: MapAt, cone: PolyCone, x,
             lo, lo_wits = a, w
             if a >= cfg.alpha_max:
                 hi = cfg.alpha_max
-                break
-    for _ in range(60):
-        if hi - lo <= cfg.bracket_rtol * lo:
-            break
-        mid = 0.5 * (lo + hi)
-        w = qualify(mid)
-        if w is None:
-            hi = mid
-        else:
-            lo, lo_wits = mid, w
-    return IncreaseEstimate(x=x, alpha_lo=lo, alpha_hi=hi,
-                            delta_used=max(qualifying), witnesses=lo_wits,
-                            mode=mode)
+    return IncreaseEstimate(x=x, alpha_lo=lo, alpha_hi=hi, delta_used=max(qualifying),
+                            witnesses=lo_wits, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +282,15 @@ def infimum_over_samples(map_at_of_p: Callable[[float], MapAt], cone: PolyCone,
                          ) -> InfimumResult:
     """Minimum alpha_lo of estimate_bound over sampled (p, x) pairs."""
     cfg = cfg or SamplingConfig()
-    best, used, estimates = math.inf, 0, []
+    estimates = []
     for p, x in pairs:
         hints = hints_of_p(p) if hints_of_p is not None else None
-        est = estimate_bound(map_at_of_p(p), cone, x, cfg, mode=mode,
-                             hints=hints, p_for_seed=p)
-        estimates.append((p, x, est))
-        used += 1
-        best = min(best, est.alpha_lo)
-    if not used:
+        estimates.append((p, x, estimate_bound(map_at_of_p(p), cone, x, cfg, mode=mode,
+                                               hints=hints, p_for_seed=p)))
+    if not estimates:
         raise ValueError("no admissible samples for the infimum estimate")
-    return InfimumResult(alpha=best, samples_used=used, estimates=estimates)
+    return InfimumResult(alpha=min(est.alpha_lo for _, _, est in estimates),
+                         samples_used=len(estimates), estimates=estimates)
 
 
 def nonsolution_pairs(problem, p_grid: Sequence[float], x_samples, dim: int,
@@ -298,8 +299,7 @@ def nonsolution_pairs(problem, p_grid: Sequence[float], x_samples, dim: int,
     given points or ``x_samples`` seeded draws in [-2, 2]^dim, and projected
     into R(p) first when ``project``."""
     if isinstance(x_samples, int):
-        rng = np.random.default_rng(cfg.seed)
-        xs = rng.uniform(-2.0, 2.0, size=(x_samples, dim))
+        xs = np.random.default_rng(cfg.seed).uniform(-2.0, 2.0, size=(x_samples, dim))
     else:
         xs = np.asarray(x_samples, dtype=float).reshape(-1, dim)
     pairs = []

@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from svikit.geometry import PolyCone, orthant
 from svikit.problems import (boxed_rotation_problem, rotation_inclusion_problem,
                              triangle_vop_spec)
+
+# a failing property test prints the blob that reproduces it
+# (``@reproduce_failure``); examples are still drawn afresh on every run
+settings.register_profile("svikit", print_blob=True)
+settings.load_profile("svikit")
 
 SQRT2 = math.sqrt(2.0)
 ROT_BOUND = 3.0 / SQRT2 + 1.0  # exact increase bound of the 3x-rotation

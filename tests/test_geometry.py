@@ -9,7 +9,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import nnls
 
 from svikit import geometry
@@ -250,6 +250,8 @@ def assert_sphere_max(c, s, D, sup, pt, reference_set=None, count=20_000):
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**32 - 1))
+@example(462)  # c 1.05e-12 outside D, once measured 2.8e-16 away by a marginal face
+@example(196)
 def test_ball_sup_dist_matches_a_dense_sphere(seed):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 5))
@@ -462,6 +464,8 @@ def assert_kernel_matches(y, dist, base, gens):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1))
+@example(3338)  # a repeated ray: m + 1 free NNLS columns of rank m
+@example(4238)
 def test_distance_paths_match_the_ldp_kernel(seed):
     # the face table and the least-distance kernel are two exact paths to
     # the same distance; both points pass the variational inequality and the

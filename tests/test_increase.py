@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from svikit import increase
 from svikit.geometry import (SumSet, VPolytope, dist_many, enlargement_inclusion, numgrad,
-                             orthant)
+                             orthant, unit_directions)
 from svikit.increase import (HypothesisViolated, Mode, PropertyAbsent,
                              SamplingConfig, check_increase, estimate_bound,
                              global_infimum, hints_for_matrix, perturbed_bound)
@@ -63,7 +64,9 @@ def reference_check(map_at, cone, x, alpha, r, cfg, hints):
     x = np.asarray(x, dtype=float)
     target = SumSet(map_at(x), cone)
     rng = increase._stable_seed(cfg.seed, None, x)
-    gen = increase._candidates(map_at, target, cone, x, r, cfg, hints, rng)
+    grads = increase._gradients(map_at, target, cone, x)
+    gen = itertools.chain.from_iterable(increase._candidates(
+        x, r, grads, hints, unit_directions(len(x), cfg.directions), cfg.magnitudes, rng))
     for u in itertools.chain(itertools.islice(gen, 8), gen):
         if np.linalg.norm(u - x) <= 1e-15:
             continue
@@ -112,10 +115,99 @@ def test_gradient_heuristics_match_one_stencil_per_heuristic():
             n = float(np.linalg.norm(g))
             if n > 1e-14:
                 want.append(x - (r / n) * g)
-        gen = increase._candidates(map_at, target, cone, x, r, SamplingConfig(), None,
-                                   np.random.default_rng(0))
+        cfg = SamplingConfig()
+        gen = itertools.chain.from_iterable(increase._candidates(
+            x, r, increase._gradients(map_at, target, cone, x), None,
+            unit_directions(len(x), cfg.directions), cfg.magnitudes, np.random.default_rng(0)))
         got = list(itertools.islice(gen, len(want)))
         assert np.allclose(got, want, rtol=0, atol=1e-9), seed
+
+
+def reference_bracket(map_at, cone, x, cfg, mode, hints, p):
+    """estimate_bound's bracket, doubling then bisecting, with a fresh public
+    check_increase for every (alpha, r) on the same rng stream; None where
+    the probe alpha has no witnesses."""
+    x = np.asarray(x, dtype=float)
+    rng = increase._stable_seed(cfg.seed, p, x)
+    fn = map_at if mode is Mode.INCREASE else (lambda u: -map_at(u))
+    qualifying = list(cfg.radii)[-cfg.qualifying_radii:]
+
+    def qualify(alpha):
+        wits = []
+        for r in qualifying:
+            u = check_increase(fn, cone, x, alpha, r, cfg, hints, rng)
+            if u is None:
+                return None
+            wits.append((r, u))
+        return wits
+
+    lo = a = 1.0 + cfg.bracket_atol
+    lo_wits, hi = qualify(lo), None
+    if lo_wits is None:
+        return None
+    while hi is None:
+        a = min(2.0 * a, cfg.alpha_max)
+        w = qualify(a)
+        if w is None:
+            hi = a
+        else:
+            lo, lo_wits = a, w
+            if a >= cfg.alpha_max:
+                hi = cfg.alpha_max
+    for _ in range(60):
+        if hi - lo <= cfg.bracket_rtol * lo:
+            break
+        mid = 0.5 * (lo + hi)
+        w = qualify(mid)
+        if w is None:
+            hi = mid
+        else:
+            lo, lo_wits = mid, w
+    return lo, hi, lo_wits
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_estimate_bound_matches_fresh_checks_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    cone, mats, map_at, x = random_fan_instance(rng)
+    cfg = SamplingConfig(directions=16, bracket_rtol=0.05, seed=int(rng.integers(100)))
+    mode = Mode.DECREASE if rng.random() < 0.3 else Mode.INCREASE
+    hints = hints_for_matrix(mats[0], cone) if rng.random() < 0.5 else None
+    p = float(rng.uniform(-1.0, 1.0))
+    want = reference_bracket(map_at, cone, x, cfg, mode, hints, p)
+    if want is None:
+        with pytest.raises(PropertyAbsent):
+            estimate_bound(map_at, cone, x, cfg, mode=mode, hints=hints, p_for_seed=p)
+        return
+    est = estimate_bound(map_at, cone, x, cfg, mode=mode, hints=hints, p_for_seed=p)
+    lo, hi, wits = want
+    assert (est.alpha_lo, est.alpha_hi) == (lo, hi)
+    assert [r for r, _ in est.witnesses] == [r for r, _ in wits]
+    assert all(u.tobytes() == w.tobytes() for (_, u), (_, w) in zip(est.witnesses, wits))
+
+
+def test_estimate_bound_evaluates_the_shared_points_once(plane_orthant):
+    # x, the 2n stencil points and each radius's hint and gradient candidates
+    # are evaluated once per estimate, not once per witness check
+    Q, g = scaled_rotation(3.0, 0.7)
+    hints = hints_for_matrix(Q, plane_orthant)
+    x, cfg = np.array([0.3, -1.2]), SamplingConfig()
+    calls = collections.Counter()
+
+    def counted(u):
+        calls[np.asarray(u, dtype=float).tobytes()] += 1
+        return g(u)
+
+    estimate_bound(counted, plane_orthant, x, cfg, hints=hints)
+    E = 1e-6 * max(1.0, float(np.linalg.norm(x))) * np.eye(2)
+    assert [calls[u.tobytes()] for u in (x, *(x + E), *(x - E))] == [1] * 5
+    grads = increase._gradients(g, SumSet(g(x), plane_orthant), plane_orthant, x)
+    assert len(grads) == 2
+    want = collections.Counter(
+        u.tobytes() for r in cfg.radii[-cfg.qualifying_radii:]
+        for u in [*hints(x, r), *(x - (r / n) * v for v, n in grads)])
+    assert {u: calls[u] for u in want} == want
 
 
 def test_check_increase_validates_arguments(plane_orthant):
