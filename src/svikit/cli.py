@@ -155,9 +155,6 @@ def _build_parser() -> _Parser:
                     help="cross-check with the brute-force oracle")
     sp.add_argument("--orientation", choices=["cw", "ccw"], default=None,
                     help="override rotation orientation of the objective")
-    sp.add_argument("--image-sampling", type=_count, default=33,
-                    help="sample density of a ball feasible set in n >= 2 "
-                    "(every other feasible set is spanned exactly)")
 
     sp = sub.add_parser("verify-props", help="run property suites on the problem")
     common(sp)
@@ -254,9 +251,7 @@ def _cmd_vopt(args) -> int:
     x0 = _parse_vector(args.x0, spec.objective.dim_in)
     if args.grid is not None:
         grid = _parse_grid(args.grid)
-        table = ideal_value_sweep(spec, grid, x0, cfg,
-                                  image_sampling=args.image_sampling,
-                                  with_oracle=args.oracle)
+        table = ideal_value_sweep(spec, grid, x0, cfg, with_oracle=args.oracle)
         solved = sum(1 for r in table.rows if r.solved)
         print(f"rows = {len(table.rows)}  solved = {solved}")
         if args.out:
@@ -266,9 +261,7 @@ def _cmd_vopt(args) -> int:
         return EXIT_OK
     if args.p is None:
         raise UsageError("vopt needs --p or --grid")
-    res = solve_ideal(spec, args.p, x0, cfg,
-                      image_sampling=args.image_sampling,
-                      certify_empty=args.oracle)
+    res = solve_ideal(spec, args.p, x0, cfg, certify_empty=args.oracle)
     print(f"status = {res.status}")
     if res.status == FOUND:
         print(f"x = {res.x.tolist()}")

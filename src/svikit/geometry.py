@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import combinations, islice
 from typing import Optional, Union
 
@@ -159,6 +160,8 @@ _FACE_CHUNK = 1 << 17
 _FEASIBLE_TOL = 1e-12
 #: faces up to this condition number take the normal equations
 _NORMAL_COND = 100.0
+#: a unit generator lies on a facet normal's side down to this value
+_FACET_TOL = 1e-12
 
 
 def _subsets(k: int, g: int, m: int):
@@ -329,6 +332,34 @@ class PolyCone:
                 return False
             hit[axis] = True
         return bool(np.all(hit))
+
+    @cached_property
+    def facets(self) -> np.ndarray:
+        """Unit rows W with C = {y : W y >= 0}, the extreme rays of the dual
+        cone; built on first use and cached.  The orthant's W is the
+        identity.  Otherwise, in the span of the generators (from an SVD, of
+        dimension d), the normal of each rank-(d - 1) subset of generators is
+        kept, oriented to their side, when it has one sign on all of them; a
+        lower-dimensional cone adds +- a basis of the span's complement."""
+        m = self.dim
+        if getattr(self, "_orthant"):
+            W = np.eye(m)
+        else:
+            unit = self.generators / np.linalg.norm(self.generators, axis=1, keepdims=True)
+            _, sv, Vt = np.linalg.svd(unit)
+            d = int(np.sum(sv > sv[0] * m * np.finfo(float).eps))
+            coords = unit @ Vt[:d].T
+            normals = np.ones((1, 1))
+            if d > 1:
+                _, ssv, sVt = np.linalg.svd(coords[list(combinations(range(len(coords)), d - 1))])
+                normals = sVt[ssv[:, -1] > ssv[:, 0] * d * np.finfo(float).eps, -1]
+            side = coords @ normals.T
+            W = np.vstack([normals[np.all(side >= -_FACET_TOL, axis=0)],
+                           -normals[np.all(side <= _FACET_TOL, axis=0)]]) @ Vt[:d]
+            first = np.sort(np.unique(np.round(W, 9), axis=0, return_index=True)[1])
+            W = np.vstack([W[first], Vt[d:], -Vt[d:]])
+        W.flags.writeable = False  # one cached array serves every caller
+        return W
 
     def distances(self, points: np.ndarray) -> np.ndarray:
         """Exact Euclidean distances of many points to the cone (vectorized)."""

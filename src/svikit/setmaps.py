@@ -370,6 +370,8 @@ class Ball:
         else:
             if self.center_knots.values.ndim != 2:
                 raise ValueError("ball center knots must be vectors")
+            if self.radius_knots is None or self.radius_knots.values.ndim != 1:
+                raise ValueError("ball radius knots must be scalars, one per knot")
             radii = self.radius_knots.values
         # interpolating between valid knots keeps the radius valid
         if not np.all(np.isfinite(radii) & (radii >= 0)):

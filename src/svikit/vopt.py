@@ -4,26 +4,26 @@ A feasible point is ideal when its objective value is dominated by every
 feasible value: f(p, R(p)) - f(p, x) lies in the ordering cone.  That set
 difference is itself a parameterized inclusion problem, so existence is
 decided by the same descent machinery, with the objective's cone-decrease
-bound playing the role of the increase constant.  The feasible image
-f(p, R(p)) is the hull of the images of a few points: a polytope's
-vertices, the corners of a box or of the whole-space sampling bounds, or the
-ends of a 1-D interval, plus the per-component minimizers.  This is exact
-for every catalog pairing except an affine objective on a ball in n >= 2,
-whose ball is sampled.
+bound playing the role of the increase constant.  The inclusion is checked
+at a few points of R(p) whose images decide it exactly: a polytope's
+vertices, the corners of a box or of the whole-space bounds, or the ends of
+a 1-D interval, with proj phi(p) for the deviation objective.  On a ball in
+n >= 2 (where the objective is affine) they are its centre and the argmins
+of the scalarizations w . f, one per facet row w of the cone: a point is
+ideal iff it minimizes every one of them.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .geometry import (PolyCone, VPolytope, _as_points, as_vector, matvec_rows,
-                       unit_directions)
+                       row_norms)
 from .increase import (InfimumResult, Mode, SamplingConfig, estimate_bound,
                        hints_for_matrix, infimum_over_samples,
                        nonsolution_pairs)
@@ -37,10 +37,6 @@ from .solver import (MaxItersExceeded, NoDescentStep, SolveResult,
 
 class UnsupportedCombination(ValueError):
     """Objective/constraint pairing outside the supported catalog."""
-
-
-class GridCoarseWarning(UserWarning):
-    """The oracle's decision flipped between grid densities d and 2d."""
 
 
 # ---------------------------------------------------------------------------
@@ -227,49 +223,37 @@ def vop_spec_from_dict(d: dict) -> VopSpec:
 
 
 # ---------------------------------------------------------------------------
-# points spanning the feasible image
+# points that decide ideality
 # ---------------------------------------------------------------------------
 
-def span_points(constraint: ConstraintFamily, p: float, density: int,
-                bounds=None) -> np.ndarray:
-    """Points of R(p) whose images under any catalog objective span
-    f(p, R(p)), up to the per-component minimizers: a polytope's vertices,
-    the corners of a box or of the whole-space ``bounds``, the two ends of a
-    1-D ball.  Only a ball in n >= 2 is sampled, at ``density``."""
-    if isinstance(constraint, PolytopeSet):
-        return constraint.polytope.vertices
-    if isinstance(constraint, Ball):
+def span_points(spec: VopSpec, p: float, bounds=None) -> np.ndarray:
+    """Points s of R(p) such that x is ideal iff every f(p, s) - f(p, x) lies
+    in the cone: a polytope's vertices, the corners of a box or of the
+    whole-space ``bounds`` or the ends of a 1-D ball, with proj phi(p) for
+    the deviation objective.  On a ball B(c, rho) in n >= 2, where f is
+    affine, they are c and the argmin c - rho L^T w / |L^T w| of each
+    scalarization w . f, w a facet row of the cone with L^T w != 0."""
+    constraint, obj = spec.constraint, spec.objective
+    if isinstance(constraint, Ball) and constraint.dim >= 2:
         c, r = constraint.data_at(p)
-        if len(c) == 1:
-            return np.array([c - r, c + r])
-        dirs = unit_directions(len(c), max(8, density))
-        radii = np.linspace(0.0, r, max(2, density // 8))
-        return np.asarray([c] + [c + rr * d for rr in radii[1:] for d in dirs])
-    if isinstance(constraint, Box):
-        lo, hi = constraint.bounds_at(p)
-    elif isinstance(constraint, AllSpace) and bounds is not None:
-        lo, hi = as_vector(bounds[0]), as_vector(bounds[1])
+        G = spec.cone.facets @ obj.matrix_at(p)
+        G = G[row_norms(G) > 0]
+        return np.vstack([c, c - (r / row_norms(G))[:, None] * G])
+    if isinstance(constraint, PolytopeSet):
+        pts = constraint.polytope.vertices
+    elif isinstance(constraint, Ball):
+        c, r = constraint.data_at(p)
+        pts = np.array([c - r, c + r])
+    elif isinstance(constraint, Box) or bounds is not None:
+        lo, hi = (constraint.bounds_at(p) if isinstance(constraint, Box)
+                  else (as_vector(bounds[0]), as_vector(bounds[1])))
+        pts = np.array(list(itertools.product(*zip(lo, hi))), float)
     else:
         raise UnsupportedCombination(
             f"no spanning points for {type(constraint).__name__} without bounds")
-    return np.array(list(itertools.product(*zip(lo, hi))), float)
-
-
-def _component_minimizers(spec: VopSpec, p: float) -> list:
-    """Per-component argmin candidates over R(p): proj phi(p) for the
-    deviation objective, the support points of a ball otherwise."""
-    obj, constraint = spec.objective, spec.constraint
     if isinstance(obj, AbsDeviation):
-        return [constraint.project(np.array([obj.phi(p)]), p)[0]]
-    out = []
-    if obj.is_affine and isinstance(constraint, Ball):
-        M = obj.matrix_at(p)
-        c, r = constraint.data_at(p)
-        for row in M:
-            nrm = np.linalg.norm(row)
-            if nrm > 0:
-                out.append(c - (r / nrm) * row)
-    return out
+        pts = np.vstack([pts, constraint.project(np.array([obj.phi(p)]), p)[0]])
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +266,6 @@ class VopProblem:
     x -> {f(p, s) - f(p, x) : s spanning R(p)} must land in the cone."""
 
     spec: VopSpec
-    image_sampling: int = 33
     bounds: object = None
     declared_alpha: Optional[float] = None
     _image_cache: dict = field(default_factory=dict)
@@ -314,8 +297,7 @@ class VopProblem:
     def _cached(self, p: float):
         key = round(float(p), 12)
         if key not in self._image_cache:
-            pts = np.vstack([span_points(self.spec.constraint, p, self.image_sampling,
-                                         self.bounds), *_component_minimizers(self.spec, p)])
+            pts = span_points(self.spec, p, self.bounds)
             self._image_cache[key] = (pts, self.spec.objective.values_many(p, pts))
         return self._image_cache[key]
 
@@ -331,11 +313,10 @@ class VopProblem:
         return self.spec.to_dict()
 
 
-def build_vop_problem(spec: VopSpec, p: float, image_sampling: int = 33,
-                      bounds=None) -> VopProblem:
+def build_vop_problem(spec: VopSpec, p: float, bounds=None) -> VopProblem:
     """Validate the objective/constraint pairing and return the evaluator
     x -> {f(p, s) - f(p, x)}; usable at other p values as well."""
-    prob = VopProblem(spec, image_sampling=image_sampling, bounds=bounds)
+    prob = VopProblem(spec, bounds=bounds)
     prob.feasible_samples(p)  # force validation at the requested parameter
     return prob
 
@@ -353,11 +334,11 @@ def decrease_hints(spec: VopSpec, p: float):
 
 def decrease_infimum(spec: VopSpec, p_grid: Sequence[float], x_samples,
                      cfg: Optional[SamplingConfig] = None,
-                     image_sampling: int = 33, bounds=None) -> InfimumResult:
+                     bounds=None) -> InfimumResult:
     """Sampled estimate of the global cone-decrease constant of the
     objective over feasible non-ideal points."""
     cfg = cfg or SamplingConfig()
-    prob = VopProblem(spec, image_sampling=image_sampling, bounds=bounds)
+    prob = VopProblem(spec, bounds=bounds)
     pairs = nonsolution_pairs(prob, p_grid, x_samples, spec.objective.dim_in, cfg,
                               project=True)
     obj = spec.objective
@@ -381,7 +362,6 @@ class OracleResult:
     status: str  # 'ideal' | 'empty'
     x: Optional[np.ndarray] = None
     value: Optional[np.ndarray] = None
-    coarse_flip: bool = False
 
     @property
     def is_ideal(self) -> bool:
@@ -399,20 +379,19 @@ class IdealResult:
 
 
 def solve_ideal(spec: VopSpec, p: float, x0, cfg: Optional[SolverConfig] = None,
-                alpha_under: Optional[float] = None, image_sampling: int = 33,
-                bounds=None, certify_empty: bool = False,
-                oracle_density: int = 64) -> IdealResult:
+                alpha_under: Optional[float] = None, bounds=None,
+                certify_empty: bool = False) -> IdealResult:
     """Run the constrained descent on the built inclusion problem.
 
     ``alpha_under`` is the (estimated) global decrease bound of the
     objective; when the mandated alpha interval is empty (the Lipschitz
     budget is too large, which legitimately happens), the run proceeds
     best-effort with floor constants and an uncertified certificate.
-    Emptiness is only ever certified by the oracle (``brute_force_ideal``),
-    which is exact except on a ball in n >= 2.
+    Emptiness is only ever certified by the exact oracle
+    (``brute_force_ideal``), which ``certify_empty`` runs on an unsolved run.
     """
     cfg = cfg or SolverConfig()
-    prob = build_vop_problem(spec, p, image_sampling, bounds)
+    prob = build_vop_problem(spec, p, bounds)
     if alpha_under is None:
         if cfg.alpha_tilde is not None:
             alpha_under = cfg.alpha_tilde
@@ -440,17 +419,22 @@ def solve_ideal(spec: VopSpec, p: float, x0, cfg: Optional[SolverConfig] = None,
         out = IdealResult(status=NOT_FOUND, merit_final=res.merit_final,
                           solve_result=res)
     if certify_empty:
-        oracle = brute_force_ideal(spec, p, oracle_density, bounds)
+        oracle = brute_force_ideal(spec, p, bounds)
         out.oracle = oracle
         if not oracle.is_ideal:
             out.status = CERTIFIED_EMPTY
     return out
 
 
-def _oracle_once(spec: VopSpec, p: float, density: int, bounds,
-                 tol: float) -> OracleResult:
-    """The first of the problem's spanning points whose merit is within tol."""
-    prob = VopProblem(spec, image_sampling=density, bounds=bounds)
+def brute_force_ideal(spec: VopSpec, p: float, bounds=None,
+                      tol: float = 1e-9) -> OracleResult:
+    """Exact oracle for ideal efficiency: one batched merit over the points
+    that decide ideality (``span_points``); the first within tol is returned.
+    An affine objective's ideal set is the intersection of the argmin sets of
+    the scalarizations w . f, so it holds a polytope or box vertex, or one
+    ball argmin (the whole ball when f is constant), when nonempty; the
+    deviation objective's images lie on a segment spanned by the points."""
+    prob = VopProblem(spec, bounds=bounds)
     pts = prob.feasible_samples(p)
     hits = np.flatnonzero(merit_many(prob, p, pts) <= tol)
     if hits.size:
@@ -460,35 +444,15 @@ def _oracle_once(spec: VopSpec, p: float, density: int, bounds,
     return OracleResult(status="empty")
 
 
-def brute_force_ideal(spec: VopSpec, p: float, grid_density: int = 64,
-                      bounds=None, tol: float = 1e-9) -> OracleResult:
-    """Oracle for ideal efficiency: one batched merit over the points that
-    span f(p, R(p)) (``span_points``).  It is exact: for an affine objective
-    the ideal set is the intersection of the argmin faces of the
-    scalarizations w . f, so it holds a vertex when nonempty, and the
-    deviation objective's images lie on one segment whose ends are spanning
-    points.  Only a ball in n >= 2 is sampled, at ``grid_density`` and twice
-    that; a flip between the two warns (GridCoarseWarning) and the finer
-    decision is returned."""
-    coarse = _oracle_once(spec, p, grid_density, bounds, tol)
-    fine = _oracle_once(spec, p, 2 * grid_density, bounds, tol)
-    if coarse.is_ideal != fine.is_ideal:
-        warnings.warn(
-            f"ideal-efficiency decision at p={p} flipped between grid densities "
-            f"{grid_density} and {2 * grid_density}", GridCoarseWarning)
-        fine.coarse_flip = True
-    return fine
-
-
 def ideal_value_sweep(spec: VopSpec, grid: Sequence[float], x_init,
                       cfg: Optional[SolverConfig] = None,
-                      alpha_under: Optional[float] = None,
-                      image_sampling: int = 33, bounds=None,
+                      alpha_under: Optional[float] = None, bounds=None,
                       with_oracle: bool = False,
-                      oracle_density: int = 64) -> SweepTable:
+                      oracle_density: Optional[int] = None) -> SweepTable:
     """Warm-started ideal-efficiency sweep; rows carry the ideal point and
     the ideal value f(p, x(p)).  Unsolved rows chart empty (or unreached)
-    solution sets."""
+    solution sets.  ``oracle_density`` is ignored: the oracle is exact, and
+    the keyword stays only for callers that still pass it."""
     cfg = cfg or SolverConfig()
     grid = [float(p) for p in grid]
     if not grid:
@@ -499,15 +463,14 @@ def ideal_value_sweep(spec: VopSpec, grid: Sequence[float], x_init,
         mid = grid[len(grid) // 2]
         est = decrease_infimum(spec, [grid[0], mid], 4,
                                SamplingConfig(bracket_rtol=0.05, seed=cfg.rng_seed),
-                               image_sampling, bounds)
+                               bounds)
         alpha_under = est.alpha
     t0 = time.perf_counter()
     rows, statuses = [], []
     x_start = as_vector(x_init)
     for p in grid:
         res = solve_ideal(spec, p, x_start, cfg, alpha_under=alpha_under,
-                          image_sampling=image_sampling, bounds=bounds,
-                          certify_empty=with_oracle, oracle_density=oracle_density)
+                          bounds=bounds, certify_empty=with_oracle)
         if res.status == FOUND:
             sr = res.solve_result
             rows.append(SweepRow(p=p, x=res.x, merit=res.merit_final,
@@ -525,7 +488,7 @@ def ideal_value_sweep(spec: VopSpec, grid: Sequence[float], x_init,
                                  value=np.full(spec.objective.dim_out, math.nan)))
         if with_oracle:
             oracle = (res.oracle if res.oracle is not None
-                      else brute_force_ideal(spec, p, oracle_density, bounds))
+                      else brute_force_ideal(spec, p, bounds))
             statuses.append(oracle.status)
         else:
             statuses.append(res.status)

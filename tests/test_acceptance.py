@@ -203,7 +203,7 @@ def test_criterion_7_ideal_efficiency_counterexample():
     step = grid[1] - grid[0]
     table = ideal_value_sweep(spec, grid, [0.3, 0.3], SolverConfig(rng_seed=0),
                               alpha_under=1.0 / SQRT2 + 1.0,
-                              with_oracle=True, oracle_density=32)
+                              with_oracle=True)
     statuses = table.meta["statuses"]
     interior = 0
     for row, status in zip(table.rows, statuses):
@@ -277,7 +277,7 @@ def test_criterion_9_determinism(tmp_path):
         table = ideal_value_sweep(spec, grid7, [0.3, 0.3],
                                   SolverConfig(rng_seed=0),
                                   alpha_under=1.0 / SQRT2 + 1.0,
-                                  with_oracle=True, oracle_density=16)
+                                  with_oracle=True)
         path = tmp_path / f"c7_{name}.csv"
         write_csv(table, path, oracle_statuses=table.meta["statuses"])
         blobs7.append(path.read_bytes())

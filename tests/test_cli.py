@@ -1,12 +1,22 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from svikit.cli import main
+from svikit.geometry import PolyCone
 from svikit.problems import (boxed_rotation_problem, load_problem_file,
                              rotation_inclusion_problem, sine_deviation_spec,
                              triangle_vop_spec, write_problem_file)
+from svikit.setmaps import Ball, ConstantMatrix
+from svikit.vopt import AffineFamily, VopSpec
+
+
+# a ball whose knot radii are vectors: rejected at load, not mid-solve
+RADIUS_KNOT_VECTORS = {"variant": "ball", "knots": [
+    {"p": 0.0, "center": [0.0, 0.0], "radius": [1.0, 2.0]},
+    {"p": 7.0, "center": [0.0, 0.0], "radius": [1.0, 2.0]}]}
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +95,7 @@ def test_usage_errors(problem_files, tmp_path, capsys):
         ["estimate-inc", "--problem", rot, "--p", "0.4", "--x-samples", "-2"],
         ["verify-props", "--problem", rot, "--trials", "-3"],
         ["vopt", "--problem", tri, "--p", "0", "--x0", "0.3,0.3",
-         "--image-sampling", "-5"],
+         "--image-sampling", "33"],
         ["solve", "--problem", rot, "--p", "0.3", "--x0", "1,1", "--alpha", "-1"],
         ["solve", "--problem", rot, "--p", "0.3", "--x0", "1,1", "--tol", "nan"],
         ["solve", "--problem", rot, "--p", "0.3", "--x0", "1,1", "--tol", "-1"],
@@ -127,6 +137,7 @@ def test_usage_errors(problem_files, tmp_path, capsys):
         "center_nan": ("constraint", {"variant": "ball", "knots": [
             {"p": 0.0, "center": [nan, 0.0], "radius": 1.0},
             {"p": 7.0, "center": [0.0, 0.0], "radius": 1.0}]}),
+        "radius_knot_vector": ("constraint", RADIUS_KNOT_VECTORS),
         "coord_5": ("h", 5),
         "coord_negative": ("h", -1),
         "scale_nan": ("matrix", {"variant": "rotation_scaled", "scale": nan}),
@@ -155,6 +166,7 @@ def test_usage_errors(problem_files, tmp_path, capsys):
         "objective_offset_nan": ("objective", {
             "variant": "affine", "offset": [nan, 0.0],
             "matrix": {"variant": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]]}}),
+        "radius_knot_vector": ("constraint", RADIUS_KNOT_VECTORS),
     }
     for name, (key, value) in vop_edits.items():
         data = triangle_vop_spec().to_dict()
@@ -194,6 +206,25 @@ def test_vopt_verb_sweep_with_oracle(problem_files, tmp_path):
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "p,x_1,merit,bound_rhs,bound_holds,solved,val_1,val_2"
     assert len(lines) == 10
+
+
+def test_vopt_oracle_on_a_ball_decides_the_scalarizations(tmp_path, capsys):
+    # f = L x on the unit disc, ordered by a thin turned wedge (instance 6 of
+    # the wedge draw in test_vopt): the argmins of the two scalarizations
+    # lie close but differ, so no point is ideal
+    spec = VopSpec(AffineFamily(ConstantMatrix(np.array(
+        [[0.16746474422274113, 0.10901408782154753],
+         [-1.2273520542445742, -0.6832266617805622]]))),
+        Ball(center=[0.0, 0.0], radius=1.0),
+        PolyCone(np.array([[-1.0088054111760114, 0.0947394107299976],
+                           [0.9262686002953396, -0.4107193612071154]])),
+        objective_lipschitz=1.4187789181937827)
+    path = tmp_path / "wedge.json"
+    write_problem_file(path, spec)
+    rc = main(["vopt", "--problem", str(path), "--p", "0", "--x0", "0,0", "--oracle"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "oracle = empty" in out
 
 
 def test_vopt_orientation_override(problem_files, capsys):

@@ -376,6 +376,29 @@ def test_whole_space_cone_rejected():
         PolyCone([[0.0, 0.0]])
 
 
+def test_facets_describe_the_cone():
+    # C = {y : W y >= 0} with unit rows: the identity for the orthant; for
+    # random pointed cones (k < m generators among them), a half-plane and a
+    # ray in R^3, membership by W matches the exact distance
+    for m in range(1, 5):
+        assert np.array_equal(orthant(m).facets, np.eye(m))
+    rng = np.random.default_rng(11)
+    cones = [random_pointed_cone(rng, m) for m in (1, 2, 3, 4) for _ in range(25)]
+    assert any(len(c.generators) < c.dim for c in cones)
+    halfplane = PolyCone([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+    assert np.allclose(halfplane.facets, [[0.0, 1.0]])
+    for cone in cones + [halfplane, PolyCone([[1.0, 2.0, 2.0]])]:
+        W = cone.facets
+        assert cone.facets is W
+        assert np.allclose(np.linalg.norm(W, axis=1), 1.0)
+        assert np.min(W @ cone.generators.T) >= -1e-12
+        inner = rng.uniform(0.0, 2.0, (50, len(cone.generators))) @ cone.generators
+        for y in (rng.standard_normal((400, cone.dim)), inner):
+            inside = np.min(y @ W.T, axis=1) >= -1e-9
+            assert np.array_equal(inside, cone.distances(y) <= 1e-9)
+        assert np.all(inside)
+
+
 def test_dimension_mismatch_errors(plane_orthant):
     with pytest.raises(ValueError):
         project_dist([1.0, 2.0, 3.0], plane_orthant)

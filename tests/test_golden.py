@@ -69,7 +69,7 @@ def triangle_ideal(path):
     """Ideal-value sweep of the clockwise triangle with the oracle."""
     table = ideal_value_sweep(triangle_vop_spec(clockwise=True),
                               np.linspace(0.0, 2.0 * math.pi, 9), [0.3, 0.3],
-                              SolverConfig(), with_oracle=True, oracle_density=32)
+                              SolverConfig(), with_oracle=True)
     write_csv(table, path, oracle_statuses=table.meta["statuses"])
 
 

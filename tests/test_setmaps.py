@@ -177,6 +177,13 @@ def test_constraint_data_validation():
         InterpolatedTable(np.array([0.0, 1.0]), np.array([np.eye(2), np.full((2, 2), math.nan)]))
     with pytest.raises(ValueError):
         Ball(center_knots=_Knots([0.0], [[math.nan, 0.0]]), radius_knots=_Knots([0.0], [1.0]))
+    # one scalar radius per knot, as a box has one bound vector per knot
+    for radii in ([[1.0, 2.0], [1.0, 2.0]], [[1.0], [2.0]]):
+        with pytest.raises(ValueError, match="radius knots"):
+            Ball(center_knots=_Knots([0.0, 1.0], [[0.0, 0.0], [1.0, 1.0]]),
+                 radius_knots=_Knots([0.0, 1.0], radii))
+    with pytest.raises(ValueError, match="radius knots"):
+        Ball(center_knots=_Knots([0.0, 1.0], [[0.0, 0.0], [1.0, 1.0]]))
     with pytest.raises(ValueError):
         AbsComponent(a=0.0, coord=-1)
     # every constraint family must live in the problem's input space

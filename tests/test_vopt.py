@@ -1,6 +1,5 @@
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -13,10 +12,10 @@ from svikit.problems import (deviation_vop_spec, sine_deviation_spec,
                              triangle_vop_spec)
 from svikit import vopt
 from svikit.setmaps import (AllSpace, Ball, Box, ConstantMatrix, PolytopeSet,
-                            _Knots, merit, merit_many)
+                            _Knots, merit, merit_many, rotation_matrix)
 from svikit.solver import SolverConfig
 from svikit.vopt import (CERTIFIED_EMPTY, FOUND, AbsDeviation, AffineFamily,
-                         GridCoarseWarning, UnsupportedCombination, VopSpec,
+                         UnsupportedCombination, VopSpec,
                          brute_force_ideal, build_vop_problem,
                          decrease_infimum, ideal_value_sweep, solve_ideal)
 
@@ -55,7 +54,7 @@ def test_orientation_resolution_against_the_schedule():
         agree = total = 0
         for p in interior_points(grid):
             expected = schedule_ideal(p)
-            res = brute_force_ideal(spec, p, 16)
+            res = brute_force_ideal(spec, p)
             total += 1
             if expected is None:
                 agree += not res.is_ideal
@@ -82,7 +81,7 @@ def test_build_vop_problem_triangle_vertex_images(triangle_spec):
 
 def test_build_vop_problem_deviation_contains_minimizer():
     spec = deviation_vop_spec([0.0, 0.0], [0.0, 1.0])
-    prob = build_vop_problem(spec, 0.0, image_sampling=9, bounds=([-1.0], [1.0]))
+    prob = build_vop_problem(spec, 0.0, bounds=([-1.0], [1.0]))
     vp = prob.evaluate(0.0, [0.0])
     assert np.all(vp.vertices >= -1e-12)  # x = phi(p) is ideal
     assert merit(prob, 0.0, [0.0]) <= 1e-12
@@ -137,46 +136,17 @@ def test_solve_ideal_triangle_found_and_empty(triangle_spec):
 
 
 def test_brute_force_ideal_examples(triangle_spec):
-    res = brute_force_ideal(triangle_spec, 0.0, 16)
+    res = brute_force_ideal(triangle_spec, 0.0)
     assert res.is_ideal and np.allclose(res.x, [0.0, 0.0], atol=1e-12)
-    res = brute_force_ideal(triangle_spec, math.pi, 16)
+    res = brute_force_ideal(triangle_spec, math.pi)
     assert not res.is_ideal
 
     # deviation objective: the ideal point phi = 0.3 is a spanning point, so
-    # the oracle returns it exactly at any density
+    # the oracle returns it exactly
     spec = deviation_vop_spec([0.3, 0.3], [0.0, 1.0])
-    for grid_density in (1, 101):
-        res = brute_force_ideal(spec, 0.5, grid_density, bounds=([-1.0], [1.0]))
-        assert res.is_ideal
-        assert res.x[0] == pytest.approx(0.3, abs=1e-15)
-
-
-def test_triangle_oracle_decision_does_not_depend_on_density(triangle_spec):
-    # an ideal value of a linear map over a polytope is a vertex image, and
-    # the vertices span the image at every density: 3 decides as 32 does
-    boundary = math.pi / 2
-    for p in np.linspace(boundary - 0.02, boundary + 0.02, 41):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", GridCoarseWarning)
-            coarse = brute_force_ideal(triangle_spec, float(p), 3)
-        assert not coarse.coarse_flip
-        assert coarse.status == brute_force_ideal(triangle_spec, float(p), 32).status
-
-
-def test_brute_force_grid_coarse_warning(triangle_spec, monkeypatch):
-    # the flip bookkeeping: ideal at density d, empty at 2d
-    fine = vopt.OracleResult(status="empty")
-
-    def fake_once(spec, p, density, bounds, tol):
-        if density == 3:
-            return vopt.OracleResult(status="ideal", x=np.zeros(2), value=np.zeros(2))
-        return fine
-
-    monkeypatch.setattr(vopt, "_oracle_once", fake_once)
-    with pytest.warns(GridCoarseWarning):
-        res = brute_force_ideal(triangle_spec, 1.0, 3)
-    assert res is fine
-    assert res.coarse_flip and not res.is_ideal
+    res = brute_force_ideal(spec, 0.5, bounds=([-1.0], [1.0]))
+    assert res.is_ideal
+    assert res.x[0] == pytest.approx(0.3, abs=1e-15)
 
 
 _COMPOSITIONS = {}
@@ -234,9 +204,8 @@ def _grid_worst(spec, p, density, bounds=None, points=None):
             span = float(np.max(np.abs(obj.phi_knots.values))) + 1.0
             bounds = ([-span], [span])
         cands = _box_grid(bounds[0], bounds[1], d)
-    extras = vopt._component_minimizers(spec, p)
-    if extras:
-        cands = np.vstack([cands, np.asarray(extras)])
+    if isinstance(obj, AbsDeviation):
+        cands = np.vstack([cands, constraint.project(np.array([obj.phi(p)]), p)[0]])
     ref = cands
     if obj.is_affine and isinstance(constraint, PolytopeSet):
         ref = constraint.polytope.vertices
@@ -257,13 +226,13 @@ def _grid_oracle(spec, p, density, bounds=None, tol=1e-9):
 
 
 def test_oracle_point_is_a_writable_copy(triangle_spec):
-    res = brute_force_ideal(triangle_spec, 0.0, 16)
+    res = brute_force_ideal(triangle_spec, 0.0)
     assert res.is_ideal and res.x.flags.writeable
     assert not np.shares_memory(res.x, triangle_spec.constraint.polytope.vertices)
 
 
 def test_empty_triangle_row_is_certified_on_the_vertices(triangle_spec, monkeypatch):
-    # the oracle's merit runs over the three vertices only, at both densities
+    # the oracle's merit runs over the three vertices only, in one pass
     rows = []
 
     def counting_merit_many(problem, p, X, kappa=0.0):
@@ -272,21 +241,63 @@ def test_empty_triangle_row_is_certified_on_the_vertices(triangle_spec, monkeypa
 
     monkeypatch.setattr(vopt, "merit_many", counting_merit_many)
     res = solve_ideal(triangle_spec, math.pi, [0.3, 0.3], SolverConfig(rng_seed=0),
-                      alpha_under=DEC_TRIANGLE, certify_empty=True, oracle_density=64)
+                      alpha_under=DEC_TRIANGLE, certify_empty=True)
     assert res.status == CERTIFIED_EMPTY
-    assert rows == [3, 3]
+    assert rows == [3]
 
 
 def test_triangle_oracle_matches_the_grid_oracle_on_257_rows(triangle_spec):
     for p in np.linspace(0.0, 2.0 * math.pi, 257):
-        res = brute_force_ideal(triangle_spec, float(p), 32)
+        res = brute_force_ideal(triangle_spec, float(p))
         status, x = _grid_oracle(triangle_spec, float(p), 32)
         assert res.status == status, f"p={p}"
         assert (x is None and res.x is None) or np.array_equal(res.x, x), f"p={p}"
 
 
+def _sphere(n, count=4000):
+    """A dense, even sample of the unit sphere in R^2 or R^3 (Fibonacci)."""
+    if n == 2:
+        t = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
+        return np.column_stack([np.cos(t), np.sin(t)])
+    z = 1.0 - (2.0 * np.arange(count) + 1.0) / count
+    t = math.pi * (3.0 - math.sqrt(5.0)) * np.arange(count)
+    rho = np.sqrt(1.0 - z * z)
+    return np.column_stack([rho * np.cos(t), rho * np.sin(t), z])
+
+
+def _check_against_the_closed_form(spec, p, tol=1e-9):
+    """On a ball B(c, rho) with f = L x + b, min of w . f over the ball is
+    w . f(c) - rho |L^T w|.  x is ideal iff its scalarization margin, the
+    least of w . f(c) - rho |L^T w| - w . f(x) over the facet rows w, is
+    nonnegative, and the ideal set is one argmin c - rho L^T w / |L^T w| (or
+    the whole ball).  An ideal answer is also checked against a dense sample
+    of the sphere, with cone distances alone."""
+    res = brute_force_ideal(spec, p)
+    (c, rho), obj, W = spec.constraint.data_at(p), spec.objective, spec.cone.facets
+    LW = W @ obj.matrix_at(p)
+    norms = np.linalg.norm(LW, axis=1)
+    low = W @ obj.value(p, c) - rho * norms
+
+    def margin(X):
+        return np.min(low[None] - obj.values_many(p, X) @ W.T, axis=1)
+
+    argmins = np.vstack([c, c - rho * LW[norms > 0] / norms[norms > 0, None]])
+    sphere = c + rho * _sphere(len(c))
+    assert res.status == ("ideal" if margin(argmins).max() >= -tol else "empty")
+    if res.is_ideal:
+        assert margin(res.x[None])[0] >= -tol
+        assert np.linalg.norm(res.x - c) <= rho * (1.0 + 1e-12)
+        gaps = obj.values_many(p, sphere) - obj.value(p, res.x)
+        assert spec.cone.distances(gaps).max() <= tol
+    else:
+        assert margin(np.vstack([c, sphere])).max() < -tol
+
+
 def _check_against_the_grid_oracle(spec, p, density, bounds=None):
-    res = brute_force_ideal(spec, p, density, bounds)
+    if isinstance(spec.constraint, Ball) and spec.constraint.dim >= 2:
+        _check_against_the_closed_form(spec, p)
+        return
+    res = brute_force_ideal(spec, p, bounds)
     assert res.status == _grid_oracle(spec, p, density, bounds)[0]
     if res.is_ideal:  # the exact point is feasible and ideal against the grid
         assert _grid_worst(spec, p, density, bounds, res.x[None])[1][0] <= 1e-9
@@ -311,13 +322,46 @@ def test_exact_oracle_matches_the_grid_oracle_on_affine_instances(seed):
             u = -u
         M = np.outer(u, rng.standard_normal(n))
     obj = AffineFamily(ConstantMatrix(M), offset=rng.standard_normal(m))
-    if rng.random() < 0.5:
+    shape = rng.random()
+    if n >= 2 and shape < 1 / 3:
+        constraint = Ball(center=rng.standard_normal(n), radius=float(rng.uniform(0.1, 2.0)))
+    elif shape < 2 / 3:
         constraint = PolytopeSet(VPolytope(rng.standard_normal((int(rng.integers(1, 6)), n))))
     else:
         lo = rng.standard_normal(n)
         constraint = Box(lower=lo, upper=lo + rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.8))
     spec = VopSpec(obj, constraint, cone, objective_lipschitz=float(np.linalg.norm(M, 2)))
     _check_against_the_grid_oracle(spec, 0.0, 5)
+
+
+def _wedge_instances():
+    """300 affine objectives on the unit disc, ordered by thin wedges
+    cone((1, eps), (-1, eps)) turned by theta (rng seed 1: eps ~ U(0.01, 0.3),
+    theta ~ U(0, 2 pi), Gaussian 2 x 2 L), with the wedge's unit facet
+    normals."""
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        eps, theta = rng.uniform(0.01, 0.3), rng.uniform(0.0, 2.0 * math.pi)
+        L = rng.standard_normal((2, 2))
+        R = rotation_matrix(theta)
+        gens = np.array([[1.0, eps], [-1.0, eps]]) @ R.T
+        normals = np.array([[-eps, 1.0], [eps, 1.0]]) @ R.T / math.hypot(1.0, eps)
+        yield VopSpec(AffineFamily(ConstantMatrix(L)), Ball(center=[0.0, 0.0], radius=1.0),
+                      PolyCone(gens), objective_lipschitz=float(np.linalg.norm(L, 2))), normals
+
+
+def test_ball_oracle_decides_the_scalarizations_on_thin_wedges():
+    # the ideal set is the common argmin of both scalarizations n . L x; on
+    # a thin wedge the two argmins lie close, so a sample of the disc can
+    # read a point near both as ideal
+    verdicts = []
+    for spec, normals in _wedge_instances():
+        L = spec.objective.matrix_at(0.0)
+        argmins = [-(n @ L) / np.linalg.norm(n @ L) for n in normals]
+        margin = max(min(n @ L @ (a - x) for n, a in zip(normals, argmins)) for x in argmins)
+        verdicts.append("ideal" if margin >= -1e-9 else "empty")
+        assert brute_force_ideal(spec, 0.0).status == verdicts[-1]
+    assert verdicts.count("empty") == 300
 
 
 @settings(max_examples=150, deadline=None)
@@ -431,7 +475,7 @@ def test_oracle_agreement_on_a_midsize_grid(triangle_spec):
     table = ideal_value_sweep(triangle_spec, grid, [0.3, 0.3],
                               SolverConfig(rng_seed=0),
                               alpha_under=DEC_TRIANGLE,
-                              with_oracle=True, oracle_density=16)
+                              with_oracle=True)
     statuses = table.meta["statuses"]
     for r, s in zip(table.rows, statuses):
         assert r.solved == (s == "ideal"), f"disagreement at p={r.p}"
