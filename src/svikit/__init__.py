@@ -19,7 +19,6 @@ from .setmaps import (AbsComponent, AllSpace, Ball, Box, ConcaveTerm, FanSpec,
 from .solver import (MaxItersExceeded, NoDescentStep, SolveResult,
                      SolverConfig, caristi_step, segment_step, solve)
 from .vopt import (AbsDeviation, IdealResult, LinearRotation, VopSpec,
-                   brute_force_ideal, build_vop_problem, ideal_value_sweep,
-                   solve_ideal)
+                   brute_force_ideal, ideal_value_sweep, solve_ideal)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -19,7 +19,7 @@ from . import __version__
 from .increase import PropertyAbsent, SamplingConfig, global_infimum
 from .parametric import continuity_report, sweep, write_csv
 from .problems import load_problem_file
-from .setmaps import SviProblem, evaluate, is_all_space, lipschitz_budget, merit
+from .setmaps import KnotRangeError, SviProblem, evaluate, is_all_space, merit
 from .solver import (DescentConstantsError, MaxItersExceeded, NoDescentStep,
                      SolverConfig, solve)
 from .vopt import (FOUND, LinearRotation, VopSpec, decrease_infimum,
@@ -279,7 +279,7 @@ def _cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     n, m = problem.dim_in, problem.dim_out
     cone = problem.cone
-    ell = lipschitz_budget(problem).ell_total
+    ell = problem.ell
     checks = []
 
     def check(name, ok):
@@ -362,7 +362,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _VERBS[args.verb](args)
-    except (UsageError, DescentConstantsError) as err:
+    except (UsageError, DescentConstantsError, KnotRangeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (NoDescentStep, MaxItersExceeded, PropertyAbsent) as err:

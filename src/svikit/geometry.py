@@ -556,13 +556,12 @@ def matvec_rows(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (M @ np.ascontiguousarray(X, dtype=float)[:, :, None])[..., 0]
 
 
-def numgrad(fn_many, x: np.ndarray, h: Optional[float] = None) -> np.ndarray:
+def numgrad(fn_many, x: np.ndarray) -> np.ndarray:
     """Central-difference gradient at x of a function evaluated on the rows
     of a batch: the 2n stencil points x + h e_i, x - h e_i (in that order,
-    by i) in one call.  A function with one column per component gives one
-    gradient column per component."""
-    if h is None:
-        h = 1e-6 * max(1.0, float(np.linalg.norm(x)))
+    by i) in one call, h = 1e-6 max(1, |x|).  A function with one column
+    per component gives one gradient column per component."""
+    h = 1e-6 * max(1.0, float(np.linalg.norm(x)))
     E = h * np.eye(len(x))
     f = fn_many(np.stack([x + E, x - E], axis=1).reshape(-1, len(x)))
     return (f[0::2] - f[1::2]) / (2.0 * h)

@@ -7,8 +7,7 @@ with  B(G(u), alpha*r) subset B(G(x) + C, r)  certifies alpha from below at
 radius r; exhausting the candidate budget at some qualifying radius refutes
 it from above.  The defining property is a small-radius one (it quantifies
 over all r in (0, delta] for some delta), so qualification requires
-witnesses at the smallest tail of the radius schedule rather than at every
-listed radius.
+witnesses at a few small radii (``QUALIFYING_RADII``), not at large ones.
 """
 from __future__ import annotations
 
@@ -24,6 +23,14 @@ from .setmaps import SviProblem, evaluate, is_all_space, merit
 
 MapAt = Callable[[np.ndarray], VPolytope]
 HintFn = Callable[[np.ndarray, float], list]
+
+#: radii that must all carry witnesses, largest first (the first is delta)
+QUALIFYING_RADII = (0.25, 0.125)
+#: step lengths of the sampled candidates, as fractions of the radius
+MAGNITUDES = (1.0, 0.5, 0.25)
+#: the bracket's first alpha (feasibility probe) and its cap
+ALPHA_PROBE = 1.02
+ALPHA_MAX = 16.0
 
 
 class Mode(Enum):
@@ -43,22 +50,11 @@ class HypothesisViolated(ValueError):
 class SamplingConfig:
     """Budgets for witness search and alpha bracketing."""
 
-    radii: tuple = (1.0, 0.5, 0.25, 0.125)
     directions: int = 128
-    refinement_rounds: int = 3
+    refinement_rounds: int = 3  # unread; perfbench's witness recheck still passes it
     tolerance: float = 1e-7
-    alpha_max: float = 16.0
     bracket_rtol: float = 0.01  # stop when alpha_hi - alpha_lo <= rtol * alpha_lo
-    bracket_atol: float = 0.02  # feasibility probe at alpha = 1 + atol
-    magnitudes: tuple = (1.0, 0.5, 0.25)
-    qualifying_radii: int = 2  # smallest radii that must all carry witnesses
     seed: int = 0
-
-    def __post_init__(self):
-        if any(r <= 0 for r in self.radii):
-            raise ValueError("radii must be positive")
-        if list(self.radii) != sorted(self.radii, reverse=True):
-            raise ValueError("radii must be decreasing")
 
 
 @dataclass
@@ -123,14 +119,15 @@ def _gradients(map_at: MapAt, target: SumSet, cone: PolyCone, x: np.ndarray) -> 
 
 
 def _candidates(x: np.ndarray, r: float, grads: list, hints: Optional[HintFn],
-                units: np.ndarray, magnitudes: Sequence[float], rng: np.random.Generator):
+                units: np.ndarray, rng: np.random.Generator):
     """Candidate witnesses in B(x, r), most promising first, as blocks of rows:
     the hints and a step of length r against each of ``grads``, then the
-    ``units`` at each magnitude, rotated by a draw from ``rng`` made lazily."""
+    ``units`` at each of MAGNITUDES, rotated by a draw from ``rng`` made
+    lazily."""
     fixed = [np.asarray(u, dtype=float) for u in (hints(x, r) if hints is not None else ())]
     yield np.array(fixed + [x - (r / n) * g for g, n in grads]).reshape(-1, len(x))
     dirs = units @ seeded_rotation(len(x), rng).T
-    for mag in magnitudes:
+    for mag in MAGNITUDES:
         yield x + (mag * r) * dirs
 
 
@@ -185,7 +182,7 @@ def _witness(s: _Search, alpha: float, r: float, rng: np.random.Generator):
     before the rest."""
     if alpha <= 1 or r <= 0:
         raise ValueError("alpha must exceed 1" if alpha <= 1 else "radius must be positive")
-    blocks = _candidates(s.x, r, s.grads, s.hints, s.units, s.cfg.magnitudes, rng)
+    blocks = _candidates(s.x, r, s.grads, s.hints, s.units, rng)
     U = next(blocks)  # the hint and gradient candidates
     if r not in s.fixed:
         s.fixed[r] = s.images(U)
@@ -231,36 +228,33 @@ def estimate_bound(map_at: MapAt, cone: PolyCone, x,
     rng = _stable_seed(cfg.seed, p_for_seed, x)
     fn = map_at if mode is Mode.INCREASE else (lambda u: -map_at(u))
     search = _Search(fn, cone, x, cfg, hints)
-    k = max(1, min(cfg.qualifying_radii, len(cfg.radii)))
-    qualifying = list(cfg.radii)[-k:]
 
     def qualify(alpha: float) -> Optional[list]:
         wits = []
-        for r in qualifying:
+        for r in QUALIFYING_RADII:
             u = _witness(search, alpha, r, rng)
             if u is None:
                 return None
             wits.append((r, u))
         return wits
 
-    probe = 1.0 + cfg.bracket_atol
-    wits = qualify(probe)
+    wits = qualify(ALPHA_PROBE)
     if wits is None:
-        raise PropertyAbsent(
-            f"no witnesses at alpha = {probe} for the qualifying radii {qualifying}")
+        raise PropertyAbsent(f"no witnesses at alpha = {ALPHA_PROBE} for the "
+                             f"qualifying radii {list(QUALIFYING_RADII)}")
     # double alpha until a refutation (or the cap), then bisect at most 60 times
-    lo, lo_wits, hi, halvings = probe, wits, None, 0
+    lo, lo_wits, hi, halvings = ALPHA_PROBE, wits, None, 0
     while hi is None or (halvings < 60 and hi - lo > cfg.bracket_rtol * lo):
-        a = min(2.0 * lo, cfg.alpha_max) if hi is None else 0.5 * (lo + hi)
+        a = min(2.0 * lo, ALPHA_MAX) if hi is None else 0.5 * (lo + hi)
         halvings += hi is not None
         w = qualify(a)
         if w is None:
             hi = a
         else:
             lo, lo_wits = a, w
-            if a >= cfg.alpha_max:
-                hi = cfg.alpha_max
-    return IncreaseEstimate(x=x, alpha_lo=lo, alpha_hi=hi, delta_used=max(qualifying),
+            if a >= ALPHA_MAX:
+                hi = ALPHA_MAX
+    return IncreaseEstimate(x=x, alpha_lo=lo, alpha_hi=hi, delta_used=QUALIFYING_RADII[0],
                             witnesses=lo_wits, mode=mode)
 
 

@@ -231,11 +231,10 @@ def sweep(problem, grid: Sequence[float], x_init,
     return SweepTable(rows=rows, meta=meta)
 
 
-def continuity_report(table: SweepTable,
-                      threshold_ratio: Optional[float] = None) -> ContinuityReport:
+def continuity_report(table: SweepTable) -> ContinuityReport:
     """Step-ratio diagnostic over consecutive solved rows: a numerical
-    surrogate for continuity of the tracked selection.  The default
-    threshold is 10x the median ratio (scale-free jump detection)."""
+    surrogate for continuity of the tracked selection.  A step is flagged
+    above 10x the median ratio (scale-free jump detection)."""
     if len(table.rows) < 2:
         raise TooFewRows("continuity diagnostics need at least two rows")
     ratios, idx_pairs = [], []
@@ -248,8 +247,7 @@ def continuity_report(table: SweepTable,
             continue
         ratios.append(float(np.linalg.norm(b.x - a.x)) / dp)
         idx_pairs.append(i + 1)
-    if threshold_ratio is None:
-        threshold_ratio = 10.0 * float(np.median(ratios)) if ratios else math.inf
+    threshold_ratio = 10.0 * float(np.median(ratios)) if ratios else math.inf
     flags = [i for i, rr in zip(idx_pairs, ratios) if rr > threshold_ratio]
     unsolved = []
     start = None

@@ -6,7 +6,7 @@ F(p, x) = M(p) x + h(x) + H(x)  subset-of  C.
 beyond C, optionally penalized by kappa * dist(x, R(p)), for every row of a
 batch (``merit`` is its one-row view).  It serves every problem object with
 ``evaluate_many``, ``cone`` and ``constraint`` (SviProblem here, VopProblem
-in vopt).
+in vopt); the solver also reads their ``ell``.
 
 The catalog is deliberately narrow so that concavity and Lipschitz constants
 are declared and machine-checkable instead of inferred from arbitrary code.
@@ -27,9 +27,14 @@ from .geometry import (PolyCone, VPolytope, _as_points, as_vector, dist_many,
 # 1-D linear interpolation on knot tables
 # ---------------------------------------------------------------------------
 
+class KnotRangeError(ValueError):
+    """A parameter outside a knot table's range: the problem data does not
+    cover it."""
+
+
 class _Knots:
     """Linear interpolation of vector/matrix values on strictly increasing
-    parameter knots; evaluation outside the knot range is an error."""
+    parameter knots; evaluation outside the knot range is a KnotRangeError."""
 
     def __init__(self, ps, values):
         self.ps = np.asarray(ps, dtype=float)
@@ -46,10 +51,10 @@ class _Knots:
     def at(self, p: float) -> np.ndarray:
         if len(self.ps) == 1:
             if not math.isclose(p, self.ps[0], rel_tol=0, abs_tol=1e-12):
-                raise ValueError(f"parameter {p} outside knot range")
+                raise KnotRangeError(f"parameter {p} outside knot range")
             return self.values[0].copy()
         if p < self.ps[0] - 1e-12 or p > self.ps[-1] + 1e-12:
-            raise ValueError(
+            raise KnotRangeError(
                 f"parameter {p} outside knot range [{self.ps[0]}, {self.ps[-1]}]")
         p = min(max(p, self.ps[0]), self.ps[-1])
         j = int(np.searchsorted(self.ps, p, side="right")) - 1
@@ -372,6 +377,8 @@ class Ball:
                 raise ValueError("ball center knots must be vectors")
             if self.radius_knots is None or self.radius_knots.values.ndim != 1:
                 raise ValueError("ball radius knots must be scalars, one per knot")
+            if not np.array_equal(self.center_knots.ps, self.radius_knots.ps):
+                raise ValueError("ball center and radius knots must share their parameters")
             radii = self.radius_knots.values
         # interpolating between valid knots keeps the radius valid
         if not np.all(np.isfinite(radii) & (radii >= 0)):
@@ -501,6 +508,11 @@ class SviProblem:
     @property
     def dim_out(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def ell(self) -> float:
+        """Lipschitz budget of the perturbation terms, the solver's ell."""
+        return lipschitz_budget(self).ell_total
 
     def evaluate(self, p: float, x) -> VPolytope:
         return evaluate(self, p, x)

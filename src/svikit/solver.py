@@ -22,7 +22,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import as_vector, numgrad, row_norms, seeded_rotation, unit_directions
-from .setmaps import SviProblem, is_all_space, lipschitz_budget, merit_many
+from .setmaps import is_all_space, merit_many
+
+#: the sampled descent's first radius and its shrink factor per round
+RADIUS0 = 1.0
+RADIUS_DECAY = 0.5
+#: sampled directions per radius, and the radius at which the search stops
+DIRECTION_SAMPLES = 64
+MIN_RADIUS = 1e-13
+#: acceptance constant of best-effort runs on floor constants
+MIN_DESCENT = 0.05
 
 
 class NoDescentStep(Exception):
@@ -57,25 +66,18 @@ class SolverConfig:
 
     ``alpha`` is the descent constant of the unconstrained rule (must exceed
     1); constrained runs use the pair (alpha_tilde, alpha) with alpha inside
-    ((alpha_tilde - ell + 1)/2, alpha_tilde - ell).  ``ell`` is the declared
-    Lipschitz budget of the perturbation terms (taken from the problem when
-    absent).  ``allow_uncertified`` lets runs proceed with floor constants
+    ((alpha_tilde - ell + 1)/2, alpha_tilde - ell), ell being the problem's
+    ``ell``.  ``allow_uncertified`` lets runs proceed with floor constants
     when the constrained interval is empty; their certificates then use the
     actual acceptance constant.
     """
 
     alpha: Optional[float] = None
     alpha_tilde: Optional[float] = None
-    ell: Optional[float] = None
     tol: float = 1e-8
     max_iters: int = 10_000
-    radius0: float = 1.0
-    radius_decay: float = 0.5
-    direction_samples: int = 64
     rng_seed: int = 0
-    min_radius: float = 1e-13
     allow_uncertified: bool = False
-    min_descent: float = 0.05
 
 
 @dataclass(slots=True)
@@ -173,13 +175,13 @@ def caristi_step(merit_many: Callable[[np.ndarray], np.ndarray], x, descent_k: f
             return out
     n = len(x)
     rng = np.random.default_rng([cfg.rng_seed, step_seed])
-    dirs = unit_directions(n, cfg.direction_samples) @ seeded_rotation(n, rng).T
+    dirs = unit_directions(n, DIRECTION_SAMPLES) @ seeded_rotation(n, rng).T
 
     # acceptance needs descent_k * ||u - x|| <= fx, so larger radii are futile
-    r = min(cfg.radius0, fx / descent_k)
+    r = min(RADIUS0, fx / descent_k)
     radii_tried = []
     prev_best_slope, stable = None, 0
-    while r > cfg.min_radius:
+    while r > MIN_RADIUS:
         radii_tried.append(r)
         U = x + r * dirs
         if grad_dir is not None:
@@ -198,7 +200,7 @@ def caristi_step(merit_many: Callable[[np.ndarray], np.ndarray], x, descent_k: f
             else:
                 stable = 0
         prev_best_slope = best_slope
-        r *= cfg.radius_decay
+        r *= RADIUS_DECAY
     return StepOutcome("no_step", radii_tried=tuple(radii_tried), merit=fx)
 
 
@@ -231,7 +233,8 @@ def _resolve_alpha_estimate(problem, p: float, cfg: SolverConfig) -> float:
 def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveResult:
     """Run the descent to merit <= tol and certify the error bound.
 
-    ``problem`` needs .cone, .constraint, and .evaluate(p, x); constrained
+    ``problem`` needs ``evaluate_many(p, X)``, ``cone``, ``constraint`` and
+    ``ell`` (the Lipschitz budget of its perturbation terms); constrained
     mode engages whenever the constraint is not the whole space.  The
     returned certificate compares ||x_final - x0|| against the initial
     penalized merit divided by the run's acceptance constant.
@@ -240,13 +243,7 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
     x0 = as_vector(x0)
     constraint = problem.constraint
     constrained = not is_all_space(constraint)
-
-    if cfg.ell is not None:
-        ell = float(cfg.ell)
-    elif isinstance(problem, SviProblem):
-        ell = lipschitz_budget(problem).ell_total
-    else:
-        ell = 0.0
+    ell = float(problem.ell)
 
     certified_constants = True
     if not constrained:
@@ -282,7 +279,7 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
                     "set allow_uncertified to run with floor constants")
             alpha = alpha_tilde  # placeholder; the rule below runs on floors
             kappa = max(1.0, ell * 0.5)
-            k_run = cfg.min_descent
+            k_run = MIN_DESCENT
             alpha_hi_limit = None
             certified_constants = False
 
@@ -306,7 +303,7 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
             if dx > cfg.tol:
                 # exact feasibility restoration candidates (segment steps)
                 extras.append(segment_step(x, constraint, p, dx))
-                r_seg = min(dx, cfg.radius0)
+                r_seg = min(dx, RADIUS0)
                 if r_seg < dx:
                     extras.append(segment_step(x, constraint, p, r_seg))
         out = caristi_step(psit, x, k_run, cfg, step_seed=iterations,
@@ -329,7 +326,7 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
             elif alpha_hi_limit is not None:
                 alpha = 0.5 * (alpha + alpha_hi_limit)
                 new_kappa = alpha_tilde - alpha
-                k_run = max(alpha_tilde - alpha - ell, cfg.min_descent)
+                k_run = max(alpha_tilde - alpha - ell, MIN_DESCENT)
                 kappa = new_kappa
             else:
                 k_run = max(0.5 * k_run, 1e-6)

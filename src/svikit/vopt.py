@@ -6,11 +6,11 @@ difference is itself a parameterized inclusion problem, so existence is
 decided by the same descent machinery, with the objective's cone-decrease
 bound playing the role of the increase constant.  The inclusion is checked
 at a few points of R(p) whose images decide it exactly: a polytope's
-vertices, the corners of a box or of the whole-space bounds, or the ends of
-a 1-D interval, with proj phi(p) for the deviation objective.  On a ball in
-n >= 2 (where the objective is affine) they are its centre and the argmins
-of the scalarizations w . f, one per facet row w of the cone: a point is
-ideal iff it minimizes every one of them.
+vertices, the corners of a box, or the ends of a 1-D interval, with
+proj phi(p) for the deviation objective.  On a ball in n >= 2 (where the
+objective is affine) they are its centre and the argmins of the
+scalarizations w . f, one per facet row w of the cone: a point is ideal iff
+it minimizes every one of them.
 """
 from __future__ import annotations
 
@@ -28,9 +28,9 @@ from .increase import (InfimumResult, Mode, SamplingConfig, estimate_bound,
                        hints_for_matrix, infimum_over_samples,
                        nonsolution_pairs)
 from .parametric import SweepRow, SweepTable, _problem_hash
-from .setmaps import (AllSpace, Ball, Box, ConstraintFamily, PolytopeSet,
-                      _Knots, constraint_from_dict, is_all_space,
-                      matrix_family_from_dict, merit_many, rotation_matrix)
+from .setmaps import (Ball, Box, ConstraintFamily, PolytopeSet, _Knots,
+                      constraint_from_dict, is_all_space, matrix_family_from_dict,
+                      merit_many, rotation_matrix)
 from .solver import (MaxItersExceeded, NoDescentStep, SolveResult,
                      SolverConfig, solve)
 
@@ -226,13 +226,14 @@ def vop_spec_from_dict(d: dict) -> VopSpec:
 # points that decide ideality
 # ---------------------------------------------------------------------------
 
-def span_points(spec: VopSpec, p: float, bounds=None) -> np.ndarray:
+def span_points(spec: VopSpec, p: float) -> np.ndarray:
     """Points s of R(p) such that x is ideal iff every f(p, s) - f(p, x) lies
-    in the cone: a polytope's vertices, the corners of a box or of the
-    whole-space ``bounds`` or the ends of a 1-D ball, with proj phi(p) for
-    the deviation objective.  On a ball B(c, rho) in n >= 2, where f is
-    affine, they are c and the argmin c - rho L^T w / |L^T w| of each
-    scalarization w . f, w a facet row of the cone with L^T w != 0."""
+    in the cone: a polytope's vertices, the corners of a box or the ends of
+    a 1-D ball, with proj phi(p) for the deviation objective (over the whole
+    space, with the ends of phi's range widened by one).  On a ball B(c, rho)
+    in n >= 2, where f is affine, they are c and the argmin
+    c - rho L^T w / |L^T w| of each scalarization w . f, w a facet row of the
+    cone with L^T w != 0."""
     constraint, obj = spec.constraint, spec.objective
     if isinstance(constraint, Ball) and constraint.dim >= 2:
         c, r = constraint.data_at(p)
@@ -244,13 +245,14 @@ def span_points(spec: VopSpec, p: float, bounds=None) -> np.ndarray:
     elif isinstance(constraint, Ball):
         c, r = constraint.data_at(p)
         pts = np.array([c - r, c + r])
-    elif isinstance(constraint, Box) or bounds is not None:
-        lo, hi = (constraint.bounds_at(p) if isinstance(constraint, Box)
-                  else (as_vector(bounds[0]), as_vector(bounds[1])))
-        pts = np.array(list(itertools.product(*zip(lo, hi))), float)
+    elif isinstance(constraint, Box):
+        pts = np.array(list(itertools.product(*zip(*constraint.bounds_at(p)))), float)
+    elif isinstance(obj, AbsDeviation):
+        span = float(np.max(np.abs(obj.phi_knots.values))) + 1.0
+        pts = np.array([[-span], [span]])
     else:
         raise UnsupportedCombination(
-            f"no spanning points for {type(constraint).__name__} without bounds")
+            "affine objectives over the whole space have no bounded image")
     if isinstance(obj, AbsDeviation):
         pts = np.vstack([pts, constraint.project(np.array([obj.phi(p)]), p)[0]])
     return pts
@@ -266,23 +268,23 @@ class VopProblem:
     x -> {f(p, s) - f(p, x) : s spanning R(p)} must land in the cone."""
 
     spec: VopSpec
-    bounds: object = None
+    # the increase constant of a whole-space (unconstrained) solve
     declared_alpha: Optional[float] = None
     _image_cache: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        obj = self.spec.objective
-        if is_all_space(self.spec.constraint):
-            if obj.is_affine:
-                raise UnsupportedCombination(
-                    "affine objectives over the whole space have no bounded image")
-            if self.bounds is None:  # the deviation objective: phi's range, widened
-                span = float(np.max(np.abs(obj.phi_knots.values))) + 1.0
-                self.bounds = (np.array([-span]), np.array([span]))
+        if is_all_space(self.spec.constraint) and self.spec.objective.is_affine:
+            raise UnsupportedCombination(
+                "affine objectives over the whole space have no bounded image")
 
     @property
     def cone(self) -> PolyCone:
         return self.spec.cone
+
+    @property
+    def ell(self) -> float:
+        """The objective's Lipschitz constant, the solver's ell."""
+        return self.spec.objective_lipschitz
 
     @property
     def constraint(self) -> ConstraintFamily:
@@ -297,7 +299,7 @@ class VopProblem:
     def _cached(self, p: float):
         key = round(float(p), 12)
         if key not in self._image_cache:
-            pts = span_points(self.spec, p, self.bounds)
+            pts = span_points(self.spec, p)
             self._image_cache[key] = (pts, self.spec.objective.values_many(p, pts))
         return self._image_cache[key]
 
@@ -313,14 +315,6 @@ class VopProblem:
         return self.spec.to_dict()
 
 
-def build_vop_problem(spec: VopSpec, p: float, bounds=None) -> VopProblem:
-    """Validate the objective/constraint pairing and return the evaluator
-    x -> {f(p, s) - f(p, x)}; usable at other p values as well."""
-    prob = VopProblem(spec, bounds=bounds)
-    prob.feasible_samples(p)  # force validation at the requested parameter
-    return prob
-
-
 # ---------------------------------------------------------------------------
 # decrease-bound estimation
 # ---------------------------------------------------------------------------
@@ -333,12 +327,11 @@ def decrease_hints(spec: VopSpec, p: float):
 
 
 def decrease_infimum(spec: VopSpec, p_grid: Sequence[float], x_samples,
-                     cfg: Optional[SamplingConfig] = None,
-                     bounds=None) -> InfimumResult:
+                     cfg: Optional[SamplingConfig] = None) -> InfimumResult:
     """Sampled estimate of the global cone-decrease constant of the
     objective over feasible non-ideal points."""
     cfg = cfg or SamplingConfig()
-    prob = VopProblem(spec, bounds=bounds)
+    prob = VopProblem(spec)
     pairs = nonsolution_pairs(prob, p_grid, x_samples, spec.objective.dim_in, cfg,
                               project=True)
     obj = spec.objective
@@ -351,6 +344,9 @@ def decrease_infimum(spec: VopSpec, p_grid: Sequence[float], x_samples,
 # ---------------------------------------------------------------------------
 # solving and the brute-force oracle
 # ---------------------------------------------------------------------------
+
+#: merit below which the oracle reads a spanning point as ideal
+ORACLE_TOL = 1e-9
 
 FOUND = "found"
 NOT_FOUND = "not_found"
@@ -379,7 +375,7 @@ class IdealResult:
 
 
 def solve_ideal(spec: VopSpec, p: float, x0, cfg: Optional[SolverConfig] = None,
-                alpha_under: Optional[float] = None, bounds=None,
+                alpha_under: Optional[float] = None,
                 certify_empty: bool = False) -> IdealResult:
     """Run the constrained descent on the built inclusion problem.
 
@@ -391,7 +387,8 @@ def solve_ideal(spec: VopSpec, p: float, x0, cfg: Optional[SolverConfig] = None,
     (``brute_force_ideal``), which ``certify_empty`` runs on an unsolved run.
     """
     cfg = cfg or SolverConfig()
-    prob = build_vop_problem(spec, p, bounds)
+    prob = VopProblem(spec)
+    prob.feasible_samples(p)  # rejects data that does not cover p before any estimate
     if alpha_under is None:
         if cfg.alpha_tilde is not None:
             alpha_under = cfg.alpha_tilde
@@ -402,9 +399,7 @@ def solve_ideal(spec: VopSpec, p: float, x0, cfg: Optional[SolverConfig] = None,
                 mode=Mode.DECREASE, hints=decrease_hints(spec, p), p_for_seed=p)
             alpha_under = est.alpha_lo
     prob.declared_alpha = float(alpha_under)
-    run_cfg = replace(cfg, alpha_tilde=float(alpha_under),
-                      ell=spec.objective_lipschitz if cfg.ell is None else cfg.ell,
-                      allow_uncertified=True)
+    run_cfg = replace(cfg, alpha_tilde=float(alpha_under), allow_uncertified=True)
     try:
         res = solve(prob, p, x0, run_cfg)
     except (NoDescentStep, MaxItersExceeded):
@@ -419,24 +414,24 @@ def solve_ideal(spec: VopSpec, p: float, x0, cfg: Optional[SolverConfig] = None,
         out = IdealResult(status=NOT_FOUND, merit_final=res.merit_final,
                           solve_result=res)
     if certify_empty:
-        oracle = brute_force_ideal(spec, p, bounds)
+        oracle = brute_force_ideal(spec, p)
         out.oracle = oracle
         if not oracle.is_ideal:
             out.status = CERTIFIED_EMPTY
     return out
 
 
-def brute_force_ideal(spec: VopSpec, p: float, bounds=None,
-                      tol: float = 1e-9) -> OracleResult:
+def brute_force_ideal(spec: VopSpec, p: float) -> OracleResult:
     """Exact oracle for ideal efficiency: one batched merit over the points
-    that decide ideality (``span_points``); the first within tol is returned.
+    that decide ideality (``span_points``); the first within ORACLE_TOL is
+    returned.
     An affine objective's ideal set is the intersection of the argmin sets of
     the scalarizations w . f, so it holds a polytope or box vertex, or one
     ball argmin (the whole ball when f is constant), when nonempty; the
     deviation objective's images lie on a segment spanned by the points."""
-    prob = VopProblem(spec, bounds=bounds)
+    prob = VopProblem(spec)
     pts = prob.feasible_samples(p)
-    hits = np.flatnonzero(merit_many(prob, p, pts) <= tol)
+    hits = np.flatnonzero(merit_many(prob, p, pts) <= ORACLE_TOL)
     if hits.size:
         i = int(hits[0])
         return OracleResult(status="ideal", x=np.array(pts[i], float),
@@ -446,7 +441,7 @@ def brute_force_ideal(spec: VopSpec, p: float, bounds=None,
 
 def ideal_value_sweep(spec: VopSpec, grid: Sequence[float], x_init,
                       cfg: Optional[SolverConfig] = None,
-                      alpha_under: Optional[float] = None, bounds=None,
+                      alpha_under: Optional[float] = None,
                       with_oracle: bool = False,
                       oracle_density: Optional[int] = None) -> SweepTable:
     """Warm-started ideal-efficiency sweep; rows carry the ideal point and
@@ -462,15 +457,14 @@ def ideal_value_sweep(spec: VopSpec, grid: Sequence[float], x_init,
     if alpha_under is None:
         mid = grid[len(grid) // 2]
         est = decrease_infimum(spec, [grid[0], mid], 4,
-                               SamplingConfig(bracket_rtol=0.05, seed=cfg.rng_seed),
-                               bounds)
+                               SamplingConfig(bracket_rtol=0.05, seed=cfg.rng_seed))
         alpha_under = est.alpha
     t0 = time.perf_counter()
     rows, statuses = [], []
     x_start = as_vector(x_init)
     for p in grid:
         res = solve_ideal(spec, p, x_start, cfg, alpha_under=alpha_under,
-                          bounds=bounds, certify_empty=with_oracle)
+                          certify_empty=with_oracle)
         if res.status == FOUND:
             sr = res.solve_result
             rows.append(SweepRow(p=p, x=res.x, merit=res.merit_final,
@@ -488,7 +482,7 @@ def ideal_value_sweep(spec: VopSpec, grid: Sequence[float], x_init,
                                  value=np.full(spec.objective.dim_out, math.nan)))
         if with_oracle:
             oracle = (res.oracle if res.oracle is not None
-                      else brute_force_ideal(spec, p, bounds))
+                      else brute_force_ideal(spec, p))
             statuses.append(oracle.status)
         else:
             statuses.append(res.status)

@@ -16,8 +16,9 @@ from svikit.problems import (boxed_rotation_problem, deviation_vop_spec,
                              rotation_inclusion_problem, triangle_vop_spec)
 from svikit.setmaps import (Ball, ConstantMatrix, SviProblem, _Knots, evaluate,
                             merit, merit_many)
+from svikit import solver
 from svikit.solver import SolverConfig, caristi_step, segment_step
-from svikit.vopt import VopProblem, build_vop_problem
+from svikit.vopt import VopProblem
 
 P = 0.7
 
@@ -30,9 +31,8 @@ def _problems():
     probs["knotted ball"] = rotation_inclusion_problem(constraint=Ball(
         center_knots=_Knots(ps, [[0.0, 0.0], [0.5, -1.0], [1.0, 1.0]]),
         radius_knots=_Knots(ps, [1.0, 0.25, 2.0])))
-    probs["triangle"] = build_vop_problem(triangle_vop_spec(clockwise=True), P)
-    probs["deviation"] = build_vop_problem(
-        deviation_vop_spec([0.0, 1.0, -0.5], [0.0, 1.0, 2.0]), P)
+    probs["triangle"] = VopProblem(triangle_vop_spec(clockwise=True))
+    probs["deviation"] = VopProblem(deviation_vop_spec([0.0, 1.0, -0.5], [0.0, 1.0, 2.0]))
     return probs
 
 
@@ -133,9 +133,9 @@ def _sequential_step(merit_fn, x, k, cfg, step_seed, extras=()):
             if accept(u):
                 return "accepted", u, []
     rng = np.random.default_rng([cfg.rng_seed, step_seed])
-    dirs = unit_directions(len(x), cfg.direction_samples) @ seeded_rotation(len(x), rng).T
-    r, prev, stable, radii = min(cfg.radius0, fx / k), None, 0, []
-    while r > cfg.min_radius:
+    dirs = unit_directions(len(x), solver.DIRECTION_SAMPLES) @ seeded_rotation(len(x), rng).T
+    r, prev, stable, radii = min(solver.RADIUS0, fx / k), None, 0, []
+    while r > solver.MIN_RADIUS:
         radii.append(r)
         if gd is not None and accept(x - r * gd):
             return "accepted", x - r * gd, radii
@@ -153,7 +153,7 @@ def _sequential_step(merit_fn, x, k, cfg, step_seed, extras=()):
             else:
                 stable = 0
         prev = best
-        r *= cfg.radius_decay
+        r *= solver.RADIUS_DECAY
     return "no_step", None, radii
 
 

@@ -118,6 +118,25 @@ def test_usage_errors(problem_files, tmp_path, capsys):
          "--orientation", "cw"],
         ["estimate-inc", "--problem", rot, "--p", "0.4", "--p-grid", "0:1:3"],
     ]
+    # parameters outside a knot table's range: the problem data does not
+    # cover them
+    knotted = rotation_inclusion_problem().to_dict()
+    knotted["matrix"] = {"variant": "interpolated", "knots": [
+        {"p": 0.0, "matrix": [[3.0, 0.0], [0.0, 3.0]]},
+        {"p": 7.0, "matrix": [[0.0, -3.0], [3.0, 0.0]]}]}
+    knotted_ball = triangle_vop_spec().to_dict()
+    knotted_ball["constraint"] = {"variant": "ball", "knots": [
+        {"p": 0.0, "center": [0.0, 0.0], "radius": 1.0},
+        {"p": 7.0, "center": [1.0, 0.0], "radius": 0.5}]}
+    knotted_path, ball_path = tmp_path / "knotted.json", tmp_path / "knotted_ball.json"
+    knotted_path.write_text(json.dumps(knotted))
+    ball_path.write_text(json.dumps(knotted_ball))
+    bad_args += [
+        ["solve", "--problem", str(knotted_path), "--p", "8", "--x0", "0,0"],
+        ["sweep", "--problem", str(knotted_path), "--grid", "6:8:3", "--x0", "0,0"],
+        ["estimate-inc", "--problem", str(knotted_path), "--p", "8"],
+        ["vopt", "--problem", str(ball_path), "--p", "8", "--x0", "0.3,0.3"],
+    ]
     for argv in bad_args:
         assert main(argv) == 1, argv
     # malformed problem data is rejected at load, not mid-solve

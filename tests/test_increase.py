@@ -66,7 +66,7 @@ def reference_check(map_at, cone, x, alpha, r, cfg, hints):
     rng = increase._stable_seed(cfg.seed, None, x)
     grads = increase._gradients(map_at, target, cone, x)
     gen = itertools.chain.from_iterable(increase._candidates(
-        x, r, grads, hints, unit_directions(len(x), cfg.directions), cfg.magnitudes, rng))
+        x, r, grads, hints, unit_directions(len(x), cfg.directions), rng))
     for u in itertools.chain(itertools.islice(gen, 8), gen):
         if np.linalg.norm(u - x) <= 1e-15:
             continue
@@ -118,7 +118,7 @@ def test_gradient_heuristics_match_one_stencil_per_heuristic():
         cfg = SamplingConfig()
         gen = itertools.chain.from_iterable(increase._candidates(
             x, r, increase._gradients(map_at, target, cone, x), None,
-            unit_directions(len(x), cfg.directions), cfg.magnitudes, np.random.default_rng(0)))
+            unit_directions(len(x), cfg.directions), np.random.default_rng(0)))
         got = list(itertools.islice(gen, len(want)))
         assert np.allclose(got, want, rtol=0, atol=1e-9), seed
 
@@ -130,30 +130,29 @@ def reference_bracket(map_at, cone, x, cfg, mode, hints, p):
     x = np.asarray(x, dtype=float)
     rng = increase._stable_seed(cfg.seed, p, x)
     fn = map_at if mode is Mode.INCREASE else (lambda u: -map_at(u))
-    qualifying = list(cfg.radii)[-cfg.qualifying_radii:]
 
     def qualify(alpha):
         wits = []
-        for r in qualifying:
+        for r in increase.QUALIFYING_RADII:
             u = check_increase(fn, cone, x, alpha, r, cfg, hints, rng)
             if u is None:
                 return None
             wits.append((r, u))
         return wits
 
-    lo = a = 1.0 + cfg.bracket_atol
+    lo = a = increase.ALPHA_PROBE
     lo_wits, hi = qualify(lo), None
     if lo_wits is None:
         return None
     while hi is None:
-        a = min(2.0 * a, cfg.alpha_max)
+        a = min(2.0 * a, increase.ALPHA_MAX)
         w = qualify(a)
         if w is None:
             hi = a
         else:
             lo, lo_wits = a, w
-            if a >= cfg.alpha_max:
-                hi = cfg.alpha_max
+            if a >= increase.ALPHA_MAX:
+                hi = increase.ALPHA_MAX
     for _ in range(60):
         if hi - lo <= cfg.bracket_rtol * lo:
             break
@@ -205,7 +204,7 @@ def test_estimate_bound_evaluates_the_shared_points_once(plane_orthant):
     grads = increase._gradients(g, SumSet(g(x), plane_orthant), plane_orthant, x)
     assert len(grads) == 2
     want = collections.Counter(
-        u.tobytes() for r in cfg.radii[-cfg.qualifying_radii:]
+        u.tobytes() for r in increase.QUALIFYING_RADII
         for u in [*hints(x, r), *(x - (r / n) * v for v, n in grads)])
     assert {u: calls[u] for u in want} == want
 
@@ -270,13 +269,12 @@ def test_bracket_refutation_survives_denser_sampling(plane_orthant):
     cfg = SamplingConfig()
     est = estimate_bound(g, plane_orthant, [0.0, 0.0], cfg,
                          hints=hints_for_matrix(Q, plane_orthant))
-    assert est.alpha_hi < cfg.alpha_max
+    assert est.alpha_hi < increase.ALPHA_MAX
     dense = SamplingConfig(directions=4 * cfg.directions)
-    qualifying = list(dense.radii)[-dense.qualifying_radii:]
     found = all(
         check_increase(g, plane_orthant, [0.0, 0.0], est.alpha_hi, r, dense,
                        hints=hints_for_matrix(Q, plane_orthant)) is not None
-        for r in qualifying)
+        for r in increase.QUALIFYING_RADII)
     assert not found  # the refutation at alpha_hi is genuine
 
 

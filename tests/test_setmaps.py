@@ -6,9 +6,10 @@ import pytest
 from svikit.geometry import orthant
 from svikit.setmaps import (AbsComponent, AllSpace, Ball, Box, ConcaveTerm,
                             ConstantMatrix, FanSpec, InterpolatedTable,
-                            PolytopeSet, RotationScaled, SviProblem, _Knots,
-                            constraint_from_dict, evaluate, is_all_space,
-                            lipschitz_budget, merit, problem_from_dict)
+                            KnotRangeError, PolytopeSet, RotationScaled,
+                            SviProblem, _Knots, constraint_from_dict, evaluate,
+                            is_all_space, lipschitz_budget, merit,
+                            problem_from_dict)
 from svikit.geometry import VPolytope
 from svikit.vopt import LinearRotation, VopSpec
 
@@ -71,6 +72,7 @@ def test_lipschitz_budget(rotation_problem):
     assert b.ell_h == pytest.approx(0.25)
     assert b.ell_fan == pytest.approx(0.25)
     assert b.ell_total == pytest.approx(0.5)
+    assert rotation_problem.ell == b.ell_total  # the solver's ell
 
     bare = SviProblem(matrix=ConstantMatrix(np.eye(2)), cone=orthant(2))
     assert lipschitz_budget(bare).ell_total == 0.0
@@ -131,7 +133,7 @@ def test_interpolated_table_range_error():
                             np.array([np.eye(2), 2 * np.eye(2)]))
     assert np.allclose(tab.matrix_at(0.5), 1.5 * np.eye(2))
     prob = SviProblem(matrix=tab, cone=orthant(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(KnotRangeError):
         evaluate(prob, 2.0, [0.0, 0.0])
 
 
@@ -201,6 +203,14 @@ def test_constraint_data_validation():
     with pytest.raises(ValueError):  # reads x[2] of a 2-D input
         SviProblem(matrix=RotationScaled(1.0), cone=orthant(2),
                    h=ConcaveTerm((AbsComponent(a=0.0), AbsComponent(a=0.0, coord=2))))
+
+
+def test_ball_knot_tables_share_their_parameters():
+    # centre and radius tables on different parameters would serialise as
+    # one zipped table that is neither
+    with pytest.raises(ValueError, match="share their parameters"):
+        Ball(center_knots=_Knots([0.0, 1.0], [[0.0, 0.0], [1.0, 1.0]]),
+             radius_knots=_Knots([0.0, 2.0, 3.0], [1.0, 1.0, 2.0]))
 
 
 def test_problem_dict_round_trip(rotation_problem, boxed_problem):

@@ -123,11 +123,10 @@ def test_constrained_solve_certificates(boxed_problem):
 def test_constrained_alpha_interval_validation(boxed_problem):
     with pytest.raises(ValueError):
         solve(boxed_problem, 0.0, [0.0, 0.0],
-              SolverConfig(alpha=1.5, alpha_tilde=1.56, ell=0.5))
+              SolverConfig(alpha=1.5, alpha_tilde=1.56))
     with pytest.raises(ValueError):
-        # empty interval without the escape hatch
-        solve(boxed_problem, 0.0, [0.0, 0.0],
-              SolverConfig(alpha_tilde=1.2, ell=0.9))
+        # empty interval without the escape hatch (the problem's ell is 0.5)
+        solve(boxed_problem, 0.0, [0.0, 0.0], SolverConfig(alpha_tilde=1.2))
 
 
 def test_determinism(rotation_problem):

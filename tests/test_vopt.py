@@ -15,9 +15,9 @@ from svikit.setmaps import (AllSpace, Ball, Box, ConstantMatrix, PolytopeSet,
                             _Knots, merit, merit_many, rotation_matrix)
 from svikit.solver import SolverConfig
 from svikit.vopt import (CERTIFIED_EMPTY, FOUND, AbsDeviation, AffineFamily,
-                         UnsupportedCombination, VopSpec,
-                         brute_force_ideal, build_vop_problem,
-                         decrease_infimum, ideal_value_sweep, solve_ideal)
+                         UnsupportedCombination, VopProblem, VopSpec,
+                         brute_force_ideal, decrease_infimum, ideal_value_sweep,
+                         solve_ideal)
 
 SQRT2 = math.sqrt(2.0)
 DEC_TRIANGLE = 1.0 / SQRT2 + 1.0
@@ -71,7 +71,7 @@ def test_orientation_resolution_against_the_schedule():
 
 
 def test_build_vop_problem_triangle_vertex_images(triangle_spec):
-    prob = build_vop_problem(triangle_spec, 0.0)
+    prob = VopProblem(triangle_spec)
     vp = prob.evaluate(0.0, [0.0, 0.0])
     got = sorted(map(tuple, np.round(vp.vertices, 12).tolist()))
     # at p = 0 the objective is the identity: images of the three vertices
@@ -81,7 +81,7 @@ def test_build_vop_problem_triangle_vertex_images(triangle_spec):
 
 def test_build_vop_problem_deviation_contains_minimizer():
     spec = deviation_vop_spec([0.0, 0.0], [0.0, 1.0])
-    prob = build_vop_problem(spec, 0.0, bounds=([-1.0], [1.0]))
+    prob = VopProblem(spec)  # spanned over [-1, 1], phi's range widened by one
     vp = prob.evaluate(0.0, [0.0])
     assert np.all(vp.vertices >= -1e-12)  # x = phi(p) is ideal
     assert merit(prob, 0.0, [0.0]) <= 1e-12
@@ -92,7 +92,7 @@ def test_build_vop_problem_affine_box_identity():
     spec = VopSpec(objective=AffineFamily(ConstantMatrix(np.eye(2))),
                    constraint=Box(lower=[0.0, 0.0], upper=[1.0, 1.0]),
                    cone=orthant(2), objective_lipschitz=1.0)
-    prob = build_vop_problem(spec, 0.0)
+    prob = VopProblem(spec)
     vp = prob.evaluate(0.0, [0.0, 0.0])
     assert sorted(map(tuple, vp.vertices.tolist())) == [
         (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
@@ -104,7 +104,7 @@ def test_build_vop_problem_rejects_unbounded_affine_image():
                    constraint=AllSpace(), cone=orthant(2),
                    objective_lipschitz=1.0)
     with pytest.raises(UnsupportedCombination):
-        build_vop_problem(spec, 0.0)
+        VopProblem(spec)
 
 
 def test_solve_ideal_deviation_tracks_phi():
@@ -135,6 +135,26 @@ def test_solve_ideal_triangle_found_and_empty(triangle_spec):
     assert respi.oracle is not None and not respi.oracle.is_ideal
 
 
+def test_solve_ideal_reads_ell_from_the_objective(triangle_spec):
+    # alpha_under - 1 = 1/sqrt(2): a Lipschitz constant of 0.5 leaves the
+    # mandated interval ((alpha_under - ell + 1)/2, alpha_under - ell)
+    # nonempty, one of 1.0 empties it and the run falls back on floor constants
+    runs = {}
+    for ell in (0.5, 1.0):
+        spec = VopSpec(triangle_spec.objective, triangle_spec.constraint,
+                       triangle_spec.cone, objective_lipschitz=ell)
+        assert VopProblem(spec).ell == ell
+        res = solve_ideal(spec, 0.0, [0.3, 0.3], SolverConfig(rng_seed=0),
+                          alpha_under=DEC_TRIANGLE)
+        assert res.status == FOUND
+        runs[ell] = res.solve_result
+    below = runs[0.5]
+    assert below.caristi_certified
+    assert (DEC_TRIANGLE + 0.5) / 2 < below.alpha_used < DEC_TRIANGLE - 0.5
+    assert below.kappa == DEC_TRIANGLE - below.alpha_used
+    assert not runs[1.0].caristi_certified
+
+
 def test_brute_force_ideal_examples(triangle_spec):
     res = brute_force_ideal(triangle_spec, 0.0)
     assert res.is_ideal and np.allclose(res.x, [0.0, 0.0], atol=1e-12)
@@ -144,7 +164,7 @@ def test_brute_force_ideal_examples(triangle_spec):
     # deviation objective: the ideal point phi = 0.3 is a spanning point, so
     # the oracle returns it exactly
     spec = deviation_vop_spec([0.3, 0.3], [0.0, 1.0])
-    res = brute_force_ideal(spec, 0.5, bounds=([-1.0], [1.0]))
+    res = brute_force_ideal(spec, 0.5)
     assert res.is_ideal
     assert res.x[0] == pytest.approx(0.3, abs=1e-15)
 
@@ -184,7 +204,7 @@ def _box_grid(lo, hi, density):
     return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
 
 
-def _grid_worst(spec, p, density, bounds=None, points=None):
+def _grid_worst(spec, p, density, points=None):
     """The dense-grid oracle that the exact one replaced, as a reference:
     candidates on a grid of R(p) at twice ``density`` plus the component
     minimizers, and for each (or for each of ``points``) the largest
@@ -199,11 +219,9 @@ def _grid_worst(spec, p, density, bounds=None, points=None):
     elif isinstance(constraint, Ball) and constraint.dim == 1:
         c, r = constraint.data_at(p)
         cands = np.linspace(c[0] - r, c[0] + r, max(3, d)).reshape(-1, 1)
-    else:
-        if bounds is None:
-            span = float(np.max(np.abs(obj.phi_knots.values))) + 1.0
-            bounds = ([-span], [span])
-        cands = _box_grid(bounds[0], bounds[1], d)
+    else:  # the whole space, spanned over phi's range widened by one
+        span = float(np.max(np.abs(obj.phi_knots.values))) + 1.0
+        cands = _box_grid([-span], [span], d)
     if isinstance(obj, AbsDeviation):
         cands = np.vstack([cands, constraint.project(np.array([obj.phi(p)]), p)[0]])
     ref = cands
@@ -218,9 +236,9 @@ def _grid_worst(spec, p, density, bounds=None, points=None):
     return cands, spec.cone.distances(gaps).reshape(len(cands), len(ref)).max(axis=1)
 
 
-def _grid_oracle(spec, p, density, bounds=None, tol=1e-9):
+def _grid_oracle(spec, p, density, tol=1e-9):
     """The reference's status and its first ideal candidate (or None)."""
-    cands, worst = _grid_worst(spec, p, density, bounds)
+    cands, worst = _grid_worst(spec, p, density)
     hits = np.flatnonzero(worst <= tol)
     return ("ideal", cands[hits[0]]) if hits.size else ("empty", None)
 
@@ -293,14 +311,14 @@ def _check_against_the_closed_form(spec, p, tol=1e-9):
         assert margin(np.vstack([c, sphere])).max() < -tol
 
 
-def _check_against_the_grid_oracle(spec, p, density, bounds=None):
+def _check_against_the_grid_oracle(spec, p, density):
     if isinstance(spec.constraint, Ball) and spec.constraint.dim >= 2:
         _check_against_the_closed_form(spec, p)
         return
-    res = brute_force_ideal(spec, p, bounds)
-    assert res.status == _grid_oracle(spec, p, density, bounds)[0]
+    res = brute_force_ideal(spec, p)
+    assert res.status == _grid_oracle(spec, p, density)[0]
     if res.is_ideal:  # the exact point is feasible and ideal against the grid
-        assert _grid_worst(spec, p, density, bounds, res.x[None])[1][0] <= 1e-9
+        assert _grid_worst(spec, p, density, res.x[None])[1][0] <= 1e-9
         assert spec.constraint.project(res.x, p)[1] <= 1e-12
 
 
@@ -379,19 +397,17 @@ def test_exact_oracle_matches_the_grid_oracle_on_deviation_instances(seed):
     obj = AbsDeviation(_Knots(ps, rng.uniform(-2.0, 2.0, 3)), components=m)
     lo = float(rng.uniform(-2.0, 1.0))
     hi = lo + float(rng.uniform(0.0, 2.0))
-    bounds, kind = None, rng.integers(5)
+    kind = rng.integers(4)
     if kind == 0:
         constraint = AllSpace()
     elif kind == 1:
-        constraint, bounds = AllSpace(), ([lo], [hi])
-    elif kind == 2:
         constraint = Box(lower=[lo], upper=[hi])
-    elif kind == 3:
+    elif kind == 2:
         constraint = Ball(center=[lo], radius=hi - lo)
     else:
         constraint = PolytopeSet(VPolytope(rng.uniform(lo, hi, (int(rng.integers(1, 4)), 1))))
     spec = VopSpec(obj, constraint, cone, objective_lipschitz=math.sqrt(m))
-    _check_against_the_grid_oracle(spec, float(rng.uniform(ps[0], ps[-1])), 8, bounds)
+    _check_against_the_grid_oracle(spec, float(rng.uniform(ps[0], ps[-1])), 8)
 
 
 def test_ideal_value_sweep_deviation():
@@ -434,7 +450,7 @@ def test_ideal_value_single_valuedness():
                                                                    [1.0, 0.0]]))),
                    constraint=Box(lower=[0.0, 0.0], upper=[1.0, 1.0]),
                    cone=orthant(2), objective_lipschitz=1.0)
-    prob = build_vop_problem(spec, 0.0)
+    prob = VopProblem(spec)
     ideal_xs = [x for x in prob.feasible_samples(0.0) if merit(prob, 0.0, x) <= 1e-9]
     assert len(ideal_xs) > 1
     vals = np.asarray([spec.objective.value(0.0, x) for x in ideal_xs])
@@ -443,7 +459,7 @@ def test_ideal_value_single_valuedness():
 
 def test_vop_map_concavity_inclusion(triangle_spec):
     # the built set map satisfies the cone-concavity inclusion on random triples
-    prob = build_vop_problem(triangle_spec, 1.0)
+    prob = VopProblem(triangle_spec)
     cone = triangle_spec.cone
     rng = np.random.default_rng(4)
     for _ in range(40):
