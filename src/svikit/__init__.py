@@ -18,7 +18,7 @@ from .setmaps import (AbsComponent, AllSpace, Ball, Box, ConcaveTerm, FanSpec,
                       lipschitz_budget, merit, merit_many, problem_from_dict)
 from .solver import (MaxItersExceeded, NoDescentStep, SolveResult,
                      SolverConfig, caristi_step, segment_step, solve)
-from .vopt import (AbsDeviation, IdealResult, LinearRotation, VopSpec,
+from .vopt import (AbsDeviation, AffineFamily, IdealResult, VopSpec,
                    brute_force_ideal, ideal_value_sweep, solve_ideal)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

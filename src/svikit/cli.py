@@ -11,6 +11,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -19,10 +20,11 @@ from . import __version__
 from .increase import PropertyAbsent, SamplingConfig, global_infimum
 from .parametric import continuity_report, sweep, write_csv
 from .problems import load_problem_file
-from .setmaps import KnotRangeError, SviProblem, evaluate, is_all_space, merit
+from .setmaps import (KnotRangeError, RotationScaled, SviProblem, evaluate,
+                      is_all_space, merit)
 from .solver import (DescentConstantsError, MaxItersExceeded, NoDescentStep,
                      SolverConfig, solve)
-from .vopt import (FOUND, LinearRotation, VopSpec, decrease_infimum,
+from .vopt import (FOUND, AffineFamily, VopSpec, decrease_infimum,
                    ideal_value_sweep, solve_ideal)
 
 log = logging.getLogger("svi")
@@ -154,7 +156,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--oracle", action="store_true",
                     help="cross-check with the brute-force oracle")
     sp.add_argument("--orientation", choices=["cw", "ccw"], default=None,
-                    help="override rotation orientation of the objective")
+                    help="turn the objective's rotation_scaled matrix clockwise "
+                         "(cw) or counterclockwise (ccw)")
 
     sp = sub.add_parser("verify-props", help="run property suites on the problem")
     common(sp)
@@ -243,10 +246,12 @@ def _cmd_vopt(args) -> int:
     if args.out is not None and args.grid is None:
         raise UsageError("vopt writes --out only for a --grid sweep")
     if args.orientation is not None:
-        if not isinstance(spec.objective, LinearRotation):
-            raise UsageError("--orientation needs a linear_rotation objective")
-        obj = LinearRotation(spec.objective.scale, args.orientation == "cw")
-        spec = VopSpec(obj, spec.constraint, spec.cone, spec.objective_lipschitz)
+        obj = spec.objective
+        if not (isinstance(obj, AffineFamily) and isinstance(obj.matrix, RotationScaled)):
+            raise UsageError("--orientation needs an affine objective with a "
+                             "rotation_scaled matrix")
+        matrix = replace(obj.matrix, clockwise=args.orientation == "cw")
+        spec = replace(spec, objective=replace(obj, matrix=matrix))
     cfg = _solver_cfg(args)
     x0 = _parse_vector(args.x0, spec.objective.dim_in)
     if args.grid is not None:

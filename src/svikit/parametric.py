@@ -57,11 +57,24 @@ class ContinuityReport:
 
 
 def _problem_hash(problem) -> str:
-    try:
-        payload = json.dumps(problem.to_dict(), sort_keys=True)
-    except Exception:
-        payload = repr(problem)
+    payload = json.dumps(problem.to_dict(), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def _sorted_grid(grid) -> list:
+    """The sweep grid as floats; it must be nonempty and sorted."""
+    grid = [float(p) for p in grid]
+    if not grid:
+        raise ValueError("parameter grid must be nonempty")
+    if sorted(grid) != grid:
+        raise ValueError("parameter grid must be sorted")
+    return grid
+
+
+def _sweep_meta(problem, cfg: SolverConfig, warm_start: bool, t0: float, **extra) -> dict:
+    """A sweep table's metadata; ``t0`` is the perf_counter at its start."""
+    return {"problem_hash": _problem_hash(problem), "cfg": dict(cfg.__dict__),
+            "warm_start": warm_start, "wall_time": time.perf_counter() - t0, **extra}
 
 
 def _bisect(holds_many, lo: float, hi: float, iters: int) -> float:
@@ -192,9 +205,7 @@ def _solve_row(problem, p: float, x_start: np.ndarray,
                         solved=m_row <= cfg.tol,
                         iterations=res.iterations, warm_start=np.asarray(x_start, float))
     except (NoDescentStep, MaxItersExceeded) as err:
-        x_last = getattr(err, "x", np.asarray(x_start, float))
-        m_last = getattr(err, "merit_value", math.nan)
-        return SweepRow(p=float(p), x=np.asarray(x_last, float), merit=float(m_last),
+        return SweepRow(p=float(p), x=err.x, merit=err.merit_value,
                         bound_rhs=math.nan, bound_holds=False, solved=False,
                         warm_start=np.asarray(x_start, float))
 
@@ -204,11 +215,7 @@ def sweep(problem, grid: Sequence[float], x_init,
     """Solve along a sorted grid; warm-started by default, or cold-started
     from x_init on every row (row i seeded with cfg.rng_seed + i)."""
     cfg = cfg or SolverConfig()
-    grid = [float(p) for p in grid]
-    if not grid:
-        raise ValueError("parameter grid must be nonempty")
-    if sorted(grid) != grid:
-        raise ValueError("parameter grid must be sorted")
+    grid = _sorted_grid(grid)
     x_init = np.asarray(x_init, dtype=float)
     t0 = time.perf_counter()
     rows: list[SweepRow] = []
@@ -222,13 +229,7 @@ def sweep(problem, grid: Sequence[float], x_init,
         for i, p in enumerate(grid):
             row_cfg = replace(cfg, rng_seed=cfg.rng_seed + i)
             rows.append(_solve_row(problem, p, x_init, row_cfg, anchor=x_init))
-    meta = {
-        "problem_hash": _problem_hash(problem),
-        "cfg": dict(cfg.__dict__),
-        "warm_start": warm_start,
-        "wall_time": time.perf_counter() - t0,
-    }
-    return SweepTable(rows=rows, meta=meta)
+    return SweepTable(rows=rows, meta=_sweep_meta(problem, cfg, warm_start, t0))
 
 
 def continuity_report(table: SweepTable) -> ContinuityReport:

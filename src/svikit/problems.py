@@ -16,7 +16,7 @@ import numpy as np
 from .geometry import VPolytope, orthant
 from .setmaps import (AbsComponent, Box, ConcaveTerm, FanSpec, PolytopeSet,
                       RotationScaled, SviProblem, _Knots, problem_from_dict)
-from .vopt import AbsDeviation, LinearRotation, VopSpec, vop_spec_from_dict
+from .vopt import AbsDeviation, AffineFamily, VopSpec, vop_spec_from_dict
 
 
 def rotation_inclusion_problem(scale: float = 3.0, clockwise: bool = False,
@@ -64,7 +64,7 @@ def triangle_vop_spec(clockwise: bool = True, scale: float = 1.0) -> VopSpec:
     plane orthant.  The orientation flag is surfaced because the two
     conventions chart different ideal-point schedules; the bundled default
     is the clockwise action (see the oracle tests for the adopted record)."""
-    return VopSpec(objective=LinearRotation(scale, clockwise),
+    return VopSpec(objective=AffineFamily(RotationScaled(scale, clockwise)),
                    constraint=PolytopeSet(VPolytope(TRIANGLE_VERTICES)),
                    cone=orthant(2),
                    objective_lipschitz=float(scale))

@@ -48,7 +48,13 @@ class NoDescentStep(Exception):
 
 
 class MaxItersExceeded(Exception):
-    pass
+    """The iteration cap ran out before the merit fell to tol; ``x`` is the
+    last iterate and ``merit_value`` its (penalized) merit."""
+
+    def __init__(self, x, merit_value, iterations):
+        self.x = np.asarray(x, dtype=float)
+        self.merit_value = float(merit_value)
+        super().__init__(f"merit {merit_value:.3e} after {iterations} iterations")
 
 
 class DescentConstantsError(ValueError):
@@ -64,10 +70,14 @@ class AlreadyFeasible(ValueError):
 class SolverConfig:
     """Descent-loop configuration.
 
-    ``alpha`` is the descent constant of the unconstrained rule (must exceed
-    1); constrained runs use the pair (alpha_tilde, alpha) with alpha inside
-    ((alpha_tilde - ell + 1)/2, alpha_tilde - ell), ell being the problem's
-    ``ell``.  ``allow_uncertified`` lets runs proceed with floor constants
+    ``alpha_tilde`` is the increase (for vector optimization, decrease)
+    bound; unset, it is the problem's ``declared_alpha`` or else a sampled
+    global infimum at p.  Constrained runs use the pair (alpha_tilde,
+    alpha) with alpha inside ((alpha_tilde - ell + 1)/2, alpha_tilde - ell),
+    ell being the problem's ``ell``.  ``alpha`` is the descent constant of
+    the unconstrained rule (must exceed 1); unset, it is
+    min(1.5, 0.9 * alpha_tilde), or (1 + alpha_tilde)/2 when that is not
+    above 1.  ``allow_uncertified`` lets runs proceed with floor constants
     when the constrained interval is empty; their certificates then use the
     actual acceptance constant.
     """
@@ -221,6 +231,10 @@ def segment_step(x, constraint, p: float, t: float) -> np.ndarray:
 
 
 def _resolve_alpha_estimate(problem, p: float, cfg: SolverConfig) -> float:
+    """alpha_tilde for this run: ``cfg.alpha_tilde`` when set, else the
+    problem's ``declared_alpha``, else a sampled global infimum at p."""
+    if cfg.alpha_tilde is not None:
+        return float(cfg.alpha_tilde)
     declared = getattr(problem, "declared_alpha", None)
     if declared is not None:
         return float(declared)
@@ -259,9 +273,7 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
         k_run = alpha - 1.0
         alpha_hi_limit = None
     else:
-        alpha_tilde = cfg.alpha_tilde
-        if alpha_tilde is None:
-            alpha_tilde = _resolve_alpha_estimate(problem, p, cfg)
+        alpha_tilde = _resolve_alpha_estimate(problem, p, cfg)
         lo_a = 0.5 * (alpha_tilde - ell + 1.0)
         hi_a = alpha_tilde - ell
         if lo_a < hi_a:
@@ -335,8 +347,7 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
             continue
         raise NoDescentStep(x, out.merit, out.radii_tried)
     else:
-        raise MaxItersExceeded(
-            f"merit {merits[-1]:.3e} after {cfg.max_iters} iterations")
+        raise MaxItersExceeded(x, merits[-1], cfg.max_iters)
 
     merit_final = out.merit
     dist_back = float(np.linalg.norm(x - x0))

@@ -27,10 +27,10 @@ from .geometry import (PolyCone, VPolytope, _as_points, as_vector, matvec_rows,
 from .increase import (InfimumResult, Mode, SamplingConfig, estimate_bound,
                        hints_for_matrix, infimum_over_samples,
                        nonsolution_pairs)
-from .parametric import SweepRow, SweepTable, _problem_hash
-from .setmaps import (Ball, Box, ConstraintFamily, PolytopeSet, _Knots,
-                      constraint_from_dict, is_all_space, matrix_family_from_dict,
-                      merit_many, rotation_matrix)
+from .parametric import SweepRow, SweepTable, _sorted_grid, _sweep_meta
+from .setmaps import (Ball, Box, ConstraintFamily, PolytopeSet, RotationScaled,
+                      _Knots, constraint_from_dict, is_all_space,
+                      matrix_family_from_dict, merit_many)
 from .solver import (MaxItersExceeded, NoDescentStep, SolveResult,
                      SolverConfig, solve)
 
@@ -47,41 +47,6 @@ class _Objective:
     def value(self, p: float, x) -> np.ndarray:
         """f(p, x): the one-row view of ``values_many``."""
         return self.values_many(p, as_vector(x)[None, :])[0]
-
-
-@dataclass(frozen=True)
-class LinearRotation(_Objective):
-    """f(p, x) = scale * (rotation by p) x on R^2; clockwise flips the
-    orientation (the transposed matrix)."""
-
-    scale: float = 1.0
-    clockwise: bool = True
-
-    def __post_init__(self):
-        if not math.isfinite(self.scale):
-            raise ValueError("rotation scale must be finite")
-
-    @property
-    def dim_in(self) -> int:
-        return 2
-
-    @property
-    def dim_out(self) -> int:
-        return 2
-
-    def matrix_at(self, p: float) -> np.ndarray:
-        return self.scale * rotation_matrix(-p if self.clockwise else p)
-
-    def values_many(self, p: float, pts: np.ndarray) -> np.ndarray:
-        return matvec_rows(self.matrix_at(p), pts)
-
-    @property
-    def is_affine(self) -> bool:
-        return True
-
-    def to_dict(self) -> dict:
-        return {"variant": "linear_rotation", "scale": self.scale,
-                "clockwise": self.clockwise}
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,10 +70,6 @@ class AbsDeviation(_Objective):
 
     def values_many(self, p: float, pts: np.ndarray) -> np.ndarray:
         return np.repeat(np.abs(pts[:, :1] - self.phi(p)), self.components, axis=1)
-
-    @property
-    def is_affine(self) -> bool:
-        return False
 
     def to_dict(self) -> dict:
         return {"variant": "abs_deviation", "components": self.components,
@@ -139,19 +100,13 @@ class AffineFamily(_Objective):
     def matrix_at(self, p: float) -> np.ndarray:
         return self.matrix.matrix_at(p)
 
-    def offset_at(self, p: float) -> np.ndarray:
-        if self.offset_knots is not None:
-            return self.offset_knots.at(p)
-        if self.offset is not None:
-            return np.asarray(self.offset, dtype=float)
-        return np.zeros(self.dim_out)
-
     def values_many(self, p: float, pts: np.ndarray) -> np.ndarray:
-        return matvec_rows(self.matrix_at(p), pts) + self.offset_at(p)
-
-    @property
-    def is_affine(self) -> bool:
-        return True
+        values = matvec_rows(self.matrix_at(p), pts)
+        if self.offset_knots is not None:
+            return values + self.offset_knots.at(p)
+        if self.offset is not None:
+            return values + np.asarray(self.offset, dtype=float)
+        return values  # adding zeros would turn the product's -0.0 into 0.0
 
     def to_dict(self) -> dict:
         d = {"variant": "affine", "matrix": self.matrix.to_dict()}
@@ -164,13 +119,14 @@ class AffineFamily(_Objective):
         return d
 
 
-Objective = Union[LinearRotation, AbsDeviation, AffineFamily]
+Objective = Union[AbsDeviation, AffineFamily]
 
 
 def objective_from_dict(d: dict) -> Objective:
     variant = d["variant"]
-    if variant == "linear_rotation":
-        return LinearRotation(float(d.get("scale", 1.0)), bool(d.get("clockwise", True)))
+    if variant == "linear_rotation":  # the rotation objective's older file form
+        return AffineFamily(RotationScaled(float(d.get("scale", 1.0)),
+                                           bool(d.get("clockwise", True))))
     if variant == "abs_deviation":
         ps = [k["p"] for k in d["knots"]]
         vs = [k["phi"] for k in d["knots"]]
@@ -205,6 +161,9 @@ class VopSpec:
             raise ValueError("cone dimension does not match the objective output")
         if self.constraint.dim not in (None, self.objective.dim_in):
             raise ValueError("constraint dimension does not match the objective input")
+        if is_all_space(self.constraint) and not isinstance(self.objective, AbsDeviation):
+            raise UnsupportedCombination(
+                "affine objectives over the whole space have no bounded image")
 
     def to_dict(self) -> dict:
         return {"objective": self.objective.to_dict(),
@@ -247,12 +206,9 @@ def span_points(spec: VopSpec, p: float) -> np.ndarray:
         pts = np.array([c - r, c + r])
     elif isinstance(constraint, Box):
         pts = np.array(list(itertools.product(*zip(*constraint.bounds_at(p)))), float)
-    elif isinstance(obj, AbsDeviation):
+    else:  # the whole space, which VopSpec pairs with the deviation objective only
         span = float(np.max(np.abs(obj.phi_knots.values))) + 1.0
         pts = np.array([[-span], [span]])
-    else:
-        raise UnsupportedCombination(
-            "affine objectives over the whole space have no bounded image")
     if isinstance(obj, AbsDeviation):
         pts = np.vstack([pts, constraint.project(np.array([obj.phi(p)]), p)[0]])
     return pts
@@ -268,14 +224,7 @@ class VopProblem:
     x -> {f(p, s) - f(p, x) : s spanning R(p)} must land in the cone."""
 
     spec: VopSpec
-    # the increase constant of a whole-space (unconstrained) solve
-    declared_alpha: Optional[float] = None
     _image_cache: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if is_all_space(self.spec.constraint) and self.spec.objective.is_affine:
-            raise UnsupportedCombination(
-                "affine objectives over the whole space have no bounded image")
 
     @property
     def cone(self) -> PolyCone:
@@ -321,7 +270,7 @@ class VopProblem:
 
 def decrease_hints(spec: VopSpec, p: float):
     obj = spec.objective
-    if isinstance(obj, (LinearRotation, AffineFamily)) and obj.dim_in == obj.dim_out:
+    if isinstance(obj, AffineFamily) and obj.dim_in == obj.dim_out:
         return hints_for_matrix(-obj.matrix_at(p), spec.cone)
     return None
 
@@ -375,31 +324,27 @@ class IdealResult:
 
 
 def solve_ideal(spec: VopSpec, p: float, x0, cfg: Optional[SolverConfig] = None,
-                alpha_under: Optional[float] = None,
                 certify_empty: bool = False) -> IdealResult:
     """Run the constrained descent on the built inclusion problem.
 
-    ``alpha_under`` is the (estimated) global decrease bound of the
-    objective; when the mandated alpha interval is empty (the Lipschitz
-    budget is too large, which legitimately happens), the run proceeds
-    best-effort with floor constants and an uncertified certificate.
-    Emptiness is only ever certified by the exact oracle
+    alpha_tilde, the objective's global decrease bound, is
+    ``cfg.alpha_tilde`` when set, else the lower end of a sampled decrease
+    bracket at (p, x0).  When the mandated alpha interval is empty (the
+    Lipschitz budget is too large, which legitimately happens), the run
+    proceeds best-effort with floor constants and an uncertified
+    certificate.  Emptiness is only ever certified by the exact oracle
     (``brute_force_ideal``), which ``certify_empty`` runs on an unsolved run.
     """
     cfg = cfg or SolverConfig()
     prob = VopProblem(spec)
     prob.feasible_samples(p)  # rejects data that does not cover p before any estimate
-    if alpha_under is None:
-        if cfg.alpha_tilde is not None:
-            alpha_under = cfg.alpha_tilde
-        else:
-            est = estimate_bound(
-                lambda xx: VPolytope(spec.objective.value(p, xx)[None, :]),
-                spec.cone, as_vector(x0), SamplingConfig(bracket_rtol=0.05),
-                mode=Mode.DECREASE, hints=decrease_hints(spec, p), p_for_seed=p)
-            alpha_under = est.alpha_lo
-    prob.declared_alpha = float(alpha_under)
-    run_cfg = replace(cfg, alpha_tilde=float(alpha_under), allow_uncertified=True)
+    alpha_tilde = cfg.alpha_tilde
+    if alpha_tilde is None:
+        alpha_tilde = estimate_bound(
+            lambda xx: VPolytope(spec.objective.value(p, xx)[None, :]),
+            spec.cone, as_vector(x0), SamplingConfig(bracket_rtol=0.05),
+            mode=Mode.DECREASE, hints=decrease_hints(spec, p), p_for_seed=p).alpha_lo
+    run_cfg = replace(cfg, alpha_tilde=float(alpha_tilde), allow_uncertified=True)
     try:
         res = solve(prob, p, x0, run_cfg)
     except (NoDescentStep, MaxItersExceeded):
@@ -446,25 +391,25 @@ def ideal_value_sweep(spec: VopSpec, grid: Sequence[float], x_init,
                       oracle_density: Optional[int] = None) -> SweepTable:
     """Warm-started ideal-efficiency sweep; rows carry the ideal point and
     the ideal value f(p, x(p)).  Unsolved rows chart empty (or unreached)
-    solution sets.  ``oracle_density`` is ignored: the oracle is exact, and
-    the keyword stays only for callers that still pass it."""
+    solution sets.  Every row runs at one decrease bound: ``alpha_under``,
+    else ``cfg.alpha_tilde``, else a sampled decrease infimum over the
+    grid's first and middle values.  ``oracle_density`` is ignored: the
+    oracle is exact, and the keyword stays only for callers that still
+    pass it."""
     cfg = cfg or SolverConfig()
-    grid = [float(p) for p in grid]
-    if not grid:
-        raise ValueError("parameter grid must be nonempty")
-    if sorted(grid) != grid:
-        raise ValueError("parameter grid must be sorted")
+    grid = _sorted_grid(grid)
+    if alpha_under is None:
+        alpha_under = cfg.alpha_tilde
     if alpha_under is None:
         mid = grid[len(grid) // 2]
-        est = decrease_infimum(spec, [grid[0], mid], 4,
-                               SamplingConfig(bracket_rtol=0.05, seed=cfg.rng_seed))
-        alpha_under = est.alpha
+        scfg = SamplingConfig(bracket_rtol=0.05, seed=cfg.rng_seed)
+        alpha_under = decrease_infimum(spec, [grid[0], mid], 4, scfg).alpha
+    row_cfg = replace(cfg, alpha_tilde=float(alpha_under))
     t0 = time.perf_counter()
     rows, statuses = [], []
     x_start = as_vector(x_init)
     for p in grid:
-        res = solve_ideal(spec, p, x_start, cfg, alpha_under=alpha_under,
-                          certify_empty=with_oracle)
+        res = solve_ideal(spec, p, x_start, row_cfg, certify_empty=with_oracle)
         if res.status == FOUND:
             sr = res.solve_result
             rows.append(SweepRow(p=p, x=res.x, merit=res.merit_final,
@@ -486,8 +431,6 @@ def ideal_value_sweep(spec: VopSpec, grid: Sequence[float], x_init,
             statuses.append(oracle.status)
         else:
             statuses.append(res.status)
-    meta = {"problem_hash": _problem_hash(spec), "cfg": dict(cfg.__dict__),
-            "alpha_under": float(alpha_under), "warm_start": True,
-            "wall_time": time.perf_counter() - t0,
-            "statuses": statuses}
-    return SweepTable(rows=rows, meta=meta)
+    return SweepTable(rows=rows, meta=_sweep_meta(spec, cfg, True, t0,
+                                                  alpha_under=float(alpha_under),
+                                                  statuses=statuses))

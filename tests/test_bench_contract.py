@@ -43,3 +43,17 @@ def test_every_row_hook_resolves(bench):
     assert hooks
     for owner, attr in hooks:
         assert hasattr(vars(owner).get(attr), "__code__"), (owner.__name__, attr)
+
+
+@pytest.mark.parametrize("name", ["rotation-cold", "rotation-warm", "triangle-ideal",
+                                  "rotation-increase"])
+def test_every_workload_runs_its_audit_units_without_failures(bench, tmp_path, name):
+    # the path the benchmark times, at its audit size: a library change that
+    # breaks a workload's calls or its answers fails here
+    _, workloads = bench
+    problem, _ = workloads.setup(name, str(tmp_path))
+    wl = workloads.WORKLOADS[name](problem, 0, str(tmp_path))
+    units = wl.audit_units()
+    assert units
+    for unit in units:
+        assert wl.failures(unit, wl.run(unit)) == 0, unit.args

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from svikit import vopt
 from svikit.cli import main
 from svikit.geometry import PolyCone
 from svikit.problems import (boxed_rotation_problem, load_problem_file,
@@ -186,6 +187,8 @@ def test_usage_errors(problem_files, tmp_path, capsys):
             "variant": "affine", "offset": [nan, 0.0],
             "matrix": {"variant": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]]}}),
         "radius_knot_vector": ("constraint", RADIUS_KNOT_VECTORS),
+        # an affine objective over the whole space has no bounded image
+        "affine_over_all_space": ("constraint", {"variant": "all_space"}),
     }
     for name, (key, value) in vop_edits.items():
         data = triangle_vop_spec().to_dict()
@@ -193,6 +196,7 @@ def test_usage_errors(problem_files, tmp_path, capsys):
         bad = tmp_path / f"bad_{name}.json"
         bad.write_text(json.dumps(data))
         assert main(["vopt", "--problem", str(bad), "--p", "0", "--x0", "0.3,0.3"]) == 1, name
+        assert main(["estimate-inc", "--problem", str(bad), "--p", "0"]) == 1, name
 
 
 def test_nearly_non_pointed_cone_is_not_an_internal_error(tmp_path):
@@ -279,3 +283,73 @@ def test_seeded_runs_are_byte_identical(problem_files, tmp_path):
                    "--seed", "3", "--out", str(path)])
         assert rc == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _printed_alpha(capsys, argv):
+    assert main(argv) == 0
+    line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("alpha =")][0]
+    return line.split()[2]
+
+
+def test_alpha_tilde_flag_sets_the_unconstrained_alpha(problem_files, capsys):
+    # without --alpha, alpha = min(1.5, 0.9 alpha_tilde); unset, alpha_tilde
+    # is the file's declared_alpha (0.5 (3/sqrt(2) + 1))
+    argv = ["solve", "--problem", problem_files["rotation"], "--p", "0.3", "--x0", "1,1"]
+    assert _printed_alpha(capsys, argv) == "1.404594"
+    assert _printed_alpha(capsys, argv + ["--alpha-tilde", "1.3"]) == "1.170000"
+    assert _printed_alpha(capsys, argv + ["--alpha-tilde", "50"]) == "1.500000"
+
+
+def test_vopt_sweep_runs_every_row_at_the_alpha_tilde_flag(problem_files, monkeypatch):
+    seen = []
+    solve_ideal = vopt.solve_ideal
+
+    def recording(spec, p, x0, cfg=None, **kw):
+        seen.append(cfg.alpha_tilde)
+        return solve_ideal(spec, p, x0, cfg, **kw)
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("the flag's alpha_tilde must not be estimated")
+
+    monkeypatch.setattr(vopt, "solve_ideal", recording)
+    monkeypatch.setattr(vopt, "decrease_infimum", no_estimate)
+    rc = main(["vopt", "--problem", problem_files["triangle"], "--grid", "0:1:2",
+               "--x0", "0.3,0.3", "--alpha-tilde", "9"])
+    assert rc == 0
+    assert seen == [9.0, 9.0]
+
+
+def test_vopt_orientation_turns_an_affine_rotation_objective(tmp_path, monkeypatch):
+    # any affine objective on a rotation_scaled matrix takes the flag, and
+    # keeps its offset
+    data = triangle_vop_spec().to_dict()
+    data["objective"]["offset"] = [0.5, -0.25]
+    path = tmp_path / "offset.json"
+    path.write_text(json.dumps(data))
+    specs = []
+    monkeypatch.setattr("svikit.cli.solve_ideal",
+                        lambda spec, *a, **kw: specs.append(spec) or vopt.IdealResult("not_found"))
+    for flag in ("ccw", "cw"):
+        main(["vopt", "--problem", str(path), "--p", "1", "--x0", "0.3,0.3",
+              "--orientation", flag])
+    assert [s.objective.matrix.clockwise for s in specs] == [False, True]
+    for spec in specs:
+        assert spec.objective.matrix.scale == 1.0
+        assert np.array_equal(spec.objective.offset, [0.5, -0.25])
+
+
+def test_estimate_inc_over_a_grid_writes_one_row_per_estimate(problem_files, tmp_path,
+                                                              capsys):
+    # a vector-optimization file brackets the objective's decrease bound
+    out_csv = tmp_path / "estimates.csv"
+    rc = main(["estimate-inc", "--problem", problem_files["triangle"],
+               "--p-grid", "0.3:2:2", "--x-samples", "2", "--out", str(out_csv)])
+    assert rc == 0
+    printed = [l for l in capsys.readouterr().out.splitlines() if l.startswith("p = ")]
+    lines = out_csv.read_text().splitlines()
+    assert lines[0] == "p,alpha_lo,alpha_hi"
+    assert len(lines) - 1 == len(printed) >= 2
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert {p for p, _, _ in rows} == {0.3, 2.0}
+    for _, lo, hi in rows:  # about 1 + 1/sqrt(2), the triangle's decrease bound
+        assert 1.0 < lo <= hi and abs(lo - (1.0 + 1.0 / math.sqrt(2.0))) <= 0.05

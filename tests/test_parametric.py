@@ -4,11 +4,13 @@ import os
 import numpy as np
 import pytest
 
+from svikit.geometry import orthant
 from svikit.parametric import (SweepRow, SweepTable, TooFewRows,
                                continuity_report, csv_header, sweep,
                                write_csv)
 from svikit.problems import rotation_solution_path
-from svikit.solver import SolverConfig, solve
+from svikit.setmaps import AbsComponent, ConcaveTerm, ConstantMatrix, SviProblem, merit
+from svikit.solver import MaxItersExceeded, SolverConfig, solve
 
 SQRT2 = math.sqrt(2.0)
 
@@ -149,3 +151,32 @@ def test_sweep_input_validation(rotation_problem):
         sweep(rotation_problem, [], [0.0, 0.0], cfg)
     with pytest.raises(ValueError):
         sweep(rotation_problem, [1.0, 0.5], [0.0, 0.0], cfg)
+
+
+def test_iteration_capped_rows_keep_the_last_iterate(rotation_problem):
+    # a row that hits the cap records where the run stopped and its merit,
+    # and the next row starts there (and is solved there at once)
+    cfg = SolverConfig(alpha=1.5, tol=1e-16, max_iters=2)
+    start = np.array([2.0, -1.0])
+    table = sweep(rotation_problem, [0.0, 0.1], start, cfg)
+    with pytest.raises(MaxItersExceeded) as err:
+        solve(rotation_problem, 0.0, start, cfg)
+    first, second = table.rows
+    assert np.array_equal(first.x, err.value.x)
+    assert first.merit == err.value.merit_value == merit(rotation_problem, 0.0, first.x)
+    assert first.merit < merit(rotation_problem, 0.0, start)
+    assert not first.solved and not first.bound_holds and math.isnan(first.bound_rhs)
+    assert np.array_equal(second.warm_start, first.x)
+    assert second.solved and second.iterations == 0
+
+
+def test_no_step_rows_keep_the_stuck_iterate():
+    # a constant map off the cone admits no descent step: each row records
+    # its start and the merit there
+    stuck = SviProblem(matrix=ConstantMatrix(np.zeros((2, 2))), cone=orthant(2),
+                       h=ConcaveTerm((AbsComponent(-1.0), AbsComponent(-1.0))),
+                       declared_alpha=1.5)
+    table = sweep(stuck, [0.0, 0.5], [0.3, -0.2], SolverConfig(alpha=1.3))
+    for row in table.rows:
+        assert not row.solved and math.isnan(row.bound_rhs)
+        assert np.array_equal(row.x, [0.3, -0.2]) and row.merit == pytest.approx(SQRT2)

@@ -11,7 +11,7 @@ from svikit.setmaps import (AbsComponent, AllSpace, Ball, Box, ConcaveTerm,
                             is_all_space, lipschitz_budget, merit,
                             problem_from_dict)
 from svikit.geometry import VPolytope
-from svikit.vopt import LinearRotation, VopSpec
+from svikit.vopt import AffineFamily, VopSpec
 
 SQRT2 = math.sqrt(2.0)
 
@@ -198,8 +198,8 @@ def test_constraint_data_validation():
         with pytest.raises(ValueError):
             SviProblem(matrix=RotationScaled(1.0), cone=orthant(2), constraint=constraint)
         with pytest.raises(ValueError):
-            VopSpec(objective=LinearRotation(), constraint=constraint, cone=orthant(2),
-                    objective_lipschitz=1.0)
+            VopSpec(objective=AffineFamily(RotationScaled(1.0)), constraint=constraint,
+                    cone=orthant(2), objective_lipschitz=1.0)
     with pytest.raises(ValueError):  # reads x[2] of a 2-D input
         SviProblem(matrix=RotationScaled(1.0), cone=orthant(2),
                    h=ConcaveTerm((AbsComponent(a=0.0), AbsComponent(a=0.0, coord=2))))
@@ -230,3 +230,41 @@ def test_rotation_orientation_flag():
     p = 0.7
     assert np.allclose(ccw.matrix_at(p), cw.matrix_at(p).T)
     assert np.allclose(ccw.matrix_at(p) @ cw.matrix_at(p), np.eye(2))
+
+
+def test_knotted_constraints_round_trip_and_interpolate():
+    box = Box(knots=(([0.0, 2.0], [[0.0, -1.0], [1.0, -3.0]]),
+                     ([0.0, 2.0], [[1.0, 1.0], [3.0, 5.0]])))
+    ball = Ball(center_knots=_Knots([0.0, 2.0], [[0.0, 0.0], [2.0, -4.0]]),
+                radius_knots=_Knots([0.0, 2.0], [1.0, 3.0]))
+    for constraint in (box, ball):
+        d = constraint.to_dict()
+        back = constraint_from_dict(d)
+        assert back.to_dict() == d and back.dim == 2
+        for p in (0.0, 0.5, 2.0):
+            for x in ([0.0, 0.0], [4.0, -6.0], [-2.0, 2.5]):
+                assert back.project(x, p)[1] == constraint.project(x, p)[1]
+    # half way between the knots the data is the knots' mean
+    lo, hi = box.bounds_at(1.0)
+    assert np.array_equal(lo, [0.5, -2.0]) and np.array_equal(hi, [2.0, 3.0])
+    proj, d = box.project([3.0, 0.0], 1.0)
+    assert np.array_equal(proj, [2.0, 0.0]) and d == 1.0
+    c, r = ball.data_at(1.0)
+    assert np.array_equal(c, [1.0, -2.0]) and r == 2.0
+    assert ball.project([1.0, 1.0], 1.0)[1] == pytest.approx(1.0)
+    with pytest.raises(KnotRangeError):
+        ball.data_at(2.5)
+
+
+def test_one_knot_table_holds_only_at_its_parameter():
+    knots = _Knots([1.5], [[2.0, -1.0]])
+    value = knots.at(1.5 + 1e-13)
+    assert np.array_equal(value, [2.0, -1.0])
+    value[0] = 7.0  # a copy: the table is unchanged
+    assert np.array_equal(knots.at(1.5), [2.0, -1.0])
+    with pytest.raises(KnotRangeError):
+        knots.at(1.5 + 1e-9)
+    ball = constraint_from_dict({"variant": "ball", "knots": [
+        {"p": 1.5, "center": [2.0, -1.0], "radius": 0.5}]})
+    assert ball.to_dict()["knots"] == [{"p": 1.5, "center": [2.0, -1.0], "radius": 0.5}]
+    assert ball.project([2.0, 1.0], 1.5)[1] == pytest.approx(1.5)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from svikit.geometry import orthant
+from svikit.increase import SamplingConfig, global_infimum
 from svikit.problems import rotation_solution_path
-from svikit.setmaps import (Ball, Box, ConcaveTerm, AbsComponent,
-                            ConstantMatrix, SviProblem, merit, merit_many)
+from svikit.setmaps import (Ball, Box, ConcaveTerm, AbsComponent, ConstantMatrix,
+                            RotationScaled, SviProblem, merit, merit_many)
 from svikit.solver import (AlreadyFeasible, MaxItersExceeded, NoDescentStep,
-                           SolverConfig, caristi_step, segment_step, solve)
+                           SolverConfig, _resolve_alpha_estimate, caristi_step,
+                           segment_step, solve)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -140,6 +142,29 @@ def test_determinism(rotation_problem):
 
 
 def test_max_iters_exceeded(rotation_problem):
-    with pytest.raises(MaxItersExceeded):
+    with pytest.raises(MaxItersExceeded) as err:
         solve(rotation_problem, 1.0, [50.0, 50.0],
               SolverConfig(alpha=1.5, tol=1e-16, max_iters=1))
+    # the error carries the last iterate and its merit, as NoDescentStep does
+    assert not np.array_equal(err.value.x, [50.0, 50.0])
+    assert err.value.merit_value == merit(rotation_problem, 1.0, err.value.x)
+    assert str(err.value) == f"merit {err.value.merit_value:.3e} after 1 iterations"
+
+
+def test_alpha_tilde_comes_from_cfg_then_declared_then_sampled(rotation_problem, boxed_problem):
+    declared = rotation_problem.declared_alpha
+    assert _resolve_alpha_estimate(rotation_problem, 0.3, SolverConfig(alpha_tilde=1.3)) == 1.3
+    assert _resolve_alpha_estimate(rotation_problem, 0.3, SolverConfig()) == declared
+    bare = SviProblem(matrix=RotationScaled(3.0), cone=orthant(2))  # declares no bound
+    sampled = _resolve_alpha_estimate(bare, 0.3, SolverConfig(rng_seed=2))
+    scfg = SamplingConfig(bracket_rtol=0.05, directions=64, seed=2)
+    assert sampled == global_infimum(bare, [0.3], 6, scfg).alpha
+    assert abs(sampled - (3.0 / SQRT2 + 1.0)) <= 0.1
+    # both branches of solve read it: the unconstrained alpha is
+    # min(1.5, 0.9 alpha_tilde), the constrained interval is built on it
+    cfg = SolverConfig(alpha_tilde=1.3)
+    assert solve(rotation_problem, 0.3, [1.0, 1.0], cfg).alpha_used == 0.9 * 1.3
+    assert solve(rotation_problem, 0.3, [1.0, 1.0]).alpha_used == min(1.5, 0.9 * declared)
+    res = solve(boxed_problem, 0.3, [1.0, 1.0], SolverConfig(alpha_tilde=8.0))
+    assert res.alpha_used == 0.5 * (0.5 * (8.0 - 0.5 + 1.0) + 8.0 - 0.5)
+    assert res.kappa == 8.0 - res.alpha_used

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_pointed_cone
-from svikit.geometry import PolyCone, SumSet, VPolytope, orthant, project_dist
+from svikit.geometry import (PolyCone, SumSet, VPolytope, matvec_rows, orthant,
+                             project_dist)
 
 from svikit.problems import (deviation_vop_spec, sine_deviation_spec,
                              triangle_vop_spec)
 from svikit import vopt
-from svikit.setmaps import (AllSpace, Ball, Box, ConstantMatrix, PolytopeSet,
-                            _Knots, merit, merit_many, rotation_matrix)
+from svikit.setmaps import (AllSpace, Ball, Box, ConstantMatrix, KnotRangeError,
+                            PolytopeSet, RotationScaled, _Knots, merit, merit_many,
+                            rotation_matrix)
 from svikit.solver import SolverConfig
 from svikit.vopt import (CERTIFIED_EMPTY, FOUND, AbsDeviation, AffineFamily,
                          UnsupportedCombination, VopProblem, VopSpec,
@@ -67,7 +69,7 @@ def test_orientation_resolution_against_the_schedule():
     assert ccw_agree < cw_total, "the printed counterclockwise matrix does not"
     print(f"\norientation adopted: clockwise (agreement {cw_agree}/{cw_total} "
           f"vs counterclockwise {ccw_agree}/{cw_total})")
-    assert triangle_vop_spec().objective.clockwise is True
+    assert triangle_vop_spec().objective.matrix.clockwise is True
 
 
 def test_build_vop_problem_triangle_vertex_images(triangle_spec):
@@ -100,52 +102,51 @@ def test_build_vop_problem_affine_box_identity():
 
 
 def test_build_vop_problem_rejects_unbounded_affine_image():
-    spec = VopSpec(objective=AffineFamily(ConstantMatrix(np.eye(2))),
-                   constraint=AllSpace(), cone=orthant(2),
-                   objective_lipschitz=1.0)
+    # the pairing is rejected when the spec is built, before any problem
     with pytest.raises(UnsupportedCombination):
-        VopProblem(spec)
+        VopSpec(objective=AffineFamily(ConstantMatrix(np.eye(2))),
+                constraint=AllSpace(), cone=orthant(2), objective_lipschitz=1.0)
 
 
 def test_solve_ideal_deviation_tracks_phi():
     spec = sine_deviation_spec(129)
     for p in (0.4, 1.0, 2.5):
-        res = solve_ideal(spec, p, [0.0], SolverConfig(rng_seed=0, tol=1e-10),
-                          alpha_under=2.0)
+        res = solve_ideal(spec, p, [0.0],
+                          SolverConfig(rng_seed=0, tol=1e-10, alpha_tilde=2.0))
         assert res.status == FOUND
         assert res.x[0] == pytest.approx(spec.objective.phi(p), abs=1e-6)
         assert np.allclose(res.value, 0.0, atol=1e-9)
     # at knot-aligned parameters phi equals the sine exactly
     knot_p = 2.0 * math.pi * 64 / 128
-    res = solve_ideal(spec, knot_p, [0.0], SolverConfig(rng_seed=0, tol=1e-10),
-                      alpha_under=2.0)
+    res = solve_ideal(spec, knot_p, [0.0],
+                      SolverConfig(rng_seed=0, tol=1e-10, alpha_tilde=2.0))
     assert res.x[0] == pytest.approx(math.sin(knot_p), abs=1e-6)
 
 
 def test_solve_ideal_triangle_found_and_empty(triangle_spec):
     res0 = solve_ideal(triangle_spec, 0.0, [0.3, 0.3],
-                       SolverConfig(rng_seed=0), alpha_under=DEC_TRIANGLE)
+                       SolverConfig(rng_seed=0, alpha_tilde=DEC_TRIANGLE))
     assert res0.status == FOUND
     assert np.allclose(res0.x, [0.0, 0.0], atol=1e-7)
 
     respi = solve_ideal(triangle_spec, math.pi, [0.3, 0.3],
-                        SolverConfig(rng_seed=0), alpha_under=DEC_TRIANGLE,
+                        SolverConfig(rng_seed=0, alpha_tilde=DEC_TRIANGLE),
                         certify_empty=True)
     assert respi.status == CERTIFIED_EMPTY
     assert respi.oracle is not None and not respi.oracle.is_ideal
 
 
 def test_solve_ideal_reads_ell_from_the_objective(triangle_spec):
-    # alpha_under - 1 = 1/sqrt(2): a Lipschitz constant of 0.5 leaves the
-    # mandated interval ((alpha_under - ell + 1)/2, alpha_under - ell)
+    # alpha_tilde - 1 = 1/sqrt(2): a Lipschitz constant of 0.5 leaves the
+    # mandated interval ((alpha_tilde - ell + 1)/2, alpha_tilde - ell)
     # nonempty, one of 1.0 empties it and the run falls back on floor constants
     runs = {}
     for ell in (0.5, 1.0):
         spec = VopSpec(triangle_spec.objective, triangle_spec.constraint,
                        triangle_spec.cone, objective_lipschitz=ell)
         assert VopProblem(spec).ell == ell
-        res = solve_ideal(spec, 0.0, [0.3, 0.3], SolverConfig(rng_seed=0),
-                          alpha_under=DEC_TRIANGLE)
+        res = solve_ideal(spec, 0.0, [0.3, 0.3],
+                          SolverConfig(rng_seed=0, alpha_tilde=DEC_TRIANGLE))
         assert res.status == FOUND
         runs[ell] = res.solve_result
     below = runs[0.5]
@@ -225,9 +226,10 @@ def _grid_worst(spec, p, density, points=None):
     if isinstance(obj, AbsDeviation):
         cands = np.vstack([cands, constraint.project(np.array([obj.phi(p)]), p)[0]])
     ref = cands
-    if obj.is_affine and isinstance(constraint, PolytopeSet):
+    affine = not isinstance(obj, AbsDeviation)
+    if affine and isinstance(constraint, PolytopeSet):
         ref = constraint.polytope.vertices
-    elif obj.is_affine and isinstance(constraint, Box):
+    elif affine and isinstance(constraint, Box):
         ref = np.array(list(itertools.product(*zip(*constraint.bounds_at(p)))), float)
     if points is not None:
         cands = points
@@ -258,8 +260,8 @@ def test_empty_triangle_row_is_certified_on_the_vertices(triangle_spec, monkeypa
         return merit_many(problem, p, X, kappa)
 
     monkeypatch.setattr(vopt, "merit_many", counting_merit_many)
-    res = solve_ideal(triangle_spec, math.pi, [0.3, 0.3], SolverConfig(rng_seed=0),
-                      alpha_under=DEC_TRIANGLE, certify_empty=True)
+    res = solve_ideal(triangle_spec, math.pi, [0.3, 0.3],
+                      SolverConfig(rng_seed=0, alpha_tilde=DEC_TRIANGLE), certify_empty=True)
     assert res.status == CERTIFIED_EMPTY
     assert rows == [3]
 
@@ -499,3 +501,73 @@ def test_oracle_agreement_on_a_midsize_grid(triangle_spec):
     from svikit.parametric import continuity_report
     rep = continuity_report(table)
     assert any(a <= math.pi <= b for a, b in rep.unsolved_runs)
+
+
+def test_linear_rotation_files_load_as_affine_rotations():
+    # the older file form of the rotation objective: clockwise unless stated
+    for d, clockwise in (({"variant": "linear_rotation", "scale": 2.0}, True),
+                         ({"variant": "linear_rotation", "scale": 2.0, "clockwise": False},
+                          False)):
+        obj = vopt.objective_from_dict(d)
+        assert isinstance(obj, AffineFamily) and isinstance(obj.matrix, RotationScaled)
+        assert obj.to_dict() == {"variant": "affine", "matrix": {
+            "variant": "rotation_scaled", "scale": 2.0, "clockwise": clockwise}}
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-0.3, 0.7]])
+        for p in (0.0, 1.0, 2.5, math.pi):
+            # the product alone, as the rotation objective computed it: no
+            # offset is added, so its signed zeros stay
+            ref = matvec_rows(2.0 * rotation_matrix(-p if clockwise else p), pts)
+            assert obj.values_many(p, pts).tobytes() == ref.tobytes()
+    assert vopt.objective_from_dict({"variant": "linear_rotation"}).matrix.scale == 1.0
+
+
+def test_affine_offset_knots_round_trip_and_interpolate():
+    obj = AffineFamily(ConstantMatrix(np.eye(2)),
+                       offset_knots=_Knots([0.0, 2.0], [[0.0, 1.0], [2.0, -1.0]]))
+    d = obj.to_dict()
+    assert d["offset_knots"] == [{"p": 0.0, "offset": [0.0, 1.0]},
+                                 {"p": 2.0, "offset": [2.0, -1.0]}]
+    back = vopt.objective_from_dict(d)
+    assert back.to_dict() == d
+    x = np.array([0.5, 0.25])
+    assert np.array_equal(back.value(1.0, x), [1.5, 0.25])  # the knots' mean offset
+    assert np.array_equal(back.value(2.0, x), obj.value(2.0, x))
+    with pytest.raises(KnotRangeError):
+        back.value(2.5, x)
+    # over a box the corners decide ideality at every p: the lower corner
+    spec = VopSpec(back, Box(lower=[0.0, 0.0], upper=[1.0, 1.0]), orthant(2), 1.0)
+    res = brute_force_ideal(spec, 1.0)
+    assert res.is_ideal and np.array_equal(res.x, [0.0, 0.0])
+    assert np.array_equal(res.value, [1.0, 0.0])
+
+
+def test_ideal_value_sweep_alpha_order(triangle_spec, monkeypatch):
+    # every row runs at alpha_under, else cfg.alpha_tilde, else the sampled
+    # decrease infimum
+    seen, sampled = [], []
+    solve_ideal_ = vopt.solve_ideal
+    decrease_infimum_ = vopt.decrease_infimum
+
+    def recording_solve(spec, p, x0, cfg=None, **kw):
+        seen.append(cfg.alpha_tilde)
+        return solve_ideal_(spec, p, x0, cfg, **kw)
+
+    def recording_estimate(*args, **kwargs):
+        res = decrease_infimum_(*args, **kwargs)
+        sampled.append(res.alpha)
+        return res
+
+    monkeypatch.setattr(vopt, "solve_ideal", recording_solve)
+    monkeypatch.setattr(vopt, "decrease_infimum", recording_estimate)
+    runs = {}
+    for name, cfg, alpha_under in (("keyword", SolverConfig(alpha_tilde=9.0), DEC_TRIANGLE),
+                                   ("cfg", SolverConfig(alpha_tilde=9.0), None),
+                                   ("sampled", SolverConfig(), None)):
+        seen.clear()
+        table = ideal_value_sweep(triangle_spec, [0.0, 0.5], [0.3, 0.3], cfg,
+                                  alpha_under=alpha_under)
+        assert len(set(seen)) == 1 and len(seen) == 2
+        assert table.meta["alpha_under"] == seen[0]
+        runs[name] = seen[0]
+    assert len(sampled) == 1  # only the last sweep estimates
+    assert runs == {"keyword": DEC_TRIANGLE, "cfg": 9.0, "sampled": sampled[0]}
