@@ -20,12 +20,11 @@ from . import __version__
 from .increase import PropertyAbsent, SamplingConfig, global_infimum
 from .parametric import continuity_report, sweep, write_csv
 from .problems import load_problem_file
-from .setmaps import (KnotRangeError, RotationScaled, SviProblem, evaluate,
-                      is_all_space, merit)
+from .setmaps import KnotRangeError, RotationScaled, SviProblem, evaluate, merit
 from .solver import (DescentConstantsError, MaxItersExceeded, NoDescentStep,
                      SolverConfig, solve)
-from .vopt import (FOUND, AffineFamily, VopSpec, decrease_infimum,
-                   ideal_value_sweep, solve_ideal)
+from .vopt import (FOUND, AffineFamily, VopProblem, VopSpec, ideal_value_sweep,
+                   solve_ideal)
 
 log = logging.getLogger("svi")
 
@@ -219,12 +218,9 @@ def _cmd_estimate(args) -> int:
         grid = np.array([args.p])
     else:
         raise UsageError("estimate-inc needs --p or --p-grid")
-    scfg = SamplingConfig(seed=args.seed)
-    if isinstance(problem, SviProblem):
-        res = global_infimum(problem, grid, args.x_samples, scfg,
-                             constrained=not is_all_space(problem.constraint))
-    else:
-        res = decrease_infimum(problem, grid, args.x_samples, scfg)
+    if isinstance(problem, VopSpec):
+        problem = VopProblem(problem)
+    res = global_infimum(problem, grid, args.x_samples, SamplingConfig(seed=args.seed))
     for p, x, est in res.estimates:
         print(f"p = {p:.6f}  x = {np.asarray(x).tolist()}  "
               f"alpha in [{est.alpha_lo:.5f}, {est.alpha_hi:.5f}]")

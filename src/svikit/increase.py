@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry import (PolyCone, SumSet, VPolytope, _sphere_max, as_vector, dist_many,
                        numgrad, row_norms, seeded_rotation, unit_directions)
-from .setmaps import SviProblem, evaluate, is_all_space, merit
+from .setmaps import SviProblem, is_all_space, merit
 
 MapAt = Callable[[np.ndarray], VPolytope]
 HintFn = Callable[[np.ndarray, float], list]
@@ -269,29 +269,12 @@ class InfimumResult:
     estimates: list  # (p, x, IncreaseEstimate)
 
 
-def infimum_over_samples(map_at_of_p: Callable[[float], MapAt], cone: PolyCone,
-                         pairs: Sequence[tuple], cfg: Optional[SamplingConfig] = None,
-                         mode: Mode = Mode.INCREASE,
-                         hints_of_p: Optional[Callable[[float], HintFn]] = None
-                         ) -> InfimumResult:
-    """Minimum alpha_lo of estimate_bound over sampled (p, x) pairs."""
-    cfg = cfg or SamplingConfig()
-    estimates = []
-    for p, x in pairs:
-        hints = hints_of_p(p) if hints_of_p is not None else None
-        estimates.append((p, x, estimate_bound(map_at_of_p(p), cone, x, cfg, mode=mode,
-                                               hints=hints, p_for_seed=p)))
-    if not estimates:
-        raise ValueError("no admissible samples for the infimum estimate")
-    return InfimumResult(alpha=min(est.alpha_lo for _, _, est in estimates),
-                         samples_used=len(estimates), estimates=estimates)
-
-
-def nonsolution_pairs(problem, p_grid: Sequence[float], x_samples, dim: int,
-                      cfg: SamplingConfig, project: bool) -> list:
+def nonsolution_pairs(problem, p_grid: Sequence[float], x_samples,
+                      cfg: SamplingConfig) -> list:
     """(p, x) pairs with positive merit over the grid, x taken from the
-    given points or ``x_samples`` seeded draws in [-2, 2]^dim, and projected
-    into R(p) first when ``project``."""
+    given points or ``x_samples`` seeded draws in [-2, 2]^n, and projected
+    into R(p) first when the problem is constrained."""
+    dim = problem.dim_in
     if isinstance(x_samples, int):
         xs = np.random.default_rng(cfg.seed).uniform(-2.0, 2.0, size=(x_samples, dim))
     else:
@@ -299,7 +282,7 @@ def nonsolution_pairs(problem, p_grid: Sequence[float], x_samples, dim: int,
     pairs = []
     for p in p_grid:
         for x in xs:
-            if project and not is_all_space(problem.constraint):
+            if not is_all_space(problem.constraint):
                 x = problem.constraint.project(x, p)[0]
             if merit(problem, p, x) <= cfg.tolerance:
                 continue  # the constants only quantify over non-solutions
@@ -307,21 +290,34 @@ def nonsolution_pairs(problem, p_grid: Sequence[float], x_samples, dim: int,
     return pairs
 
 
-def global_infimum(problem: SviProblem, p_grid: Sequence[float],
-                   x_samples, cfg: Optional[SamplingConfig] = None,
-                   constrained: bool = False) -> InfimumResult:
-    """Sampled lower estimate of the global increase-bound constant of the
-    problem: the infimum of per-point bounds over (p, x) with positive merit
-    (and x projected into R(p) for the constrained variant)."""
+def global_infimum(problem, p_grid: Sequence[float], x_samples,
+                   cfg: Optional[SamplingConfig] = None) -> InfimumResult:
+    """Sampled lower estimate of the problem's global bound constant: the
+    least alpha_lo of ``estimate_bound`` over the ``nonsolution_pairs``, on
+    the map that ``problem.bound_map(p)`` gives with its linear part (for
+    the hints) or None: F(p, .) for an inclusion, -f(p, .) for ideal
+    efficiency (the decrease bound of f).  A pair with no witnesses at the
+    probe is skipped, as near the solution set the candidates can miss them
+    at the qualifying radii; PropertyAbsent means no pair was left, which
+    includes samples that are all solutions."""
     cfg = cfg or SamplingConfig()
     if not len(p_grid):
         raise ValueError("parameter grid must be nonempty")
-    pairs = nonsolution_pairs(problem, p_grid, x_samples, problem.dim_in, cfg,
-                              project=constrained)
-    return infimum_over_samples(
-        lambda p: (lambda xx: evaluate(problem, p, xx)),
-        problem.cone, pairs, cfg,
-        hints_of_p=lambda p: hints_for_problem(problem, p))
+    pairs = nonsolution_pairs(problem, p_grid, x_samples, cfg)
+    estimates = []
+    for p, x in pairs:
+        map_at, M = problem.bound_map(p)
+        hints = hints_for_matrix(M, problem.cone) if M is not None else None
+        try:
+            estimates.append((p, x, estimate_bound(map_at, problem.cone, x, cfg,
+                                                   hints=hints, p_for_seed=p)))
+        except PropertyAbsent:
+            continue
+    if not estimates:
+        raise PropertyAbsent(f"no witnesses at alpha = {ALPHA_PROBE} at any of the "
+                             f"{len(pairs)} sampled non-solutions")
+    return InfimumResult(alpha=min(est.alpha_lo for _, _, est in estimates),
+                         samples_used=len(estimates), estimates=estimates)
 
 
 def perturbed_bound(base_inc: float, ell: float) -> float:

@@ -517,6 +517,11 @@ class SviProblem:
     def evaluate(self, p: float, x) -> VPolytope:
         return evaluate(self, p, x)
 
+    def bound_map(self, p: float):
+        """The map whose increase bound the solver needs at p, x -> F(p, x),
+        and its linear part M(p) for the witness hints."""
+        return (lambda x: evaluate(self, p, x)), self.matrix.matrix_at(p)
+
     def evaluate_many(self, p: float, X) -> np.ndarray:
         """Vertices of F(p, x) for every row x of X, shape (k, v, m): one
         vertex M(p)x + h(x) without a fan, M(p)x + h(x) + L_i x with one."""

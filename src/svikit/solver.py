@@ -22,6 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import as_vector, numgrad, row_norms, seeded_rotation, unit_directions
+from .increase import SamplingConfig, global_infimum
 from .setmaps import is_all_space, merit_many
 
 #: the sampled descent's first radius and its shrink factor per round
@@ -71,10 +72,12 @@ class SolverConfig:
     """Descent-loop configuration.
 
     ``alpha_tilde`` is the increase (for vector optimization, decrease)
-    bound; unset, it is the problem's ``declared_alpha`` or else a sampled
-    global infimum at p.  Constrained runs use the pair (alpha_tilde,
-    alpha) with alpha inside ((alpha_tilde - ell + 1)/2, alpha_tilde - ell),
-    ell being the problem's ``ell``.  ``alpha`` is the descent constant of
+    bound; unset, it is the problem's ``declared_alpha`` or else
+    ``global_infimum`` over six seeded non-solutions at p, projected into
+    R(p) when the problem is constrained.  Constrained runs use the pair
+    (alpha_tilde, alpha) with alpha inside
+    ((alpha_tilde - ell + 1)/2, alpha_tilde - ell), ell being the
+    problem's ``ell``.  ``alpha`` is the descent constant of
     the unconstrained rule (must exceed 1); unset, it is
     min(1.5, 0.9 * alpha_tilde), or (1 + alpha_tilde)/2 when that is not
     above 1.  ``allow_uncertified`` lets runs proceed with floor constants
@@ -232,16 +235,15 @@ def segment_step(x, constraint, p: float, t: float) -> np.ndarray:
 
 def _resolve_alpha_estimate(problem, p: float, cfg: SolverConfig) -> float:
     """alpha_tilde for this run: ``cfg.alpha_tilde`` when set, else the
-    problem's ``declared_alpha``, else a sampled global infimum at p."""
+    problem's ``declared_alpha``, else a sampled global infimum over
+    non-solutions at p (projected into R(p) for a constrained problem)."""
     if cfg.alpha_tilde is not None:
         return float(cfg.alpha_tilde)
     declared = getattr(problem, "declared_alpha", None)
     if declared is not None:
         return float(declared)
-    from .increase import SamplingConfig, global_infimum
     scfg = SamplingConfig(bracket_rtol=0.05, directions=64, seed=cfg.rng_seed)
-    res = global_infimum(problem, [p], 6, scfg)
-    return res.alpha
+    return global_infimum(problem, [p], 6, scfg).alpha
 
 
 def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveResult:

@@ -24,9 +24,7 @@ import numpy as np
 
 from .geometry import (PolyCone, VPolytope, _as_points, as_vector, matvec_rows,
                        row_norms)
-from .increase import (InfimumResult, Mode, SamplingConfig, estimate_bound,
-                       hints_for_matrix, infimum_over_samples,
-                       nonsolution_pairs)
+from .increase import SamplingConfig, global_infimum
 from .parametric import SweepRow, SweepTable, _sorted_grid, _sweep_meta
 from .setmaps import (Ball, Box, ConstraintFamily, PolytopeSet, RotationScaled,
                       _Knots, constraint_from_dict, is_all_space,
@@ -239,6 +237,20 @@ class VopProblem:
     def constraint(self) -> ConstraintFamily:
         return self.spec.constraint
 
+    @property
+    def dim_in(self) -> int:
+        return self.spec.objective.dim_in
+
+    def bound_map(self, p: float):
+        """The map whose increase bound the solver needs at p, x -> -f(p, x)
+        (the objective's decrease bound is its increase bound), and its
+        linear part -M(p) for a square affine objective, else None."""
+        obj = self.spec.objective
+        M = None
+        if isinstance(obj, AffineFamily) and obj.dim_in == obj.dim_out:
+            M = -obj.matrix_at(p)
+        return (lambda x: VPolytope(-obj.value(p, x)[None, :])), M
+
     def feasible_samples(self, p: float) -> np.ndarray:
         return self._cached(p)[0]
 
@@ -262,32 +274,6 @@ class VopProblem:
 
     def to_dict(self) -> dict:
         return self.spec.to_dict()
-
-
-# ---------------------------------------------------------------------------
-# decrease-bound estimation
-# ---------------------------------------------------------------------------
-
-def decrease_hints(spec: VopSpec, p: float):
-    obj = spec.objective
-    if isinstance(obj, AffineFamily) and obj.dim_in == obj.dim_out:
-        return hints_for_matrix(-obj.matrix_at(p), spec.cone)
-    return None
-
-
-def decrease_infimum(spec: VopSpec, p_grid: Sequence[float], x_samples,
-                     cfg: Optional[SamplingConfig] = None) -> InfimumResult:
-    """Sampled estimate of the global cone-decrease constant of the
-    objective over feasible non-ideal points."""
-    cfg = cfg or SamplingConfig()
-    prob = VopProblem(spec)
-    pairs = nonsolution_pairs(prob, p_grid, x_samples, spec.objective.dim_in, cfg,
-                              project=True)
-    obj = spec.objective
-    return infimum_over_samples(
-        lambda p: (lambda xx: VPolytope(obj.value(p, xx)[None, :])),
-        spec.cone, pairs, cfg, mode=Mode.DECREASE,
-        hints_of_p=lambda p: decrease_hints(spec, p))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +302,7 @@ class OracleResult:
 @dataclass
 class IdealResult:
     status: str  # FOUND | NOT_FOUND | CERTIFIED_EMPTY
-    x: Optional[np.ndarray] = None
+    x: Optional[np.ndarray] = None  # the ideal point, else the last iterate
     value: Optional[np.ndarray] = None
     merit_final: float = math.nan
     solve_result: Optional[SolveResult] = None
@@ -327,28 +313,24 @@ def solve_ideal(spec: VopSpec, p: float, x0, cfg: Optional[SolverConfig] = None,
                 certify_empty: bool = False) -> IdealResult:
     """Run the constrained descent on the built inclusion problem.
 
-    alpha_tilde, the objective's global decrease bound, is
-    ``cfg.alpha_tilde`` when set, else the lower end of a sampled decrease
-    bracket at (p, x0).  When the mandated alpha interval is empty (the
+    alpha_tilde, the objective's global decrease bound, is resolved by the
+    solver as for an inclusion: ``cfg.alpha_tilde`` when set, else the
+    least sampled bound of -f over non-ideal points at p
+    (``global_infimum``).  When the mandated alpha interval is empty (the
     Lipschitz budget is too large, which legitimately happens), the run
     proceeds best-effort with floor constants and an uncertified
-    certificate.  Emptiness is only ever certified by the exact oracle
+    certificate.  An unsolved run keeps its last iterate and merit.
+    Emptiness is only ever certified by the exact oracle
     (``brute_force_ideal``), which ``certify_empty`` runs on an unsolved run.
     """
     cfg = cfg or SolverConfig()
     prob = VopProblem(spec)
     prob.feasible_samples(p)  # rejects data that does not cover p before any estimate
-    alpha_tilde = cfg.alpha_tilde
-    if alpha_tilde is None:
-        alpha_tilde = estimate_bound(
-            lambda xx: VPolytope(spec.objective.value(p, xx)[None, :]),
-            spec.cone, as_vector(x0), SamplingConfig(bracket_rtol=0.05),
-            mode=Mode.DECREASE, hints=decrease_hints(spec, p), p_for_seed=p).alpha_lo
-    run_cfg = replace(cfg, alpha_tilde=float(alpha_tilde), allow_uncertified=True)
+    run_cfg = replace(cfg, allow_uncertified=True)
     try:
         res = solve(prob, p, x0, run_cfg)
-    except (NoDescentStep, MaxItersExceeded):
-        out = IdealResult(status=NOT_FOUND)
+    except (NoDescentStep, MaxItersExceeded) as err:
+        out = IdealResult(status=NOT_FOUND, x=err.x, merit_final=err.merit_value)
     else:
         x = res.x_final
         _, dx = spec.constraint.project(x, p)
@@ -356,7 +338,7 @@ def solve_ideal(spec: VopSpec, p: float, x0, cfg: Optional[SolverConfig] = None,
             return IdealResult(status=FOUND, x=x,
                                value=spec.objective.value(p, x),
                                merit_final=res.merit_final, solve_result=res)
-        out = IdealResult(status=NOT_FOUND, merit_final=res.merit_final,
+        out = IdealResult(status=NOT_FOUND, x=x, merit_final=res.merit_final,
                           solve_result=res)
     if certify_empty:
         oracle = brute_force_ideal(spec, p)
@@ -391,11 +373,12 @@ def ideal_value_sweep(spec: VopSpec, grid: Sequence[float], x_init,
                       oracle_density: Optional[int] = None) -> SweepTable:
     """Warm-started ideal-efficiency sweep; rows carry the ideal point and
     the ideal value f(p, x(p)).  Unsolved rows chart empty (or unreached)
-    solution sets.  Every row runs at one decrease bound: ``alpha_under``,
-    else ``cfg.alpha_tilde``, else a sampled decrease infimum over the
-    grid's first and middle values.  ``oracle_density`` is ignored: the
-    oracle is exact, and the keyword stays only for callers that still
-    pass it."""
+    solution sets; they record the last iterate and its merit, and the next
+    row starts where the last solved one ended.  Every row runs at one
+    decrease bound: ``alpha_under``, else ``cfg.alpha_tilde``, else
+    ``global_infimum`` of the built problem over the grid's first and middle
+    values.  ``oracle_density`` is ignored: the oracle is exact, and the
+    keyword stays only for callers that still pass it."""
     cfg = cfg or SolverConfig()
     grid = _sorted_grid(grid)
     if alpha_under is None:
@@ -403,7 +386,7 @@ def ideal_value_sweep(spec: VopSpec, grid: Sequence[float], x_init,
     if alpha_under is None:
         mid = grid[len(grid) // 2]
         scfg = SamplingConfig(bracket_rtol=0.05, seed=cfg.rng_seed)
-        alpha_under = decrease_infimum(spec, [grid[0], mid], 4, scfg).alpha
+        alpha_under = global_infimum(VopProblem(spec), [grid[0], mid], 4, scfg).alpha
     row_cfg = replace(cfg, alpha_tilde=float(alpha_under))
     t0 = time.perf_counter()
     rows, statuses = [], []
@@ -418,10 +401,7 @@ def ideal_value_sweep(spec: VopSpec, grid: Sequence[float], x_init,
                                  warm_start=x_start.copy(), value=res.value))
             x_start = res.x
         else:
-            x_last = (res.solve_result.x_final if res.solve_result is not None
-                      else x_start)
-            rows.append(SweepRow(p=p, x=np.asarray(x_last, float),
-                                 merit=res.merit_final, bound_rhs=math.nan,
+            rows.append(SweepRow(p=p, x=res.x, merit=res.merit_final, bound_rhs=math.nan,
                                  bound_holds=False, solved=False,
                                  warm_start=x_start.copy(),
                                  value=np.full(spec.objective.dim_out, math.nan)))

@@ -6,11 +6,11 @@ import pytest
 
 from svikit import vopt
 from svikit.cli import main
-from svikit.geometry import PolyCone
+from svikit.geometry import PolyCone, orthant
 from svikit.problems import (boxed_rotation_problem, load_problem_file,
                              rotation_inclusion_problem, sine_deviation_spec,
                              triangle_vop_spec, write_problem_file)
-from svikit.setmaps import Ball, ConstantMatrix
+from svikit.setmaps import Ball, Box, ConstantMatrix
 from svikit.vopt import AffineFamily, VopSpec
 
 
@@ -250,6 +250,31 @@ def test_vopt_oracle_on_a_ball_decides_the_scalarizations(tmp_path, capsys):
     assert "oracle = empty" in out
 
 
+@pytest.mark.parametrize("argv", [["--p", "1.0", "--x0", "0.84"],
+                                  ["--p", "0.4", "--x0", "0", "--seed", "2"]])
+def test_vopt_estimates_alpha_tilde_off_the_start_point(problem_files, capsys, argv):
+    # phi(1.0) = 0.8408 on the deviation file: the decrease property is
+    # absent at the start point, whose bracket alpha_tilde once was (exit 2).
+    # At p = 0.4 seed 2 draws a point near phi(p), where the probe finds no
+    # witnesses; the sampled estimate skips it
+    rc = main(["vopt", "--problem", problem_files["deviation"], *argv])
+    assert rc == 0
+    assert "status = found" in capsys.readouterr().out
+
+
+def test_no_sampled_non_solution_is_a_solver_failure(tmp_path, capsys):
+    # a constant objective makes every point ideal, so no sample is left to
+    # estimate the decrease bound on: exit 2, not an internal error (vopt,
+    # started at an ideal point, may also report it found)
+    spec = VopSpec(AffineFamily(ConstantMatrix(np.zeros((2, 2)))),
+                   Box(lower=[0.0, 0.0], upper=[1.0, 1.0]), orthant(2), 1.0)
+    path = tmp_path / "constant.json"
+    write_problem_file(path, spec)
+    assert main(["estimate-inc", "--problem", str(path), "--p", "0"]) == 2
+    assert "0 sampled non-solutions" in capsys.readouterr().err
+    assert main(["vopt", "--problem", str(path), "--p", "0", "--x0", "0.5,0.5"]) in (0, 2)
+
+
 def test_vopt_orientation_override(problem_files, capsys):
     rc = main(["vopt", "--problem", problem_files["triangle"],
                "--p", "1.65", "--x0", "0.3,0.3", "--orientation", "cw",
@@ -312,7 +337,7 @@ def test_vopt_sweep_runs_every_row_at_the_alpha_tilde_flag(problem_files, monkey
         raise AssertionError("the flag's alpha_tilde must not be estimated")
 
     monkeypatch.setattr(vopt, "solve_ideal", recording)
-    monkeypatch.setattr(vopt, "decrease_infimum", no_estimate)
+    monkeypatch.setattr(vopt, "global_infimum", no_estimate)
     rc = main(["vopt", "--problem", problem_files["triangle"], "--grid", "0:1:2",
                "--x0", "0.3,0.3", "--alpha-tilde", "9"])
     assert rc == 0

@@ -151,6 +151,20 @@ def test_max_iters_exceeded(rotation_problem):
     assert str(err.value) == f"merit {err.value.merit_value:.3e} after 1 iterations"
 
 
+def test_sampled_alpha_tilde_projects_into_the_constraint():
+    # a constrained problem that declares no bound samples its alpha_tilde
+    # at points of R(p): the seeded draws are projected into the box first
+    box = Box(lower=[-0.5, -0.5], upper=[1.0, 1.0])
+    problem = SviProblem(matrix=RotationScaled(3.0), cone=orthant(2), constraint=box)
+    scfg = SamplingConfig(bracket_rtol=0.05, directions=64, seed=4)
+    res = global_infimum(problem, [0.3], 6, scfg)
+    assert _resolve_alpha_estimate(problem, 0.3, SolverConfig(rng_seed=4)) == res.alpha
+    draws = np.random.default_rng(4).uniform(-2.0, 2.0, size=(6, 2))
+    assert np.any(box.distances(draws, 0.3) > 0.5)
+    xs = np.array([x for _, x, _ in res.estimates])
+    assert len(xs) and np.all(box.distances(xs, 0.3) == 0.0)
+
+
 def test_alpha_tilde_comes_from_cfg_then_declared_then_sampled(rotation_problem, boxed_problem):
     declared = rotation_problem.declared_alpha
     assert _resolve_alpha_estimate(rotation_problem, 0.3, SolverConfig(alpha_tilde=1.3)) == 1.3

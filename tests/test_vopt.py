@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,17 +10,18 @@ from conftest import random_pointed_cone
 from svikit.geometry import (PolyCone, SumSet, VPolytope, matvec_rows, orthant,
                              project_dist)
 
+from svikit.increase import (Mode, PropertyAbsent, SamplingConfig, estimate_bound,
+                             global_infimum, hints_for_matrix, nonsolution_pairs)
 from svikit.problems import (deviation_vop_spec, sine_deviation_spec,
                              triangle_vop_spec)
 from svikit import vopt
 from svikit.setmaps import (AllSpace, Ball, Box, ConstantMatrix, KnotRangeError,
                             PolytopeSet, RotationScaled, _Knots, merit, merit_many,
                             rotation_matrix)
-from svikit.solver import SolverConfig
-from svikit.vopt import (CERTIFIED_EMPTY, FOUND, AbsDeviation, AffineFamily,
+from svikit.solver import MaxItersExceeded, SolverConfig, solve
+from svikit.vopt import (CERTIFIED_EMPTY, FOUND, NOT_FOUND, AbsDeviation, AffineFamily,
                          UnsupportedCombination, VopProblem, VopSpec,
-                         brute_force_ideal, decrease_infimum, ideal_value_sweep,
-                         solve_ideal)
+                         brute_force_ideal, ideal_value_sweep, solve_ideal)
 
 SQRT2 = math.sqrt(2.0)
 DEC_TRIANGLE = 1.0 / SQRT2 + 1.0
@@ -121,6 +123,17 @@ def test_solve_ideal_deviation_tracks_phi():
     res = solve_ideal(spec, knot_p, [0.0],
                       SolverConfig(rng_seed=0, tol=1e-10, alpha_tilde=2.0))
     assert res.x[0] == pytest.approx(math.sin(knot_p), abs=1e-6)
+
+
+def test_solve_ideal_starts_at_the_ideal_point():
+    # the decrease property is absent at the ideal point phi(1) = 0.8408, so
+    # alpha_tilde must not come from a bracket at the start point
+    spec = sine_deviation_spec(65)
+    phi = spec.objective.phi(1.0)
+    for x0 in (phi, 0.84):
+        res = solve_ideal(spec, 1.0, [x0])
+        assert res.status == FOUND
+        assert res.x[0] == pytest.approx(phi, abs=1e-6)
 
 
 def test_solve_ideal_triangle_found_and_empty(triangle_spec):
@@ -442,8 +455,67 @@ def test_ideal_value_sweep_triangle_plateau(triangle_spec):
 
 
 def test_decrease_infimum_triangle(triangle_spec):
-    res = decrease_infimum(triangle_spec, [0.3, 2.0], 4)
+    res = global_infimum(VopProblem(triangle_spec), [0.3, 2.0], 4)
     assert abs(res.alpha - DEC_TRIANGLE) <= 0.05
+
+
+@pytest.mark.parametrize("make_spec", [triangle_vop_spec, lambda: sine_deviation_spec(65)],
+                         ids=["triangle", "deviation"])
+def test_global_infimum_of_the_built_problem_brackets_the_decrease_bound(make_spec):
+    # the built problem's bound map is -f: its increase brackets are the
+    # decrease brackets of f, bit for bit and with the same witnesses, on the
+    # pairs where the probe finds witnesses (the others are skipped)
+    spec = make_spec()
+    obj = spec.objective
+    cfg = SamplingConfig(bracket_rtol=0.05, seed=3)
+    problem = VopProblem(spec)
+    res = global_infimum(problem, [0.3, 2.0], 4, cfg)
+    refs = []
+    for p, x in nonsolution_pairs(problem, [0.3, 2.0], 4, cfg):
+        hints = (hints_for_matrix(-obj.matrix_at(p), spec.cone)
+                 if isinstance(obj, AffineFamily) else None)
+        try:
+            refs.append((p, x, estimate_bound(
+                lambda xx: VPolytope(obj.value(p, xx)[None, :]), spec.cone, x, cfg,
+                mode=Mode.DECREASE, hints=hints, p_for_seed=p)))
+        except PropertyAbsent:
+            pass
+    assert res.samples_used == len(res.estimates) == len(refs) > 0
+    for (p, x, est), (p_ref, x_ref, ref) in zip(res.estimates, refs):
+        assert p == p_ref and np.array_equal(x, x_ref)
+        assert (est.alpha_lo, est.alpha_hi) == (ref.alpha_lo, ref.alpha_hi)
+        assert len(est.witnesses) == len(ref.witnesses)
+        for (r, u), (r_ref, u_ref) in zip(est.witnesses, ref.witnesses):
+            assert r == r_ref and np.array_equal(u, u_ref)
+    assert res.alpha == min(est.alpha_lo for _, _, est in res.estimates)
+
+
+def test_global_infimum_raises_only_when_every_sample_lacks_witnesses():
+    spec = sine_deviation_spec(65)
+    phi = spec.objective.phi(1.0)
+    near, far = [phi + 1e-3], [phi + 1.0]  # the probe misses the witnesses near phi
+    res = global_infimum(VopProblem(spec), [1.0], [near, far])
+    assert res.samples_used == 1 and res.estimates[0][1][0] == far[0]
+    with pytest.raises(PropertyAbsent, match="any of the 1 sampled non-solutions"):
+        global_infimum(VopProblem(spec), [1.0], [near])
+
+
+def test_capped_ideal_rows_keep_the_last_iterate(triangle_spec):
+    # a row stopped by the iteration cap records its last iterate and that
+    # iterate's merit; an unsolved row does not move the next row's start
+    cfg = SolverConfig(tol=1e-16, max_iters=1)
+    table = ideal_value_sweep(triangle_spec, [0.0, 0.1], [0.3, 0.3], cfg,
+                              alpha_under=DEC_TRIANGLE)
+    run_cfg = replace(cfg, alpha_tilde=DEC_TRIANGLE, allow_uncertified=True)
+    for row in table.rows:
+        with pytest.raises(MaxItersExceeded) as err:
+            solve(VopProblem(triangle_spec), row.p, [0.3, 0.3], run_cfg)
+        assert not row.solved and np.array_equal(row.warm_start, [0.3, 0.3])
+        assert np.array_equal(row.x, err.value.x) and not np.array_equal(row.x, [0.3, 0.3])
+        assert row.merit == err.value.merit_value and math.isfinite(row.merit)
+    res = solve_ideal(triangle_spec, 0.0, [0.3, 0.3], replace(cfg, alpha_tilde=DEC_TRIANGLE))
+    assert res.status == NOT_FOUND
+    assert np.array_equal(res.x, table.rows[0].x) and res.merit_final == table.rows[0].merit
 
 
 def test_ideal_value_single_valuedness():
@@ -546,19 +618,19 @@ def test_ideal_value_sweep_alpha_order(triangle_spec, monkeypatch):
     # decrease infimum
     seen, sampled = [], []
     solve_ideal_ = vopt.solve_ideal
-    decrease_infimum_ = vopt.decrease_infimum
+    global_infimum_ = vopt.global_infimum
 
     def recording_solve(spec, p, x0, cfg=None, **kw):
         seen.append(cfg.alpha_tilde)
         return solve_ideal_(spec, p, x0, cfg, **kw)
 
     def recording_estimate(*args, **kwargs):
-        res = decrease_infimum_(*args, **kwargs)
+        res = global_infimum_(*args, **kwargs)
         sampled.append(res.alpha)
         return res
 
     monkeypatch.setattr(vopt, "solve_ideal", recording_solve)
-    monkeypatch.setattr(vopt, "decrease_infimum", recording_estimate)
+    monkeypatch.setattr(vopt, "global_infimum", recording_estimate)
     runs = {}
     for name, cfg, alpha_under in (("keyword", SolverConfig(alpha_tilde=9.0), DEC_TRIANGLE),
                                    ("cfg", SolverConfig(alpha_tilde=9.0), None),
