@@ -14,8 +14,9 @@ from typing import Optional, Union
 import numpy as np
 
 from .geometry import VPolytope, orthant
-from .setmaps import (AbsComponent, Box, ConcaveTerm, FanSpec, PolytopeSet,
-                      RotationScaled, SviProblem, _Knots, problem_from_dict)
+from .setmaps import (AbsComponent, AllSpace, Box, ConcaveTerm, FanSpec,
+                      PolytopeSet, RotationScaled, SviProblem, _Knots,
+                      problem_from_dict)
 from .vopt import AbsDeviation, AffineFamily, VopSpec, vop_spec_from_dict
 
 
@@ -52,7 +53,7 @@ def rotation_solution_path(p: float) -> np.ndarray:
 def boxed_rotation_problem(half_width: float = 2.0, **kwargs) -> SviProblem:
     """The rotation instance constrained to the centered box of the given
     half width."""
-    box = Box(lower=[-half_width, -half_width], upper=[half_width, half_width])
+    box = Box([-half_width, -half_width], [half_width, half_width])
     return rotation_inclusion_problem(constraint=box, **kwargs)
 
 
@@ -73,7 +74,6 @@ def triangle_vop_spec(clockwise: bool = True, scale: float = 1.0) -> VopSpec:
 def deviation_vop_spec(phi_values, p_knots, components: int = 2) -> VopSpec:
     """Deviation objective f(p, x) = (|x - phi(p)|, ..) with phi given on
     knots (piecewise linear); unconstrained scalar decision variable."""
-    from .setmaps import AllSpace
     return VopSpec(objective=AbsDeviation(_Knots(p_knots, phi_values), components),
                    constraint=AllSpace(),
                    cone=orthant(components),

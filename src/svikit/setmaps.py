@@ -24,7 +24,7 @@ from .geometry import (PolyCone, VPolytope, _as_points, as_vector, dist_many,
 
 
 # ---------------------------------------------------------------------------
-# 1-D linear interpolation on knot tables
+# parameter-dependent data: constants and knot tables
 # ---------------------------------------------------------------------------
 
 class KnotRangeError(ValueError):
@@ -33,22 +33,35 @@ class KnotRangeError(ValueError):
 
 
 class _Knots:
-    """Linear interpolation of vector/matrix values on strictly increasing
-    parameter knots; evaluation outside the knot range is a KnotRangeError."""
+    """One parameter-dependent datum: a value that holds at every p (``ps``
+    is None), or a knot table of vector/matrix values on strictly increasing
+    parameter knots, linearly interpolated, where a parameter outside the
+    knot range is a KnotRangeError."""
 
     def __init__(self, ps, values):
-        self.ps = np.asarray(ps, dtype=float)
+        self.ps = None if ps is None else np.asarray(ps, dtype=float)
         self.values = np.asarray(values, dtype=float)
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("p-dependent data and knot tables must be finite")
+        if ps is None:
+            return
         if self.ps.ndim != 1 or len(self.ps) < 1:
             raise ValueError("knot table needs at least one parameter value")
-        if not (np.all(np.isfinite(self.ps)) and np.all(np.isfinite(self.values))):
+        if not np.all(np.isfinite(self.ps)):
             raise ValueError("knot tables must be finite")
         if np.any(np.diff(self.ps) <= 0):
             raise ValueError("knot parameters must be strictly increasing")
-        if self.values.shape[0] != len(self.ps):
+        if self.values.shape[:1] != self.ps.shape:
             raise ValueError("one value per knot required")
 
+    @property
+    def shape(self) -> tuple:
+        """The shape of the value at one parameter."""
+        return self.values.shape if self.ps is None else self.values.shape[1:]
+
     def at(self, p: float) -> np.ndarray:
+        if self.ps is None:
+            return self.values
         if len(self.ps) == 1:
             if not math.isclose(p, self.ps[0], rel_tol=0, abs_tol=1e-12):
                 raise KnotRangeError(f"parameter {p} outside knot range")
@@ -61,6 +74,43 @@ class _Knots:
         j = min(j, len(self.ps) - 2)
         t = (p - self.ps[j]) / (self.ps[j + 1] - self.ps[j])
         return (1.0 - t) * self.values[j] + t * self.values[j + 1]
+
+
+def as_data(*values) -> tuple:
+    """The p-dependent data of one object: each value is a knot table or,
+    otherwise, a constant.  They must all be constants or all be tables on
+    the same knots, so that they are written as one table."""
+    data = tuple(v if isinstance(v, _Knots) else _Knots(None, v) for v in values)
+    # a constant's ps, None, equals only another constant's
+    if not all(np.array_equal(d.ps, data[0].ps) for d in data):
+        raise ValueError("p-dependent data of one object must be constants or "
+                         "tables that share their parameters")
+    return data
+
+
+def as_vector_data(value):
+    """A vector datum: a knot table as it is, a constant through ``as_vector``
+    (a scalar is a 1-vector)."""
+    return value if isinstance(value, _Knots) else as_vector(value)
+
+
+def write_data(key: str = "knots", **data: _Knots) -> dict:
+    """The file form of one object's data: ``{name: value}`` for constants,
+    else ``{key: [{"p": p, name: value, ...}, ...]}``, one row per knot."""
+    ps = next(iter(data.values())).ps
+    if ps is None:
+        return {name: d.values.tolist() for name, d in data.items()}
+    return {key: [{"p": float(p), **{name: d.values[i].tolist() for name, d in data.items()}}
+                  for i, p in enumerate(ps)]}
+
+
+def read_data(d: dict, *names: str, key: str = "knots") -> tuple:
+    """Inverse of ``write_data``: knot tables from the rows ``d[key]`` when
+    present, else the constants ``d.get(name)``."""
+    if key not in d:
+        return tuple(d.get(name) for name in names)
+    ps = [row["p"] for row in d[key]]
+    return tuple(_Knots(ps, [row[name] for row in d[key]]) for name in names)
 
 
 def rotation_matrix(angle: float) -> np.ndarray:
@@ -96,53 +146,31 @@ class RotationScaled:
 
 
 @dataclass(frozen=True, eq=False)
-class ConstantMatrix:
-    matrix: np.ndarray
+class MatrixTable:
+    """M(p) as a p-dependent datum: one finite 2-D matrix (the ``constant``
+    file variant) or a knot table of them (``interpolated``)."""
+
+    matrix: object  # a 2-D array, or a _Knots table of 2-D arrays
 
     def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=float)
-        if M.ndim != 2 or not np.all(np.isfinite(M)):
-            raise ValueError("constant matrix must be a finite 2-D array")
+        (M,) = as_data(self.matrix)
+        if len(M.shape) != 2:
+            raise ValueError("a matrix datum must be a finite 2-D array at every knot")
         object.__setattr__(self, "matrix", M)
 
     def matrix_at(self, p: float) -> np.ndarray:
-        return self.matrix
+        return self.matrix.at(p)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
 
     def to_dict(self) -> dict:
-        return {"variant": "constant", "matrix": self.matrix.tolist()}
+        variant = "constant" if self.matrix.ps is None else "interpolated"
+        return {"variant": variant, **write_data(matrix=self.matrix)}
 
 
-@dataclass(frozen=True, eq=False)
-class InterpolatedTable:
-    knots_p: np.ndarray
-    knots_matrix: np.ndarray
-
-    def __post_init__(self):
-        interp = _Knots(self.knots_p, self.knots_matrix)
-        object.__setattr__(self, "knots_p", interp.ps)
-        object.__setattr__(self, "knots_matrix", interp.values)
-        object.__setattr__(self, "_interp", interp)
-        if interp.values.ndim != 3:
-            raise ValueError("matrix knots must be a list of 2-D matrices")
-
-    def matrix_at(self, p: float) -> np.ndarray:
-        return getattr(self, "_interp").at(p)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return tuple(self.knots_matrix.shape[1:])
-
-    def to_dict(self) -> dict:
-        return {"variant": "interpolated",
-                "knots": [{"p": float(p), "matrix": m.tolist()}
-                          for p, m in zip(self.knots_p, self.knots_matrix)]}
-
-
-ParamMatrixFamily = Union[RotationScaled, ConstantMatrix, InterpolatedTable]
+ParamMatrixFamily = Union[RotationScaled, MatrixTable]
 
 
 def matrix_family_from_dict(d: dict) -> ParamMatrixFamily:
@@ -150,11 +178,9 @@ def matrix_family_from_dict(d: dict) -> ParamMatrixFamily:
     if variant == "rotation_scaled":
         return RotationScaled(float(d["scale"]), bool(d.get("clockwise", False)))
     if variant == "constant":
-        return ConstantMatrix(np.asarray(d["matrix"], dtype=float))
+        return MatrixTable(d["matrix"])
     if variant == "interpolated":
-        ps = [k["p"] for k in d["knots"]]
-        ms = [k["matrix"] for k in d["knots"]]
-        return InterpolatedTable(np.asarray(ps), np.asarray(ms, dtype=float))
+        return MatrixTable(*read_data(d, "matrix"))
     raise ValueError(f"unknown matrix family variant {variant!r}")
 
 
@@ -300,43 +326,28 @@ class AllSpace:
 
 @dataclass(frozen=True, eq=False)
 class Box:
-    """Axis-aligned box, optionally with p-dependent bounds on knots."""
+    """Axis-aligned box [lower, upper]; each bound is a vector or, with the
+    other, a knot table of vectors."""
 
-    lower: Optional[np.ndarray] = None
-    upper: Optional[np.ndarray] = None
-    knots: Optional[tuple] = None  # ((ps, lowers), (ps, uppers))
+    lower: object
+    upper: object
 
     def __post_init__(self):
-        if self.knots is not None:
-            (ps, lo), (ps2, hi) = self.knots
-            lo, hi = _Knots(ps, lo), _Knots(ps2, hi)
-            if not np.array_equal(lo.ps, hi.ps):
-                raise ValueError("box bound knots must share their parameters")
-            if lo.values.ndim != 2 or lo.values.shape != hi.values.shape:
-                raise ValueError("box bounds must be vectors of one length at every knot")
-            # interpolating between valid knots keeps lower <= upper
-            if not np.all(lo.values <= hi.values):
-                raise ValueError("box lower bound exceeds upper bound at a knot")
-            object.__setattr__(self, "knots", (lo, hi))
-        else:
-            if self.lower is None or self.upper is None:
-                raise ValueError("box requires bounds or bound knots")
-            lo = as_vector(self.lower)
-            hi = as_vector(self.upper, len(lo))
-            if np.any(lo > hi):
-                raise ValueError("box lower bound exceeds upper bound")
-            object.__setattr__(self, "lower", lo)
-            object.__setattr__(self, "upper", hi)
+        lo, hi = as_data(as_vector_data(self.lower), as_vector_data(self.upper))
+        if len(lo.shape) != 1 or lo.shape != hi.shape:
+            raise ValueError("box bounds must be vectors of one length at every knot")
+        # interpolating between valid knots keeps lower <= upper
+        if np.any(lo.values > hi.values):
+            raise ValueError("box lower bound exceeds upper bound")
+        object.__setattr__(self, "lower", lo)
+        object.__setattr__(self, "upper", hi)
 
     @property
     def dim(self) -> int:
-        return len(self.lower) if self.knots is None else self.knots[0].values.shape[1]
+        return self.lower.shape[0]
 
     def bounds_at(self, p: float) -> tuple[np.ndarray, np.ndarray]:
-        if self.knots is not None:
-            lo, hi = self.knots
-            return lo.at(p), hi.at(p)
-        return self.lower, self.upper
+        return self.lower.at(p), self.upper.at(p)
 
     def project(self, x, p: float) -> tuple[np.ndarray, float]:
         x = as_vector(x)
@@ -348,51 +359,35 @@ class Box:
         return row_norms(X - np.clip(X, *self.bounds_at(p)))
 
     def to_dict(self) -> dict:
-        if self.knots is not None:
-            lo, hi = self.knots
-            return {"variant": "box",
-                    "knots": [{"p": float(pp), "lower": l.tolist(), "upper": u.tolist()}
-                              for pp, l, u in zip(lo.ps, lo.values, hi.values)]}
-        return {"variant": "box", "lower": self.lower.tolist(),
-                "upper": self.upper.tolist()}
+        return {"variant": "box", **write_data(lower=self.lower, upper=self.upper)}
 
 
 @dataclass(frozen=True, eq=False)
 class Ball:
-    """Euclidean ball with possibly p-dependent center and radius."""
+    """Euclidean ball B(center, radius); the centre and the radius are a
+    vector and a scalar or knot tables of them on the same knots."""
 
-    center: Optional[np.ndarray] = None
-    radius: Optional[float] = None
-    center_knots: Optional[_Knots] = None
-    radius_knots: Optional[_Knots] = None
+    center: object
+    radius: object
 
     def __post_init__(self):
-        if self.center_knots is None:
-            if self.center is None or self.radius is None:
-                raise ValueError("ball requires center/radius or knot tables")
-            object.__setattr__(self, "center", as_vector(self.center))
-            radii = np.array([self.radius], dtype=float)
-        else:
-            if self.center_knots.values.ndim != 2:
-                raise ValueError("ball center knots must be vectors")
-            if self.radius_knots is None or self.radius_knots.values.ndim != 1:
-                raise ValueError("ball radius knots must be scalars, one per knot")
-            if not np.array_equal(self.center_knots.ps, self.radius_knots.ps):
-                raise ValueError("ball center and radius knots must share their parameters")
-            radii = self.radius_knots.values
+        c, r = as_data(as_vector_data(self.center), self.radius)
+        if len(c.shape) != 1:
+            raise ValueError("ball center must be a vector at every knot")
+        if r.shape != ():
+            raise ValueError("ball radius must be a scalar, and radius knots one scalar per knot")
         # interpolating between valid knots keeps the radius valid
-        if not np.all(np.isfinite(radii) & (radii >= 0)):
+        if np.any(r.values < 0):
             raise ValueError("ball radius must be finite and nonnegative")
+        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "radius", r)
 
     @property
     def dim(self) -> int:
-        return len(self.center) if self.center_knots is None \
-            else self.center_knots.values.shape[1]
+        return self.center.shape[0]
 
     def data_at(self, p: float) -> tuple[np.ndarray, float]:
-        if self.center_knots is not None:
-            return self.center_knots.at(p), float(self.radius_knots.at(p))
-        return self.center, float(self.radius)
+        return self.center.at(p), float(self.radius.at(p))
 
     def project(self, x, p: float) -> tuple[np.ndarray, float]:
         x = as_vector(x)
@@ -409,14 +404,7 @@ class Ball:
         return np.maximum(row_norms(X - c) - r, 0.0)
 
     def to_dict(self) -> dict:
-        if self.center_knots is not None:
-            return {"variant": "ball",
-                    "knots": [{"p": float(pp), "center": c.tolist(), "radius": float(r)}
-                              for pp, c, r in zip(self.center_knots.ps,
-                                                  self.center_knots.values,
-                                                  self.radius_knots.values)]}
-        return {"variant": "ball", "center": self.center.tolist(),
-                "radius": float(self.radius)}
+        return {"variant": "ball", **write_data(center=self.center, radius=self.radius)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,20 +436,9 @@ def constraint_from_dict(d: dict) -> ConstraintFamily:
     if variant == "all_space":
         return AllSpace()
     if variant == "box":
-        if "knots" in d:
-            ps = [k["p"] for k in d["knots"]]
-            lo = [k["lower"] for k in d["knots"]]
-            hi = [k["upper"] for k in d["knots"]]
-            return Box(knots=((ps, lo), (ps, hi)))
-        return Box(lower=np.asarray(d["lower"], float),
-                   upper=np.asarray(d["upper"], float))
+        return Box(*read_data(d, "lower", "upper"))
     if variant == "ball":
-        if "knots" in d:
-            ps = [k["p"] for k in d["knots"]]
-            cs = [k["center"] for k in d["knots"]]
-            rs = [k["radius"] for k in d["knots"]]
-            return Ball(center_knots=_Knots(ps, cs), radius_knots=_Knots(ps, rs))
-        return Ball(center=np.asarray(d["center"], float), radius=float(d["radius"]))
+        return Ball(*read_data(d, "center", "radius"))
     if variant == "polytope":
         return PolytopeSet(VPolytope(np.asarray(d["vertices"], float)))
     raise ValueError(f"unknown constraint variant {variant!r}")
@@ -511,8 +488,11 @@ class SviProblem:
 
     @property
     def ell(self) -> float:
-        """Lipschitz budget of the perturbation terms, the solver's ell."""
-        return lipschitz_budget(self).ell_total
+        """Declared Lipschitz budget of the perturbation terms h and the fan,
+        the solver's ell."""
+        ell_h = self.h.declared_lipschitz if self.h is not None else 0.0
+        ell_fan = self.fan.lipschitz_constant if self.fan is not None else 0.0
+        return float(ell_h) + float(ell_fan)
 
     def evaluate(self, p: float, x) -> VPolytope:
         return evaluate(self, p, x)
@@ -586,20 +566,3 @@ def merit_many(problem, p: float, X, kappa: float = 0.0) -> np.ndarray:
 def merit(problem, p: float, x, kappa: float = 0.0) -> float:
     """The merit at one point: the one-row view of ``merit_many``."""
     return float(merit_many(problem, p, as_vector(x)[None, :], kappa)[0])
-
-
-@dataclass(frozen=True)
-class LipschitzBudget:
-    ell_h: float
-    ell_fan: float
-
-    @property
-    def ell_total(self) -> float:
-        return self.ell_h + self.ell_fan
-
-
-def lipschitz_budget(problem: SviProblem) -> LipschitzBudget:
-    """Declared Lipschitz budget of the perturbation terms (h and fan)."""
-    ell_h = problem.h.declared_lipschitz if problem.h is not None else 0.0
-    ell_fan = problem.fan.lipschitz_constant if problem.fan is not None else 0.0
-    return LipschitzBudget(float(ell_h), float(ell_fan))

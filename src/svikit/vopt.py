@@ -27,8 +27,8 @@ from .geometry import (PolyCone, VPolytope, _as_points, as_vector, matvec_rows,
 from .increase import SamplingConfig, global_infimum
 from .parametric import SweepRow, SweepTable, _sorted_grid, _sweep_meta
 from .setmaps import (Ball, Box, ConstraintFamily, PolytopeSet, RotationScaled,
-                      _Knots, constraint_from_dict, is_all_space,
-                      matrix_family_from_dict, merit_many)
+                      _Knots, as_data, constraint_from_dict, is_all_space,
+                      matrix_family_from_dict, merit_many, read_data, write_data)
 from .solver import (MaxItersExceeded, NoDescentStep, SolveResult,
                      SolverConfig, solve)
 
@@ -50,10 +50,16 @@ class _Objective:
 @dataclass(frozen=True, eq=False)
 class AbsDeviation(_Objective):
     """f(p, x) = (|x - phi(p)|, ..., |x - phi(p)|) with scalar x and
-    piecewise-linear phi on knots."""
+    piecewise-linear phi: a knot table of one scalar per knot."""
 
     phi_knots: _Knots
     components: int = 2
+
+    def __post_init__(self):
+        (phi,) = as_data(self.phi_knots)
+        if phi.ps is None or phi.shape != ():
+            raise ValueError("the deviation target phi must be a table of one scalar per knot")
+        object.__setattr__(self, "phi_knots", phi)
 
     @property
     def dim_in(self) -> int:
@@ -71,21 +77,24 @@ class AbsDeviation(_Objective):
 
     def to_dict(self) -> dict:
         return {"variant": "abs_deviation", "components": self.components,
-                "knots": [{"p": float(p), "phi": float(v)}
-                          for p, v in zip(self.phi_knots.ps, self.phi_knots.values)]}
+                **write_data(phi=self.phi_knots)}
 
 
 @dataclass(frozen=True, eq=False)
 class AffineFamily(_Objective):
-    """f(p, x) = M(p) x + b(p) with b on knots (or constant)."""
+    """f(p, x) = M(p) x + b(p); the offset b, when given, is a vector with
+    one entry per output or a knot table of such vectors."""
 
     matrix: object  # ParamMatrixFamily
-    offset: Optional[np.ndarray] = None
-    offset_knots: Optional[_Knots] = None
+    offset: object = None  # a vector, or a _Knots table of vectors
 
     def __post_init__(self):
-        if self.offset is not None and not np.all(np.isfinite(self.offset)):
-            raise ValueError("objective offset must be finite")
+        if self.offset is not None:
+            (b,) = as_data(self.offset)
+            if b.shape != (self.dim_out,):
+                raise ValueError(f"objective offset must have {self.dim_out} entries "
+                                 "at every knot")
+            object.__setattr__(self, "offset", b)
 
     @property
     def dim_in(self) -> int:
@@ -100,20 +109,14 @@ class AffineFamily(_Objective):
 
     def values_many(self, p: float, pts: np.ndarray) -> np.ndarray:
         values = matvec_rows(self.matrix_at(p), pts)
-        if self.offset_knots is not None:
-            return values + self.offset_knots.at(p)
-        if self.offset is not None:
-            return values + np.asarray(self.offset, dtype=float)
-        return values  # adding zeros would turn the product's -0.0 into 0.0
+        if self.offset is None:
+            return values  # adding zeros would turn the product's -0.0 into 0.0
+        return values + self.offset.at(p)
 
     def to_dict(self) -> dict:
         d = {"variant": "affine", "matrix": self.matrix.to_dict()}
-        if self.offset_knots is not None:
-            d["offset_knots"] = [{"p": float(p), "offset": np.asarray(v).tolist()}
-                                 for p, v in zip(self.offset_knots.ps,
-                                                 self.offset_knots.values)]
-        elif self.offset is not None:
-            d["offset"] = np.asarray(self.offset).tolist()
+        if self.offset is not None:
+            d.update(write_data("offset_knots", offset=self.offset))
         return d
 
 
@@ -126,17 +129,10 @@ def objective_from_dict(d: dict) -> Objective:
         return AffineFamily(RotationScaled(float(d.get("scale", 1.0)),
                                            bool(d.get("clockwise", True))))
     if variant == "abs_deviation":
-        ps = [k["p"] for k in d["knots"]]
-        vs = [k["phi"] for k in d["knots"]]
-        return AbsDeviation(_Knots(ps, vs), int(d.get("components", 2)))
+        return AbsDeviation(*read_data(d, "phi"), int(d.get("components", 2)))
     if variant == "affine":
-        mat = matrix_family_from_dict(d["matrix"])
-        if "offset_knots" in d:
-            ps = [k["p"] for k in d["offset_knots"]]
-            vs = [k["offset"] for k in d["offset_knots"]]
-            return AffineFamily(mat, offset_knots=_Knots(ps, vs))
-        off = np.asarray(d["offset"], float) if "offset" in d else None
-        return AffineFamily(mat, offset=off)
+        return AffineFamily(matrix_family_from_dict(d["matrix"]),
+                            *read_data(d, "offset", key="offset_knots"))
     raise ValueError(f"unknown objective variant {variant!r}")
 
 

@@ -14,7 +14,7 @@ from svikit.geometry import PolyCone, orthant, seeded_rotation, unit_directions
 from svikit.parametric import _TREE_DEPTH, _bisect
 from svikit.problems import (boxed_rotation_problem, deviation_vop_spec,
                              rotation_inclusion_problem, triangle_vop_spec)
-from svikit.setmaps import (Ball, ConstantMatrix, SviProblem, _Knots, evaluate,
+from svikit.setmaps import (Ball, MatrixTable, SviProblem, _Knots, evaluate,
                             merit, merit_many)
 from svikit import solver
 from svikit.solver import SolverConfig, caristi_step, segment_step
@@ -29,8 +29,7 @@ def _problems():
     probs["boxed"] = boxed_rotation_problem()
     ps = [0.0, 1.0, 7.0]
     probs["knotted ball"] = rotation_inclusion_problem(constraint=Ball(
-        center_knots=_Knots(ps, [[0.0, 0.0], [0.5, -1.0], [1.0, 1.0]]),
-        radius_knots=_Knots(ps, [1.0, 0.25, 2.0])))
+        _Knots(ps, [[0.0, 0.0], [0.5, -1.0], [1.0, 1.0]]), _Knots(ps, [1.0, 0.25, 2.0])))
     probs["triangle"] = VopProblem(triangle_vop_spec(clockwise=True))
     probs["deviation"] = VopProblem(deviation_vop_spec([0.0, 1.0, -0.5], [0.0, 1.0, 2.0]))
     return probs
@@ -82,9 +81,9 @@ def test_merit_many_on_face_table_cones():
     """Non-orthant cones go through the face table, whose batched matrix
     product may change a distance by an ulp with the batch size."""
     rng = np.random.default_rng(3)
-    wedge = SviProblem(matrix=ConstantMatrix([[2.0, -1.0], [0.5, 1.5]]),
+    wedge = SviProblem(matrix=MatrixTable([[2.0, -1.0], [0.5, 1.5]]),
                        cone=PolyCone(np.array([[1.0, 0.2], [0.3, 1.0]])))
-    cone3 = SviProblem(matrix=ConstantMatrix(rng.standard_normal((3, 3))),
+    cone3 = SviProblem(matrix=MatrixTable(rng.standard_normal((3, 3))),
                        cone=PolyCone(np.eye(3) + 0.3 * rng.random((3, 3))))
     for prob in (wedge, cone3):
         for size in (1, 3, 64, 257):
@@ -196,7 +195,7 @@ def test_caristi_step_matches_sequential_triangle(step_seed):
 
 
 def test_caristi_step_matches_sequential_without_descent():
-    flat = SviProblem(matrix=ConstantMatrix(np.zeros((2, 2))), cone=orthant(2),
+    flat = SviProblem(matrix=MatrixTable(np.zeros((2, 2))), cone=orthant(2),
                       constraint=Ball(center=[0.0, 0.0], radius=1.0))
     assert _assert_same_step(flat, 0.0, np.array([0.2, 0.1]), 0.5, 0.0, 0) == "converged"
     const = rotation_inclusion_problem(scale=0.0, with_fan=False)

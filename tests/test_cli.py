@@ -10,7 +10,7 @@ from svikit.geometry import PolyCone, orthant
 from svikit.problems import (boxed_rotation_problem, load_problem_file,
                              rotation_inclusion_problem, sine_deviation_spec,
                              triangle_vop_spec, write_problem_file)
-from svikit.setmaps import Ball, Box, ConstantMatrix
+from svikit.setmaps import Ball, Box, MatrixTable
 from svikit.vopt import AffineFamily, VopSpec
 
 
@@ -179,6 +179,7 @@ def test_usage_errors(problem_files, tmp_path, capsys):
         bad = tmp_path / f"bad_{name}.json"
         bad.write_text(json.dumps(data))
         assert main(["solve", "--problem", str(bad), "--p", "0", "--x0", "0,0"]) == 1, name
+    rotation_objective = triangle_vop_spec().to_dict()["objective"]
     vop_edits = {
         "objective_scale_nan": ("objective", {"variant": "linear_rotation", "scale": nan}),
         "objective_lipschitz_negative": ("objective_lipschitz", -1.0),
@@ -189,14 +190,24 @@ def test_usage_errors(problem_files, tmp_path, capsys):
         "radius_knot_vector": ("constraint", RADIUS_KNOT_VECTORS),
         # an affine objective over the whole space has no bounded image
         "affine_over_all_space": ("constraint", {"variant": "all_space"}),
+        # an offset has one entry per objective output (two here)
+        "offset_length": ("objective", {**rotation_objective, "offset": [1.0, 2.0, 3.0]}),
+        "offset_scalar": ("objective", {**rotation_objective, "offset": 1.0}),
+        "offset_knot_length": ("objective", {**rotation_objective, "offset_knots": [
+            {"p": 0.0, "offset": [1.0, 2.0, 3.0]}, {"p": 7.0, "offset": [3.0, 2.0, 1.0]}]}),
     }
-    for name, (key, value) in vop_edits.items():
-        data = triangle_vop_spec().to_dict()
-        data[key] = value
-        bad = tmp_path / f"bad_{name}.json"
-        bad.write_text(json.dumps(data))
-        assert main(["vopt", "--problem", str(bad), "--p", "0", "--x0", "0.3,0.3"]) == 1, name
-        assert main(["estimate-inc", "--problem", str(bad), "--p", "0"]) == 1, name
+    # the deviation target is one scalar per knot
+    dev_edits = {"phi_vector": ("objective", {"variant": "abs_deviation", "components": 2,
+                                              "knots": [{"p": 0, "phi": [0, 1]}]})}
+    for base, edits in ((triangle_vop_spec(), vop_edits), (sine_deviation_spec(65), dev_edits)):
+        x0 = ",".join(["0.3"] * base.objective.dim_in)
+        for name, (key, value) in edits.items():
+            data = base.to_dict()
+            data[key] = value
+            bad = tmp_path / f"bad_{name}.json"
+            bad.write_text(json.dumps(data))
+            assert main(["vopt", "--problem", str(bad), "--p", "0", "--x0", x0]) == 1, name
+            assert main(["estimate-inc", "--problem", str(bad), "--p", "0"]) == 1, name
 
 
 def test_nearly_non_pointed_cone_is_not_an_internal_error(tmp_path):
@@ -235,7 +246,7 @@ def test_vopt_oracle_on_a_ball_decides_the_scalarizations(tmp_path, capsys):
     # f = L x on the unit disc, ordered by a thin turned wedge (instance 6 of
     # the wedge draw in test_vopt): the argmins of the two scalarizations
     # lie close but differ, so no point is ideal
-    spec = VopSpec(AffineFamily(ConstantMatrix(np.array(
+    spec = VopSpec(AffineFamily(MatrixTable(np.array(
         [[0.16746474422274113, 0.10901408782154753],
          [-1.2273520542445742, -0.6832266617805622]]))),
         Ball(center=[0.0, 0.0], radius=1.0),
@@ -266,7 +277,7 @@ def test_no_sampled_non_solution_is_a_solver_failure(tmp_path, capsys):
     # a constant objective makes every point ideal, so no sample is left to
     # estimate the decrease bound on: exit 2, not an internal error (vopt,
     # started at an ideal point, may also report it found)
-    spec = VopSpec(AffineFamily(ConstantMatrix(np.zeros((2, 2)))),
+    spec = VopSpec(AffineFamily(MatrixTable(np.zeros((2, 2)))),
                    Box(lower=[0.0, 0.0], upper=[1.0, 1.0]), orthant(2), 1.0)
     path = tmp_path / "constant.json"
     write_problem_file(path, spec)
@@ -360,7 +371,7 @@ def test_vopt_orientation_turns_an_affine_rotation_objective(tmp_path, monkeypat
     assert [s.objective.matrix.clockwise for s in specs] == [False, True]
     for spec in specs:
         assert spec.objective.matrix.scale == 1.0
-        assert np.array_equal(spec.objective.offset, [0.5, -0.25])
+        assert np.array_equal(spec.objective.offset.values, [0.5, -0.25])
 
 
 def test_estimate_inc_over_a_grid_writes_one_row_per_estimate(problem_files, tmp_path,

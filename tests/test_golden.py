@@ -20,8 +20,8 @@ from svikit.increase import SamplingConfig, estimate_bound, hints_for_problem
 from svikit.parametric import sweep, write_csv
 from svikit.problems import (boxed_rotation_problem, rotation_inclusion_problem,
                              triangle_vop_spec)
-from svikit.setmaps import (AbsComponent, ConcaveTerm, FanSpec,
-                            InterpolatedTable, SviProblem, evaluate)
+from svikit.setmaps import (AbsComponent, ConcaveTerm, FanSpec, MatrixTable,
+                            SviProblem, _Knots, evaluate)
 from svikit.solver import SolverConfig, solve
 from svikit.vopt import ideal_value_sweep
 
@@ -59,7 +59,7 @@ def spatial_warm(path):
     mats = np.array([2.0 * _axis_rotation(p, [1.0, 2.0, 3.0]) for p in ps])
     h = ConcaveTerm(tuple(AbsComponent(-1.0, 0.0, -0.25, 0.0, i) for i in range(3)))
     fan = FanSpec(np.array([0.2 * np.eye(3), -0.2 * np.eye(3)]))
-    prob = SviProblem(matrix=InterpolatedTable(ps, mats), cone=orthant(3), h=h, fan=fan)
+    prob = SviProblem(matrix=MatrixTable(_Knots(ps, mats)), cone=orthant(3), h=h, fan=fan)
     table = sweep(prob, np.linspace(0.0, 1.2, 9), [0.0, 0.0, 0.0],
                   SolverConfig(alpha=1.5))
     write_csv(table, path)

@@ -9,7 +9,7 @@ from svikit.parametric import (SweepRow, SweepTable, TooFewRows,
                                continuity_report, csv_header, sweep,
                                write_csv)
 from svikit.problems import rotation_solution_path
-from svikit.setmaps import AbsComponent, ConcaveTerm, ConstantMatrix, SviProblem, merit
+from svikit.setmaps import AbsComponent, ConcaveTerm, MatrixTable, SviProblem, merit
 from svikit.solver import MaxItersExceeded, SolverConfig, solve
 
 SQRT2 = math.sqrt(2.0)
@@ -173,7 +173,7 @@ def test_iteration_capped_rows_keep_the_last_iterate(rotation_problem):
 def test_no_step_rows_keep_the_stuck_iterate():
     # a constant map off the cone admits no descent step: each row records
     # its start and the merit there
-    stuck = SviProblem(matrix=ConstantMatrix(np.zeros((2, 2))), cone=orthant(2),
+    stuck = SviProblem(matrix=MatrixTable(np.zeros((2, 2))), cone=orthant(2),
                        h=ConcaveTerm((AbsComponent(-1.0), AbsComponent(-1.0))),
                        declared_alpha=1.5)
     table = sweep(stuck, [0.0, 0.5], [0.3, -0.2], SolverConfig(alpha=1.3))

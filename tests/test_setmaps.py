@@ -5,10 +5,9 @@ import pytest
 
 from svikit.geometry import orthant
 from svikit.setmaps import (AbsComponent, AllSpace, Ball, Box, ConcaveTerm,
-                            ConstantMatrix, FanSpec, InterpolatedTable,
-                            KnotRangeError, PolytopeSet, RotationScaled,
-                            SviProblem, _Knots, constraint_from_dict, evaluate,
-                            is_all_space, lipschitz_budget, merit,
+                            FanSpec, KnotRangeError, MatrixTable, PolytopeSet,
+                            RotationScaled, SviProblem, _Knots,
+                            constraint_from_dict, evaluate, is_all_space, merit,
                             problem_from_dict)
 from svikit.geometry import VPolytope
 from svikit.vopt import AffineFamily, VopSpec
@@ -23,7 +22,7 @@ def test_evaluate_vanishing_linear_parts(rotation_problem):
 
 
 def test_evaluate_fan_only():
-    prob = SviProblem(matrix=ConstantMatrix(np.zeros((2, 2))), cone=orthant(2),
+    prob = SviProblem(matrix=MatrixTable(np.zeros((2, 2))), cone=orthant(2),
                       fan=FanSpec(np.array([0.25 * np.eye(2), -0.25 * np.eye(2)])))
     vp = evaluate(prob, 0.0, [4.0, 0.0])
     assert sorted(map(tuple, vp.vertices.tolist())) == [(-1.0, 0.0), (1.0, 0.0)]
@@ -46,7 +45,7 @@ def test_merit_examples(rotation_problem):
     assert merit(rotation_problem, math.pi / 4.0, [1.0, 0.0]) == 0.0
     for p in (0.0, 1.3, 4.0):
         assert merit(rotation_problem, p, [0.0, 0.0]) == pytest.approx(SQRT2)
-    identity = SviProblem(matrix=ConstantMatrix(np.eye(2)), cone=orthant(2))
+    identity = SviProblem(matrix=MatrixTable(np.eye(2)), cone=orthant(2))
     assert merit(identity, 0.0, [1.0, 1.0]) == 0.0
 
 
@@ -68,23 +67,22 @@ def test_constrained_merit_examples(rotation_problem, boxed_problem):
 
 
 def test_lipschitz_budget(rotation_problem):
-    b = lipschitz_budget(rotation_problem)
-    assert b.ell_h == pytest.approx(0.25)
-    assert b.ell_fan == pytest.approx(0.25)
-    assert b.ell_total == pytest.approx(0.5)
-    assert rotation_problem.ell == b.ell_total  # the solver's ell
+    assert rotation_problem.h.declared_lipschitz == pytest.approx(0.25)
+    assert rotation_problem.fan.lipschitz_constant == pytest.approx(0.25)
+    assert rotation_problem.ell == pytest.approx(0.5)  # the solver's ell
 
-    bare = SviProblem(matrix=ConstantMatrix(np.eye(2)), cone=orthant(2))
-    assert lipschitz_budget(bare).ell_total == 0.0
+    bare = SviProblem(matrix=MatrixTable(np.eye(2)), cone=orthant(2))
+    assert bare.ell == 0.0
 
-    diag = SviProblem(matrix=ConstantMatrix(np.zeros((2, 2))), cone=orthant(2),
+    diag = SviProblem(matrix=MatrixTable(np.zeros((2, 2))), cone=orthant(2),
                       fan=FanSpec(np.array([np.diag([1.0, 2.0])])))
-    assert lipschitz_budget(diag).ell_fan == pytest.approx(2.0)
+    assert diag.fan.lipschitz_constant == pytest.approx(2.0)
+    assert diag.ell == pytest.approx(2.0)
 
 
 def test_merit_lipschitz_bound(rotation_problem):
     rng = np.random.default_rng(0)
-    ell = lipschitz_budget(rotation_problem).ell_total
+    ell = rotation_problem.ell
     for p in (0.0, 1.1, 2.5, 5.0):
         lip = np.linalg.norm(rotation_problem.matrix.matrix_at(p), 2) + ell
         for _ in range(100):
@@ -129,8 +127,7 @@ def test_concave_term_validation():
 
 
 def test_interpolated_table_range_error():
-    tab = InterpolatedTable(np.array([0.0, 1.0]),
-                            np.array([np.eye(2), 2 * np.eye(2)]))
+    tab = MatrixTable(_Knots(np.array([0.0, 1.0]), np.array([np.eye(2), 2 * np.eye(2)])))
     assert np.allclose(tab.matrix_at(0.5), 1.5 * np.eye(2))
     prob = SviProblem(matrix=tab, cone=orthant(2))
     with pytest.raises(KnotRangeError):
@@ -163,29 +160,29 @@ def test_constraint_data_validation():
             {"p": 0.0, "center": [0.0, 0.0], "radius": 1.0},
             {"p": 1.0, "center": [1.0, 1.0], "radius": -0.5}]})
     with pytest.raises(ValueError):  # lower 0 > upper -1 at the second knot
-        Box(knots=(([0.0, 1.0], [[0.0], [0.0]]), ([0.0, 1.0], [[1.0], [-1.0]])))
-    box = Box(knots=(([0.0, 1.0], [[0.0], [0.0]]), ([0.0, 1.0], [[1.0], [2.0]])))
+        Box(_Knots([0.0, 1.0], [[0.0], [0.0]]), _Knots([0.0, 1.0], [[1.0], [-1.0]]))
+    box = Box(_Knots([0.0, 1.0], [[0.0], [0.0]]), _Knots([0.0, 1.0], [[1.0], [2.0]]))
     assert np.allclose(box.bounds_at(0.5)[1], [1.5])
     # bounds of unequal length, directly and on knots
     with pytest.raises(ValueError):
         Box(lower=[0.0], upper=[1.0, 1.0])
     with pytest.raises(ValueError):
-        Box(knots=(([0.0], [[0.0]]), ([0.0], [[1.0, 1.0]])))
+        Box(_Knots([0.0], [[0.0]]), _Knots([0.0], [[1.0, 1.0]]))
     # non-finite knot parameters or values
     for ps, values in (([0.0, math.nan], [1.0, 2.0]), ([0.0, 1.0], [1.0, math.inf])):
         with pytest.raises(ValueError):
             _Knots(ps, values)
     with pytest.raises(ValueError):
-        InterpolatedTable(np.array([0.0, 1.0]), np.array([np.eye(2), np.full((2, 2), math.nan)]))
+        MatrixTable(_Knots(np.array([0.0, 1.0]),
+                           np.array([np.eye(2), np.full((2, 2), math.nan)])))
     with pytest.raises(ValueError):
-        Ball(center_knots=_Knots([0.0], [[math.nan, 0.0]]), radius_knots=_Knots([0.0], [1.0]))
+        Ball(_Knots([0.0], [[math.nan, 0.0]]), _Knots([0.0], [1.0]))
     # one scalar radius per knot, as a box has one bound vector per knot
     for radii in ([[1.0, 2.0], [1.0, 2.0]], [[1.0], [2.0]]):
         with pytest.raises(ValueError, match="radius knots"):
-            Ball(center_knots=_Knots([0.0, 1.0], [[0.0, 0.0], [1.0, 1.0]]),
-                 radius_knots=_Knots([0.0, 1.0], radii))
-    with pytest.raises(ValueError, match="radius knots"):
-        Ball(center_knots=_Knots([0.0, 1.0], [[0.0, 0.0], [1.0, 1.0]]))
+            Ball(_Knots([0.0, 1.0], [[0.0, 0.0], [1.0, 1.0]]), _Knots([0.0, 1.0], radii))
+    with pytest.raises(ValueError, match="share their parameters"):  # table and constant
+        Ball(_Knots([0.0, 1.0], [[0.0, 0.0], [1.0, 1.0]]), 1.0)
     with pytest.raises(ValueError):
         AbsComponent(a=0.0, coord=-1)
     # every constraint family must live in the problem's input space
@@ -193,7 +190,7 @@ def test_constraint_data_validation():
     assert box.dim == 1 and Ball(center=[0.0, 0.0, 0.0], radius=1.0).dim == 3
     wrong = (Box(lower=[0.0], upper=[1.0]), Ball(center=[0.0, 0.0, 0.0], radius=1.0),
              PolytopeSet(VPolytope([[0.0], [1.0]])),
-             Box(knots=(([0.0], [[0.0, 0.0, 0.0]]), ([0.0], [[1.0, 1.0, 1.0]]))))
+             Box(_Knots([0.0], [[0.0, 0.0, 0.0]]), _Knots([0.0], [[1.0, 1.0, 1.0]])))
     for constraint in wrong:
         with pytest.raises(ValueError):
             SviProblem(matrix=RotationScaled(1.0), cone=orthant(2), constraint=constraint)
@@ -209,8 +206,8 @@ def test_ball_knot_tables_share_their_parameters():
     # centre and radius tables on different parameters would serialise as
     # one zipped table that is neither
     with pytest.raises(ValueError, match="share their parameters"):
-        Ball(center_knots=_Knots([0.0, 1.0], [[0.0, 0.0], [1.0, 1.0]]),
-             radius_knots=_Knots([0.0, 2.0, 3.0], [1.0, 1.0, 2.0]))
+        Ball(_Knots([0.0, 1.0], [[0.0, 0.0], [1.0, 1.0]]),
+             _Knots([0.0, 2.0, 3.0], [1.0, 1.0, 2.0]))
 
 
 def test_problem_dict_round_trip(rotation_problem, boxed_problem):
@@ -233,10 +230,10 @@ def test_rotation_orientation_flag():
 
 
 def test_knotted_constraints_round_trip_and_interpolate():
-    box = Box(knots=(([0.0, 2.0], [[0.0, -1.0], [1.0, -3.0]]),
-                     ([0.0, 2.0], [[1.0, 1.0], [3.0, 5.0]])))
-    ball = Ball(center_knots=_Knots([0.0, 2.0], [[0.0, 0.0], [2.0, -4.0]]),
-                radius_knots=_Knots([0.0, 2.0], [1.0, 3.0]))
+    box = Box(_Knots([0.0, 2.0], [[0.0, -1.0], [1.0, -3.0]]),
+              _Knots([0.0, 2.0], [[1.0, 1.0], [3.0, 5.0]]))
+    ball = Ball(_Knots([0.0, 2.0], [[0.0, 0.0], [2.0, -4.0]]),
+                _Knots([0.0, 2.0], [1.0, 3.0]))
     for constraint in (box, ball):
         d = constraint.to_dict()
         back = constraint_from_dict(d)

@@ -6,7 +6,7 @@ import pytest
 from svikit.geometry import orthant
 from svikit.increase import SamplingConfig, global_infimum
 from svikit.problems import rotation_solution_path
-from svikit.setmaps import (Ball, Box, ConcaveTerm, AbsComponent, ConstantMatrix,
+from svikit.setmaps import (Ball, Box, ConcaveTerm, AbsComponent, MatrixTable,
                             RotationScaled, SviProblem, merit, merit_many)
 from svikit.solver import (AlreadyFeasible, MaxItersExceeded, NoDescentStep,
                            SolverConfig, _resolve_alpha_estimate, caristi_step,
@@ -61,7 +61,7 @@ def test_solve_zero_iterations_at_closed_form_solution(rotation_problem):
 
 
 def test_solve_raises_on_constant_infeasible_map():
-    bad = SviProblem(matrix=ConstantMatrix(np.zeros((2, 2))), cone=orthant(2),
+    bad = SviProblem(matrix=MatrixTable(np.zeros((2, 2))), cone=orthant(2),
                      h=ConcaveTerm((AbsComponent(-1.0), AbsComponent(-1.0))),
                      declared_alpha=1.5)
     with pytest.raises(NoDescentStep) as err:

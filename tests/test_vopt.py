@@ -15,7 +15,7 @@ from svikit.increase import (Mode, PropertyAbsent, SamplingConfig, estimate_boun
 from svikit.problems import (deviation_vop_spec, sine_deviation_spec,
                              triangle_vop_spec)
 from svikit import vopt
-from svikit.setmaps import (AllSpace, Ball, Box, ConstantMatrix, KnotRangeError,
+from svikit.setmaps import (AllSpace, Ball, Box, KnotRangeError, MatrixTable,
                             PolytopeSet, RotationScaled, _Knots, merit, merit_many,
                             rotation_matrix)
 from svikit.solver import MaxItersExceeded, SolverConfig, solve
@@ -93,7 +93,7 @@ def test_build_vop_problem_deviation_contains_minimizer():
 
 
 def test_build_vop_problem_affine_box_identity():
-    spec = VopSpec(objective=AffineFamily(ConstantMatrix(np.eye(2))),
+    spec = VopSpec(objective=AffineFamily(MatrixTable(np.eye(2))),
                    constraint=Box(lower=[0.0, 0.0], upper=[1.0, 1.0]),
                    cone=orthant(2), objective_lipschitz=1.0)
     prob = VopProblem(spec)
@@ -106,7 +106,7 @@ def test_build_vop_problem_affine_box_identity():
 def test_build_vop_problem_rejects_unbounded_affine_image():
     # the pairing is rejected when the spec is built, before any problem
     with pytest.raises(UnsupportedCombination):
-        VopSpec(objective=AffineFamily(ConstantMatrix(np.eye(2))),
+        VopSpec(objective=AffineFamily(MatrixTable(np.eye(2))),
                 constraint=AllSpace(), cone=orthant(2), objective_lipschitz=1.0)
 
 
@@ -354,7 +354,7 @@ def test_exact_oracle_matches_the_grid_oracle_on_affine_instances(seed):
         if kind == 3:
             u = -u
         M = np.outer(u, rng.standard_normal(n))
-    obj = AffineFamily(ConstantMatrix(M), offset=rng.standard_normal(m))
+    obj = AffineFamily(MatrixTable(M), offset=rng.standard_normal(m))
     shape = rng.random()
     if n >= 2 and shape < 1 / 3:
         constraint = Ball(center=rng.standard_normal(n), radius=float(rng.uniform(0.1, 2.0)))
@@ -379,7 +379,7 @@ def _wedge_instances():
         R = rotation_matrix(theta)
         gens = np.array([[1.0, eps], [-1.0, eps]]) @ R.T
         normals = np.array([[-eps, 1.0], [eps, 1.0]]) @ R.T / math.hypot(1.0, eps)
-        yield VopSpec(AffineFamily(ConstantMatrix(L)), Ball(center=[0.0, 0.0], radius=1.0),
+        yield VopSpec(AffineFamily(MatrixTable(L)), Ball(center=[0.0, 0.0], radius=1.0),
                       PolyCone(gens), objective_lipschitz=float(np.linalg.norm(L, 2))), normals
 
 
@@ -520,7 +520,7 @@ def test_capped_ideal_rows_keep_the_last_iterate(triangle_spec):
 
 def test_ideal_value_single_valuedness():
     # degenerate objective constant along x2: several ideal points, one value
-    spec = VopSpec(objective=AffineFamily(ConstantMatrix(np.array([[1.0, 0.0],
+    spec = VopSpec(objective=AffineFamily(MatrixTable(np.array([[1.0, 0.0],
                                                                    [1.0, 0.0]]))),
                    constraint=Box(lower=[0.0, 0.0], upper=[1.0, 1.0]),
                    cone=orthant(2), objective_lipschitz=1.0)
@@ -594,8 +594,8 @@ def test_linear_rotation_files_load_as_affine_rotations():
 
 
 def test_affine_offset_knots_round_trip_and_interpolate():
-    obj = AffineFamily(ConstantMatrix(np.eye(2)),
-                       offset_knots=_Knots([0.0, 2.0], [[0.0, 1.0], [2.0, -1.0]]))
+    obj = AffineFamily(MatrixTable(np.eye(2)),
+                       offset=_Knots([0.0, 2.0], [[0.0, 1.0], [2.0, -1.0]]))
     d = obj.to_dict()
     assert d["offset_knots"] == [{"p": 0.0, "offset": [0.0, 1.0]},
                                  {"p": 2.0, "offset": [2.0, -1.0]}]
