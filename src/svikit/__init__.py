@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 from .geometry import (GEOM_TOL, InclusionResult, PolyCone, SumSet, Verdict,
                        VPolytope, enlargement_inclusion, excess, hausdorff,
                        orthant, project_dist)
-from .increase import (IncreaseEstimate, Mode, PropertyAbsent, SamplingConfig,
+from .increase import (IncreaseEstimate, PropertyAbsent, SamplingConfig,
                        check_increase, estimate_bound, global_infimum,
                        perturbed_bound)
 from .parametric import (ContinuityReport, SweepTable, continuity_report,

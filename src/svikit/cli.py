@@ -23,8 +23,8 @@ from .problems import load_problem_file
 from .setmaps import KnotRangeError, RotationScaled, SviProblem, evaluate, merit
 from .solver import (DescentConstantsError, MaxItersExceeded, NoDescentStep,
                      SolverConfig, solve)
-from .vopt import (FOUND, AffineFamily, VopProblem, VopSpec, ideal_value_sweep,
-                   solve_ideal)
+from .vopt import (FOUND, NOT_FOUND, AffineFamily, VopProblem, VopSpec,
+                   brute_force_ideal, ideal_value_sweep, solve_ideal)
 
 log = logging.getLogger("svi")
 
@@ -153,7 +153,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--grid", default=None, help="start:stop:count")
     sp.add_argument("--x0", required=True)
     sp.add_argument("--oracle", action="store_true",
-                    help="cross-check with the brute-force oracle")
+                    help="print the exact oracle's verdict, or with --grid write it")
     sp.add_argument("--orientation", choices=["cw", "ccw"], default=None,
                     help="turn the objective's rotation_scaled matrix clockwise "
                          "(cw) or counterclockwise (ccw)")
@@ -262,15 +262,15 @@ def _cmd_vopt(args) -> int:
         return EXIT_OK
     if args.p is None:
         raise UsageError("vopt needs --p or --grid")
-    res = solve_ideal(spec, args.p, x0, cfg, certify_empty=args.oracle)
+    res = solve_ideal(spec, args.p, x0, cfg)
     print(f"status = {res.status}")
     if res.status == FOUND:
         print(f"x = {res.x.tolist()}")
         print(f"value = {res.value.tolist()}")
         print(f"merit_final = {res.merit_final:.3e}")
-    if res.oracle is not None:
-        print(f"oracle = {res.oracle.status}")
-    return EXIT_OK if res.status == FOUND or args.oracle else EXIT_SOLVER
+    if args.oracle or res.oracle is not None:  # an unsolved row always has it
+        print(f"oracle = {(res.oracle or brute_force_ideal(spec, args.p)).status}")
+    return EXIT_SOLVER if res.status == NOT_FOUND else EXIT_OK
 
 
 def _cmd_verify(args) -> int:

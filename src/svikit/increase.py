@@ -1,6 +1,7 @@
 """Estimation and certification of the metric cone-increase property and its
-exact bound, the decrease variant for objective maps, the additive
-perturbation calculus, and sampled global infimum constants.
+exact bound (the decrease bound of a map is the increase bound of its
+negative), the additive perturbation calculus, and sampled global infimum
+constants.
 
 The exact bound at a point x is bracketed by bisection on alpha: a witness u
 with  B(G(u), alpha*r) subset B(G(x) + C, r)  certifies alpha from below at
@@ -12,7 +13,6 @@ witnesses at a few small radii (``QUALIFYING_RADII``), not at large ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,11 +31,6 @@ MAGNITUDES = (1.0, 0.5, 0.25)
 #: the bracket's first alpha (feasibility probe) and its cap
 ALPHA_PROBE = 1.02
 ALPHA_MAX = 16.0
-
-
-class Mode(Enum):
-    INCREASE = "increase"
-    DECREASE = "decrease"
 
 
 class PropertyAbsent(Exception):
@@ -66,7 +61,6 @@ class IncreaseEstimate:
     alpha_hi: float
     delta_used: float
     witnesses: list  # (radius, u) pairs certifying alpha_lo
-    mode: Mode
 
     @property
     def width(self) -> float:
@@ -213,10 +207,10 @@ def check_increase(map_at: MapAt, cone: PolyCone, x, alpha: float, r: float,
 
 def estimate_bound(map_at: MapAt, cone: PolyCone, x,
                    cfg: Optional[SamplingConfig] = None,
-                   mode: Mode = Mode.INCREASE,
                    hints: Optional[HintFn] = None,
                    p_for_seed: Optional[float] = None) -> IncreaseEstimate:
-    """Bracket the exact bound of cone-increase (or decrease) at x.
+    """Bracket the exact bound of cone-increase of ``map_at`` at x; the
+    decrease bound of a map f is this bound of ``lambda u: -f(u)``.
 
     alpha_lo is certified by stored witnesses at every qualifying radius;
     alpha_hi is the smallest tested alpha with a refuted qualifying radius
@@ -226,8 +220,7 @@ def estimate_bound(map_at: MapAt, cone: PolyCone, x,
     cfg = cfg or SamplingConfig()
     x = as_vector(x)
     rng = _stable_seed(cfg.seed, p_for_seed, x)
-    fn = map_at if mode is Mode.INCREASE else (lambda u: -map_at(u))
-    search = _Search(fn, cone, x, cfg, hints)
+    search = _Search(map_at, cone, x, cfg, hints)
 
     def qualify(alpha: float) -> Optional[list]:
         wits = []
@@ -255,7 +248,7 @@ def estimate_bound(map_at: MapAt, cone: PolyCone, x,
             if a >= ALPHA_MAX:
                 hi = ALPHA_MAX
     return IncreaseEstimate(x=x, alpha_lo=lo, alpha_hi=hi, delta_used=QUALIFYING_RADII[0],
-                            witnesses=lo_wits, mode=mode)
+                            witnesses=lo_wits)
 
 
 # ---------------------------------------------------------------------------

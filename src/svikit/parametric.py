@@ -184,11 +184,11 @@ def _anchored_projection_2d(problem, p, anchor, x_feas, kappa, tol):
 
 
 def _solve_row(problem, p: float, x_start: np.ndarray,
-               cfg: SolverConfig, anchor=None) -> SweepRow:
+               cfg: SolverConfig, anchor: np.ndarray) -> SweepRow:
     try:
         res = solve(problem, p, x_start, cfg)
         x_row = res.x_final
-        if anchor is not None and res.iterations > 0:
+        if res.iterations > 0:
             # record the anchor's (approximate) metric projection onto the
             # solution set: the drift-free selection the sweep tracks
             if len(x_row) == 2:
@@ -219,16 +219,12 @@ def sweep(problem, grid: Sequence[float], x_init,
     x_init = np.asarray(x_init, dtype=float)
     t0 = time.perf_counter()
     rows: list[SweepRow] = []
-    if warm_start:
-        x_start = x_init
-        for p in grid:
-            row = _solve_row(problem, p, x_start, cfg, anchor=x_init)
-            rows.append(row)
-            x_start = row.x  # best available iterate, solved or not
-    else:
-        for i, p in enumerate(grid):
-            row_cfg = replace(cfg, rng_seed=cfg.rng_seed + i)
-            rows.append(_solve_row(problem, p, x_init, row_cfg, anchor=x_init))
+    for i, p in enumerate(grid):
+        if warm_start:  # from the last row's best available iterate, solved or not
+            x_start, row_cfg = rows[-1].x if rows else x_init, cfg
+        else:
+            x_start, row_cfg = x_init, replace(cfg, rng_seed=cfg.rng_seed + i)
+        rows.append(_solve_row(problem, p, x_start, row_cfg, x_init))
     return SweepTable(rows=rows, meta=_sweep_meta(problem, cfg, warm_start, t0))
 
 

@@ -253,13 +253,23 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
     ``ell`` (the Lipschitz budget of its perturbation terms); constrained
     mode engages whenever the constraint is not the whole space.  The
     returned certificate compares ||x_final - x0|| against the initial
-    penalized merit divided by the run's acceptance constant.
+    penalized merit divided by the run's acceptance constant.  A start that
+    solves the problem (merit and distance to R(p) at most tol) needs no
+    sampled alpha_tilde: it returns with no step, nan constants, kappa and
+    ``bound_rhs`` 0.
     """
     cfg = cfg or SolverConfig()
     x0 = as_vector(x0)
     constraint = problem.constraint
     constrained = not is_all_space(constraint)
     ell = float(problem.ell)
+    if (cfg.alpha_tilde is None and getattr(problem, "declared_alpha", None) is None
+            and (constrained or cfg.alpha is None)):  # alpha_tilde would be sampled
+        merit0 = float(merit_many(problem, p, x0[None, :])[0])
+        if merit0 <= cfg.tol and constraint.project(x0, p)[1] <= cfg.tol:
+            return SolveResult(x0.copy(), merit0, iterations=0, path_length=0.0,
+                               caristi_certified=True, bound_rhs=0.0, bound_holds=True,
+                               merit_history=array("d", [merit0]))
 
     certified_constants = True
     if not constrained:

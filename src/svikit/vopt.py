@@ -305,9 +305,15 @@ class IdealResult:
     oracle: Optional[OracleResult] = None
 
 
-def solve_ideal(spec: VopSpec, p: float, x0, cfg: Optional[SolverConfig] = None,
-                certify_empty: bool = False) -> IdealResult:
-    """Run the constrained descent on the built inclusion problem.
+def solve_ideal(spec: VopSpec, p: float, x0, cfg: Optional[SolverConfig] = None) -> IdealResult:
+    """Run the constrained descent on the built inclusion problem; the exact
+    oracle (``brute_force_ideal``) decides every run that ends unsolved.
+
+    The status is FOUND when the descent ends at a feasible point of merit
+    at most ``cfg.tol``.  Otherwise it is the oracle's: CERTIFIED_EMPTY when
+    no point is ideal, NOT_FOUND when an ideal point exists and the descent
+    missed it (a solver failure).  An unsolved run keeps its last iterate,
+    its merit and the oracle's result.
 
     alpha_tilde, the objective's global decrease bound, is resolved by the
     solver as for an inclusion: ``cfg.alpha_tilde`` when set, else the
@@ -315,9 +321,7 @@ def solve_ideal(spec: VopSpec, p: float, x0, cfg: Optional[SolverConfig] = None,
     (``global_infimum``).  When the mandated alpha interval is empty (the
     Lipschitz budget is too large, which legitimately happens), the run
     proceeds best-effort with floor constants and an uncertified
-    certificate.  An unsolved run keeps its last iterate and merit.
-    Emptiness is only ever certified by the exact oracle
-    (``brute_force_ideal``), which ``certify_empty`` runs on an unsolved run.
+    certificate.
     """
     cfg = cfg or SolverConfig()
     prob = VopProblem(spec)
@@ -326,22 +330,16 @@ def solve_ideal(spec: VopSpec, p: float, x0, cfg: Optional[SolverConfig] = None,
     try:
         res = solve(prob, p, x0, run_cfg)
     except (NoDescentStep, MaxItersExceeded) as err:
-        out = IdealResult(status=NOT_FOUND, x=err.x, merit_final=err.merit_value)
+        res, x, merit_final = None, err.x, err.merit_value
     else:
-        x = res.x_final
+        x, merit_final = res.x_final, res.merit_final
         _, dx = spec.constraint.project(x, p)
-        if res.merit_final <= run_cfg.tol and dx <= max(run_cfg.tol, 1e-7):
-            return IdealResult(status=FOUND, x=x,
-                               value=spec.objective.value(p, x),
-                               merit_final=res.merit_final, solve_result=res)
-        out = IdealResult(status=NOT_FOUND, x=x, merit_final=res.merit_final,
-                          solve_result=res)
-    if certify_empty:
-        oracle = brute_force_ideal(spec, p)
-        out.oracle = oracle
-        if not oracle.is_ideal:
-            out.status = CERTIFIED_EMPTY
-    return out
+        if merit_final <= run_cfg.tol and dx <= max(run_cfg.tol, 1e-7):
+            return IdealResult(status=FOUND, x=x, value=spec.objective.value(p, x),
+                               merit_final=merit_final, solve_result=res)
+    oracle = brute_force_ideal(spec, p)
+    return IdealResult(status=NOT_FOUND if oracle.is_ideal else CERTIFIED_EMPTY, x=x,
+                       merit_final=merit_final, solve_result=res, oracle=oracle)
 
 
 def brute_force_ideal(spec: VopSpec, p: float) -> OracleResult:
@@ -373,8 +371,11 @@ def ideal_value_sweep(spec: VopSpec, grid: Sequence[float], x_init,
     row starts where the last solved one ended.  Every row runs at one
     decrease bound: ``alpha_under``, else ``cfg.alpha_tilde``, else
     ``global_infimum`` of the built problem over the grid's first and middle
-    values.  ``oracle_density`` is ignored: the oracle is exact, and the
-    keyword stays only for callers that still pass it."""
+    values.  ``meta["statuses"]`` holds one status per row: the exact
+    oracle's verdict ('ideal' or 'empty') with ``with_oracle``, else
+    ``solve_ideal``'s (which the oracle decides on unsolved rows).
+    ``oracle_density`` is ignored: the oracle is exact, and the keyword
+    stays only for callers that still pass it."""
     cfg = cfg or SolverConfig()
     grid = _sorted_grid(grid)
     if alpha_under is None:
@@ -388,7 +389,7 @@ def ideal_value_sweep(spec: VopSpec, grid: Sequence[float], x_init,
     rows, statuses = [], []
     x_start = as_vector(x_init)
     for p in grid:
-        res = solve_ideal(spec, p, x_start, row_cfg, certify_empty=with_oracle)
+        res = solve_ideal(spec, p, x_start, row_cfg)
         if res.status == FOUND:
             sr = res.solve_result
             rows.append(SweepRow(p=p, x=res.x, merit=res.merit_final,
@@ -401,12 +402,8 @@ def ideal_value_sweep(spec: VopSpec, grid: Sequence[float], x_init,
                                  bound_holds=False, solved=False,
                                  warm_start=x_start.copy(),
                                  value=np.full(spec.objective.dim_out, math.nan)))
-        if with_oracle:
-            oracle = (res.oracle if res.oracle is not None
-                      else brute_force_ideal(spec, p))
-            statuses.append(oracle.status)
-        else:
-            statuses.append(res.status)
+        statuses.append((res.oracle or brute_force_ideal(spec, p)).status if with_oracle
+                        else res.status)
     return SweepTable(rows=rows, meta=_sweep_meta(spec, cfg, True, t0,
                                                   alpha_under=float(alpha_under),
                                                   statuses=statuses))

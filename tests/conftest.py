@@ -8,9 +8,12 @@ from svikit.geometry import PolyCone, orthant
 from svikit.problems import (boxed_rotation_problem, rotation_inclusion_problem,
                              triangle_vop_spec)
 
-# a failing property test prints the blob that reproduces it
-# (``@reproduce_failure``); examples are still drawn afresh on every run
-settings.register_profile("svikit", print_blob=True)
+# tier-1 draws the same examples on every run (derandomize, no example
+# database), and a failing property test prints the blob that reproduces it
+# (``@reproduce_failure``); ``pytest --hypothesis-profile=fresh`` draws
+# afresh, outside tier-1
+settings.register_profile("svikit", print_blob=True, derandomize=True, database=None)
+settings.register_profile("fresh", print_blob=True)
 settings.load_profile("svikit")
 
 SQRT2 = math.sqrt(2.0)

@@ -10,7 +10,7 @@ import pytest
 
 from svikit.geometry import (Verdict, VPolytope, ball_sup_dist,
                              enlargement_inclusion, excess, orthant)
-from svikit.increase import (Mode, PropertyAbsent, estimate_bound,
+from svikit.increase import (PropertyAbsent, estimate_bound,
                              hints_for_matrix, hints_for_problem)
 from svikit.parametric import continuity_report, sweep, write_csv
 from svikit.problems import (boxed_rotation_problem,
@@ -245,15 +245,14 @@ def test_criterion_8_deviation_ideal_problem():
         phi = spec.objective.phi(p)
         x = phi + rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
         g = lambda xx: VPolytope(spec.objective.value(p, xx)[None, :])
-        est = estimate_bound(g, C, [x], mode=Mode.DECREASE, p_for_seed=p)
+        est = estimate_bound(lambda u: -g(u), C, [x], p_for_seed=p)
         lows.append(est.alpha_lo)
         assert est.alpha_lo >= 1.95
     # at the minimizer the property is absent (exact bound collapses to 1)
     p = 1.1
     g = lambda xx: VPolytope(spec.objective.value(p, xx)[None, :])
     with pytest.raises(PropertyAbsent):
-        estimate_bound(g, C, [spec.objective.phi(p)], mode=Mode.DECREASE,
-                       p_for_seed=p)
+        estimate_bound(lambda u: -g(u), C, [spec.objective.phi(p)], p_for_seed=p)
     report(8, True,
            f"deviation sweep tracks sin within 1e-6, values within 1e-9; "
            f"decrease bounds >= 1.95 (min {min(lows):.4f}), absent at phi(p)")

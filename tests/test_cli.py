@@ -228,7 +228,15 @@ def test_vopt_verb_single_point(problem_files, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "status = found" in out
-    assert "oracle" not in out or "ideal" in out
+    assert "oracle = ideal" in out
+    # an empty row is a certified answer, not a solver failure, and carries
+    # the oracle's verdict without --oracle
+    rc = main(["vopt", "--problem", problem_files["triangle"],
+               "--p", "3.141592653589793", "--x0", "0.3,0.3"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "status = certified_empty" in out
+    assert "oracle = empty" in out
 
 
 def test_vopt_verb_sweep_with_oracle(problem_files, tmp_path):
@@ -275,15 +283,16 @@ def test_vopt_estimates_alpha_tilde_off_the_start_point(problem_files, capsys, a
 
 def test_no_sampled_non_solution_is_a_solver_failure(tmp_path, capsys):
     # a constant objective makes every point ideal, so no sample is left to
-    # estimate the decrease bound on: exit 2, not an internal error (vopt,
-    # started at an ideal point, may also report it found)
+    # estimate the decrease bound on: exit 2, not an internal error; vopt,
+    # started at an ideal point, needs no estimate and reports it found
     spec = VopSpec(AffineFamily(MatrixTable(np.zeros((2, 2)))),
                    Box(lower=[0.0, 0.0], upper=[1.0, 1.0]), orthant(2), 1.0)
     path = tmp_path / "constant.json"
     write_problem_file(path, spec)
     assert main(["estimate-inc", "--problem", str(path), "--p", "0"]) == 2
     assert "0 sampled non-solutions" in capsys.readouterr().err
-    assert main(["vopt", "--problem", str(path), "--p", "0", "--x0", "0.5,0.5"]) in (0, 2)
+    assert main(["vopt", "--problem", str(path), "--p", "0", "--x0", "0.5,0.5"]) == 0
+    assert "status = found" in capsys.readouterr().out
 
 
 def test_vopt_orientation_override(problem_files, capsys):

@@ -1,0 +1,76 @@
+"""Differential checks: a library answer against an independent one on
+seeded random instances.  Mismatches that the contract allows are counted
+and printed (run with ``-s``), never asserted away."""
+
+import math
+
+import numpy as np
+
+from conftest import random_pointed_cone
+from svikit.geometry import PolyCone, VPolytope, orthant
+from svikit.setmaps import AllSpace, Ball, Box, MatrixTable, PolytopeSet, _Knots, merit
+from svikit.solver import SolverConfig
+from svikit.vopt import (CERTIFIED_EMPTY, FOUND, NOT_FOUND, AbsDeviation, AffineFamily,
+                         VopProblem, VopSpec, brute_force_ideal, solve_ideal)
+
+KNOTS = (0.0, 0.5, 1.0)
+
+
+def _random_vop_spec(rng: np.random.Generator) -> VopSpec:
+    """An m <= 3 spec with data on KNOTS: an affine objective over a
+    polytope, a box or a ball (n <= 3), or the deviation objective over a
+    1-D set or the whole line."""
+    m = int(rng.integers(1, 4))
+    cone = orthant(m) if m == 1 or rng.random() < 0.5 else random_pointed_cone(rng, m)
+    if rng.random() < 0.25:
+        cone = PolyCone(-cone.generators)
+    kind = int(rng.integers(4))
+    if kind == 3:
+        obj = AbsDeviation(_Knots(KNOTS, rng.uniform(-1.5, 1.5, 3)), components=m)
+        lo = float(rng.uniform(-1.5, 0.5))
+        hi = lo + float(rng.uniform(0.0, 1.5))
+        constraint = [AllSpace(), Box(lower=[lo], upper=[hi]),
+                      Ball(center=[lo], radius=hi - lo),
+                      PolytopeSet(VPolytope(rng.uniform(lo, hi, (2, 1))))][rng.integers(4)]
+        return VopSpec(obj, constraint, cone, objective_lipschitz=math.sqrt(m))
+    n = int(rng.integers(1, 4))
+    mats = rng.standard_normal((3, m, n))
+    if rng.random() < 0.5:  # rank one along a cone direction: often ideal
+        u = rng.uniform(0.0, 1.0, len(cone.generators)) @ cone.generators
+        mats = np.einsum("i,kj->kij", u, rng.standard_normal((3, n)))
+    obj = AffineFamily(MatrixTable(_Knots(KNOTS, mats)), offset=rng.standard_normal(m))
+    if kind == 0 and n >= 2:
+        constraint = Ball(center=rng.standard_normal(n), radius=float(rng.uniform(0.2, 1.5)))
+    elif kind <= 1:
+        constraint = PolytopeSet(VPolytope(rng.standard_normal((int(rng.integers(1, 5)), n))))
+    else:
+        lo = rng.standard_normal(n)
+        constraint = Box(lower=lo, upper=lo + rng.uniform(0.0, 1.5, n))
+    lip = max(float(np.linalg.norm(M, 2)) for M in mats)
+    return VopSpec(obj, constraint, cone, objective_lipschitz=lip)
+
+
+def test_unsolved_ideal_runs_take_the_exact_oracles_verdict():
+    # every run that ends unsolved is CERTIFIED_EMPTY exactly when the oracle
+    # finds no ideal point, and carries that oracle result; a found point is
+    # feasible with merit at most tol.  NOT_FOUND rows (the descent missed an
+    # ideal point) and found rows the oracle calls empty are reported
+    rng = np.random.default_rng(1606)
+    cfg = SolverConfig(alpha_tilde=2.0, max_iters=200)
+    counts = dict.fromkeys((FOUND, NOT_FOUND, CERTIFIED_EMPTY, "found_oracle_empty"), 0)
+    for _ in range(32):
+        spec = _random_vop_spec(rng)
+        for p in KNOTS[0], float(rng.uniform(0.0, 1.0)), KNOTS[-1]:
+            oracle = brute_force_ideal(spec, p)
+            for x0 in rng.uniform(-1.5, 1.5, (2, spec.objective.dim_in)):
+                res = solve_ideal(spec, p, x0, cfg)
+                counts[res.status] += 1
+                if res.status == FOUND:
+                    assert merit(VopProblem(spec), p, res.x) <= cfg.tol
+                    assert spec.constraint.project(res.x, p)[1] <= 1e-7
+                    counts["found_oracle_empty"] += not oracle.is_ideal
+                    continue
+                assert res.oracle.status == oracle.status
+                assert (res.status == CERTIFIED_EMPTY) == (not oracle.is_ideal)
+    print(f"ideal runs: {counts}")
+    assert counts[FOUND] and counts[CERTIFIED_EMPTY]

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from svikit import increase
 from svikit.geometry import (SumSet, VPolytope, dist_many, enlargement_inclusion, numgrad,
                              orthant, unit_directions)
-from svikit.increase import (HypothesisViolated, Mode, PropertyAbsent,
+from svikit.increase import (HypothesisViolated, PropertyAbsent,
                              SamplingConfig, check_increase, estimate_bound,
                              global_infimum, hints_for_matrix, perturbed_bound)
 from svikit.problems import rotation_inclusion_problem
@@ -123,18 +123,17 @@ def test_gradient_heuristics_match_one_stencil_per_heuristic():
         assert np.allclose(got, want, rtol=0, atol=1e-9), seed
 
 
-def reference_bracket(map_at, cone, x, cfg, mode, hints, p):
+def reference_bracket(map_at, cone, x, cfg, hints, p):
     """estimate_bound's bracket, doubling then bisecting, with a fresh public
     check_increase for every (alpha, r) on the same rng stream; None where
     the probe alpha has no witnesses."""
     x = np.asarray(x, dtype=float)
     rng = increase._stable_seed(cfg.seed, p, x)
-    fn = map_at if mode is Mode.INCREASE else (lambda u: -map_at(u))
 
     def qualify(alpha):
         wits = []
         for r in increase.QUALIFYING_RADII:
-            u = check_increase(fn, cone, x, alpha, r, cfg, hints, rng)
+            u = check_increase(map_at, cone, x, alpha, r, cfg, hints, rng)
             if u is None:
                 return None
             wits.append((r, u))
@@ -171,15 +170,16 @@ def test_estimate_bound_matches_fresh_checks_bit_for_bit(seed):
     rng = np.random.default_rng(seed)
     cone, mats, map_at, x = random_fan_instance(rng)
     cfg = SamplingConfig(directions=16, bracket_rtol=0.05, seed=int(rng.integers(100)))
-    mode = Mode.DECREASE if rng.random() < 0.3 else Mode.INCREASE
+    # a decrease bound is the increase bound of the negated map
+    bound_map = (lambda u: -map_at(u)) if rng.random() < 0.3 else map_at
     hints = hints_for_matrix(mats[0], cone) if rng.random() < 0.5 else None
     p = float(rng.uniform(-1.0, 1.0))
-    want = reference_bracket(map_at, cone, x, cfg, mode, hints, p)
+    want = reference_bracket(bound_map, cone, x, cfg, hints, p)
     if want is None:
         with pytest.raises(PropertyAbsent):
-            estimate_bound(map_at, cone, x, cfg, mode=mode, hints=hints, p_for_seed=p)
+            estimate_bound(bound_map, cone, x, cfg, hints=hints, p_for_seed=p)
         return
-    est = estimate_bound(map_at, cone, x, cfg, mode=mode, hints=hints, p_for_seed=p)
+    est = estimate_bound(bound_map, cone, x, cfg, hints=hints, p_for_seed=p)
     lo, hi, wits = want
     assert (est.alpha_lo, est.alpha_hi) == (lo, hi)
     assert [r for r, _ in est.witnesses] == [r for r, _ in wits]
@@ -240,16 +240,15 @@ def test_estimate_bracket_five_times_identity_rotation(plane_orthant):
 
 def test_estimate_decrease_mode_deviation(plane_orthant):
     g = deviation_map(0.4)
-    est = estimate_bound(g, plane_orthant, [1.3], mode=Mode.DECREASE)
+    est = estimate_bound(lambda u: -g(u), plane_orthant, [1.3])
     assert est.alpha_lo >= 2.0 - 0.05
     assert est.alpha_hi >= 2.0 - 1e-9
-    assert est.mode is Mode.DECREASE
 
 
 def test_estimate_decrease_absent_at_the_minimizer(plane_orthant):
     g = deviation_map(0.4)
     with pytest.raises(PropertyAbsent):
-        estimate_bound(g, plane_orthant, [0.4], mode=Mode.DECREASE)
+        estimate_bound(lambda u: -g(u), plane_orthant, [0.4])
 
 
 def test_witness_records_are_sound_and_non_self(plane_orthant):

@@ -7,7 +7,8 @@ from svikit.geometry import orthant
 from svikit.increase import SamplingConfig, global_infimum
 from svikit.problems import rotation_solution_path
 from svikit.setmaps import (Ball, Box, ConcaveTerm, AbsComponent, MatrixTable,
-                            RotationScaled, SviProblem, merit, merit_many)
+                            RotationScaled, SviProblem, merit, merit_many,
+                            rotation_matrix)
 from svikit.solver import (AlreadyFeasible, MaxItersExceeded, NoDescentStep,
                            SolverConfig, _resolve_alpha_estimate, caristi_step,
                            segment_step, solve)
@@ -163,6 +164,29 @@ def test_sampled_alpha_tilde_projects_into_the_constraint():
     assert np.any(box.distances(draws, 0.3) > 0.5)
     xs = np.array([x for _, x, _ in res.estimates])
     assert len(xs) and np.all(box.distances(xs, 0.3) == 0.0)
+
+
+def test_a_solved_start_returns_before_alpha_tilde_is_sampled(monkeypatch):
+    # the bare rotation declares no bound; x0 solves it at p = 0.3 (3 O_p x0
+    # lies in the orthant), and lies in the box but 3 x0 does not
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("alpha_tilde was sampled")
+
+    monkeypatch.setattr("svikit.solver.global_infimum", no_estimate)
+    x0 = rotation_matrix(-0.3) @ np.array([1.0, 0.5])
+    box = Box(lower=[-2.0, -2.0], upper=[2.0, 2.0])
+    for kwargs in ({}, {"constraint": box}):
+        problem = SviProblem(matrix=RotationScaled(3.0), cone=orthant(2), **kwargs)
+        res = solve(problem, 0.3, x0)
+        assert res.iterations == 0 and res.path_length == 0.0
+        assert np.array_equal(res.x_final, x0) and res.x_final is not x0
+        assert math.isnan(res.alpha_used) and math.isnan(res.descent_k)
+        assert res.kappa == 0.0 and res.bound_rhs == 0.0 and res.bound_holds
+        assert res.merit_final == merit(problem, 0.3, x0) <= 1e-8
+        with pytest.raises(AssertionError, match="sampled"):  # not a solution
+            solve(problem, 0.3, -x0)
+    with pytest.raises(AssertionError, match="sampled"):  # outside R(p)
+        solve(problem, 0.3, 3.0 * x0)
 
 
 def test_alpha_tilde_comes_from_cfg_then_declared_then_sampled(rotation_problem, boxed_problem):

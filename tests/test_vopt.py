@@ -10,7 +10,7 @@ from conftest import random_pointed_cone
 from svikit.geometry import (PolyCone, SumSet, VPolytope, matvec_rows, orthant,
                              project_dist)
 
-from svikit.increase import (Mode, PropertyAbsent, SamplingConfig, estimate_bound,
+from svikit.increase import (PropertyAbsent, SamplingConfig, estimate_bound,
                              global_infimum, hints_for_matrix, nonsolution_pairs)
 from svikit.problems import (deviation_vop_spec, sine_deviation_spec,
                              triangle_vop_spec)
@@ -143,8 +143,7 @@ def test_solve_ideal_triangle_found_and_empty(triangle_spec):
     assert np.allclose(res0.x, [0.0, 0.0], atol=1e-7)
 
     respi = solve_ideal(triangle_spec, math.pi, [0.3, 0.3],
-                        SolverConfig(rng_seed=0, alpha_tilde=DEC_TRIANGLE),
-                        certify_empty=True)
+                        SolverConfig(rng_seed=0, alpha_tilde=DEC_TRIANGLE))
     assert respi.status == CERTIFIED_EMPTY
     assert respi.oracle is not None and not respi.oracle.is_ideal
 
@@ -274,7 +273,7 @@ def test_empty_triangle_row_is_certified_on_the_vertices(triangle_spec, monkeypa
 
     monkeypatch.setattr(vopt, "merit_many", counting_merit_many)
     res = solve_ideal(triangle_spec, math.pi, [0.3, 0.3],
-                      SolverConfig(rng_seed=0, alpha_tilde=DEC_TRIANGLE), certify_empty=True)
+                      SolverConfig(rng_seed=0, alpha_tilde=DEC_TRIANGLE))
     assert res.status == CERTIFIED_EMPTY
     assert rows == [3]
 
@@ -476,8 +475,8 @@ def test_global_infimum_of_the_built_problem_brackets_the_decrease_bound(make_sp
                  if isinstance(obj, AffineFamily) else None)
         try:
             refs.append((p, x, estimate_bound(
-                lambda xx: VPolytope(obj.value(p, xx)[None, :]), spec.cone, x, cfg,
-                mode=Mode.DECREASE, hints=hints, p_for_seed=p)))
+                lambda xx: -VPolytope(obj.value(p, xx)[None, :]), spec.cone, x, cfg,
+                hints=hints, p_for_seed=p)))
         except PropertyAbsent:
             pass
     assert res.samples_used == len(res.estimates) == len(refs) > 0
