@@ -19,10 +19,9 @@ import numpy as np
 
 from .geometry import (PolyCone, SumSet, VPolytope, _sphere_max, as_vector, dist_many,
                        numgrad, row_norms, seeded_rotation, unit_directions)
-from .setmaps import SviProblem, is_all_space, merit
+from .setmaps import is_all_space, merit_many
 
 MapAt = Callable[[np.ndarray], VPolytope]
-HintFn = Callable[[np.ndarray, float], list]
 
 #: radii that must all carry witnesses, largest first (the first is delta)
 QUALIFYING_RADII = (0.25, 0.125)
@@ -59,7 +58,6 @@ class IncreaseEstimate:
     x: np.ndarray
     alpha_lo: float
     alpha_hi: float
-    delta_used: float
     witnesses: list  # (radius, u) pairs certifying alpha_lo
 
     @property
@@ -77,25 +75,23 @@ def _stable_seed(base: int, p: Optional[float], x: np.ndarray) -> np.random.Gene
     return np.random.default_rng([base, *words.tolist()])
 
 
-def hints_for_problem(problem: SviProblem, p: float) -> HintFn:
-    """Witness-direction hints derived from the problem's matrix family."""
-    return hints_for_matrix(problem.matrix.matrix_at(p), problem.cone)
+def hints_for_problem(problem, p: float) -> Optional[np.ndarray]:
+    """The hint direction of the map that ``problem.bound_map(p)`` gives, from
+    its linear part, for both problem kinds; None when it has none."""
+    M = problem.bound_map(p)[1]
+    return None if M is None else hints_for_matrix(M, problem.cone)
 
 
-def hints_for_matrix(M: np.ndarray, cone: PolyCone) -> HintFn:
-    d = None
-    if M.shape[0] == M.shape[1]:
-        try:
-            cand = np.linalg.solve(M, cone.deep_direction())
-            n = np.linalg.norm(cand)
-            d = cand / n if n > 1e-12 else None
-        except np.linalg.LinAlgError:
-            pass
-
-    def hints(x: np.ndarray, r: float) -> list:
-        return [] if d is None else [x + r * d, x + 0.5 * r * d]
-
-    return hints
+def hints_for_matrix(M: np.ndarray, cone: PolyCone) -> Optional[np.ndarray]:
+    """The unit direction d that the linear map M sends along the cone's deep
+    direction, or None when M is not square, is singular or d vanishes; the
+    hint candidates at radius r are x + r d and x + r d / 2."""
+    try:  # a matrix that is not square raises too
+        d = np.linalg.solve(M, cone.deep_direction())
+    except np.linalg.LinAlgError:
+        return None
+    n = np.linalg.norm(d)
+    return d / n if n > 1e-12 else None
 
 
 def _gradients(map_at: MapAt, target: SumSet, cone: PolyCone, x: np.ndarray) -> list:
@@ -112,17 +108,17 @@ def _gradients(map_at: MapAt, target: SumSet, cone: PolyCone, x: np.ndarray) -> 
     return [(g, n) for g in numgrad(worst, x).T if (n := float(np.linalg.norm(g))) > 1e-14]
 
 
-def _candidates(x: np.ndarray, r: float, grads: list, hints: Optional[HintFn],
+def _candidates(x: np.ndarray, r: float, grads: list, hint: Optional[np.ndarray],
                 units: np.ndarray, rng: np.random.Generator):
-    """Candidate witnesses in B(x, r), most promising first, as blocks of rows:
-    the hints and a step of length r against each of ``grads``, then the
-    ``units`` at each of MAGNITUDES, rotated by a draw from ``rng`` made
-    lazily."""
-    fixed = [np.asarray(u, dtype=float) for u in (hints(x, r) if hints is not None else ())]
-    yield np.array(fixed + [x - (r / n) * g for g, n in grads]).reshape(-1, len(x))
+    """Candidate witnesses in B(x, r), most promising first, and the length of
+    their head: the hint steps x + r d and x + r d / 2, a step of length r
+    against each of ``grads``, then the ``units`` rotated by one draw from
+    ``rng``, at each of MAGNITUDES."""
+    head = [] if hint is None else [x + r * hint, x + 0.5 * r * hint]
+    head += [x - (r / n) * g for g, n in grads]
     dirs = units @ seeded_rotation(len(x), rng).T
-    for mag in MAGNITUDES:
-        yield x + (mag * r) * dirs
+    return np.vstack([np.reshape(head, (-1, len(x))),
+                      *(x + (mag * r) * dirs for mag in MAGNITUDES)]), len(head)
 
 
 # ---------------------------------------------------------------------------
@@ -132,15 +128,16 @@ def _candidates(x: np.ndarray, r: float, grads: list, hints: Optional[HintFn],
 class _Search:
     """What every witness check at one point x shares: the target G(x) + C
     (its face table is cached on it), the heuristic gradients of one stencil,
-    the unit directions, and per radius the hint and gradient images."""
+    the unit directions, the checked hint direction, and per radius the
+    images of the candidates' head."""
 
-    def __init__(self, map_at: MapAt, cone: PolyCone, x: np.ndarray,
-                 cfg: SamplingConfig, hints: Optional[HintFn]):
-        self.map_at, self.x, self.cfg, self.hints = map_at, x, cfg, hints
+    def __init__(self, map_at: MapAt, cone: PolyCone, x: np.ndarray, cfg: SamplingConfig, hint):
+        self.map_at, self.x, self.cfg = map_at, x, cfg
+        self.hint = None if hint is None else as_vector(hint, len(x))
         self.target = SumSet(map_at(x), cone)
         self.grads = _gradients(map_at, self.target, cone, x)
         self.units = unit_directions(len(x), cfg.directions)
-        self.fixed = {}  # radius -> images of the hint and gradient candidates
+        self.head = {}  # radius -> images of the hint and gradient candidates
 
     def images(self, U: np.ndarray) -> list:
         """Image vertices of the rows of U; None at x (no witness)."""
@@ -176,24 +173,19 @@ def _witness(s: _Search, alpha: float, r: float, rng: np.random.Generator):
     before the rest."""
     if alpha <= 1 or r <= 0:
         raise ValueError("alpha must exceed 1" if alpha <= 1 else "radius must be positive")
-    blocks = _candidates(s.x, r, s.grads, s.hints, s.units, rng)
-    U = next(blocks)  # the hint and gradient candidates
-    if r not in s.fixed:
-        s.fixed[r] = s.images(U)
-    images = s.fixed[r]
-    if len(U) < 8:  # the head takes directions too
-        U = np.vstack([U, *blocks])
+    U, k = _candidates(s.x, r, s.grads, s.hint, s.units, rng)
+    if r not in s.head:
+        s.head[r] = s.images(U[:k])
+    images = s.head[r]
     found = s.scan(U[:8], images[:8], alpha, r)
-    if found is None:  # the directions are drawn here if the head had none
-        found = s.scan(np.vstack([U, *blocks])[8:], images[8:], alpha, r)
-    return found
+    return found if found is not None else s.scan(U[8:], images[8:], alpha, r)
 
 
 def check_increase(map_at: MapAt, cone: PolyCone, x, alpha: float, r: float,
-                   cfg: Optional[SamplingConfig] = None,
-                   hints: Optional[HintFn] = None,
+                   cfg: Optional[SamplingConfig] = None, hints=None,
                    rng: Optional[np.random.Generator] = None) -> Optional[np.ndarray]:
-    """Search for u in B(x, r) with B(G(u), alpha*r) inside B(G(x) + C, r).
+    """Search for u in B(x, r) with B(G(u), alpha*r) inside B(G(x) + C, r),
+    trying the steps along the hint direction ``hints`` (or None) first.
 
     Returns the first passing candidate, or None when the budget is
     exhausted (absence of a witness is a value, not an error).
@@ -206,8 +198,7 @@ def check_increase(map_at: MapAt, cone: PolyCone, x, alpha: float, r: float,
 
 
 def estimate_bound(map_at: MapAt, cone: PolyCone, x,
-                   cfg: Optional[SamplingConfig] = None,
-                   hints: Optional[HintFn] = None,
+                   cfg: Optional[SamplingConfig] = None, hints=None,
                    p_for_seed: Optional[float] = None) -> IncreaseEstimate:
     """Bracket the exact bound of cone-increase of ``map_at`` at x; the
     decrease bound of a map f is this bound of ``lambda u: -f(u)``.
@@ -215,7 +206,8 @@ def estimate_bound(map_at: MapAt, cone: PolyCone, x,
     alpha_lo is certified by stored witnesses at every qualifying radius;
     alpha_hi is the smallest tested alpha with a refuted qualifying radius
     (or the cap).  Raises PropertyAbsent when not even the probe value
-    just above 1 admits witnesses.  Every check shares one ``_Search``.
+    just above 1 admits witnesses.  Every check shares one ``_Search``,
+    the hint direction ``hints`` (or None) included.
     """
     cfg = cfg or SamplingConfig()
     x = as_vector(x)
@@ -247,8 +239,7 @@ def estimate_bound(map_at: MapAt, cone: PolyCone, x,
             lo, lo_wits = a, w
             if a >= ALPHA_MAX:
                 hi = ALPHA_MAX
-    return IncreaseEstimate(x=x, alpha_lo=lo, alpha_hi=hi, delta_used=QUALIFYING_RADII[0],
-                            witnesses=lo_wits)
+    return IncreaseEstimate(x=x, alpha_lo=lo, alpha_hi=hi, witnesses=lo_wits)
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +249,14 @@ def estimate_bound(map_at: MapAt, cone: PolyCone, x,
 @dataclass
 class InfimumResult:
     alpha: float
-    samples_used: int
     estimates: list  # (p, x, IncreaseEstimate)
 
 
 def nonsolution_pairs(problem, p_grid: Sequence[float], x_samples,
                       cfg: SamplingConfig) -> list:
-    """(p, x) pairs with positive merit over the grid, x taken from the
-    given points or ``x_samples`` seeded draws in [-2, 2]^n, and projected
-    into R(p) first when the problem is constrained."""
+    """Non-solution (p, x) pairs, of merit above the tolerance by one batched
+    merit per p: x from the given points or ``x_samples`` seeded draws in
+    [-2, 2]^n, projected into R(p) first when the problem is constrained."""
     dim = problem.dim_in
     if isinstance(x_samples, int):
         xs = np.random.default_rng(cfg.seed).uniform(-2.0, 2.0, size=(x_samples, dim))
@@ -274,12 +264,9 @@ def nonsolution_pairs(problem, p_grid: Sequence[float], x_samples,
         xs = np.asarray(x_samples, dtype=float).reshape(-1, dim)
     pairs = []
     for p in p_grid:
-        for x in xs:
-            if not is_all_space(problem.constraint):
-                x = problem.constraint.project(x, p)[0]
-            if merit(problem, p, x) <= cfg.tolerance:
-                continue  # the constants only quantify over non-solutions
-            pairs.append((float(p), x))
+        X = xs if is_all_space(problem.constraint) else np.array(
+            [problem.constraint.project(x, p)[0] for x in xs]).reshape(-1, dim)
+        pairs += [(float(p), x) for x in X[merit_many(problem, p, X) > cfg.tolerance]]
     return pairs
 
 
@@ -287,8 +274,8 @@ def global_infimum(problem, p_grid: Sequence[float], x_samples,
                    cfg: Optional[SamplingConfig] = None) -> InfimumResult:
     """Sampled lower estimate of the problem's global bound constant: the
     least alpha_lo of ``estimate_bound`` over the ``nonsolution_pairs``, on
-    the map that ``problem.bound_map(p)`` gives with its linear part (for
-    the hints) or None: F(p, .) for an inclusion, -f(p, .) for ideal
+    the map that ``problem.bound_map(p)`` gives, with the hint of
+    ``hints_for_problem``: F(p, .) for an inclusion, -f(p, .) for ideal
     efficiency (the decrease bound of f).  A pair with no witnesses at the
     probe is skipped, as near the solution set the candidates can miss them
     at the qualifying radii; PropertyAbsent means no pair was left, which
@@ -299,18 +286,16 @@ def global_infimum(problem, p_grid: Sequence[float], x_samples,
     pairs = nonsolution_pairs(problem, p_grid, x_samples, cfg)
     estimates = []
     for p, x in pairs:
-        map_at, M = problem.bound_map(p)
-        hints = hints_for_matrix(M, problem.cone) if M is not None else None
         try:
-            estimates.append((p, x, estimate_bound(map_at, problem.cone, x, cfg,
-                                                   hints=hints, p_for_seed=p)))
+            estimates.append((p, x, estimate_bound(problem.bound_map(p)[0], problem.cone, x,
+                                                   cfg, hints=hints_for_problem(problem, p),
+                                                   p_for_seed=p)))
         except PropertyAbsent:
             continue
     if not estimates:
         raise PropertyAbsent(f"no witnesses at alpha = {ALPHA_PROBE} at any of the "
                              f"{len(pairs)} sampled non-solutions")
-    return InfimumResult(alpha=min(est.alpha_lo for _, _, est in estimates),
-                         samples_used=len(estimates), estimates=estimates)
+    return InfimumResult(alpha=min(est.alpha_lo for _, _, est in estimates), estimates=estimates)
 
 
 def perturbed_bound(base_inc: float, ell: float) -> float:

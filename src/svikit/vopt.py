@@ -24,11 +24,11 @@ import numpy as np
 
 from .geometry import (PolyCone, VPolytope, _as_points, as_vector, matvec_rows,
                        row_norms)
-from .increase import SamplingConfig, global_infimum
+from .increase import PropertyAbsent, SamplingConfig, global_infimum
 from .parametric import SweepRow, SweepTable, _sorted_grid, _sweep_meta
 from .setmaps import (Ball, Box, ConstraintFamily, PolytopeSet, RotationScaled,
                       _Knots, as_data, constraint_from_dict, is_all_space,
-                      matrix_family_from_dict, merit_many, read_data, write_data)
+                      matrix_family_from_dict, merit, merit_many, read_data, write_data)
 from .solver import (MaxItersExceeded, NoDescentStep, SolveResult,
                      SolverConfig, solve)
 
@@ -302,18 +302,20 @@ class IdealResult:
     value: Optional[np.ndarray] = None
     merit_final: float = math.nan
     solve_result: Optional[SolveResult] = None
-    oracle: Optional[OracleResult] = None
+    oracle: Optional[OracleResult] = None  # set on every run
 
 
 def solve_ideal(spec: VopSpec, p: float, x0, cfg: Optional[SolverConfig] = None) -> IdealResult:
-    """Run the constrained descent on the built inclusion problem; the exact
-    oracle (``brute_force_ideal``) decides every run that ends unsolved.
+    """Run the constrained descent on the built inclusion problem, then the
+    exact oracle (``brute_force_ideal``) once; every result keeps the
+    oracle's, which decides every run that ends unsolved.
 
     The status is FOUND when the descent ends at a feasible point of merit
     at most ``cfg.tol``.  Otherwise it is the oracle's: CERTIFIED_EMPTY when
     no point is ideal, NOT_FOUND when an ideal point exists and the descent
-    missed it (a solver failure).  An unsolved run keeps its last iterate,
-    its merit and the oracle's result.
+    missed it (a solver failure).  An unsolved run keeps its last iterate
+    and its merit, or x0 and its plain merit when no sampled point had
+    witnesses for alpha_tilde (``PropertyAbsent``).
 
     alpha_tilde, the objective's global decrease bound, is resolved by the
     solver as for an inclusion: ``cfg.alpha_tilde`` when set, else the
@@ -331,13 +333,15 @@ def solve_ideal(spec: VopSpec, p: float, x0, cfg: Optional[SolverConfig] = None)
         res = solve(prob, p, x0, run_cfg)
     except (NoDescentStep, MaxItersExceeded) as err:
         res, x, merit_final = None, err.x, err.merit_value
+    except PropertyAbsent:
+        res, x, merit_final = None, as_vector(x0), merit(prob, p, x0)
     else:
         x, merit_final = res.x_final, res.merit_final
-        _, dx = spec.constraint.project(x, p)
-        if merit_final <= run_cfg.tol and dx <= max(run_cfg.tol, 1e-7):
-            return IdealResult(status=FOUND, x=x, value=spec.objective.value(p, x),
-                               merit_final=merit_final, solve_result=res)
     oracle = brute_force_ideal(spec, p)
+    if (res is not None and merit_final <= run_cfg.tol
+            and spec.constraint.project(x, p)[1] <= max(run_cfg.tol, 1e-7)):
+        return IdealResult(status=FOUND, x=x, value=spec.objective.value(p, x),
+                           merit_final=merit_final, solve_result=res, oracle=oracle)
     return IdealResult(status=NOT_FOUND if oracle.is_ideal else CERTIFIED_EMPTY, x=x,
                        merit_final=merit_final, solve_result=res, oracle=oracle)
 
@@ -371,20 +375,25 @@ def ideal_value_sweep(spec: VopSpec, grid: Sequence[float], x_init,
     row starts where the last solved one ended.  Every row runs at one
     decrease bound: ``alpha_under``, else ``cfg.alpha_tilde``, else
     ``global_infimum`` of the built problem over the grid's first and middle
-    values.  ``meta["statuses"]`` holds one status per row: the exact
-    oracle's verdict ('ideal' or 'empty') with ``with_oracle``, else
-    ``solve_ideal``'s (which the oracle decides on unsolved rows).
+    values.  When no sampled point has witnesses the rows share no bound:
+    each resolves its own, the oracle decides the rows where none exists,
+    and ``meta["alpha_under"]`` is nan.  ``meta["statuses"]`` holds one
+    status per row: the exact oracle's verdict ('ideal' or 'empty') with
+    ``with_oracle``, else ``solve_ideal``'s (which the oracle decides on
+    unsolved rows).
     ``oracle_density`` is ignored: the oracle is exact, and the keyword
     stays only for callers that still pass it."""
     cfg = cfg or SolverConfig()
     grid = _sorted_grid(grid)
-    if alpha_under is None:
-        alpha_under = cfg.alpha_tilde
+    alpha_under = cfg.alpha_tilde if alpha_under is None else alpha_under
     if alpha_under is None:
         mid = grid[len(grid) // 2]
         scfg = SamplingConfig(bracket_rtol=0.05, seed=cfg.rng_seed)
-        alpha_under = global_infimum(VopProblem(spec), [grid[0], mid], 4, scfg).alpha
-    row_cfg = replace(cfg, alpha_tilde=float(alpha_under))
+        try:
+            alpha_under = global_infimum(VopProblem(spec), [grid[0], mid], 4, scfg).alpha
+        except PropertyAbsent:  # the rows share no bound
+            alpha_under = math.nan
+    row_cfg = replace(cfg, alpha_tilde=None if math.isnan(alpha_under) else float(alpha_under))
     t0 = time.perf_counter()
     rows, statuses = [], []
     x_start = as_vector(x_init)
@@ -399,11 +408,8 @@ def ideal_value_sweep(spec: VopSpec, grid: Sequence[float], x_init,
             x_start = res.x
         else:
             rows.append(SweepRow(p=p, x=res.x, merit=res.merit_final, bound_rhs=math.nan,
-                                 bound_holds=False, solved=False,
-                                 warm_start=x_start.copy(),
+                                 bound_holds=False, solved=False, warm_start=x_start.copy(),
                                  value=np.full(spec.objective.dim_out, math.nan)))
-        statuses.append((res.oracle or brute_force_ideal(spec, p)).status if with_oracle
-                        else res.status)
-    return SweepTable(rows=rows, meta=_sweep_meta(spec, cfg, True, t0,
-                                                  alpha_under=float(alpha_under),
-                                                  statuses=statuses))
+        statuses.append(res.oracle.status if with_oracle else res.status)
+    meta = _sweep_meta(spec, cfg, True, t0, alpha_under=float(alpha_under), statuses=statuses)
+    return SweepTable(rows=rows, meta=meta)

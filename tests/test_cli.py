@@ -64,6 +64,29 @@ def test_sweep_verb_writes_csv(problem_files, tmp_path, capsys):
     assert all(line.split(",")[6] == "true" for line in lines[1:])
 
 
+def test_sweep_verb_exits_2_on_unsolved_rows(tmp_path, capsys):
+    # a narrow box leaves R(p) and S(p) apart at every row (half width 0.2),
+    # or from p = 0.5 on (0.5): a trailing unsolved run
+    for half_width, solved, runs in ((0.2, 0, "[(0.0, 1.0)]"), (0.5, 1, "[(0.5, 1.0)]")):
+        path = tmp_path / f"boxed_{half_width}.json"
+        write_problem_file(path, boxed_rotation_problem(half_width=half_width))
+        rc = main(["sweep", "--problem", str(path), "--grid", "0:1:3", "--x0", "0,0"])
+        out = capsys.readouterr().out
+        assert rc == 2
+        assert f"rows = 3  solved = {solved}" in out
+        assert f"unsolved_runs = {runs}" in out
+
+
+def test_unexpected_exception_is_an_internal_error(problem_files, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("svikit.cli.solve", broken)
+    rc = main(["solve", "--problem", problem_files["rotation"], "--p", "0", "--x0", "0,0"])
+    assert rc == 3
+    assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+
+
 def test_missing_problem_file_exit_code(capsys):
     rc = main(["solve", "--problem", "/nonexistent/missing.json",
                "--p", "0", "--x0", "0,0"])
@@ -372,8 +395,9 @@ def test_vopt_orientation_turns_an_affine_rotation_objective(tmp_path, monkeypat
     path = tmp_path / "offset.json"
     path.write_text(json.dumps(data))
     specs = []
+    not_found = vopt.IdealResult("not_found", oracle=vopt.OracleResult("ideal"))
     monkeypatch.setattr("svikit.cli.solve_ideal",
-                        lambda spec, *a, **kw: specs.append(spec) or vopt.IdealResult("not_found"))
+                        lambda spec, *a, **kw: specs.append(spec) or not_found)
     for flag in ("ccw", "cw"):
         main(["vopt", "--problem", str(path), "--p", "1", "--x0", "0.3,0.3",
               "--orientation", flag])

@@ -7,11 +7,14 @@ import math
 import numpy as np
 
 from conftest import random_pointed_cone
+from svikit.cli import main
 from svikit.geometry import PolyCone, VPolytope, orthant
+from svikit.problems import write_problem_file
 from svikit.setmaps import AllSpace, Ball, Box, MatrixTable, PolytopeSet, _Knots, merit
 from svikit.solver import SolverConfig
 from svikit.vopt import (CERTIFIED_EMPTY, FOUND, NOT_FOUND, AbsDeviation, AffineFamily,
-                         VopProblem, VopSpec, brute_force_ideal, solve_ideal)
+                         VopProblem, VopSpec, brute_force_ideal, ideal_value_sweep,
+                         solve_ideal)
 
 KNOTS = (0.0, 0.5, 1.0)
 
@@ -50,27 +53,66 @@ def _random_vop_spec(rng: np.random.Generator) -> VopSpec:
     return VopSpec(obj, constraint, cone, objective_lipschitz=lip)
 
 
-def test_unsolved_ideal_runs_take_the_exact_oracles_verdict():
-    # every run that ends unsolved is CERTIFIED_EMPTY exactly when the oracle
-    # finds no ideal point, and carries that oracle result; a found point is
-    # feasible with merit at most tol.  NOT_FOUND rows (the descent missed an
-    # ideal point) and found rows the oracle calls empty are reported
-    rng = np.random.default_rng(1606)
-    cfg = SolverConfig(alpha_tilde=2.0, max_iters=200)
-    counts = dict.fromkeys((FOUND, NOT_FOUND, CERTIFIED_EMPTY, "found_oracle_empty"), 0)
-    for _ in range(32):
+def _ideal_runs(rng: np.random.Generator, specs: int):
+    """(index, spec, p, oracle, x0) for ``specs`` seeded specs: at both ends
+    of KNOTS and one p between, two start points each, with the oracle's
+    verdict at p."""
+    for i in range(specs):
         spec = _random_vop_spec(rng)
         for p in KNOTS[0], float(rng.uniform(0.0, 1.0)), KNOTS[-1]:
             oracle = brute_force_ideal(spec, p)
             for x0 in rng.uniform(-1.5, 1.5, (2, spec.objective.dim_in)):
-                res = solve_ideal(spec, p, x0, cfg)
-                counts[res.status] += 1
-                if res.status == FOUND:
-                    assert merit(VopProblem(spec), p, res.x) <= cfg.tol
-                    assert spec.constraint.project(res.x, p)[1] <= 1e-7
-                    counts["found_oracle_empty"] += not oracle.is_ideal
-                    continue
-                assert res.oracle.status == oracle.status
-                assert (res.status == CERTIFIED_EMPTY) == (not oracle.is_ideal)
+                yield i, spec, p, oracle, x0
+
+
+def test_unsolved_ideal_runs_take_the_exact_oracles_verdict():
+    # every run that ends unsolved is CERTIFIED_EMPTY exactly when the oracle
+    # finds no ideal point; every run carries that oracle result, and a found
+    # point is feasible with merit at most tol.  NOT_FOUND rows (the descent
+    # missed an ideal point) and found rows the oracle calls empty are reported
+    cfg = SolverConfig(alpha_tilde=2.0, max_iters=200)
+    counts = dict.fromkeys((FOUND, NOT_FOUND, CERTIFIED_EMPTY, "found_oracle_empty"), 0)
+    for _, spec, p, oracle, x0 in _ideal_runs(np.random.default_rng(1606), 32):
+        res = solve_ideal(spec, p, x0, cfg)
+        counts[res.status] += 1
+        assert res.oracle.status == oracle.status
+        if res.status == FOUND:
+            assert merit(VopProblem(spec), p, res.x) <= cfg.tol
+            assert spec.constraint.project(res.x, p)[1] <= 1e-7
+            counts["found_oracle_empty"] += not oracle.is_ideal
+            continue
+        assert (res.status == CERTIFIED_EMPTY) == (not oracle.is_ideal)
     print(f"ideal runs: {counts}")
     assert counts[FOUND] and counts[CERTIFIED_EMPTY]
+
+
+def test_sampled_alpha_tilde_without_witnesses_leaves_the_verdict_to_the_oracle(
+        tmp_path, capsys):
+    # with alpha_tilde sampled, no sampled point of specs 4, 5 and 8 of this
+    # draw has witnesses (PropertyAbsent): such a run keeps x0 and its plain
+    # merit, and the oracle sets its status.  A sweep over specs 4 and 8,
+    # whose one shared estimate finds no witnesses either, gives every row
+    # its own bound, and the oracle calls each row empty
+    cfg = SolverConfig(max_iters=200)
+    specs = {}
+    for i, spec, p, oracle, x0 in _ideal_runs(np.random.default_rng(1606), 9):
+        specs[i] = spec
+        res = solve_ideal(spec, p, x0, cfg)
+        assert res.oracle.status == oracle.status
+        if res.status != FOUND:
+            assert (res.status == CERTIFIED_EMPTY) == (not oracle.is_ideal)
+        if i in (4, 8):
+            assert res.status == CERTIFIED_EMPTY and res.solve_result is None
+            assert np.array_equal(res.x, x0)
+            assert res.merit_final == merit(VopProblem(spec), p, x0)
+    for i in 4, 8:
+        dim = specs[i].objective.dim_in
+        table = ideal_value_sweep(specs[i], list(KNOTS), np.zeros(dim), cfg)
+        assert table.meta["statuses"] == [CERTIFIED_EMPTY] * 3
+        assert math.isnan(table.meta["alpha_under"])
+    # svi vopt --p reports such a row as an answer, not a solver failure
+    path = tmp_path / "spec4.json"
+    write_problem_file(path, specs[4])
+    x0 = ",".join(["0"] * specs[4].objective.dim_in)
+    assert main(["vopt", "--problem", str(path), "--p", "0", "--x0", x0]) == 0
+    assert "status = certified_empty" in capsys.readouterr().out

@@ -1,5 +1,4 @@
 import collections
-import itertools
 import math
 
 import numpy as np
@@ -65,9 +64,9 @@ def reference_check(map_at, cone, x, alpha, r, cfg, hints):
     target = SumSet(map_at(x), cone)
     rng = increase._stable_seed(cfg.seed, None, x)
     grads = increase._gradients(map_at, target, cone, x)
-    gen = itertools.chain.from_iterable(increase._candidates(
-        x, r, grads, hints, unit_directions(len(x), cfg.directions), rng))
-    for u in itertools.chain(itertools.islice(gen, 8), gen):
+    U, _ = increase._candidates(x, r, grads, hints, unit_directions(len(x), cfg.directions),
+                                rng)
+    for u in U:
         if np.linalg.norm(u - x) <= 1e-15:
             continue
         image = map_at(u)
@@ -116,11 +115,11 @@ def test_gradient_heuristics_match_one_stencil_per_heuristic():
             if n > 1e-14:
                 want.append(x - (r / n) * g)
         cfg = SamplingConfig()
-        gen = itertools.chain.from_iterable(increase._candidates(
+        U, head = increase._candidates(
             x, r, increase._gradients(map_at, target, cone, x), None,
-            unit_directions(len(x), cfg.directions), np.random.default_rng(0)))
-        got = list(itertools.islice(gen, len(want)))
-        assert np.allclose(got, want, rtol=0, atol=1e-9), seed
+            unit_directions(len(x), cfg.directions), np.random.default_rng(0))
+        assert head == len(want), seed  # without a hint the head is the gradient steps
+        assert np.allclose(U[:head], want, rtol=0, atol=1e-9), seed
 
 
 def reference_bracket(map_at, cone, x, cfg, hints, p):
@@ -205,7 +204,7 @@ def test_estimate_bound_evaluates_the_shared_points_once(plane_orthant):
     assert len(grads) == 2
     want = collections.Counter(
         u.tobytes() for r in increase.QUALIFYING_RADII
-        for u in [*hints(x, r), *(x - (r / n) * v for v, n in grads)])
+        for u in [x + r * hints, x + 0.5 * r * hints, *(x - (r / n) * v for v, n in grads)])
     assert {u: calls[u] for u in want} == want
 
 
@@ -236,6 +235,27 @@ def test_estimate_bracket_five_times_identity_rotation(plane_orthant):
     target = 5.0 / SQRT2 + 1.0
     assert est.alpha_lo <= target <= est.alpha_hi
     assert est.width <= 0.06 * target
+
+
+def test_estimate_bracket_in_four_dimensions():
+    # m = 4 takes the signed axes plus a seeded cloud as directions; the
+    # bound of u -> 3Qu over the orthant is 1 + 3/sqrt(4)
+    Q = np.linalg.qr(np.random.default_rng(4).standard_normal((4, 4)))[0]
+    M, cone = 3.0 * Q, orthant(4)
+    cfg = SamplingConfig(directions=64, bracket_rtol=0.05)
+    for x in (np.zeros(4), np.array([0.3, -1.2, 0.5, 0.1]), np.ones(4)):
+        est = estimate_bound(lambda u: VPolytope((M @ u)[None, :]), cone, x, cfg,
+                             hints=hints_for_matrix(M, cone))
+        assert est.alpha_lo <= 2.5 <= est.alpha_hi
+
+
+def test_estimate_bracket_stops_at_the_cap(plane_orthant):
+    # the exact bound of u -> 40u is 1 + 40/sqrt(2), above ALPHA_MAX
+    g = lambda u: VPolytope(40.0 * np.asarray(u)[None, :])
+    est = estimate_bound(g, plane_orthant, [0.0, 0.0],
+                         hints=hints_for_matrix(40.0 * np.eye(2), plane_orthant))
+    assert est.alpha_lo == est.alpha_hi == increase.ALPHA_MAX
+    assert [r for r, _ in est.witnesses] == list(increase.QUALIFYING_RADII)
 
 
 def test_estimate_decrease_mode_deviation(plane_orthant):
@@ -285,7 +305,7 @@ def test_global_infimum_matrix_part_only():
     prob = rotation_inclusion_problem(with_h=False, with_fan=False,
                                       declared_alpha=None)
     res = global_infimum(prob, [0.0, 2.1], 4, SamplingConfig(seed=1))
-    assert res.samples_used >= 4
+    assert len(res.estimates) >= 4
     assert abs(res.alpha - ROT_BOUND) <= 0.06
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from svikit.geometry import orthant
 from svikit.increase import SamplingConfig, global_infimum
-from svikit.problems import rotation_solution_path
+from svikit.problems import rotation_inclusion_problem, rotation_solution_path
 from svikit.setmaps import (Ball, Box, ConcaveTerm, AbsComponent, MatrixTable,
                             RotationScaled, SviProblem, merit, merit_many,
                             rotation_matrix)
@@ -203,6 +203,9 @@ def test_alpha_tilde_comes_from_cfg_then_declared_then_sampled(rotation_problem,
     cfg = SolverConfig(alpha_tilde=1.3)
     assert solve(rotation_problem, 0.3, [1.0, 1.0], cfg).alpha_used == 0.9 * 1.3
     assert solve(rotation_problem, 0.3, [1.0, 1.0]).alpha_used == min(1.5, 0.9 * declared)
+    # a bound with 0.9 alpha_tilde <= 1 runs at (1 + alpha_tilde)/2 instead
+    low = rotation_inclusion_problem(declared_alpha=1.05)
+    assert solve(low, 0.3, [-1.0, -1.0]).alpha_used == 0.5 * (1.0 + 1.05)
     res = solve(boxed_problem, 0.3, [1.0, 1.0], SolverConfig(alpha_tilde=8.0))
     assert res.alpha_used == 0.5 * (0.5 * (8.0 - 0.5 + 1.0) + 8.0 - 0.5)
     assert res.kappa == 8.0 - res.alpha_used
