@@ -4,6 +4,8 @@ A sweep solves the inclusion problem along a sorted parameter grid,
 initializing each solve at the previous solution.  The chain of solutions is
 the numerical stand-in for a continuous selection of the solution map: warm
 starting biases the solver toward the branch through the previous point.
+A row that took steps records the anchor's metric projection onto the
+solution set in n = 2, else the earliest solved point of [anchor, x].
 Unsolved grid points are recorded as data, never as failures, because
 legitimately empty solution sets must be chartable.
 """
@@ -189,8 +191,8 @@ def _solve_row(problem, p: float, x_start: np.ndarray,
         res = solve(problem, p, x_start, cfg)
         x_row = res.x_final
         if res.iterations > 0:
-            # record the anchor's (approximate) metric projection onto the
-            # solution set: the drift-free selection the sweep tracks
+            # record a selection tied to the anchor: its metric projection
+            # onto the solution set in n = 2, else the segment pullback
             if len(x_row) == 2:
                 x_row = _anchored_projection_2d(problem, p, anchor, x_row,
                                                 res.kappa, cfg.tol)

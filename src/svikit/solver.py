@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import as_vector, numgrad, row_norms, seeded_rotation, unit_directions
-from .increase import SamplingConfig, global_infimum
+from .increase import PropertyAbsent, SamplingConfig, global_infimum
 from .setmaps import is_all_space, merit_many
 
 #: the sampled descent's first radius and its shrink factor per round
@@ -72,17 +72,14 @@ class SolverConfig:
     """Descent-loop configuration.
 
     ``alpha_tilde`` is the increase (for vector optimization, decrease)
-    bound; unset, it is the problem's ``declared_alpha`` or else
-    ``global_infimum`` over six seeded non-solutions at p, projected into
-    R(p) when the problem is constrained.  Constrained runs use the pair
-    (alpha_tilde, alpha) with alpha inside
-    ((alpha_tilde - ell + 1)/2, alpha_tilde - ell), ell being the
-    problem's ``ell``.  ``alpha`` is the descent constant of
-    the unconstrained rule (must exceed 1); unset, it is
-    min(1.5, 0.9 * alpha_tilde), or (1 + alpha_tilde)/2 when that is not
-    above 1.  ``allow_uncertified`` lets runs proceed with floor constants
-    when the constrained interval is empty; their certificates then use the
-    actual acceptance constant.
+    bound; unset, it is the problem's ``declared_alpha``, else sampled (see
+    ``solve``).  ``alpha`` is the descent constant: above 1 without
+    constraints, inside ((alpha_tilde - ell + 1)/2, alpha_tilde - ell) with
+    them, ell being the problem's ``ell``; unset, ``solve`` picks one.
+    ``allow_uncertified`` makes a run best-effort: when the mandated
+    constants are missing (an empty interval, or a sampled alpha_tilde
+    without witnesses) it descends on floor constants, and its certificate
+    uses the actual acceptance constant.
     """
 
     alpha: Optional[float] = None
@@ -233,17 +230,36 @@ def segment_step(x, constraint, p: float, t: float) -> np.ndarray:
     return u
 
 
-def _resolve_alpha_estimate(problem, p: float, cfg: SolverConfig) -> float:
-    """alpha_tilde for this run: ``cfg.alpha_tilde`` when set, else the
-    problem's ``declared_alpha``, else a sampled global infimum over
-    non-solutions at p (projected into R(p) for a constrained problem)."""
-    if cfg.alpha_tilde is not None:
-        return float(cfg.alpha_tilde)
-    declared = getattr(problem, "declared_alpha", None)
-    if declared is not None:
-        return float(declared)
-    scfg = SamplingConfig(bracket_rtol=0.05, directions=64, seed=cfg.rng_seed)
-    return global_infimum(problem, [p], 6, scfg).alpha
+def _descent_constants(alpha_tilde, alpha, ell, constrained, allow_uncertified):
+    """(alpha, kappa, k, certified) of a run.  Unconstrained: alpha > 1, by
+    default min(1.5, 0.9 alpha_tilde), or (1 + alpha_tilde)/2 when that is
+    not above 1, and k = alpha - 1.  Constrained: alpha in the interval, by
+    default its midpoint, kappa = alpha_tilde - alpha and k = kappa - ell.
+    Without these (an empty interval, or alpha_tilde None), a best-effort
+    run takes floor constants: alpha nan, kappa max(1, ell/2) when
+    constrained and 0 when not, and k = MIN_DESCENT."""
+    if not constrained and (alpha is not None or alpha_tilde is not None):
+        if alpha is None:
+            alpha = min(1.5, 0.9 * alpha_tilde)
+            if alpha <= 1.0:
+                alpha = 0.5 * (1.0 + alpha_tilde)
+        if alpha <= 1.0:
+            raise DescentConstantsError("unconstrained descent needs alpha > 1")
+        return alpha, 0.0, alpha - 1.0, True
+    if alpha_tilde is not None:
+        lo_a, hi_a = 0.5 * (alpha_tilde - ell + 1.0), alpha_tilde - ell
+        if lo_a < hi_a:
+            alpha = 0.5 * (lo_a + hi_a) if alpha is None else alpha
+            if not lo_a < alpha < hi_a:
+                raise DescentConstantsError(
+                    f"alpha={alpha} outside the mandated interval ({lo_a}, {hi_a})")
+            kappa = alpha_tilde - alpha
+            return alpha, kappa, kappa - ell, True
+        if not allow_uncertified:
+            raise DescentConstantsError(
+                f"empty alpha interval: the constrained theorem needs alpha_tilde > "
+                f"1 + ell = {1.0 + ell}, got alpha_tilde = {alpha_tilde}")
+    return math.nan, max(1.0, 0.5 * ell) if constrained else 0.0, MIN_DESCENT, False
 
 
 def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveResult:
@@ -251,61 +267,38 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
 
     ``problem`` needs ``evaluate_many(p, X)``, ``cone``, ``constraint`` and
     ``ell`` (the Lipschitz budget of its perturbation terms); constrained
-    mode engages whenever the constraint is not the whole space.  The
-    returned certificate compares ||x_final - x0|| against the initial
-    penalized merit divided by the run's acceptance constant.  A start that
-    solves the problem (merit and distance to R(p) at most tol) needs no
-    sampled alpha_tilde: it returns with no step, nan constants, kappa and
-    ``bound_rhs`` 0.
+    mode engages whenever the constraint is not the whole space.
+    alpha_tilde is ``cfg.alpha_tilde``, else the problem's
+    ``declared_alpha``, else, when the constants need it, ``global_infimum``
+    over six seeded non-solutions at p (in R(p) when constrained); a
+    sampled one without witnesses raises ``PropertyAbsent`` unless the run
+    is best-effort.  A start that solves the problem (merit and distance to
+    R(p) at most tol) needs no sampled alpha_tilde: it returns with no step,
+    nan constants, kappa and ``bound_rhs`` 0.  When no step is found the run
+    retries once at half its k.  The certificate compares ||x_final - x0||
+    against the initial penalized merit divided by the last k.
     """
     cfg = cfg or SolverConfig()
     x0 = as_vector(x0)
     constraint = problem.constraint
     constrained = not is_all_space(constraint)
     ell = float(problem.ell)
-    if (cfg.alpha_tilde is None and getattr(problem, "declared_alpha", None) is None
-            and (constrained or cfg.alpha is None)):  # alpha_tilde would be sampled
+    alpha_tilde = (cfg.alpha_tilde if cfg.alpha_tilde is not None
+                   else getattr(problem, "declared_alpha", None))
+    if alpha_tilde is None and (constrained or cfg.alpha is None):  # sample it
         merit0 = float(merit_many(problem, p, x0[None, :])[0])
         if merit0 <= cfg.tol and constraint.project(x0, p)[1] <= cfg.tol:
             return SolveResult(x0.copy(), merit0, iterations=0, path_length=0.0,
                                caristi_certified=True, bound_rhs=0.0, bound_holds=True,
                                merit_history=array("d", [merit0]))
-
-    certified_constants = True
-    if not constrained:
-        alpha = cfg.alpha
-        if alpha is None:
-            est = _resolve_alpha_estimate(problem, p, cfg)
-            alpha = min(1.5, 0.9 * est)
-            if alpha <= 1.0:
-                alpha = 0.5 * (1.0 + est)
-        if alpha <= 1.0:
-            raise DescentConstantsError("unconstrained descent needs alpha > 1")
-        kappa = 0.0
-        k_run = alpha - 1.0
-        alpha_hi_limit = None
-    else:
-        alpha_tilde = _resolve_alpha_estimate(problem, p, cfg)
-        lo_a = 0.5 * (alpha_tilde - ell + 1.0)
-        hi_a = alpha_tilde - ell
-        if lo_a < hi_a:
-            alpha = cfg.alpha if cfg.alpha is not None else 0.5 * (lo_a + hi_a)
-            if not (lo_a < alpha < hi_a):
-                raise DescentConstantsError(
-                    f"alpha={alpha} outside the mandated interval ({lo_a}, {hi_a})")
-            kappa = alpha_tilde - alpha
-            k_run = alpha_tilde - alpha - ell
-            alpha_hi_limit = hi_a
-        else:
+        scfg = SamplingConfig(bracket_rtol=0.05, directions=64, seed=cfg.rng_seed)
+        try:
+            alpha_tilde = global_infimum(problem, [p], 6, scfg).alpha
+        except PropertyAbsent:
             if not cfg.allow_uncertified:
-                raise DescentConstantsError(
-                    f"empty alpha interval: ell={ell} >= alpha_tilde-1={alpha_tilde - 1}; "
-                    "set allow_uncertified to run with floor constants")
-            alpha = alpha_tilde  # placeholder; the rule below runs on floors
-            kappa = max(1.0, ell * 0.5)
-            k_run = MIN_DESCENT
-            alpha_hi_limit = None
-            certified_constants = False
+                raise
+    alpha, kappa, k_run, certified = _descent_constants(
+        alpha_tilde, cfg.alpha, ell, constrained, cfg.allow_uncertified)
 
     def psit(X):
         # reads kappa at call time: the back-off retry below reassigns it
@@ -313,7 +306,6 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
 
     psit0 = float(psit(x0[None, :])[0])
     bound_rhs = psit0 / k_run
-    k_min = k_run
 
     x = x0.copy()
     path = 0.0
@@ -335,44 +327,41 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
         if out.converged:
             break
         if out.accepted:
-            step = float(np.linalg.norm(out.u - x))
-            path += step
+            path += float(np.linalg.norm(out.u - x))
             x = out.u
             merits.append(out.merit)
             iterations += 1
             continue
         if not retried:
             retried = True
-            # alpha near the bound can starve the sampler; back off once
-            if not constrained:
+            # alpha near its bound can starve the sampler: back off once,
+            # moving alpha halfway to its bound, which halves k
+            if not certified:
+                k_run *= 0.5
+            elif not constrained:
                 alpha = 0.5 * (alpha + 1.0)
                 k_run = alpha - 1.0
-            elif alpha_hi_limit is not None:
-                alpha = 0.5 * (alpha + alpha_hi_limit)
-                new_kappa = alpha_tilde - alpha
-                k_run = max(alpha_tilde - alpha - ell, MIN_DESCENT)
-                kappa = new_kappa
             else:
-                k_run = max(0.5 * k_run, 1e-6)
-            k_min = min(k_min, k_run)
-            bound_rhs = psit0 / k_min
+                alpha = 0.5 * (alpha + (alpha_tilde - ell))
+                kappa = alpha_tilde - alpha
+                k_run = kappa - ell
+            bound_rhs = psit0 / k_run
             continue
         raise NoDescentStep(x, out.merit, out.radii_tried)
     else:
         raise MaxItersExceeded(x, merits[-1], cfg.max_iters)
 
-    merit_final = out.merit
     dist_back = float(np.linalg.norm(x - x0))
     return SolveResult(
         x_final=x,
-        merit_final=merit_final,
+        merit_final=out.merit,
         iterations=iterations,
         path_length=path,
-        caristi_certified=certified_constants,
+        caristi_certified=certified,
         bound_rhs=bound_rhs,
         bound_holds=dist_back <= bound_rhs + cfg.tol,
         alpha_used=alpha,
         kappa=kappa,
-        descent_k=k_min,
+        descent_k=k_run,
         merit_history=array("d", merits),
     )

@@ -28,7 +28,7 @@ from .increase import PropertyAbsent, SamplingConfig, global_infimum
 from .parametric import SweepRow, SweepTable, _sorted_grid, _sweep_meta
 from .setmaps import (Ball, Box, ConstraintFamily, PolytopeSet, RotationScaled,
                       _Knots, as_data, constraint_from_dict, is_all_space,
-                      matrix_family_from_dict, merit, merit_many, read_data, write_data)
+                      matrix_family_from_dict, merit_many, read_data, write_data)
 from .solver import (MaxItersExceeded, NoDescentStep, SolveResult,
                      SolverConfig, solve)
 
@@ -314,16 +314,15 @@ def solve_ideal(spec: VopSpec, p: float, x0, cfg: Optional[SolverConfig] = None)
     at most ``cfg.tol``.  Otherwise it is the oracle's: CERTIFIED_EMPTY when
     no point is ideal, NOT_FOUND when an ideal point exists and the descent
     missed it (a solver failure).  An unsolved run keeps its last iterate
-    and its merit, or x0 and its plain merit when no sampled point had
-    witnesses for alpha_tilde (``PropertyAbsent``).
+    and its merit.
 
     alpha_tilde, the objective's global decrease bound, is resolved by the
     solver as for an inclusion: ``cfg.alpha_tilde`` when set, else the
     least sampled bound of -f over non-ideal points at p
-    (``global_infimum``).  When the mandated alpha interval is empty (the
-    Lipschitz budget is too large, which legitimately happens), the run
-    proceeds best-effort with floor constants and an uncertified
-    certificate.
+    (``global_infimum``).  The run is best-effort: when the mandated alpha
+    interval is empty (the Lipschitz budget is too large, which
+    legitimately happens) or no sampled point has witnesses, it descends
+    on floor constants with an uncertified certificate.
     """
     cfg = cfg or SolverConfig()
     prob = VopProblem(spec)
@@ -333,8 +332,6 @@ def solve_ideal(spec: VopSpec, p: float, x0, cfg: Optional[SolverConfig] = None)
         res = solve(prob, p, x0, run_cfg)
     except (NoDescentStep, MaxItersExceeded) as err:
         res, x, merit_final = None, err.x, err.merit_value
-    except PropertyAbsent:
-        res, x, merit_final = None, as_vector(x0), merit(prob, p, x0)
     else:
         x, merit_final = res.x_final, res.merit_final
     oracle = brute_force_ideal(spec, p)
@@ -376,8 +373,8 @@ def ideal_value_sweep(spec: VopSpec, grid: Sequence[float], x_init,
     decrease bound: ``alpha_under``, else ``cfg.alpha_tilde``, else
     ``global_infimum`` of the built problem over the grid's first and middle
     values.  When no sampled point has witnesses the rows share no bound:
-    each resolves its own, the oracle decides the rows where none exists,
-    and ``meta["alpha_under"]`` is nan.  ``meta["statuses"]`` holds one
+    each resolves its own, descending on floor constants where it finds
+    none, and ``meta["alpha_under"]`` is nan.  ``meta["statuses"]`` holds one
     status per row: the exact oracle's verdict ('ideal' or 'empty') with
     ``with_oracle``, else ``solve_ideal``'s (which the oracle decides on
     unsolved rows).

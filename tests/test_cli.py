@@ -163,6 +163,13 @@ def test_usage_errors(problem_files, tmp_path, capsys):
     ]
     for argv in bad_args:
         assert main(argv) == 1, argv
+    # an empty interval names what the constrained theorem needs
+    capsys.readouterr()
+    assert main(["solve", "--problem", boxed, "--p", "0.3", "--x0", "1,1",
+                 "--alpha-tilde", "1.0001"]) == 1
+    err = capsys.readouterr().err
+    assert "needs alpha_tilde > 1 + ell = 1.5, got alpha_tilde = 1.0001" in err
+    assert "allow_uncertified" not in err
     # malformed problem data is rejected at load, not mid-solve
     nan = math.nan
     edits = {

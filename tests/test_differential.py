@@ -5,13 +5,16 @@ and printed (run with ``-s``), never asserted away."""
 import math
 
 import numpy as np
+import pytest
 
 from conftest import random_pointed_cone
 from svikit.cli import main
 from svikit.geometry import PolyCone, VPolytope, orthant
+from svikit.increase import PropertyAbsent
 from svikit.problems import write_problem_file
-from svikit.setmaps import AllSpace, Ball, Box, MatrixTable, PolytopeSet, _Knots, merit
-from svikit.solver import SolverConfig
+from svikit.setmaps import (AbsComponent, AllSpace, Ball, Box, ConcaveTerm, MatrixTable,
+                            PolytopeSet, SviProblem, _Knots, merit)
+from svikit.solver import MIN_DESCENT, NoDescentStep, SolverConfig, caristi_step, solve
 from svikit.vopt import (CERTIFIED_EMPTY, FOUND, NOT_FOUND, AbsDeviation, AffineFamily,
                          VopProblem, VopSpec, brute_force_ideal, ideal_value_sweep,
                          solve_ideal)
@@ -88,11 +91,14 @@ def test_unsolved_ideal_runs_take_the_exact_oracles_verdict():
 
 def test_sampled_alpha_tilde_without_witnesses_leaves_the_verdict_to_the_oracle(
         tmp_path, capsys):
-    # with alpha_tilde sampled, no sampled point of specs 4, 5 and 8 of this
-    # draw has witnesses (PropertyAbsent): such a run keeps x0 and its plain
-    # merit, and the oracle sets its status.  A sweep over specs 4 and 8,
-    # whose one shared estimate finds no witnesses either, gives every row
-    # its own bound, and the oracle calls each row empty
+    # with alpha_tilde sampled, no sampled point of specs 4 and 8 of this
+    # draw has witnesses (PropertyAbsent), nor of spec 5 at p = 0 and at its
+    # middle p: such a run descends best-effort on floor constants (alpha
+    # nan, kappa 1).  Spec 5 has an ideal point there, and the descent finds
+    # it; specs 4 and 8 have none, and the oracle calls every run empty.  A
+    # sweep over specs 4 and 8, whose one shared estimate finds no witnesses
+    # either, gives every row its own bound, and the oracle calls each row
+    # empty
     cfg = SolverConfig(max_iters=200)
     specs = {}
     for i, spec, p, oracle, x0 in _ideal_runs(np.random.default_rng(1606), 9):
@@ -102,9 +108,12 @@ def test_sampled_alpha_tilde_without_witnesses_leaves_the_verdict_to_the_oracle(
         if res.status != FOUND:
             assert (res.status == CERTIFIED_EMPTY) == (not oracle.is_ideal)
         if i in (4, 8):
-            assert res.status == CERTIFIED_EMPTY and res.solve_result is None
-            assert np.array_equal(res.x, x0)
-            assert res.merit_final == merit(VopProblem(spec), p, x0)
+            assert res.status == CERTIFIED_EMPTY and not np.array_equal(res.x, x0)
+            assert res.merit_final < merit(VopProblem(spec), p, x0, kappa=1.0)
+        if i == 5 and p < KNOTS[-1]:
+            run = res.solve_result
+            assert res.status == FOUND and not run.caristi_certified
+            assert math.isnan(run.alpha_used) and run.kappa == 1.0
     for i in 4, 8:
         dim = specs[i].objective.dim_in
         table = ideal_value_sweep(specs[i], list(KNOTS), np.zeros(dim), cfg)
@@ -116,3 +125,29 @@ def test_sampled_alpha_tilde_without_witnesses_leaves_the_verdict_to_the_oracle(
     x0 = ",".join(["0"] * specs[4].objective.dim_in)
     assert main(["vopt", "--problem", str(path), "--p", "0", "--x0", x0]) == 0
     assert "status = certified_empty" in capsys.readouterr().out
+
+
+def test_an_inclusion_without_witnesses_runs_on_floor_constants_only_when_best_effort(
+        tmp_path, monkeypatch):
+    # a constant map outside the cone, F(p, x) = {(-1, -1)}: no point has
+    # witnesses, so the sampled alpha_tilde raises PropertyAbsent, and svi
+    # solve reports a solver failure
+    problem = SviProblem(matrix=MatrixTable(np.zeros((2, 2))), cone=orthant(2),
+                         h=ConcaveTerm((AbsComponent(-1.0), AbsComponent(-1.0))))
+    with pytest.raises(PropertyAbsent):
+        solve(problem, 0.0, [0.0, 0.0])
+    path = tmp_path / "outside.json"
+    write_problem_file(path, problem)
+    assert main(["solve", "--problem", str(path), "--p", "0", "--x0", "0,0"]) == 2
+    # a best-effort run descends at k = MIN_DESCENT, then at half of it
+    ks = []
+
+    def step(merit_fn, x, descent_k, *args, **kwargs):
+        ks.append(descent_k)
+        return caristi_step(merit_fn, x, descent_k, *args, **kwargs)
+
+    monkeypatch.setattr("svikit.solver.caristi_step", step)
+    with pytest.raises(NoDescentStep) as err:
+        solve(problem, 0.0, [0.0, 0.0], SolverConfig(allow_uncertified=True))
+    assert ks == [MIN_DESCENT, 0.5 * MIN_DESCENT]
+    assert err.value.merit_value == merit(problem, 0.0, [0.0, 0.0]) == pytest.approx(math.sqrt(2))

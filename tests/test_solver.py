@@ -10,8 +10,8 @@ from svikit.setmaps import (Ball, Box, ConcaveTerm, AbsComponent, MatrixTable,
                             RotationScaled, SviProblem, merit, merit_many,
                             rotation_matrix)
 from svikit.solver import (AlreadyFeasible, MaxItersExceeded, NoDescentStep,
-                           SolverConfig, _resolve_alpha_estimate, caristi_step,
-                           segment_step, solve)
+                           SolverConfig, StepOutcome, caristi_step, segment_step, solve)
+from svikit.vopt import VopProblem
 
 SQRT2 = math.sqrt(2.0)
 
@@ -152,14 +152,31 @@ def test_max_iters_exceeded(rotation_problem):
     assert str(err.value) == f"merit {err.value.merit_value:.3e} after 1 iterations"
 
 
-def test_sampled_alpha_tilde_projects_into_the_constraint():
+def _recorded_infimum(monkeypatch):
+    """The results of every ``global_infimum`` call that solve makes."""
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(global_infimum(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr("svikit.solver.global_infimum", recording)
+    return seen
+
+
+def test_sampled_alpha_tilde_projects_into_the_constraint(monkeypatch):
     # a constrained problem that declares no bound samples its alpha_tilde
     # at points of R(p): the seeded draws are projected into the box first
     box = Box(lower=[-0.5, -0.5], upper=[1.0, 1.0])
     problem = SviProblem(matrix=RotationScaled(3.0), cone=orthant(2), constraint=box)
+    seen = _recorded_infimum(monkeypatch)
+    run = solve(problem, 0.3, [-0.4, -0.4], SolverConfig(rng_seed=4))
     scfg = SamplingConfig(bracket_rtol=0.05, directions=64, seed=4)
     res = global_infimum(problem, [0.3], 6, scfg)
-    assert _resolve_alpha_estimate(problem, 0.3, SolverConfig(rng_seed=4)) == res.alpha
+    assert len(seen) == 1 and seen[0].alpha == res.alpha
+    # the run's constants are built on it: ell = 0, alpha the midpoint
+    assert run.alpha_used == 0.5 * (0.5 * (res.alpha + 1.0) + res.alpha)
+    assert run.kappa == res.alpha - run.alpha_used == run.descent_k
     draws = np.random.default_rng(4).uniform(-2.0, 2.0, size=(6, 2))
     assert np.any(box.distances(draws, 0.3) > 0.5)
     xs = np.array([x for _, x, _ in res.estimates])
@@ -189,23 +206,81 @@ def test_a_solved_start_returns_before_alpha_tilde_is_sampled(monkeypatch):
         solve(problem, 0.3, 3.0 * x0)
 
 
-def test_alpha_tilde_comes_from_cfg_then_declared_then_sampled(rotation_problem, boxed_problem):
+def test_alpha_tilde_comes_from_cfg_then_declared_then_sampled(
+        rotation_problem, boxed_problem, monkeypatch):
+    seen = _recorded_infimum(monkeypatch)
     declared = rotation_problem.declared_alpha
-    assert _resolve_alpha_estimate(rotation_problem, 0.3, SolverConfig(alpha_tilde=1.3)) == 1.3
-    assert _resolve_alpha_estimate(rotation_problem, 0.3, SolverConfig()) == declared
-    bare = SviProblem(matrix=RotationScaled(3.0), cone=orthant(2))  # declares no bound
-    sampled = _resolve_alpha_estimate(bare, 0.3, SolverConfig(rng_seed=2))
-    scfg = SamplingConfig(bracket_rtol=0.05, directions=64, seed=2)
-    assert sampled == global_infimum(bare, [0.3], 6, scfg).alpha
-    assert abs(sampled - (3.0 / SQRT2 + 1.0)) <= 0.1
-    # both branches of solve read it: the unconstrained alpha is
-    # min(1.5, 0.9 alpha_tilde), the constrained interval is built on it
+    # the unconstrained alpha is min(1.5, 0.9 alpha_tilde)
     cfg = SolverConfig(alpha_tilde=1.3)
     assert solve(rotation_problem, 0.3, [1.0, 1.0], cfg).alpha_used == 0.9 * 1.3
     assert solve(rotation_problem, 0.3, [1.0, 1.0]).alpha_used == min(1.5, 0.9 * declared)
     # a bound with 0.9 alpha_tilde <= 1 runs at (1 + alpha_tilde)/2 instead
     low = rotation_inclusion_problem(declared_alpha=1.05)
     assert solve(low, 0.3, [-1.0, -1.0]).alpha_used == 0.5 * (1.0 + 1.05)
+    # the constrained interval is built on it too
     res = solve(boxed_problem, 0.3, [1.0, 1.0], SolverConfig(alpha_tilde=8.0))
     assert res.alpha_used == 0.5 * (0.5 * (8.0 - 0.5 + 1.0) + 8.0 - 0.5)
     assert res.kappa == 8.0 - res.alpha_used
+    res = solve(boxed_problem, 0.3, [1.0, 1.0])
+    assert res.kappa == boxed_problem.declared_alpha - res.alpha_used
+    assert not seen  # a set or declared bound is never sampled
+    bare = SviProblem(matrix=RotationScaled(3.0), cone=orthant(2))  # declares no bound
+    assert solve(bare, 0.3, [-1.0, -1.0], SolverConfig(rng_seed=2)).alpha_used == 1.5
+    scfg = SamplingConfig(bracket_rtol=0.05, directions=64, seed=2)
+    assert len(seen) == 1 and seen[0].alpha == global_infimum(bare, [0.3], 6, scfg).alpha
+    assert abs(seen[0].alpha - (3.0 / SQRT2 + 1.0)) <= 0.1
+    # with alpha set, the unconstrained run needs no alpha_tilde at all
+    assert solve(bare, 0.3, [-1.0, -1.0], SolverConfig(alpha=1.2)).alpha_used == 1.2
+    assert len(seen) == 1
+
+
+def _first_step_fails(monkeypatch):
+    """The k of every Caristi step; the first step finds nothing."""
+    ks = []
+
+    def step(merit_fn, x, descent_k, *args, **kwargs):
+        ks.append(descent_k)
+        if len(ks) == 1:
+            return StepOutcome("no_step")
+        return caristi_step(merit_fn, x, descent_k, *args, **kwargs)
+
+    monkeypatch.setattr("svikit.solver.caristi_step", step)
+    return ks
+
+
+def _assert_one_back_off(res, ks, k0):
+    # one retry at half of k, which the certificate then uses
+    assert ks[0] == pytest.approx(k0, rel=1e-12) and set(ks[1:]) == {ks[1]}
+    assert ks[1] == pytest.approx(0.5 * ks[0], rel=1e-12)
+    assert res.descent_k == ks[1]
+    assert res.bound_rhs == res.merit_history[0] / ks[1]
+    assert res.bound_holds and res.merit_final <= 1e-8
+
+
+def test_back_off_halves_k_unconstrained(rotation_problem, monkeypatch):
+    ks = _first_step_fails(monkeypatch)
+    res = solve(rotation_problem, 0.3, [-1.0, -1.0], SolverConfig(alpha=1.5))
+    _assert_one_back_off(res, ks, 0.5)
+    assert res.alpha_used == 1.25 and res.kappa == 0.0 and res.caristi_certified
+
+
+def test_back_off_halves_k_constrained(boxed_problem, monkeypatch):
+    # the default alpha is the interval's midpoint, k = alpha_tilde - alpha - ell
+    ks = _first_step_fails(monkeypatch)
+    res = solve(boxed_problem, 0.3, [-1.0, -1.0])
+    k0 = 0.25 * (boxed_problem.declared_alpha - 1.0 - 0.5)
+    assert k0 == pytest.approx(0.015165, abs=1e-6)
+    _assert_one_back_off(res, ks, k0)
+    assert res.kappa == pytest.approx(res.descent_k + 0.5, rel=1e-12)
+    assert res.alpha_used == pytest.approx(boxed_problem.declared_alpha - 0.5 - res.descent_k)
+    assert res.caristi_certified
+
+
+def test_back_off_halves_k_on_floor_constants(triangle_spec, monkeypatch):
+    # alpha_tilde = 1 + 1/sqrt2 leaves the constrained interval empty for
+    # ell = 1: a best-effort run descends uncertified at k = MIN_DESCENT
+    ks = _first_step_fails(monkeypatch)
+    cfg = SolverConfig(alpha_tilde=1.0 + 1.0 / SQRT2, allow_uncertified=True)
+    res = solve(VopProblem(triangle_spec), 0.0, [0.3, 0.3], cfg)
+    _assert_one_back_off(res, ks, 0.05)
+    assert res.kappa == 1.0 and math.isnan(res.alpha_used) and not res.caristi_certified
