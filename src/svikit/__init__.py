@@ -16,8 +16,8 @@ from .parametric import (ContinuityReport, SweepTable, continuity_report,
 from .setmaps import (AbsComponent, AllSpace, Ball, Box, ConcaveTerm, FanSpec,
                       PolytopeSet, RotationScaled, SviProblem, evaluate,
                       merit, merit_many, problem_from_dict)
-from .solver import (MaxItersExceeded, NoDescentStep, SolveResult,
-                     SolverConfig, caristi_step, segment_step, solve)
+from .solver import (SolveResult, SolverConfig, caristi_step, segment_step,
+                     solve)
 from .vopt import (AbsDeviation, AffineFamily, IdealResult, VopSpec,
                    brute_force_ideal, ideal_value_sweep, solve_ideal)
 

@@ -370,9 +370,8 @@ class PolyCone:
 
     def project(self, y: np.ndarray) -> tuple[np.ndarray, float]:
         y = as_vector(y, self.dim)
-        if getattr(self, "_orthant"):
-            proj = np.maximum(y, 0.0)
-            return proj, float(np.linalg.norm(y - proj))
+        if getattr(self, "_orthant"):  # the distance in the form of ``distances``
+            return np.maximum(y, 0.0), float(self.distances(y[None, :])[0])
         proj, d = _nearest(self, np.zeros((1, self.dim)), self.generators, y[None, :])
         return proj[0], float(d[0])
 

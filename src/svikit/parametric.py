@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .setmaps import merit, merit_many
-from .solver import MaxItersExceeded, NoDescentStep, SolverConfig, solve
+from .solver import SolverConfig, solve
 
 #: bisection steps decided per batch: 2^d - 1 midpoints in one merit call
 _TREE_DEPTH = 5
@@ -187,29 +187,28 @@ def _anchored_projection_2d(problem, p, anchor, x_feas, kappa, tol):
 
 def _solve_row(problem, p: float, x_start: np.ndarray,
                cfg: SolverConfig, anchor: np.ndarray) -> SweepRow:
-    try:
-        res = solve(problem, p, x_start, cfg)
-        x_row = res.x_final
-        if res.iterations > 0:
-            # record a selection tied to the anchor: its metric projection
-            # onto the solution set in n = 2, else the segment pullback
-            if len(x_row) == 2:
-                x_row = _anchored_projection_2d(problem, p, anchor, x_row,
-                                                res.kappa, cfg.tol)
-            else:
-                x_row = _segment_pullback(problem, p, anchor, x_row,
-                                          res.kappa, cfg.tol)
-        m_row = merit(problem, p, x_row, res.kappa)
-        bound_holds = (float(np.linalg.norm(x_row - np.asarray(x_start, float)))
-                       <= res.bound_rhs + cfg.tol)
-        return SweepRow(p=float(p), x=x_row, merit=m_row,
-                        bound_rhs=res.bound_rhs, bound_holds=bound_holds,
-                        solved=m_row <= cfg.tol,
-                        iterations=res.iterations, warm_start=np.asarray(x_start, float))
-    except (NoDescentStep, MaxItersExceeded) as err:
-        return SweepRow(p=float(p), x=err.x, merit=err.merit_value,
+    res = solve(problem, p, x_start, cfg)
+    if res.stop != "converged":
+        return SweepRow(p=float(p), x=res.x_final, merit=res.merit_final,
                         bound_rhs=math.nan, bound_holds=False, solved=False,
                         warm_start=np.asarray(x_start, float))
+    x_row = res.x_final
+    if res.iterations > 0:
+        # record a selection tied to the anchor: its metric projection
+        # onto the solution set in n = 2, else the segment pullback
+        if len(x_row) == 2:
+            x_row = _anchored_projection_2d(problem, p, anchor, x_row,
+                                            res.kappa, cfg.tol)
+        else:
+            x_row = _segment_pullback(problem, p, anchor, x_row,
+                                      res.kappa, cfg.tol)
+    m_row = merit(problem, p, x_row, res.kappa)
+    bound_holds = (float(np.linalg.norm(x_row - np.asarray(x_start, float)))
+                   <= res.bound_rhs + cfg.tol)
+    return SweepRow(p=float(p), x=x_row, merit=m_row,
+                    bound_rhs=res.bound_rhs, bound_holds=bound_holds,
+                    solved=m_row <= cfg.tol,
+                    iterations=res.iterations, warm_start=np.asarray(x_start, float))
 
 
 def sweep(problem, grid: Sequence[float], x_init,

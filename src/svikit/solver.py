@@ -35,29 +35,6 @@ MIN_RADIUS = 1e-13
 MIN_DESCENT = 0.05
 
 
-class NoDescentStep(Exception):
-    """The candidate budget produced no accepted step (the local increase
-    hypothesis fails or alpha is too aggressive)."""
-
-    def __init__(self, x, merit_value, radii_tried):
-        self.x = np.asarray(x, dtype=float)
-        self.merit_value = float(merit_value)
-        self.radii_tried = list(radii_tried)
-        super().__init__(
-            f"no descent step at x={self.x.tolist()} (merit {merit_value:.3e}, "
-            f"{len(self.radii_tried)} radii tried)")
-
-
-class MaxItersExceeded(Exception):
-    """The iteration cap ran out before the merit fell to tol; ``x`` is the
-    last iterate and ``merit_value`` its (penalized) merit."""
-
-    def __init__(self, x, merit_value, iterations):
-        self.x = np.asarray(x, dtype=float)
-        self.merit_value = float(merit_value)
-        super().__init__(f"merit {merit_value:.3e} after {iterations} iterations")
-
-
 class DescentConstantsError(ValueError):
     """alpha or alpha_tilde does not fit the problem: out of range, or
     leaving no room above its Lipschitz budget."""
@@ -92,11 +69,15 @@ class SolverConfig:
 
 @dataclass(slots=True)
 class SolveResult:
-    """Solution point with its run certificate.
+    """End point of a run, why it stopped, and its certificate.
 
-    ``bound_rhs`` is the initial (penalized) merit divided by the run's
-    smallest acceptance constant; the telescoped path length always
-    satisfies it when every accepted step passed the acceptance rule.
+    ``stop`` is "converged" (merit at most tol), "no_step" (the back-off
+    retry found no step either) or "max_iters"; an unsolved run's
+    ``x_final`` and ``merit_final`` are its last iterate and that iterate's
+    (penalized) merit.  ``bound_rhs`` is the initial (penalized) merit
+    divided by the run's smallest acceptance constant; the telescoped path
+    length always satisfies it when every accepted step passed the
+    acceptance rule, whether or not the run converged.
     ``caristi_certified`` records that the run used the mandated descent
     constants (False for best-effort runs on floor constants).
     ``merit_history`` holds the initial and the accepted-step merit values
@@ -110,6 +91,7 @@ class SolveResult:
     caristi_certified: bool
     bound_rhs: float
     bound_holds: bool
+    stop: str
     alpha_used: float = math.nan
     kappa: float = 0.0
     descent_k: float = math.nan
@@ -275,8 +257,10 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
     is best-effort.  A start that solves the problem (merit and distance to
     R(p) at most tol) needs no sampled alpha_tilde: it returns with no step,
     nan constants, kappa and ``bound_rhs`` 0.  When no step is found the run
-    retries once at half its k.  The certificate compares ||x_final - x0||
-    against the initial penalized merit divided by the last k.
+    retries once at half its k.  Every run that starts returns a result,
+    converged or not (``SolveResult.stop``).  The certificate compares
+    ||x_final - x0|| against the initial penalized merit divided by the last
+    k.
     """
     cfg = cfg or SolverConfig()
     x0 = as_vector(x0)
@@ -290,7 +274,7 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
         if merit0 <= cfg.tol and constraint.project(x0, p)[1] <= cfg.tol:
             return SolveResult(x0.copy(), merit0, iterations=0, path_length=0.0,
                                caristi_certified=True, bound_rhs=0.0, bound_holds=True,
-                               merit_history=array("d", [merit0]))
+                               stop="converged", merit_history=array("d", [merit0]))
         scfg = SamplingConfig(bracket_rtol=0.05, directions=64, seed=cfg.rng_seed)
         try:
             alpha_tilde = global_infimum(problem, [p], 6, scfg).alpha
@@ -307,11 +291,12 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
     psit0 = float(psit(x0[None, :])[0])
     bound_rhs = psit0 / k_run
 
-    x = x0.copy()
+    x, fx = x0.copy(), psit0
     path = 0.0
     merits = [psit0]
     retried = False
     iterations = 0
+    stop = "max_iters"
     while iterations < cfg.max_iters:
         extras = []
         if constrained:
@@ -324,42 +309,40 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
                     extras.append(segment_step(x, constraint, p, r_seg))
         out = caristi_step(psit, x, k_run, cfg, step_seed=iterations,
                            extra_candidates=extras)
-        if out.converged:
-            break
+        fx = out.merit
         if out.accepted:
             path += float(np.linalg.norm(out.u - x))
             x = out.u
-            merits.append(out.merit)
+            merits.append(fx)
             iterations += 1
             continue
-        if not retried:
-            retried = True
-            # alpha near its bound can starve the sampler: back off once,
-            # moving alpha halfway to its bound, which halves k
-            if not certified:
-                k_run *= 0.5
-            elif not constrained:
-                alpha = 0.5 * (alpha + 1.0)
-                k_run = alpha - 1.0
-            else:
-                alpha = 0.5 * (alpha + (alpha_tilde - ell))
-                kappa = alpha_tilde - alpha
-                k_run = kappa - ell
-            bound_rhs = psit0 / k_run
-            continue
-        raise NoDescentStep(x, out.merit, out.radii_tried)
-    else:
-        raise MaxItersExceeded(x, merits[-1], cfg.max_iters)
+        if out.converged or retried:
+            stop = out.status
+            break
+        retried = True
+        # alpha near its bound can starve the sampler: back off once,
+        # moving alpha halfway to its bound, which halves k
+        if not certified:
+            k_run *= 0.5
+        elif not constrained:
+            alpha = 0.5 * (alpha + 1.0)
+            k_run = alpha - 1.0
+        else:
+            alpha = 0.5 * (alpha + (alpha_tilde - ell))
+            kappa = alpha_tilde - alpha
+            k_run = kappa - ell
+        bound_rhs = psit0 / k_run
 
     dist_back = float(np.linalg.norm(x - x0))
     return SolveResult(
         x_final=x,
-        merit_final=out.merit,
+        merit_final=fx,
         iterations=iterations,
         path_length=path,
         caristi_certified=certified,
         bound_rhs=bound_rhs,
         bound_holds=dist_back <= bound_rhs + cfg.tol,
+        stop=stop,
         alpha_used=alpha,
         kappa=kappa,
         descent_k=k_run,

@@ -29,8 +29,7 @@ from .parametric import SweepRow, SweepTable, _sorted_grid, _sweep_meta
 from .setmaps import (Ball, Box, ConstraintFamily, PolytopeSet, RotationScaled,
                       _Knots, as_data, constraint_from_dict, is_all_space,
                       matrix_family_from_dict, merit_many, read_data, write_data)
-from .solver import (MaxItersExceeded, NoDescentStep, SolveResult,
-                     SolverConfig, solve)
+from .solver import SolveResult, SolverConfig, solve
 
 
 class UnsupportedCombination(ValueError):
@@ -310,11 +309,12 @@ def solve_ideal(spec: VopSpec, p: float, x0, cfg: Optional[SolverConfig] = None)
     exact oracle (``brute_force_ideal``) once; every result keeps the
     oracle's, which decides every run that ends unsolved.
 
-    The status is FOUND when the descent ends at a feasible point of merit
-    at most ``cfg.tol``.  Otherwise it is the oracle's: CERTIFIED_EMPTY when
-    no point is ideal, NOT_FOUND when an ideal point exists and the descent
-    missed it (a solver failure).  An unsolved run keeps its last iterate
-    and its merit.
+    The status is FOUND when the descent converges (merit at most
+    ``cfg.tol``) at a feasible point.  Otherwise it is the oracle's:
+    CERTIFIED_EMPTY when no point is ideal, NOT_FOUND when an ideal point
+    exists and the descent missed it (a solver failure).  Every result keeps
+    its ``SolveResult``; an unsolved run's point and merit are its last
+    iterate and that iterate's merit.
 
     alpha_tilde, the objective's global decrease bound, is resolved by the
     solver as for an inclusion: ``cfg.alpha_tilde`` when set, else the
@@ -328,19 +328,14 @@ def solve_ideal(spec: VopSpec, p: float, x0, cfg: Optional[SolverConfig] = None)
     prob = VopProblem(spec)
     prob.feasible_samples(p)  # rejects data that does not cover p before any estimate
     run_cfg = replace(cfg, allow_uncertified=True)
-    try:
-        res = solve(prob, p, x0, run_cfg)
-    except (NoDescentStep, MaxItersExceeded) as err:
-        res, x, merit_final = None, err.x, err.merit_value
-    else:
-        x, merit_final = res.x_final, res.merit_final
+    res = solve(prob, p, x0, run_cfg)
+    x = res.x_final
     oracle = brute_force_ideal(spec, p)
-    if (res is not None and merit_final <= run_cfg.tol
-            and spec.constraint.project(x, p)[1] <= max(run_cfg.tol, 1e-7)):
+    if res.stop == "converged" and spec.constraint.project(x, p)[1] <= max(run_cfg.tol, 1e-7):
         return IdealResult(status=FOUND, x=x, value=spec.objective.value(p, x),
-                           merit_final=merit_final, solve_result=res, oracle=oracle)
+                           merit_final=res.merit_final, solve_result=res, oracle=oracle)
     return IdealResult(status=NOT_FOUND if oracle.is_ideal else CERTIFIED_EMPTY, x=x,
-                       merit_final=merit_final, solve_result=res, oracle=oracle)
+                       merit_final=res.merit_final, solve_result=res, oracle=oracle)
 
 
 def brute_force_ideal(spec: VopSpec, p: float) -> OracleResult:

@@ -52,6 +52,17 @@ def test_solve_verb(problem_files, capsys):
     assert float(merit_line.split("=")[1]) <= 1e-8
 
 
+def test_solve_verb_exits_2_when_no_step_is_found(problem_files, capsys):
+    # alpha = 15 asks for k = 14, and k = 7 after the retry: both above the
+    # merit's Lipschitz bound ||M|| + ell = 3.5, so no step can pass the rule
+    rc = main(["solve", "--problem", problem_files["rotation"], "--p", "0.3",
+               "--x0=0,0", "--alpha", "15"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("solver failure")
+
+
 def test_sweep_verb_writes_csv(problem_files, tmp_path, capsys):
     out_csv = tmp_path / "sweep.csv"
     rc = main(["sweep", "--problem", problem_files["rotation"],
@@ -343,11 +354,11 @@ def test_estimate_inc_verb(problem_files, capsys):
 
 
 def test_verify_props_verb(problem_files, capsys):
-    rc = main(["verify-props", "--problem", problem_files["rotation"],
-               "--trials", "20"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "5/5 property suites passed" in out
+    for name in ("rotation", "boxed"):
+        rc = main(["verify-props", "--problem", problem_files[name], "--trials", "20"])
+        out = capsys.readouterr().out
+        assert rc == 0, name
+        assert "5/5 property suites passed" in out
 
 
 def test_seeded_runs_are_byte_identical(problem_files, tmp_path):

@@ -14,7 +14,7 @@ from svikit.increase import PropertyAbsent
 from svikit.problems import write_problem_file
 from svikit.setmaps import (AbsComponent, AllSpace, Ball, Box, ConcaveTerm, MatrixTable,
                             PolytopeSet, SviProblem, _Knots, merit)
-from svikit.solver import MIN_DESCENT, NoDescentStep, SolverConfig, caristi_step, solve
+from svikit.solver import MIN_DESCENT, SolverConfig, caristi_step, solve
 from svikit.vopt import (CERTIFIED_EMPTY, FOUND, NOT_FOUND, AbsDeviation, AffineFamily,
                          VopProblem, VopSpec, brute_force_ideal, ideal_value_sweep,
                          solve_ideal)
@@ -70,23 +70,29 @@ def _ideal_runs(rng: np.random.Generator, specs: int):
 
 def test_unsolved_ideal_runs_take_the_exact_oracles_verdict():
     # every run that ends unsolved is CERTIFIED_EMPTY exactly when the oracle
-    # finds no ideal point; every run carries that oracle result, and a found
-    # point is feasible with merit at most tol.  NOT_FOUND rows (the descent
-    # missed an ideal point) and found rows the oracle calls empty are reported
+    # finds no ideal point; every run carries that oracle result and its
+    # solve result, and a found point is feasible with merit at most tol.
+    # NOT_FOUND rows (the descent missed an ideal point) all stop for want of
+    # a step; they and found rows the oracle calls empty are reported
     cfg = SolverConfig(alpha_tilde=2.0, max_iters=200)
-    counts = dict.fromkeys((FOUND, NOT_FOUND, CERTIFIED_EMPTY, "found_oracle_empty"), 0)
+    counts = {}
+    found_oracle_empty = 0
     for _, spec, p, oracle, x0 in _ideal_runs(np.random.default_rng(1606), 32):
         res = solve_ideal(spec, p, x0, cfg)
-        counts[res.status] += 1
+        key = (res.status, res.solve_result.stop)
+        counts[key] = counts.get(key, 0) + 1
         assert res.oracle.status == oracle.status
         if res.status == FOUND:
+            assert res.solve_result.stop == "converged"
             assert merit(VopProblem(spec), p, res.x) <= cfg.tol
             assert spec.constraint.project(res.x, p)[1] <= 1e-7
-            counts["found_oracle_empty"] += not oracle.is_ideal
+            found_oracle_empty += not oracle.is_ideal
             continue
         assert (res.status == CERTIFIED_EMPTY) == (not oracle.is_ideal)
-    print(f"ideal runs: {counts}")
-    assert counts[FOUND] and counts[CERTIFIED_EMPTY]
+        if res.status == NOT_FOUND:
+            assert res.solve_result.stop == "no_step"
+    print(f"ideal runs by (status, stop): {counts}; found, oracle empty: {found_oracle_empty}")
+    assert counts.get((FOUND, "converged")) and counts.get((CERTIFIED_EMPTY, "no_step"))
 
 
 def test_sampled_alpha_tilde_without_witnesses_leaves_the_verdict_to_the_oracle(
@@ -147,7 +153,7 @@ def test_an_inclusion_without_witnesses_runs_on_floor_constants_only_when_best_e
         return caristi_step(merit_fn, x, descent_k, *args, **kwargs)
 
     monkeypatch.setattr("svikit.solver.caristi_step", step)
-    with pytest.raises(NoDescentStep) as err:
-        solve(problem, 0.0, [0.0, 0.0], SolverConfig(allow_uncertified=True))
+    res = solve(problem, 0.0, [0.0, 0.0], SolverConfig(allow_uncertified=True))
+    assert res.stop == "no_step" and np.array_equal(res.x_final, [0.0, 0.0])
     assert ks == [MIN_DESCENT, 0.5 * MIN_DESCENT]
-    assert err.value.merit_value == merit(problem, 0.0, [0.0, 0.0]) == pytest.approx(math.sqrt(2))
+    assert res.merit_final == merit(problem, 0.0, [0.0, 0.0]) == pytest.approx(math.sqrt(2))

@@ -81,6 +81,24 @@ def test_project_dist_orthant_examples(plane_orthant):
     assert d == 0.0
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_one_vertex_distances_agree_bit_for_bit_on_every_entry_point(m):
+    # the orthant has one closed form: project_dist, dist_many, project and
+    # distances read the same bits, shifted by a single base vertex or not,
+    # and a one-vertex polytope's two entry points agree too
+    rng = np.random.default_rng(0)
+    Y = 3.0 * rng.standard_normal((4000, m))
+    cone = orthant(m)
+    b = rng.standard_normal(m)
+    for S, shift in ((cone, np.zeros(m)), (SumSet(VPolytope(b[None, :]), cone), b)):
+        many = dist_many(Y, S)
+        assert np.array_equal(many, cone.distances(Y - shift))
+        assert np.array_equal(many, [project_dist(y, S)[1] for y in Y])
+        assert np.array_equal(many, [cone.project(y)[1] for y in Y - shift])
+    point = VPolytope(b[None, :])
+    assert np.array_equal(dist_many(Y, point), [project_dist(y, point)[1] for y in Y])
+
+
 def test_project_dist_wedge_matches_brute_force():
     wedge = PolyCone([[1.0, 1.0], [1.0, -1.0]])
     proj, d = project_dist([-1.0, 0.0], wedge)

@@ -9,8 +9,8 @@ from svikit.problems import rotation_inclusion_problem, rotation_solution_path
 from svikit.setmaps import (Ball, Box, ConcaveTerm, AbsComponent, MatrixTable,
                             RotationScaled, SviProblem, merit, merit_many,
                             rotation_matrix)
-from svikit.solver import (AlreadyFeasible, MaxItersExceeded, NoDescentStep,
-                           SolverConfig, StepOutcome, caristi_step, segment_step, solve)
+from svikit.solver import (AlreadyFeasible, SolverConfig, StepOutcome, caristi_step,
+                           segment_step, solve)
 from svikit.vopt import VopProblem
 
 SQRT2 = math.sqrt(2.0)
@@ -46,7 +46,7 @@ def test_caristi_step_stalls_on_constant_infeasible_map():
 def test_solve_rotation_instance(rotation_problem):
     cfg = SolverConfig(alpha=1.5, tol=1e-8, rng_seed=0)
     res = solve(rotation_problem, 1.0, [0.0, 0.0], cfg)
-    assert res.merit_final <= 1e-8
+    assert res.stop == "converged" and res.merit_final <= 1e-8
     assert np.linalg.norm(res.x_final) <= SQRT2 / 0.5 + 1e-6
     assert res.bound_rhs == pytest.approx(SQRT2 / 0.5)
     assert res.bound_holds
@@ -61,13 +61,14 @@ def test_solve_zero_iterations_at_closed_form_solution(rotation_problem):
     assert res.merit_final <= 1e-12
 
 
-def test_solve_raises_on_constant_infeasible_map():
+def test_solve_stops_without_a_step_on_constant_infeasible_map():
     bad = SviProblem(matrix=MatrixTable(np.zeros((2, 2))), cone=orthant(2),
                      h=ConcaveTerm((AbsComponent(-1.0), AbsComponent(-1.0))),
                      declared_alpha=1.5)
-    with pytest.raises(NoDescentStep) as err:
-        solve(bad, 0.0, [0.0, 0.0], SolverConfig(alpha=1.3))
-    assert err.value.merit_value == pytest.approx(SQRT2)
+    res = solve(bad, 0.0, [0.0, 0.0], SolverConfig(alpha=1.3))
+    assert res.stop == "no_step" and res.iterations == 0
+    assert np.array_equal(res.x_final, [0.0, 0.0])
+    assert res.merit_final == pytest.approx(SQRT2)
 
 
 def test_segment_step_examples():
@@ -143,13 +144,13 @@ def test_determinism(rotation_problem):
 
 
 def test_max_iters_exceeded(rotation_problem):
-    with pytest.raises(MaxItersExceeded) as err:
-        solve(rotation_problem, 1.0, [50.0, 50.0],
-              SolverConfig(alpha=1.5, tol=1e-16, max_iters=1))
-    # the error carries the last iterate and its merit, as NoDescentStep does
-    assert not np.array_equal(err.value.x, [50.0, 50.0])
-    assert err.value.merit_value == merit(rotation_problem, 1.0, err.value.x)
-    assert str(err.value) == f"merit {err.value.merit_value:.3e} after 1 iterations"
+    res = solve(rotation_problem, 1.0, [50.0, 50.0],
+                SolverConfig(alpha=1.5, tol=1e-16, max_iters=1))
+    # the result carries the last iterate and its merit, as a no-step run does
+    assert res.stop == "max_iters" and res.iterations == 1
+    assert not np.array_equal(res.x_final, [50.0, 50.0])
+    assert res.merit_final == merit(rotation_problem, 1.0, res.x_final)
+    assert res.merit_final == res.merit_history[-1]
 
 
 def _recorded_infimum(monkeypatch):
