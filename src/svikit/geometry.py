@@ -9,9 +9,9 @@ floating point: every polytope-plus-cone is projected through its face table
 orthant keeps its closed form.  Sets above the face budget, and a cone's
 construction checks (whole space, pointedness), take the one least-distance
 kernel (``_ldp_project``): the least-distance problem (LDP) solved as one
-Lawson-Hanson NNLS (LH ch. 23), which reports its KKT residual.  The sup of
-the distance over a sphere, which decides enlargement inclusions, is taken
-exactly at the Lagrange points the face table yields (``_sphere_max``).
+Lawson-Hanson NNLS (LH ch. 23), which reports its KKT residual.  The face
+table also yields facet rows (``_facets``), whose least slack is a point's
+depth, and with it the sup of the distance over a ball (``_sphere_max``).
 """
 from __future__ import annotations
 
@@ -151,17 +151,17 @@ def _ldp_project(y: np.ndarray, base: np.ndarray,
 # ---------------------------------------------------------------------------
 
 #: sets with more candidate faces are projected point by point by the
-#: least-distance kernel (``_ldp_project``), and their sphere maxima walk the
-#: faces in runs of this many; bounds every table's memory and build time
+#: least-distance kernel (``_ldp_project``), and their facet rows are read
+#: off runs of this many faces; bounds every table's memory and build time
 _FACE_BUDGET = 512
 #: a batch is evaluated in chunks of at most this many (face, point) pairs
 _FACE_CHUNK = 1 << 17
-#: slack on a face's weights when ``_sphere_max`` picks the faces of a centre
-_FEASIBLE_TOL = 1e-12
 #: faces up to this condition number take the normal equations
 _NORMAL_COND = 100.0
-#: a unit generator lies on a facet normal's side down to this value
+#: a unit generator lies on a facet's side down to this (a base vertex: this times the extent)
 _FACET_TOL = 1e-12
+#: rounding can tilt an outward residual shorter than this off the normal cone
+_SHORT_RESIDUAL = 1e-6
 
 
 def _subsets(k: int, g: int, m: int):
@@ -193,7 +193,7 @@ def _face_table(base: np.ndarray, gens: Optional[np.ndarray], subsets):
     (S * (2m + 1), k * m) acting on y - v stacked over the k vertices v, the
     feasible lower bounds (m + 1, 1) of weights and negated base sum, and
     per subset a unit vector orthogonal to its directions (S, m), a left
-    singular vector of the SVD, for ``_sphere_max``; zero for a
+    singular vector of the SVD, for the facet rows (``_facets``); zero for a
     full-dimensional subset, which has none.
     """
     k, m = base.shape
@@ -246,15 +246,47 @@ def _faces(owner, base: np.ndarray, gens: Optional[np.ndarray]):
     return vars(owner)["_faces"]
 
 
-def _face_candidates(table, base: np.ndarray, pts: np.ndarray,
-                     slack: float) -> tuple[np.ndarray, np.ndarray]:
-    """Every face's candidate for every row of pts (S, m, n), and whether
-    its weights are feasible to within ``slack`` (S, n): one matrix product."""
+def _facets(owner, base: np.ndarray, gens: Optional[np.ndarray]):
+    """Rows (N, c), unit N, with conv(base) + cone(gens) = {y : N y <= c},
+    cached on ``owner``: in the set's span (dimension d), the orthogonal vector
+    n of each face-table subset gives n.(y - b0) <= 0 in each sign that has all
+    base vertices and generators on the set's side (every facet, and maybe more
+    supporting rows, which move no least slack), and d < m adds +- a basis of
+    the complement; the cached table when d = m, else one in span coordinates."""
+    if "_facets" not in vars(owner):
+        k, m = base.shape
+        G = np.zeros((0, m)) if gens is None else gens
+        _, sv, Vt = np.linalg.svd(np.vstack([base - base[0], G]))
+        d = int(np.sum(sv > sv[0] * m * np.finfo(float).eps))
+        basis, origin = (np.eye(m), np.zeros(m)) if d == m else (Vt[:d], base[0])
+        B, G = (base - origin) @ basis.T, G @ basis.T
+        tables = [_faces(owner, base, gens) if d == m else None]
+        if tables[0] is None:
+            faces = _subsets(k, len(G), d)
+            tables = (_face_table(B, G, run)
+                      for run in iter(lambda: list(islice(faces, _FACE_BUDGET)), []))
+        tol = _FACET_TOL * max(1.0, float(np.max(np.abs(B - B[0]), initial=0.0)))
+        N, c = [Vt[d:], -Vt[d:]], [Vt[d:] @ base[0], -Vt[d:] @ base[0]]
+        for b0, _, _, normal in tables if d else ():
+            has = normal.any(axis=1)
+            n, b0 = np.vstack([normal[has], -normal[has]]), np.vstack([b0[has], b0[has]])
+            ok = (np.all(B @ n.T - np.sum(n * b0, axis=1) <= tol, axis=0)
+                  & np.all(G @ n.T <= _FACET_TOL * np.linalg.norm(G, axis=1)[:, None], axis=0))
+            N.append(n[ok] @ basis)
+            c.append(np.sum(n[ok] * b0[ok], axis=1) + N[-1] @ origin)
+        object.__setattr__(owner, "_facets", (np.vstack(N), np.concatenate(c)))
+    return vars(owner)["_facets"]
+
+
+def _face_candidates(table, base: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every face's candidate for every row of pts (S, m, n), and whether its
+    weights are feasible (S, n): one matrix product, whose (S, 2m + 1, n) array
+    is freed on return (kept alive in ``_nearest``, it doubled distance times)."""
     b0, block, lower, _ = table
     n, m = pts.shape
-    rel = (pts.T[None, :, :] - base[:, :, None]).reshape(-1, n)
+    rel = (pts.T[None, :, :] - base[:, :, None]).reshape(base.size, n)
     out = (block @ rel).reshape(len(b0), 2 * m + 1, n)
-    return b0[:, :, None] + out[:, m + 1:], (out[:, :m + 1] >= lower - slack).all(axis=1)
+    return b0[:, :, None] + out[:, m + 1:], (out[:, :m + 1] >= lower).all(axis=1)
 
 
 def _nearest(owner, base: np.ndarray, gens: Optional[np.ndarray],
@@ -274,7 +306,7 @@ def _nearest(owner, base: np.ndarray, gens: Optional[np.ndarray],
     # zero by rounding lies outside the set and can read short of the
     # distance (2.8e-16 for a point 1.05e-12 outside); every vertex's own
     # face is feasible, so some candidate always is
-    cand, feasible = _face_candidates(table, base, pts, 0.0)
+    cand, feasible = _face_candidates(table, base, pts)
     r = pts.T - cand
     d = np.sqrt(np.add.reduce(r * r, axis=1))
     d[~feasible] = np.inf
@@ -581,7 +613,7 @@ class InclusionResult:
 
     verdict: Verdict
     witness: Optional[np.ndarray] = None  # a point of B(A, s) farther than r from D
-    # sup of dist(., D) over B(A, s), or the bound that proved the inclusion
+    # sup of dist(., D) over B(A, s)
     sup_estimate: float = math.nan
 
     @property
@@ -589,68 +621,42 @@ class InclusionResult:
         return self.verdict is Verdict.HOLDS
 
 
-def _sphere_max(centers: np.ndarray, s: float, ss: SumSet) -> tuple[np.ndarray, np.ndarray]:
-    """Largest dist(., D) over the sphere of radius s about each row of
-    ``centers``, and a point attaining it, exactly: one sup and one point
-    per centre.
-
-    A largest point y about c with dist(y) > 0 is c + s n, n the unit normal
-    of D at P(y), which lies in the relative interior of a face F of less
-    than full dimension, with weights feasible at c.  Since c - cand_F(c) =
-    (dist(y) - s) n (cand_F: projection onto F's affine hull), y = c -+ s u_F
-    with u_F the normalised residual.  A zero residual leaves n free in F's
-    normal cone, so below GEOM_TOL c -+ s times F's stored orthogonal vector
-    (a facet normal, or one off D's affine hull) are candidates as well, and
-    so is each candidate stepped to the normal at its projection.  Above the
-    budget the subsets are walked in uncached runs of that size, with a
-    running max per centre.  Centres go in chunks small enough that a
-    budget-sized table's candidates span at most ``_FACE_CHUNK`` pairs.
-    """
-    step = _FACE_CHUNK // _FACE_BUDGET
-    if len(centers) > step:
-        parts = [_sphere_max(centers[i:i + step], s, ss) for i in range(0, len(centers), step)]
-        return np.concatenate([b for b, _ in parts]), np.vstack([p for _, p in parts])
+def _least_slack(points: np.ndarray, ss: SumSet) -> np.ndarray:
+    """Least facet slack (``_facets``) of each row of points, independent of
+    the batch: the row's depth in ss when positive, above -dist otherwise."""
     owner, base, gens, shift = _table_for(ss)
+    N, c = _facets(owner, base, gens)
+    return np.min(c - matvec_rows(N, points - shift), axis=1)
+
+
+def _sphere_max(centers: np.ndarray, s: float, ss: SumSet) -> tuple[np.ndarray, np.ndarray]:
+    """Largest dist(., D) over the sphere of radius s about each row v of
+    ``centers``, and a point v + s n attaining it: max(0, s + sd(v)) by
+    Radstrom's cancellation law (B(v, s) lies in B(D, rho) iff B(v, s - rho)
+    lies in D), sd minus v's least facet slack (its depth) when positive, else
+    dist(v, D); n is the least-slack normal inside, and v - P(v) outside, below
+    ``_SHORT_RESIDUAL`` projected by one NNLS onto D's normal cone at P(v)."""
+    owner, base, gens, shift = _table_for(ss)
+    N, c = _facets(owner, base, gens)
     ctr = centers - shift
-    tables = [_faces(owner, base, gens)]
-    if tables[0] is None:
-        faces = _subsets(len(base), 0 if gens is None else len(gens), ss.dim)
-        tables = (_face_table(base, gens, run)
-                  for run in iter(lambda: list(islice(faces, _FACE_BUDGET)), []))
-    best, point = np.full(len(ctr), -math.inf), np.zeros_like(ctr)
-    for table in tables:
-        normal = table[3]
-        cand, feasible = _face_candidates(table, base, ctr, _FEASIBLE_TOL)
-        feasible &= normal.any(axis=1)[:, None]  # a full-dimensional face has none
-        r = ctr.T[None, :, :] - cand
-        norm = np.sqrt(np.add.reduce(r * r, axis=1))
-        f, i = np.nonzero(feasible & (norm > 0.0))
-        g, j = np.nonzero(feasible & (norm <= GEOM_TOL))
-        u = np.vstack([r[f, :, i] / norm[f, i][:, None], normal[g]])
-        at = np.tile(np.concatenate([i, j]), 2)
-        if not len(at):
-            continue
-        y = ctr[at] + s * np.vstack([u, -u])
-        # rounding tilts a small residual along its face by an angle t, which
-        # costs about s t^2 / 2 (3.5e-9 seen at a residual of 3e-11); the
-        # normal at the projection of c + s u is accurate to rounding
-        proj, d = _nearest(owner, base, gens, y)
-        out = d > 0.0
-        if out.any():
-            y = np.vstack([y, ctr[at[out]] + s * (y[out] - proj[out]) / d[out][:, None]])
-            d = np.concatenate([d, _nearest(owner, base, gens, y[len(d):])[1]])
-            at = np.concatenate([at, at[out]])
-        o = np.lexsort((-d, at))
-        k = o[np.r_[True, at[o][1:] != at[o][:-1]]]  # each centre's first largest
-        k = k[d[k] > best[at[k]]]
-        best[at[k]], point[at[k]] = d[k], y[k] + shift
-    return best, point
+    slack = c - matvec_rows(N, ctr)
+    least = np.argmin(slack, axis=1)
+    sd, normal = -slack[np.arange(len(ctr)), least], N[least]
+    out = np.flatnonzero(sd >= 0.0)
+    proj, sd[out] = _nearest(owner, base, gens, ctr[out])
+    w = ctr[out] - proj
+    for j in np.flatnonzero(sd[out] < _SHORT_RESIDUAL):
+        active = N[c - N @ proj[j] <= GEOM_TOL]
+        w[j] += _nnls(active.T, w[j])[1] if len(active) else 0.0
+    keep = np.any(w, axis=1)
+    normal[out[keep]] = w[keep] / np.linalg.norm(w[keep], axis=1, keepdims=True)
+    return np.maximum(s + sd, 0.0), centers + s * normal
 
 
 def ball_sup_dist(A: VPolytope, s: float, D: SetLike) -> tuple[float, np.ndarray]:
     """Supremum of dist(., D) over the enlargement B(A, s), and a point
     attaining it: the maximand is convex, so it sits on the sphere about a
-    vertex of A, where ``_sphere_max`` finds it exactly."""
+    vertex of A, where ``_sphere_max`` takes it in closed form."""
     ss = _as_sumset(D)
     if A.dim != ss.dim:
         raise ValueError("dimension mismatch between polytope and target set")
@@ -664,20 +670,13 @@ def ball_sup_dist(A: VPolytope, s: float, D: SetLike) -> tuple[float, np.ndarray
 def enlargement_inclusion(A: VPolytope, s: float, D: SetLike, r: float,
                           dirs: Optional[int] = None, tol: float = GEOM_TOL,
                           rounds: int = 3) -> InclusionResult:
-    """Decide whether B(A, s) is contained in B(D, r).
-
-    dist(., D) is 1-Lipschitz, so dist(v, D) + s <= r + tol at every vertex
-    v of A proves the inclusion.  Otherwise the exact sup over B(A, s)
-    (``ball_sup_dist``) decides, and above r + tol the point attaining it is
-    the witness.  ``dirs`` and ``rounds`` are accepted and ignored.
+    """Decide whether B(A, s) is contained in B(D, r): it is when the exact
+    sup of dist(., D) over B(A, s) (``ball_sup_dist``) is at most r + tol,
+    and otherwise the point attaining it is the witness.  ``dirs`` and
+    ``rounds`` are accepted and ignored.
     """
-    ss = _as_sumset(D)
-    if s < 0 or r < 0:
+    if r < 0:
         raise ValueError("radii must be nonnegative")
-    bound = float(np.max(dist_many(A.vertices, ss))) + s
-    if bound <= r + tol:
-        return InclusionResult(Verdict.HOLDS, None, bound)
-    sup, pt = ball_sup_dist(A, s, ss)
-    if sup > r + tol:
-        return InclusionResult(Verdict.FAILS, pt, sup)
-    return InclusionResult(Verdict.HOLDS, None, sup)
+    sup, pt = ball_sup_dist(A, s, D)
+    holds = sup <= r + tol
+    return InclusionResult(Verdict.HOLDS if holds else Verdict.FAILS, None if holds else pt, sup)

@@ -6,9 +6,10 @@ constants.
 The exact bound at a point x is bracketed by bisection on alpha: a witness u
 with  B(G(u), alpha*r) subset B(G(x) + C, r)  certifies alpha from below at
 radius r; exhausting the candidate budget at some qualifying radius refutes
-it from above.  The defining property is a small-radius one (it quantifies
-over all r in (0, delta] for some delta), so qualification requires
-witnesses at a few small radii (``QUALIFYING_RADII``), not at large ones.
+it from above.  The inclusion holds iff every vertex of G(u) lies (alpha - 1) r
+deep in G(x) + C (Radstrom's cancellation law).  The property is a small-radius
+one (it quantifies over all r in (0, delta] for some delta), so qualification
+requires witnesses at a few small radii (``QUALIFYING_RADII``) only.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import (PolyCone, SumSet, VPolytope, _sphere_max, as_vector, dist_many,
+from .geometry import (PolyCone, SumSet, VPolytope, _least_slack, as_vector, dist_many,
                        numgrad, row_norms, seeded_rotation, unit_directions)
 from .setmaps import is_all_space, merit_many
 
@@ -127,9 +128,9 @@ def _candidates(x: np.ndarray, r: float, grads: list, hint: Optional[np.ndarray]
 
 class _Search:
     """What every witness check at one point x shares: the target G(x) + C
-    (its face table is cached on it), the heuristic gradients of one stencil,
-    the unit directions, the checked hint direction, and per radius the
-    images of the candidates' head."""
+    (its face table and facet rows are cached on it), the heuristic
+    gradients of one stencil, the unit directions, the checked hint
+    direction, and per radius the images of the candidates' head."""
 
     def __init__(self, map_at: MapAt, cone: PolyCone, x: np.ndarray, cfg: SamplingConfig, hint):
         self.map_at, self.x, self.cfg = map_at, x, cfg
@@ -146,39 +147,38 @@ class _Search:
 
     def scan(self, U: np.ndarray, images: list, alpha: float, r: float):
         """The first row of U whose image passes, or None; ``images`` holds
-        those of a prefix of the rows.  Since alpha > 1, a witness's whole
-        image must lie inside G(x) + C (a vertex at distance d > 0 puts a
-        ball point at d + alpha*r > r), which rejects candidates cheaply; the
-        rest are decided by one exact sphere max over all their vertices."""
+        those of a prefix of the rows.  Vertex v passes when alpha*r + sd(v) <=
+        r + tolerance, sd as in ``geometry._sphere_max``: minus v's least slack
+        is sd inside and a lower bound outside, so only a vertex not inside that
+        may still pass is measured (none unless (alpha - 1) r <= tolerance)."""
         images = images + self.images(U[len(images):])
         rows = [i for i, v in enumerate(images) if v is not None]
         if not rows:
             return None
-        owner = np.repeat(np.arange(len(rows)), [len(images[i]) for i in rows])
         verts = np.vstack([images[i] for i in rows])
-        far = owner[dist_many(verts, self.target) > self.cfg.tolerance]
-        inside = np.bincount(far, minlength=len(rows)) == 0
-        if not inside.any():
-            return None
-        gated = inside[owner]
-        worst = np.zeros(len(rows))
-        np.maximum.at(worst, owner[gated],
-                      _sphere_max(verts[gated], alpha * r, self.target)[0])
-        hits = np.flatnonzero(inside & (worst <= r + self.cfg.tolerance))
+        starts = np.cumsum([0] + [len(images[i]) for i in rows[:-1]])
+        s, bound = alpha * r, r + self.cfg.tolerance
+        sd = -_least_slack(verts, self.target)
+        measure = (sd >= 0.0) & (s + sd <= bound)
+        if measure.any():
+            sd[measure] = dist_many(verts[measure], self.target)
+        hits = np.flatnonzero(s + np.maximum.reduceat(sd, starts) <= bound)
         return U[rows[hits[0]]].copy() if len(hits) else None
 
 
 def _witness(s: _Search, alpha: float, r: float, rng: np.random.Generator):
-    """One witness check at s.x: the first eight candidates are decided
-    before the rest."""
+    """One witness check at s.x: the candidates are decided in blocks of 8, 16,
+    32, ..., and the first witness of the first block that holds one returns."""
     if alpha <= 1 or r <= 0:
         raise ValueError("alpha must exceed 1" if alpha <= 1 else "radius must be positive")
     U, k = _candidates(s.x, r, s.grads, s.hint, s.units, rng)
     if r not in s.head:
         s.head[r] = s.images(U[:k])
-    images = s.head[r]
-    found = s.scan(U[:8], images[:8], alpha, r)
-    return found if found is not None else s.scan(U[8:], images[8:], alpha, r)
+    start, found = 0, None
+    while found is None and start < len(U):
+        found = s.scan(U[start:2 * start + 8], s.head[r][start:2 * start + 8], alpha, r)
+        start = 2 * start + 8
+    return found
 
 
 def check_increase(map_at: MapAt, cone: PolyCone, x, alpha: float, r: float,

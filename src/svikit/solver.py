@@ -296,7 +296,6 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
     merits = [psit0]
     retried = False
     iterations = 0
-    stop = "max_iters"
     while iterations < cfg.max_iters:
         extras = []
         if constrained:
@@ -332,6 +331,8 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
             kappa = alpha_tilde - alpha
             k_run = kappa - ell
         bound_rhs = psit0 / k_run
+    else:  # out of iterations, though the last accepted step may have converged
+        stop = "converged" if fx <= cfg.tol else "max_iters"
 
     dist_back = float(np.linalg.norm(x - x0))
     return SolveResult(

@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
+import sphere_reference
 from conftest import random_pointed_cone
+from svikit import geometry
 from svikit.cli import main
-from svikit.geometry import PolyCone, VPolytope, orthant
+from svikit.geometry import PolyCone, SumSet, VPolytope, dist_many, orthant, project_dist
 from svikit.increase import PropertyAbsent
 from svikit.problems import write_problem_file
 from svikit.setmaps import (AbsComponent, AllSpace, Ball, Box, ConcaveTerm, MatrixTable,
@@ -157,3 +159,64 @@ def test_an_inclusion_without_witnesses_runs_on_floor_constants_only_when_best_e
     assert res.stop == "no_step" and np.array_equal(res.x_final, [0.0, 0.0])
     assert ks == [MIN_DESCENT, 0.5 * MIN_DESCENT]
     assert res.merit_final == merit(problem, 0.0, [0.0, 0.0]) == pytest.approx(math.sqrt(2))
+
+
+def _sphere_sets(rng: np.random.Generator):
+    """conv(base) + C for m = 1..4 and C the orthant, a random pointed cone,
+    a nearly non-pointed cone (two almost opposite rays, m >= 2) or none (a
+    compact base, of lower dimension when it has at most m vertices); in R^3
+    also a ray and a wedge of two rays, both of lower dimension."""
+    def base(m):
+        return VPolytope(rng.standard_normal((int(rng.integers(1, 4)), m)) * rng.uniform(0.5, 2.0))
+
+    for m in range(1, 5):
+        for _ in range(3):
+            yield SumSet(base(m), orthant(m))
+            yield SumSet(base(m), random_pointed_cone(rng, m))
+            yield SumSet(base(m), None)
+            if m >= 2:
+                e = rng.standard_normal(m)
+                e /= np.linalg.norm(e)
+                yield SumSet(base(m), PolyCone(np.array(
+                    [e + 1e-7 * rng.standard_normal(m),
+                     -e + 1e-7 * rng.standard_normal(m) + 1e-6 * np.eye(m)[-1]])))
+    for _ in range(3):
+        yield SumSet(base(3), PolyCone(rng.standard_normal((1, 3))))
+        yield SumSet(base(3), PolyCone(rng.uniform(0.2, 1.0, (2, 3)) * [[1, 1, 0], [0, 1, 1]]))
+
+
+def _sphere_centres(rng: np.random.Generator, D: SumSet):
+    """Centres inside D (a base combination plus cone steps), on its boundary
+    (its base vertices and the projections of far points) and outside (the
+    projections moved 1e-14 to 1e-7, or 0.1 to 1, along their normals)."""
+    b, m = D.base.vertices, D.dim
+    inside = rng.dirichlet(np.ones(len(b)), 4) @ b
+    if D.cone is not None:
+        inside = inside + rng.uniform(0.0, 1.5, (4, len(D.cone.generators))) @ D.cone.generators
+    far = b[0] + 5.0 * rng.standard_normal((6, m))
+    proj = np.array([project_dist(y, D)[0] for y in far])
+    d = dist_many(far, D)[:, None]
+    normal = np.where(d > 0.0, far - proj, 0.0) / np.where(d > 0.0, d, 1.0)
+    steps = np.concatenate([10.0 ** rng.uniform(-14, -7, 3), rng.uniform(0.1, 1.0, 3)])
+    return np.vstack([inside, b, proj, proj + steps[:, None] * normal])
+
+
+def test_closed_form_sphere_max_matches_the_lagrange_point_reference():
+    # geometry._sphere_max's sup in closed form against the Lagrange-point
+    # search it replaced (tests/sphere_reference.py), to 1e-12, with each
+    # point on its sphere and attaining its sup; mismatches are counted by
+    # kind and printed
+    rng = np.random.default_rng(2020)
+    counts = {"sup": 0, "point": 0, "reference point": 0}
+    centres = 0
+    for D in _sphere_sets(rng):
+        C, s = _sphere_centres(rng, D), float(rng.uniform(0.05, 2.0))
+        sups, points = geometry._sphere_max(C, s, D)
+        ref_sups, ref_points = sphere_reference.sphere_max(C, s, D)
+        centres += len(C)
+        counts["sup"] += int(np.sum(np.abs(sups - ref_sups) > 1e-12))
+        for key, pts, sup in (("point", points, sups), ("reference point", ref_points, ref_sups)):
+            off = np.abs(np.linalg.norm(pts - C, axis=1) - s) > 1e-12
+            counts[key] += int(np.sum(off | (np.abs(dist_many(pts, D) - sup) > 1e-12)))
+    print(f"sphere maxima at {centres} centres, mismatches by kind: {counts}")
+    assert counts["sup"] == counts["point"] == 0

@@ -606,20 +606,28 @@ def test_sphere_max_above_the_face_budget(monkeypatch):
                PolyCone(rng.standard_normal((12, 4)) + 1.5))  # 3,358 faces
     centers = [S.base.vertices[0], S.base.vertices[1:].mean(axis=0)
                + S.cone.generators[:3].sum(axis=0)]
-    built = []
+    built, solves = [], []
 
     def face_table(base, gens, subsets):
         table = face_table_of(base, gens, subsets)
         built.append(len(table[0]))
         return table
 
-    face_table_of = geometry._face_table
+    def ldp_project(*args):
+        solves.append(args[0])
+        return ldp_project_of(*args)
+
+    face_table_of, ldp_project_of = geometry._face_table, geometry._ldp_project
     monkeypatch.setattr(geometry, "_face_table", face_table)
+    monkeypatch.setattr(geometry, "_ldp_project", ldp_project)
     sups = [ball_sup_dist(VPolytope([c]), 0.7, S) for c in centers]
     assert S._faces is None  # no table cached for the set
-    # the subsets are walked in runs no longer than the budget
+    # the facet rows are read off runs no longer than the budget, and each
+    # centre takes at most one least-distance solve
     assert len(built) > 2 and max(built) <= geometry._FACE_BUDGET
+    assert len(solves) <= len(centers)
     monkeypatch.setattr(geometry, "_face_table", face_table_of)
+    monkeypatch.setattr(geometry, "_ldp_project", ldp_project_of)
     # the sample's distances come from a face table built with the budget raised
     monkeypatch.setattr(geometry, "_FACE_BUDGET", 4096)
     wide = SumSet(S.base, PolyCone(S.cone.generators))

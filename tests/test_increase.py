@@ -13,6 +13,7 @@ from svikit.increase import (HypothesisViolated, PropertyAbsent,
                              global_infimum, hints_for_matrix, perturbed_bound)
 from svikit.problems import rotation_inclusion_problem
 from conftest import ROT_BOUND, PERTURBED_BOUND, random_pointed_cone
+from sphere_reference import ball_sup
 
 SQRT2 = math.sqrt(2.0)
 
@@ -58,8 +59,9 @@ def test_constant_infeasible_map_has_no_witness(plane_orthant):
 
 
 def reference_check(map_at, cone, x, alpha, r, cfg, hints):
-    """check_increase's candidates in its order, each decided on its own:
-    the vertex gate, then ``enlargement_inclusion``."""
+    """check_increase's candidates in its order, each decided on its own by
+    the reference sphere search (``sphere_reference``) after a vertex gate: a
+    vertex farther than the tolerance puts a ball point beyond r + tolerance."""
     x = np.asarray(x, dtype=float)
     target = SumSet(map_at(x), cone)
     rng = increase._stable_seed(cfg.seed, None, x)
@@ -72,7 +74,7 @@ def reference_check(map_at, cone, x, alpha, r, cfg, hints):
         image = map_at(u)
         if float(np.max(dist_many(image.vertices, target))) > cfg.tolerance:
             continue
-        if enlargement_inclusion(image, alpha * r, target, r, tol=cfg.tolerance).holds:
+        if ball_sup(image.vertices, alpha * r, target) <= r + cfg.tolerance:
             return u
     return None
 
@@ -96,11 +98,23 @@ def test_check_increase_matches_a_candidate_by_candidate_scan(seed):
     alpha, r = float(rng.uniform(1.02, 4.0)), float(rng.choice([1.0, 0.5, 0.125]))
     cfg = SamplingConfig(directions=16, seed=int(rng.integers(100)))
     hints = hints_for_matrix(mats[0], cone) if rng.random() < 0.5 else None
+    if rng.random() < 0.3:  # a tolerance above (alpha - 1) r: vertices off G(x) + C may pass
+        cfg.tolerance = (alpha - 1.0) * r * rng.uniform(1.0, 3.0)
     got = check_increase(map_at, cone, x, alpha, r, cfg, hints)
     want = reference_check(map_at, cone, x, alpha, r, cfg, hints)
     assert (got is None) == (want is None)
     if got is not None:
         assert np.array_equal(got, want)
+
+
+def test_a_vertex_outside_within_the_tolerance_is_measured(plane_orthant):
+    # alpha r + dist(v) <= r + tolerance decides a vertex off the target: at
+    # (-0.1, -0.1) off the orthant, dist 0.1414 exceeds the facet violation 0.1
+    g = lambda u: VPolytope(np.asarray(u, dtype=float)[None, :])
+    for tol, holds in ((0.22, False), (0.25, True)):
+        s = increase._Search(g, plane_orthant, np.zeros(2), SamplingConfig(tolerance=tol), None)
+        assert (s.scan(np.array([[-0.1, -0.1]]), [], 1.1, 1.0) is not None) == holds
+        assert (ball_sup([[-0.1, -0.1]], 1.1, s.target) <= 1.0 + tol) == holds
 
 
 def test_gradient_heuristics_match_one_stencil_per_heuristic():
@@ -206,6 +220,29 @@ def test_estimate_bound_evaluates_the_shared_points_once(plane_orthant):
         u.tobytes() for r in increase.QUALIFYING_RADII
         for u in [x + r * hints, x + 0.5 * r * hints, *(x - (r / n) * v for v, n in grads)])
     assert {u: calls[u] for u in want} == want
+
+
+def test_check_increase_images_no_candidate_past_the_witness_block(rotation_problem):
+    # the witness is candidate 11 (first ring), so the blocks of 8 and 16
+    # are imaged and none of the later ~170 candidates
+    p, x, alpha, r = 3.0, np.array([0.0, 1.0]), 3.0, 0.25
+    cfg = SamplingConfig(directions=64)
+    g = lambda u: rotation_problem.evaluate(p, u)
+    hints = increase.hints_for_problem(rotation_problem, p)
+    seen = set()
+
+    def counted(u):
+        seen.add(np.asarray(u, dtype=float).tobytes())
+        return g(u)
+
+    u = check_increase(counted, rotation_problem.cone, x, alpha, r, cfg, hints=hints)
+    grads = increase._gradients(g, SumSet(g(x), rotation_problem.cone), rotation_problem.cone, x)
+    U, _ = increase._candidates(x, r, grads, hints, unit_directions(2, cfg.directions),
+                                increase._stable_seed(cfg.seed, None, x))
+    assert len(U) > 150
+    imaged = [i for i, c in enumerate(U) if c.tobytes() in seen]
+    assert [i for i, c in enumerate(U) if np.array_equal(c, u)] == [11]
+    assert imaged == list(range(24))
 
 
 def test_check_increase_validates_arguments(plane_orthant):

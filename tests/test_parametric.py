@@ -154,10 +154,10 @@ def test_sweep_input_validation(rotation_problem):
 
 
 def test_iteration_capped_rows_keep_the_last_iterate(rotation_problem):
-    # a row that hits the cap records where the run stopped and its merit,
-    # and the next row starts there (and is solved there at once)
+    # a row that hits the cap above tol records where the run stopped and
+    # its merit, and the next row starts there (and is solved from there)
     cfg = SolverConfig(alpha=1.5, tol=1e-16, max_iters=2)
-    start = np.array([2.0, -1.0])
+    start = np.array([-2.0, -1.0])
     table = sweep(rotation_problem, [0.0, 0.1], start, cfg)
     res = solve(rotation_problem, 0.0, start, cfg)
     assert res.stop == "max_iters"
@@ -167,7 +167,18 @@ def test_iteration_capped_rows_keep_the_last_iterate(rotation_problem):
     assert first.merit < merit(rotation_problem, 0.0, start)
     assert not first.solved and not first.bound_holds and math.isnan(first.bound_rhs)
     assert np.array_equal(second.warm_start, first.x)
-    assert second.solved and second.iterations == 0
+    assert second.solved
+
+
+def test_a_last_allowed_step_that_converges_is_converged(rotation_problem):
+    # the one allowed step from (50, 50) lands at merit 0: the run converged
+    # and its sweep row is solved with a finite bound
+    cfg = SolverConfig(alpha=1.5, tol=1e-16, max_iters=1)
+    res = solve(rotation_problem, 1.0, [50.0, 50.0], cfg)
+    assert res.iterations == 1 and res.merit_final == 0.0
+    assert res.stop == "converged"
+    row = sweep(rotation_problem, [1.0], [50.0, 50.0], cfg).rows[0]
+    assert row.solved and row.bound_holds and math.isfinite(row.bound_rhs)
 
 
 def test_no_step_rows_keep_the_stuck_iterate():

@@ -144,13 +144,15 @@ def test_determinism(rotation_problem):
 
 
 def test_max_iters_exceeded(rotation_problem):
-    res = solve(rotation_problem, 1.0, [50.0, 50.0],
+    # one step from (-5, 2) leaves merit 0.51 (from (50, 50) it reaches 0)
+    res = solve(rotation_problem, 1.0, [-5.0, 2.0],
                 SolverConfig(alpha=1.5, tol=1e-16, max_iters=1))
     # the result carries the last iterate and its merit, as a no-step run does
     assert res.stop == "max_iters" and res.iterations == 1
-    assert not np.array_equal(res.x_final, [50.0, 50.0])
+    assert not np.array_equal(res.x_final, [-5.0, 2.0])
     assert res.merit_final == merit(rotation_problem, 1.0, res.x_final)
     assert res.merit_final == res.merit_history[-1]
+    assert res.merit_final > 0.1
 
 
 def _recorded_infimum(monkeypatch):
