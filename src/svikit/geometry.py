@@ -35,7 +35,7 @@ def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
         v = v.reshape(1)
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got array of shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector has non-finite coordinates")
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.shape[0]}")
@@ -48,7 +48,7 @@ def _as_points(rows, dim: Optional[int] = None) -> np.ndarray:
         pts = pts.reshape(1, -1)
     if pts.ndim != 2:
         raise ValueError(f"expected a list of points, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("points have non-finite coordinates")
     if dim is not None and pts.shape[1] != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {pts.shape[1]}")

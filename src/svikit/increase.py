@@ -5,11 +5,12 @@ constants.
 
 The exact bound at a point x is bracketed by bisection on alpha: a witness u
 with  B(G(u), alpha*r) subset B(G(x) + C, r)  certifies alpha from below at
-radius r; exhausting the candidate budget at some qualifying radius refutes
-it from above.  The inclusion holds iff every vertex of G(u) lies (alpha - 1) r
-deep in G(x) + C (Radstrom's cancellation law).  The property is a small-radius
-one (it quantifies over all r in (0, delta] for some delta), so qualification
-requires witnesses at a few small radii (``QUALIFYING_RADII``) only.
+radius r; exhausting the radius's one candidate list, drawn once per estimate
+with each candidate imaged once, refutes it from above.  The inclusion holds
+iff every vertex of G(u) lies (alpha - 1) r deep in G(x) + C (Radstrom's
+cancellation law).  The property is a small-radius one (it quantifies over
+all r in (0, delta] for some delta), so qualification requires witnesses at a
+few small radii (``QUALIFYING_RADII``) only.
 """
 from __future__ import annotations
 
@@ -130,55 +131,51 @@ class _Search:
     """What every witness check at one point x shares: the target G(x) + C
     (its face table and facet rows are cached on it), the heuristic
     gradients of one stencil, the unit directions, the checked hint
-    direction, and per radius the images of the candidates' head."""
+    direction, and per radius one candidate list, drawn from ``rng`` at that
+    radius's first check, with the worst signed depth of each candidate
+    imaged so far: the max over its image vertices of minus the least slack
+    inside G(x) + C and the distance outside (inf at x, no witness)."""
 
-    def __init__(self, map_at: MapAt, cone: PolyCone, x: np.ndarray, cfg: SamplingConfig, hint):
-        self.map_at, self.x, self.cfg = map_at, x, cfg
+    def __init__(self, map_at: MapAt, cone: PolyCone, x: np.ndarray, cfg: SamplingConfig,
+                 hint, rng: np.random.Generator):
+        self.map_at, self.x, self.cfg, self.rng = map_at, x, cfg, rng
         self.hint = None if hint is None else as_vector(hint, len(x))
         self.target = SumSet(map_at(x), cone)
         self.grads = _gradients(map_at, self.target, cone, x)
         self.units = unit_directions(len(x), cfg.directions)
-        self.head = {}  # radius -> images of the hint and gradient candidates
+        self.lists = {}  # radius -> (candidates, worst depths of the imaged prefix)
 
-    def images(self, U: np.ndarray) -> list:
-        """Image vertices of the rows of U; None at x (no witness)."""
-        keep = row_norms(U - self.x) > 1e-15
-        return [self.map_at(u).vertices if k else None for u, k in zip(U, keep)]
-
-    def scan(self, U: np.ndarray, images: list, alpha: float, r: float):
-        """The first row of U whose image passes, or None; ``images`` holds
-        those of a prefix of the rows.  Vertex v passes when alpha*r + sd(v) <=
-        r + tolerance, sd as in ``geometry._sphere_max``: minus v's least slack
-        is sd inside and a lower bound outside, so only a vertex not inside that
-        may still pass is measured (none unless (alpha - 1) r <= tolerance)."""
-        images = images + self.images(U[len(images):])
-        rows = [i for i, v in enumerate(images) if v is not None]
-        if not rows:
-            return None
-        verts = np.vstack([images[i] for i in rows])
-        starts = np.cumsum([0] + [len(images[i]) for i in rows[:-1]])
-        s, bound = alpha * r, r + self.cfg.tolerance
-        sd = -_least_slack(verts, self.target)
-        measure = (sd >= 0.0) & (s + sd <= bound)
-        if measure.any():
-            sd[measure] = dist_many(verts[measure], self.target)
-        hits = np.flatnonzero(s + np.maximum.reduceat(sd, starts) <= bound)
-        return U[rows[hits[0]]].copy() if len(hits) else None
-
-
-def _witness(s: _Search, alpha: float, r: float, rng: np.random.Generator):
-    """One witness check at s.x: the candidates are decided in blocks of 8, 16,
-    32, ..., and the first witness of the first block that holds one returns."""
-    if alpha <= 1 or r <= 0:
-        raise ValueError("alpha must exceed 1" if alpha <= 1 else "radius must be positive")
-    U, k = _candidates(s.x, r, s.grads, s.hint, s.units, rng)
-    if r not in s.head:
-        s.head[r] = s.images(U[:k])
-    start, found = 0, None
-    while found is None and start < len(U):
-        found = s.scan(U[start:2 * start + 8], s.head[r][start:2 * start + 8], alpha, r)
-        start = 2 * start + 8
-    return found
+    def witness(self, alpha: float, r: float) -> Optional[np.ndarray]:
+        """The first candidate at radius r with alpha*r + worst <= r + tolerance,
+        or None: the candidates are imaged in blocks of 8, 16, 32, ... until
+        one passes, and every later check at r reuses their depths, so the
+        verdict is monotone in alpha.  Every outside vertex is measured: its
+        distance is at least its facet violation, so one the violation
+        already fails still fails, as when only the others were measured."""
+        if alpha <= 1 or r <= 0:
+            raise ValueError("alpha must exceed 1" if alpha <= 1 else "radius must be positive")
+        if r not in self.lists:
+            U = _candidates(self.x, r, self.grads, self.hint, self.units, self.rng)[0]
+            self.lists[r] = U, np.empty(0)
+        U, worst = self.lists[r]
+        while not len(hits := np.flatnonzero(alpha * r + worst <= r + self.cfg.tolerance)):
+            if len(worst) == len(U):
+                return None
+            block = U[len(worst):2 * len(worst) + 8]
+            keep = row_norms(block - self.x) > 1e-15
+            images = [self.map_at(u).vertices for u in block[keep]]
+            depth = np.full(len(block), np.inf)
+            if images:
+                verts = np.vstack(images)
+                sd = -_least_slack(verts, self.target)
+                out = sd >= 0.0
+                if out.any():  # the max: no rounding puts a distance below the violation
+                    sd[out] = np.maximum(sd[out], dist_many(verts[out], self.target))
+                starts = np.cumsum([0] + [len(v) for v in images[:-1]])
+                depth[keep] = np.maximum.reduceat(sd, starts)
+            worst = np.concatenate([worst, depth])
+            self.lists[r] = U, worst
+        return U[hits[0]].copy()
 
 
 def check_increase(map_at: MapAt, cone: PolyCone, x, alpha: float, r: float,
@@ -187,14 +184,14 @@ def check_increase(map_at: MapAt, cone: PolyCone, x, alpha: float, r: float,
     """Search for u in B(x, r) with B(G(u), alpha*r) inside B(G(x) + C, r),
     trying the steps along the hint direction ``hints`` (or None) first.
 
-    Returns the first passing candidate, or None when the budget is
-    exhausted (absence of a witness is a value, not an error).
+    Returns the first passing candidate, or None when the candidate list
+    is exhausted (absence of a witness is a value, not an error).
     """
     cfg = cfg or SamplingConfig()
     x = as_vector(x)
     if rng is None:
         rng = _stable_seed(cfg.seed, None, x)
-    return _witness(_Search(map_at, cone, x, cfg, hints), alpha, r, rng)
+    return _Search(map_at, cone, x, cfg, hints, rng).witness(alpha, r)
 
 
 def estimate_bound(map_at: MapAt, cone: PolyCone, x,
@@ -207,17 +204,17 @@ def estimate_bound(map_at: MapAt, cone: PolyCone, x,
     alpha_hi is the smallest tested alpha with a refuted qualifying radius
     (or the cap).  Raises PropertyAbsent when not even the probe value
     just above 1 admits witnesses.  Every check shares one ``_Search``,
-    the hint direction ``hints`` (or None) included.
+    the hint direction ``hints`` (or None) and each radius's candidate list
+    included, so the bracket is that of the best alpha the lists certify.
     """
     cfg = cfg or SamplingConfig()
     x = as_vector(x)
-    rng = _stable_seed(cfg.seed, p_for_seed, x)
-    search = _Search(map_at, cone, x, cfg, hints)
+    search = _Search(map_at, cone, x, cfg, hints, _stable_seed(cfg.seed, p_for_seed, x))
 
     def qualify(alpha: float) -> Optional[list]:
         wits = []
         for r in QUALIFYING_RADII:
-            u = _witness(search, alpha, r, rng)
+            u = search.witness(alpha, r)
             if u is None:
                 return None
             wits.append((r, u))

@@ -1,4 +1,5 @@
 import collections
+import copy
 import math
 
 import numpy as np
@@ -109,12 +110,18 @@ def test_check_increase_matches_a_candidate_by_candidate_scan(seed):
 
 def test_a_vertex_outside_within_the_tolerance_is_measured(plane_orthant):
     # alpha r + dist(v) <= r + tolerance decides a vertex off the target: at
-    # (-0.1, -0.1) off the orthant, dist 0.1414 exceeds the facet violation 0.1
+    # (-0.1, -0.1) off the orthant, the cached depth is dist 0.1414, not the
+    # facet violation 0.1
     g = lambda u: VPolytope(np.asarray(u, dtype=float)[None, :])
+    v = np.array([[-0.1, -0.1]])
     for tol, holds in ((0.22, False), (0.25, True)):
-        s = increase._Search(g, plane_orthant, np.zeros(2), SamplingConfig(tolerance=tol), None)
-        assert (s.scan(np.array([[-0.1, -0.1]]), [], 1.1, 1.0) is not None) == holds
-        assert (ball_sup([[-0.1, -0.1]], 1.1, s.target) <= 1.0 + tol) == holds
+        s = increase._Search(g, plane_orthant, np.zeros(2), SamplingConfig(tolerance=tol), None,
+                             np.random.default_rng(0))
+        s.lists[1.0] = v, np.empty(0)  # a one-candidate list at r = 1
+        assert (s.witness(1.1, 1.0) is not None) == holds
+        assert s.lists[1.0][1].tolist() == dist_many(v, s.target).tolist()
+        assert s.lists[1.0][1][0] == pytest.approx(0.1 * SQRT2, rel=1e-15)
+        assert (ball_sup(v, 1.1, s.target) <= 1.0 + tol) == holds
 
 
 def test_gradient_heuristics_match_one_stencil_per_heuristic():
@@ -138,15 +145,22 @@ def test_gradient_heuristics_match_one_stencil_per_heuristic():
 
 def reference_bracket(map_at, cone, x, cfg, hints, p):
     """estimate_bound's bracket, doubling then bisecting, with a fresh public
-    check_increase for every (alpha, r) on the same rng stream; None where
-    the probe alpha has no witnesses."""
+    check_increase for every (alpha, r): the first check at r draws r's list
+    from the estimate's rng stream, and each later one gets a copy of the
+    stream as it stood before that draw; None where the probe alpha has no
+    witnesses."""
     x = np.asarray(x, dtype=float)
     rng = increase._stable_seed(cfg.seed, p, x)
+    drawn = {}  # radius -> the stream before its list was drawn
 
     def qualify(alpha):
         wits = []
         for r in increase.QUALIFYING_RADII:
-            u = check_increase(map_at, cone, x, alpha, r, cfg, hints, rng)
+            if r not in drawn:
+                drawn[r], stream = copy.deepcopy(rng), rng
+            else:
+                stream = copy.deepcopy(drawn[r])
+            u = check_increase(map_at, cone, x, alpha, r, cfg, hints, stream)
             if u is None:
                 return None
             wits.append((r, u))
@@ -213,13 +227,57 @@ def test_estimate_bound_evaluates_the_shared_points_once(plane_orthant):
 
     estimate_bound(counted, plane_orthant, x, cfg, hints=hints)
     E = 1e-6 * max(1.0, float(np.linalg.norm(x))) * np.eye(2)
-    assert [calls[u.tobytes()] for u in (x, *(x + E), *(x - E))] == [1] * 5
+    shared = [u.tobytes() for u in (x, *(x + E), *(x - E))]
+    assert [calls[u] for u in shared] == [1] * 5
     grads = increase._gradients(g, SumSet(g(x), plane_orthant), plane_orthant, x)
     assert len(grads) == 2
     want = collections.Counter(
         u.tobytes() for r in increase.QUALIFYING_RADII
         for u in [x + r * hints, x + 0.5 * r * hints, *(x - (r / n) * v for v, n in grads)])
     assert {u: calls[u] for u in want} == want
+    # each radius draws one list, and each of its candidates is imaged at most once
+    rng, units = increase._stable_seed(cfg.seed, None, x), unit_directions(2, cfg.directions)
+    lists = collections.Counter(
+        u.tobytes() for r in increase.QUALIFYING_RADII
+        for u in increase._candidates(x, r, grads, hints, units, rng)[0])
+    assert all(calls[u] <= lists[u] for u in calls if u not in shared)
+
+
+def test_estimate_bound_images_each_candidate_once(rotation_problem):
+    # at most one image per candidate of each radius's list, plus x and the
+    # 2n stencil points: 2 (4 + 3 * 64) + 5 = 397 on the rotation instance
+    cfg, n = SamplingConfig(bracket_rtol=0.05, directions=64), 2
+    cap = len(increase.QUALIFYING_RADII) * (4 + len(increase.MAGNITUDES) * cfg.directions)
+    assert cap + 1 + 2 * n == 397
+    rng = np.random.default_rng(3)
+    for _ in range(6):
+        p, x = float(rng.uniform(0.0, 2.0 * math.pi)), rng.uniform(-2.0, 2.0, n)
+        calls = [0]
+
+        def counted(u):
+            calls[0] += 1
+            return rotation_problem.evaluate(p, u)
+
+        estimate_bound(counted, rotation_problem.cone, x, cfg,
+                       hints=increase.hints_for_problem(rotation_problem, p), p_for_seed=p)
+        assert calls[0] <= cap + 1 + 2 * n
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_witness_checks_at_one_radius_are_monotone_in_alpha(seed):
+    # one list per radius: a witness at alpha is one at every smaller alpha,
+    # and a refutation at alpha refutes every larger one, in any check order
+    rng = np.random.default_rng(seed)
+    cone, mats, map_at, x = random_fan_instance(rng)
+    hints = hints_for_matrix(mats[0], cone) if rng.random() < 0.5 else None
+    s = increase._Search(map_at, cone, x, SamplingConfig(directions=16), hints,
+                         np.random.default_rng(seed))
+    r = float(rng.choice(increase.QUALIFYING_RADII))
+    alphas = rng.uniform(1.02, 6.0, 12)
+    found = {a: s.witness(a, r) is not None for a in alphas}
+    verdicts = [found[a] for a in np.sort(alphas)]
+    assert verdicts == sorted(verdicts, reverse=True)
 
 
 def test_check_increase_images_no_candidate_past_the_witness_block(rotation_problem):
