@@ -24,8 +24,7 @@ from .problems import load_problem_file
 from .geometry import row_norms
 from .setmaps import KnotRangeError, RotationScaled, SviProblem, merit_many
 from .solver import DescentConstantsError, SolverConfig, solve
-from .vopt import (FOUND, NOT_FOUND, AffineFamily, VopProblem, VopSpec,
-                   ideal_value_sweep, solve_ideal)
+from .vopt import FOUND, NOT_FOUND, AffineFamily, VopSpec, ideal_value_sweep, solve_ideal
 
 log = logging.getLogger("svi")
 
@@ -99,10 +98,10 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _load(path):
-    if not os.path.exists(path):
-        raise UsageError(f"problem file not found: {path}")
     try:
         return load_problem_file(path)
+    except OSError as err:  # missing, a directory, unreadable
+        raise UsageError(f"cannot read problem file {path}: {err.strerror or err}") from None
     except (ValueError, KeyError, TypeError) as err:
         raise UsageError(f"cannot parse problem file {path}: {err}") from None
 
@@ -223,8 +222,6 @@ def _cmd_estimate(args) -> int:
         grid = np.array([args.p])
     else:
         raise UsageError("estimate-inc needs --p or --p-grid")
-    if isinstance(problem, VopSpec):
-        problem = VopProblem(problem)
     res = global_infimum(problem, grid, args.x_samples, SamplingConfig(seed=args.seed))
     for p, x, est in res.estimates:
         print(f"p = {p:.6f}  x = {np.asarray(x).tolist()}  "

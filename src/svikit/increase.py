@@ -111,16 +111,16 @@ def _gradients(map_at: MapAt, target: SumSet, cone: PolyCone, x: np.ndarray) -> 
 
 
 def _candidates(x: np.ndarray, r: float, grads: list, hint: Optional[np.ndarray],
-                units: np.ndarray, rng: np.random.Generator):
-    """Candidate witnesses in B(x, r), most promising first, and the length of
-    their head: the hint steps x + r d and x + r d / 2, a step of length r
-    against each of ``grads``, then the ``units`` rotated by one draw from
-    ``rng``, at each of MAGNITUDES."""
+                units: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Candidate witnesses in B(x, r), most promising first: the hint steps
+    x + r d and x + r d / 2, a step of length r against each of ``grads``,
+    then the ``units`` rotated by one draw from ``rng``, at each of
+    MAGNITUDES."""
     head = [] if hint is None else [x + r * hint, x + 0.5 * r * hint]
     head += [x - (r / n) * g for g, n in grads]
     dirs = units @ seeded_rotation(len(x), rng).T
     return np.vstack([np.reshape(head, (-1, len(x))),
-                      *(x + (mag * r) * dirs for mag in MAGNITUDES)]), len(head)
+                      *(x + (mag * r) * dirs for mag in MAGNITUDES)])
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +155,7 @@ class _Search:
         if alpha <= 1 or r <= 0:
             raise ValueError("alpha must exceed 1" if alpha <= 1 else "radius must be positive")
         if r not in self.lists:
-            U = _candidates(self.x, r, self.grads, self.hint, self.units, self.rng)[0]
+            U = _candidates(self.x, r, self.grads, self.hint, self.units, self.rng)
             self.lists[r] = U, np.empty(0)
         U, worst = self.lists[r]
         while not len(hits := np.flatnonzero(alpha * r + worst <= r + self.cfg.tolerance)):

@@ -5,8 +5,8 @@ F(p, x) = M(p) x + h(x) + H(x)  subset-of  C.
 ``merit_many`` is the one merit of the package: the excess of F(p, x)
 beyond C, optionally penalized by kappa * dist(x, R(p)), for every row of a
 batch (``merit`` is its one-row view).  It serves every problem object with
-``evaluate_many``, ``cone`` and ``constraint`` (SviProblem here, VopProblem
-in vopt); the solver also reads their ``ell``.
+``evaluate_many``, ``cone`` and ``constraint`` (SviProblem here, VopSpec
+in vopt); the solver also reads their ``ell`` and ``best_effort``.
 
 The catalog is deliberately narrow so that concavity and Lipschitz constants
 are declared and machine-checkable instead of inferred from arbitrary code.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
@@ -455,6 +455,9 @@ def is_all_space(constraint: ConstraintFamily) -> bool:
 @dataclass(frozen=True, eq=False)
 class SviProblem:
     """Full datum of a parameterized inclusion problem F(p, x) subset C."""
+
+    #: missing descent constants raise instead of falling back on floor ones
+    best_effort: ClassVar[bool] = False
 
     matrix: ParamMatrixFamily
     cone: PolyCone

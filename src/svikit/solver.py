@@ -10,7 +10,8 @@ Unconstrained runs descend the plain merit with k = alpha - 1.  Constrained
 runs descend the penalized merit  psi + kappa * dist(., R(p))  and dispatch
 by feasibility: infeasible iterates first try exact segment steps toward the
 projection (which trade distance for merit at a controlled rate), feasible
-ones take merit-descent steps.
+ones take merit-descent steps.  A best-effort problem kind (ideal
+efficiency) descends on floor constants where the theorem's are missing.
 """
 from __future__ import annotations
 
@@ -53,10 +54,6 @@ class SolverConfig:
     ``solve``).  ``alpha`` is the descent constant: above 1 without
     constraints, inside ((alpha_tilde - ell + 1)/2, alpha_tilde - ell) with
     them, ell being the problem's ``ell``; unset, ``solve`` picks one.
-    ``allow_uncertified`` makes a run best-effort: when the mandated
-    constants are missing (an empty interval, or a sampled alpha_tilde
-    without witnesses) it descends on floor constants, and its certificate
-    uses the actual acceptance constant.
     """
 
     alpha: Optional[float] = None
@@ -64,7 +61,6 @@ class SolverConfig:
     tol: float = 1e-8
     max_iters: int = 10_000
     rng_seed: int = 0
-    allow_uncertified: bool = False
 
 
 @dataclass(slots=True)
@@ -212,7 +208,7 @@ def segment_step(x, constraint, p: float, t: float) -> np.ndarray:
     return u
 
 
-def _descent_constants(alpha_tilde, alpha, ell, constrained, allow_uncertified):
+def _descent_constants(alpha_tilde, alpha, ell, constrained, best_effort):
     """(alpha, kappa, k, certified) of a run.  Unconstrained: alpha > 1, by
     default min(1.5, 0.9 alpha_tilde), or (1 + alpha_tilde)/2 when that is
     not above 1, and k = alpha - 1.  Constrained: alpha in the interval, by
@@ -237,7 +233,7 @@ def _descent_constants(alpha_tilde, alpha, ell, constrained, allow_uncertified):
                     f"alpha={alpha} outside the mandated interval ({lo_a}, {hi_a})")
             kappa = alpha_tilde - alpha
             return alpha, kappa, kappa - ell, True
-        if not allow_uncertified:
+        if not best_effort:
             raise DescentConstantsError(
                 f"empty alpha interval: the constrained theorem needs alpha_tilde > "
                 f"1 + ell = {1.0 + ell}, got alpha_tilde = {alpha_tilde}")
@@ -247,9 +243,10 @@ def _descent_constants(alpha_tilde, alpha, ell, constrained, allow_uncertified):
 def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveResult:
     """Run the descent to merit <= tol and certify the error bound.
 
-    ``problem`` needs ``evaluate_many(p, X)``, ``cone``, ``constraint`` and
-    ``ell`` (the Lipschitz budget of its perturbation terms); constrained
-    mode engages whenever the constraint is not the whole space.
+    ``problem`` needs ``evaluate_many(p, X)``, ``cone``, ``constraint``,
+    ``ell`` (the Lipschitz budget of its perturbation terms) and
+    ``best_effort``; constrained mode engages whenever the constraint is not
+    the whole space.
     alpha_tilde is ``cfg.alpha_tilde``, else the problem's
     ``declared_alpha``, else, when the constants need it, ``global_infimum``
     over six seeded non-solutions at p (in R(p) when constrained); a
@@ -279,10 +276,10 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
         try:
             alpha_tilde = global_infimum(problem, [p], 6, scfg).alpha
         except PropertyAbsent:
-            if not cfg.allow_uncertified:
+            if not problem.best_effort:
                 raise
     alpha, kappa, k_run, certified = _descent_constants(
-        alpha_tilde, cfg.alpha, ell, constrained, cfg.allow_uncertified)
+        alpha_tilde, cfg.alpha, ell, constrained, problem.best_effort)
 
     def psit(X):
         # reads kappa at call time: the back-off retry below reassigns it

@@ -2,15 +2,16 @@
 
 A feasible point is ideal when its objective value is dominated by every
 feasible value: f(p, R(p)) - f(p, x) lies in the ordering cone.  That set
-difference is itself a parameterized inclusion problem, so existence is
-decided by the same descent machinery, with the objective's cone-decrease
-bound playing the role of the increase constant.  The inclusion is checked
-at a few points of R(p) whose images decide it exactly: a polytope's
-vertices, the corners of a box, or the ends of a 1-D interval, with
-proj phi(p) for the deviation objective.  On a ball in n >= 2 (where the
-objective is affine) they are its centre and the argmins of the
-scalarizations w . f, one per facet row w of the cone: a point is ideal iff
-it minimizes every one of them.
+difference is itself a parameterized inclusion problem, and a ``VopSpec``
+is that problem: the solver, the sampled bounds and the oracle run on it
+as on an ``SviProblem``, with the objective's cone-decrease bound playing
+the role of the increase constant, and its runs are best-effort.  The
+inclusion is checked at a few points of R(p) whose images decide it
+exactly: a polytope's vertices, the corners of a box, or the ends of a 1-D
+interval, with proj phi(p) for the deviation objective.  On a ball in
+n >= 2 (where the objective is affine) they are its centre and the argmins
+of the scalarizations w . f, one per facet row w of the cone: a point is
+ideal iff it minimizes every one of them.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union
+from typing import ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
@@ -138,12 +139,19 @@ def objective_from_dict(d: dict) -> Objective:
 @dataclass(frozen=True, eq=False)
 class VopSpec:
     """Datum of the parametric vector optimization problem: minimize
-    f(p, x) over R(p) in the order induced by a pointed cone."""
+    f(p, x) over R(p) in the order induced by a pointed cone.  It is also
+    the inclusion problem of ideal efficiency: the map
+    x -> {f(p, s) - f(p, x) : s spanning R(p)} must land in the cone."""
+
+    #: a run descends on floor constants where the mandated ones are missing
+    best_effort: ClassVar[bool] = True
 
     objective: Objective
     constraint: ConstraintFamily
     cone: PolyCone
     objective_lipschitz: float
+    #: (key, points, values) of the span images of the last parameter asked
+    _span: tuple = field(default=(None,), init=False, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.objective_lipschitz) and self.objective_lipschitz >= 0):
@@ -163,6 +171,46 @@ class VopSpec:
                 "objective_lipschitz": float(self.objective_lipschitz),
                 "constraint": self.constraint.to_dict(),
                 "cone": {"generators": self.cone.generators.tolist()}}
+
+    @property
+    def ell(self) -> float:
+        """The objective's Lipschitz constant, the solver's ell."""
+        return self.objective_lipschitz
+
+    @property
+    def dim_in(self) -> int:
+        return self.objective.dim_in
+
+    def bound_map(self, p: float):
+        """The map whose increase bound the solver needs at p, x -> -f(p, x)
+        (the objective's decrease bound is its increase bound), and its
+        linear part -M(p) for a square affine objective, else None."""
+        obj = self.objective
+        M = None
+        if isinstance(obj, AffineFamily) and obj.dim_in == obj.dim_out:
+            M = -obj.matrix_at(p)
+        return (lambda x: VPolytope(-obj.value(p, x)[None, :])), M
+
+    def span_images(self, p: float):
+        """The points of R(p) that decide ideality (``span_points``) and
+        their objective values; those of the last parameter are kept."""
+        key = round(float(p), 12)
+        if self._span[0] != key:
+            pts = span_points(self, p)
+            object.__setattr__(self, "_span", (key, pts, self.objective.values_many(p, pts)))
+        return self._span[1:]
+
+    def evaluate(self, p: float, x) -> VPolytope:
+        return VPolytope(self.evaluate_many(p, np.asarray(x, dtype=float)[None])[0])
+
+    def evaluate_many(self, p: float, X) -> np.ndarray:
+        """Vertices {f(p, s) - f(p, x)} for every row x of X, shape (k, v, m)."""
+        X = _as_points(X, self.objective.dim_in)
+        return self.span_images(p)[1][None] - self.objective.values_many(p, X)[:, None]
+
+
+#: the benchmark still traces ``vopt.VopProblem.evaluate``
+VopProblem = VopSpec
 
 
 def vop_spec_from_dict(d: dict) -> VopSpec:
@@ -208,70 +256,6 @@ def span_points(spec: VopSpec, p: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the built inclusion problem
-# ---------------------------------------------------------------------------
-
-@dataclass(eq=False)
-class VopProblem:
-    """Inclusion-problem view of ideal efficiency: the map
-    x -> {f(p, s) - f(p, x) : s spanning R(p)} must land in the cone."""
-
-    spec: VopSpec
-    _image_cache: dict = field(default_factory=dict)
-
-    @property
-    def cone(self) -> PolyCone:
-        return self.spec.cone
-
-    @property
-    def ell(self) -> float:
-        """The objective's Lipschitz constant, the solver's ell."""
-        return self.spec.objective_lipschitz
-
-    @property
-    def constraint(self) -> ConstraintFamily:
-        return self.spec.constraint
-
-    @property
-    def dim_in(self) -> int:
-        return self.spec.objective.dim_in
-
-    def bound_map(self, p: float):
-        """The map whose increase bound the solver needs at p, x -> -f(p, x)
-        (the objective's decrease bound is its increase bound), and its
-        linear part -M(p) for a square affine objective, else None."""
-        obj = self.spec.objective
-        M = None
-        if isinstance(obj, AffineFamily) and obj.dim_in == obj.dim_out:
-            M = -obj.matrix_at(p)
-        return (lambda x: VPolytope(-obj.value(p, x)[None, :])), M
-
-    def feasible_samples(self, p: float) -> np.ndarray:
-        return self._cached(p)[0]
-
-    def image_values(self, p: float) -> np.ndarray:
-        return self._cached(p)[1]
-
-    def _cached(self, p: float):
-        key = round(float(p), 12)
-        if key not in self._image_cache:
-            pts = span_points(self.spec, p)
-            self._image_cache[key] = (pts, self.spec.objective.values_many(p, pts))
-        return self._image_cache[key]
-
-    def evaluate(self, p: float, x) -> VPolytope:
-        return VPolytope(self.evaluate_many(p, np.asarray(x, dtype=float)[None])[0])
-
-    def evaluate_many(self, p: float, X) -> np.ndarray:
-        """Vertices {f(p, s) - f(p, x)} for every row x of X, shape (k, v, m)."""
-        X = _as_points(X, self.spec.objective.dim_in)
-        return self.image_values(p)[None] - self.spec.objective.values_many(p, X)[:, None]
-
-    def to_dict(self) -> dict:
-        return self.spec.to_dict()
-
-
-# ---------------------------------------------------------------------------
 # solving and the brute-force oracle
 # ---------------------------------------------------------------------------
 
@@ -305,9 +289,9 @@ class IdealResult:
 
 
 def solve_ideal(spec: VopSpec, p: float, x0, cfg: Optional[SolverConfig] = None) -> IdealResult:
-    """Run the constrained descent on the built inclusion problem, then the
-    exact oracle (``brute_force_ideal``) once; every result keeps the
-    oracle's, which decides every run that ends unsolved.
+    """Run the exact oracle (``brute_force_ideal``) once, then the
+    constrained descent on the spec; every result keeps the oracle's, which
+    decides every run that ends unsolved.
 
     The status is FOUND when the descent converges (merit at most
     ``cfg.tol``) at a feasible point.  Otherwise it is the oracle's:
@@ -319,19 +303,16 @@ def solve_ideal(spec: VopSpec, p: float, x0, cfg: Optional[SolverConfig] = None)
     alpha_tilde, the objective's global decrease bound, is resolved by the
     solver as for an inclusion: ``cfg.alpha_tilde`` when set, else the
     least sampled bound of -f over non-ideal points at p
-    (``global_infimum``).  The run is best-effort: when the mandated alpha
-    interval is empty (the Lipschitz budget is too large, which
-    legitimately happens) or no sampled point has witnesses, it descends
-    on floor constants with an uncertified certificate.
+    (``global_infimum``).  The run is best-effort (``VopSpec.best_effort``):
+    when the mandated alpha interval is empty (the Lipschitz budget is too
+    large, which legitimately happens) or no sampled point has witnesses,
+    it descends on floor constants with an uncertified certificate.
     """
     cfg = cfg or SolverConfig()
-    prob = VopProblem(spec)
-    prob.feasible_samples(p)  # rejects data that does not cover p before any estimate
-    run_cfg = replace(cfg, allow_uncertified=True)
-    res = solve(prob, p, x0, run_cfg)
+    oracle = brute_force_ideal(spec, p)  # rejects data that does not cover p before any estimate
+    res = solve(spec, p, x0, cfg)
     x = res.x_final
-    oracle = brute_force_ideal(spec, p)
-    if res.stop == "converged" and spec.constraint.project(x, p)[1] <= max(run_cfg.tol, 1e-7):
+    if res.stop == "converged" and spec.constraint.project(x, p)[1] <= max(cfg.tol, 1e-7):
         return IdealResult(status=FOUND, x=x, value=spec.objective.value(p, x),
                            merit_final=res.merit_final, solve_result=res, oracle=oracle)
     return IdealResult(status=NOT_FOUND if oracle.is_ideal else CERTIFIED_EMPTY, x=x,
@@ -340,19 +321,17 @@ def solve_ideal(spec: VopSpec, p: float, x0, cfg: Optional[SolverConfig] = None)
 
 def brute_force_ideal(spec: VopSpec, p: float) -> OracleResult:
     """Exact oracle for ideal efficiency: one batched merit over the points
-    that decide ideality (``span_points``); the first within ORACLE_TOL is
-    returned.
+    that decide ideality (``VopSpec.span_images``); the first within
+    ORACLE_TOL is returned.
     An affine objective's ideal set is the intersection of the argmin sets of
     the scalarizations w . f, so it holds a polytope or box vertex, or one
     ball argmin (the whole ball when f is constant), when nonempty; the
     deviation objective's images lie on a segment spanned by the points."""
-    prob = VopProblem(spec)
-    pts = prob.feasible_samples(p)
-    hits = np.flatnonzero(merit_many(prob, p, pts) <= ORACLE_TOL)
+    pts, values = spec.span_images(p)
+    hits = np.flatnonzero(merit_many(spec, p, pts) <= ORACLE_TOL)
     if hits.size:
         i = int(hits[0])
-        return OracleResult(status="ideal", x=np.array(pts[i], float),
-                            value=prob.image_values(p)[i])
+        return OracleResult(status="ideal", x=np.array(pts[i], float), value=values[i].copy())
     return OracleResult(status="empty")
 
 
@@ -366,7 +345,7 @@ def ideal_value_sweep(spec: VopSpec, grid: Sequence[float], x_init,
     solution sets; they record the last iterate and its merit, and the next
     row starts where the last solved one ended.  Every row runs at one
     decrease bound: ``alpha_under``, else ``cfg.alpha_tilde``, else
-    ``global_infimum`` of the built problem over the grid's first and middle
+    ``global_infimum`` of the spec over the grid's first and middle
     values.  When no sampled point has witnesses the rows share no bound:
     each resolves its own, descending on floor constants where it finds
     none, and ``meta["alpha_under"]`` is nan.  ``meta["statuses"]`` holds one
@@ -382,7 +361,7 @@ def ideal_value_sweep(spec: VopSpec, grid: Sequence[float], x_init,
         mid = grid[len(grid) // 2]
         scfg = SamplingConfig(bracket_rtol=0.05, seed=cfg.rng_seed)
         try:
-            alpha_under = global_infimum(VopProblem(spec), [grid[0], mid], 4, scfg).alpha
+            alpha_under = global_infimum(spec, [grid[0], mid], 4, scfg).alpha
         except PropertyAbsent:  # the rows share no bound
             alpha_under = math.nan
     row_cfg = replace(cfg, alpha_tilde=None if math.isnan(alpha_under) else float(alpha_under))

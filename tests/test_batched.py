@@ -18,7 +18,7 @@ from svikit.setmaps import (Ball, MatrixTable, SviProblem, _Knots, evaluate,
                             merit, merit_many)
 from svikit import solver
 from svikit.solver import SolverConfig, caristi_step, segment_step
-from svikit.vopt import VopProblem
+from svikit.vopt import VopSpec
 
 P = 0.7
 
@@ -30,8 +30,8 @@ def _problems():
     ps = [0.0, 1.0, 7.0]
     probs["knotted ball"] = rotation_inclusion_problem(constraint=Ball(
         _Knots(ps, [[0.0, 0.0], [0.5, -1.0], [1.0, 1.0]]), _Knots(ps, [1.0, 0.25, 2.0])))
-    probs["triangle"] = VopProblem(triangle_vop_spec(clockwise=True))
-    probs["deviation"] = VopProblem(deviation_vop_spec([0.0, 1.0, -0.5], [0.0, 1.0, 2.0]))
+    probs["triangle"] = triangle_vop_spec(clockwise=True)
+    probs["deviation"] = deviation_vop_spec([0.0, 1.0, -0.5], [0.0, 1.0, 2.0])
     return probs
 
 
@@ -41,11 +41,11 @@ PROBLEMS = _problems()
 def _scalar_merit(prob, p, x, kappa):
     """The merit computed one point at a time, as the library did before it
     had a batched path."""
-    if isinstance(prob, VopProblem):
-        obj = prob.spec.objective
+    if isinstance(prob, VopSpec):
+        obj = prob.objective
         fx = (obj.matrix_at(p) @ x if hasattr(obj, "matrix_at")
               else np.full(obj.dim_out, abs(float(x[0]) - obj.phi(p))))
-        verts = prob.image_values(p) - fx
+        verts = prob.span_images(p)[1] - fx
     else:
         verts = prob.matrix.matrix_at(p) @ x
         if prob.h is not None:
@@ -59,7 +59,7 @@ def _scalar_merit(prob, p, x, kappa):
 
 
 def _points(prob, size, seed):
-    n = prob.spec.objective.dim_in if isinstance(prob, VopProblem) else prob.dim_in
+    n = prob.dim_in
     return np.random.default_rng(seed).uniform(-3.0, 3.0, size=(size, n))
 
 

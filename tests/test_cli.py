@@ -112,6 +112,8 @@ def test_usage_errors(problem_files, tmp_path, capsys):
                  "--grid", "nonsense", "--x0", "0,0"]) == 1
     assert main(["solve", "--problem", problem_files["triangle"],
                  "--p", "0", "--x0", "0,0"]) == 1  # wrong problem kind
+    assert main(["solve", "--problem", str(tmp_path),
+                 "--p", "0", "--x0", "0,0"]) == 1  # a directory, not a problem file
     assert main(["vopt", "--problem", problem_files["rotation"],
                  "--p", "0", "--x0", "0,0"]) == 1
     # malformed grids, points and counts are usage errors, not internal ones

@@ -9,17 +9,16 @@ import pytest
 
 import sphere_reference
 from conftest import random_pointed_cone
-from svikit import geometry
+from svikit import geometry, solver
 from svikit.cli import main
 from svikit.geometry import PolyCone, SumSet, VPolytope, dist_many, orthant, project_dist
 from svikit.increase import PropertyAbsent
 from svikit.problems import write_problem_file
 from svikit.setmaps import (AbsComponent, AllSpace, Ball, Box, ConcaveTerm, MatrixTable,
                             PolytopeSet, SviProblem, _Knots, merit)
-from svikit.solver import MIN_DESCENT, SolverConfig, caristi_step, solve
+from svikit.solver import MIN_DESCENT, SolverConfig, solve
 from svikit.vopt import (CERTIFIED_EMPTY, FOUND, NOT_FOUND, AbsDeviation, AffineFamily,
-                         VopProblem, VopSpec, brute_force_ideal, ideal_value_sweep,
-                         solve_ideal)
+                         VopSpec, brute_force_ideal, ideal_value_sweep, solve_ideal)
 
 KNOTS = (0.0, 0.5, 1.0)
 
@@ -86,7 +85,7 @@ def test_unsolved_ideal_runs_take_the_exact_oracles_verdict():
         assert res.oracle.status == oracle.status
         if res.status == FOUND:
             assert res.solve_result.stop == "converged"
-            assert merit(VopProblem(spec), p, res.x) <= cfg.tol
+            assert merit(spec, p, res.x) <= cfg.tol
             assert spec.constraint.project(res.x, p)[1] <= 1e-7
             found_oracle_empty += not oracle.is_ideal
             continue
@@ -117,7 +116,7 @@ def test_sampled_alpha_tilde_without_witnesses_leaves_the_verdict_to_the_oracle(
             assert (res.status == CERTIFIED_EMPTY) == (not oracle.is_ideal)
         if i in (4, 8):
             assert res.status == CERTIFIED_EMPTY and not np.array_equal(res.x, x0)
-            assert res.merit_final < merit(VopProblem(spec), p, x0, kappa=1.0)
+            assert res.merit_final < merit(spec, p, x0, kappa=1.0)
         if i == 5 and p < KNOTS[-1]:
             run = res.solve_result
             assert res.status == FOUND and not run.caristi_certified
@@ -136,29 +135,22 @@ def test_sampled_alpha_tilde_without_witnesses_leaves_the_verdict_to_the_oracle(
 
 
 def test_an_inclusion_without_witnesses_runs_on_floor_constants_only_when_best_effort(
-        tmp_path, monkeypatch):
+        tmp_path):
     # a constant map outside the cone, F(p, x) = {(-1, -1)}: no point has
     # witnesses, so the sampled alpha_tilde raises PropertyAbsent, and svi
     # solve reports a solver failure
     problem = SviProblem(matrix=MatrixTable(np.zeros((2, 2))), cone=orthant(2),
                          h=ConcaveTerm((AbsComponent(-1.0), AbsComponent(-1.0))))
+    assert not problem.best_effort  # an inclusion is never best-effort
     with pytest.raises(PropertyAbsent):
         solve(problem, 0.0, [0.0, 0.0])
     path = tmp_path / "outside.json"
     write_problem_file(path, problem)
     assert main(["solve", "--problem", str(path), "--p", "0", "--x0", "0,0"]) == 2
-    # a best-effort run descends at k = MIN_DESCENT, then at half of it
-    ks = []
-
-    def step(merit_fn, x, descent_k, *args, **kwargs):
-        ks.append(descent_k)
-        return caristi_step(merit_fn, x, descent_k, *args, **kwargs)
-
-    monkeypatch.setattr("svikit.solver.caristi_step", step)
-    res = solve(problem, 0.0, [0.0, 0.0], SolverConfig(allow_uncertified=True))
-    assert res.stop == "no_step" and np.array_equal(res.x_final, [0.0, 0.0])
-    assert ks == [MIN_DESCENT, 0.5 * MIN_DESCENT]
-    assert res.merit_final == merit(problem, 0.0, [0.0, 0.0]) == pytest.approx(math.sqrt(2))
+    # a best-effort unconstrained run without alpha_tilde takes floor
+    # constants: alpha nan, kappa 0 and k = MIN_DESCENT
+    alpha, *rest = solver._descent_constants(None, None, problem.ell, False, True)
+    assert math.isnan(alpha) and rest == [0.0, MIN_DESCENT, False]
 
 
 def _sphere_sets(rng: np.random.Generator):

@@ -67,8 +67,7 @@ def reference_check(map_at, cone, x, alpha, r, cfg, hints):
     target = SumSet(map_at(x), cone)
     rng = increase._stable_seed(cfg.seed, None, x)
     grads = increase._gradients(map_at, target, cone, x)
-    U, _ = increase._candidates(x, r, grads, hints, unit_directions(len(x), cfg.directions),
-                                rng)
+    U = increase._candidates(x, r, grads, hints, unit_directions(len(x), cfg.directions), rng)
     for u in U:
         if np.linalg.norm(u - x) <= 1e-15:
             continue
@@ -135,12 +134,12 @@ def test_gradient_heuristics_match_one_stencil_per_heuristic():
             n = float(np.linalg.norm(g))
             if n > 1e-14:
                 want.append(x - (r / n) * g)
-        cfg = SamplingConfig()
-        U, head = increase._candidates(
-            x, r, increase._gradients(map_at, target, cone, x), None,
-            unit_directions(len(x), cfg.directions), np.random.default_rng(0))
-        assert head == len(want), seed  # without a hint the head is the gradient steps
-        assert np.allclose(U[:head], want, rtol=0, atol=1e-9), seed
+        cfg, grads = SamplingConfig(), increase._gradients(map_at, target, cone, x)
+        U = increase._candidates(x, r, grads, None, unit_directions(len(x), cfg.directions),
+                                 np.random.default_rng(0))
+        # without a hint the head is the gradient steps
+        assert len(grads) == len(want), seed
+        assert np.allclose(U[:len(grads)], want, rtol=0, atol=1e-9), seed
 
 
 def reference_bracket(map_at, cone, x, cfg, hints, p):
@@ -239,7 +238,7 @@ def test_estimate_bound_evaluates_the_shared_points_once(plane_orthant):
     rng, units = increase._stable_seed(cfg.seed, None, x), unit_directions(2, cfg.directions)
     lists = collections.Counter(
         u.tobytes() for r in increase.QUALIFYING_RADII
-        for u in increase._candidates(x, r, grads, hints, units, rng)[0])
+        for u in increase._candidates(x, r, grads, hints, units, rng))
     assert all(calls[u] <= lists[u] for u in calls if u not in shared)
 
 
@@ -295,8 +294,8 @@ def test_check_increase_images_no_candidate_past_the_witness_block(rotation_prob
 
     u = check_increase(counted, rotation_problem.cone, x, alpha, r, cfg, hints=hints)
     grads = increase._gradients(g, SumSet(g(x), rotation_problem.cone), rotation_problem.cone, x)
-    U, _ = increase._candidates(x, r, grads, hints, unit_directions(2, cfg.directions),
-                                increase._stable_seed(cfg.seed, None, x))
+    U = increase._candidates(x, r, grads, hints, unit_directions(2, cfg.directions),
+                             increase._stable_seed(cfg.seed, None, x))
     assert len(U) > 150
     imaged = [i for i, c in enumerate(U) if c.tobytes() in seen]
     assert [i for i, c in enumerate(U) if np.array_equal(c, u)] == [11]

@@ -11,7 +11,6 @@ from svikit.setmaps import (Ball, Box, ConcaveTerm, AbsComponent, MatrixTable,
                             rotation_matrix)
 from svikit.solver import (AlreadyFeasible, SolverConfig, StepOutcome, caristi_step,
                            segment_step, solve)
-from svikit.vopt import VopProblem
 
 SQRT2 = math.sqrt(2.0)
 
@@ -283,7 +282,7 @@ def test_back_off_halves_k_on_floor_constants(triangle_spec, monkeypatch):
     # alpha_tilde = 1 + 1/sqrt2 leaves the constrained interval empty for
     # ell = 1: a best-effort run descends uncertified at k = MIN_DESCENT
     ks = _first_step_fails(monkeypatch)
-    cfg = SolverConfig(alpha_tilde=1.0 + 1.0 / SQRT2, allow_uncertified=True)
-    res = solve(VopProblem(triangle_spec), 0.0, [0.3, 0.3], cfg)
+    cfg = SolverConfig(alpha_tilde=1.0 + 1.0 / SQRT2)
+    res = solve(triangle_spec, 0.0, [0.3, 0.3], cfg)
     _assert_one_back_off(res, ks, 0.05)
     assert res.kappa == 1.0 and math.isnan(res.alpha_used) and not res.caristi_certified

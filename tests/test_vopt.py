@@ -20,8 +20,8 @@ from svikit.setmaps import (AllSpace, Ball, Box, KnotRangeError, MatrixTable,
                             rotation_matrix)
 from svikit.solver import SolverConfig, solve
 from svikit.vopt import (CERTIFIED_EMPTY, FOUND, NOT_FOUND, AbsDeviation, AffineFamily,
-                         UnsupportedCombination, VopProblem, VopSpec,
-                         brute_force_ideal, ideal_value_sweep, solve_ideal)
+                         UnsupportedCombination, VopSpec, brute_force_ideal,
+                         ideal_value_sweep, solve_ideal)
 
 SQRT2 = math.sqrt(2.0)
 DEC_TRIANGLE = 1.0 / SQRT2 + 1.0
@@ -75,32 +75,29 @@ def test_orientation_resolution_against_the_schedule():
 
 
 def test_build_vop_problem_triangle_vertex_images(triangle_spec):
-    prob = VopProblem(triangle_spec)
-    vp = prob.evaluate(0.0, [0.0, 0.0])
+    vp = triangle_spec.evaluate(0.0, [0.0, 0.0])
     got = sorted(map(tuple, np.round(vp.vertices, 12).tolist()))
     # at p = 0 the objective is the identity: images of the three vertices
     assert got == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]
-    assert merit(prob, 0.0, [0.0, 0.0]) == 0.0
+    assert merit(triangle_spec, 0.0, [0.0, 0.0]) == 0.0
 
 
 def test_build_vop_problem_deviation_contains_minimizer():
     spec = deviation_vop_spec([0.0, 0.0], [0.0, 1.0])
-    prob = VopProblem(spec)  # spanned over [-1, 1], phi's range widened by one
-    vp = prob.evaluate(0.0, [0.0])
+    vp = spec.evaluate(0.0, [0.0])  # spanned over [-1, 1], phi's range widened by one
     assert np.all(vp.vertices >= -1e-12)  # x = phi(p) is ideal
-    assert merit(prob, 0.0, [0.0]) <= 1e-12
-    assert merit(prob, 0.0, [0.3]) > 0.1
+    assert merit(spec, 0.0, [0.0]) <= 1e-12
+    assert merit(spec, 0.0, [0.3]) > 0.1
 
 
 def test_build_vop_problem_affine_box_identity():
     spec = VopSpec(objective=AffineFamily(MatrixTable(np.eye(2))),
                    constraint=Box(lower=[0.0, 0.0], upper=[1.0, 1.0]),
                    cone=orthant(2), objective_lipschitz=1.0)
-    prob = VopProblem(spec)
-    vp = prob.evaluate(0.0, [0.0, 0.0])
+    vp = spec.evaluate(0.0, [0.0, 0.0])
     assert sorted(map(tuple, vp.vertices.tolist())) == [
         (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
-    assert merit(prob, 0.0, [0.0, 0.0]) == 0.0
+    assert merit(spec, 0.0, [0.0, 0.0]) == 0.0
 
 
 def test_build_vop_problem_rejects_unbounded_affine_image():
@@ -156,7 +153,7 @@ def test_solve_ideal_reads_ell_from_the_objective(triangle_spec):
     for ell in (0.5, 1.0):
         spec = VopSpec(triangle_spec.objective, triangle_spec.constraint,
                        triangle_spec.cone, objective_lipschitz=ell)
-        assert VopProblem(spec).ell == ell
+        assert spec.ell == ell
         res = solve_ideal(spec, 0.0, [0.3, 0.3],
                           SolverConfig(rng_seed=0, alpha_tilde=DEC_TRIANGLE))
         assert res.status == FOUND
@@ -261,6 +258,24 @@ def test_oracle_point_is_a_writable_copy(triangle_spec):
     res = brute_force_ideal(triangle_spec, 0.0)
     assert res.is_ideal and res.x.flags.writeable
     assert not np.shares_memory(res.x, triangle_spec.constraint.polytope.vertices)
+    assert not np.shares_memory(res.value, triangle_spec.span_images(0.0)[1])
+
+
+def test_each_ideal_run_computes_its_span_images_once(monkeypatch):
+    # the oracle and the descent share the span images at p, which the spec
+    # keeps: a fresh spec, so that none are kept from an earlier test
+    spec, calls = triangle_vop_spec(clockwise=True), []
+    span_points = vopt.span_points
+
+    def counting(spec_, p):
+        calls.append(p)
+        return span_points(spec_, p)
+
+    monkeypatch.setattr(vopt, "span_points", counting)
+    res = solve_ideal(spec, 0.0, [0.3, 0.3], SolverConfig(rng_seed=0, alpha_tilde=DEC_TRIANGLE))
+    assert res.status == FOUND and calls == [0.0]
+    ideal_value_sweep(spec, [0.5, 1.0, 1.5], [0.3, 0.3], alpha_under=DEC_TRIANGLE)
+    assert calls == [0.0, 0.5, 1.0, 1.5]
 
 
 def test_empty_triangle_row_is_certified_on_the_vertices(triangle_spec, monkeypatch):
@@ -454,7 +469,7 @@ def test_ideal_value_sweep_triangle_plateau(triangle_spec):
 
 
 def test_decrease_infimum_triangle(triangle_spec):
-    res = global_infimum(VopProblem(triangle_spec), [0.3, 2.0], 4)
+    res = global_infimum(triangle_spec, [0.3, 2.0], 4)
     assert abs(res.alpha - DEC_TRIANGLE) <= 0.05
 
 
@@ -467,10 +482,9 @@ def test_global_infimum_of_the_built_problem_brackets_the_decrease_bound(make_sp
     spec = make_spec()
     obj = spec.objective
     cfg = SamplingConfig(bracket_rtol=0.05, seed=3)
-    problem = VopProblem(spec)
-    res = global_infimum(problem, [0.3, 2.0], 4, cfg)
+    res = global_infimum(spec, [0.3, 2.0], 4, cfg)
     refs = []
-    for p, x in nonsolution_pairs(problem, [0.3, 2.0], 4, cfg):
+    for p, x in nonsolution_pairs(spec, [0.3, 2.0], 4, cfg):
         hints = (hints_for_matrix(-obj.matrix_at(p), spec.cone)
                  if isinstance(obj, AffineFamily) else None)
         try:
@@ -493,10 +507,10 @@ def test_global_infimum_raises_only_when_every_sample_lacks_witnesses():
     spec = sine_deviation_spec(65)
     phi = spec.objective.phi(1.0)
     near, far = [phi + 1e-3], [phi + 1.0]  # the probe misses the witnesses near phi
-    res = global_infimum(VopProblem(spec), [1.0], [near, far])
+    res = global_infimum(spec, [1.0], [near, far])
     assert len(res.estimates) == 1 and res.estimates[0][1][0] == far[0]
     with pytest.raises(PropertyAbsent, match="any of the 1 sampled non-solutions"):
-        global_infimum(VopProblem(spec), [1.0], [near])
+        global_infimum(spec, [1.0], [near])
 
 
 def test_capped_ideal_rows_keep_the_last_iterate(triangle_spec):
@@ -505,9 +519,9 @@ def test_capped_ideal_rows_keep_the_last_iterate(triangle_spec):
     cfg = SolverConfig(tol=1e-16, max_iters=1)
     table = ideal_value_sweep(triangle_spec, [0.0, 0.1], [0.3, 0.3], cfg,
                               alpha_under=DEC_TRIANGLE)
-    run_cfg = replace(cfg, alpha_tilde=DEC_TRIANGLE, allow_uncertified=True)
+    run_cfg = replace(cfg, alpha_tilde=DEC_TRIANGLE)
     for row in table.rows:
-        run = solve(VopProblem(triangle_spec), row.p, [0.3, 0.3], run_cfg)
+        run = solve(triangle_spec, row.p, [0.3, 0.3], run_cfg)
         assert run.stop == "max_iters"
         assert not row.solved and np.array_equal(row.warm_start, [0.3, 0.3])
         assert np.array_equal(row.x, run.x_final) and not np.array_equal(row.x, [0.3, 0.3])
@@ -523,8 +537,7 @@ def test_ideal_value_single_valuedness():
                                                                    [1.0, 0.0]]))),
                    constraint=Box(lower=[0.0, 0.0], upper=[1.0, 1.0]),
                    cone=orthant(2), objective_lipschitz=1.0)
-    prob = VopProblem(spec)
-    ideal_xs = [x for x in prob.feasible_samples(0.0) if merit(prob, 0.0, x) <= 1e-9]
+    ideal_xs = [x for x in spec.span_images(0.0)[0] if merit(spec, 0.0, x) <= 1e-9]
     assert len(ideal_xs) > 1
     vals = np.asarray([spec.objective.value(0.0, x) for x in ideal_xs])
     assert np.max(np.linalg.norm(vals - vals[0], axis=1)) <= 1e-9
@@ -532,15 +545,14 @@ def test_ideal_value_single_valuedness():
 
 def test_vop_map_concavity_inclusion(triangle_spec):
     # the built set map satisfies the cone-concavity inclusion on random triples
-    prob = VopProblem(triangle_spec)
     cone = triangle_spec.cone
     rng = np.random.default_rng(4)
     for _ in range(40):
         x1, x2 = rng.uniform(-2, 2, size=(2, 2))
         t = rng.uniform()
-        mid = prob.evaluate(1.0, t * x1 + (1 - t) * x2)
-        v1 = t * prob.evaluate(1.0, x1).vertices
-        v2 = (1 - t) * prob.evaluate(1.0, x2).vertices
+        mid = triangle_spec.evaluate(1.0, t * x1 + (1 - t) * x2)
+        v1 = t * triangle_spec.evaluate(1.0, x1).vertices
+        v2 = (1 - t) * triangle_spec.evaluate(1.0, x2).vertices
         hull = VPolytope(np.array([a + b for a in v1 for b in v2]))
         target = SumSet(hull, cone)
         for w in mid.vertices:
