@@ -12,6 +12,7 @@ kernel (``_ldp_project``): the least-distance problem (LDP) solved as one
 Lawson-Hanson NNLS (LH ch. 23), which reports its KKT residual.  The face
 table also yields facet rows (``_facets``), whose least slack is a point's
 depth, and with it the sup of the distance over a ball (``_sphere_max``).
+Public functions check their points; ``PolyCone._distances`` trusts its caller.
 """
 from __future__ import annotations
 
@@ -395,15 +396,19 @@ class PolyCone:
 
     def distances(self, points: np.ndarray) -> np.ndarray:
         """Exact Euclidean distances of many points to the cone (vectorized)."""
-        pts = _as_points(points, self.dim)
-        if getattr(self, "_orthant"):
-            return np.linalg.norm(np.minimum(pts, 0.0), axis=1)
+        return self._distances(_as_points(points, self.dim))
+
+    def _distances(self, pts: np.ndarray) -> np.ndarray:
+        """``distances`` of rows already checked: finite, of the cone's dimension."""
+        if getattr(self, "_orthant"):  # the norm of the negative part, as np.linalg.norm
+            r = np.minimum(pts, 0.0)
+            return np.sqrt(np.add.reduce(r * r, axis=1))
         return _nearest(self, np.zeros((1, self.dim)), self.generators, pts)[1]
 
     def project(self, y: np.ndarray) -> tuple[np.ndarray, float]:
         y = as_vector(y, self.dim)
         if getattr(self, "_orthant"):  # the distance in the form of ``distances``
-            return np.maximum(y, 0.0), float(self.distances(y[None, :])[0])
+            return np.maximum(y, 0.0), float(self._distances(y[None, :])[0])
         proj, d = _nearest(self, np.zeros((1, self.dim)), self.generators, y[None, :])
         return proj[0], float(d[0])
 
@@ -512,7 +517,7 @@ def dist_many(points: np.ndarray, S: SetLike) -> np.ndarray:
     if base.shape[0] == 1:
         if ss.cone is None:
             return row_norms(pts - base[0])  # as project_dist, bit for bit
-        return ss.cone.distances(pts - base[0])
+        return ss.cone._distances(pts - base[0])
     owner, base, gens, _ = _table_for(ss)
     return _nearest(owner, base, gens, pts)[1]
 

@@ -144,6 +144,7 @@ class _Search:
         self.grads = _gradients(map_at, self.target, cone, x)
         self.units = unit_directions(len(x), cfg.directions)
         self.lists = {}  # radius -> (candidates, worst depths of the imaged prefix)
+        self.images = {}  # candidate bytes -> vertices; x + r d / 2 at 0.25 is x + r d at 0.125
 
     def witness(self, alpha: float, r: float) -> Optional[np.ndarray]:
         """The first candidate at radius r with alpha*r + worst <= r + tolerance,
@@ -163,7 +164,10 @@ class _Search:
                 return None
             block = U[len(worst):2 * len(worst) + 8]
             keep = row_norms(block - self.x) > 1e-15
-            images = [self.map_at(u).vertices for u in block[keep]]
+            keys = [u.tobytes() for u in block[keep]]
+            self.images.update({k: self.map_at(u).vertices
+                                for k, u in zip(keys, block[keep]) if k not in self.images})
+            images = [self.images[k] for k in keys]
             depth = np.full(len(block), np.inf)
             if images:
                 verts = np.vstack(images)

@@ -25,6 +25,10 @@ from .solver import SolverConfig, solve
 
 #: bisection steps decided per batch: 2^d - 1 midpoints in one merit call
 _TREE_DEPTH = 5
+#: per tree node, in level order, its interval's ends as positions in [lo, hi, nodes...]
+_TREE_ENDS = [(0, 1)]
+for _i in range(2 ** (_TREE_DEPTH - 1) - 1):  # node i, at i + 2: its children halve it
+    _TREE_ENDS += [(_TREE_ENDS[_i][0], _i + 2), (_i + 2, _TREE_ENDS[_i][1])]
 
 
 class TooFewRows(ValueError):
@@ -88,18 +92,12 @@ def _bisect(holds_many, lo: float, hi: float, iters: int) -> float:
     step-by-step loop's for any predicate."""
     while iters > 0:
         depth = min(_TREE_DEPTH, iters)
-        # level order: node i has children 2i + 1 (below it) and 2i + 2
-        bounds, mids = [(lo, hi)], []
-        for _ in range(depth):
-            level = [0.5 * (a + b) for a, b in bounds]
-            mids += level
-            bounds = [ab for (a, b), m in zip(bounds, level) for ab in ((a, m), (m, b))]
-        holds, i = holds_many(np.array(mids)), 0
-        for _ in range(depth):
-            if holds[i]:
-                hi, i = mids[i], 2 * i + 1
-            else:
-                lo, i = mids[i], 2 * i + 2
+        nodes = [lo, hi]
+        for a, b in _TREE_ENDS[:2 ** depth - 1]:
+            nodes.append(0.5 * (nodes[a] + nodes[b]))
+        holds, j = holds_many(np.array(nodes[2:])), 2
+        for _ in range(depth):  # the node at j has children at 2j - 1 (below it) and 2j
+            lo, hi, j = (lo, nodes[j], 2 * j - 1) if holds[j - 2] else (nodes[j], hi, 2 * j)
         iters -= depth
     return hi
 

@@ -5,8 +5,9 @@ F(p, x) = M(p) x + h(x) + H(x)  subset-of  C.
 ``merit_many`` is the one merit of the package: the excess of F(p, x)
 beyond C, optionally penalized by kappa * dist(x, R(p)), for every row of a
 batch (``merit`` is its one-row view).  It serves every problem object with
-``evaluate_many``, ``cone`` and ``constraint`` (SviProblem here, VopSpec
-in vopt); the solver also reads their ``ell`` and ``best_effort``.
+``evaluate_many`` (it checks the batch; M(p) is built once per parameter),
+``cone`` and ``constraint`` (SviProblem here, VopSpec in vopt), and checks
+the computed vertices once; the solver also reads ``ell`` and ``best_effort``.
 
 The catalog is deliberately narrow so that concavity and Lipschitz constants
 are declared and machine-checkable instead of inferred from arbitrary code.
@@ -40,7 +41,7 @@ class _Knots:
 
     def __init__(self, ps, values):
         self.ps = None if ps is None else np.asarray(ps, dtype=float)
-        self.values = np.asarray(values, dtype=float)
+        self.values = np.array(values, dtype=float)  # a copy: a constant M(p) is kept read-only
         if not np.all(np.isfinite(self.values)):
             raise ValueError("p-dependent data and knot tables must be finite")
         if ps is None:
@@ -113,6 +114,16 @@ def read_data(d: dict, *names: str, key: str = "knots") -> tuple:
     return tuple(_Knots(ps, [row[name] for row in d[key]]) for name in names)
 
 
+def _last_at(owner, p: float, build) -> np.ndarray:
+    """``build()``, the value at p, for the last p asked, kept read-only on ``owner``
+    and keyed by p's value, type and sign (M(0) and M(-0.0) can differ in a signed zero)."""
+    key, last = (p, type(p), math.copysign(1.0, p)), vars(owner).get("_last", (None,))
+    if last[0] != key:
+        object.__setattr__(owner, "_last", last := (key, build()))
+        last[1].flags.writeable = False
+    return last[1]
+
+
 def rotation_matrix(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s], [s, c]])
@@ -134,7 +145,7 @@ class RotationScaled:
             raise ValueError("rotation scale must be finite")
 
     def matrix_at(self, p: float) -> np.ndarray:
-        return self.scale * rotation_matrix(-p if self.clockwise else p)
+        return _last_at(self, p, lambda: self.scale * rotation_matrix(-p if self.clockwise else p))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -159,7 +170,7 @@ class MatrixTable:
         object.__setattr__(self, "matrix", M)
 
     def matrix_at(self, p: float) -> np.ndarray:
-        return self.matrix.at(p)
+        return _last_at(self, p, lambda: self.matrix.at(p))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -556,16 +567,19 @@ def merit_many(problem, p: float, X, kappa: float = 0.0) -> np.ndarray:
     """Excess of F(p, x) beyond the cone, plus kappa * dist(x, R(p)) when
     kappa > 0 (the constraint's exact distance), for every row x of X; zero
     exactly on feasible solutions.  ``problem`` is any object with
-    ``evaluate_many(p, X)``, ``cone`` and ``constraint``."""
+    ``evaluate_many(p, X)`` (which checks X), ``cone`` and ``constraint``."""
     if kappa < 0:
         raise ValueError("penalty weight must be nonnegative")
-    V = problem.evaluate_many(p, X)
-    out = problem.cone.distances(V.reshape(-1, V.shape[2])).reshape(V.shape[:2]).max(axis=1)
-    if kappa > 0:
-        out = out + kappa * problem.constraint.distances(_as_points(X), p)
+    V = problem.evaluate_many(p, X)  # checks X
+    if not np.isfinite(V).all():  # finite points whose image overflows
+        raise ValueError("points have non-finite coordinates")
+    k, v, m = V.shape
+    out = np.maximum.reduce(problem.cone._distances(V.reshape(-1, m)).reshape(k, v), axis=1)
+    if kappa > 0:  # X as evaluate_many read it
+        out += kappa * problem.constraint.distances(np.asarray(X, float).reshape(k, -1), p)
     return out
 
 
 def merit(problem, p: float, x, kappa: float = 0.0) -> float:
     """The merit at one point: the one-row view of ``merit_many``."""
-    return float(merit_many(problem, p, as_vector(x)[None, :], kappa)[0])
+    return float(merit_many(problem, p, np.asarray(x, dtype=float)[None], kappa)[0])

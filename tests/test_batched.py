@@ -14,8 +14,8 @@ from svikit.geometry import PolyCone, orthant, seeded_rotation, unit_directions
 from svikit.parametric import _TREE_DEPTH, _bisect
 from svikit.problems import (boxed_rotation_problem, deviation_vop_spec,
                              rotation_inclusion_problem, triangle_vop_spec)
-from svikit.setmaps import (Ball, MatrixTable, SviProblem, _Knots, evaluate,
-                            merit, merit_many)
+from svikit.setmaps import (Ball, KnotRangeError, MatrixTable, SviProblem, _Knots,
+                            evaluate, merit, merit_many)
 from svikit import solver
 from svikit.solver import SolverConfig, caristi_step, segment_step
 from svikit.vopt import VopSpec
@@ -93,7 +93,7 @@ def test_merit_many_on_face_table_cones():
             assert np.max(np.abs(got - ref), initial=0.0) <= 1e-14
 
 
-def test_merit_many_validates_at_the_boundary(rotation_problem):
+def test_merit_many_validates_at_the_boundary(rotation_problem, triangle_spec):
     with pytest.raises(ValueError):
         merit_many(rotation_problem, 0.0, np.zeros((4, 3)))
     with pytest.raises(ValueError):
@@ -102,6 +102,62 @@ def test_merit_many_validates_at_the_boundary(rotation_problem):
         merit_many(rotation_problem, 0.0, np.zeros((2, 2)), kappa=-1.0)
     with pytest.raises(ValueError):
         evaluate(rotation_problem, 0.0, [0.0, 0.0, 0.0])
+    # finite points whose image overflows (numpy's overflow warning silenced):
+    # the computed vertices are checked once, by the merit and by the
+    # polytope of ``evaluate``
+    with np.errstate(over="ignore", invalid="ignore"):
+        for prob, x in ((rotation_problem, [1e308, 1e308]),
+                        (triangle_spec, [1.5e308, 1.5e308])):
+            assert not np.isfinite(prob.evaluate_many(P, [x])).all()
+            for kappa in (0.0, 0.8):
+                with pytest.raises(ValueError):
+                    merit_many(prob, P, [[0.0, 0.0], x], kappa)
+                with pytest.raises(ValueError):
+                    merit(prob, P, x, kappa)
+            with pytest.raises(ValueError):
+                prob.evaluate(P, x)
+
+
+def _knot_table_problem():
+    ps, rng = [0.0, 0.15, 0.3], np.random.default_rng(7)
+    return SviProblem(matrix=MatrixTable(_Knots(ps, rng.uniform(-2.0, 2.0, (3, 2, 2)))),
+                      cone=orthant(2))
+
+
+MATRIX_OWNERS = {
+    "rotation": (lambda: rotation_inclusion_problem(clockwise=True), lambda prob: prob.matrix),
+    "knot table": (_knot_table_problem, lambda prob: prob.matrix),
+    "triangle": (triangle_vop_spec, lambda prob: prob.objective),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_OWNERS))
+def test_the_matrix_of_the_last_parameter_is_kept(name):
+    # each problem builds M(p) once per parameter, keyed by the exact float:
+    # alternating parameters (signed zeros included) give a fresh object's
+    # vertices bit for bit, and the kept matrix is read-only
+    make, family = MATRIX_OWNERS[name]
+    prob = make()
+    X = _points(prob, 16, 1)
+    for p in (0.1, 0.2, 0.1, 0.0, -0.0, 0.0):
+        assert prob.evaluate_many(p, X).tobytes() == make().evaluate_many(p, X).tobytes()
+        M = family(prob).matrix_at(p)
+        assert M is family(prob).matrix_at(p)
+        assert M.tobytes() == family(make()).matrix_at(p).tobytes()
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+
+
+def test_a_parameter_outside_the_knots_raises_on_every_call():
+    prob = _knot_table_problem()
+    X = _points(prob, 4, 2)
+    for _ in range(2):
+        for p in (0.5, -0.1):
+            with pytest.raises(KnotRangeError):
+                prob.evaluate_many(p, X)
+            with pytest.raises(KnotRangeError):
+                merit_many(prob, p, X)
+        prob.evaluate_many(0.2, X)
 
 
 # ---------------------------------------------------------------------------

@@ -214,7 +214,8 @@ def test_estimate_bound_matches_fresh_checks_bit_for_bit(seed):
 
 def test_estimate_bound_evaluates_the_shared_points_once(plane_orthant):
     # x, the 2n stencil points and each radius's hint and gradient candidates
-    # are evaluated once per estimate, not once per witness check
+    # are evaluated once per estimate, not once per witness check; the half
+    # hint step at r = 0.25 is the full one at r = 0.125, and it is imaged once
     Q, g = scaled_rotation(3.0, 0.7)
     hints = hints_for_matrix(Q, plane_orthant)
     x, cfg = np.array([0.3, -1.2]), SamplingConfig()
@@ -230,9 +231,10 @@ def test_estimate_bound_evaluates_the_shared_points_once(plane_orthant):
     assert [calls[u] for u in shared] == [1] * 5
     grads = increase._gradients(g, SumSet(g(x), plane_orthant), plane_orthant, x)
     assert len(grads) == 2
-    want = collections.Counter(
-        u.tobytes() for r in increase.QUALIFYING_RADII
-        for u in [x + r * hints, x + 0.5 * r * hints, *(x - (r / n) * v for v, n in grads)])
+    assert (x + 0.5 * 0.25 * hints).tobytes() == (x + 0.125 * hints).tobytes()
+    want = {u.tobytes(): 1 for r in increase.QUALIFYING_RADII
+            for u in [x + r * hints, x + 0.5 * r * hints, *(x - (r / n) * v for v, n in grads)]}
+    assert len(want) == 7
     assert {u: calls[u] for u in want} == want
     # each radius draws one list, and each of its candidates is imaged at most once
     rng, units = increase._stable_seed(cfg.seed, None, x), unit_directions(2, cfg.directions)

@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from svikit.geometry import orthant
 from svikit.parametric import (SweepRow, SweepTable, TooFewRows,
                                continuity_report, csv_header, sweep,
                                write_csv)
-from svikit.problems import rotation_solution_path
+from svikit import setmaps
+from svikit.problems import rotation_inclusion_problem, rotation_solution_path
 from svikit.setmaps import AbsComponent, ConcaveTerm, MatrixTable, SviProblem, merit
 from svikit.solver import SolverConfig, solve
 
@@ -191,3 +193,22 @@ def test_no_step_rows_keep_the_stuck_iterate():
     for row in table.rows:
         assert not row.solved and math.isnan(row.bound_rhs)
         assert np.array_equal(row.x, [0.3, -0.2]) and row.merit == pytest.approx(SQRT2)
+
+
+def test_the_warm_golden_sweep_makes_a_fixed_number_of_merit_calls(monkeypatch):
+    # the rotation_warm golden's 9-row sweep, counted at every binding of
+    # ``merit_many`` (the one merit): a change to the row selection's ray
+    # search shows here as a count, not as a timing
+    original, calls = setmaps.merit_many, [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("svikit") and getattr(module, "merit_many", None) is original:
+            monkeypatch.setattr(module, "merit_many", counted)
+    table = sweep(rotation_inclusion_problem(), 2.0 * math.pi / 64 * np.arange(9), [0.0, 0.0],
+                  SolverConfig(alpha=1.5))
+    assert all(r.solved for r in table.rows)
+    assert calls[0] == 3927
