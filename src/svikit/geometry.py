@@ -4,15 +4,18 @@ certificates.
 
 All sets live in R^m with m small (desk scale, m <= 4 typical).  Cones are
 finitely generated, polytopes are vertex lists.  Distances are exact up to
-floating point: every polytope-plus-cone is projected through its face table
-(``_face_table``), cached on the set, a whole batch of points at a time; the
-orthant keeps its closed form.  Sets above the face budget, and a cone's
-construction checks (whole space, pointedness), take the one least-distance
-kernel (``_ldp_project``): the least-distance problem (LDP) solved as one
-Lawson-Hanson NNLS (LH ch. 23), which reports its KKT residual.  The face
-table also yields facet rows (``_facets``), whose least slack is a point's
-depth, and with it the sup of the distance over a ball (``_sphere_max``).
-Public functions check their points; ``PolyCone._distances`` trusts its caller.
+floating point, and each set shape has one path (``_nearest_rows``), a whole
+batch of points at a time: row norms to a point, the closed form of a point
+plus the orthant, and for every other polytope-plus-cone its face table
+(``_face_table``), cached on the set.  Sets above the face budget, and a
+cone's construction checks (whole space, pointedness), take the one
+least-distance kernel (``_ldp_project``): the least-distance problem (LDP)
+solved as one Lawson-Hanson NNLS (LH ch. 23), which reports its KKT residual.
+The face table also yields every set's facet rows (``_facets``), the cone's
+``PolyCone.facets`` among them, whose least slack is a point's depth, and
+with it the sup of the distance over a ball (``_sphere_max``).  Public
+functions check their points; ``PolyCone._distances``, the merit's
+distance-only path, trusts its caller.
 """
 from __future__ import annotations
 
@@ -369,28 +372,20 @@ class PolyCone:
     @cached_property
     def facets(self) -> np.ndarray:
         """Unit rows W with C = {y : W y >= 0}, the extreme rays of the dual
-        cone; built on first use and cached.  The orthant's W is the
-        identity.  Otherwise, in the span of the generators (from an SVD, of
-        dimension d), the normal of each rank-(d - 1) subset of generators is
-        kept, oriented to their side, when it has one sign on all of them; a
-        lower-dimensional cone adds +- a basis of the span's complement."""
+        cone; built on first use and cached.  The orthant's W is the identity;
+        any other cone's is -N of its facet rows C = {y : N y <= 0}
+        (``_facets``), less each row within GEOM_TOL of the cone of the rows
+        still kept (one NNLS each): repeats, and supporting rows off the facets."""
         m = self.dim
         if getattr(self, "_orthant"):
             W = np.eye(m)
         else:
-            unit = self.generators / np.linalg.norm(self.generators, axis=1, keepdims=True)
-            _, sv, Vt = np.linalg.svd(unit)
-            d = int(np.sum(sv > sv[0] * m * np.finfo(float).eps))
-            coords = unit @ Vt[:d].T
-            normals = np.ones((1, 1))
-            if d > 1:
-                _, ssv, sVt = np.linalg.svd(coords[list(combinations(range(len(coords)), d - 1))])
-                normals = sVt[ssv[:, -1] > ssv[:, 0] * d * np.finfo(float).eps, -1]
-            side = coords @ normals.T
-            W = np.vstack([normals[np.all(side >= -_FACET_TOL, axis=0)],
-                           -normals[np.all(side <= _FACET_TOL, axis=0)]]) @ Vt[:d]
-            first = np.sort(np.unique(np.round(W, 9), axis=0, return_index=True)[1])
-            W = np.vstack([W[first], Vt[d:], -Vt[d:]])
+            W, keep = -_facets(self, np.zeros((1, m)), self.generators)[0], []
+            for i in range(len(W)):
+                rest = keep + list(range(i + 1, len(W)))
+                if not rest or np.linalg.norm(_nnls(W[rest].T, W[i])[1]) > GEOM_TOL:
+                    keep.append(i)
+            W = W[keep]
         W.flags.writeable = False  # one cached array serves every caller
         return W
 
@@ -406,11 +401,7 @@ class PolyCone:
         return _nearest(self, np.zeros((1, self.dim)), self.generators, pts)[1]
 
     def project(self, y: np.ndarray) -> tuple[np.ndarray, float]:
-        y = as_vector(y, self.dim)
-        if getattr(self, "_orthant"):  # the distance in the form of ``distances``
-            return np.maximum(y, 0.0), float(self._distances(y[None, :])[0])
-        proj, d = _nearest(self, np.zeros((1, self.dim)), self.generators, y[None, :])
-        return proj[0], float(d[0])
+        return project_dist(y, self)
 
     def deep_direction(self) -> np.ndarray:
         """Unit direction into the cone's bulk (normalized generator mean)."""
@@ -488,38 +479,38 @@ def _table_for(ss: SumSet):
     return ss, base, ss.cone.generators, 0.0
 
 
+def _nearest_rows(ss: SumSet, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest points of ss to the rows of pts (already checked), and their
+    distances, on the one path of the set's shape: row norms to a point, the
+    closed form of a point plus the orthant, else the face table (or the LDP)
+    of ``_table_for``."""
+    base = ss.base.vertices
+    if len(base) == 1 and (ss.cone is None or getattr(ss.cone, "_orthant")):
+        rel = pts - base[0]
+        if ss.cone is None:
+            return np.repeat(base, len(pts), axis=0), row_norms(rel)
+        return np.maximum(rel, 0.0) + base[0], ss.cone._distances(rel)
+    owner, base, gens, shift = _table_for(ss)
+    proj, d = _nearest(owner, base, gens, pts - shift)
+    return proj + shift, d
+
+
 def project_dist(y, S: SetLike) -> tuple[np.ndarray, float]:
     """Euclidean nearest point of S to y, and the distance.
 
     S may be a SumSet, a bare PolyCone, or a bare VPolytope.  Exact up to
-    floating point (the face table of ``_face_table``); distance zero within
-    GEOM_TOL means membership.
+    floating point (``_nearest_rows``); distance zero within GEOM_TOL means
+    membership.
     """
     ss = _as_sumset(S)
-    y = as_vector(y, ss.dim)
-    base = ss.base.vertices
-    if base.shape[0] == 1:
-        shifted = y - base[0]
-        if ss.cone is None:
-            return base[0].copy(), float(np.linalg.norm(shifted))
-        proj, d = ss.cone.project(shifted)  # the orthant's closed form, or its table
-        return proj + base[0], d
-    owner, base, gens, _ = _table_for(ss)
-    proj, d = _nearest(owner, base, gens, y[None, :])
+    proj, d = _nearest_rows(ss, as_vector(y, ss.dim)[None, :])
     return proj[0], float(d[0])
 
 
 def dist_many(points: np.ndarray, S: SetLike) -> np.ndarray:
     """Distances of many points (rows) to S, vectorized over the batch."""
     ss = _as_sumset(S)
-    pts = _as_points(points, ss.dim)
-    base = ss.base.vertices
-    if base.shape[0] == 1:
-        if ss.cone is None:
-            return row_norms(pts - base[0])  # as project_dist, bit for bit
-        return ss.cone._distances(pts - base[0])
-    owner, base, gens, _ = _table_for(ss)
-    return _nearest(owner, base, gens, pts)[1]
+    return _nearest_rows(ss, _as_points(points, ss.dim))[1]
 
 
 def excess(A: VPolytope, S: SetLike) -> float:
@@ -643,15 +634,14 @@ def _sphere_max(centers: np.ndarray, s: float, ss: SumSet) -> tuple[np.ndarray, 
     ``_SHORT_RESIDUAL`` projected by one NNLS onto D's normal cone at P(v)."""
     owner, base, gens, shift = _table_for(ss)
     N, c = _facets(owner, base, gens)
-    ctr = centers - shift
-    slack = c - matvec_rows(N, ctr)
+    slack = c - matvec_rows(N, centers - shift)
     least = np.argmin(slack, axis=1)
-    sd, normal = -slack[np.arange(len(ctr)), least], N[least]
+    sd, normal = -slack[np.arange(len(centers)), least], N[least]
     out = np.flatnonzero(sd >= 0.0)
-    proj, sd[out] = _nearest(owner, base, gens, ctr[out])
-    w = ctr[out] - proj
+    proj, sd[out] = _nearest_rows(ss, centers[out])
+    w = centers[out] - proj
     for j in np.flatnonzero(sd[out] < _SHORT_RESIDUAL):
-        active = N[c - N @ proj[j] <= GEOM_TOL]
+        active = N[c - N @ (proj[j] - shift) <= GEOM_TOL]
         w[j] += _nnls(active.T, w[j])[1] if len(active) else 0.0
     keep = np.any(w, axis=1)
     normal[out[keep]] = w[keep] / np.linalg.norm(w[keep], axis=1, keepdims=True)

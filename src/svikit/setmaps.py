@@ -114,13 +114,15 @@ def read_data(d: dict, *names: str, key: str = "knots") -> tuple:
     return tuple(_Knots(ps, [row[name] for row in d[key]]) for name in names)
 
 
-def _last_at(owner, p: float, build) -> np.ndarray:
-    """``build()``, the value at p, for the last p asked, kept read-only on ``owner``
-    and keyed by p's value, type and sign (M(0) and M(-0.0) can differ in a signed zero)."""
+def _last_at(owner, p: float, build):
+    """``build()``, the value at p (an array or a tuple of arrays), for the last p asked,
+    kept read-only on ``owner`` and keyed by p's value, type and sign (M(0) and M(-0.0)
+    can differ in a signed zero)."""
     key, last = (p, type(p), math.copysign(1.0, p)), vars(owner).get("_last", (None,))
     if last[0] != key:
         object.__setattr__(owner, "_last", last := (key, build()))
-        last[1].flags.writeable = False
+        for a in last[1] if isinstance(last[1], tuple) else (last[1],):
+            a.flags.writeable = False
     return last[1]
 
 

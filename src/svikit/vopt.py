@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import ClassVar, Optional, Sequence, Union
 
 import numpy as np
@@ -28,7 +28,7 @@ from .geometry import (PolyCone, VPolytope, _as_points, as_vector, matvec_rows,
 from .increase import PropertyAbsent, SamplingConfig, global_infimum
 from .parametric import SweepRow, SweepTable, _sorted_grid, _sweep_meta
 from .setmaps import (Ball, Box, ConstraintFamily, PolytopeSet, RotationScaled,
-                      _Knots, as_data, constraint_from_dict, is_all_space,
+                      _Knots, _last_at, as_data, constraint_from_dict, is_all_space,
                       matrix_family_from_dict, merit_many, read_data, write_data)
 from .solver import SolveResult, SolverConfig, solve
 
@@ -150,8 +150,6 @@ class VopSpec:
     constraint: ConstraintFamily
     cone: PolyCone
     objective_lipschitz: float
-    #: (key, points, values) of the span images of the last parameter asked
-    _span: tuple = field(default=(None,), init=False, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.objective_lipschitz) and self.objective_lipschitz >= 0):
@@ -193,12 +191,11 @@ class VopSpec:
 
     def span_images(self, p: float):
         """The points of R(p) that decide ideality (``span_points``) and
-        their objective values; those of the last parameter are kept."""
-        key = round(float(p), 12)
-        if self._span[0] != key:
+        their objective values, kept read-only for the last parameter asked."""
+        def build():
             pts = span_points(self, p)
-            object.__setattr__(self, "_span", (key, pts, self.objective.values_many(p, pts)))
-        return self._span[1:]
+            return pts, self.objective.values_many(p, pts)
+        return _last_at(self, p, build)
 
     def evaluate(self, p: float, x) -> VPolytope:
         return VPolytope(self.evaluate_many(p, np.asarray(x, dtype=float)[None])[0])

@@ -83,20 +83,36 @@ def test_project_dist_orthant_examples(plane_orthant):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_one_vertex_distances_agree_bit_for_bit_on_every_entry_point(m):
-    # the orthant has one closed form: project_dist, dist_many, project and
-    # distances read the same bits, shifted by a single base vertex or not,
-    # and a one-vertex polytope's two entry points agree too
+    # each set shape has one distance path, which every entry point reads:
+    # dist_many, project_dist, the cone's project and distances (shifted by a
+    # single base vertex), and the sphere max, whose sup at a centre outside
+    # the set is s plus its distance.  Row norms for a point, the closed form
+    # for a point plus the orthant, the face table for a point plus a wedge
+    # and for a polytope with and without a cone.  A face table's batched rows
+    # can differ from its one-row answers in the last bit, so there one-row
+    # entry points are compared with one-row distances
     rng = np.random.default_rng(0)
     Y = 3.0 * rng.standard_normal((4000, m))
-    cone = orthant(m)
     b = rng.standard_normal(m)
-    for S, shift in ((cone, np.zeros(m)), (SumSet(VPolytope(b[None, :]), cone), b)):
+    wedge = PolyCone(-np.abs(rng.standard_normal((2, m))))
+    base = VPolytope(rng.standard_normal((3, m)))
+    cases = [(orthant(m), orthant(m), np.zeros(m)),
+             (SumSet(VPolytope(b[None, :]), orthant(m)), orthant(m), b),
+             (VPolytope(b[None, :]), None, b),
+             (SumSet(VPolytope(b[None, :]), wedge), wedge, b),
+             (base, None, None), (SumSet(base, wedge), None, None)]
+    for i, (S, cone, shift) in enumerate(cases):
         many = dist_many(Y, S)
-        assert np.array_equal(many, cone.distances(Y - shift))
-        assert np.array_equal(many, [project_dist(y, S)[1] for y in Y])
-        assert np.array_equal(many, [cone.project(y)[1] for y in Y - shift])
-    point = VPolytope(b[None, :])
-    assert np.array_equal(dist_many(Y, point), [project_dist(y, point)[1] for y in Y])
+        one = many if i < 3 else np.array([dist_many(y[None, :], S)[0] for y in Y[:250]])
+        rows = Y[:len(one)]
+        assert np.array_equal(one, [project_dist(y, S)[1] for y in rows])
+        if cone is not None:
+            assert np.array_equal(many, cone.distances(Y - shift))
+            assert np.array_equal(one, [cone.project(y)[1] for y in rows - shift])
+        ss = geometry._as_sumset(S)
+        out = geometry._least_slack(Y, ss) <= 0.0
+        sups = geometry._sphere_max(Y, 0.5, ss)[0]
+        assert out.sum() > 100 and np.array_equal(sups[out], 0.5 + dist_many(Y[out], S))
 
 
 def test_project_dist_wedge_matches_brute_force():
@@ -397,7 +413,8 @@ def test_whole_space_cone_rejected():
 def test_facets_describe_the_cone():
     # C = {y : W y >= 0} with unit rows: the identity for the orthant; for
     # random pointed cones (k < m generators among them), a half-plane and a
-    # ray in R^3, membership by W matches the exact distance
+    # ray in R^3, W is the dual cone's extreme rays and membership by W
+    # matches the exact distance
     for m in range(1, 5):
         assert np.array_equal(orthant(m).facets, np.eye(m))
     rng = np.random.default_rng(11)
@@ -409,6 +426,11 @@ def test_facets_describe_the_cone():
         W = cone.facets
         assert cone.facets is W
         assert np.allclose(np.linalg.norm(W, axis=1), 1.0)
+        # the extreme rays of the dual cone: pairwise distinct, and none a
+        # nonnegative combination of the others (by an independent NNLS)
+        for i in range(len(W)):
+            assert all(np.linalg.norm(W[i] - W[j]) > 1e-9 for j in range(i))
+            assert len(W) == 1 or nnls(np.delete(W, i, axis=0).T, W[i])[1] > 1e-9
         assert np.min(W @ cone.generators.T) >= -1e-12
         inner = rng.uniform(0.0, 2.0, (50, len(cone.generators))) @ cone.generators
         for y in (rng.standard_normal((400, cone.dim)), inner):

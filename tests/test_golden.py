@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from svikit.geometry import orthant
-from svikit.increase import SamplingConfig, estimate_bound, hints_for_problem
+from svikit.increase import SamplingConfig, estimate_bound, global_infimum, hints_for_problem
 from svikit.parametric import sweep, write_csv
 from svikit.problems import (boxed_rotation_problem, rotation_inclusion_problem,
                              triangle_vop_spec)
@@ -118,10 +118,24 @@ def rotation_increase(path):
         fh.write("\n".join(lines) + "\n")
 
 
+def sampled_infimum(path):
+    """The estimates behind ``global_infimum`` on its own route (each map from
+    ``problem.bound_map(p)``, with the hint of ``hints_for_problem``) for an
+    inclusion, a constrained inclusion and an ideal-efficiency spec, at three
+    parameters and six seeded samples each."""
+    cfg = SamplingConfig(bracket_rtol=0.05, directions=64)
+    lines = ["p,x_1,x_2,alpha_lo,alpha_hi"]
+    for prob in (rotation_inclusion_problem(), boxed_rotation_problem(), triangle_vop_spec()):
+        for p, x, est in global_infimum(prob, [0.3, 2.1, 4.4], 6, cfg).estimates:
+            lines.append(",".join(repr(float(v)) for v in (p, *x, est.alpha_lo, est.alpha_hi)))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 CASES = {"rotation_warm": rotation_warm, "boxed_cold": boxed_cold,
          "triangle_ideal": triangle_ideal, "cold_solves": cold_solves,
          "boxed_retries": boxed_retries, "spatial_warm": spatial_warm,
-         "rotation_increase": rotation_increase}
+         "rotation_increase": rotation_increase, "sampled_infimum": sampled_infimum}
 
 
 def _read(path):

@@ -261,6 +261,17 @@ def test_oracle_point_is_a_writable_copy(triangle_spec):
     assert not np.shares_memory(res.value, triangle_spec.span_images(0.0)[1])
 
 
+def test_span_images_are_kept_per_exact_parameter():
+    # the kept span images belong to the exact p asked, not to a p within
+    # rounding of it: the answer after a nearby p equals a fresh spec's, and
+    # both arrays are read-only
+    X = np.random.default_rng(5).uniform(-1.0, 2.0, (64, 2))
+    spec, p = triangle_vop_spec(), 0.7 + 4e-13
+    spec.evaluate_many(0.7, X)
+    assert np.array_equal(spec.evaluate_many(p, X), triangle_vop_spec().evaluate_many(p, X))
+    assert not any(a.flags.writeable for a in spec.span_images(p))
+
+
 def test_each_ideal_run_computes_its_span_images_once(monkeypatch):
     # the oracle and the descent share the span images at p, which the spec
     # keeps: a fresh spec, so that none are kept from an earlier test
