@@ -21,7 +21,8 @@ import numpy as np
 
 from .geometry import (PolyCone, SumSet, VPolytope, _least_slack, as_vector, dist_many,
                        numgrad, row_norms, seeded_rotation, unit_directions)
-from .setmaps import is_all_space, merit_many
+from .geometry import hints_for_matrix  # noqa: F401  (callers import it from here too)
+from .setmaps import is_all_space
 
 MapAt = Callable[[np.ndarray], VPolytope]
 
@@ -78,22 +79,10 @@ def _stable_seed(base: int, p: Optional[float], x: np.ndarray) -> np.random.Gene
 
 
 def hints_for_problem(problem, p: float) -> Optional[np.ndarray]:
-    """The hint direction of the map that ``problem.bound_map(p)`` gives, from
-    its linear part, for both problem kinds; None when it has none."""
-    M = problem.bound_map(p)[1]
-    return None if M is None else hints_for_matrix(M, problem.cone)
-
-
-def hints_for_matrix(M: np.ndarray, cone: PolyCone) -> Optional[np.ndarray]:
-    """The unit direction d that the linear map M sends along the cone's deep
-    direction, or None when M is not square, is singular or d vanishes; the
-    hint candidates at radius r are x + r d and x + r d / 2."""
-    try:  # a matrix that is not square raises too
-        d = np.linalg.solve(M, cone.deep_direction())
-    except np.linalg.LinAlgError:
-        return None
-    n = np.linalg.norm(d)
-    return d / n if n > 1e-12 else None
+    """The hint direction of the map that ``problem.bound_map(p)`` gives
+    (``hints_for_matrix`` of its linear part), for both problem kinds; None
+    when it has none.  The view ``problem.at(p)`` keeps it."""
+    return problem.at(p).hint
 
 
 def _gradients(map_at: MapAt, target: SumSet, cone: PolyCone, x: np.ndarray) -> list:
@@ -267,7 +256,7 @@ def nonsolution_pairs(problem, p_grid: Sequence[float], x_samples,
     for p in p_grid:
         X = xs if is_all_space(problem.constraint) else np.array(
             [problem.constraint.project(x, p)[0] for x in xs]).reshape(-1, dim)
-        pairs += [(float(p), x) for x in X[merit_many(problem, p, X) > cfg.tolerance]]
+        pairs += [(float(p), x) for x in X[problem.at(p).merit_many(X) > cfg.tolerance]]
     return pairs
 
 
@@ -287,10 +276,10 @@ def global_infimum(problem, p_grid: Sequence[float], x_samples,
     pairs = nonsolution_pairs(problem, p_grid, x_samples, cfg)
     estimates = []
     for p, x in pairs:
+        at = problem.at(p)
         try:
-            estimates.append((p, x, estimate_bound(problem.bound_map(p)[0], problem.cone, x,
-                                                   cfg, hints=hints_for_problem(problem, p),
-                                                   p_for_seed=p)))
+            estimates.append((p, x, estimate_bound(at.bound_map[0], at.cone, x, cfg,
+                                                   hints=at.hint, p_for_seed=p)))
         except PropertyAbsent:
             continue
     if not estimates:

@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .setmaps import merit, merit_many
 from .solver import SolverConfig, solve
 
 #: bisection steps decided per batch: 2^d - 1 midpoints in one merit call
@@ -102,14 +101,15 @@ def _bisect(holds_many, lo: float, hi: float, iters: int) -> float:
     return hi
 
 
-def _first_solved(problem, p, origin, v, kappa, tol, hi, iters):
-    """Bisected least t in (0, hi] with merit(origin + t*v) <= tol."""
-    return _bisect(lambda ts: merit_many(problem, p, origin + ts[:, None] * v, kappa) <= tol,
+def _first_solved(at, origin, v, kappa, tol, hi, iters):
+    """Bisected least t in (0, hi] with merit(origin + t*v) <= tol, at the
+    view ``at`` of the row's parameter (as every helper below)."""
+    return _bisect(lambda ts: at.merit_many(origin + ts[:, None] * v, kappa) <= tol,
                    0.0, hi, iters)
 
 
-def _segment_pullback(problem, p: float, x_from, x_to, kappa: float,
-                      tol: float, iters: int = 45) -> np.ndarray:
+def _segment_pullback(at, x_from, x_to, kappa: float, tol: float,
+                      iters: int = 45) -> np.ndarray:
     """Earliest point on the segment [x_from, x_to] with merit <= tol.
 
     Keeps the tracked selection close to the anchor instead of overshooting
@@ -118,22 +118,22 @@ def _segment_pullback(problem, p: float, x_from, x_to, kappa: float,
     is exact."""
     x_from = np.asarray(x_from, dtype=float)
     v = np.asarray(x_to, dtype=float) - x_from
-    if merit(problem, p, x_from, kappa) <= tol:
+    if at.merit(x_from, kappa) <= tol:
         return x_from
-    return x_from + _first_solved(problem, p, x_from, v, kappa, tol, 1.0, iters) * v
+    return x_from + _first_solved(at, x_from, v, kappa, tol, 1.0, iters) * v
 
 
-def _ray_entry(problem, p, anchor, v, kappa, tol, t_hint, iters=48):
+def _ray_entry(at, anchor, v, kappa, tol, t_hint, iters=48):
     """First entry parameter of the ray anchor + t*v into the solved set;
     math.inf when no feasible point is bracketed near the hint."""
     ts = t_hint * np.array([1.0, 1.3, 1.8, 2.6, 4.0])
-    feas = np.flatnonzero(merit_many(problem, p, anchor + ts[:, None] * v, kappa) <= tol)
+    feas = np.flatnonzero(at.merit_many(anchor + ts[:, None] * v, kappa) <= tol)
     if not feas.size:
         return math.inf
-    return _first_solved(problem, p, anchor, v, kappa, tol, float(ts[feas[0]]), iters)
+    return _first_solved(at, anchor, v, kappa, tol, float(ts[feas[0]]), iters)
 
 
-def _anchored_projection_2d(problem, p, anchor, x_feas, kappa, tol):
+def _anchored_projection_2d(at, anchor, x_feas, kappa, tol):
     """Approximate nearest point of the solved set to the anchor (n = 2).
 
     Parametrizes rays from the anchor by angle and minimizes the entry
@@ -142,7 +142,7 @@ def _anchored_projection_2d(problem, p, anchor, x_feas, kappa, tol):
     drift-free selection: the anchor never moves, so step ratios reflect
     the selection's true speed."""
     anchor = np.asarray(anchor, dtype=float)
-    if merit(problem, p, anchor, kappa) <= tol:
+    if at.merit(anchor, kappa) <= tol:
         return anchor.copy()
     gap = np.asarray(x_feas, float) - anchor
     base_t = float(np.linalg.norm(gap))
@@ -152,7 +152,7 @@ def _anchored_projection_2d(problem, p, anchor, x_feas, kappa, tol):
 
     def entry(th, hint):
         v = np.array([math.cos(th), math.sin(th)])
-        return _ray_entry(problem, p, anchor, v, kappa, tol, hint)
+        return _ray_entry(at, anchor, v, kappa, tol, hint)
 
     best_t, best_th = base_t, theta
     window = 0.35
@@ -190,17 +190,15 @@ def _solve_row(problem, p: float, x_start: np.ndarray,
         return SweepRow(p=float(p), x=res.x_final, merit=res.merit_final,
                         bound_rhs=math.nan, bound_holds=False, solved=False,
                         warm_start=np.asarray(x_start, float))
-    x_row = res.x_final
+    x_row, at = res.x_final, problem.at(p)
     if res.iterations > 0:
         # record a selection tied to the anchor: its metric projection
         # onto the solution set in n = 2, else the segment pullback
         if len(x_row) == 2:
-            x_row = _anchored_projection_2d(problem, p, anchor, x_row,
-                                            res.kappa, cfg.tol)
+            x_row = _anchored_projection_2d(at, anchor, x_row, res.kappa, cfg.tol)
         else:
-            x_row = _segment_pullback(problem, p, anchor, x_row,
-                                      res.kappa, cfg.tol)
-    m_row = merit(problem, p, x_row, res.kappa)
+            x_row = _segment_pullback(at, anchor, x_row, res.kappa, cfg.tol)
+    m_row = at.merit(x_row, res.kappa)
     bound_holds = (float(np.linalg.norm(x_row - np.asarray(x_start, float)))
                    <= res.bound_rhs + cfg.tol)
     return SweepRow(p=float(p), x=x_row, merit=m_row,

@@ -2,12 +2,14 @@
 constraint families, and the merit of the inclusion problem
 F(p, x) = M(p) x + h(x) + H(x)  subset-of  C.
 
-``merit_many`` is the one merit of the package: the excess of F(p, x)
-beyond C, optionally penalized by kappa * dist(x, R(p)), for every row of a
-batch (``merit`` is its one-row view).  It serves every problem object with
-``evaluate_many`` (it checks the batch; M(p) is built once per parameter),
-``cone`` and ``constraint`` (SviProblem here, VopSpec in vopt), and checks
-the computed vertices once; the solver also reads ``ell`` and ``best_effort``.
+A problem at one parameter p is the immutable view ``problem.at(p)``
+(``SviAt`` here, ``VopAt`` in vopt), which holds the data at p, built once;
+the problem keeps the view of the last p asked.  Its ``merit_many`` is the
+one merit of the package: the excess of F(p, x) beyond C, optionally
+penalized by kappa * dist(x, R(p)), for every row of a batch, which it
+checks once, as it does the computed vertices.  The module's ``merit_many``,
+``merit`` and ``evaluate`` are one-line views over ``at(p)``; the solver
+also reads a problem's ``ell`` and ``best_effort``.
 
 The catalog is deliberately narrow so that concavity and Lipschitz constants
 are declared and machine-checkable instead of inferred from arbitrary code.
@@ -15,13 +17,13 @@ are declared and machine-checkable instead of inferred from arbitrary code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import ClassVar, Optional, Union
 
 import numpy as np
 
-from .geometry import (PolyCone, VPolytope, _as_points, as_vector, dist_many,
-                       matvec_rows, project_dist, row_norms)
+from .geometry import (PolyCone, VPolytope, _as_points, all_finite, as_vector, dist_many,
+                       hints_for_matrix, project_dist, row_norms)
 
 
 # ---------------------------------------------------------------------------
@@ -114,18 +116,6 @@ def read_data(d: dict, *names: str, key: str = "knots") -> tuple:
     return tuple(_Knots(ps, [row[name] for row in d[key]]) for name in names)
 
 
-def _last_at(owner, p: float, build):
-    """``build()``, the value at p (an array or a tuple of arrays), for the last p asked,
-    kept read-only on ``owner`` and keyed by p's value, type and sign (M(0) and M(-0.0)
-    can differ in a signed zero)."""
-    key, last = (p, type(p), math.copysign(1.0, p)), vars(owner).get("_last", (None,))
-    if last[0] != key:
-        object.__setattr__(owner, "_last", last := (key, build()))
-        for a in last[1] if isinstance(last[1], tuple) else (last[1],):
-            a.flags.writeable = False
-    return last[1]
-
-
 def rotation_matrix(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s], [s, c]])
@@ -147,7 +137,7 @@ class RotationScaled:
             raise ValueError("rotation scale must be finite")
 
     def matrix_at(self, p: float) -> np.ndarray:
-        return _last_at(self, p, lambda: self.scale * rotation_matrix(-p if self.clockwise else p))
+        return self.scale * rotation_matrix(-p if self.clockwise else p)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -172,7 +162,7 @@ class MatrixTable:
         object.__setattr__(self, "matrix", M)
 
     def matrix_at(self, p: float) -> np.ndarray:
-        return _last_at(self, p, lambda: self.matrix.at(p))
+        return self.matrix.at(p)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -306,10 +296,8 @@ class FanSpec:
         if mats.ndim != 3 or not np.all(np.isfinite(mats)):
             raise ValueError("fan needs a nonempty list of finite matrices")
         object.__setattr__(self, "matrices", mats)
-
-    @property
-    def lipschitz_constant(self) -> float:
-        return float(max(np.linalg.norm(m, 2) for m in self.matrices))
+        object.__setattr__(self, "lipschitz_constant",
+                           float(max(np.linalg.norm(m, 2) for m in mats)))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -326,6 +314,9 @@ class FanSpec:
 @dataclass(frozen=True)
 class AllSpace:
     dim = None  # fits every input dimension
+
+    def at(self, p: float) -> "AllSpace":
+        return self
 
     def project(self, x: np.ndarray, p: float) -> tuple[np.ndarray, float]:
         return np.asarray(x, dtype=float).copy(), 0.0
@@ -361,6 +352,9 @@ class Box:
 
     def bounds_at(self, p: float) -> tuple[np.ndarray, np.ndarray]:
         return self.lower.at(p), self.upper.at(p)
+
+    def at(self, p: float) -> "Box":  # with constant bounds at p
+        return self if self.lower.ps is None else Box(*self.bounds_at(p))
 
     def project(self, x, p: float) -> tuple[np.ndarray, float]:
         x = as_vector(x)
@@ -402,6 +396,9 @@ class Ball:
     def data_at(self, p: float) -> tuple[np.ndarray, float]:
         return self.center.at(p), float(self.radius.at(p))
 
+    def at(self, p: float) -> "Ball":  # with a constant centre and radius at p
+        return self if self.center.ps is None else Ball(*self.data_at(p))
+
     def project(self, x, p: float) -> tuple[np.ndarray, float]:
         x = as_vector(x)
         c, r = self.data_at(p)
@@ -429,6 +426,9 @@ class PolytopeSet:
     @property
     def dim(self) -> int:
         return self.polytope.dim
+
+    def at(self, p: float) -> "PolytopeSet":
+        return self
 
     def project(self, x, p: float) -> tuple[np.ndarray, float]:
         return project_dist(x, self.polytope)
@@ -462,15 +462,125 @@ def is_all_space(constraint: ConstraintFamily) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# one parameter's view
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class ProblemAt:
+    """A problem at one parameter p, ``problem.at(p)``: its cone, its
+    constraint at p and the data its images (``_images``) read, set once,
+    arrays read-only.  It keeps no reference to the problem."""
+
+    problem: InitVar[object]
+    p: float
+
+    def __post_init__(self, problem):
+        self._set(cone=problem.cone, constraint=problem.constraint.at(self.p),
+                  dim=problem.dim_in)
+
+    def _set(self, **data):
+        for name, value in data.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def evaluate_many(self, X) -> np.ndarray:
+        """Vertices of F(p, x) for every row x of X (checked), shape (k, v, m)."""
+        return self._images(_as_points(X, self.dim))
+
+    def evaluate(self, x) -> VPolytope:
+        """F(p, x): row 0 of ``evaluate_many``, its vertices checked once."""
+        V = self.evaluate_many(np.asarray(x, dtype=float)[None])[0]
+        if not all_finite(V):  # a finite x whose image overflows
+            raise ValueError("points have non-finite coordinates")
+        image = object.__new__(VPolytope)  # no second check by VPolytope
+        object.__setattr__(image, "vertices", V)
+        return image
+
+    def merit_many(self, X, kappa: float = 0.0) -> np.ndarray:
+        """Excess of F(p, x) beyond the cone, plus kappa * dist(x, R(p)) when
+        kappa > 0 (the constraint's exact distance), for every row x of X;
+        zero exactly on feasible solutions."""
+        if kappa < 0:
+            raise ValueError("penalty weight must be nonnegative")
+        V = self.evaluate_many(X)  # checks X
+        if not all_finite(V):  # finite points whose image overflows
+            raise ValueError("points have non-finite coordinates")
+        k, v, m = V.shape
+        out = np.maximum.reduce(self.cone._distances(V.reshape(-1, m)).reshape(k, v), axis=1)
+        if kappa > 0:  # X as evaluate_many read it
+            out += kappa * self.constraint.distances(np.asarray(X, float).reshape(k, -1), self.p)
+        return out
+
+    def merit(self, x, kappa: float = 0.0) -> float:
+        return float(self.merit_many(np.asarray(x, dtype=float)[None], kappa)[0])
+
+    @property
+    def hint(self) -> Optional[np.ndarray]:
+        """``hints_for_matrix`` of the bound map's linear part, or None."""
+        if "_hint" not in vars(self):  # kept from the first use
+            M = self.bound_map[1]
+            self._set(_hint=None if M is None else hints_for_matrix(M, self.cone))
+        return vars(self)["_hint"]
+
+
+@dataclass(frozen=True, eq=False)
+class SviAt(ProblemAt):
+    """An ``SviProblem`` at p: M(p), the stack [M(p), L_1, ..., L_v] of shape
+    (1 + v, m, n), and h, whose coefficient rows the term keeps."""
+
+    def __post_init__(self, problem):
+        super().__post_init__(problem)
+        M, fan = problem.matrix.matrix_at(self.p), problem.fan
+        self._set(M=M, h=problem.h,
+                  stacked=M[None] if fan is None else np.concatenate([M[None], fan.matrices]))
+
+    def _images(self, X: np.ndarray) -> np.ndarray:
+        # M(p)x + h(x), plus L_i x with a fan; each product is the (m, n) one
+        # of ``matvec_rows``, bit for bit
+        X = np.ascontiguousarray(X)
+        Y = (self.stacked @ X[:, None, :, None])[..., 0]
+        base = Y[:, :1] if self.h is None else Y[:, :1] + self.h.values_many(X)[:, None]
+        return base if len(self.stacked) == 1 else base + Y[:, 1:]
+
+    @property
+    def bound_map(self):
+        """x -> F(p, x), whose increase bound the solver needs, and M(p)."""
+        return self.evaluate, self.M
+
+
+class Parametric:
+    """A problem kind (``view`` its view class) whose per-parameter calls
+    are one-line views over ``at(p)``."""
+
+    def at(self, p: float):
+        """The view at p, kept for the last p asked, keyed by p's value, type
+        and sign (M(0) and M(-0.0) can differ in a signed zero)."""
+        last = vars(self).get("_at", (None, None, None))
+        if last[0] is not p:  # the same p object is the same key
+            key = (p, type(p), math.copysign(1.0, p))
+            last = (p, key, last[2] if last[1] == key else self.view(self, p))
+            object.__setattr__(self, "_at", last)
+        return last[2]
+
+    def bound_map(self, p: float):
+        return self.at(p).bound_map
+
+    def evaluate_many(self, p: float, X) -> np.ndarray:
+        return self.at(p).evaluate_many(X)
+
+
+# ---------------------------------------------------------------------------
 # the problem datum
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class SviProblem:
+class SviProblem(Parametric):
     """Full datum of a parameterized inclusion problem F(p, x) subset C."""
 
     #: missing descent constants raise instead of falling back on floor ones
     best_effort: ClassVar[bool] = False
+    view: ClassVar[type] = SviAt
 
     matrix: ParamMatrixFamily
     cone: PolyCone
@@ -513,22 +623,6 @@ class SviProblem:
     def evaluate(self, p: float, x) -> VPolytope:
         return evaluate(self, p, x)
 
-    def bound_map(self, p: float):
-        """The map whose increase bound the solver needs at p, x -> F(p, x),
-        and its linear part M(p) for the witness hints."""
-        return (lambda x: evaluate(self, p, x)), self.matrix.matrix_at(p)
-
-    def evaluate_many(self, p: float, X) -> np.ndarray:
-        """Vertices of F(p, x) for every row x of X, shape (k, v, m): one
-        vertex M(p)x + h(x) without a fan, M(p)x + h(x) + L_i x with one."""
-        X = np.ascontiguousarray(_as_points(X, self.dim_in))
-        base = matvec_rows(self.matrix.matrix_at(p), X)
-        if self.h is not None:
-            base = base + self.h.values_many(X)
-        if self.fan is None:
-            return base[:, None, :]
-        return base[:, None, :] + (self.fan.matrices @ X[:, None, :, None])[..., 0]
-
     def to_dict(self) -> dict:
         d = {"matrix": self.matrix.to_dict(),
              "cone": {"generators": self.cone.generators.tolist()},
@@ -560,28 +654,15 @@ def problem_from_dict(d: dict) -> SviProblem:
 
 def evaluate(problem: SviProblem, p: float, x) -> VPolytope:
     """Value F(p, x) as a vertex polytope: {M(p)x + h(x) + L_i x} over the
-    fan's extreme matrices (a singleton without a fan); the one-row view of
-    ``SviProblem.evaluate_many``, which validates the row."""
-    return VPolytope(problem.evaluate_many(p, np.asarray(x, dtype=float)[None])[0])
+    fan's extreme matrices (a singleton without a fan)."""
+    return problem.at(p).evaluate(x)
 
 
 def merit_many(problem, p: float, X, kappa: float = 0.0) -> np.ndarray:
-    """Excess of F(p, x) beyond the cone, plus kappa * dist(x, R(p)) when
-    kappa > 0 (the constraint's exact distance), for every row x of X; zero
-    exactly on feasible solutions.  ``problem`` is any object with
-    ``evaluate_many(p, X)`` (which checks X), ``cone`` and ``constraint``."""
-    if kappa < 0:
-        raise ValueError("penalty weight must be nonnegative")
-    V = problem.evaluate_many(p, X)  # checks X
-    if not np.isfinite(V).all():  # finite points whose image overflows
-        raise ValueError("points have non-finite coordinates")
-    k, v, m = V.shape
-    out = np.maximum.reduce(problem.cone._distances(V.reshape(-1, m)).reshape(k, v), axis=1)
-    if kappa > 0:  # X as evaluate_many read it
-        out += kappa * problem.constraint.distances(np.asarray(X, float).reshape(k, -1), p)
-    return out
+    """The merit at every row x of X (``ProblemAt.merit_many``)."""
+    return problem.at(p).merit_many(X, kappa)
 
 
 def merit(problem, p: float, x, kappa: float = 0.0) -> float:
     """The merit at one point: the one-row view of ``merit_many``."""
-    return float(merit_many(problem, p, np.asarray(x, dtype=float)[None], kappa)[0])
+    return problem.at(p).merit(x, kappa)

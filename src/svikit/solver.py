@@ -24,7 +24,7 @@ import numpy as np
 
 from .geometry import as_vector, numgrad, row_norms, seeded_rotation, unit_directions
 from .increase import PropertyAbsent, SamplingConfig, global_infimum
-from .setmaps import is_all_space, merit_many
+from .setmaps import is_all_space
 
 #: the sampled descent's first radius and its shrink factor per round
 RADIUS0 = 1.0
@@ -243,8 +243,8 @@ def _descent_constants(alpha_tilde, alpha, ell, constrained, best_effort):
 def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveResult:
     """Run the descent to merit <= tol and certify the error bound.
 
-    ``problem`` needs ``evaluate_many(p, X)``, ``cone``, ``constraint``,
-    ``ell`` (the Lipschitz budget of its perturbation terms) and
+    ``problem`` needs ``at(p)`` (the view whose merit and constraint the run
+    reads), ``ell`` (the Lipschitz budget of its perturbation terms) and
     ``best_effort``; constrained mode engages whenever the constraint is not
     the whole space.
     alpha_tilde is ``cfg.alpha_tilde``, else the problem's
@@ -261,13 +261,14 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
     """
     cfg = cfg or SolverConfig()
     x0 = as_vector(x0)
-    constraint = problem.constraint
+    at = problem.at(p)
+    constraint = at.constraint
     constrained = not is_all_space(constraint)
     ell = float(problem.ell)
     alpha_tilde = (cfg.alpha_tilde if cfg.alpha_tilde is not None
                    else getattr(problem, "declared_alpha", None))
     if alpha_tilde is None and (constrained or cfg.alpha is None):  # sample it
-        merit0 = float(merit_many(problem, p, x0[None, :])[0])
+        merit0 = at.merit(x0)
         if merit0 <= cfg.tol and constraint.project(x0, p)[1] <= cfg.tol:
             return SolveResult(x0.copy(), merit0, iterations=0, path_length=0.0,
                                caristi_certified=True, bound_rhs=0.0, bound_holds=True,
@@ -283,7 +284,7 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
 
     def psit(X):
         # reads kappa at call time: the back-off retry below reassigns it
-        return merit_many(problem, p, X, kappa)
+        return at.merit_many(X, kappa)
 
     psit0 = float(psit(x0[None, :])[0])
     bound_rhs = psit0 / k_run

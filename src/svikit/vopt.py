@@ -23,12 +23,11 @@ from typing import ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
-from .geometry import (PolyCone, VPolytope, _as_points, as_vector, matvec_rows,
-                       row_norms)
+from .geometry import PolyCone, VPolytope, as_vector, matvec_rows, row_norms
 from .increase import PropertyAbsent, SamplingConfig, global_infimum
 from .parametric import SweepRow, SweepTable, _sorted_grid, _sweep_meta
-from .setmaps import (Ball, Box, ConstraintFamily, PolytopeSet, RotationScaled,
-                      _Knots, _last_at, as_data, constraint_from_dict, is_all_space,
+from .setmaps import (Ball, Box, ConstraintFamily, Parametric, PolytopeSet, ProblemAt,
+                      RotationScaled, _Knots, as_data, constraint_from_dict, is_all_space,
                       matrix_family_from_dict, merit_many, read_data, write_data)
 from .solver import SolveResult, SolverConfig, solve
 
@@ -45,6 +44,11 @@ class _Objective:
     def value(self, p: float, x) -> np.ndarray:
         """f(p, x): the one-row view of ``values_many``."""
         return self.values_many(p, as_vector(x)[None, :])[0]
+
+    def values_many(self, p: float, pts: np.ndarray) -> np.ndarray:
+        """f(p, x) for every row x of pts, from the data at p, ``data_at(p)``:
+        (M(p), b(p)), b None without an offset, or (None, phi(p))."""
+        return self.values_at(*self.data_at(p), pts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,8 +76,11 @@ class AbsDeviation(_Objective):
     def phi(self, p: float) -> float:
         return float(self.phi_knots.at(p))
 
-    def values_many(self, p: float, pts: np.ndarray) -> np.ndarray:
-        return np.repeat(np.abs(pts[:, :1] - self.phi(p)), self.components, axis=1)
+    def data_at(self, p: float) -> tuple:
+        return None, self.phi(p)
+
+    def values_at(self, M, phi: float, pts: np.ndarray) -> np.ndarray:
+        return np.repeat(np.abs(pts[:, :1] - phi), self.components, axis=1)
 
     def to_dict(self) -> dict:
         return {"variant": "abs_deviation", "components": self.components,
@@ -107,11 +114,12 @@ class AffineFamily(_Objective):
     def matrix_at(self, p: float) -> np.ndarray:
         return self.matrix.matrix_at(p)
 
-    def values_many(self, p: float, pts: np.ndarray) -> np.ndarray:
-        values = matvec_rows(self.matrix_at(p), pts)
-        if self.offset is None:
-            return values  # adding zeros would turn the product's -0.0 into 0.0
-        return values + self.offset.at(p)
+    def data_at(self, p: float) -> tuple:
+        return self.matrix_at(p), None if self.offset is None else self.offset.at(p)
+
+    def values_at(self, M: np.ndarray, b, pts: np.ndarray) -> np.ndarray:
+        values = matvec_rows(M, pts)  # no b: adding zeros would turn -0.0 into 0.0
+        return values if b is None else values + b
 
     def to_dict(self) -> dict:
         d = {"variant": "affine", "matrix": self.matrix.to_dict()}
@@ -137,7 +145,36 @@ def objective_from_dict(d: dict) -> Objective:
 
 
 @dataclass(frozen=True, eq=False)
-class VopSpec:
+class VopAt(ProblemAt):
+    """A ``VopSpec`` at p: the objective's data at p, M and b (``data_at``),
+    and the points of R(p) that decide ideality (``span_points``) with their
+    objective values."""
+
+    def __post_init__(self, spec):
+        super().__post_init__(spec)
+        M, b = spec.objective.data_at(self.p)
+        self._set(objective=spec.objective, M=M, b=b)
+        span = span_points(self)
+        self._set(span=span, values=self.f(span))
+
+    def f(self, X: np.ndarray) -> np.ndarray:
+        """f(p, x) for every row x of a 2-D X."""
+        return self.objective.values_at(self.M, self.b, X)
+
+    def _images(self, X: np.ndarray) -> np.ndarray:
+        # the vertices {f(p, s) - f(p, x)} over the span points s
+        return self.values[None] - self.f(X)[:, None]
+
+    @property
+    def bound_map(self):
+        """x -> -f(p, x), whose increase bound is f's decrease bound, and its
+        linear part -M(p) for a square affine objective, else None."""
+        square = self.M is not None and self.M.shape[0] == self.M.shape[1]
+        return (lambda x: VPolytope(-self.f(as_vector(x)[None]))), -self.M if square else None
+
+
+@dataclass(frozen=True, eq=False)
+class VopSpec(Parametric):
     """Datum of the parametric vector optimization problem: minimize
     f(p, x) over R(p) in the order induced by a pointed cone.  It is also
     the inclusion problem of ideal efficiency: the map
@@ -145,6 +182,7 @@ class VopSpec:
 
     #: a run descends on floor constants where the mandated ones are missing
     best_effort: ClassVar[bool] = True
+    view: ClassVar[type] = VopAt
 
     objective: Objective
     constraint: ConstraintFamily
@@ -179,31 +217,8 @@ class VopSpec:
     def dim_in(self) -> int:
         return self.objective.dim_in
 
-    def bound_map(self, p: float):
-        """The map whose increase bound the solver needs at p, x -> -f(p, x)
-        (the objective's decrease bound is its increase bound), and its
-        linear part -M(p) for a square affine objective, else None."""
-        obj = self.objective
-        M = None
-        if isinstance(obj, AffineFamily) and obj.dim_in == obj.dim_out:
-            M = -obj.matrix_at(p)
-        return (lambda x: VPolytope(-obj.value(p, x)[None, :])), M
-
-    def span_images(self, p: float):
-        """The points of R(p) that decide ideality (``span_points``) and
-        their objective values, kept read-only for the last parameter asked."""
-        def build():
-            pts = span_points(self, p)
-            return pts, self.objective.values_many(p, pts)
-        return _last_at(self, p, build)
-
     def evaluate(self, p: float, x) -> VPolytope:
-        return VPolytope(self.evaluate_many(p, np.asarray(x, dtype=float)[None])[0])
-
-    def evaluate_many(self, p: float, X) -> np.ndarray:
-        """Vertices {f(p, s) - f(p, x)} for every row x of X, shape (k, v, m)."""
-        X = _as_points(X, self.objective.dim_in)
-        return self.span_images(p)[1][None] - self.objective.values_many(p, X)[:, None]
+        return self.at(p).evaluate(x)
 
 
 #: the benchmark still traces ``vopt.VopProblem.evaluate``
@@ -223,18 +238,18 @@ def vop_spec_from_dict(d: dict) -> VopSpec:
 # points that decide ideality
 # ---------------------------------------------------------------------------
 
-def span_points(spec: VopSpec, p: float) -> np.ndarray:
+def span_points(at: VopAt) -> np.ndarray:
     """Points s of R(p) such that x is ideal iff every f(p, s) - f(p, x) lies
-    in the cone: a polytope's vertices, the corners of a box or the ends of
-    a 1-D ball, with proj phi(p) for the deviation objective (over the whole
-    space, with the ends of phi's range widened by one).  On a ball B(c, rho)
-    in n >= 2, where f is affine, they are c and the argmin
-    c - rho L^T w / |L^T w| of each scalarization w . f, w a facet row of the
-    cone with L^T w != 0."""
-    constraint, obj = spec.constraint, spec.objective
+    in the cone, from the spec's data at p (``VopAt``, which keeps them): a
+    polytope's vertices, the corners of a box or the ends of a 1-D ball,
+    with proj phi(p) for the deviation objective (over the whole space, with
+    the ends of phi's range widened by one).  On a ball B(c, rho) in n >= 2,
+    where f is affine, they are c and the argmin c - rho L^T w / |L^T w| of
+    each scalarization w . f, w a facet row of the cone with L^T w != 0."""
+    constraint, obj, p = at.constraint, at.objective, at.p
     if isinstance(constraint, Ball) and constraint.dim >= 2:
         c, r = constraint.data_at(p)
-        G = spec.cone.facets @ obj.matrix_at(p)
+        G = at.cone.facets @ at.M
         G = G[row_norms(G) > 0]
         return np.vstack([c, c - (r / row_norms(G))[:, None] * G])
     if isinstance(constraint, PolytopeSet):
@@ -248,7 +263,7 @@ def span_points(spec: VopSpec, p: float) -> np.ndarray:
         span = float(np.max(np.abs(obj.phi_knots.values))) + 1.0
         pts = np.array([[-span], [span]])
     if isinstance(obj, AbsDeviation):
-        pts = np.vstack([pts, constraint.project(np.array([obj.phi(p)]), p)[0]])
+        pts = np.vstack([pts, constraint.project(np.array([at.b]), p)[0]])
     return pts
 
 
@@ -318,17 +333,18 @@ def solve_ideal(spec: VopSpec, p: float, x0, cfg: Optional[SolverConfig] = None)
 
 def brute_force_ideal(spec: VopSpec, p: float) -> OracleResult:
     """Exact oracle for ideal efficiency: one batched merit over the points
-    that decide ideality (``VopSpec.span_images``); the first within
-    ORACLE_TOL is returned.
+    that decide ideality (``VopAt.span``); the first within ORACLE_TOL is
+    returned.
     An affine objective's ideal set is the intersection of the argmin sets of
     the scalarizations w . f, so it holds a polytope or box vertex, or one
     ball argmin (the whole ball when f is constant), when nonempty; the
     deviation objective's images lie on a segment spanned by the points."""
-    pts, values = spec.span_images(p)
-    hits = np.flatnonzero(merit_many(spec, p, pts) <= ORACLE_TOL)
+    at = spec.at(p)
+    hits = np.flatnonzero(merit_many(spec, p, at.span) <= ORACLE_TOL)
     if hits.size:
         i = int(hits[0])
-        return OracleResult(status="ideal", x=np.array(pts[i], float), value=values[i].copy())
+        return OracleResult(status="ideal", x=np.array(at.span[i], float),
+                            value=at.values[i].copy())
     return OracleResult(status="empty")
 
 

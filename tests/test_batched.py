@@ -45,7 +45,7 @@ def _scalar_merit(prob, p, x, kappa):
         obj = prob.objective
         fx = (obj.matrix_at(p) @ x if hasattr(obj, "matrix_at")
               else np.full(obj.dim_out, abs(float(x[0]) - obj.phi(p))))
-        verts = prob.span_images(p)[1] - fx
+        verts = prob.at(p).values - fx
     else:
         verts = prob.matrix.matrix_at(p) @ x
         if prob.h is not None:
@@ -105,6 +105,14 @@ def test_merit_many_validates_at_the_boundary(rotation_problem, triangle_spec):
     # finite points whose image overflows (numpy's overflow warning silenced):
     # the computed vertices are checked once, by the merit and by the
     # polytope of ``evaluate``
+    # the one-row image is row 0 of the batch, byte for byte, and checks x
+    for prob in (rotation_problem, triangle_spec):
+        for x in np.random.default_rng(4).uniform(-3.0, 3.0, (8, 2)):
+            assert (prob.evaluate(P, x).vertices.tobytes()
+                    == prob.evaluate_many(P, x[None])[0].tobytes())
+        for x in ([0.0, math.nan], [math.inf, 0.0]):
+            with pytest.raises(ValueError):
+                prob.evaluate(P, x)
     with np.errstate(over="ignore", invalid="ignore"):
         for prob, x in ((rotation_problem, [1e308, 1e308]),
                         (triangle_spec, [1.5e308, 1.5e308])):
@@ -133,19 +141,20 @@ MATRIX_OWNERS = {
 
 @pytest.mark.parametrize("name", sorted(MATRIX_OWNERS))
 def test_the_matrix_of_the_last_parameter_is_kept(name):
-    # each problem builds M(p) once per parameter, keyed by the exact float:
-    # alternating parameters (signed zeros included) give a fresh object's
-    # vertices bit for bit, and the kept matrix is read-only
+    # each problem builds M(p) once per parameter, in the view ``at(p)`` it
+    # keeps for the last p asked, keyed by the exact float: alternating
+    # parameters (signed zeros included) give a fresh object's vertices bit
+    # for bit, and the kept matrix is read-only
     make, family = MATRIX_OWNERS[name]
     prob = make()
     X = _points(prob, 16, 1)
     for p in (0.1, 0.2, 0.1, 0.0, -0.0, 0.0):
         assert prob.evaluate_many(p, X).tobytes() == make().evaluate_many(p, X).tobytes()
-        M = family(prob).matrix_at(p)
-        assert M is family(prob).matrix_at(p)
-        assert M.tobytes() == family(make()).matrix_at(p).tobytes()
+        at = prob.at(p)
+        assert prob.at(p) is at and at.M is prob.at(p).M
+        assert at.M.tobytes() == family(make()).matrix_at(p).tobytes()
         with pytest.raises(ValueError):
-            M[0, 0] = 1.0
+            at.M[0, 0] = 1.0
 
 
 def test_a_parameter_outside_the_knots_raises_on_every_call():

@@ -1,6 +1,5 @@
 import math
 import os
-import sys
 
 import numpy as np
 import pytest
@@ -196,18 +195,16 @@ def test_no_step_rows_keep_the_stuck_iterate():
 
 
 def test_the_warm_golden_sweep_makes_a_fixed_number_of_merit_calls(monkeypatch):
-    # the rotation_warm golden's 9-row sweep, counted at every binding of
-    # ``merit_many`` (the one merit): a change to the row selection's ray
-    # search shows here as a count, not as a timing
-    original, calls = setmaps.merit_many, [0]
+    # the rotation_warm golden's 9-row sweep, counted on the view's
+    # ``merit_many`` (the one merit, which every merit call runs): a change
+    # to the row selection's ray search shows here as a count, not as a timing
+    original, calls = setmaps.ProblemAt.merit_many, [0]
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("svikit") and getattr(module, "merit_many", None) is original:
-            monkeypatch.setattr(module, "merit_many", counted)
+    monkeypatch.setattr(setmaps.ProblemAt, "merit_many", counted)
     table = sweep(rotation_inclusion_problem(), 2.0 * math.pi / 64 * np.arange(9), [0.0, 0.0],
                   SolverConfig(alpha=1.5))
     assert all(r.solved for r in table.rows)

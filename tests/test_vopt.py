@@ -258,29 +258,33 @@ def test_oracle_point_is_a_writable_copy(triangle_spec):
     res = brute_force_ideal(triangle_spec, 0.0)
     assert res.is_ideal and res.x.flags.writeable
     assert not np.shares_memory(res.x, triangle_spec.constraint.polytope.vertices)
-    assert not np.shares_memory(res.value, triangle_spec.span_images(0.0)[1])
+    assert not np.shares_memory(res.value, triangle_spec.at(0.0).values)
 
 
 def test_span_images_are_kept_per_exact_parameter():
-    # the kept span images belong to the exact p asked, not to a p within
-    # rounding of it: the answer after a nearby p equals a fresh spec's, and
-    # both arrays are read-only
+    # the kept span points and values belong to the exact p asked, not to a
+    # p within rounding of it: the answer after a nearby p equals a fresh
+    # spec's, and both arrays of the view are read-only
     X = np.random.default_rng(5).uniform(-1.0, 2.0, (64, 2))
     spec, p = triangle_vop_spec(), 0.7 + 4e-13
     spec.evaluate_many(0.7, X)
     assert np.array_equal(spec.evaluate_many(p, X), triangle_vop_spec().evaluate_many(p, X))
-    assert not any(a.flags.writeable for a in spec.span_images(p))
+    at = spec.at(p)
+    assert at.p == p and at is not spec.at(0.7)
+    assert np.array_equal(at.values, triangle_vop_spec().at(p).values)
+    assert not any(a.flags.writeable for a in (at.span, at.values))
 
 
 def test_each_ideal_run_computes_its_span_images_once(monkeypatch):
-    # the oracle and the descent share the span images at p, which the spec
-    # keeps: a fresh spec, so that none are kept from an earlier test
+    # the oracle and the descent share the span points at p, which the view
+    # ``spec.at(p)`` keeps: a fresh spec, so that none is kept from an
+    # earlier test
     spec, calls = triangle_vop_spec(clockwise=True), []
     span_points = vopt.span_points
 
-    def counting(spec_, p):
-        calls.append(p)
-        return span_points(spec_, p)
+    def counting(at):
+        calls.append(at.p)
+        return span_points(at)
 
     monkeypatch.setattr(vopt, "span_points", counting)
     res = solve_ideal(spec, 0.0, [0.3, 0.3], SolverConfig(rng_seed=0, alpha_tilde=DEC_TRIANGLE))
@@ -548,7 +552,7 @@ def test_ideal_value_single_valuedness():
                                                                    [1.0, 0.0]]))),
                    constraint=Box(lower=[0.0, 0.0], upper=[1.0, 1.0]),
                    cone=orthant(2), objective_lipschitz=1.0)
-    ideal_xs = [x for x in spec.span_images(0.0)[0] if merit(spec, 0.0, x) <= 1e-9]
+    ideal_xs = [x for x in spec.at(0.0).span if merit(spec, 0.0, x) <= 1e-9]
     assert len(ideal_xs) > 1
     vals = np.asarray([spec.objective.value(0.0, x) for x in ideal_xs])
     assert np.max(np.linalg.norm(vals - vals[0], axis=1)) <= 1e-9
