@@ -15,7 +15,7 @@ from .parametric import (ContinuityReport, SweepTable, continuity_report,
                          sweep, write_csv)
 from .setmaps import (AbsComponent, AllSpace, Ball, Box, ConcaveTerm, FanSpec,
                       PolytopeSet, RotationScaled, SviProblem, evaluate,
-                      merit, merit_many, problem_from_dict)
+                      problem_from_dict)
 from .solver import (SolveResult, SolverConfig, caristi_step, segment_step,
                      solve)
 from .vopt import (AbsDeviation, AffineFamily, IdealResult, VopSpec,

@@ -22,7 +22,7 @@ from .increase import PropertyAbsent, SamplingConfig, global_infimum
 from .parametric import continuity_report, sweep, write_csv
 from .problems import load_problem_file
 from .geometry import row_norms
-from .setmaps import KnotRangeError, RotationScaled, SviProblem, merit_many
+from .setmaps import ImageOverflow, KnotRangeError, RotationScaled, SviProblem
 from .solver import DescentConstantsError, SolverConfig, solve
 from .vopt import FOUND, NOT_FOUND, AffineFamily, VopSpec, ideal_value_sweep, solve_ideal
 
@@ -295,8 +295,9 @@ def _cmd_verify(args) -> int:
     ps = rng.uniform(0.0, 2.0 * math.pi, size=4)
     xs = rng.uniform(-2.0, 2.0, size=(min(args.trials, 10), n))
     for p in ps:  # batched images and merits, one call of each per parameter
-        V = problem.evaluate_many(p, xs)
-        exact = merit_many(problem, p, xs)
+        at = problem.at(p)
+        V = at.evaluate_many(xs)
+        exact = at.merit_many(xs)
         k, v = V.shape[:2]
         w = rng.dirichlet(np.ones(v), size=(k, 2000))
         ok[0] &= np.all(far(w @ V).max(axis=1) <= exact + 1e-9)
@@ -307,9 +308,8 @@ def _cmd_verify(args) -> int:
 
         x1, x2 = rng.uniform(-2.0, 2.0, size=(2, args.trials, n))
         t = rng.uniform(size=(args.trials, 1))
-        f1, f2, fmid = merit_many(problem, p, np.vstack([x1, x2, t * x1 + (1 - t) * x2])
-                                  ).reshape(3, -1)
-        lip = float(np.linalg.norm(problem.matrix.matrix_at(p), 2)) + problem.ell
+        f1, f2, fmid = at.merit_many(np.vstack([x1, x2, t * x1 + (1 - t) * x2])).reshape(3, -1)
+        lip = float(np.linalg.norm(at.M, 2)) + problem.ell
         ok[2] &= np.all(np.abs(f1 - f2) <= lip * row_norms(x1 - x2) + 1e-9)
         ok[3] &= np.all(fmid <= t[:, 0] * f1 + (1 - t[:, 0]) * f2 + 1e-9)
     for name, passed in zip(names, ok):
@@ -336,7 +336,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _VERBS[args.verb](args)
-    except (UsageError, DescentConstantsError, KnotRangeError) as err:
+    except (UsageError, DescentConstantsError, KnotRangeError, ImageOverflow) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except PropertyAbsent as err:

@@ -79,9 +79,9 @@ def _stable_seed(base: int, p: Optional[float], x: np.ndarray) -> np.random.Gene
 
 
 def hints_for_problem(problem, p: float) -> Optional[np.ndarray]:
-    """The hint direction of the map that ``problem.bound_map(p)`` gives
+    """The hint direction of the bound map of ``problem.at(p)``
     (``hints_for_matrix`` of its linear part), for both problem kinds; None
-    when it has none.  The view ``problem.at(p)`` keeps it."""
+    when it has none.  The view keeps it."""
     return problem.at(p).hint
 
 
@@ -254,9 +254,10 @@ def nonsolution_pairs(problem, p_grid: Sequence[float], x_samples,
         xs = np.asarray(x_samples, dtype=float).reshape(-1, dim)
     pairs = []
     for p in p_grid:
-        X = xs if is_all_space(problem.constraint) else np.array(
-            [problem.constraint.project(x, p)[0] for x in xs]).reshape(-1, dim)
-        pairs += [(float(p), x) for x in X[problem.at(p).merit_many(X) > cfg.tolerance]]
+        at = problem.at(p)
+        X = xs if is_all_space(at.constraint) else np.array(
+            [at.constraint.project(x)[0] for x in xs]).reshape(-1, dim)
+        pairs += [(float(p), x) for x in X[at.merit_many(X) > cfg.tolerance]]
     return pairs
 
 
@@ -264,12 +265,12 @@ def global_infimum(problem, p_grid: Sequence[float], x_samples,
                    cfg: Optional[SamplingConfig] = None) -> InfimumResult:
     """Sampled lower estimate of the problem's global bound constant: the
     least alpha_lo of ``estimate_bound`` over the ``nonsolution_pairs``, on
-    the map that ``problem.bound_map(p)`` gives, with the hint of
-    ``hints_for_problem``: F(p, .) for an inclusion, -f(p, .) for ideal
-    efficiency (the decrease bound of f).  A pair with no witnesses at the
-    probe is skipped, as near the solution set the candidates can miss them
-    at the qualifying radii; PropertyAbsent means no pair was left, which
-    includes samples that are all solutions."""
+    the bound map of the view ``problem.at(p)``, with the view's hint:
+    F(p, .) for an inclusion, -f(p, .) for ideal efficiency (the decrease
+    bound of f).  A pair with no witnesses at the probe is skipped, as near
+    the solution set the candidates can miss them at the qualifying radii;
+    PropertyAbsent means no pair was left, which includes samples that are
+    all solutions."""
     cfg = cfg or SamplingConfig()
     if not len(p_grid):
         raise ValueError("parameter grid must be nonempty")

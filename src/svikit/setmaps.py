@@ -3,13 +3,13 @@ constraint families, and the merit of the inclusion problem
 F(p, x) = M(p) x + h(x) + H(x)  subset-of  C.
 
 A problem at one parameter p is the immutable view ``problem.at(p)``
-(``SviAt`` here, ``VopAt`` in vopt), which holds the data at p, built once;
-the problem keeps the view of the last p asked.  Its ``merit_many`` is the
-one merit of the package: the excess of F(p, x) beyond C, optionally
-penalized by kappa * dist(x, R(p)), for every row of a batch, which it
-checks once, as it does the computed vertices.  The module's ``merit_many``,
-``merit`` and ``evaluate`` are one-line views over ``at(p)``; the solver
-also reads a problem's ``ell`` and ``best_effort``.
+(``SviAt`` here, ``VopAt`` in vopt): the one way in to the data at p, built
+once, whose constraint R(p) projects without a p.  The problem keeps the
+view of the last p asked.  Its ``merit_many`` is the one merit of the
+package: the excess of F(p, x) beyond C, optionally penalized by
+kappa * dist(x, R(p)), for every row of a batch, which it checks once, as it
+does the computed vertices.  The solver also reads a problem's ``ell`` and
+``best_effort``.
 
 The catalog is deliberately narrow so that concavity and Lipschitz constants
 are declared and machine-checkable instead of inferred from arbitrary code.
@@ -33,6 +33,10 @@ from .geometry import (PolyCone, VPolytope, _as_points, all_finite, as_vector, d
 class KnotRangeError(ValueError):
     """A parameter outside a knot table's range: the problem data does not
     cover it."""
+
+
+class ImageOverflow(ValueError):
+    """Finite points whose image at p overflows: the data is too large there."""
 
 
 class _Knots:
@@ -61,6 +65,13 @@ class _Knots:
     def shape(self) -> tuple:
         """The shape of the value at one parameter."""
         return self.values.shape if self.ps is None else self.values.shape[1:]
+
+    @property
+    def value(self) -> np.ndarray:
+        """A constant's value: a knot table has one only at a p (``at``)."""
+        if self.ps is None:
+            return self.values
+        raise ValueError("a knot table has a value only at a parameter: read it at(p)")
 
     def at(self, p: float) -> np.ndarray:
         if self.ps is None:
@@ -318,10 +329,10 @@ class AllSpace:
     def at(self, p: float) -> "AllSpace":
         return self
 
-    def project(self, x: np.ndarray, p: float) -> tuple[np.ndarray, float]:
+    def project(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         return np.asarray(x, dtype=float).copy(), 0.0
 
-    def distances(self, X: np.ndarray, p: float) -> np.ndarray:
+    def distances(self, X: np.ndarray) -> np.ndarray:
         return np.zeros(len(X))
 
     def to_dict(self) -> dict:
@@ -350,20 +361,16 @@ class Box:
     def dim(self) -> int:
         return self.lower.shape[0]
 
-    def bounds_at(self, p: float) -> tuple[np.ndarray, np.ndarray]:
-        return self.lower.at(p), self.upper.at(p)
-
     def at(self, p: float) -> "Box":  # with constant bounds at p
-        return self if self.lower.ps is None else Box(*self.bounds_at(p))
+        return self if self.lower.ps is None else Box(self.lower.at(p), self.upper.at(p))
 
-    def project(self, x, p: float) -> tuple[np.ndarray, float]:
+    def project(self, x) -> tuple[np.ndarray, float]:
         x = as_vector(x)
-        lo, hi = self.bounds_at(p)
-        proj = np.clip(x, lo, hi)
+        proj = np.clip(x, self.lower.value, self.upper.value)
         return proj, float(np.linalg.norm(x - proj))
 
-    def distances(self, X: np.ndarray, p: float) -> np.ndarray:
-        return row_norms(X - np.clip(X, *self.bounds_at(p)))
+    def distances(self, X: np.ndarray) -> np.ndarray:
+        return row_norms(X - np.clip(X, self.lower.value, self.upper.value))
 
     def to_dict(self) -> dict:
         return {"variant": "box", **write_data(lower=self.lower, upper=self.upper)}
@@ -393,15 +400,12 @@ class Ball:
     def dim(self) -> int:
         return self.center.shape[0]
 
-    def data_at(self, p: float) -> tuple[np.ndarray, float]:
-        return self.center.at(p), float(self.radius.at(p))
-
     def at(self, p: float) -> "Ball":  # with a constant centre and radius at p
-        return self if self.center.ps is None else Ball(*self.data_at(p))
+        return self if self.center.ps is None else Ball(self.center.at(p), self.radius.at(p))
 
-    def project(self, x, p: float) -> tuple[np.ndarray, float]:
+    def project(self, x) -> tuple[np.ndarray, float]:
         x = as_vector(x)
-        c, r = self.data_at(p)
+        c, r = self.center.value, float(self.radius.value)
         gap = x - c
         nrm = float(np.linalg.norm(gap))
         if nrm <= r:
@@ -409,8 +413,8 @@ class Ball:
         proj = c + gap * (r / nrm)
         return proj, nrm - r
 
-    def distances(self, X: np.ndarray, p: float) -> np.ndarray:
-        c, r = self.data_at(p)
+    def distances(self, X: np.ndarray) -> np.ndarray:
+        c, r = self.center.value, float(self.radius.value)
         return np.maximum(row_norms(X - c) - r, 0.0)
 
     def to_dict(self) -> dict:
@@ -430,10 +434,10 @@ class PolytopeSet:
     def at(self, p: float) -> "PolytopeSet":
         return self
 
-    def project(self, x, p: float) -> tuple[np.ndarray, float]:
+    def project(self, x) -> tuple[np.ndarray, float]:
         return project_dist(x, self.polytope)
 
-    def distances(self, X: np.ndarray, p: float) -> np.ndarray:
+    def distances(self, X: np.ndarray) -> np.ndarray:
         return dist_many(X, self.polytope)
 
     def to_dict(self) -> dict:
@@ -475,6 +479,8 @@ class ProblemAt:
     p: float
 
     def __post_init__(self, problem):
+        if not math.isfinite(self.p):
+            raise ValueError(f"parameter p = {self.p} is not finite")
         self._set(cone=problem.cone, constraint=problem.constraint.at(self.p),
                   dim=problem.dim_in)
 
@@ -492,7 +498,7 @@ class ProblemAt:
         """F(p, x): row 0 of ``evaluate_many``, its vertices checked once."""
         V = self.evaluate_many(np.asarray(x, dtype=float)[None])[0]
         if not all_finite(V):  # a finite x whose image overflows
-            raise ValueError("points have non-finite coordinates")
+            raise ImageOverflow(f"the image at p = {self.p} has non-finite coordinates")
         image = object.__new__(VPolytope)  # no second check by VPolytope
         object.__setattr__(image, "vertices", V)
         return image
@@ -505,11 +511,11 @@ class ProblemAt:
             raise ValueError("penalty weight must be nonnegative")
         V = self.evaluate_many(X)  # checks X
         if not all_finite(V):  # finite points whose image overflows
-            raise ValueError("points have non-finite coordinates")
+            raise ImageOverflow(f"the image at p = {self.p} has non-finite coordinates")
         k, v, m = V.shape
         out = np.maximum.reduce(self.cone._distances(V.reshape(-1, m)).reshape(k, v), axis=1)
         if kappa > 0:  # X as evaluate_many read it
-            out += kappa * self.constraint.distances(np.asarray(X, float).reshape(k, -1), self.p)
+            out += kappa * self.constraint.distances(np.asarray(X, float).reshape(k, -1))
         return out
 
     def merit(self, x, kappa: float = 0.0) -> float:
@@ -550,8 +556,8 @@ class SviAt(ProblemAt):
 
 
 class Parametric:
-    """A problem kind (``view`` its view class) whose per-parameter calls
-    are one-line views over ``at(p)``."""
+    """A problem kind (``view`` its view class) whose data at p is read
+    through ``at(p)`` only."""
 
     def at(self, p: float):
         """The view at p, kept for the last p asked, keyed by p's value, type
@@ -562,12 +568,6 @@ class Parametric:
             last = (p, key, last[2] if last[1] == key else self.view(self, p))
             object.__setattr__(self, "_at", last)
         return last[2]
-
-    def bound_map(self, p: float):
-        return self.at(p).bound_map
-
-    def evaluate_many(self, p: float, X) -> np.ndarray:
-        return self.at(p).evaluate_many(X)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +649,7 @@ def problem_from_dict(d: dict) -> SviProblem:
 
 
 # ---------------------------------------------------------------------------
-# evaluation and merit
+# evaluation
 # ---------------------------------------------------------------------------
 
 def evaluate(problem: SviProblem, p: float, x) -> VPolytope:
@@ -657,12 +657,3 @@ def evaluate(problem: SviProblem, p: float, x) -> VPolytope:
     fan's extreme matrices (a singleton without a fan)."""
     return problem.at(p).evaluate(x)
 
-
-def merit_many(problem, p: float, X, kappa: float = 0.0) -> np.ndarray:
-    """The merit at every row x of X (``ProblemAt.merit_many``)."""
-    return problem.at(p).merit_many(X, kappa)
-
-
-def merit(problem, p: float, x, kappa: float = 0.0) -> float:
-    """The merit at one point: the one-row view of ``merit_many``."""
-    return problem.at(p).merit(x, kappa)

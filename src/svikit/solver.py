@@ -152,7 +152,7 @@ def caristi_step(merit_many: Callable[[np.ndarray], np.ndarray], x, descent_k: f
 
     grad = numgrad(merit_many, x)
     grad_norm = float(np.linalg.norm(grad))
-    grad_dir = grad / grad_norm if grad_norm > 1e-14 else None  # flat point
+    grad_dir = grad / grad_norm if 1e-14 < grad_norm < math.inf else None  # flat, or overflowed
     if grad_dir is not None:
         # Newton-style lengths fx/|grad| land near the zero level without
         # overshooting deep into it; the Caristi test still gates acceptance
@@ -192,17 +192,18 @@ def caristi_step(merit_many: Callable[[np.ndarray], np.ndarray], x, descent_k: f
     return StepOutcome("no_step", radii_tried=tuple(radii_tried), merit=fx)
 
 
-def segment_step(x, constraint, p: float, t: float) -> np.ndarray:
+def segment_step(x, constraint, t: float) -> np.ndarray:
     """Move x a length t along the segment toward its projection onto the
-    constraint set; the distance to the set drops exactly by t."""
+    constraint set at one parameter (a view's ``constraint``); the distance
+    to the set drops exactly by t."""
     x = as_vector(x)
-    proj, dist = constraint.project(x, p)
+    proj, dist = constraint.project(x)
     if dist <= 1e-12:
         raise AlreadyFeasible("the point already lies in the constraint set")
     if not (0 < t <= dist + 1e-12):
         raise ValueError(f"step length {t} outside (0, dist={dist}]")
     u = x + (t / dist) * (proj - x)
-    _, du = constraint.project(u, p)
+    _, du = constraint.project(u)
     if abs(du - (dist - t)) > 1e-9 * max(1.0, dist):
         raise RuntimeError("segment identity violated; constraint set not convex?")
     return u
@@ -243,10 +244,10 @@ def _descent_constants(alpha_tilde, alpha, ell, constrained, best_effort):
 def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveResult:
     """Run the descent to merit <= tol and certify the error bound.
 
-    ``problem`` needs ``at(p)`` (the view whose merit and constraint the run
-    reads), ``ell`` (the Lipschitz budget of its perturbation terms) and
-    ``best_effort``; constrained mode engages whenever the constraint is not
-    the whole space.
+    ``problem`` needs ``at(p)`` (the view at p: the run reads p's data only
+    through its merit and constraint), ``ell`` (the Lipschitz budget of its
+    perturbation terms) and ``best_effort``; constrained mode engages
+    whenever the constraint is not the whole space (a non-finite p raises).
     alpha_tilde is ``cfg.alpha_tilde``, else the problem's
     ``declared_alpha``, else, when the constants need it, ``global_infimum``
     over six seeded non-solutions at p (in R(p) when constrained); a
@@ -269,7 +270,7 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
                    else getattr(problem, "declared_alpha", None))
     if alpha_tilde is None and (constrained or cfg.alpha is None):  # sample it
         merit0 = at.merit(x0)
-        if merit0 <= cfg.tol and constraint.project(x0, p)[1] <= cfg.tol:
+        if merit0 <= cfg.tol and constraint.project(x0)[1] <= cfg.tol:
             return SolveResult(x0.copy(), merit0, iterations=0, path_length=0.0,
                                caristi_certified=True, bound_rhs=0.0, bound_holds=True,
                                stop="converged", merit_history=array("d", [merit0]))
@@ -297,13 +298,13 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
     while iterations < cfg.max_iters:
         extras = []
         if constrained:
-            _, dx = constraint.project(x, p)
+            _, dx = constraint.project(x)
             if dx > cfg.tol:
                 # exact feasibility restoration candidates (segment steps)
-                extras.append(segment_step(x, constraint, p, dx))
+                extras.append(segment_step(x, constraint, dx))
                 r_seg = min(dx, RADIUS0)
                 if r_seg < dx:
-                    extras.append(segment_step(x, constraint, p, r_seg))
+                    extras.append(segment_step(x, constraint, r_seg))
         out = caristi_step(psit, x, k_run, cfg, step_seed=iterations,
                            extra_candidates=extras)
         fx = out.merit

@@ -12,6 +12,9 @@ interval, with proj phi(p) for the deviation objective.  On a ball in
 n >= 2 (where the objective is affine) they are its centre and the argmins
 of the scalarizations w . f, one per facet row w of the cone: a point is
 ideal iff it minimizes every one of them.
+
+Everything here reads the data at p through ``spec.at(p)`` (``VopAt``):
+M(p), b(p), the values f, R(p), the deciding points and the merit.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from .increase import PropertyAbsent, SamplingConfig, global_infimum
 from .parametric import SweepRow, SweepTable, _sorted_grid, _sweep_meta
 from .setmaps import (Ball, Box, ConstraintFamily, Parametric, PolytopeSet, ProblemAt,
                       RotationScaled, _Knots, as_data, constraint_from_dict, is_all_space,
-                      matrix_family_from_dict, merit_many, read_data, write_data)
+                      matrix_family_from_dict, read_data, write_data)
 from .solver import SolveResult, SolverConfig, solve
 
 
@@ -40,19 +43,8 @@ class UnsupportedCombination(ValueError):
 # objective catalog
 # ---------------------------------------------------------------------------
 
-class _Objective:
-    def value(self, p: float, x) -> np.ndarray:
-        """f(p, x): the one-row view of ``values_many``."""
-        return self.values_many(p, as_vector(x)[None, :])[0]
-
-    def values_many(self, p: float, pts: np.ndarray) -> np.ndarray:
-        """f(p, x) for every row x of pts, from the data at p, ``data_at(p)``:
-        (M(p), b(p)), b None without an offset, or (None, phi(p))."""
-        return self.values_at(*self.data_at(p), pts)
-
-
 @dataclass(frozen=True, eq=False)
-class AbsDeviation(_Objective):
+class AbsDeviation:
     """f(p, x) = (|x - phi(p)|, ..., |x - phi(p)|) with scalar x and
     piecewise-linear phi: a knot table of one scalar per knot."""
 
@@ -73,11 +65,8 @@ class AbsDeviation(_Objective):
     def dim_out(self) -> int:
         return self.components
 
-    def phi(self, p: float) -> float:
-        return float(self.phi_knots.at(p))
-
-    def data_at(self, p: float) -> tuple:
-        return None, self.phi(p)
+    def data_at(self, p: float) -> tuple:  # (None, phi(p)), as values_at reads them
+        return None, float(self.phi_knots.at(p))
 
     def values_at(self, M, phi: float, pts: np.ndarray) -> np.ndarray:
         return np.repeat(np.abs(pts[:, :1] - phi), self.components, axis=1)
@@ -88,7 +77,7 @@ class AbsDeviation(_Objective):
 
 
 @dataclass(frozen=True, eq=False)
-class AffineFamily(_Objective):
+class AffineFamily:
     """f(p, x) = M(p) x + b(p); the offset b, when given, is a vector with
     one entry per output or a knot table of such vectors."""
 
@@ -111,11 +100,8 @@ class AffineFamily(_Objective):
     def dim_out(self) -> int:
         return self.matrix.shape[0]
 
-    def matrix_at(self, p: float) -> np.ndarray:
-        return self.matrix.matrix_at(p)
-
-    def data_at(self, p: float) -> tuple:
-        return self.matrix_at(p), None if self.offset is None else self.offset.at(p)
+    def data_at(self, p: float) -> tuple:  # (M(p), b(p)), b None without an offset
+        return self.matrix.matrix_at(p), None if self.offset is None else self.offset.at(p)
 
     def values_at(self, M: np.ndarray, b, pts: np.ndarray) -> np.ndarray:
         values = matvec_rows(M, pts)  # no b: adding zeros would turn -0.0 into 0.0
@@ -246,24 +232,25 @@ def span_points(at: VopAt) -> np.ndarray:
     the ends of phi's range widened by one).  On a ball B(c, rho) in n >= 2,
     where f is affine, they are c and the argmin c - rho L^T w / |L^T w| of
     each scalarization w . f, w a facet row of the cone with L^T w != 0."""
-    constraint, obj, p = at.constraint, at.objective, at.p
+    constraint, obj = at.constraint, at.objective
     if isinstance(constraint, Ball) and constraint.dim >= 2:
-        c, r = constraint.data_at(p)
+        c, r = constraint.center.value, float(constraint.radius.value)
         G = at.cone.facets @ at.M
         G = G[row_norms(G) > 0]
         return np.vstack([c, c - (r / row_norms(G))[:, None] * G])
     if isinstance(constraint, PolytopeSet):
         pts = constraint.polytope.vertices
     elif isinstance(constraint, Ball):
-        c, r = constraint.data_at(p)
+        c, r = constraint.center.value, float(constraint.radius.value)
         pts = np.array([c - r, c + r])
     elif isinstance(constraint, Box):
-        pts = np.array(list(itertools.product(*zip(*constraint.bounds_at(p)))), float)
+        corners = itertools.product(*zip(constraint.lower.value, constraint.upper.value))
+        pts = np.array(list(corners), float)
     else:  # the whole space, which VopSpec pairs with the deviation objective only
         span = float(np.max(np.abs(obj.phi_knots.values))) + 1.0
         pts = np.array([[-span], [span]])
     if isinstance(obj, AbsDeviation):
-        pts = np.vstack([pts, constraint.project(np.array([at.b]), p)[0]])
+        pts = np.vstack([pts, constraint.project(np.array([at.b]))[0]])
     return pts
 
 
@@ -323,9 +310,9 @@ def solve_ideal(spec: VopSpec, p: float, x0, cfg: Optional[SolverConfig] = None)
     cfg = cfg or SolverConfig()
     oracle = brute_force_ideal(spec, p)  # rejects data that does not cover p before any estimate
     res = solve(spec, p, x0, cfg)
-    x = res.x_final
-    if res.stop == "converged" and spec.constraint.project(x, p)[1] <= max(cfg.tol, 1e-7):
-        return IdealResult(status=FOUND, x=x, value=spec.objective.value(p, x),
+    x, at = res.x_final, spec.at(p)
+    if res.stop == "converged" and at.constraint.project(x)[1] <= max(cfg.tol, 1e-7):
+        return IdealResult(status=FOUND, x=x, value=at.f(x[None])[0],
                            merit_final=res.merit_final, solve_result=res, oracle=oracle)
     return IdealResult(status=NOT_FOUND if oracle.is_ideal else CERTIFIED_EMPTY, x=x,
                        merit_final=res.merit_final, solve_result=res, oracle=oracle)
@@ -340,7 +327,7 @@ def brute_force_ideal(spec: VopSpec, p: float) -> OracleResult:
     ball argmin (the whole ball when f is constant), when nonempty; the
     deviation objective's images lie on a segment spanned by the points."""
     at = spec.at(p)
-    hits = np.flatnonzero(merit_many(spec, p, at.span) <= ORACLE_TOL)
+    hits = np.flatnonzero(at.merit_many(at.span) <= ORACLE_TOL)
     if hits.size:
         i = int(hits[0])
         return OracleResult(status="ideal", x=np.array(at.span[i], float),

@@ -17,7 +17,7 @@ from svikit.problems import (boxed_rotation_problem,
                              rotation_inclusion_problem,
                              rotation_solution_path, sine_deviation_spec,
                              triangle_vop_spec)
-from svikit.setmaps import evaluate, merit
+from svikit.setmaps import evaluate
 from svikit.solver import SolverConfig, segment_step, solve
 from svikit.vopt import ideal_value_sweep
 from conftest import random_pointed_cone
@@ -131,7 +131,7 @@ def test_criterion_4_global_solvability_error_bound():
         res = solve(prob, float(p), [0.0, 0.0], cfg)
         assert res.merit_final <= 1e-8
         assert np.linalg.norm(res.x_final) <= bound + 1e-6
-        assert merit(prob, float(p), rotation_solution_path(float(p))) <= 1e-12
+        assert prob.at(float(p)).merit(rotation_solution_path(float(p))) <= 1e-12
     elapsed = time.perf_counter() - t0
     report(4, elapsed < 60.0,
            f"65 cold solves reach 1e-8 within the bound {bound:.4f}; the "
@@ -172,12 +172,12 @@ def test_criterion_6_constrained_solvability():
     worst = 0.0
     for _ in range(200):
         x = rng.uniform(-6.0, 6.0, size=2)
-        _, d = box.project(x, 0.0)
+        _, d = box.project(x)
         if d <= 1e-9:
             continue
         t = rng.uniform(0.05, 1.0) * d
-        u = segment_step(x, box, 0.0, t)
-        _, du = box.project(u, 0.0)
+        u = segment_step(x, box, t)
+        _, du = box.project(u)
         worst = max(worst, abs(du - (d - t)))
         assert abs(du - (d - t)) <= 1e-9
     report(6, True,
@@ -242,17 +242,17 @@ def test_criterion_8_deviation_ideal_problem():
     lows = []
     for _ in range(10):
         p = rng.uniform(0.0, 2.0 * math.pi)
-        phi = spec.objective.phi(p)
+        phi = spec.at(p).b
         x = phi + rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
-        g = lambda xx: VPolytope(spec.objective.value(p, xx)[None, :])
+        g = lambda xx: VPolytope(spec.at(p).f(xx[None]))
         est = estimate_bound(lambda u: -g(u), C, [x], p_for_seed=p)
         lows.append(est.alpha_lo)
         assert est.alpha_lo >= 1.95
     # at the minimizer the property is absent (exact bound collapses to 1)
     p = 1.1
-    g = lambda xx: VPolytope(spec.objective.value(p, xx)[None, :])
+    g = lambda xx: VPolytope(spec.at(p).f(xx[None]))
     with pytest.raises(PropertyAbsent):
-        estimate_bound(lambda u: -g(u), C, [spec.objective.phi(p)], p_for_seed=p)
+        estimate_bound(lambda u: -g(u), C, [spec.at(p).b], p_for_seed=p)
     report(8, True,
            f"deviation sweep tracks sin within 1e-6, values within 1e-9; "
            f"decrease bounds >= 1.95 (min {min(lows):.4f}), absent at phi(p)")

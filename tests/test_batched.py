@@ -14,8 +14,7 @@ from svikit.geometry import PolyCone, orthant, seeded_rotation, unit_directions
 from svikit.parametric import _TREE_DEPTH, _bisect
 from svikit.problems import (boxed_rotation_problem, deviation_vop_spec,
                              rotation_inclusion_problem, triangle_vop_spec)
-from svikit.setmaps import (Ball, KnotRangeError, MatrixTable, SviProblem, _Knots,
-                            evaluate, merit, merit_many)
+from svikit.setmaps import Ball, KnotRangeError, MatrixTable, SviProblem, _Knots, evaluate
 from svikit import solver
 from svikit.solver import SolverConfig, caristi_step, segment_step
 from svikit.vopt import VopSpec
@@ -43,8 +42,8 @@ def _scalar_merit(prob, p, x, kappa):
     had a batched path."""
     if isinstance(prob, VopSpec):
         obj = prob.objective
-        fx = (obj.matrix_at(p) @ x if hasattr(obj, "matrix_at")
-              else np.full(obj.dim_out, abs(float(x[0]) - obj.phi(p))))
+        fx = (obj.matrix.matrix_at(p) @ x if hasattr(obj, "matrix")
+              else np.full(obj.dim_out, abs(float(x[0]) - float(obj.phi_knots.at(p)))))
         verts = prob.at(p).values - fx
     else:
         verts = prob.matrix.matrix_at(p) @ x
@@ -54,7 +53,7 @@ def _scalar_merit(prob, p, x, kappa):
         verts = verts[None, :] if prob.fan is None else verts + prob.fan.matrices @ x
     m = float(np.max(prob.cone.distances(verts)))
     if kappa > 0:
-        m += kappa * prob.constraint.project(x, p)[1]
+        m += kappa * prob.at(p).constraint.project(x)[1]
     return m
 
 
@@ -69,11 +68,11 @@ def _points(prob, size, seed):
 def test_merit_many_equals_one_row_merits(name, kappa, size):
     prob = PROBLEMS[name]
     X = _points(prob, size, size)
-    got = merit_many(prob, P, X, kappa)
+    got = prob.at(P).merit_many(X, kappa)
     assert got.shape == (size,)
-    assert np.array_equal(got, [merit(prob, P, x, kappa) for x in X])
+    assert np.array_equal(got, [prob.at(P).merit(x, kappa) for x in X])
     assert np.array_equal(got, [_scalar_merit(prob, P, x, kappa) for x in X])
-    assert np.array_equal(prob.evaluate_many(P, X),
+    assert np.array_equal(prob.at(P).evaluate_many(X),
                           [prob.evaluate(P, x).vertices for x in X])
 
 
@@ -88,18 +87,18 @@ def test_merit_many_on_face_table_cones():
     for prob in (wedge, cone3):
         for size in (1, 3, 64, 257):
             X = _points(prob, size, size)
-            got = merit_many(prob, P, X)
-            ref = np.array([merit(prob, P, x) for x in X])
+            got = prob.at(P).merit_many(X)
+            ref = np.array([prob.at(P).merit(x) for x in X])
             assert np.max(np.abs(got - ref), initial=0.0) <= 1e-14
 
 
 def test_merit_many_validates_at_the_boundary(rotation_problem, triangle_spec):
     with pytest.raises(ValueError):
-        merit_many(rotation_problem, 0.0, np.zeros((4, 3)))
+        rotation_problem.at(0.0).merit_many(np.zeros((4, 3)))
     with pytest.raises(ValueError):
-        merit_many(rotation_problem, 0.0, [[0.0, math.nan]])
+        rotation_problem.at(0.0).merit_many([[0.0, math.nan]])
     with pytest.raises(ValueError):
-        merit_many(rotation_problem, 0.0, np.zeros((2, 2)), kappa=-1.0)
+        rotation_problem.at(0.0).merit_many(np.zeros((2, 2)), kappa=-1.0)
     with pytest.raises(ValueError):
         evaluate(rotation_problem, 0.0, [0.0, 0.0, 0.0])
     # finite points whose image overflows (numpy's overflow warning silenced):
@@ -109,19 +108,19 @@ def test_merit_many_validates_at_the_boundary(rotation_problem, triangle_spec):
     for prob in (rotation_problem, triangle_spec):
         for x in np.random.default_rng(4).uniform(-3.0, 3.0, (8, 2)):
             assert (prob.evaluate(P, x).vertices.tobytes()
-                    == prob.evaluate_many(P, x[None])[0].tobytes())
+                    == prob.at(P).evaluate_many(x[None])[0].tobytes())
         for x in ([0.0, math.nan], [math.inf, 0.0]):
             with pytest.raises(ValueError):
                 prob.evaluate(P, x)
     with np.errstate(over="ignore", invalid="ignore"):
         for prob, x in ((rotation_problem, [1e308, 1e308]),
                         (triangle_spec, [1.5e308, 1.5e308])):
-            assert not np.isfinite(prob.evaluate_many(P, [x])).all()
+            assert not np.isfinite(prob.at(P).evaluate_many([x])).all()
             for kappa in (0.0, 0.8):
                 with pytest.raises(ValueError):
-                    merit_many(prob, P, [[0.0, 0.0], x], kappa)
+                    prob.at(P).merit_many([[0.0, 0.0], x], kappa)
                 with pytest.raises(ValueError):
-                    merit(prob, P, x, kappa)
+                    prob.at(P).merit(x, kappa)
             with pytest.raises(ValueError):
                 prob.evaluate(P, x)
 
@@ -135,7 +134,7 @@ def _knot_table_problem():
 MATRIX_OWNERS = {
     "rotation": (lambda: rotation_inclusion_problem(clockwise=True), lambda prob: prob.matrix),
     "knot table": (_knot_table_problem, lambda prob: prob.matrix),
-    "triangle": (triangle_vop_spec, lambda prob: prob.objective),
+    "triangle": (triangle_vop_spec, lambda prob: prob.objective.matrix),
 }
 
 
@@ -149,7 +148,7 @@ def test_the_matrix_of_the_last_parameter_is_kept(name):
     prob = make()
     X = _points(prob, 16, 1)
     for p in (0.1, 0.2, 0.1, 0.0, -0.0, 0.0):
-        assert prob.evaluate_many(p, X).tobytes() == make().evaluate_many(p, X).tobytes()
+        assert prob.at(p).evaluate_many(X).tobytes() == make().at(p).evaluate_many(X).tobytes()
         at = prob.at(p)
         assert prob.at(p) is at and at.M is prob.at(p).M
         assert at.M.tobytes() == family(make()).matrix_at(p).tobytes()
@@ -163,10 +162,10 @@ def test_a_parameter_outside_the_knots_raises_on_every_call():
     for _ in range(2):
         for p in (0.5, -0.1):
             with pytest.raises(KnotRangeError):
-                prob.evaluate_many(p, X)
+                prob.at(p).evaluate_many(X)
             with pytest.raises(KnotRangeError):
-                merit_many(prob, p, X)
-        prob.evaluate_many(0.2, X)
+                prob.at(p).merit_many(X)
+        prob.at(0.2).evaluate_many(X)
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +222,16 @@ def _sequential_step(merit_fn, x, k, cfg, step_seed, extras=()):
 
 def _assert_same_step(prob, p, x, k, kappa, step_seed, extras=()):
     cfg = SolverConfig(rng_seed=5)
-    status, u, radii = _sequential_step(lambda y: merit(prob, p, y, kappa), x, k, cfg,
+    status, u, radii = _sequential_step(lambda y: prob.at(p).merit(y, kappa), x, k, cfg,
                                         step_seed, extras)
-    out = caristi_step(lambda X: merit_many(prob, p, X, kappa), x, k, cfg,
+    out = caristi_step(lambda X: prob.at(p).merit_many(X, kappa), x, k, cfg,
                        step_seed=step_seed, extra_candidates=extras)
     assert out.status == status
     if status == "no_step":
         assert out.radii_tried == tuple(radii)
     if u is not None:
         assert np.array_equal(out.u, u)
-        assert out.merit == merit(prob, p, u, kappa)
+        assert out.merit == prob.at(p).merit(u, kappa)
     return status
 
 
@@ -253,8 +252,8 @@ def test_caristi_step_matches_sequential_triangle(step_seed):
     rng = np.random.default_rng(10 + step_seed)
     for p in (0.3, 2.0, 5.0):
         for x in rng.uniform(-0.5, 1.5, size=(3, 2)):
-            _, dx = prob.constraint.project(x, p)
-            extras = [segment_step(x, prob.constraint, p, dx)] if dx > 1e-8 else []
+            _, dx = prob.at(p).constraint.project(x)
+            extras = [segment_step(x, prob.at(p).constraint, dx)] if dx > 1e-8 else []
             for k in (0.05, 3.0):
                 _assert_same_step(prob, p, x, k, 1.3, step_seed, extras)
 

@@ -174,8 +174,26 @@ def test_usage_errors(problem_files, tmp_path, capsys):
         ["estimate-inc", "--problem", str(knotted_path), "--p", "8"],
         ["vopt", "--problem", str(ball_path), "--p", "8", "--x0", "0.3,0.3"],
     ]
-    for argv in bad_args:
-        assert main(argv) == 1, argv
+    # finite data whose images overflow: the error names the parameter
+    huge_scale, huge_fan = (rotation_inclusion_problem().to_dict() for _ in range(2))
+    huge_scale["matrix"]["scale"] = 1e308
+    huge_fan["fan"]["matrices"] = [[[1e308, 0.0], [0.0, 1e308]], [[-1e308, 0.0], [0.0, -1e308]]]
+    scale_path, fan_path = tmp_path / "huge_scale.json", tmp_path / "huge_fan.json"
+    scale_path.write_text(json.dumps(huge_scale))
+    fan_path.write_text(json.dumps(huge_fan))
+    overflows = [
+        ["sweep", "--problem", str(scale_path), "--grid", "0:1:3", "--x0", "0,0"],
+        ["estimate-inc", "--problem", str(scale_path), "--p", "0.4"],
+        ["verify-props", "--problem", str(scale_path)],
+        ["estimate-inc", "--problem", str(fan_path), "--p", "0.4"],
+        ["verify-props", "--problem", str(fan_path)],
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for argv in bad_args + overflows:
+            capsys.readouterr()
+            assert main(argv) == 1, argv
+            if argv in overflows:
+                assert "error: the image at p = " in capsys.readouterr().err, argv
     # an empty interval names what the constrained theorem needs
     capsys.readouterr()
     assert main(["solve", "--problem", boxed, "--p", "0.3", "--x0", "1,1",

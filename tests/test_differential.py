@@ -15,7 +15,7 @@ from svikit.geometry import PolyCone, SumSet, VPolytope, dist_many, orthant, pro
 from svikit.increase import PropertyAbsent
 from svikit.problems import write_problem_file
 from svikit.setmaps import (AbsComponent, AllSpace, Ball, Box, ConcaveTerm, MatrixTable,
-                            PolytopeSet, SviProblem, _Knots, merit)
+                            PolytopeSet, SviProblem, _Knots)
 from svikit.solver import MIN_DESCENT, SolverConfig, solve
 from svikit.vopt import (CERTIFIED_EMPTY, FOUND, NOT_FOUND, AbsDeviation, AffineFamily,
                          VopSpec, brute_force_ideal, ideal_value_sweep, solve_ideal)
@@ -85,8 +85,8 @@ def test_unsolved_ideal_runs_take_the_exact_oracles_verdict():
         assert res.oracle.status == oracle.status
         if res.status == FOUND:
             assert res.solve_result.stop == "converged"
-            assert merit(spec, p, res.x) <= cfg.tol
-            assert spec.constraint.project(res.x, p)[1] <= 1e-7
+            assert spec.at(p).merit(res.x) <= cfg.tol
+            assert spec.at(p).constraint.project(res.x)[1] <= 1e-7
             found_oracle_empty += not oracle.is_ideal
             continue
         assert (res.status == CERTIFIED_EMPTY) == (not oracle.is_ideal)
@@ -116,7 +116,7 @@ def test_sampled_alpha_tilde_without_witnesses_leaves_the_verdict_to_the_oracle(
             assert (res.status == CERTIFIED_EMPTY) == (not oracle.is_ideal)
         if i in (4, 8):
             assert res.status == CERTIFIED_EMPTY and not np.array_equal(res.x, x0)
-            assert res.merit_final < merit(spec, p, x0, kappa=1.0)
+            assert res.merit_final < spec.at(p).merit(x0, kappa=1.0)
         if i == 5 and p < KNOTS[-1]:
             run = res.solve_result
             assert res.status == FOUND and not run.caristi_certified

@@ -119,8 +119,8 @@ def rotation_increase(path):
 
 
 def sampled_infimum(path):
-    """The estimates behind ``global_infimum`` on its own route (each map from
-    ``problem.bound_map(p)``, with the hint of ``hints_for_problem``) for an
+    """The estimates behind ``global_infimum`` on its own route (each map the
+    bound map of the view ``problem.at(p)``, with the view's hint) for an
     inclusion, a constrained inclusion and an ideal-efficiency spec, at three
     parameters and six seeded samples each."""
     cfg = SamplingConfig(bracket_rtol=0.05, directions=64)

@@ -10,7 +10,7 @@ from svikit.parametric import (SweepRow, SweepTable, TooFewRows,
                                write_csv)
 from svikit import setmaps
 from svikit.problems import rotation_inclusion_problem, rotation_solution_path
-from svikit.setmaps import AbsComponent, ConcaveTerm, MatrixTable, SviProblem, merit
+from svikit.setmaps import AbsComponent, ConcaveTerm, MatrixTable, SviProblem
 from svikit.solver import SolverConfig, solve
 
 SQRT2 = math.sqrt(2.0)
@@ -164,8 +164,8 @@ def test_iteration_capped_rows_keep_the_last_iterate(rotation_problem):
     assert res.stop == "max_iters"
     first, second = table.rows
     assert np.array_equal(first.x, res.x_final)
-    assert first.merit == res.merit_final == merit(rotation_problem, 0.0, first.x)
-    assert first.merit < merit(rotation_problem, 0.0, start)
+    assert first.merit == res.merit_final == rotation_problem.at(0.0).merit(first.x)
+    assert first.merit < rotation_problem.at(0.0).merit(start)
     assert not first.solved and not first.bound_holds and math.isnan(first.bound_rhs)
     assert np.array_equal(second.warm_start, first.x)
     assert second.solved

@@ -1,6 +1,8 @@
 """The view of one parameter, ``problem.at(p)``: whatever order the
 parameters are asked in, the kept view answers as a fresh problem's does,
-bit for bit, and it cannot be changed."""
+bit for bit, and it cannot be changed.  It is the one reader of the data at
+p: a knot-table constraint answers only through it, and a non-finite p is
+rejected at every entry point."""
 import dataclasses
 import math
 import sys
@@ -12,10 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_pointed_cone
 from svikit.geometry import orthant
+from svikit.increase import global_infimum
+from svikit.parametric import sweep
 from svikit.problems import deviation_vop_spec, rotation_inclusion_problem, triangle_vop_spec
 from svikit.setmaps import (AbsComponent, Ball, Box, ConcaveTerm, FanSpec, MatrixTable,
-                            SviProblem, _Knots, merit_many)
-from svikit.vopt import AffineFamily, VopSpec
+                            SviProblem, _Knots)
+from svikit.solver import SolverConfig, solve
+from svikit.vopt import AffineFamily, VopSpec, brute_force_ideal, ideal_value_sweep, solve_ideal
 
 KNOTS = [-0.5, 0.15, 0.6]
 #: the parameters asked, among them both zeros and a p within 4e-13 of 0.1
@@ -84,10 +89,17 @@ def test_the_kept_view_answers_as_a_fresh_problems(name, order, repeats, kappa):
         assert prob.at(p) is view and view.p == p
         assert math.copysign(1.0, view.p) == math.copysign(1.0, p)
         assert _answers(view, X, kappa) == _answers(make().at(p), X, kappa)
-        assert merit_many(prob, p, X, kappa).tobytes() == view.merit_many(X, kappa).tobytes()
-        # the constraint at p reads the problem's knots at this p
-        ref = prob.constraint.distances(X, p)
-        assert view.constraint.distances(X, p).tobytes() == ref.tobytes()
+        # the constraint at p answers as a fresh problem's constraint at p
+        fresh = make().at(p).constraint
+        assert view.constraint.distances(X).tobytes() == fresh.distances(X).tobytes()
+        for x in X[:3]:
+            (u, d), (u_ref, d_ref) = view.constraint.project(x), fresh.project(x)
+            assert u.tobytes() == u_ref.tobytes() and d == d_ref
+        if prob.constraint.at(p) is not prob.constraint:  # knot tables: read at a p only
+            with pytest.raises(ValueError, match="only at a parameter"):
+                prob.constraint.project(X[0])
+            with pytest.raises(ValueError, match="only at a parameter"):
+                prob.constraint.distances(X)
         assert prob.evaluate(p, X[0]).vertices.tobytes() == view.evaluate_many(X[:1])[0].tobytes()
 
 
@@ -115,7 +127,7 @@ def test_threads_at_different_parameters_get_their_own_answers():
 
     def work(p):
         for _ in range(2000):
-            if merit_many(prob, p, X, 0.5).tobytes() != want[p]:
+            if prob.at(p).merit_many(X, 0.5).tobytes() != want[p]:
                 wrong.append(p)
         done.append(p)
 
@@ -131,3 +143,23 @@ def test_threads_at_different_parameters_get_their_own_answers():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert sorted(done) == ps and not wrong
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_parameter_is_rejected_at_every_entry_point(bad):
+    # one ValueError, raised by ``at`` when it would build the view, names p
+    rotation, triangle = rotation_inclusion_problem(), triangle_vop_spec()
+    deviation = deviation_vop_spec([0.0, 1.0, -0.5], KNOTS)
+    cfg = SolverConfig(alpha_tilde=2.0)
+    calls = [lambda: rotation.at(bad),
+             lambda: solve(rotation, bad, [0.0, 0.0]),
+             lambda: global_infimum(rotation, [bad], 3),
+             lambda: sweep(rotation, sorted([0.0, bad]), [0.0, 0.0]),
+             lambda: solve_ideal(triangle, bad, [0.3, 0.3], cfg),
+             lambda: brute_force_ideal(deviation, bad),
+             lambda: ideal_value_sweep(triangle, [bad], [0.3, 0.3], cfg)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"parameter p = {bad} is not finite"):
+            call()
+    # the kept view of a finite p is untouched
+    assert rotation.at(0.5).p == 0.5 and rotation.at(0.5) is rotation.at(0.5)

@@ -7,7 +7,7 @@ from svikit.geometry import orthant
 from svikit.setmaps import (AbsComponent, AllSpace, Ball, Box, ConcaveTerm,
                             FanSpec, KnotRangeError, MatrixTable, PolytopeSet,
                             RotationScaled, SviProblem, _Knots,
-                            constraint_from_dict, evaluate, is_all_space, merit,
+                            constraint_from_dict, evaluate, is_all_space,
                             problem_from_dict)
 from svikit.geometry import VPolytope
 from svikit.vopt import AffineFamily, VopSpec
@@ -42,28 +42,28 @@ def test_evaluate_rotation_instance_at_quarter_turn(rotation_problem):
 
 
 def test_merit_examples(rotation_problem):
-    assert merit(rotation_problem, math.pi / 4.0, [1.0, 0.0]) == 0.0
+    assert rotation_problem.at(math.pi / 4.0).merit([1.0, 0.0]) == 0.0
     for p in (0.0, 1.3, 4.0):
-        assert merit(rotation_problem, p, [0.0, 0.0]) == pytest.approx(SQRT2)
+        assert rotation_problem.at(p).merit([0.0, 0.0]) == pytest.approx(SQRT2)
     identity = SviProblem(matrix=MatrixTable(np.eye(2)), cone=orthant(2))
-    assert merit(identity, 0.0, [1.0, 1.0]) == 0.0
+    assert identity.at(0.0).merit([1.0, 1.0]) == 0.0
 
 
 def test_constrained_merit_examples(rotation_problem, boxed_problem):
     p = 0.7
     x_in = np.array([0.5, 0.5])
-    assert merit(boxed_problem, p, x_in, kappa=0.5) == pytest.approx(
-        merit(boxed_problem, p, x_in))
+    assert boxed_problem.at(p).merit(x_in, kappa=0.5) == pytest.approx(
+        boxed_problem.at(p).merit(x_in))
     # arithmetic composition: merit + kappa * distance
     prob = SviProblem(matrix=boxed_problem.matrix, cone=boxed_problem.cone,
                       h=boxed_problem.h, fan=boxed_problem.fan,
                       constraint=Box(lower=[0.0, 0.0], upper=[1.0, 1.0]))
     x_out = np.array([2.0, 0.5])
-    base = merit(prob, p, x_out)
-    assert merit(prob, p, x_out, kappa=1.0) == pytest.approx(base + 1.0)
-    assert merit(prob, p, x_out, kappa=0.5) == pytest.approx(base + 0.5)
+    base = prob.at(p).merit(x_out)
+    assert prob.at(p).merit(x_out, kappa=1.0) == pytest.approx(base + 1.0)
+    assert prob.at(p).merit(x_out, kappa=0.5) == pytest.approx(base + 0.5)
     with pytest.raises(ValueError):
-        merit(prob, p, x_out, kappa=-1.0)
+        prob.at(p).merit(x_out, kappa=-1.0)
 
 
 def test_lipschitz_budget(rotation_problem):
@@ -87,7 +87,8 @@ def test_merit_lipschitz_bound(rotation_problem):
         lip = np.linalg.norm(rotation_problem.matrix.matrix_at(p), 2) + ell
         for _ in range(100):
             x1, x2 = rng.uniform(-3, 3, size=(2, 2))
-            gap = abs(merit(rotation_problem, p, x1) - merit(rotation_problem, p, x2))
+            at = rotation_problem.at(p)
+            gap = abs(at.merit(x1) - at.merit(x2))
             assert gap <= lip * np.linalg.norm(x1 - x2) + 1e-9
 
 
@@ -97,8 +98,9 @@ def test_merit_convexity(rotation_problem):
         for _ in range(100):
             x1, x2 = rng.uniform(-3, 3, size=(2, 2))
             t = rng.uniform()
-            lhs = merit(rotation_problem, p, t * x1 + (1 - t) * x2)
-            rhs = t * merit(rotation_problem, p, x1) + (1 - t) * merit(rotation_problem, p, x2)
+            at = rotation_problem.at(p)
+            lhs = at.merit(t * x1 + (1 - t) * x2)
+            rhs = t * at.merit(x1) + (1 - t) * at.merit(x2)
             assert lhs <= rhs + 1e-9
 
 
@@ -109,7 +111,7 @@ def test_zero_merit_iff_all_vertices_in_cone(rotation_problem):
         p = rng.uniform(0, 2 * math.pi)
         x = rng.uniform(-2, 2, size=2)
         vp = evaluate(rotation_problem, p, x)
-        zero = merit(rotation_problem, p, x) <= 1e-9
+        zero = rotation_problem.at(p).merit(x) <= 1e-9
         assert zero == bool(np.all(cone.distances(vp.vertices) <= 1e-9))
 
 
@@ -136,15 +138,15 @@ def test_interpolated_table_range_error():
 
 def test_constraint_projections():
     box = Box(lower=[0.0, 0.0], upper=[1.0, 1.0])
-    proj, d = box.project([2.0, 0.5], 0.0)
+    proj, d = box.project([2.0, 0.5])
     assert np.allclose(proj, [1.0, 0.5]) and d == pytest.approx(1.0)
 
     ball = Ball(center=[0.0, 0.0], radius=1.0)
-    proj, d = ball.project([0.0, 2.0], 0.0)
+    proj, d = ball.project([0.0, 2.0])
     assert np.allclose(proj, [0.0, 1.0]) and d == pytest.approx(1.0)
 
     tri = PolytopeSet(VPolytope([[0, 0], [1, 0], [0, 1]]))
-    proj, d = tri.project([1.0, 1.0], 0.0)
+    proj, d = tri.project([1.0, 1.0])
     assert np.allclose(proj, [0.5, 0.5]) and d == pytest.approx(SQRT2 / 2)
 
     assert is_all_space(AllSpace())
@@ -162,7 +164,7 @@ def test_constraint_data_validation():
     with pytest.raises(ValueError):  # lower 0 > upper -1 at the second knot
         Box(_Knots([0.0, 1.0], [[0.0], [0.0]]), _Knots([0.0, 1.0], [[1.0], [-1.0]]))
     box = Box(_Knots([0.0, 1.0], [[0.0], [0.0]]), _Knots([0.0, 1.0], [[1.0], [2.0]]))
-    assert np.allclose(box.bounds_at(0.5)[1], [1.5])
+    assert np.allclose(box.at(0.5).upper.value, [1.5])
     # bounds of unequal length, directly and on knots
     with pytest.raises(ValueError):
         Box(lower=[0.0], upper=[1.0, 1.0])
@@ -218,7 +220,7 @@ def test_problem_dict_round_trip(rotation_problem, boxed_problem):
         # behavioral equality at a few probe points
         for p in (0.0, 1.0):
             for x in ([0.0, 0.0], [0.7, -0.4]):
-                assert merit(back, p, x) == pytest.approx(merit(prob, p, x), abs=1e-12)
+                assert back.at(p).merit(x) == pytest.approx(prob.at(p).merit(x), abs=1e-12)
 
 
 def test_rotation_orientation_flag():
@@ -240,17 +242,17 @@ def test_knotted_constraints_round_trip_and_interpolate():
         assert back.to_dict() == d and back.dim == 2
         for p in (0.0, 0.5, 2.0):
             for x in ([0.0, 0.0], [4.0, -6.0], [-2.0, 2.5]):
-                assert back.project(x, p)[1] == constraint.project(x, p)[1]
+                assert back.at(p).project(x)[1] == constraint.at(p).project(x)[1]
     # half way between the knots the data is the knots' mean
-    lo, hi = box.bounds_at(1.0)
+    lo, hi = box.at(1.0).lower.value, box.at(1.0).upper.value
     assert np.array_equal(lo, [0.5, -2.0]) and np.array_equal(hi, [2.0, 3.0])
-    proj, d = box.project([3.0, 0.0], 1.0)
+    proj, d = box.at(1.0).project([3.0, 0.0])
     assert np.array_equal(proj, [2.0, 0.0]) and d == 1.0
-    c, r = ball.data_at(1.0)
+    c, r = ball.at(1.0).center.value, float(ball.at(1.0).radius.value)
     assert np.array_equal(c, [1.0, -2.0]) and r == 2.0
-    assert ball.project([1.0, 1.0], 1.0)[1] == pytest.approx(1.0)
+    assert ball.at(1.0).project([1.0, 1.0])[1] == pytest.approx(1.0)
     with pytest.raises(KnotRangeError):
-        ball.data_at(2.5)
+        ball.at(2.5)
 
 
 def test_one_knot_table_holds_only_at_its_parameter():
@@ -264,4 +266,4 @@ def test_one_knot_table_holds_only_at_its_parameter():
     ball = constraint_from_dict({"variant": "ball", "knots": [
         {"p": 1.5, "center": [2.0, -1.0], "radius": 0.5}]})
     assert ball.to_dict()["knots"] == [{"p": 1.5, "center": [2.0, -1.0], "radius": 0.5}]
-    assert ball.project([2.0, 1.0], 1.5)[1] == pytest.approx(1.5)
+    assert ball.at(1.5).project([2.0, 1.0])[1] == pytest.approx(1.5)

@@ -7,8 +7,7 @@ from svikit.geometry import orthant
 from svikit.increase import SamplingConfig, global_infimum
 from svikit.problems import rotation_inclusion_problem, rotation_solution_path
 from svikit.setmaps import (Ball, Box, ConcaveTerm, AbsComponent, MatrixTable,
-                            RotationScaled, SviProblem, merit, merit_many,
-                            rotation_matrix)
+                            RotationScaled, SviProblem, rotation_matrix)
 from svikit.solver import (AlreadyFeasible, SolverConfig, StepOutcome, caristi_step,
                            segment_step, solve)
 
@@ -16,7 +15,7 @@ SQRT2 = math.sqrt(2.0)
 
 
 def merit_fn_for(problem, p):
-    return lambda X: merit_many(problem, p, X)
+    return lambda X: problem.at(p).merit_many(X)
 
 
 def test_caristi_step_accepts_descent(rotation_problem):
@@ -24,7 +23,7 @@ def test_caristi_step_accepts_descent(rotation_problem):
     out = caristi_step(fn, [0.0, 0.0], 0.5, SolverConfig(tol=1e-8))
     assert out.accepted
     d = float(np.linalg.norm(out.u))
-    fu = merit(rotation_problem, 0.0, out.u)
+    fu = rotation_problem.at(0.0).merit(out.u)
     assert out.merit == fu  # the step reports the accepted point's merit
     assert fu + 0.5 * d <= SQRT2 + 1e-12
 
@@ -72,18 +71,18 @@ def test_solve_stops_without_a_step_on_constant_infeasible_map():
 
 def test_segment_step_examples():
     box = Box(lower=[0.0, 0.0], upper=[1.0, 1.0])
-    u = segment_step([2.0, 0.0], box, 0.0, 0.5)
+    u = segment_step([2.0, 0.0], box, 0.5)
     assert np.allclose(u, [1.5, 0.0])
-    assert box.project(u, 0.0)[1] == pytest.approx(0.5, abs=1e-9)
+    assert box.project(u)[1] == pytest.approx(0.5, abs=1e-9)
 
     ball = Ball(center=[0.0, 0.0], radius=1.0)
-    u = segment_step([0.0, 2.0], ball, 0.0, 1.0)
+    u = segment_step([0.0, 2.0], ball, 1.0)
     assert np.allclose(u, [0.0, 1.0], atol=1e-12)
 
     with pytest.raises(AlreadyFeasible):
-        segment_step([0.5, 0.5], box, 0.0, 0.1)
+        segment_step([0.5, 0.5], box, 0.1)
     with pytest.raises(ValueError):
-        segment_step([2.0, 0.0], box, 0.0, 5.0)  # beyond the distance
+        segment_step([2.0, 0.0], box, 5.0)  # beyond the distance
 
 
 def test_segment_step_identity_random():
@@ -91,12 +90,12 @@ def test_segment_step_identity_random():
     box = Box(lower=[-1.0, -1.0], upper=[1.0, 1.0])
     for _ in range(50):
         x = rng.uniform(-4, 4, size=2)
-        _, d = box.project(x, 0.0)
+        _, d = box.project(x)
         if d <= 1e-9:
             continue
         t = rng.uniform(0.1, 1.0) * d
-        u = segment_step(x, box, 0.0, t)
-        _, du = box.project(u, 0.0)
+        u = segment_step(x, box, t)
+        _, du = box.project(u)
         assert du == pytest.approx(d - t, abs=1e-9)
 
 
@@ -117,8 +116,8 @@ def test_constrained_solve_certificates(boxed_problem):
         assert res.merit_final <= 1e-8
         assert res.kappa > 0
         # feasibility at exit: the penalized merit controls both parts
-        assert merit(boxed_problem, 1.0, res.x_final) <= 1e-8
-        _, d = boxed_problem.constraint.project(res.x_final, 1.0)
+        assert boxed_problem.at(1.0).merit(res.x_final) <= 1e-8
+        _, d = boxed_problem.at(1.0).constraint.project(res.x_final)
         assert d <= 1e-8 / res.kappa + 1e-12
         assert res.bound_holds
 
@@ -149,7 +148,7 @@ def test_max_iters_exceeded(rotation_problem):
     # the result carries the last iterate and its merit, as a no-step run does
     assert res.stop == "max_iters" and res.iterations == 1
     assert not np.array_equal(res.x_final, [-5.0, 2.0])
-    assert res.merit_final == merit(rotation_problem, 1.0, res.x_final)
+    assert res.merit_final == rotation_problem.at(1.0).merit(res.x_final)
     assert res.merit_final == res.merit_history[-1]
     assert res.merit_final > 0.1
 
@@ -180,9 +179,9 @@ def test_sampled_alpha_tilde_projects_into_the_constraint(monkeypatch):
     assert run.alpha_used == 0.5 * (0.5 * (res.alpha + 1.0) + res.alpha)
     assert run.kappa == res.alpha - run.alpha_used == run.descent_k
     draws = np.random.default_rng(4).uniform(-2.0, 2.0, size=(6, 2))
-    assert np.any(box.distances(draws, 0.3) > 0.5)
+    assert np.any(box.distances(draws) > 0.5)
     xs = np.array([x for _, x, _ in res.estimates])
-    assert len(xs) and np.all(box.distances(xs, 0.3) == 0.0)
+    assert len(xs) and np.all(box.distances(xs) == 0.0)
 
 
 def test_a_solved_start_returns_before_alpha_tilde_is_sampled(monkeypatch):
@@ -201,7 +200,7 @@ def test_a_solved_start_returns_before_alpha_tilde_is_sampled(monkeypatch):
         assert np.array_equal(res.x_final, x0) and res.x_final is not x0
         assert math.isnan(res.alpha_used) and math.isnan(res.descent_k)
         assert res.kappa == 0.0 and res.bound_rhs == 0.0 and res.bound_holds
-        assert res.merit_final == merit(problem, 0.3, x0) <= 1e-8
+        assert res.merit_final == problem.at(0.3).merit(x0) <= 1e-8
         with pytest.raises(AssertionError, match="sampled"):  # not a solution
             solve(problem, 0.3, -x0)
     with pytest.raises(AssertionError, match="sampled"):  # outside R(p)

@@ -16,7 +16,7 @@ from svikit.problems import (deviation_vop_spec, sine_deviation_spec,
                              triangle_vop_spec)
 from svikit import vopt
 from svikit.setmaps import (AllSpace, Ball, Box, KnotRangeError, MatrixTable,
-                            PolytopeSet, RotationScaled, _Knots, merit, merit_many,
+                            PolytopeSet, ProblemAt, RotationScaled, _Knots,
                             rotation_matrix)
 from svikit.solver import SolverConfig, solve
 from svikit.vopt import (CERTIFIED_EMPTY, FOUND, NOT_FOUND, AbsDeviation, AffineFamily,
@@ -79,15 +79,15 @@ def test_build_vop_problem_triangle_vertex_images(triangle_spec):
     got = sorted(map(tuple, np.round(vp.vertices, 12).tolist()))
     # at p = 0 the objective is the identity: images of the three vertices
     assert got == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]
-    assert merit(triangle_spec, 0.0, [0.0, 0.0]) == 0.0
+    assert triangle_spec.at(0.0).merit([0.0, 0.0]) == 0.0
 
 
 def test_build_vop_problem_deviation_contains_minimizer():
     spec = deviation_vop_spec([0.0, 0.0], [0.0, 1.0])
     vp = spec.evaluate(0.0, [0.0])  # spanned over [-1, 1], phi's range widened by one
     assert np.all(vp.vertices >= -1e-12)  # x = phi(p) is ideal
-    assert merit(spec, 0.0, [0.0]) <= 1e-12
-    assert merit(spec, 0.0, [0.3]) > 0.1
+    assert spec.at(0.0).merit([0.0]) <= 1e-12
+    assert spec.at(0.0).merit([0.3]) > 0.1
 
 
 def test_build_vop_problem_affine_box_identity():
@@ -97,7 +97,7 @@ def test_build_vop_problem_affine_box_identity():
     vp = spec.evaluate(0.0, [0.0, 0.0])
     assert sorted(map(tuple, vp.vertices.tolist())) == [
         (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
-    assert merit(spec, 0.0, [0.0, 0.0]) == 0.0
+    assert spec.at(0.0).merit([0.0, 0.0]) == 0.0
 
 
 def test_build_vop_problem_rejects_unbounded_affine_image():
@@ -113,7 +113,7 @@ def test_solve_ideal_deviation_tracks_phi():
         res = solve_ideal(spec, p, [0.0],
                           SolverConfig(rng_seed=0, tol=1e-10, alpha_tilde=2.0))
         assert res.status == FOUND
-        assert res.x[0] == pytest.approx(spec.objective.phi(p), abs=1e-6)
+        assert res.x[0] == pytest.approx(spec.at(p).b, abs=1e-6)
         assert np.allclose(res.value, 0.0, atol=1e-9)
     # at knot-aligned parameters phi equals the sine exactly
     knot_p = 2.0 * math.pi * 64 / 128
@@ -126,7 +126,7 @@ def test_solve_ideal_starts_at_the_ideal_point():
     # the decrease property is absent at the ideal point phi(1) = 0.8408, so
     # alpha_tilde must not come from a bracket at the start point
     spec = sine_deviation_spec(65)
-    phi = spec.objective.phi(1.0)
+    phi = spec.at(1.0).b
     for x0 in (phi, 0.84):
         res = solve_ideal(spec, 1.0, [x0])
         assert res.status == FOUND
@@ -220,29 +220,31 @@ def _grid_worst(spec, p, density, points=None):
     minimizers, and for each (or for each of ``points``) the largest
     distance to the cone of f(p, s) - f(p, x) over the vertex images s
     (affine objective on a polytope or box) or over every candidate."""
-    constraint, obj, d = spec.constraint, spec.objective, 2 * density
+    at, obj, d = spec.at(p), spec.objective, 2 * density
+    constraint = at.constraint
     if isinstance(constraint, PolytopeSet):
         verts = constraint.polytope.vertices
         cands = verts.copy() if len(verts) == 1 else _composition_sample(verts, d)
     elif isinstance(constraint, Box):
-        cands = _box_grid(*constraint.bounds_at(p), d)
+        cands = _box_grid(constraint.lower.value, constraint.upper.value, d)
     elif isinstance(constraint, Ball) and constraint.dim == 1:
-        c, r = constraint.data_at(p)
+        c, r = constraint.center.value, float(constraint.radius.value)
         cands = np.linspace(c[0] - r, c[0] + r, max(3, d)).reshape(-1, 1)
     else:  # the whole space, spanned over phi's range widened by one
         span = float(np.max(np.abs(obj.phi_knots.values))) + 1.0
         cands = _box_grid([-span], [span], d)
     if isinstance(obj, AbsDeviation):
-        cands = np.vstack([cands, constraint.project(np.array([obj.phi(p)]), p)[0]])
+        cands = np.vstack([cands, constraint.project(np.array([at.b]))[0]])
     ref = cands
     affine = not isinstance(obj, AbsDeviation)
     if affine and isinstance(constraint, PolytopeSet):
         ref = constraint.polytope.vertices
     elif affine and isinstance(constraint, Box):
-        ref = np.array(list(itertools.product(*zip(*constraint.bounds_at(p)))), float)
+        corners = zip(constraint.lower.value, constraint.upper.value)
+        ref = np.array(list(itertools.product(*corners)), float)
     if points is not None:
         cands = points
-    cand_vals, ref_vals = obj.values_many(p, cands), obj.values_many(p, ref)
+    cand_vals, ref_vals = at.f(cands), at.f(ref)
     gaps = (ref_vals[None, :, :] - cand_vals[:, None, :]).reshape(-1, spec.cone.dim)
     return cands, spec.cone.distances(gaps).reshape(len(cands), len(ref)).max(axis=1)
 
@@ -267,8 +269,8 @@ def test_span_images_are_kept_per_exact_parameter():
     # spec's, and both arrays of the view are read-only
     X = np.random.default_rng(5).uniform(-1.0, 2.0, (64, 2))
     spec, p = triangle_vop_spec(), 0.7 + 4e-13
-    spec.evaluate_many(0.7, X)
-    assert np.array_equal(spec.evaluate_many(p, X), triangle_vop_spec().evaluate_many(p, X))
+    spec.at(0.7).evaluate_many(X)
+    assert np.array_equal(spec.at(p).evaluate_many(X), triangle_vop_spec().at(p).evaluate_many(X))
     at = spec.at(p)
     assert at.p == p and at is not spec.at(0.7)
     assert np.array_equal(at.values, triangle_vop_spec().at(p).values)
@@ -295,17 +297,25 @@ def test_each_ideal_run_computes_its_span_images_once(monkeypatch):
 
 def test_empty_triangle_row_is_certified_on_the_vertices(triangle_spec, monkeypatch):
     # the oracle's merit runs over the three vertices only, in one pass
-    rows = []
+    rows, oracle_rows = [], []
+    merit_many, oracle = ProblemAt.merit_many, vopt.brute_force_ideal
 
-    def counting_merit_many(problem, p, X, kappa=0.0):
+    def counting_merit_many(at, X, kappa=0.0):
         rows.append(len(X))
-        return merit_many(problem, p, X, kappa)
+        return merit_many(at, X, kappa)
 
-    monkeypatch.setattr(vopt, "merit_many", counting_merit_many)
+    def counting_oracle(spec, p):  # the rows of the merit calls the oracle makes
+        start = len(rows)
+        out = oracle(spec, p)
+        oracle_rows.extend(rows[start:])
+        return out
+
+    monkeypatch.setattr(ProblemAt, "merit_many", counting_merit_many)
+    monkeypatch.setattr(vopt, "brute_force_ideal", counting_oracle)
     res = solve_ideal(triangle_spec, math.pi, [0.3, 0.3],
                       SolverConfig(rng_seed=0, alpha_tilde=DEC_TRIANGLE))
     assert res.status == CERTIFIED_EMPTY
-    assert rows == [3]
+    assert oracle_rows == [3]
 
 
 def test_triangle_oracle_matches_the_grid_oracle_on_257_rows(triangle_spec):
@@ -335,13 +345,14 @@ def _check_against_the_closed_form(spec, p, tol=1e-9):
     the whole ball).  An ideal answer is also checked against a dense sample
     of the sphere, with cone distances alone."""
     res = brute_force_ideal(spec, p)
-    (c, rho), obj, W = spec.constraint.data_at(p), spec.objective, spec.cone.facets
-    LW = W @ obj.matrix_at(p)
+    at, W = spec.at(p), spec.cone.facets
+    c, rho = at.constraint.center.value, float(at.constraint.radius.value)
+    LW = W @ at.M
     norms = np.linalg.norm(LW, axis=1)
-    low = W @ obj.value(p, c) - rho * norms
+    low = W @ at.f(c[None])[0] - rho * norms
 
     def margin(X):
-        return np.min(low[None] - obj.values_many(p, X) @ W.T, axis=1)
+        return np.min(low[None] - at.f(X) @ W.T, axis=1)
 
     argmins = np.vstack([c, c - rho * LW[norms > 0] / norms[norms > 0, None]])
     sphere = c + rho * _sphere(len(c))
@@ -349,7 +360,7 @@ def _check_against_the_closed_form(spec, p, tol=1e-9):
     if res.is_ideal:
         assert margin(res.x[None])[0] >= -tol
         assert np.linalg.norm(res.x - c) <= rho * (1.0 + 1e-12)
-        gaps = obj.values_many(p, sphere) - obj.value(p, res.x)
+        gaps = at.f(sphere) - at.f(res.x[None])[0]
         assert spec.cone.distances(gaps).max() <= tol
     else:
         assert margin(np.vstack([c, sphere])).max() < -tol
@@ -363,7 +374,7 @@ def _check_against_the_grid_oracle(spec, p, density):
     assert res.status == _grid_oracle(spec, p, density)[0]
     if res.is_ideal:  # the exact point is feasible and ideal against the grid
         assert _grid_worst(spec, p, density, res.x[None])[1][0] <= 1e-9
-        assert spec.constraint.project(res.x, p)[1] <= 1e-12
+        assert spec.at(p).constraint.project(res.x)[1] <= 1e-12
 
 
 @settings(max_examples=150, deadline=None)
@@ -418,7 +429,7 @@ def test_ball_oracle_decides_the_scalarizations_on_thin_wedges():
     # read a point near both as ideal
     verdicts = []
     for spec, normals in _wedge_instances():
-        L = spec.objective.matrix_at(0.0)
+        L = spec.at(0.0).M
         argmins = [-(n @ L) / np.linalg.norm(n @ L) for n in normals]
         margin = max(min(n @ L @ (a - x) for n, a in zip(normals, argmins)) for x in argmins)
         verdicts.append("ideal" if margin >= -1e-9 else "empty")
@@ -500,11 +511,11 @@ def test_global_infimum_of_the_built_problem_brackets_the_decrease_bound(make_sp
     res = global_infimum(spec, [0.3, 2.0], 4, cfg)
     refs = []
     for p, x in nonsolution_pairs(spec, [0.3, 2.0], 4, cfg):
-        hints = (hints_for_matrix(-obj.matrix_at(p), spec.cone)
+        hints = (hints_for_matrix(-spec.at(p).M, spec.cone)
                  if isinstance(obj, AffineFamily) else None)
         try:
             refs.append((p, x, estimate_bound(
-                lambda xx: -VPolytope(obj.value(p, xx)[None, :]), spec.cone, x, cfg,
+                lambda xx: -VPolytope(spec.at(p).f(xx[None])), spec.cone, x, cfg,
                 hints=hints, p_for_seed=p)))
         except PropertyAbsent:
             pass
@@ -520,7 +531,7 @@ def test_global_infimum_of_the_built_problem_brackets_the_decrease_bound(make_sp
 
 def test_global_infimum_raises_only_when_every_sample_lacks_witnesses():
     spec = sine_deviation_spec(65)
-    phi = spec.objective.phi(1.0)
+    phi = spec.at(1.0).b
     near, far = [phi + 1e-3], [phi + 1.0]  # the probe misses the witnesses near phi
     res = global_infimum(spec, [1.0], [near, far])
     assert len(res.estimates) == 1 and res.estimates[0][1][0] == far[0]
@@ -552,9 +563,9 @@ def test_ideal_value_single_valuedness():
                                                                    [1.0, 0.0]]))),
                    constraint=Box(lower=[0.0, 0.0], upper=[1.0, 1.0]),
                    cone=orthant(2), objective_lipschitz=1.0)
-    ideal_xs = [x for x in spec.at(0.0).span if merit(spec, 0.0, x) <= 1e-9]
+    ideal_xs = [x for x in spec.at(0.0).span if spec.at(0.0).merit(x) <= 1e-9]
     assert len(ideal_xs) > 1
-    vals = np.asarray([spec.objective.value(0.0, x) for x in ideal_xs])
+    vals = np.asarray([spec.at(0.0).f(x[None])[0] for x in ideal_xs])
     assert np.max(np.linalg.norm(vals - vals[0], axis=1)) <= 1e-9
 
 
@@ -615,7 +626,7 @@ def test_linear_rotation_files_load_as_affine_rotations():
             # the product alone, as the rotation objective computed it: no
             # offset is added, so its signed zeros stay
             ref = matvec_rows(2.0 * rotation_matrix(-p if clockwise else p), pts)
-            assert obj.values_many(p, pts).tobytes() == ref.tobytes()
+            assert obj.values_at(*obj.data_at(p), pts).tobytes() == ref.tobytes()
     assert vopt.objective_from_dict({"variant": "linear_rotation"}).matrix.scale == 1.0
 
 
@@ -628,10 +639,12 @@ def test_affine_offset_knots_round_trip_and_interpolate():
     back = vopt.objective_from_dict(d)
     assert back.to_dict() == d
     x = np.array([0.5, 0.25])
-    assert np.array_equal(back.value(1.0, x), [1.5, 0.25])  # the knots' mean offset
-    assert np.array_equal(back.value(2.0, x), obj.value(2.0, x))
+    assert np.array_equal(back.values_at(*back.data_at(1.0), x[None])[0],
+                          [1.5, 0.25])  # the knots' mean offset
+    assert np.array_equal(back.values_at(*back.data_at(2.0), x[None]),
+                          obj.values_at(*obj.data_at(2.0), x[None]))
     with pytest.raises(KnotRangeError):
-        back.value(2.5, x)
+        back.data_at(2.5)
     # over a box the corners decide ideality at every p: the lower corner
     spec = VopSpec(back, Box(lower=[0.0, 0.0], upper=[1.0, 1.0]), orthant(2), 1.0)
     res = brute_force_ideal(spec, 1.0)
