@@ -341,7 +341,10 @@ class PolyCone:
 
     def __post_init__(self):
         gens = _as_points(self.generators)
-        norms = np.linalg.norm(gens, axis=1)
+        with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+            norms = np.linalg.norm(gens, axis=1)
+        if not all_finite(norms):
+            raise ValueError("cone generators must have norms within the float range")
         if not np.any(norms > GEOM_TOL):
             raise ValueError("cone must have at least one nonzero generator")
         gens = gens[norms > GEOM_TOL]

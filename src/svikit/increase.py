@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import (PolyCone, SumSet, VPolytope, _least_slack, as_vector, dist_many,
+from .geometry import (PolyCone, SumSet, VPolytope, _least_slack, _nearest_rows, as_vector,
                        numgrad, row_norms, seeded_rotation, unit_directions)
 from .geometry import hints_for_matrix  # noqa: F401  (callers import it from here too)
 from .setmaps import is_all_space
@@ -89,12 +89,12 @@ def _gradients(map_at: MapAt, target: SumSet, cone: PolyCone, x: np.ndarray) -> 
     """(g, |g|) for the steepest-descent heuristics that push the image toward
     the target set and toward the cone (worst-vertex distances), both
     differenced on one stencil; vanishing gradients are dropped."""
-    def worst(U):
+    def worst(U):  # checked images: their vertices are measured as they are
         images = [map_at(u).vertices for u in U]
         starts = np.cumsum([0] + [len(v) for v in images[:-1]])
-        verts = np.vstack(images)
-        return np.column_stack([np.maximum.reduceat(dist_many(verts, target), starts),
-                                np.maximum.reduceat(cone.distances(verts), starts)])
+        verts = np.concatenate(images)
+        return np.column_stack([np.maximum.reduceat(_nearest_rows(target, verts)[1], starts),
+                                np.maximum.reduceat(cone._distances(verts), starts)])
 
     return [(g, n) for g in numgrad(worst, x).T if (n := float(np.linalg.norm(g))) > 1e-14]
 
@@ -153,17 +153,19 @@ class _Search:
                 return None
             block = U[len(worst):2 * len(worst) + 8]
             keep = row_norms(block - self.x) > 1e-15
-            keys = [u.tobytes() for u in block[keep]]
-            self.images.update({k: self.map_at(u).vertices
-                                for k, u in zip(keys, block[keep]) if k not in self.images})
-            images = [self.images[k] for k in keys]
+            images = []  # the kept rows' vertices, each candidate imaged once
+            for u in block[keep]:
+                key = u.tobytes()
+                if key not in self.images:
+                    self.images[key] = self.map_at(u).vertices
+                images.append(self.images[key])
             depth = np.full(len(block), np.inf)
-            if images:
-                verts = np.vstack(images)
+            if images:  # checked images: their vertices are measured as they are
+                verts = np.concatenate(images)
                 sd = -_least_slack(verts, self.target)
                 out = sd >= 0.0
                 if out.any():  # the max: no rounding puts a distance below the violation
-                    sd[out] = np.maximum(sd[out], dist_many(verts[out], self.target))
+                    sd[out] = np.maximum(sd[out], _nearest_rows(self.target, verts[out])[1])
                 starts = np.cumsum([0] + [len(v) for v in images[:-1]])
                 depth[keep] = np.maximum.reduceat(sd, starts)
             worst = np.concatenate([worst, depth])

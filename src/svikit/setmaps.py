@@ -251,6 +251,8 @@ class ConcaveTerm:
         # one row per coefficient: (1, k) operands broadcast fastest
         object.__setattr__(self, "_coef", (np.array([c.coord for c in comps]), *np.array(
             [(c.a, c.b, c.c, c.d) for c in comps]).T.copy()[:, None, :]))
+        object.__setattr__(self, "_terms", [(c.coord, *map(float, (c.a, c.b, c.c, c.d)))
+                                            for c in comps])  # the same, as Python numbers
 
     def lipschitz_bound(self) -> float:
         # rows touch a single coordinate each; the operator-norm bound is the
@@ -265,6 +267,12 @@ class ConcaveTerm:
         coord, a, b, c, d = getattr(self, "_coef")
         xi = X.take(coord, axis=1)
         return a + b * xi + c * np.abs(xi - d)
+
+    def _value_at(self, x: np.ndarray) -> np.ndarray:
+        """``values_many`` at one row x, bit for bit, in Python floats: cheaper on a few."""
+        xs = x.tolist()
+        return np.array([a + b * xs[j] + c * abs(xs[j] - d)
+                         for j, a, b, c, d in getattr(self, "_terms")])
 
     @property
     def out_dim(self) -> int:
@@ -495,11 +503,14 @@ class ProblemAt:
         return self._images(_as_points(X, self.dim))
 
     def evaluate(self, x) -> VPolytope:
-        """F(p, x): row 0 of ``evaluate_many``, its vertices checked once."""
-        V = self.evaluate_many(np.asarray(x, dtype=float)[None])[0]
+        """F(p, x), imaged on the checked row x: bit for bit row 0 of ``evaluate_many``."""
+        return self._polytope(self._images(as_vector(x, self.dim)))
+
+    def _polytope(self, V: np.ndarray) -> VPolytope:
+        """The image with vertices V, checked once: no second check by VPolytope."""
         if not all_finite(V):  # a finite x whose image overflows
             raise ImageOverflow(f"the image at p = {self.p} has non-finite coordinates")
-        image = object.__new__(VPolytope)  # no second check by VPolytope
+        image = object.__new__(VPolytope)
         object.__setattr__(image, "vertices", V)
         return image
 
@@ -516,6 +527,8 @@ class ProblemAt:
         out = np.maximum.reduce(self.cone._distances(V.reshape(-1, m)).reshape(k, v), axis=1)
         if kappa > 0:  # X as evaluate_many read it
             out += kappa * self.constraint.distances(np.asarray(X, float).reshape(k, -1))
+        if not all_finite(out):  # finite points too far out: a norm overflows
+            raise ImageOverflow(f"the image at p = {self.p} has a merit that overflows")
         return out
 
     def merit(self, x, kappa: float = 0.0) -> float:
@@ -543,7 +556,11 @@ class SviAt(ProblemAt):
 
     def _images(self, X: np.ndarray) -> np.ndarray:
         # M(p)x + h(x), plus L_i x with a fan; each product is the (m, n) one
-        # of ``matvec_rows``, bit for bit
+        # of ``matvec_rows``, bit for bit: a row x gives (v, m), a batch (k, v, m)
+        if X.ndim == 1:
+            Y = self.stacked @ X
+            base = Y[:1] if self.h is None else Y[:1] + self.h._value_at(X)
+            return base if len(Y) == 1 else base + Y[1:]
         X = np.ascontiguousarray(X)
         Y = (self.stacked @ X[:, None, :, None])[..., 0]
         base = Y[:, :1] if self.h is None else Y[:, :1] + self.h.values_many(X)[:, None]

@@ -148,15 +148,17 @@ class VopAt(ProblemAt):
         return self.objective.values_at(self.M, self.b, X)
 
     def _images(self, X: np.ndarray) -> np.ndarray:
-        # the vertices {f(p, s) - f(p, x)} over the span points s
-        return self.values[None] - self.f(X)[:, None]
+        # the vertices {f(p, s) - f(p, x)} over the span points s: a row x
+        # gives (s, m), a batch (k, s, m)
+        return self.values - (self.f(X[None]) if X.ndim == 1 else self.f(X)[:, None])
 
     @property
     def bound_map(self):
         """x -> -f(p, x), whose increase bound is f's decrease bound, and its
         linear part -M(p) for a square affine objective, else None."""
         square = self.M is not None and self.M.shape[0] == self.M.shape[1]
-        return (lambda x: VPolytope(-self.f(as_vector(x)[None]))), -self.M if square else None
+        return (lambda x: self._polytope(-self.f(as_vector(x, self.dim)[None])),
+                -self.M if square else None)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,8 @@ from svikit.geometry import PolyCone, orthant, seeded_rotation, unit_directions
 from svikit.parametric import _TREE_DEPTH, _bisect
 from svikit.problems import (boxed_rotation_problem, deviation_vop_spec,
                              rotation_inclusion_problem, triangle_vop_spec)
-from svikit.setmaps import Ball, KnotRangeError, MatrixTable, SviProblem, _Knots, evaluate
+from svikit.setmaps import (Ball, ImageOverflow, KnotRangeError, MatrixTable, SviProblem, _Knots,
+                            evaluate)
 from svikit import solver
 from svikit.solver import SolverConfig, caristi_step, segment_step
 from svikit.vopt import VopSpec
@@ -123,6 +124,14 @@ def test_merit_many_validates_at_the_boundary(rotation_problem, triangle_spec):
                     prob.at(P).merit(x, kappa)
             with pytest.raises(ValueError):
                 prob.evaluate(P, x)
+        # a finite image whose merit overflows: its vertices are about
+        # -1.3e200, so the squared norm reads inf
+        huge = rotation_inclusion_problem(scale=1e200)
+        with pytest.raises(ImageOverflow, match="the image at p = 2.0 has a merit"):
+            huge.at(2.0).merit_many([[1.0, 1.0]])
+        # a descent stops there, where inf + k*d <= inf would accept every step
+        with pytest.raises(ImageOverflow, match="the image at p = 2.0 has a merit"):
+            solver.solve(huge, 2.0, [1.0, 1.0], SolverConfig(alpha=1.5, max_iters=200))
 
 
 def _knot_table_problem():

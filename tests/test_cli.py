@@ -181,7 +181,24 @@ def test_usage_errors(problem_files, tmp_path, capsys):
     scale_path, fan_path = tmp_path / "huge_scale.json", tmp_path / "huge_fan.json"
     scale_path.write_text(json.dumps(huge_scale))
     fan_path.write_text(json.dumps(huge_fan))
+    # finite images whose merit overflows (vertices about -1.3e200)
+    huge_merit = rotation_inclusion_problem().to_dict()
+    huge_merit["matrix"]["scale"] = 1e200
+    merit_path = tmp_path / "huge_merit.json"
+    merit_path.write_text(json.dumps(huge_merit))
+    # a cone generator whose norm overflows is rejected at load
+    huge_cone = rotation_inclusion_problem().to_dict()
+    huge_cone["cone"]["generators"] = [[1e308, 0.0], [0.0, 1.0]]
+    cone_path = tmp_path / "huge_cone.json"
+    cone_path.write_text(json.dumps(huge_cone))
+    bad_args += [
+        ["verify-props", "--problem", str(cone_path)],
+        ["solve", "--problem", str(cone_path), "--p", "2", "--x0", "1,1"],
+    ]
     overflows = [
+        ["solve", "--problem", str(merit_path), "--p", "2", "--x0", "1,1", "--alpha", "1.5"],
+        ["sweep", "--problem", str(merit_path), "--grid", "0:2:3", "--x0", "1,1",
+         "--alpha", "1.5"],
         ["sweep", "--problem", str(scale_path), "--grid", "0:1:3", "--x0", "0,0"],
         ["estimate-inc", "--problem", str(scale_path), "--p", "0.4"],
         ["verify-props", "--problem", str(scale_path)],

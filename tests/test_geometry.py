@@ -410,6 +410,17 @@ def test_whole_space_cone_rejected():
         PolyCone([[0.0, 0.0]])
 
 
+def test_a_generator_whose_norm_overflows_is_rejected():
+    # its unit row would read 0: the facets would describe {0}.  Rejected
+    # without numpy's overflow warning (an error under the test settings)
+    for gens in ([[1e308, 0.0], [0.0, 1.0]], [[0.0, 1.0], [-1e200, 1e200]]):
+        with pytest.raises(ValueError, match="norms within the float range"):
+            PolyCone(gens)
+    big = PolyCone([[1e150, 0.0], [0.0, 1.0]])  # a valid cone keeps its bits
+    assert big.generators.tobytes() == np.array([[1e150, 0.0], [0.0, 1.0]]).tobytes()
+    assert big.pointed
+
+
 def test_facets_describe_the_cone():
     # C = {y : W y >= 0} with unit rows: the identity for the orthant; for
     # random pointed cones (k < m generators among them), a half-plane and a

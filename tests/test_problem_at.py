@@ -10,7 +10,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_pointed_cone
 from svikit.geometry import orthant
@@ -77,13 +77,25 @@ def _answers(view, X, kappa):
             None if M is None else M.tobytes(), None if hint is None else hint.tobytes())
 
 
+def _each_maker(test):
+    """One explicit example per maker, so that every one is drawn."""
+    for name in sorted(MAKERS):
+        test = example(name=name, order=PS, repeats=[], kappa=0.5,
+                       exponents=[-3.0, 3.0, 1.5, -0.5])(test)
+    return test
+
+
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(MAKERS)), order=st.permutations(PS),
-       repeats=st.lists(st.sampled_from(PS), max_size=4), kappa=st.sampled_from([0.5, 2.0]))
-def test_the_kept_view_answers_as_a_fresh_problems(name, order, repeats, kappa):
+       repeats=st.lists(st.sampled_from(PS), max_size=4), kappa=st.sampled_from([0.5, 2.0]),
+       exponents=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4))
+@_each_maker
+def test_the_kept_view_answers_as_a_fresh_problems(name, order, repeats, kappa, exponents):
     make = MAKERS[name]
     prob = make()
     X = np.random.default_rng(len(name)).uniform(-2.0, 2.0, (9, prob.dim_in))
+    # rows whose coordinates range over magnitudes 1e-3 to 1e3
+    scaled = X[:3] * 10.0 ** np.array(exponents[:prob.dim_in])
     for p in list(order) + repeats:
         view = prob.at(p)
         assert prob.at(p) is view and view.p == p
@@ -101,6 +113,11 @@ def test_the_kept_view_answers_as_a_fresh_problems(name, order, repeats, kappa):
             with pytest.raises(ValueError, match="only at a parameter"):
                 prob.constraint.distances(X)
         assert prob.evaluate(p, X[0]).vertices.tobytes() == view.evaluate_many(X[:1])[0].tobytes()
+        # a one-row image is the batch kernel's row, bit for bit
+        for x in scaled:
+            assert view.evaluate(x).vertices.tobytes() == view.evaluate_many(x[None])[0].tobytes()
+            if isinstance(prob, VopSpec):  # the bound map images -f on its row
+                assert view.bound_map[0](x).vertices.tobytes() == (-view.f(x[None])).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(MAKERS))
