@@ -335,7 +335,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _VERBS[args.verb](args)
+        # an overflowing image or merit is reported as its error below, so
+        # numpy's warning would only repeat it; set once, not per merit call
+        with np.errstate(over="ignore"):
+            return _VERBS[args.verb](args)
     except (UsageError, DescentConstantsError, KnotRangeError, ImageOverflow) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,7 +5,9 @@ initializing each solve at the previous solution.  The chain of solutions is
 the numerical stand-in for a continuous selection of the solution map: warm
 starting biases the solver toward the branch through the previous point.
 A row that took steps records the anchor's metric projection onto the
-solution set in n = 2, else the earliest solved point of [anchor, x].
+solution set in n = 2, else the earliest solved point of [anchor, x].  Both
+bisect for a ray's entry into the solved set, speculated: a merit call tests
+a predicted path of midpoints, and the output is the step-by-step bisection's.
 Unsolved grid points are recorded as data, never as failures, because
 legitimately empty solution sets must be chartable.
 """
@@ -21,14 +23,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .solver import SolverConfig, solve
-
-#: bisection steps decided per batch: 2^d - 1 midpoints in one merit call
-_TREE_DEPTH = 5
-#: per tree node, in level order, its interval's ends as positions in [lo, hi, nodes...]
-_TREE_ENDS = [(0, 1)]
-for _i in range(2 ** (_TREE_DEPTH - 1) - 1):  # node i, at i + 2: its children halve it
-    _TREE_ENDS += [(_TREE_ENDS[_i][0], _i + 2), (_i + 2, _TREE_ENDS[_i][1])]
-
 
 class TooFewRows(ValueError):
     pass
@@ -82,30 +76,45 @@ def _sweep_meta(problem, cfg: SolverConfig, warm_start: bool, t0: float, **extra
             "warm_start": warm_start, "wall_time": time.perf_counter() - t0, **extra}
 
 
-def _bisect(holds_many, lo: float, hi: float, iters: int) -> float:
+def _speculative_bisect(merit_many, tol: float, lo: float, hi: float, iters: int, samples):
     """``hi`` after ``iters`` bisection steps on [lo, hi], each moving hi to
-    the midpoint where the predicate holds and lo otherwise.  Run as midpoint
-    trees of depth _TREE_DEPTH: every midpoint the next steps can reach is
-    built with the step's own expression 0.5 * (lo + hi), all are tested in
-    one ``holds_many`` call and the tree is walked, so the result equals the
-    step-by-step loop's for any predicate."""
+    the midpoint where merit <= tol and lo otherwise.  Speculated in rounds:
+    guess the threshold g as the secant root of merit - tol through the two
+    largest-t unsolved (t, merit) samples seen so far (``samples`` seeds them;
+    with fewer, g = lo), build the path the steps take if exactly the
+    midpoints >= g hold, each with the step's own 0.5 * (lo + hi), test it in
+    one ``merit_many`` call and keep the steps up to and including the first
+    verdict the guess got wrong.  Every kept step is the step-by-step loop's,
+    so the result equals its for any merit; the guess moves only the number
+    of calls.  Rounds group t values differently from the loop, so a row's
+    merit must not depend on its batch-mates (true on the orthant; see the
+    README on face-table cones)."""
+    misses = sorted((t, m) for t, m in samples if not m <= tol)[-2:]
     while iters > 0:
-        depth = min(_TREE_DEPTH, iters)
-        nodes = [lo, hi]
-        for a, b in _TREE_ENDS[:2 ** depth - 1]:
-            nodes.append(0.5 * (nodes[a] + nodes[b]))
-        holds, j = holds_many(np.array(nodes[2:])), 2
-        for _ in range(depth):  # the node at j has children at 2j - 1 (below it) and 2j
-            lo, hi, j = (lo, nodes[j], 2 * j - 1) if holds[j - 2] else (nodes[j], hi, 2 * j)
-        iters -= depth
+        g = lo
+        if len(misses) == 2 and misses[0][1] > misses[1][1]:
+            (t1, m1), (t2, m2) = misses
+            g = t2 + (m2 - tol) * (t2 - t1) / (m1 - m2)
+        ts, a, b = [], lo, hi
+        for _ in range(iters):
+            mid = 0.5 * (a + b)
+            ts.append(mid)
+            a, b = (a, mid) if mid >= g else (mid, b)
+        merits = merit_many(np.array(ts)).tolist()
+        for t, m in zip(ts, merits):
+            iters -= 1
+            lo, hi = (lo, t) if m <= tol else (t, hi)
+            if (m <= tol) != (t >= g):
+                break
+        misses = sorted(misses + [(t, m) for t, m in zip(ts, merits) if not m <= tol])[-2:]
     return hi
 
 
-def _first_solved(at, origin, v, kappa, tol, hi, iters):
+def _first_solved(at, origin, v, kappa, tol, hi, iters, samples):
     """Bisected least t in (0, hi] with merit(origin + t*v) <= tol, at the
     view ``at`` of the row's parameter (as every helper below)."""
-    return _bisect(lambda ts: at.merit_many(origin + ts[:, None] * v, kappa) <= tol,
-                   0.0, hi, iters)
+    return _speculative_bisect(lambda ts: at.merit_many(origin + ts[:, None] * v, kappa),
+                               tol, 0.0, hi, iters, samples)
 
 
 def _segment_pullback(at, x_from, x_to, kappa: float, tol: float,
@@ -118,19 +127,22 @@ def _segment_pullback(at, x_from, x_to, kappa: float, tol: float,
     is exact."""
     x_from = np.asarray(x_from, dtype=float)
     v = np.asarray(x_to, dtype=float) - x_from
-    if at.merit(x_from, kappa) <= tol:
+    if (m_from := at.merit(x_from, kappa)) <= tol:
         return x_from
-    return x_from + _first_solved(at, x_from, v, kappa, tol, 1.0, iters) * v
+    return x_from + _first_solved(at, x_from, v, kappa, tol, 1.0, iters, [(0.0, m_from)]) * v
 
 
-def _ray_entry(at, anchor, v, kappa, tol, t_hint, iters=48):
-    """First entry parameter of the ray anchor + t*v into the solved set;
-    math.inf when no feasible point is bracketed near the hint."""
+def _ray_entry(at, anchor, v, kappa, tol, t_hint, samples, iters=48):
+    """First entry parameter of the ray anchor + t*v into the solved set,
+    given (t, merit) ``samples`` already known on it; math.inf when no
+    feasible point is bracketed near the hint."""
     ts = t_hint * np.array([1.0, 1.3, 1.8, 2.6, 4.0])
-    feas = np.flatnonzero(at.merit_many(anchor + ts[:, None] * v, kappa) <= tol)
+    ms = at.merit_many(anchor + ts[:, None] * v, kappa)
+    feas = np.flatnonzero(ms <= tol)
     if not feas.size:
         return math.inf
-    return _first_solved(at, anchor, v, kappa, tol, float(ts[feas[0]]), iters)
+    return _first_solved(at, anchor, v, kappa, tol, float(ts[feas[0]]), iters,
+                         [*samples, *zip(ts.tolist(), ms.tolist())])
 
 
 def _anchored_projection_2d(at, anchor, x_feas, kappa, tol):
@@ -142,7 +154,7 @@ def _anchored_projection_2d(at, anchor, x_feas, kappa, tol):
     drift-free selection: the anchor never moves, so step ratios reflect
     the selection's true speed."""
     anchor = np.asarray(anchor, dtype=float)
-    if at.merit(anchor, kappa) <= tol:
+    if (m_anchor := at.merit(anchor, kappa)) <= tol:
         return anchor.copy()
     gap = np.asarray(x_feas, float) - anchor
     base_t = float(np.linalg.norm(gap))
@@ -152,7 +164,7 @@ def _anchored_projection_2d(at, anchor, x_feas, kappa, tol):
 
     def entry(th, hint):
         v = np.array([math.cos(th), math.sin(th)])
-        return _ray_entry(at, anchor, v, kappa, tol, hint)
+        return _ray_entry(at, anchor, v, kappa, tol, hint, [(0.0, m_anchor)])
 
     best_t, best_th = base_t, theta
     window = 0.35

@@ -1,9 +1,9 @@
 """The batched paths against one-point references: ``merit_many`` and
 ``evaluate_many`` against row-by-row evaluation, the batched Caristi step
-against a step that tries one candidate at a time, and the tree bisection
-against the step-by-step loop.  All comparisons are bit for bit except on
-face-table cones, whose batched matrix product may move a distance by an ulp
-with the batch size."""
+against a step that tries one candidate at a time, and the speculative
+bisection against the step-by-step loop.  All comparisons are bit for bit
+except on face-table cones, whose batched matrix product may move a distance
+by an ulp with the batch size."""
 import math
 
 import numpy as np
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from svikit.geometry import PolyCone, orthant, seeded_rotation, unit_directions
-from svikit.parametric import _TREE_DEPTH, _bisect
+from svikit.parametric import _speculative_bisect
 from svikit.problems import (boxed_rotation_problem, deviation_vop_spec,
                              rotation_inclusion_problem, triangle_vop_spec)
 from svikit.setmaps import (Ball, ImageOverflow, KnotRangeError, MatrixTable, SviProblem, _Knots,
@@ -276,8 +276,11 @@ def test_caristi_step_matches_sequential_without_descent():
 
 
 # ---------------------------------------------------------------------------
-# the tree bisection
+# the speculative bisection
 # ---------------------------------------------------------------------------
+
+TOL = 1e-9
+
 
 def _sequential_bisect(holds, lo, hi, iters):
     for _ in range(iters):
@@ -289,25 +292,61 @@ def _sequential_bisect(holds, lo, hi, iters):
     return hi
 
 
-@settings(max_examples=200, deadline=None)
-@given(lo=st.floats(-1e3, 1e3), width=st.floats(0.0, 1e3),
-       iters=st.integers(0, 3 * _TREE_DEPTH + 4), seed=st.integers(0, 2 ** 32 - 1),
-       kind=st.sampled_from(["random", "oscillating", "threshold"]))
-def test_tree_bisection_equals_sequential(lo, width, iters, seed, kind):
-    hi = lo + width
-    threshold = lo + width * (seed % 1000) / 1000.0
-    holds = {
-        # a fixed pseudo-random verdict per point, neither monotone nor smooth
-        "random": lambda t: hash((seed, float(t))) % 3 == 0,
-        "oscillating": lambda t: math.sin((seed % 97 + 1) * float(t)) > 0.0,
-        "threshold": lambda t: float(t) >= threshold,
-    }[kind]
+def _counted(merit):
+    """A ``merit_many`` over a scalar merit of t, and the list of its calls."""
     calls = []
 
-    def holds_many(ts):
+    def merit_many(ts):
         calls.append(len(ts))
-        return np.array([holds(t) for t in ts], dtype=bool)
+        return np.array([merit(t) for t in ts], dtype=float)
+    return merit_many, calls
 
-    got = _bisect(holds_many, lo, hi, iters)
-    assert got == _sequential_bisect(holds, lo, hi, iters)
-    assert len(calls) == -(-iters // _TREE_DEPTH)  # one call per tree
+
+_PRIOR = st.tuples(st.floats(-2e3, 2e3), st.floats(-1e3, 1e3) | st.sampled_from([math.inf, math.nan]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.floats(-1e3, 1e3), width=st.floats(0.0, 1e3), iters=st.integers(0, 50),
+       seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["random", "oscillating", "threshold"]),
+       priors=st.lists(_PRIOR, max_size=5))
+def test_speculative_bisection_equals_sequential(lo, width, iters, seed, kind, priors):
+    # prior samples unrelated to the merit steer the guesses wrong: they may
+    # cost calls, never a step
+    hi = lo + width
+    threshold = lo + width * (seed % 1000) / 1000.0
+    merit = {
+        # a fixed pseudo-random merit per point, neither monotone nor smooth
+        "random": lambda t: TOL + hash((seed, float(t))) % 3,
+        "oscillating": lambda t: TOL - math.sin((seed % 97 + 1) * float(t)),
+        "threshold": lambda t: TOL + (threshold - t),
+    }[kind]
+    merit_many, calls = _counted(merit)
+    got = _speculative_bisect(merit_many, TOL, lo, hi, iters, priors)
+    assert got == _sequential_bisect(lambda t: merit(t) <= TOL, lo, hi, iters)
+    assert len(calls) <= iters  # every call decides at least one step
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.floats(-1e3, 1e3), width=st.floats(1e-3, 1e3), frac=st.floats(0.0, 1.0),
+       slope=st.floats(1e-3, 1e3), iters=st.integers(0, 50))
+def test_speculative_bisection_on_a_linear_merit_beats_depth_5_trees(lo, width, frac, slope,
+                                                                     iters):
+    # a merit linear in t, seeded with two of its own samples left of [lo, hi]:
+    # the secant guesses its root to rounding, so the walk needs no more calls
+    # than the 31-point midpoint trees it replaced, ceil(iters / 5), unless the
+    # path passes within rounding of the root, where the guess may take the
+    # wrong side; such runs are held to one step per call
+    hi, threshold = lo + width, lo + width * frac
+    merit = lambda t: TOL + slope * (threshold - t)
+    visited, a, b = [], lo, hi
+    for _ in range(iters):
+        visited.append(0.5 * (a + b))
+        a, b = (a, visited[-1]) if merit(visited[-1]) <= TOL else (visited[-1], b)
+    merit_many, calls = _counted(merit)
+    priors = [(t, merit(t)) for t in (lo - 2.0 * width, lo - width)]
+    got = _speculative_bisect(merit_many, TOL, lo, hi, iters, priors)
+    assert got == _sequential_bisect(lambda t: merit(t) <= TOL, lo, hi, iters)
+    if all(abs(t - threshold) > 1e-12 * (abs(lo) + 3.0 * width) for t in visited):
+        assert len(calls) <= -(-iters // 5)
+    assert len(calls) <= iters

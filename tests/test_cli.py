@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -205,7 +206,9 @@ def test_usage_errors(problem_files, tmp_path, capsys):
         ["estimate-inc", "--problem", str(fan_path), "--p", "0.4"],
         ["verify-props", "--problem", str(fan_path)],
     ]
-    with np.errstate(over="ignore", invalid="ignore"):
+    # no numpy warning escapes the CLI, with or without a caller's errstate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         for argv in bad_args + overflows:
             capsys.readouterr()
             assert main(argv) == 1, argv

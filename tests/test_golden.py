@@ -15,6 +15,7 @@ import sys
 import numpy as np
 import pytest
 
+from svikit import parametric
 from svikit.geometry import orthant
 from svikit.increase import SamplingConfig, estimate_bound, global_infimum, hints_for_problem
 from svikit.parametric import sweep, write_csv
@@ -24,17 +25,21 @@ from svikit.setmaps import (AbsComponent, ConcaveTerm, FanSpec, MatrixTable,
                             SviProblem, _Knots, evaluate)
 from svikit.solver import SolverConfig, solve
 from svikit.vopt import ideal_value_sweep
+from test_batched import _sequential_bisect
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 TEXT_COLUMNS = {"bound_holds", "solved", "oracle_status"}
 STEP = 2.0 * math.pi / 64  # the criterion-5 grid step
 
 
+def _rotation_warm_table():
+    return sweep(rotation_inclusion_problem(), STEP * np.arange(9), [0.0, 0.0],
+                 SolverConfig(alpha=1.5))
+
+
 def rotation_warm(path):
     """Warm sweep anchored at the origin (unconstrained, anchored projection)."""
-    table = sweep(rotation_inclusion_problem(), STEP * np.arange(9), [0.0, 0.0],
-                  SolverConfig(alpha=1.5))
-    write_csv(table, path)
+    write_csv(_rotation_warm_table(), path)
 
 
 def boxed_cold(path):
@@ -50,19 +55,21 @@ def _axis_rotation(angle, axis):
     return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * K @ K
 
 
-def spatial_warm(path):
-    """Warm sweep of a 3-D problem anchored at the origin: twice a rotation
-    about (1, 2, 3) on knots, the concave offset and a +-I/5 fan over the
-    orthant.  Every row takes steps, so each goes through the segment
-    pullback toward the anchor (the n != 2 path)."""
+def _spatial_warm_table():
     ps = np.linspace(0.0, 1.2, 5)
     mats = np.array([2.0 * _axis_rotation(p, [1.0, 2.0, 3.0]) for p in ps])
     h = ConcaveTerm(tuple(AbsComponent(-1.0, 0.0, -0.25, 0.0, i) for i in range(3)))
     fan = FanSpec(np.array([0.2 * np.eye(3), -0.2 * np.eye(3)]))
     prob = SviProblem(matrix=MatrixTable(_Knots(ps, mats)), cone=orthant(3), h=h, fan=fan)
-    table = sweep(prob, np.linspace(0.0, 1.2, 9), [0.0, 0.0, 0.0],
-                  SolverConfig(alpha=1.5))
-    write_csv(table, path)
+    return sweep(prob, np.linspace(0.0, 1.2, 9), [0.0, 0.0, 0.0], SolverConfig(alpha=1.5))
+
+
+def spatial_warm(path):
+    """Warm sweep of a 3-D problem anchored at the origin: twice a rotation
+    about (1, 2, 3) on knots, the concave offset and a +-I/5 fan over the
+    orthant.  Every row takes steps, so each goes through the segment
+    pullback toward the anchor (the n != 2 path)."""
+    write_csv(_spatial_warm_table(), path)
 
 
 def triangle_ideal(path):
@@ -157,6 +164,25 @@ def test_golden_output(name, tmp_path):
             else:
                 a, b = float(g[col]), float(w[col])
                 assert (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-12, (i, col, a, b)
+
+
+def test_warm_goldens_match_the_step_by_step_bisection_bytes(monkeypatch):
+    # the goldens compare to 1e-12; the rows' bisections must give the
+    # step-by-step loop's bytes, here run with one merit call per midpoint
+    shipped = [_rotation_warm_table(), _spatial_warm_table()]
+    steps = [0]
+
+    def step_by_step(merit_many, tol, lo, hi, iters, samples):
+        steps[0] += iters
+        return _sequential_bisect(lambda t: merit_many(np.array([t]))[0] <= tol, lo, hi, iters)
+
+    monkeypatch.setattr(parametric, "_speculative_bisect", step_by_step)
+    reference = [_rotation_warm_table(), _spatial_warm_table()]
+    assert steps[0] > 0
+    for got, want in zip(shipped, reference):
+        assert len(got.rows) == len(want.rows) == 9
+        for i, (g, w) in enumerate(zip(got.rows, want.rows)):
+            assert g.x.tobytes() == w.x.tobytes(), (i, g.x, w.x)
 
 
 if __name__ == "__main__":

@@ -208,4 +208,4 @@ def test_the_warm_golden_sweep_makes_a_fixed_number_of_merit_calls(monkeypatch):
     table = sweep(rotation_inclusion_problem(), 2.0 * math.pi / 64 * np.arange(9), [0.0, 0.0],
                   SolverConfig(alpha=1.5))
     assert all(r.solved for r in table.rows)
-    assert calls[0] == 3927
+    assert calls[0] == 1269
