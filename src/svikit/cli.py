@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Verbs: solve, sweep, estimate-inc, vopt, verify-props.  Exit codes: 0 on
-success, 1 on usage/parse errors, 2 on solver or verification failure,
-3 on internal errors.  SVI_LOG sets the logging level (default warning); the
-one record is an internal error's traceback (the library logs nothing).
+Verbs: solve, sweep, estimate-inc, vopt, verify-props (the theorem's
+hypotheses and constants, read off the file).  Exit codes: 0 on success, 1 on
+usage/parse errors, 2 on solver failure or a hypothesis that reads FAIL, 3 on
+internal errors.  SVI_LOG sets the logging level (default warning); the one
+record is an internal error's traceback (the library logs nothing).
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import math
 import os
 import sys
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -21,8 +22,7 @@ from . import __version__
 from .increase import PropertyAbsent, SamplingConfig, global_infimum
 from .parametric import continuity_report, sweep, write_csv
 from .problems import load_problem_file
-from .geometry import row_norms
-from .setmaps import ImageOverflow, KnotRangeError, RotationScaled, SviProblem
+from .setmaps import ImageOverflow, KnotRangeError, RotationScaled, SviProblem, is_all_space
 from .solver import DescentConstantsError, SolverConfig, solve
 from .vopt import FOUND, NOT_FOUND, AffineFamily, VopSpec, ideal_value_sweep, solve_ideal
 
@@ -43,32 +43,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _finite(text: str, above: float = -math.inf) -> float:
+def _finite(text: str, above: float = -math.inf, kind: type = float):
+    """A flag's value: a finite number of ``kind`` (float or int) above ``above``."""
     try:
-        value = float(text)
+        value = kind(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite {kind.__name__}")
     if value <= above:
         raise argparse.ArgumentTypeError(f"{text!r} is not greater than {above:g}")
-    return value
-
-
-def _count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer of at least 1")
     return value
 
 
 def _parse_vector(text: str, dim: int) -> np.ndarray:
     """A finite comma-separated point with ``dim`` entries."""
     try:
-        vec = np.array([float(tok) for tok in text.split(",") if tok != ""])
+        vec = np.array([float(tok) for tok in text.split(",")])
     except ValueError as err:
         raise UsageError(f"cannot parse vector {text!r}: {err}") from None
     if not np.all(np.isfinite(vec)):
@@ -97,13 +88,18 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _load(path):
+def _load(args, kind=object):
+    """The problem file ``args.problem``, which must be of ``kind``."""
     try:
-        return load_problem_file(path)
+        problem = load_problem_file(args.problem)
     except OSError as err:  # missing, a directory, unreadable
-        raise UsageError(f"cannot read problem file {path}: {err.strerror or err}") from None
+        raise UsageError(f"cannot read problem file {args.problem}: {err.strerror or err}") from None
     except (ValueError, KeyError, TypeError) as err:
-        raise UsageError(f"cannot parse problem file {path}: {err}") from None
+        raise UsageError(f"cannot parse problem file {args.problem}: {err}") from None
+    if not isinstance(problem, kind):
+        raise UsageError(f"{args.verb} expects " + ("an inclusion problem file (use vopt instead)"
+                         if kind is SviProblem else "a vector-optimization problem file"))
+    return problem
 
 
 def _solver_cfg(args) -> SolverConfig:
@@ -112,6 +108,7 @@ def _solver_cfg(args) -> SolverConfig:
     return SolverConfig(**{k: v for k, v in flags.items() if v is not None})
 
 
+@cache  # one parser serves every call of main
 def _build_parser() -> _Parser:
     parser = _Parser(prog="svi", description=__doc__)
     parser.add_argument("--version", action="version", version=f"svi {__version__}")
@@ -145,7 +142,7 @@ def _build_parser() -> _Parser:
     common(sp, out=True)
     sp.add_argument("--p-grid", default=None, help="start:stop:count")
     sp.add_argument("--p", type=_finite, default=None)
-    sp.add_argument("--x-samples", type=_count, default=8)
+    sp.add_argument("--x-samples", type=partial(_finite, above=0, kind=int), default=8)
 
     sp = sub.add_parser("vopt", help="ideal-efficiency solve or sweep")
     common(sp, solver=True, out=True)
@@ -158,9 +155,8 @@ def _build_parser() -> _Parser:
                     help="turn the objective's rotation_scaled matrix clockwise "
                          "(cw) or counterclockwise (ccw)")
 
-    sp = sub.add_parser("verify-props", help="run property suites on the problem")
-    common(sp)
-    sp.add_argument("--trials", type=_count, default=50)
+    sub.add_parser("verify-props", help="print the theorem's hypotheses and constants "
+                   "for the problem").add_argument("--problem", required=True)
     return parser
 
 
@@ -169,9 +165,7 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
-    problem = _load(args.problem)
-    if not isinstance(problem, SviProblem):
-        raise UsageError("solve expects an inclusion problem file (use vopt instead)")
+    problem = _load(args, SviProblem)
     cfg = _solver_cfg(args)
     res = solve(problem, args.p, _parse_vector(args.x0, problem.dim_in), cfg)
     if res.stop != "converged":
@@ -191,9 +185,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    problem = _load(args.problem)
-    if not isinstance(problem, SviProblem):
-        raise UsageError("sweep expects an inclusion problem file (use vopt instead)")
+    problem = _load(args, SviProblem)
     cfg = _solver_cfg(args)
     grid = _parse_grid(args.grid)
     table = sweep(problem, grid, _parse_vector(args.x0, problem.dim_in), cfg,
@@ -213,7 +205,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    problem = _load(args.problem)
+    problem = _load(args)
     if args.p_grid is not None and args.p is not None:
         raise UsageError("estimate-inc takes --p or --p-grid, not both")
     if args.p_grid is not None:
@@ -236,9 +228,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_vopt(args) -> int:
-    spec = _load(args.problem)
-    if not isinstance(spec, VopSpec):
-        raise UsageError("vopt expects a vector-optimization problem file")
+    spec = _load(args, VopSpec)
     if args.p is not None and args.grid is not None:
         raise UsageError("vopt takes --p or --grid, not both")
     if args.out is not None and args.grid is None:
@@ -276,46 +266,34 @@ def _cmd_vopt(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    problem = _load(args.problem)
-    if not isinstance(problem, SviProblem):
-        raise UsageError("verify-props expects an inclusion problem file")
-    rng = np.random.default_rng(args.seed)
-    n, m = problem.dim_in, problem.dim_out
-    cone = problem.cone
-    names = ("excess vertex attainment on problem images",
-             "cone-displacement invariance of the excess",
-             "merit Lipschitz bound",
-             "merit convexity (catalog concavity)",
-             "zero merit iff every vertex in the cone")
-    ok = [True] * len(names)
+    problem = _load(args)
+    ell, spec = problem.ell, isinstance(problem, VopSpec)
+    verdicts = []
 
-    def far(Y):  # distances to the cone of points along the last axis
-        return cone.distances(Y.reshape(-1, m)).reshape(Y.shape[:-1])
+    def check(holds, text):  # holds None reads UNKNOWN
+        verdicts.append(holds)
+        print(f"{'UNKNOWN' if holds is None else 'PASS' if holds else 'FAIL':<7}  {text}")
 
-    ps = rng.uniform(0.0, 2.0 * math.pi, size=4)
-    xs = rng.uniform(-2.0, 2.0, size=(min(args.trials, 10), n))
-    for p in ps:  # batched images and merits, one call of each per parameter
-        at = problem.at(p)
-        V = at.evaluate_many(xs)
-        exact = at.merit_many(xs)
-        k, v = V.shape[:2]
-        w = rng.dirichlet(np.ones(v), size=(k, 2000))
-        ok[0] &= np.all(far(w @ V).max(axis=1) <= exact + 1e-9)
-        shifts = rng.uniform(0.0, 2.0, size=(k, 50, len(cone.generators))) @ cone.generators
-        shifted = np.concatenate([V[:, None] + shifts[:, :, None], V[:, None]], axis=1)
-        ok[1] &= np.all(far(shifted).reshape(k, -1).max(axis=1) <= exact + 1e-9)
-        ok[4] &= np.array_equal(exact <= 1e-9, np.all(far(V) <= 1e-9, axis=1))
-
-        x1, x2 = rng.uniform(-2.0, 2.0, size=(2, args.trials, n))
-        t = rng.uniform(size=(args.trials, 1))
-        f1, f2, fmid = at.merit_many(np.vstack([x1, x2, t * x1 + (1 - t) * x2])).reshape(3, -1)
-        lip = float(np.linalg.norm(at.M, 2)) + problem.ell
-        ok[2] &= np.all(np.abs(f1 - f2) <= lip * row_norms(x1 - x2) + 1e-9)
-        ok[3] &= np.all(fmid <= t[:, 0] * f1 + (1 - t[:, 0]) * f2 + 1e-9)
-    for name, passed in zip(names, ok):
-        print(f"{'PASS' if passed else 'FAIL'}  {name}")
-    print(f"{sum(ok)}/{len(ok)} property suites passed")
-    return EXIT_OK if all(ok) else EXIT_SOLVER
+    print(f"ell = {ell:.6g}")
+    if spec:
+        bound = problem.objective.lipschitz_bound
+        check(ell >= bound * (1.0 - 1e-12), f"ell >= {bound:.6g}, the objective's Lipschitz bound")
+    alpha = getattr(problem, "declared_alpha", None)  # what solve uses without --alpha-tilde
+    if alpha is None:
+        check(None, "alpha_tilde: none declared (svi estimate-inc brackets a sampled one)")
+    else:
+        print(f"alpha_tilde = {alpha:.6g} (declared)")
+    constrained = not is_all_space(problem.constraint)
+    floor = 1.0 + ell if constrained else 1.0
+    check(None if alpha is None else alpha > floor, f"alpha_tilde > {floor:.6g}: the "
+          + ("constrained theorem, else floor constants" if constrained else "unconstrained theorem"))
+    matrix = getattr(problem.objective, "matrix", None) if spec else problem.matrix
+    if matrix is not None:
+        print(f"p_modulus = {matrix.p_modulus:.6g}: sup over p of ||dM/dp||_2")
+        if verdicts[-1] and not (spec or constrained):  # alpha_tilde > 1
+            print(f"solution_map_modulus = {matrix.p_modulus / (alpha - 1.0):.6g} per unit |x|: "
+                  "p_modulus/(alpha_tilde - 1)")
+    return EXIT_SOLVER if False in verdicts else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,11 @@ def all_finite(a: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(a)) == a.size
 
 
+def norm2(A) -> float:
+    """The spectral norm ||A||_2, inf when an entry is (numpy's would be nan)."""
+    return float(np.linalg.norm(A, 2)) if all_finite(A) else math.inf
+
+
 def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
     """Coerce to a finite 1-D float array, optionally checking its length."""
     v = np.asarray(x, dtype=float)
@@ -354,7 +359,10 @@ class PolyCone:
         unit = gens / np.linalg.norm(gens, axis=1, keepdims=True)
         d = _ldp_project(np.zeros(self.dim), unit, None)[1]
         object.__setattr__(self, "pointed", bool(d > GEOM_TOL))
-        object.__setattr__(self, "_orthant", self._detect_orthant())
+        # the orthant: every unit generator is an axis, and every axis is one
+        axes = np.argmax(unit, axis=1)
+        object.__setattr__(self, "_orthant", bool(len(set(axes.tolist())) == self.dim and np.all(
+            np.abs(unit - np.eye(self.dim)[axes]) <= GEOM_TOL)))
 
     @property
     def dim(self) -> int:
@@ -365,17 +373,6 @@ class PolyCone:
         m = self.dim
         return all(_ldp_project(p, np.zeros((1, m)), self.generators)[1] <= GEOM_TOL
                    for p in np.vstack([np.eye(m), -np.eye(m)]))
-
-    def _detect_orthant(self) -> bool:
-        m = self.dim
-        unit = self.generators / np.linalg.norm(self.generators, axis=1, keepdims=True)
-        hit = np.zeros(m, dtype=bool)
-        for g in unit:
-            axis = int(np.argmax(g))
-            if abs(g[axis] - 1.0) > GEOM_TOL or np.any(np.abs(np.delete(g, axis)) > GEOM_TOL):
-                return False
-            hit[axis] = True
-        return bool(np.all(hit))
 
     @cached_property
     def facets(self) -> np.ndarray:

@@ -14,6 +14,7 @@ legitimately empty solution sets must be chartable.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -255,17 +256,8 @@ def continuity_report(table: SweepTable) -> ContinuityReport:
         idx_pairs.append(i + 1)
     threshold_ratio = 10.0 * float(np.median(ratios)) if ratios else math.inf
     flags = [i for i, rr in zip(idx_pairs, ratios) if rr > threshold_ratio]
-    unsolved = []
-    start = None
-    for row in table.rows:
-        if not row.solved and start is None:
-            start = row.p
-        elif row.solved and start is not None:
-            unsolved.append((start, prev_p))
-            start = None
-        prev_p = row.p
-    if start is not None:
-        unsolved.append((start, table.rows[-1].p))
+    runs = (list(g) for solved, g in itertools.groupby(table.rows, lambda r: r.solved) if not solved)
+    unsolved = [(run[0].p, run[-1].p) for run in runs]
     return ContinuityReport(
         max_step_ratio=float(max(ratios)) if ratios else 0.0,
         discontinuity_flags=flags,

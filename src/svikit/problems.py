@@ -37,11 +37,9 @@ def rotation_inclusion_problem(scale: float = 3.0, clockwise: bool = False,
     ell = (0.25 if with_h else 0.0) + (0.25 if with_fan else 0.0)
     if declared_alpha is None:
         declared_alpha = (1.0 - ell) * (scale / math.sqrt(2.0) + 1.0)
-    kwargs = {}
-    if constraint is not None:
-        kwargs["constraint"] = constraint
-    return SviProblem(matrix=RotationScaled(scale, clockwise), cone=orthant(2),
-                      h=h, fan=fan, declared_alpha=declared_alpha, **kwargs)
+    return SviProblem(matrix=RotationScaled(scale, clockwise), cone=orthant(2), h=h, fan=fan,
+                      constraint=AllSpace() if constraint is None else constraint,
+                      declared_alpha=declared_alpha)
 
 
 def rotation_solution_path(p: float) -> np.ndarray:

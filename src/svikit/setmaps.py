@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
+from operator import truediv
 from typing import ClassVar, Optional, Union
 
 import numpy as np
 
 from .geometry import (PolyCone, VPolytope, _as_points, all_finite, as_vector, dist_many,
-                       hints_for_matrix, project_dist, row_norms)
+                       hints_for_matrix, norm2, project_dist, row_norms)
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +57,7 @@ class _Knots:
             raise ValueError("knot table needs at least one parameter value")
         if not np.all(np.isfinite(self.ps)):
             raise ValueError("knot tables must be finite")
-        if np.any(np.diff(self.ps) <= 0):
+        if np.any(self.ps[1:] <= self.ps[:-1]):  # no difference: it could overflow
             raise ValueError("knot parameters must be strictly increasing")
         if self.values.shape[:1] != self.ps.shape:
             raise ValueError("one value per knot required")
@@ -127,6 +128,14 @@ def read_data(d: dict, *names: str, key: str = "knots") -> tuple:
     return tuple(_Knots(ps, [row[name] for row in d[key]]) for name in names)
 
 
+def read_field(d: dict, key: str, default, kind: type):
+    """``d.get(key, default)``, which must be of type ``kind`` exactly (true is no int)."""
+    value = d.get(key, default)
+    if type(value) is not kind:
+        raise ValueError(f"{key!r} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def rotation_matrix(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s], [s, c]])
@@ -149,6 +158,12 @@ class RotationScaled:
 
     def matrix_at(self, p: float) -> np.ndarray:
         return self.scale * rotation_matrix(-p if self.clockwise else p)
+
+    @property
+    def norm_bound(self) -> float:  # sup over p of ||M(p)||_2, and of ||dM/dp||_2
+        return abs(self.scale)
+
+    p_modulus = norm_bound
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -176,6 +191,21 @@ class MatrixTable:
         return self.matrix.at(p)
 
     @property
+    def norm_bound(self) -> float:  # sup over p of ||M(p)||_2: interpolation is convex
+        return max(map(norm2, self.matrix.values.reshape(-1, *self.shape)))
+
+    @property
+    def p_modulus(self) -> float:
+        """sup over p of ||dM/dp||_2: the steepest knot-interval slope (0 for a
+        constant or a single knot), inf where a difference overflows."""
+        M = self.matrix
+        if M.ps is None:
+            return 0.0
+        with np.errstate(over="ignore"):  # a knot gap past the float range reads as its edge
+            dp = np.minimum(np.diff(M.ps), np.finfo(float).max).tolist()
+            return max(map(truediv, map(norm2, np.diff(M.values, axis=0)), dp), default=0.0)
+
+    @property
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
 
@@ -190,7 +220,7 @@ ParamMatrixFamily = Union[RotationScaled, MatrixTable]
 def matrix_family_from_dict(d: dict) -> ParamMatrixFamily:
     variant = d["variant"]
     if variant == "rotation_scaled":
-        return RotationScaled(float(d["scale"]), bool(d.get("clockwise", False)))
+        return RotationScaled(float(d["scale"]), read_field(d, "clockwise", False, bool))
     if variant == "constant":
         return MatrixTable(d["matrix"])
     if variant == "interpolated":
@@ -221,10 +251,6 @@ class AbsComponent:
         if self.coord < 0:
             raise ValueError("component coordinate must be nonnegative")
 
-    @property
-    def slope_bound(self) -> float:
-        return abs(self.b) + abs(self.c)
-
 
 @dataclass(frozen=True, eq=False)
 class ConcaveTerm:
@@ -239,7 +265,7 @@ class ConcaveTerm:
         if not comps:
             raise ValueError("concave term needs at least one component")
         object.__setattr__(self, "components", comps)
-        bound = self.lipschitz_bound()
+        bound = self.lipschitz_bound
         if self.declared_lipschitz is None:
             object.__setattr__(self, "declared_lipschitz", bound)
         elif not math.isfinite(self.declared_lipschitz):
@@ -254,12 +280,14 @@ class ConcaveTerm:
         object.__setattr__(self, "_terms", [(c.coord, *map(float, (c.a, c.b, c.c, c.d)))
                                             for c in comps])  # the same, as Python numbers
 
+    @property
     def lipschitz_bound(self) -> float:
         # rows touch a single coordinate each; the operator-norm bound is the
-        # worst column root-sum-square of per-row slopes
+        # worst column root-sum-square of per-row slopes (inf past the float range)
         by_coord: dict[int, float] = {}
         for comp in self.components:
-            by_coord[comp.coord] = by_coord.get(comp.coord, 0.0) + comp.slope_bound ** 2
+            slope = abs(comp.b) + abs(comp.c)
+            by_coord[comp.coord] = by_coord.get(comp.coord, 0.0) + slope * slope
         return math.sqrt(max(by_coord.values()))
 
     def values_many(self, X: np.ndarray) -> np.ndarray:
@@ -291,7 +319,7 @@ class ConcaveTerm:
     def from_dict(d: dict) -> "ConcaveTerm":
         comps = tuple(
             AbsComponent(float(c["a"]), float(c.get("b", 0.0)), float(c.get("c", 0.0)),
-                         float(c.get("d", 0.0)), int(c.get("coord", 0)))
+                         float(c.get("d", 0.0)), read_field(c, "coord", 0, int))
             for c in d["components"]
         )
         return ConcaveTerm(comps, d.get("declared_lipschitz"))
@@ -315,8 +343,7 @@ class FanSpec:
         if mats.ndim != 3 or not np.all(np.isfinite(mats)):
             raise ValueError("fan needs a nonempty list of finite matrices")
         object.__setattr__(self, "matrices", mats)
-        object.__setattr__(self, "lipschitz_constant",
-                           float(max(np.linalg.norm(m, 2) for m in mats)))
+        object.__setattr__(self, "lipschitz_constant", max(map(norm2, mats)))
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -31,7 +31,7 @@ from .increase import PropertyAbsent, SamplingConfig, global_infimum
 from .parametric import SweepRow, SweepTable, _sorted_grid, _sweep_meta
 from .setmaps import (Ball, Box, ConstraintFamily, Parametric, PolytopeSet, ProblemAt,
                       RotationScaled, _Knots, as_data, constraint_from_dict, is_all_space,
-                      matrix_family_from_dict, read_data, write_data)
+                      matrix_family_from_dict, read_data, read_field, write_data)
 from .solver import SolveResult, SolverConfig, solve
 
 
@@ -71,6 +71,10 @@ class AbsDeviation:
     def values_at(self, M, phi: float, pts: np.ndarray) -> np.ndarray:
         return np.repeat(np.abs(pts[:, :1] - phi), self.components, axis=1)
 
+    @property
+    def lipschitz_bound(self) -> float:  # of f(p, .) for every p, in the 2-norm
+        return math.sqrt(self.components)
+
     def to_dict(self) -> dict:
         return {"variant": "abs_deviation", "components": self.components,
                 **write_data(phi=self.phi_knots)}
@@ -107,6 +111,10 @@ class AffineFamily:
         values = matvec_rows(M, pts)  # no b: adding zeros would turn -0.0 into 0.0
         return values if b is None else values + b
 
+    @property
+    def lipschitz_bound(self) -> float:  # of f(p, .) for every p, in the 2-norm
+        return self.matrix.norm_bound
+
     def to_dict(self) -> dict:
         d = {"variant": "affine", "matrix": self.matrix.to_dict()}
         if self.offset is not None:
@@ -121,9 +129,9 @@ def objective_from_dict(d: dict) -> Objective:
     variant = d["variant"]
     if variant == "linear_rotation":  # the rotation objective's older file form
         return AffineFamily(RotationScaled(float(d.get("scale", 1.0)),
-                                           bool(d.get("clockwise", True))))
+                                           read_field(d, "clockwise", True, bool)))
     if variant == "abs_deviation":
-        return AbsDeviation(*read_data(d, "phi"), int(d.get("components", 2)))
+        return AbsDeviation(*read_data(d, "phi"), read_field(d, "components", 2, int))
     if variant == "affine":
         return AffineFamily(matrix_family_from_dict(d["matrix"]),
                             *read_data(d, "offset", key="offset_knots"))

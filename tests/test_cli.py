@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import warnings
@@ -11,7 +12,7 @@ from svikit.geometry import PolyCone, orthant
 from svikit.problems import (boxed_rotation_problem, load_problem_file,
                              rotation_inclusion_problem, sine_deviation_spec,
                              triangle_vop_spec, write_problem_file)
-from svikit.setmaps import Ball, Box, MatrixTable
+from svikit.setmaps import Ball, Box, MatrixTable, Parametric
 from svikit.vopt import AffineFamily, VopSpec
 
 
@@ -131,7 +132,8 @@ def test_usage_errors(problem_files, tmp_path, capsys):
         ["vopt", "--problem", tri, "--p", "0", "--x0", "0.3"],
         ["estimate-inc", "--problem", rot, "--p", "0.4", "--x-samples", "0"],
         ["estimate-inc", "--problem", rot, "--p", "0.4", "--x-samples", "-2"],
-        ["verify-props", "--problem", rot, "--trials", "-3"],
+        ["verify-props", "--problem", rot, "--trials", "-3"],  # no such flag
+        ["verify-props", "--problem", rot, "--seed", "1"],
         ["vopt", "--problem", tri, "--p", "0", "--x0", "0.3,0.3",
          "--image-sampling", "33"],
         ["solve", "--problem", rot, "--p", "0.3", "--x0", "1,1", "--alpha", "-1"],
@@ -202,9 +204,7 @@ def test_usage_errors(problem_files, tmp_path, capsys):
          "--alpha", "1.5"],
         ["sweep", "--problem", str(scale_path), "--grid", "0:1:3", "--x0", "0,0"],
         ["estimate-inc", "--problem", str(scale_path), "--p", "0.4"],
-        ["verify-props", "--problem", str(scale_path)],
         ["estimate-inc", "--problem", str(fan_path), "--p", "0.4"],
-        ["verify-props", "--problem", str(fan_path)],
     ]
     # no numpy warning escapes the CLI, with or without a caller's errstate
     with warnings.catch_warnings():
@@ -214,6 +214,9 @@ def test_usage_errors(problem_files, tmp_path, capsys):
             assert main(argv) == 1, argv
             if argv in overflows:
                 assert "error: the image at p = " in capsys.readouterr().err, argv
+        # verify-props images nothing: it reads the data's constants, which are finite
+        assert main(["verify-props", "--problem", str(scale_path)]) == 0
+        assert main(["verify-props", "--problem", str(fan_path)]) == 0
     # an empty interval names what the constrained theorem needs
     capsys.readouterr()
     assert main(["solve", "--problem", boxed, "--p", "0.3", "--x0", "1,1",
@@ -393,12 +396,119 @@ def test_estimate_inc_verb(problem_files, capsys):
     assert "global_infimum" in out
 
 
-def test_verify_props_verb(problem_files, capsys):
-    for name in ("rotation", "boxed"):
-        rc = main(["verify-props", "--problem", problem_files[name], "--trials", "20"])
-        out = capsys.readouterr().out
+def _verify(capsys, path):
+    rc = main(["verify-props", "--problem", str(path)])
+    return rc, capsys.readouterr().out.splitlines()
+
+
+def _solve_constants(capsys, path):
+    assert main(["solve", "--problem", path, "--p", "0.3", "--x0", "1,1"]) == 0
+    line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("alpha =")][0]
+    return float(line.split()[2]), float(line.split()[5])  # alpha, kappa
+
+
+def test_verify_props_verb(problem_files, tmp_path, monkeypatch, capsys):
+    # one line per constant, and per hypothesis with its verdict, each read
+    # off the file: ell, the declared alpha_tilde, the theorem's condition on
+    # it, M(p)'s modulus in p and the solution map's, 3/(alpha_tilde - 1)
+    rc, lines = _verify(capsys, problem_files["rotation"])
+    assert rc == 0
+    assert lines == [
+        "ell = 0.5", "alpha_tilde = 1.56066 (declared)",
+        "PASS     alpha_tilde > 1: the unconstrained theorem",
+        "p_modulus = 3: sup over p of ||dM/dp||_2",
+        "solution_map_modulus = 5.35083 per unit |x|: p_modulus/(alpha_tilde - 1)"]
+    alpha_tilde = float(lines[1].split()[2])
+    assert 3.0 / (alpha_tilde - 1.0) == pytest.approx(5.35083, abs=1e-4)
+    # the alpha_tilde that solve uses: alpha = min(1.5, 0.9 alpha_tilde)
+    # unconstrained, alpha + kappa = alpha_tilde constrained
+    assert _solve_constants(capsys, problem_files["rotation"])[0] == pytest.approx(
+        min(1.5, 0.9 * alpha_tilde), abs=1e-5)
+    rc, lines = _verify(capsys, problem_files["boxed"])
+    assert rc == 0
+    assert lines == [
+        "ell = 0.5", "alpha_tilde = 1.56066 (declared)",
+        "PASS     alpha_tilde > 1.5: the constrained theorem, else floor constants",
+        "p_modulus = 3: sup over p of ||dM/dp||_2"]
+    assert sum(_solve_constants(capsys, problem_files["boxed"])) == pytest.approx(
+        float(lines[1].split()[2]), abs=1e-5)
+    # a knot table's modulus is its steepest interval's slope
+    knotted = rotation_inclusion_problem().to_dict()
+    M0, M7 = [[3.0, 0.0], [0.0, 3.0]], [[0.0, -3.0], [3.0, 0.0]]
+    knotted["matrix"] = {"variant": "interpolated", "knots": [{"p": 0.0, "matrix": M0},
+                                                              {"p": 7.0, "matrix": M7}]}
+    path = tmp_path / "knotted.json"
+    path.write_text(json.dumps(knotted))
+    rc, lines = _verify(capsys, path)
+    slope = np.linalg.norm(np.subtract(M7, M0), 2) / 7.0
+    assert rc == 0
+    assert f"p_modulus = {slope:.6g}: sup over p of ||dM/dp||_2" in lines
+    assert f"{slope:.6g}" == "0.606092"
+    # a vector-optimization file: ell against the objective's catalog bound,
+    # and no declared alpha_tilde
+    for name, ell in (("triangle", "1"), ("deviation", "1.41421")):
+        rc, lines = _verify(capsys, problem_files[name])
         assert rc == 0, name
-        assert "5/5 property suites passed" in out
+        assert lines[:3] == [
+            f"ell = {ell}", f"PASS     ell >= {ell}, the objective's Lipschitz bound",
+            "UNKNOWN  alpha_tilde: none declared (svi estimate-inc brackets a sampled one)"]
+        assert lines[3].startswith("UNKNOWN  alpha_tilde > ")
+    # a failed hypothesis exits 2: ell below the objective's bound, and a
+    # declared alpha_tilde at most 1 + ell on a constrained problem
+    triangle = triangle_vop_spec().to_dict()
+    triangle["objective_lipschitz"] = 0.5
+    boxed = boxed_rotation_problem().to_dict()
+    boxed["declared_alpha"] = 1.4
+    for name, data, line in (
+            ("triangle", triangle, "FAIL     ell >= 1, the objective's Lipschitz bound"),
+            ("boxed", boxed, "FAIL     alpha_tilde > 1.5: the constrained theorem, "
+                             "else floor constants")):
+        path = tmp_path / f"failing_{name}.json"
+        path.write_text(json.dumps(data))
+        rc, lines = _verify(capsys, path)
+        assert rc == 2, name
+        assert line in lines, name
+    # the verb reads no parameter's view: no image, merit or draw
+    def no_view(*args):
+        raise AssertionError("verify-props must not read a view at(p)")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Parametric, "at", no_view)
+        for name in ("rotation", "boxed", "triangle", "deviation"):
+            assert main(["verify-props", "--problem", problem_files[name]]) == 0, name
+    capsys.readouterr()
+
+
+def test_malformed_fields_and_vectors_are_usage_errors(problem_files, tmp_path, capsys):
+    # a JSON string is no boolean, and a float or string no integer
+    rotation = rotation_inclusion_problem().to_dict()
+    deviation = sine_deviation_spec(9).to_dict()
+    triangle = triangle_vop_spec().to_dict()
+    linear = {**triangle, "objective": {"variant": "linear_rotation", "scale": 1.0}}
+    cases = []
+    for value in ("false", 0, None):
+        cases.append((rotation, ("matrix", "clockwise"), value))
+        cases.append((triangle, ("objective", "matrix", "clockwise"), value))
+        cases.append((linear, ("objective", "clockwise"), value))
+    for value in (1.9, "1", 1.0, True):
+        cases.append((rotation, ("h", "components", 1, "coord"), value))
+    for value in (2.5, "2", 2.0, True):
+        cases.append((deviation, ("objective", "components"), value))
+    for i, (base, where, value) in enumerate(cases):
+        data = copy.deepcopy(base)
+        node = data
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        path = tmp_path / f"malformed_{i}.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify-props", "--problem", str(path)]) == 1, (where, value)
+        assert f"'{where[-1]}' must be a JSON" in capsys.readouterr().err, (where, value)
+    # an empty entry of a point is no entry to drop
+    for x0 in ("1,,2", "1,", ",1"):
+        assert main(["solve", "--problem", problem_files["rotation"], "--p", "0",
+                     "--x0", x0]) == 1, x0
+    capsys.readouterr()
 
 
 def test_seeded_runs_are_byte_identical(problem_files, tmp_path):

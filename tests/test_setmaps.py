@@ -10,7 +10,7 @@ from svikit.setmaps import (AbsComponent, AllSpace, Ball, Box, ConcaveTerm,
                             constraint_from_dict, evaluate, is_all_space,
                             problem_from_dict)
 from svikit.geometry import VPolytope
-from svikit.vopt import AffineFamily, VopSpec
+from svikit.vopt import AbsDeviation, AffineFamily, VopSpec
 
 SQRT2 = math.sqrt(2.0)
 
@@ -78,6 +78,39 @@ def test_lipschitz_budget(rotation_problem):
                       fan=FanSpec(np.array([np.diag([1.0, 2.0])])))
     assert diag.fan.lipschitz_constant == pytest.approx(2.0)
     assert diag.ell == pytest.approx(2.0)
+
+
+def test_norm_bound_and_p_modulus_bound_the_matrix_on_a_dense_grid():
+    # sup ||M(p)||_2 and sup ||dM/dp||_2, read off the data: checked against
+    # M(p) and central differences of it on a dense grid, the norm attained
+    # at a knot and the modulus inside the steepest interval
+    table = MatrixTable(_Knots([0.0, 1.0, 3.0, 7.0], [
+        [[3.0, 0.0], [0.0, 3.0]], [[0.0, -3.0], [3.0, 1.0]],
+        [[-2.0, 0.5], [1.0, -4.0]], [[0.0, -3.0], [3.0, 0.0]]]))
+    for family, (lo, hi) in ((table, (0.0, 7.0)), (RotationScaled(-2.5, True), (-4.0, 4.0)),
+                             (AffineFamily(table).matrix, (0.0, 7.0))):
+        h = 1e-6
+        ps = np.linspace(lo + h, hi - h, 7001)
+        norms = [np.linalg.norm(family.matrix_at(p), 2) for p in ps]
+        slopes = [np.linalg.norm(family.matrix_at(p + h) - family.matrix_at(p - h), 2) / (2 * h)
+                  for p in ps]
+        assert max(norms) <= family.norm_bound * (1 + 1e-12)
+        assert max(slopes) <= family.p_modulus * (1 + 1e-6)
+        assert max(slopes) >= family.p_modulus * (1 - 1e-6)
+    assert max(np.linalg.norm(M, 2) for M in table.matrix.values) == table.norm_bound
+    assert table.norm_bound == np.linalg.norm([[-2.0, 0.5], [1.0, -4.0]], 2)
+    assert RotationScaled(-2.5).norm_bound == RotationScaled(-2.5).p_modulus == 2.5
+    assert AffineFamily(table).lipschitz_bound == table.norm_bound
+    assert AbsDeviation(_Knots([0.0, 1.0], [0.0, 1.0]), 3).lipschitz_bound == math.sqrt(3.0)
+    # a constant or a single knot does not move with p
+    assert MatrixTable(np.eye(2)).p_modulus == 0.0
+    assert MatrixTable(_Knots([2.0], [np.eye(2)])).p_modulus == 0.0
+    # data near the float range read inf where a norm or slope overflows, never nan
+    big = np.full((2, 2), 1e308)
+    assert MatrixTable(big).norm_bound == math.inf
+    assert MatrixTable(_Knots([0.0, 1.0], [big, -big])).p_modulus == math.inf
+    far = MatrixTable(_Knots([-1e308, 1e308], [np.eye(2), -np.eye(2)]))
+    assert 0.0 < far.p_modulus <= 2.0 / 1e308
 
 
 def test_merit_lipschitz_bound(rotation_problem):
