@@ -49,7 +49,7 @@ def _finite(text: str, above: float = -math.inf, kind: type = float):
         value = kind(text)
     except ValueError:
         value = math.nan
-    if not math.isfinite(value):
+    if value != value or abs(value) == math.inf:  # an int may be past the float range
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite {kind.__name__}")
     if value <= above:
         raise argparse.ArgumentTypeError(f"{text!r} is not greater than {above:g}")
@@ -70,30 +70,26 @@ def _parse_vector(text: str, dim: int) -> np.ndarray:
     return vec
 
 
-def _parse_grid(text: str) -> np.ndarray:
-    """start:stop:count with inclusive endpoints."""
+def start_stop_count(text: str) -> np.ndarray:
+    """A grid flag's value, start:stop:count with inclusive endpoints (argparse reports a
+    part that does not parse, or a count past numpy's range, as its ValueError)."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"grid spec {text!r} must be start:stop:count")
-    try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as err:
-        raise UsageError(f"cannot parse grid {text!r}: {err}") from None
+        raise argparse.ArgumentTypeError(f"grid spec {text!r} must be start:stop:count")
+    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 1:
-        raise UsageError("grid count must be positive")
+        raise argparse.ArgumentTypeError("grid count must be positive")
     if not (math.isfinite(start) and math.isfinite(stop)):
-        raise UsageError(f"grid {text!r} has non-finite bounds")
+        raise argparse.ArgumentTypeError(f"grid {text!r} has non-finite bounds")
     if start > stop:
-        raise UsageError(f"grid {text!r} runs downward; start must not exceed stop")
+        raise argparse.ArgumentTypeError(f"grid {text!r} runs downward; start exceeds stop")
     return np.linspace(start, stop, count)
 
 
 def _load(args, kind=object):
     """The problem file ``args.problem``, which must be of ``kind``."""
-    try:
+    try:  # a missing or unreadable file is an OSError, a usage error too
         problem = load_problem_file(args.problem)
-    except OSError as err:  # missing, a directory, unreadable
-        raise UsageError(f"cannot read problem file {args.problem}: {err.strerror or err}") from None
     except (ValueError, KeyError, TypeError) as err:
         raise UsageError(f"cannot parse problem file {args.problem}: {err}") from None
     if not isinstance(problem, kind):
@@ -117,7 +113,7 @@ def _build_parser() -> _Parser:
     # each verb takes only the flags it reads
     def common(sp, solver=False, out=False):
         sp.add_argument("--problem", required=True, help="problem file (JSON)")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=partial(_finite, above=-1, kind=int), default=0)
         if solver:
             sp.add_argument("--tol", type=partial(_finite, above=0.0), default=None)
             sp.add_argument("--alpha", type=partial(_finite, above=1.0), default=None)
@@ -133,21 +129,21 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("sweep", help="warm-started parameter sweep")
     common(sp, solver=True, out=True)
-    sp.add_argument("--grid", required=True, help="start:stop:count")
+    sp.add_argument("--grid", type=start_stop_count, required=True, help="start:stop:count")
     sp.add_argument("--x0", required=True)
     sp.add_argument("--cold-start", action="store_true")
 
     sp = sub.add_parser("estimate-inc", help="bracket the increase/decrease bound "
                         "(the problem kind picks which)")
     common(sp, out=True)
-    sp.add_argument("--p-grid", default=None, help="start:stop:count")
+    sp.add_argument("--p-grid", type=start_stop_count, default=None, help="start:stop:count")
     sp.add_argument("--p", type=_finite, default=None)
     sp.add_argument("--x-samples", type=partial(_finite, above=0, kind=int), default=8)
 
     sp = sub.add_parser("vopt", help="ideal-efficiency solve or sweep")
     common(sp, solver=True, out=True)
     sp.add_argument("--p", type=_finite, default=None)
-    sp.add_argument("--grid", default=None, help="start:stop:count")
+    sp.add_argument("--grid", type=start_stop_count, default=None, help="start:stop:count")
     sp.add_argument("--x0", required=True)
     sp.add_argument("--oracle", action="store_true",
                     help="print the exact oracle's verdict, or with --grid write it")
@@ -187,8 +183,7 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     problem = _load(args, SviProblem)
     cfg = _solver_cfg(args)
-    grid = _parse_grid(args.grid)
-    table = sweep(problem, grid, _parse_vector(args.x0, problem.dim_in), cfg,
+    table = sweep(problem, args.grid, _parse_vector(args.x0, problem.dim_in), cfg,
                   warm_start=not args.cold_start)
     solved = sum(1 for r in table.rows if r.solved)
     print(f"rows = {len(table.rows)}  solved = {solved}")
@@ -209,7 +204,7 @@ def _cmd_estimate(args) -> int:
     if args.p_grid is not None and args.p is not None:
         raise UsageError("estimate-inc takes --p or --p-grid, not both")
     if args.p_grid is not None:
-        grid = _parse_grid(args.p_grid)
+        grid = args.p_grid
     elif args.p is not None:
         grid = np.array([args.p])
     else:
@@ -243,8 +238,7 @@ def _cmd_vopt(args) -> int:
     cfg = _solver_cfg(args)
     x0 = _parse_vector(args.x0, spec.objective.dim_in)
     if args.grid is not None:
-        grid = _parse_grid(args.grid)
-        table = ideal_value_sweep(spec, grid, x0, cfg, with_oracle=args.oracle)
+        table = ideal_value_sweep(spec, args.grid, x0, cfg, with_oracle=args.oracle)
         solved = sum(1 for r in table.rows if r.solved)
         print(f"rows = {len(table.rows)}  solved = {solved}")
         if args.out:
@@ -317,7 +311,7 @@ def main(argv=None) -> int:
         # numpy's warning would only repeat it; set once, not per merit call
         with np.errstate(over="ignore"):
             return _VERBS[args.verb](args)
-    except (UsageError, DescentConstantsError, KnotRangeError, ImageOverflow) as err:
+    except (UsageError, DescentConstantsError, KnotRangeError, ImageOverflow, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except PropertyAbsent as err:

@@ -122,8 +122,8 @@ class _Search:
     gradients of one stencil, the unit directions, the checked hint
     direction, and per radius one candidate list, drawn from ``rng`` at that
     radius's first check, with the worst signed depth of each candidate
-    imaged so far: the max over its image vertices of minus the least slack
-    inside G(x) + C and the distance outside (inf at x, no witness)."""
+    imaged so far (inf at x): the max over its image vertices of minus the least slack
+    or, where ``witness`` measures it, the distance; a lower bound once it fails."""
 
     def __init__(self, map_at: MapAt, cone: PolyCone, x: np.ndarray, cfg: SamplingConfig,
                  hint, rng: np.random.Generator):
@@ -139,9 +139,9 @@ class _Search:
         """The first candidate at radius r with alpha*r + worst <= r + tolerance,
         or None: the candidates are imaged in blocks of 8, 16, 32, ... until
         one passes, and every later check at r reuses their depths, so the
-        verdict is monotone in alpha.  Every outside vertex is measured: its
-        distance is at least its facet violation, so one the violation
-        already fails still fails, as when only the others were measured."""
+        verdict is monotone in alpha.  An outside vertex is measured only if its
+        violation sd passes at alpha = 1, r + sd <= r + tolerance: as alpha*r >= r
+        in floats and its distance is at least sd, one failing there fails at every alpha."""
         if alpha <= 1 or r <= 0:
             raise ValueError("alpha must exceed 1" if alpha <= 1 else "radius must be positive")
         if r not in self.lists:
@@ -163,7 +163,7 @@ class _Search:
             if images:  # checked images: their vertices are measured as they are
                 verts = np.concatenate(images)
                 sd = -_least_slack(verts, self.target)
-                out = sd >= 0.0
+                out = (sd >= 0.0) & (r + sd <= r + self.cfg.tolerance)
                 if out.any():  # the max: no rounding puts a distance below the violation
                     sd[out] = np.maximum(sd[out], _nearest_rows(self.target, verts[out])[1])
                 starts = np.cumsum([0] + [len(v) for v in images[:-1]])

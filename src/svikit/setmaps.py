@@ -17,6 +17,7 @@ are declared and machine-checkable instead of inferred from arbitrary code.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import InitVar, dataclass, field
 from operator import truediv
 from typing import ClassVar, Optional, Union
@@ -119,21 +120,33 @@ def write_data(key: str = "knots", **data: _Knots) -> dict:
                   for i, p in enumerate(ps)]}
 
 
-def read_data(d: dict, *names: str, key: str = "knots") -> tuple:
-    """Inverse of ``write_data``: knot tables from the rows ``d[key]`` when
-    present, else the constants ``d.get(name)``."""
-    if key not in d:
+def read_data(d: dict, *names: str, key: str = "knots", **kinds: type) -> tuple:
+    """Inverse of ``write_data`` on the section d (``read``, with ``kinds``): knot
+    tables from the rows ``d[key]`` when present, else the constants ``d.get(name)``."""
+    if key not in read(d, key if key in d else " ".join(names), **kinds):
         return tuple(d.get(name) for name in names)
-    ps = [row["p"] for row in d[key]]
-    return tuple(_Knots(ps, [row[name] for row in d[key]]) for name in names)
+    rows = [read(row, " ".join(("p", *names))) for row in d[key]]
+    return tuple(_Knots([row["p"] for row in rows], [row[name] for row in rows]) for name in names)
 
 
-def read_field(d: dict, key: str, default, kind: type):
-    """``d.get(key, default)``, which must be of type ``kind`` exactly (true is no int)."""
-    value = d.get(key, default)
-    if type(value) is not kind:
-        raise ValueError(f"{key!r} must be a JSON {kind.__name__}, got {value!r}")
-    return value
+def read(d: dict, keys: str, **kinds: type) -> dict:
+    """The problem file section d, checked: it holds no key but ``keys``, each a JSON number,
+    null, a section or nested lists of them (not true, not "3"), and ``kinds``, each typed."""
+    if type(d) is not dict:
+        raise TypeError(f"a problem file section must be an object, got {d!r}")
+    if unknown := sorted(set(d) - {*keys.split(), *kinds}):
+        raise ValueError(f"unknown key {unknown[0]!r}; the section takes {keys.split() + [*kinds]}")
+    for key, value in d.items():
+        if not (type(value) is kinds[key] if key in kinds else _numbers(value)):
+            kind = kinds[key].__name__ if key in kinds else "number or an array of them"
+            raise ValueError(f"{key!r} must be a JSON {kind}, got {value!r}")
+    return d
+
+
+def _numbers(value) -> bool:
+    return type(value) in (float, dict, type(None)) or (  # an int must read as a float
+        type(value) is int and abs(value) <= sys.float_info.max) or (
+        type(value) is list and all(map(_numbers, value)))
 
 
 def rotation_matrix(angle: float) -> np.ndarray:
@@ -220,11 +233,12 @@ ParamMatrixFamily = Union[RotationScaled, MatrixTable]
 def matrix_family_from_dict(d: dict) -> ParamMatrixFamily:
     variant = d["variant"]
     if variant == "rotation_scaled":
-        return RotationScaled(float(d["scale"]), read_field(d, "clockwise", False, bool))
+        read(d, "scale", variant=str, clockwise=bool)
+        return RotationScaled(float(d["scale"]), d.get("clockwise", False))
     if variant == "constant":
-        return MatrixTable(d["matrix"])
+        return MatrixTable(read(d, "matrix", variant=str)["matrix"])
     if variant == "interpolated":
-        return MatrixTable(*read_data(d, "matrix"))
+        return MatrixTable(*read_data(d, "matrix", variant=str))
     raise ValueError(f"unknown matrix family variant {variant!r}")
 
 
@@ -317,12 +331,11 @@ class ConcaveTerm:
 
     @staticmethod
     def from_dict(d: dict) -> "ConcaveTerm":
-        comps = tuple(
-            AbsComponent(float(c["a"]), float(c.get("b", 0.0)), float(c.get("c", 0.0)),
-                         float(c.get("d", 0.0)), read_field(c, "coord", 0, int))
-            for c in d["components"]
-        )
-        return ConcaveTerm(comps, d.get("declared_lipschitz"))
+        rows = [read(c, "a b c d", coord=int)
+                for c in read(d, "components declared_lipschitz")["components"]]
+        return ConcaveTerm(tuple(AbsComponent(float(c["a"]), *(float(c.get(k, 0.0)) for k in "bcd"),
+                                              c.get("coord", 0)) for c in rows),
+                           d.get("declared_lipschitz"))
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +499,14 @@ ConstraintFamily = Union[AllSpace, Box, Ball, PolytopeSet]
 def constraint_from_dict(d: dict) -> ConstraintFamily:
     variant = d["variant"]
     if variant == "all_space":
+        read(d, "", variant=str)
         return AllSpace()
     if variant == "box":
-        return Box(*read_data(d, "lower", "upper"))
+        return Box(*read_data(d, "lower", "upper", variant=str))
     if variant == "ball":
-        return Ball(*read_data(d, "center", "radius"))
+        return Ball(*read_data(d, "center", "radius", variant=str))
     if variant == "polytope":
-        return PolytopeSet(VPolytope(np.asarray(d["vertices"], float)))
+        return PolytopeSet(VPolytope(np.array(read(d, "vertices", variant=str)["vertices"], float)))
     raise ValueError(f"unknown constraint variant {variant!r}")
 
 
@@ -681,12 +695,12 @@ class SviProblem(Parametric):
 
 
 def problem_from_dict(d: dict) -> SviProblem:
+    h, fan = read(d, "matrix cone h fan constraint declared_alpha").get("h"), d.get("fan")
     return SviProblem(
         matrix=matrix_family_from_dict(d["matrix"]),
-        cone=PolyCone(np.asarray(d["cone"]["generators"], float)),
-        h=ConcaveTerm.from_dict(d["h"]) if "h" in d and d["h"] is not None else None,
-        fan=FanSpec(np.asarray(d["fan"]["matrices"], float))
-        if "fan" in d and d["fan"] is not None else None,
+        cone=PolyCone(np.asarray(read(d["cone"], "generators")["generators"], float)),
+        h=None if h is None else ConcaveTerm.from_dict(h),
+        fan=None if fan is None else FanSpec(np.asarray(read(fan, "matrices")["matrices"], float)),
         constraint=constraint_from_dict(d.get("constraint", {"variant": "all_space"})),
         declared_alpha=d.get("declared_alpha"),
     )

@@ -31,7 +31,7 @@ from .increase import PropertyAbsent, SamplingConfig, global_infimum
 from .parametric import SweepRow, SweepTable, _sorted_grid, _sweep_meta
 from .setmaps import (Ball, Box, ConstraintFamily, Parametric, PolytopeSet, ProblemAt,
                       RotationScaled, _Knots, as_data, constraint_from_dict, is_all_space,
-                      matrix_family_from_dict, read_data, read_field, write_data)
+                      matrix_family_from_dict, read, read_data, write_data)
 from .solver import SolveResult, SolverConfig, solve
 
 
@@ -128,13 +128,14 @@ Objective = Union[AbsDeviation, AffineFamily]
 def objective_from_dict(d: dict) -> Objective:
     variant = d["variant"]
     if variant == "linear_rotation":  # the rotation objective's older file form
-        return AffineFamily(RotationScaled(float(d.get("scale", 1.0)),
-                                           read_field(d, "clockwise", True, bool)))
+        read(d, "scale", variant=str, clockwise=bool)
+        return AffineFamily(RotationScaled(float(d.get("scale", 1.0)), d.get("clockwise", True)))
     if variant == "abs_deviation":
-        return AbsDeviation(*read_data(d, "phi"), read_field(d, "components", 2, int))
+        (phi,) = read_data(d, "phi", variant=str, components=int)
+        return AbsDeviation(phi, d.get("components", 2))
     if variant == "affine":
-        return AffineFamily(matrix_family_from_dict(d["matrix"]),
-                            *read_data(d, "offset", key="offset_knots"))
+        return AffineFamily(matrix_family_from_dict(d["matrix"]), *read_data(
+            d, "offset", key="offset_knots", variant=str, matrix=dict))
     raise ValueError(f"unknown objective variant {variant!r}")
 
 
@@ -222,10 +223,11 @@ VopProblem = VopSpec
 
 
 def vop_spec_from_dict(d: dict) -> VopSpec:
+    read(d, "objective constraint cone objective_lipschitz")
     return VopSpec(
         objective=objective_from_dict(d["objective"]),
         constraint=constraint_from_dict(d["constraint"]),
-        cone=PolyCone(np.asarray(d["cone"]["generators"], float)),
+        cone=PolyCone(np.asarray(read(d["cone"], "generators")["generators"], float)),
         objective_lipschitz=float(d["objective_lipschitz"]),
     )
 

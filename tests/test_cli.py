@@ -590,3 +590,71 @@ def test_estimate_inc_over_a_grid_writes_one_row_per_estimate(problem_files, tmp
     assert {p for p, _, _ in rows} == {0.3, 2.0}
     for _, lo, hi in rows:  # about 1 + 1/sqrt(2), the triangle's decrease bound
         assert 1.0 < lo <= hi and abs(lo - (1.0 + 1.0 / math.sqrt(2.0))) <= 0.05
+
+
+# malformed or out-of-range values of each flag kind: non-numeric, nan/inf,
+# past the float range, wrong lengths, empty, unsorted or unsplit grids,
+# negative or oversized counts
+BAD_FLAGS = {
+    "float": ["", "abc", "nan", "-inf", "inf", "1e999", "1,2"],
+    "--tol": ["0", "-1e-9"], "--alpha": ["1", "0.5", "-2"], "--alpha-tilde": ["1", "-3"],
+    "--seed": ["", "abc", "1.5", "nan", "inf", "1e3", "-1", "-12"],
+    "--x-samples": ["", "abc", "2.5", "nan", "inf", "0", "-3"],
+    "--x0": ["", "a,b", "nan,1", "1,inf", "1e999,0", "1", "1,2,3", "1,,2", "1;2"],
+    "grid": ["", "0:1", "0:1:2:3", "a:b:c", "0:nan:3", "-inf:0:3", "0:1e999:3", "1:0:3",
+             "0:1:0", "0:1:-2", "0:1:2.5", "0:1:" + "9" * 30],
+    "--orientation": ["", "up"],
+}
+
+
+def _flag_cases(problem_files, tmp_path):
+    """(verb argv that exits 0, {flag: bad values}) per verb."""
+    rot, tri = problem_files["rotation"], problem_files["triangle"]
+    floats = {f: BAD_FLAGS["float"] + BAD_FLAGS.get(f, []) for f in ("--tol", "--alpha",
+                                                                       "--alpha-tilde")}
+    outs = {"--out": [str(tmp_path), str(tmp_path / "missing" / "out.csv")]}
+    solver = {"--seed": BAD_FLAGS["--seed"], "--x0": BAD_FLAGS["--x0"], **floats}
+    return {
+        "solve": (["--problem", rot, "--p", "0.3", "--x0", "1,1"],
+                  {"--p": BAD_FLAGS["float"], **solver}),
+        "sweep": (["--problem", rot, "--grid", "0:0.1:2", "--x0", "1,1", "--out",
+                   str(tmp_path / "sweep.csv")], {"--grid": BAD_FLAGS["grid"], **solver, **outs}),
+        "estimate-inc": (["--problem", rot, "--p-grid", "0.2:0.3:2", "--x-samples", "2", "--out",
+                          str(tmp_path / "inc.csv")],
+                         {"--p-grid": BAD_FLAGS["grid"], "--seed": BAD_FLAGS["--seed"],
+                          "--x-samples": BAD_FLAGS["--x-samples"], **outs}),
+        "vopt": (["--problem", tri, "--grid", "0:0.1:2", "--x0", "0.2,0.2", "--out",
+                  str(tmp_path / "vopt.csv")],
+                 {"--grid": BAD_FLAGS["grid"], "--orientation": BAD_FLAGS["--orientation"],
+                  **solver, **outs}),
+        "verify-props": (["--problem", rot], {"--problem": [str(tmp_path), "missing.json"],
+                                              "--seed": ["1"], "--p": ["0.3"]}),
+    }
+
+
+def _with(argv, flag, value):
+    """argv with ``flag`` set to value as ``flag=value`` (so that argparse
+    reads "-inf" as a value), in place of the flag's own."""
+    argv = list(argv)
+    if flag in argv:
+        del argv[argv.index(flag):argv.index(flag) + 2]
+    return argv + [f"{flag}={value}"]
+
+
+def test_malformed_or_out_of_range_flags_exit_1_never_3(problem_files, tmp_path, capsys):
+    # every bad value of every flag of every verb, alone, and then seeded
+    # draws of two bad flags at once; each valid argv exits 0 first
+    rng = np.random.default_rng(0)
+    for verb, (argv, bad) in _flag_cases(problem_files, tmp_path).items():
+        assert main([verb, *argv]) == 0, verb
+        runs = [[(flag, value)] for flag, values in bad.items() for value in values]
+        flags = list(bad)
+        for _ in range(12 if len(flags) > 1 else 0):
+            pair = rng.choice(len(flags), 2, replace=False)
+            runs.append([(flags[i], str(rng.choice(bad[flags[i]]))) for i in pair])
+        for run in runs:
+            args = [verb, *argv]
+            for flag, value in run:
+                args = _with(args, flag, value)
+            assert main(args) == 1, args
+            assert "error:" in capsys.readouterr().err, args

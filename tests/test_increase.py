@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from svikit import increase
-from svikit.geometry import (SumSet, VPolytope, dist_many, enlargement_inclusion, numgrad,
-                             orthant, unit_directions)
+from svikit.geometry import (SumSet, VPolytope, _least_slack, _nearest_rows, dist_many,
+                             enlargement_inclusion, numgrad, orthant, row_norms,
+                             unit_directions)
 from svikit.increase import (HypothesisViolated, PropertyAbsent,
                              SamplingConfig, check_increase, estimate_bound,
                              global_infimum, hints_for_matrix, perturbed_bound)
@@ -121,6 +122,90 @@ def test_a_vertex_outside_within_the_tolerance_is_measured(plane_orthant):
         assert s.lists[1.0][1].tolist() == dist_many(v, s.target).tolist()
         assert s.lists[1.0][1][0] == pytest.approx(0.1 * SQRT2, rel=1e-15)
         assert (ball_sup(v, 1.1, s.target) <= 1.0 + tol) == holds
+
+
+def reference_witness(s, alpha, r):
+    """``_Search.witness`` with every outside vertex measured (the rule
+    before the loosest-check gate), on the lists of its own ``_Search`` s."""
+    if r not in s.lists:
+        s.lists[r] = increase._candidates(s.x, r, s.grads, s.hint, s.units, s.rng), np.empty(0)
+    U, worst = s.lists[r]
+    while not len(hits := np.flatnonzero(alpha * r + worst <= r + s.cfg.tolerance)):
+        if len(worst) == len(U):
+            return None
+        block = U[len(worst):2 * len(worst) + 8]
+        keep = row_norms(block - s.x) > 1e-15
+        images = [s.map_at(u).vertices for u in block[keep]]
+        depth = np.full(len(block), np.inf)
+        if images:
+            verts = np.concatenate(images)
+            sd = -_least_slack(verts, s.target)
+            out = sd >= 0.0
+            if out.any():
+                sd[out] = np.maximum(sd[out], _nearest_rows(s.target, verts[out])[1])
+            depth[keep] = np.maximum.reduceat(sd, np.cumsum([0] + [len(v) for v in images[:-1]]))
+        worst = np.concatenate([worst, depth])
+        s.lists[r] = U, worst
+    return U[hits[0]].copy()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_witness_matches_measuring_every_outside_vertex(seed):
+    # an up-and-down alpha sequence on one _Search: alpha within 1e-12 of 1,
+    # within 4 tol / r of 1 and in [1.02, 4]; tolerance 0, the default, or
+    # above (alpha - 1) r, where vertices off G(x) + C may pass
+    rng = np.random.default_rng(seed)
+    cone, mats, map_at, x = random_fan_instance(rng)
+    hints = hints_for_matrix(mats[0], cone) if rng.random() < 0.5 else None
+    r = float(rng.choice([1.0, 0.5, *increase.QUALIFYING_RADII]))
+    tol = [0.0, SamplingConfig().tolerance,
+           (rng.uniform(1.02, 4.0) - 1.0) * r * rng.uniform(1.0, 3.0)][seed % 3]
+    cfg = SamplingConfig(directions=16, tolerance=tol)
+    s, ref = (increase._Search(map_at, cone, x, cfg, hints, np.random.default_rng(seed))
+              for _ in range(2))
+    alphas = [1.0 + 1e-12 * rng.uniform(0.01, 1.0) for _ in range(3)]
+    alphas += [float(a) for a in rng.uniform(1.02, 4.0, 4)]
+    if tol > 0:
+        alphas += [1.0 + 4.0 * tol / r * rng.uniform(1e-3, 1.0) for _ in range(3)]
+    for alpha in rng.permutation(alphas):
+        got, want = s.witness(alpha, r), reference_witness(ref, alpha, r)
+        assert (got is None) == (want is None), (alpha, tol)
+        assert got is None or np.array_equal(got, want), (alpha, tol)
+
+
+def test_witness_measures_only_blocks_with_a_vertex_within_the_tolerance(monkeypatch):
+    # _nearest_rows runs once per block that holds an outside vertex whose
+    # violation passes at alpha = 1, and on those vertices only
+    measured = outside = 0
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        cone, mats, map_at, x = random_fan_instance(rng)
+        r, alpha = 0.5, float(rng.uniform(1.02, 2.0))
+        cfg = SamplingConfig(directions=16, tolerance=[1e-7, (alpha - 1.0) * r * 1.5][seed % 2])
+        s = increase._Search(map_at, cone, x, cfg, None, np.random.default_rng(seed))
+        calls = []
+        monkeypatch.setattr(increase, "_nearest_rows",
+                            lambda ss, pts: calls.append(pts) or _nearest_rows(ss, pts))
+        for a in (alpha, 1.5 * alpha, 1.0 + 1e-9):
+            s.witness(a, r)
+        monkeypatch.undo()
+        U, worst = s.lists[r]
+        ends = [0]
+        while ends[-1] < len(worst):
+            ends.append(min(2 * ends[-1] + 8, len(U)))
+        want = []
+        for lo, hi in zip(ends, ends[1:]):
+            verts = np.concatenate([map_at(u).vertices for u in U[lo:hi]
+                                    if row_norms((u - x)[None])[0] > 1e-15])
+            sd = -_least_slack(verts, s.target)
+            outside += int((sd >= 0.0).any())
+            if ((sd >= 0.0) & (r + sd <= r + cfg.tolerance)).any():
+                want.append(verts[(sd >= 0.0) & (r + sd <= r + cfg.tolerance)])
+        assert len(calls) == len(want), seed
+        assert all(np.array_equal(c, w) for c, w in zip(calls, want)), seed
+        measured += len(calls)
+    assert 0 < measured < outside  # the rule is exercised and it saves calls
 
 
 def test_gradient_heuristics_match_one_stencil_per_heuristic():

@@ -11,7 +11,7 @@ import pytest
 
 from svikit.cli import main
 from svikit.parametric import _problem_hash
-from svikit.problems import (boxed_rotation_problem, load_problem_file,
+from svikit.problems import (boxed_rotation_problem, deviation_vop_spec, load_problem_file,
                              rotation_inclusion_problem, sine_deviation_spec, triangle_vop_spec,
                              write_problem_file)
 from svikit.setmaps import constraint_from_dict, matrix_family_from_dict
@@ -140,3 +140,81 @@ def test_mutated_problem_files_exit_0_1_or_2_and_round_trip(tmp_path, capsys):
             assert rc in (0, 2), (name, where, mutant)
             write_problem_file(back, problem)
             assert load_problem_file(back).to_dict() == problem.to_dict(), (name, where)
+
+
+def _strict_bases():
+    # the four bundled file kinds: rotation, boxed, triangle and a three-knot deviation spec
+    return {"rotation": rotation_inclusion_problem().to_dict(),
+            "boxed": boxed_rotation_problem().to_dict(),
+            "triangle": triangle_vop_spec().to_dict(),
+            "deviation": deviation_vop_spec([0.5, -1.0, 2.0], [0.0, 1.0, 3.0]).to_dict()}
+
+
+def _nodes(node, path=()):
+    """(path, node) for ``node`` and everything below it."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(
+        node, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _replaced(data, path, value=None, rename=None):
+    """A copy of data with the node at ``path`` set to ``value``, or with the
+    key ``rename`` of the section at ``path`` renamed."""
+    mutant = copy.deepcopy(data)
+    node = mutant
+    for key in path[:-1] if rename is None else path:
+        node = node[key]
+    if rename is None:
+        node[path[-1]] = value
+    else:
+        node[rename + "_x"] = node.pop(rename)
+    return mutant
+
+
+def _assert_usage_error(path, mutant, tmp_path, capsys, what):
+    path.write_text(json.dumps(mutant))
+    with pytest.raises((ValueError, KeyError, TypeError)):
+        load_problem_file(path)
+    assert main(["verify-props", "--problem", str(path)]) == 1, what
+    capsys.readouterr()
+
+
+def test_every_numeric_leaf_as_true_or_as_a_string_is_a_usage_error(tmp_path, capsys):
+    # 78 numeric leaves in the four files, each written as JSON true, as the
+    # number in a string and as an integer past the float range (which
+    # float() cannot read): 234 files, none of which loads
+    path, count = tmp_path / "mutant.json", 0
+    for name, base in _strict_bases().items():
+        for where, node in _nodes(base):
+            if type(node) not in (int, float):
+                continue
+            count += 1
+            for value in (True, json.dumps(node), -10 ** 400):
+                _assert_usage_error(path, _replaced(base, where, value), tmp_path, capsys,
+                                    (name, where, value))
+    assert count == 78
+
+
+def test_a_renamed_key_in_every_section_is_a_usage_error(tmp_path, capsys):
+    # every key of every section (knot rows and h components included),
+    # misspelled; an optional key's new name is as unknown as a required one's
+    path, sections = tmp_path / "mutant.json", set()
+    for name, base in _strict_bases().items():
+        for where, node in _nodes(base):
+            if isinstance(node, dict):
+                sections.add(next((k for k in where[::-1] if isinstance(k, str)), name))
+                for key in node:
+                    _assert_usage_error(path, _replaced(base, where, rename=key), tmp_path,
+                                        capsys, (name, where, key))
+    assert sections == {"rotation", "boxed", "triangle", "deviation", "matrix", "cone", "h",
+                        "components", "fan", "constraint", "objective", "knots"}
+
+
+def test_an_extra_key_in_every_section_is_a_usage_error():
+    # each variant names its keys: a key of another variant is unknown
+    for parse, d in FILE_FORMS.values():
+        extra = "offset" if "offset_knots" in d else "lower" if "knots" in d else "knots"
+        with pytest.raises(ValueError, match="unknown key"):
+            parse({**d, extra: []})
