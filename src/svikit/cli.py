@@ -43,8 +43,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _finite(text: str, above: float = -math.inf, kind: type = float):
-    """A flag's value: a finite number of ``kind`` (float or int) above ``above``."""
+def _finite(text: str, above: float = -math.inf, kind: type = float, most: float = math.inf):
+    """A flag's value: a finite number of ``kind`` (float or int) in (above, most]."""
     try:
         value = kind(text)
     except ValueError:
@@ -53,6 +53,8 @@ def _finite(text: str, above: float = -math.inf, kind: type = float):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite {kind.__name__}")
     if value <= above:
         raise argparse.ArgumentTypeError(f"{text!r} is not greater than {above:g}")
+    if value > most:
+        raise argparse.ArgumentTypeError(f"{text!r} is greater than {most}")
     return value
 
 
@@ -138,7 +140,9 @@ def _build_parser() -> _Parser:
     common(sp, out=True)
     sp.add_argument("--p-grid", type=start_stop_count, default=None, help="start:stop:count")
     sp.add_argument("--p", type=_finite, default=None)
-    sp.add_argument("--x-samples", type=partial(_finite, above=0, kind=int), default=8)
+    # a count past numpy's index range cannot size the draw
+    sp.add_argument("--x-samples", default=8, type=partial(
+        _finite, above=0, kind=int, most=np.iinfo(np.intp).max))
 
     sp = sub.add_parser("vopt", help="ideal-efficiency solve or sweep")
     common(sp, solver=True, out=True)
@@ -176,6 +180,7 @@ def _cmd_solve(args) -> int:
     print(f"alpha = {res.alpha_used:.6f}  kappa = {res.kappa:.6f}")
     print(f"bound_rhs = {res.bound_rhs:.6f}")
     print(f"bound_holds = {str(res.bound_holds).lower()}")
+    print(f"alpha_source = {res.alpha_source}")
     print(f"caristi_certified = {str(res.caristi_certified).lower()}")
     return EXIT_OK
 
@@ -254,6 +259,7 @@ def _cmd_vopt(args) -> int:
         print(f"x = {res.x.tolist()}")
         print(f"value = {res.value.tolist()}")
         print(f"merit_final = {res.merit_final:.3e}")
+    print(f"alpha_source = {res.solve_result.alpha_source}")
     if args.oracle or res.status != FOUND:
         print(f"oracle = {res.oracle.status}")
     return EXIT_SOLVER if res.status == NOT_FOUND else EXIT_OK

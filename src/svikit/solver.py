@@ -16,8 +16,7 @@ efficiency) descends on floor constants where the theorem's are missing.
 from __future__ import annotations
 
 import math
-from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -74,10 +73,11 @@ class SolveResult:
     divided by the run's smallest acceptance constant; the telescoped path
     length always satisfies it when every accepted step passed the
     acceptance rule, whether or not the run converged.
-    ``caristi_certified`` records that the run used the mandated descent
-    constants (False for best-effort runs on floor constants).
-    ``merit_history`` holds the initial and the accepted-step merit values
-    in a float array, strictly decreasing until below tolerance.
+    ``merit_initial`` is that initial merit, from which the accepted steps
+    telescope: ``path_length <= (merit_initial - merit_final) / descent_k``.
+    ``alpha_source`` is where the constants came from: "given" (the config),
+    "declared", "sampled" (``global_infimum``, which bounds nothing) or
+    "floor"; ``caristi_certified`` is True only for given and declared.
     """
 
     x_final: np.ndarray
@@ -88,10 +88,11 @@ class SolveResult:
     bound_rhs: float
     bound_holds: bool
     stop: str
+    merit_initial: float
+    alpha_source: str
     alpha_used: float = math.nan
     kappa: float = 0.0
     descent_k: float = math.nan
-    merit_history: array = field(default_factory=lambda: array("d"))
 
 
 @dataclass
@@ -110,13 +111,14 @@ class StepOutcome:
         return self.status == "converged"
 
 
-def caristi_step(merit_many: Callable[[np.ndarray], np.ndarray], x, descent_k: float,
-                 cfg: Optional[SolverConfig] = None, step_seed: int = 0,
+def caristi_step(merit_many: Callable[[np.ndarray], np.ndarray], x, fx: float,
+                 descent_k: float, cfg: Optional[SolverConfig] = None, step_seed: int = 0,
                  extra_candidates=()) -> StepOutcome:
     """One accepted-descent step: the first candidate u with
-    merit(u) + descent_k * ||u - x|| <= merit(x).
+    merit(u) + descent_k * ||u - x|| <= fx, where fx is merit(x).
 
-    ``merit_many`` maps a (k, n) batch of points to their k merits.
+    ``merit_many`` maps a (k, n) batch of points to their k merits; the
+    caller holds merit(x) already, so the step measures only candidates.
     Candidates are ordered: caller-supplied extras, Newton-length steps
     along the numerical steepest-descent direction, then per radius of a
     shrinking schedule that direction and seeded sampled directions; each
@@ -128,7 +130,6 @@ def caristi_step(merit_many: Callable[[np.ndarray], np.ndarray], x, descent_k: f
         raise ValueError("descent constant must be positive")
     cfg = cfg or SolverConfig()
     x = as_vector(x)
-    fx = float(merit_many(x[None, :])[0])
     if fx <= cfg.tol:
         return StepOutcome("converged", merit=fx)
 
@@ -254,11 +255,12 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
     sampled one without witnesses raises ``PropertyAbsent`` unless the run
     is best-effort.  A start that solves the problem (merit and distance to
     R(p) at most tol) needs no sampled alpha_tilde: it returns with no step,
-    nan constants, kappa and ``bound_rhs`` 0.  When no step is found the run
-    retries once at half its k.  Every run that starts returns a result,
-    converged or not (``SolveResult.stop``).  The certificate compares
-    ||x_final - x0|| against the initial penalized merit divided by the last
-    k.
+    nan constants, kappa and ``bound_rhs`` 0, uncertified.  Each step gets
+    the merit the run holds; when none is found the run retries once at half
+    its k, measuring the merit at x again only if kappa moved.  Every run
+    that starts returns a result, converged or not (``SolveResult.stop``).
+    The certificate compares ||x_final - x0|| against the initial penalized
+    merit divided by the last k.
     """
     cfg = cfg or SolverConfig()
     x0 = as_vector(x0)
@@ -266,22 +268,26 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
     constraint = at.constraint
     constrained = not is_all_space(constraint)
     ell = float(problem.ell)
+    given = cfg.alpha_tilde is not None or (cfg.alpha is not None and not constrained)
     alpha_tilde = (cfg.alpha_tilde if cfg.alpha_tilde is not None
                    else getattr(problem, "declared_alpha", None))
-    if alpha_tilde is None and (constrained or cfg.alpha is None):  # sample it
+    source = "given" if given else "declared"
+    if alpha_tilde is None and not given:  # sample it
+        source = "sampled"
         merit0 = at.merit(x0)
         if merit0 <= cfg.tol and constraint.project(x0)[1] <= cfg.tol:
             return SolveResult(x0.copy(), merit0, iterations=0, path_length=0.0,
-                               caristi_certified=True, bound_rhs=0.0, bound_holds=True,
-                               stop="converged", merit_history=array("d", [merit0]))
+                               caristi_certified=False, bound_rhs=0.0, bound_holds=True,
+                               stop="converged", merit_initial=merit0, alpha_source=source)
         scfg = SamplingConfig(bracket_rtol=0.05, directions=64, seed=cfg.rng_seed)
         try:
             alpha_tilde = global_infimum(problem, [p], 6, scfg).alpha
         except PropertyAbsent:
             if not problem.best_effort:
                 raise
-    alpha, kappa, k_run, certified = _descent_constants(
+    alpha, kappa, k_run, mandated = _descent_constants(
         alpha_tilde, cfg.alpha, ell, constrained, problem.best_effort)
+    source = source if mandated else "floor"
 
     def psit(X):
         # reads kappa at call time: the back-off retry below reassigns it
@@ -292,7 +298,6 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
 
     x, fx = x0.copy(), psit0
     path = 0.0
-    merits = [psit0]
     retried = False
     iterations = 0
     while iterations < cfg.max_iters:
@@ -305,13 +310,12 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
                 r_seg = min(dx, RADIUS0)
                 if r_seg < dx:
                     extras.append(segment_step(x, constraint, r_seg))
-        out = caristi_step(psit, x, k_run, cfg, step_seed=iterations,
+        out = caristi_step(psit, x, fx, k_run, cfg, step_seed=iterations,
                            extra_candidates=extras)
         fx = out.merit
         if out.accepted:
             path += float(np.linalg.norm(out.u - x))
             x = out.u
-            merits.append(fx)
             iterations += 1
             continue
         if out.converged or retried:
@@ -320,7 +324,7 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
         retried = True
         # alpha near its bound can starve the sampler: back off once,
         # moving alpha halfway to its bound, which halves k
-        if not certified:
+        if not mandated:
             k_run *= 0.5
         elif not constrained:
             alpha = 0.5 * (alpha + 1.0)
@@ -329,6 +333,7 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
             alpha = 0.5 * (alpha + (alpha_tilde - ell))
             kappa = alpha_tilde - alpha
             k_run = kappa - ell
+            fx = float(psit(x[None, :])[0])  # the penalty moved with kappa
         bound_rhs = psit0 / k_run
     else:  # out of iterations, though the last accepted step may have converged
         stop = "converged" if fx <= cfg.tol else "max_iters"
@@ -339,12 +344,13 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
         merit_final=fx,
         iterations=iterations,
         path_length=path,
-        caristi_certified=certified,
+        caristi_certified=source in ("given", "declared"),
         bound_rhs=bound_rhs,
         bound_holds=dist_back <= bound_rhs + cfg.tol,
         stop=stop,
+        merit_initial=psit0,
+        alpha_source=source,
         alpha_used=alpha,
         kappa=kappa,
         descent_k=k_run,
-        merit_history=array("d", merits),
     )

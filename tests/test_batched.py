@@ -233,8 +233,9 @@ def _assert_same_step(prob, p, x, k, kappa, step_seed, extras=()):
     cfg = SolverConfig(rng_seed=5)
     status, u, radii = _sequential_step(lambda y: prob.at(p).merit(y, kappa), x, k, cfg,
                                         step_seed, extras)
-    out = caristi_step(lambda X: prob.at(p).merit_many(X, kappa), x, k, cfg,
-                       step_seed=step_seed, extra_candidates=extras)
+    out = caristi_step(lambda X: prob.at(p).merit_many(X, kappa), x,
+                       prob.at(p).merit(x, kappa), k, cfg, step_seed=step_seed,
+                       extra_candidates=extras)
     assert out.status == status
     if status == "no_step":
         assert out.radii_tried == tuple(radii)

@@ -50,8 +50,26 @@ def test_solve_verb(problem_files, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "bound_holds = true" in out
+    assert "alpha_source = given\ncaristi_certified = true" in out
     merit_line = [l for l in out.splitlines() if l.startswith("merit_final")][0]
     assert float(merit_line.split("=")[1]) <= 1e-8
+
+
+def test_solve_verb_on_a_sampled_alpha_tilde_is_not_certified(problem_files, tmp_path, capsys):
+    # the boxed file without its declared bound samples alpha_tilde, which
+    # bounds nothing: the run descends on the same constants, uncertified
+    data = json.loads(open(problem_files["boxed"]).read())
+    del data["declared_alpha"]
+    path = tmp_path / "bare_boxed.json"
+    path.write_text(json.dumps(data))
+    argv = ["solve", "--problem", str(path), "--p", "0.3", "--x0", "3,3"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "alpha = 1.883125  kappa = 0.794375" in lines
+    assert lines[-2:] == ["alpha_source = sampled", "caristi_certified = false"]
+    assert main([*argv[:2], problem_files["boxed"], *argv[3:]]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["alpha_source = declared", "caristi_certified = true"]
 
 
 def test_solve_verb_exits_2_when_no_step_is_found(problem_files, capsys):
@@ -313,6 +331,8 @@ def test_vopt_verb_single_point(problem_files, capsys):
     assert rc == 0
     assert "status = found" in out
     assert "oracle = ideal" in out
+    # the sampled alpha_tilde leaves the interval empty: floor constants
+    assert "alpha_source = floor" in out
     # an empty row is a certified answer, not a solver failure, and carries
     # the oracle's verdict without --oracle
     rc = main(["vopt", "--problem", problem_files["triangle"],
@@ -321,6 +341,9 @@ def test_vopt_verb_single_point(problem_files, capsys):
     assert rc == 0
     assert "status = certified_empty" in out
     assert "oracle = empty" in out
+    rc = main(["vopt", "--problem", problem_files["triangle"], "--p", "0.0",
+               "--x0", "0.3,0.3", "--alpha-tilde", "3"])
+    assert rc == 0 and "alpha_source = given" in capsys.readouterr().out
 
 
 def test_vopt_verb_sweep_with_oracle(problem_files, tmp_path):
@@ -599,7 +622,7 @@ BAD_FLAGS = {
     "float": ["", "abc", "nan", "-inf", "inf", "1e999", "1,2"],
     "--tol": ["0", "-1e-9"], "--alpha": ["1", "0.5", "-2"], "--alpha-tilde": ["1", "-3"],
     "--seed": ["", "abc", "1.5", "nan", "inf", "1e3", "-1", "-12"],
-    "--x-samples": ["", "abc", "2.5", "nan", "inf", "0", "-3"],
+    "--x-samples": ["", "abc", "2.5", "nan", "inf", "0", "-3", str(10**30)],
     "--x0": ["", "a,b", "nan,1", "1,inf", "1e999,0", "1", "1,2,3", "1,,2", "1;2"],
     "grid": ["", "0:1", "0:1:2:3", "a:b:c", "0:nan:3", "-inf:0:3", "0:1e999:3", "1:0:3",
              "0:1:0", "0:1:-2", "0:1:2.5", "0:1:" + "9" * 30],

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_pointed_cone
+from svikit import solver
 from svikit.geometry import orthant
 from svikit.increase import SamplingConfig, global_infimum
 from svikit.problems import rotation_inclusion_problem, rotation_solution_path
 from svikit.setmaps import (Ball, Box, ConcaveTerm, AbsComponent, MatrixTable,
-                            RotationScaled, SviProblem, rotation_matrix)
-from svikit.solver import (AlreadyFeasible, SolverConfig, StepOutcome, caristi_step,
+                            RotationScaled, SviProblem, is_all_space, rotation_matrix)
+from svikit.solver import (RADIUS0, AlreadyFeasible, SolverConfig, StepOutcome, caristi_step,
                            segment_step, solve)
 
 SQRT2 = math.sqrt(2.0)
@@ -20,7 +22,7 @@ def merit_fn_for(problem, p):
 
 def test_caristi_step_accepts_descent(rotation_problem):
     fn = merit_fn_for(rotation_problem, 0.0)
-    out = caristi_step(fn, [0.0, 0.0], 0.5, SolverConfig(tol=1e-8))
+    out = caristi_step(fn, [0.0, 0.0], SQRT2, 0.5, SolverConfig(tol=1e-8))
     assert out.accepted
     d = float(np.linalg.norm(out.u))
     fu = rotation_problem.at(0.0).merit(out.u)
@@ -30,15 +32,37 @@ def test_caristi_step_accepts_descent(rotation_problem):
 
 def test_caristi_step_converged_at_solution(rotation_problem):
     fn = merit_fn_for(rotation_problem, 0.9)
-    out = caristi_step(fn, rotation_solution_path(0.9), 0.5, SolverConfig(tol=1e-8))
+    x = rotation_solution_path(0.9)
+    out = caristi_step(fn, x, rotation_problem.at(0.9).merit(x), 0.5, SolverConfig(tol=1e-8))
     assert out.converged
 
 
 def test_caristi_step_stalls_on_constant_infeasible_map():
     fn = lambda X: np.full(len(X), SQRT2)
-    out = caristi_step(fn, np.zeros(2), 0.5, SolverConfig(tol=1e-8))
+    out = caristi_step(fn, np.zeros(2), SQRT2, 0.5, SolverConfig(tol=1e-8))
     assert out.status == "no_step"
     assert out.radii_tried
+    assert out.merit == SQRT2  # the merit at x it was handed
+
+
+def test_caristi_step_measures_no_merit_at_its_start(rotation_problem):
+    # the caller holds merit(x): a step below tol measures nothing, and no
+    # other step measures x on its own
+    batches = []
+
+    def recording(X):
+        batches.append(np.array(X))
+        return rotation_problem.at(0.4).merit_many(X)
+
+    x = np.array([-0.7, 1.2])
+    fx = rotation_problem.at(0.4).merit(x)
+    assert caristi_step(recording, x, 1e-9, 0.5, SolverConfig(tol=1e-8)).converged
+    assert not batches
+    for k, extras in ((0.5, ()), (0.5, [x + 0.1]), (40.0, ())):
+        out = caristi_step(recording, x, fx, k, SolverConfig(tol=1e-8), extra_candidates=extras)
+        assert out.status == ("no_step" if k == 40.0 else "accepted")
+        assert batches and not any(len(B) == 1 and np.array_equal(B[0], x) for B in batches)
+        batches.clear()
 
 
 def test_solve_rotation_instance(rotation_problem):
@@ -99,14 +123,194 @@ def test_segment_step_identity_random():
         assert du == pytest.approx(d - t, abs=1e-9)
 
 
-def test_monotone_merit_and_telescoping(rotation_problem):
-    cfg = SolverConfig(alpha=1.5, tol=1e-8, rng_seed=3)
-    res = solve(rotation_problem, 2.2, [1.5, -1.8], cfg)
-    hist = res.merit_history
-    assert all(hist[i + 1] < hist[i] for i in range(len(hist) - 1))
-    # telescoping: total path bounded through the merit drop
-    assert res.path_length <= (hist[0] - res.merit_final) / res.descent_k + 1e-9
-    assert np.linalg.norm(res.x_final - np.array([1.5, -1.8])) <= res.bound_rhs + 1e-9
+def _step_spy(monkeypatch, fail_first=False):
+    """(merit handed in, k, outcome) of every Caristi step that solve takes;
+    with ``fail_first`` the first step finds nothing."""
+    steps = []
+
+    def step(merit_fn, x, fx, descent_k, *args, **kwargs):
+        out = (StepOutcome("no_step", merit=fx) if fail_first and not steps
+               else caristi_step(merit_fn, x, fx, descent_k, *args, **kwargs))
+        steps.append((fx, descent_k, out))
+        return out
+
+    monkeypatch.setattr("svikit.solver.caristi_step", step)
+    return steps
+
+
+def _assert_certificate(res, x0, steps):
+    # the certificate reads only the initial merit: bound_rhs is it over the
+    # last k, bit for bit, and the accepted steps telescope under it
+    assert res.bound_rhs == res.merit_initial / res.descent_k
+    assert res.path_length <= (res.merit_initial - res.merit_final) / res.descent_k + 1e-9
+    assert np.linalg.norm(res.x_final - x0) <= res.bound_rhs + 1e-9
+    # each step starts from the merit the run holds: the initial one, then the
+    # last accepted; accepted merits strictly decrease
+    assert steps[0][0] == res.merit_initial
+    accepted = [out.merit for _, _, out in steps if out.accepted]
+    assert all(b < a for a, b in zip([res.merit_initial] + accepted, accepted))
+    for (_, _, out), (fx_next, _, _) in zip(steps, steps[1:]):
+        if out.accepted:
+            assert fx_next == out.merit
+    assert res.merit_final == steps[-1][2].merit
+
+
+def test_monotone_merit_and_telescoping(rotation_problem, monkeypatch):
+    steps = _step_spy(monkeypatch)
+    x0 = np.array([1.5, -1.8])
+    res = solve(rotation_problem, 2.2, x0, SolverConfig(alpha=1.5, tol=1e-8, rng_seed=3))
+    assert res.stop == "converged" and res.iterations >= 1
+    assert res.merit_initial == rotation_problem.at(2.2).merit(x0)
+    _assert_certificate(res, x0, steps)
+
+
+def test_every_descent_kind_keeps_the_certificate(rotation_problem, boxed_problem,
+                                                  triangle_spec, monkeypatch):
+    # converged, no_step and max_iters runs, unconstrained, constrained and
+    # on floor constants, with and without a back-off
+    stuck = SviProblem(matrix=MatrixTable(np.zeros((2, 2))), cone=orthant(2),
+                       h=ConcaveTerm((AbsComponent(-1.0), AbsComponent(-1.0))),
+                       declared_alpha=1.5)
+    runs = [(rotation_problem, 1.0, [-5.0, 2.0], SolverConfig(alpha=1.5)),
+            (rotation_problem, 1.0, [-5.0, 2.0], SolverConfig(alpha=1.5, tol=1e-16,
+                                                              max_iters=1)),
+            (rotation_problem, 0.3, [-1.0, -1.0], SolverConfig(alpha=1.9)),
+            (stuck, 0.0, [0.0, 0.0], SolverConfig(alpha=1.3)),
+            (boxed_problem, 1.0, [4.0, 4.0], SolverConfig()),
+            (boxed_problem, 0.3, [-3.0, 2.0], SolverConfig(rng_seed=2)),
+            (triangle_spec, 0.0, [0.3, 0.3], SolverConfig(alpha_tilde=1.0 + 1.0 / SQRT2)),
+            (triangle_spec, 2.0, [1.2, -0.4], SolverConfig(alpha_tilde=3.0, max_iters=300))]
+    stops = set()
+    for problem, p, x0, cfg in runs:
+        steps = _step_spy(monkeypatch)
+        res = solve(problem, p, x0, cfg)
+        stops.add(res.stop)
+        _assert_certificate(res, np.asarray(x0, float), steps)
+    assert stops == {"converged", "no_step", "max_iters"}
+
+
+def _remeasuring_solve(problem, p, x0, cfg):
+    """The descent loop as it was when each Caristi step measured the merit
+    at its own start point, on given or declared constants: the reference
+    for the loop that hands the step the merit it holds.  Returns the
+    fields the two must share."""
+    at = problem.at(p)
+    constraint = at.constraint
+    constrained = not is_all_space(constraint)
+    ell = float(problem.ell)
+    alpha_tilde = (cfg.alpha_tilde if cfg.alpha_tilde is not None
+                   else getattr(problem, "declared_alpha", None))
+    alpha, kappa, k_run, mandated = solver._descent_constants(
+        alpha_tilde, cfg.alpha, ell, constrained, problem.best_effort)
+
+    def psit(X):
+        return at.merit_many(X, kappa)
+
+    def step(x, k, extras, seed):  # measures merit(x) on its one row first
+        return caristi_step(psit, x, float(psit(x[None, :])[0]), k, cfg, step_seed=seed,
+                            extra_candidates=extras)
+
+    psit0 = float(psit(x0[None, :])[0])
+    bound_rhs = psit0 / k_run
+    x, fx, path, retried, iterations = x0.copy(), psit0, 0.0, False, 0
+    while iterations < cfg.max_iters:
+        extras = []
+        if constrained:
+            _, dx = constraint.project(x)
+            if dx > cfg.tol:
+                extras.append(segment_step(x, constraint, dx))
+                if min(dx, RADIUS0) < dx:
+                    extras.append(segment_step(x, constraint, RADIUS0))
+        out = step(x, k_run, extras, iterations)
+        fx = out.merit
+        if out.accepted:
+            path += float(np.linalg.norm(out.u - x))
+            x = out.u
+            iterations += 1
+            continue
+        if out.converged or retried:
+            stop = out.status
+            break
+        retried = True
+        if not mandated:
+            k_run *= 0.5
+        elif not constrained:
+            alpha = 0.5 * (alpha + 1.0)
+            k_run = alpha - 1.0
+        else:
+            alpha = 0.5 * (alpha + (alpha_tilde - ell))
+            kappa = alpha_tilde - alpha
+            k_run = kappa - ell
+        bound_rhs = psit0 / k_run
+    else:
+        stop = "converged" if fx <= cfg.tol else "max_iters"
+    return x.tobytes(), fx, iterations, path, bound_rhs, stop
+
+
+def _differential_runs(rotation_problem, boxed_problem, triangle_spec):
+    """(kind, problem, p, x0, cfg) of seeded runs: rotation, boxed rotation,
+    the triangle spec (certified and floor constants), inclusions on a
+    ``random_pointed_cone``, whose merit reads a face table, and rotation
+    runs that reach the iteration cap."""
+    rng = np.random.default_rng(32)
+    for _ in range(40):
+        yield ("rotation", rotation_problem, float(rng.uniform(0.0, 2.0 * math.pi)),
+               rng.uniform(-3.0, 3.0, 2), SolverConfig(alpha=1.5, rng_seed=int(rng.integers(100))))
+    for _ in range(20):
+        yield ("boxed", boxed_problem, float(rng.uniform(0.0, 2.0 * math.pi)),
+               rng.uniform(-3.0, 3.0, 2), SolverConfig(rng_seed=int(rng.integers(100))))
+    for _ in range(20):
+        cfg = SolverConfig(alpha_tilde=float(rng.choice([1.0 + 1.0 / SQRT2, 3.0])),
+                           rng_seed=int(rng.integers(100)), max_iters=300)
+        yield ("triangle", triangle_spec, float(rng.uniform(0.0, 6.0)),
+               rng.uniform(-0.5, 1.5, 2), cfg)
+    for _ in range(40):
+        m = int(rng.integers(2, 4))
+        cone = random_pointed_cone(rng, m)
+        problem = SviProblem(matrix=MatrixTable(rng.standard_normal((m, m))), cone=cone)
+        cfg = SolverConfig(alpha=float(rng.uniform(1.05, 1.5)), max_iters=200,
+                           rng_seed=int(rng.integers(100)))
+        yield "cone", problem, 0.0, rng.uniform(-2.0, 2.0, m), cfg
+    for _ in range(10):  # cut short by the iteration cap
+        yield ("rotation", rotation_problem, float(rng.uniform(0.0, 2.0 * math.pi)),
+               rng.uniform(-6.0, 6.0, 2), SolverConfig(alpha=1.5, tol=1e-16, max_iters=1))
+
+
+def test_solve_matches_the_remeasuring_loop(rotation_problem, boxed_problem, triangle_spec,
+                                            monkeypatch):
+    # handing each step the merit the run holds changes no field of any run
+    # whose held merits equal their one-row values.  A held merit that came
+    # from a batch row can differ from its one-row value in the last bits
+    # on a face-table cone (a row-dependent batch); those runs may move, and
+    # are counted and printed
+    original = caristi_step
+    held = []
+
+    def step(merit_fn, x, fx, *args, **kwargs):
+        held.append(fx == float(merit_fn(np.asarray(x)[None, :])[0]))
+        return original(merit_fn, x, fx, *args, **kwargs)
+
+    row_dependent, moved, stops = {}, {}, {}
+    for kind, problem, p, x0, cfg in _differential_runs(rotation_problem, boxed_problem,
+                                                        triangle_spec):
+        monkeypatch.setattr("svikit.solver.caristi_step", step)
+        held.clear()
+        res = solve(problem, p, x0, cfg)
+        monkeypatch.setattr("svikit.solver.caristi_step", original)
+        stops[kind, res.stop] = stops.get((kind, res.stop), 0) + 1
+        ours = (res.x_final.tobytes(), res.merit_final, res.iterations, res.path_length,
+                res.bound_rhs, res.stop)
+        same = ours == _remeasuring_solve(problem, p, x0, cfg)
+        if all(held):
+            assert same, (kind, p, x0)
+            continue
+        row_dependent[kind] = row_dependent.get(kind, 0) + 1
+        moved[kind] = moved.get(kind, 0) + (not same)
+    print(f"remeasuring-loop differential: stops {stops}; runs with a row-dependent held "
+          f"merit {row_dependent}, of which moved {moved}")
+    # the orthant cones' merits never depend on the batch
+    assert set(row_dependent) <= {"cone"}
+    assert {stop for _, stop in stops} == {"converged", "no_step", "max_iters"}
 
 
 def test_constrained_solve_certificates(boxed_problem):
@@ -138,7 +342,7 @@ def test_determinism(rotation_problem):
     assert np.array_equal(a.x_final, b.x_final)
     assert a.iterations == b.iterations
     assert a.path_length == b.path_length
-    assert a.merit_history == b.merit_history
+    assert a.merit_initial == b.merit_initial and a.merit_final == b.merit_final
 
 
 def test_max_iters_exceeded(rotation_problem):
@@ -149,7 +353,7 @@ def test_max_iters_exceeded(rotation_problem):
     assert res.stop == "max_iters" and res.iterations == 1
     assert not np.array_equal(res.x_final, [-5.0, 2.0])
     assert res.merit_final == rotation_problem.at(1.0).merit(res.x_final)
-    assert res.merit_final == res.merit_history[-1]
+    assert res.merit_initial == rotation_problem.at(1.0).merit([-5.0, 2.0])
     assert res.merit_final > 0.1
 
 
@@ -178,6 +382,8 @@ def test_sampled_alpha_tilde_projects_into_the_constraint(monkeypatch):
     # the run's constants are built on it: ell = 0, alpha the midpoint
     assert run.alpha_used == 0.5 * (0.5 * (res.alpha + 1.0) + res.alpha)
     assert run.kappa == res.alpha - run.alpha_used == run.descent_k
+    # a sampled bound certifies nothing
+    assert run.alpha_source == "sampled" and not run.caristi_certified
     draws = np.random.default_rng(4).uniform(-2.0, 2.0, size=(6, 2))
     assert np.any(box.distances(draws) > 0.5)
     xs = np.array([x for _, x, _ in res.estimates])
@@ -201,6 +407,8 @@ def test_a_solved_start_returns_before_alpha_tilde_is_sampled(monkeypatch):
         assert math.isnan(res.alpha_used) and math.isnan(res.descent_k)
         assert res.kappa == 0.0 and res.bound_rhs == 0.0 and res.bound_holds
         assert res.merit_final == problem.at(0.3).merit(x0) <= 1e-8
+        # on the sampled route, and no constant was shown
+        assert res.alpha_source == "sampled" and not res.caristi_certified
         with pytest.raises(AssertionError, match="sampled"):  # not a solution
             solve(problem, 0.3, -x0)
     with pytest.raises(AssertionError, match="sampled"):  # outside R(p)
@@ -213,8 +421,11 @@ def test_alpha_tilde_comes_from_cfg_then_declared_then_sampled(
     declared = rotation_problem.declared_alpha
     # the unconstrained alpha is min(1.5, 0.9 alpha_tilde)
     cfg = SolverConfig(alpha_tilde=1.3)
-    assert solve(rotation_problem, 0.3, [1.0, 1.0], cfg).alpha_used == 0.9 * 1.3
-    assert solve(rotation_problem, 0.3, [1.0, 1.0]).alpha_used == min(1.5, 0.9 * declared)
+    res = solve(rotation_problem, 0.3, [1.0, 1.0], cfg)
+    assert res.alpha_used == 0.9 * 1.3 and res.alpha_source == "given"
+    res = solve(rotation_problem, 0.3, [1.0, 1.0])
+    assert res.alpha_used == min(1.5, 0.9 * declared) and res.alpha_source == "declared"
+    assert res.caristi_certified
     # a bound with 0.9 alpha_tilde <= 1 runs at (1 + alpha_tilde)/2 instead
     low = rotation_inclusion_problem(declared_alpha=1.05)
     assert solve(low, 0.3, [-1.0, -1.0]).alpha_used == 0.5 * (1.0 + 1.05)
@@ -224,64 +435,72 @@ def test_alpha_tilde_comes_from_cfg_then_declared_then_sampled(
     assert res.kappa == 8.0 - res.alpha_used
     res = solve(boxed_problem, 0.3, [1.0, 1.0])
     assert res.kappa == boxed_problem.declared_alpha - res.alpha_used
+    assert res.alpha_source == "declared"
+    # a given alpha next to a declared bound is still the declared bound's run
+    res = solve(boxed_problem, 0.3, [1.0, 1.0], SolverConfig(alpha=1.04))
+    assert res.alpha_used == 1.04 and res.alpha_source == "declared"
     assert not seen  # a set or declared bound is never sampled
     bare = SviProblem(matrix=RotationScaled(3.0), cone=orthant(2))  # declares no bound
-    assert solve(bare, 0.3, [-1.0, -1.0], SolverConfig(rng_seed=2)).alpha_used == 1.5
+    res = solve(bare, 0.3, [-1.0, -1.0], SolverConfig(rng_seed=2))
+    assert res.alpha_used == 1.5 and res.alpha_source == "sampled"
+    assert not res.caristi_certified
     scfg = SamplingConfig(bracket_rtol=0.05, directions=64, seed=2)
     assert len(seen) == 1 and seen[0].alpha == global_infimum(bare, [0.3], 6, scfg).alpha
     assert abs(seen[0].alpha - (3.0 / SQRT2 + 1.0)) <= 0.1
     # with alpha set, the unconstrained run needs no alpha_tilde at all
-    assert solve(bare, 0.3, [-1.0, -1.0], SolverConfig(alpha=1.2)).alpha_used == 1.2
+    res = solve(bare, 0.3, [-1.0, -1.0], SolverConfig(alpha=1.2))
+    assert res.alpha_used == 1.2 and res.alpha_source == "given" and res.caristi_certified
     assert len(seen) == 1
 
 
-def _first_step_fails(monkeypatch):
-    """The k of every Caristi step; the first step finds nothing."""
-    ks = []
-
-    def step(merit_fn, x, descent_k, *args, **kwargs):
-        ks.append(descent_k)
-        if len(ks) == 1:
-            return StepOutcome("no_step")
-        return caristi_step(merit_fn, x, descent_k, *args, **kwargs)
-
-    monkeypatch.setattr("svikit.solver.caristi_step", step)
-    return ks
-
-
-def _assert_one_back_off(res, ks, k0):
+def _assert_one_back_off(res, x0, steps, k0):
     # one retry at half of k, which the certificate then uses
+    ks = [k for _, k, _ in steps]
     assert ks[0] == pytest.approx(k0, rel=1e-12) and set(ks[1:]) == {ks[1]}
     assert ks[1] == pytest.approx(0.5 * ks[0], rel=1e-12)
     assert res.descent_k == ks[1]
-    assert res.bound_rhs == res.merit_history[0] / ks[1]
     assert res.bound_holds and res.merit_final <= 1e-8
+    _assert_certificate(res, x0, steps)
 
 
 def test_back_off_halves_k_unconstrained(rotation_problem, monkeypatch):
-    ks = _first_step_fails(monkeypatch)
-    res = solve(rotation_problem, 0.3, [-1.0, -1.0], SolverConfig(alpha=1.5))
-    _assert_one_back_off(res, ks, 0.5)
+    # only k moves, so the retry reuses the merit the run holds
+    steps = _step_spy(monkeypatch, fail_first=True)
+    x0 = np.array([-1.0, -1.0])
+    res = solve(rotation_problem, 0.3, x0, SolverConfig(alpha=1.5))
+    _assert_one_back_off(res, x0, steps, 0.5)
+    assert steps[1][0] == steps[0][0]
     assert res.alpha_used == 1.25 and res.kappa == 0.0 and res.caristi_certified
+    assert res.alpha_source == "given"
 
 
 def test_back_off_halves_k_constrained(boxed_problem, monkeypatch):
     # the default alpha is the interval's midpoint, k = alpha_tilde - alpha - ell
-    ks = _first_step_fails(monkeypatch)
-    res = solve(boxed_problem, 0.3, [-1.0, -1.0])
     k0 = 0.25 * (boxed_problem.declared_alpha - 1.0 - 0.5)
     assert k0 == pytest.approx(0.015165, abs=1e-6)
-    _assert_one_back_off(res, ks, k0)
-    assert res.kappa == pytest.approx(res.descent_k + 0.5, rel=1e-12)
-    assert res.alpha_used == pytest.approx(boxed_problem.declared_alpha - 0.5 - res.descent_k)
-    assert res.caristi_certified
+    for x0 in (np.array([-1.0, -1.0]), np.array([4.0, 4.0])):  # in R(p), then outside
+        steps = _step_spy(monkeypatch, fail_first=True)
+        res = solve(boxed_problem, 0.3, x0)
+        _assert_one_back_off(res, x0, steps, k0)
+        assert res.kappa == pytest.approx(res.descent_k + 0.5, rel=1e-12)
+        assert res.alpha_used == pytest.approx(boxed_problem.declared_alpha - 0.5 - res.descent_k)
+        assert res.caristi_certified and res.alpha_source == "declared"
+        # kappa moved, so the retry measures the penalized merit at x0 once
+        # more; it fell with kappa where x0 lies outside R(p)
+        assert steps[1][0] == boxed_problem.at(0.3).merit(x0, res.kappa)
+        outside = boxed_problem.at(0.3).constraint.project(x0)[1] > 0.0
+        assert (steps[1][0] < steps[0][0]) == outside
 
 
 def test_back_off_halves_k_on_floor_constants(triangle_spec, monkeypatch):
     # alpha_tilde = 1 + 1/sqrt2 leaves the constrained interval empty for
-    # ell = 1: a best-effort run descends uncertified at k = MIN_DESCENT
-    ks = _first_step_fails(monkeypatch)
+    # ell = 1: a best-effort run descends uncertified at k = MIN_DESCENT,
+    # and its retry keeps kappa and the merit it holds
+    steps = _step_spy(monkeypatch, fail_first=True)
+    x0 = np.array([0.3, 0.3])
     cfg = SolverConfig(alpha_tilde=1.0 + 1.0 / SQRT2)
-    res = solve(triangle_spec, 0.0, [0.3, 0.3], cfg)
-    _assert_one_back_off(res, ks, 0.05)
+    res = solve(triangle_spec, 0.0, x0, cfg)
+    _assert_one_back_off(res, x0, steps, 0.05)
+    assert steps[1][0] == steps[0][0]
     assert res.kappa == 1.0 and math.isnan(res.alpha_used) and not res.caristi_certified
+    assert res.alpha_source == "floor"
