@@ -43,8 +43,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _finite(text: str, above: float = -math.inf, kind: type = float, most: float = math.inf):
-    """A flag's value: a finite number of ``kind`` (float or int) in (above, most]."""
+def _finite(text: str, above: float = -math.inf, kind: type = float):
+    """A flag's value: a finite number of ``kind`` (float or int) above ``above``."""
     try:
         value = kind(text)
     except ValueError:
@@ -53,8 +53,6 @@ def _finite(text: str, above: float = -math.inf, kind: type = float, most: float
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite {kind.__name__}")
     if value <= above:
         raise argparse.ArgumentTypeError(f"{text!r} is not greater than {above:g}")
-    if value > most:
-        raise argparse.ArgumentTypeError(f"{text!r} is greater than {most}")
     return value
 
 
@@ -140,9 +138,7 @@ def _build_parser() -> _Parser:
     common(sp, out=True)
     sp.add_argument("--p-grid", type=start_stop_count, default=None, help="start:stop:count")
     sp.add_argument("--p", type=_finite, default=None)
-    # a count past numpy's index range cannot size the draw
-    sp.add_argument("--x-samples", default=8, type=partial(
-        _finite, above=0, kind=int, most=np.iinfo(np.intp).max))
+    sp.add_argument("--x-samples", default=8, type=partial(_finite, above=0, kind=int))
 
     sp = sub.add_parser("vopt", help="ideal-efficiency solve or sweep")
     common(sp, solver=True, out=True)
@@ -214,6 +210,9 @@ def _cmd_estimate(args) -> int:
         grid = np.array([args.p])
     else:
         raise UsageError("estimate-inc needs --p or --p-grid")
+    # the draw of count x n float64 coordinates must fit numpy's largest array
+    if args.x_samples * problem.dim_in > np.iinfo(np.intp).max // 8:
+        raise UsageError(f"--x-samples {args.x_samples} draws more than numpy's largest array")
     res = global_infimum(problem, grid, args.x_samples, SamplingConfig(seed=args.seed))
     for p, x, est in res.estimates:
         print(f"p = {p:.6f}  x = {np.asarray(x).tolist()}  "

@@ -14,8 +14,8 @@ solved as one Lawson-Hanson NNLS (LH ch. 23), which reports its KKT residual.
 The face table also yields every set's facet rows (``_facets``), the cone's
 ``PolyCone.facets`` among them, whose least slack is a point's depth, and
 with it the sup of the distance over a ball (``_sphere_max``).  Public
-functions check their points; ``PolyCone._distances``, the merit's
-distance-only path, trusts its caller.
+functions check their points; the distance-only paths (``_distance_rows``,
+``PolyCone._distances``), which build no nearest point, trust their callers.
 """
 from __future__ import annotations
 
@@ -303,19 +303,21 @@ def _face_candidates(table, base: np.ndarray, pts: np.ndarray) -> tuple[np.ndarr
     return b0[:, :, None] + out[:, m + 1:], (out[:, :m + 1] >= lower).all(axis=1)
 
 
-def _nearest(owner, base: np.ndarray, gens: Optional[np.ndarray],
-             pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest points of conv(base) + cone(gens) to the rows of pts, and
-    their distances, through the face table cached on ``owner``."""
+def _nearest(owner, base: np.ndarray, gens: Optional[np.ndarray], pts: np.ndarray,
+             points: bool = True):
+    """Nearest points of conv(base) + cone(gens) to the rows of pts and their
+    distances by the face table cached on ``owner``; the distances alone when not ``points``."""
     table = _faces(owner, base, gens)
     if table is None:
         out = [_ldp_project(y, base, gens)[:2] for y in pts]
-        return np.array([p for p, _ in out]).reshape(pts.shape), np.array([d for _, d in out])
+        d = np.array([d for _, d in out])
+        return (np.array([p for p, _ in out]).reshape(pts.shape), d) if points else d
     step = max(1, _FACE_CHUNK // len(table[0]))
     if len(pts) > step:
-        parts = [_nearest(owner, base, gens, pts[i:i + step])
+        parts = [_nearest(owner, base, gens, pts[i:i + step], points)
                  for i in range(0, len(pts), step)]
-        return np.vstack([p for p, _ in parts]), np.concatenate([d for _, d in parts])
+        return ((np.vstack([p for p, _ in parts]), np.concatenate([d for _, d in parts]))
+                if points else np.concatenate(parts))
     # only truly feasible weights: a candidate whose weights fall short of
     # zero by rounding lies outside the set and can read short of the
     # distance (2.8e-16 for a point 1.05e-12 outside); every vertex's own
@@ -324,6 +326,8 @@ def _nearest(owner, base: np.ndarray, gens: Optional[np.ndarray],
     r = pts.T - cand
     d = np.sqrt(np.add.reduce(r * r, axis=1))
     d[~feasible] = np.inf
+    if not points:
+        return d.min(axis=0)
     best = d.argmin(axis=0)
     i = np.arange(len(pts))
     return cand[best, :, i], d[best, i]
@@ -403,7 +407,7 @@ class PolyCone:
         if getattr(self, "_orthant"):  # the norm of the negative part, as np.linalg.norm
             r = np.minimum(pts, 0.0)
             return np.sqrt(np.add.reduce(r * r, axis=1))
-        return _nearest(self, np.zeros((1, self.dim)), self.generators, pts)[1]
+        return _nearest(self, np.zeros((1, self.dim)), self.generators, pts, False)
 
     def project(self, y: np.ndarray) -> tuple[np.ndarray, float]:
         return project_dist(y, self)
@@ -486,8 +490,8 @@ def _as_sumset(S: SetLike) -> SumSet:
 def _table_for(ss: SumSet):
     """(owner, base, gens, shift): y is measured as y - shift against
     conv(base) + cone(gens), whose face table is cached on owner -- the cone
-    for a single base vertex, the polytope when there is no cone (its SumSet
-    wrapper is rebuilt per call), else the SumSet."""
+    for a single base vertex, the polytope when there is no cone, else the
+    SumSet; shift is 0.0 above one vertex."""
     base = ss.base.vertices
     if ss.cone is None:
         return ss.base, base, None, 0.0
@@ -503,13 +507,20 @@ def _nearest_rows(ss: SumSet, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of ``_table_for``."""
     base = ss.base.vertices
     if len(base) == 1 and (ss.cone is None or getattr(ss.cone, "_orthant")):
-        rel = pts - base[0]
-        if ss.cone is None:
-            return np.repeat(base, len(pts), axis=0), row_norms(rel)
-        return np.maximum(rel, 0.0) + base[0], ss.cone._distances(rel)
+        proj = (np.repeat(base, len(pts), axis=0) if ss.cone is None
+                else np.maximum(pts - base[0], 0.0) + base[0])
+        return proj, _distance_rows(ss, pts)
     owner, base, gens, shift = _table_for(ss)
     proj, d = _nearest(owner, base, gens, pts - shift)
     return proj + shift, d
+
+
+def _distance_rows(ss: SumSet, pts: np.ndarray) -> np.ndarray:
+    """``_nearest_rows``'s distances, with no nearest point built."""
+    owner, base, gens, shift = _table_for(ss)
+    if len(base) > 1:
+        return _nearest(owner, base, gens, pts, False)
+    return row_norms(pts - base[0]) if gens is None else owner._distances(pts - shift)
 
 
 def project_dist(y, S: SetLike) -> tuple[np.ndarray, float]:
@@ -525,9 +536,10 @@ def project_dist(y, S: SetLike) -> tuple[np.ndarray, float]:
 
 
 def dist_many(points: np.ndarray, S: SetLike) -> np.ndarray:
-    """Distances of many points (rows) to S, vectorized over the batch."""
+    """Distances of many points (rows) to S, vectorized over the batch, with
+    no nearest point built (``_distance_rows``)."""
     ss = _as_sumset(S)
-    return _nearest_rows(ss, _as_points(points, ss.dim))[1]
+    return _distance_rows(ss, _as_points(points, ss.dim))
 
 
 def excess(A: VPolytope, S: SetLike) -> float:

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import (PolyCone, SumSet, VPolytope, _least_slack, _nearest_rows, as_vector,
+from .geometry import (PolyCone, SumSet, VPolytope, _distance_rows, _least_slack, as_vector,
                        numgrad, row_norms, seeded_rotation, unit_directions)
 from .geometry import hints_for_matrix  # noqa: F401  (callers import it from here too)
 from .setmaps import is_all_space
@@ -93,7 +93,7 @@ def _gradients(map_at: MapAt, target: SumSet, cone: PolyCone, x: np.ndarray) -> 
         images = [map_at(u).vertices for u in U]
         starts = np.cumsum([0] + [len(v) for v in images[:-1]])
         verts = np.concatenate(images)
-        return np.column_stack([np.maximum.reduceat(_nearest_rows(target, verts)[1], starts),
+        return np.column_stack([np.maximum.reduceat(_distance_rows(target, verts), starts),
                                 np.maximum.reduceat(cone._distances(verts), starts)])
 
     return [(g, n) for g in numgrad(worst, x).T if (n := float(np.linalg.norm(g))) > 1e-14]
@@ -165,7 +165,7 @@ class _Search:
                 sd = -_least_slack(verts, self.target)
                 out = (sd >= 0.0) & (r + sd <= r + self.cfg.tolerance)
                 if out.any():  # the max: no rounding puts a distance below the violation
-                    sd[out] = np.maximum(sd[out], _nearest_rows(self.target, verts[out])[1])
+                    sd[out] = np.maximum(sd[out], _distance_rows(self.target, verts[out]))
                 starts = np.cumsum([0] + [len(v) for v in images[:-1]])
                 depth[keep] = np.maximum.reduceat(sd, starts)
             worst = np.concatenate([worst, depth])

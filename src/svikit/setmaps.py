@@ -24,8 +24,8 @@ from typing import ClassVar, Optional, Union
 
 import numpy as np
 
-from .geometry import (PolyCone, VPolytope, _as_points, all_finite, as_vector, dist_many,
-                       hints_for_matrix, norm2, project_dist, row_norms)
+from .geometry import (PolyCone, SumSet, VPolytope, _as_points, _distance_rows, all_finite,
+                       as_vector, hints_for_matrix, norm2, project_dist, row_norms)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +370,16 @@ class FanSpec:
 # constraint families
 # ---------------------------------------------------------------------------
 
+class _Checked:
+    """``distances`` checks its rows, as ``project`` its point: finite, of the
+    set's dimension; ``_distances``, the merit's penalty, trusts them."""
+
+    def distances(self, X) -> np.ndarray:
+        return self._distances(_as_points(X, self.dim))
+
+
 @dataclass(frozen=True)
-class AllSpace:
+class AllSpace(_Checked):
     dim = None  # fits every input dimension
 
     def at(self, p: float) -> "AllSpace":
@@ -380,7 +388,7 @@ class AllSpace:
     def project(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         return np.asarray(x, dtype=float).copy(), 0.0
 
-    def distances(self, X: np.ndarray) -> np.ndarray:
+    def _distances(self, X: np.ndarray) -> np.ndarray:
         return np.zeros(len(X))
 
     def to_dict(self) -> dict:
@@ -388,7 +396,7 @@ class AllSpace:
 
 
 @dataclass(frozen=True, eq=False)
-class Box:
+class Box(_Checked):
     """Axis-aligned box [lower, upper]; each bound is a vector or, with the
     other, a knot table of vectors."""
 
@@ -413,11 +421,11 @@ class Box:
         return self if self.lower.ps is None else Box(self.lower.at(p), self.upper.at(p))
 
     def project(self, x) -> tuple[np.ndarray, float]:
-        x = as_vector(x)
+        x = as_vector(x, self.dim)
         proj = np.clip(x, self.lower.value, self.upper.value)
         return proj, float(np.linalg.norm(x - proj))
 
-    def distances(self, X: np.ndarray) -> np.ndarray:
+    def _distances(self, X: np.ndarray) -> np.ndarray:
         return row_norms(X - np.clip(X, self.lower.value, self.upper.value))
 
     def to_dict(self) -> dict:
@@ -425,7 +433,7 @@ class Box:
 
 
 @dataclass(frozen=True, eq=False)
-class Ball:
+class Ball(_Checked):
     """Euclidean ball B(center, radius); the centre and the radius are a
     vector and a scalar or knot tables of them on the same knots."""
 
@@ -452,7 +460,7 @@ class Ball:
         return self if self.center.ps is None else Ball(self.center.at(p), self.radius.at(p))
 
     def project(self, x) -> tuple[np.ndarray, float]:
-        x = as_vector(x)
+        x = as_vector(x, self.dim)
         c, r = self.center.value, float(self.radius.value)
         gap = x - c
         nrm = float(np.linalg.norm(gap))
@@ -461,7 +469,7 @@ class Ball:
         proj = c + gap * (r / nrm)
         return proj, nrm - r
 
-    def distances(self, X: np.ndarray) -> np.ndarray:
+    def _distances(self, X: np.ndarray) -> np.ndarray:
         c, r = self.center.value, float(self.radius.value)
         return np.maximum(row_norms(X - c) - r, 0.0)
 
@@ -470,10 +478,14 @@ class Ball:
 
 
 @dataclass(frozen=True, eq=False)
-class PolytopeSet:
-    """Constant polytopal feasible set (vertex list in the x-space)."""
+class PolytopeSet(_Checked):
+    """Constant polytopal feasible set (vertex list in the x-space), measured
+    through one SumSet of its polytope, built with it."""
 
     polytope: VPolytope
+
+    def __post_init__(self):
+        object.__setattr__(self, "_sumset", SumSet(self.polytope))
 
     @property
     def dim(self) -> int:
@@ -483,10 +495,10 @@ class PolytopeSet:
         return self
 
     def project(self, x) -> tuple[np.ndarray, float]:
-        return project_dist(x, self.polytope)
+        return project_dist(x, self._sumset)
 
-    def distances(self, X: np.ndarray) -> np.ndarray:
-        return dist_many(X, self.polytope)
+    def _distances(self, X: np.ndarray) -> np.ndarray:
+        return _distance_rows(self._sumset, X)
 
     def to_dict(self) -> dict:
         return {"variant": "polytope",
@@ -567,7 +579,7 @@ class ProblemAt:
         k, v, m = V.shape
         out = np.maximum.reduce(self.cone._distances(V.reshape(-1, m)).reshape(k, v), axis=1)
         if kappa > 0:  # X as evaluate_many read it
-            out += kappa * self.constraint.distances(np.asarray(X, float).reshape(k, -1))
+            out += kappa * self.constraint._distances(np.asarray(X, float).reshape(k, -1))
         if not all_finite(out):  # finite points too far out: a norm overflows
             raise ImageOverflow(f"the image at p = {self.p} has a merit that overflows")
         return out

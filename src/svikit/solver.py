@@ -35,6 +35,11 @@ MIN_RADIUS = 1e-13
 MIN_DESCENT = 0.05
 
 
+class _Sampled(float):
+    """A sampled alpha_tilde (``global_infimum``, which bounds nothing) handed
+    on as ``cfg.alpha_tilde``: ``solve`` reports it as sampled, uncertified."""
+
+
 class DescentConstantsError(ValueError):
     """alpha or alpha_tilde does not fit the problem: out of range, or
     leaving no room above its Lipschitz budget."""
@@ -196,16 +201,21 @@ def caristi_step(merit_many: Callable[[np.ndarray], np.ndarray], x, fx: float,
 def segment_step(x, constraint, t: float) -> np.ndarray:
     """Move x a length t along the segment toward its projection onto the
     constraint set at one parameter (a view's ``constraint``); the distance
-    to the set drops exactly by t."""
+    to the set drops exactly by t.  ``solve`` shares ``_segment`` from the
+    one projection it makes per iterate."""
     x = as_vector(x)
-    proj, dist = constraint.project(x)
+    return _segment(x, *constraint.project(x), constraint, t)
+
+
+def _segment(x: np.ndarray, proj: np.ndarray, dist: float, constraint, t: float) -> np.ndarray:
+    """``segment_step`` from x's projection proj at distance dist; the end
+    point's distance is read on the distance-only path (``_distances``)."""
     if dist <= 1e-12:
         raise AlreadyFeasible("the point already lies in the constraint set")
     if not (0 < t <= dist + 1e-12):
         raise ValueError(f"step length {t} outside (0, dist={dist}]")
     u = x + (t / dist) * (proj - x)
-    _, du = constraint.project(u)
-    if abs(du - (dist - t)) > 1e-9 * max(1.0, dist):
+    if abs(constraint._distances(u[None, :])[0] - (dist - t)) > 1e-9 * max(1.0, dist):
         raise RuntimeError("segment identity violated; constraint set not convex?")
     return u
 
@@ -271,11 +281,13 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
     given = cfg.alpha_tilde is not None or (cfg.alpha is not None and not constrained)
     alpha_tilde = (cfg.alpha_tilde if cfg.alpha_tilde is not None
                    else getattr(problem, "declared_alpha", None))
-    source = "given" if given else "declared"
+    # alpha alone decides an unconstrained run's constants
+    sampled = isinstance(cfg.alpha_tilde, _Sampled) and (cfg.alpha is None or constrained)
+    source = "sampled" if sampled else "given" if given else "declared"
     if alpha_tilde is None and not given:  # sample it
         source = "sampled"
         merit0 = at.merit(x0)
-        if merit0 <= cfg.tol and constraint.project(x0)[1] <= cfg.tol:
+        if merit0 <= cfg.tol and constraint._distances(x0[None, :])[0] <= cfg.tol:
             return SolveResult(x0.copy(), merit0, iterations=0, path_length=0.0,
                                caristi_certified=False, bound_rhs=0.0, bound_holds=True,
                                stop="converged", merit_initial=merit0, alpha_source=source)
@@ -302,14 +314,13 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
     iterations = 0
     while iterations < cfg.max_iters:
         extras = []
-        if constrained:
-            _, dx = constraint.project(x)
+        if constrained:  # one projection per iterate
+            proj, dx = constraint.project(x)
             if dx > cfg.tol:
                 # exact feasibility restoration candidates (segment steps)
-                extras.append(segment_step(x, constraint, dx))
-                r_seg = min(dx, RADIUS0)
-                if r_seg < dx:
-                    extras.append(segment_step(x, constraint, r_seg))
+                extras = [_segment(x, proj, dx, constraint, dx)]
+                if RADIUS0 < dx:
+                    extras.append(_segment(x, proj, dx, constraint, RADIUS0))
         out = caristi_step(psit, x, fx, k_run, cfg, step_seed=iterations,
                            extra_candidates=extras)
         fx = out.merit

@@ -32,7 +32,7 @@ from .parametric import SweepRow, SweepTable, _sorted_grid, _sweep_meta
 from .setmaps import (Ball, Box, ConstraintFamily, Parametric, PolytopeSet, ProblemAt,
                       RotationScaled, _Knots, as_data, constraint_from_dict, is_all_space,
                       matrix_family_from_dict, read, read_data, write_data)
-from .solver import SolveResult, SolverConfig, solve
+from .solver import SolveResult, SolverConfig, _Sampled, solve
 
 
 class UnsupportedCombination(ValueError):
@@ -323,7 +323,7 @@ def solve_ideal(spec: VopSpec, p: float, x0, cfg: Optional[SolverConfig] = None)
     oracle = brute_force_ideal(spec, p)  # rejects data that does not cover p before any estimate
     res = solve(spec, p, x0, cfg)
     x, at = res.x_final, spec.at(p)
-    if res.stop == "converged" and at.constraint.project(x)[1] <= max(cfg.tol, 1e-7):
+    if res.stop == "converged" and at.constraint._distances(x[None, :])[0] <= max(cfg.tol, 1e-7):
         return IdealResult(status=FOUND, x=x, value=at.f(x[None])[0],
                            merit_final=res.merit_final, solve_result=res, oracle=oracle)
     return IdealResult(status=NOT_FOUND if oracle.is_ideal else CERTIFIED_EMPTY, x=x,
@@ -360,7 +360,9 @@ def ideal_value_sweep(spec: VopSpec, grid: Sequence[float], x_init,
     ``global_infimum`` of the spec over the grid's first and middle
     values.  When no sampled point has witnesses the rows share no bound:
     each resolves its own, descending on floor constants where it finds
-    none, and ``meta["alpha_under"]`` is nan.  ``meta["statuses"]`` holds one
+    none, and ``meta["alpha_under"]`` is nan.  ``meta["alpha_source"]`` says
+    which: "given", "sampled" (every row's run then reads sampled,
+    uncertified) or "floor" (no shared bound).  ``meta["statuses"]`` holds one
     status per row: the exact oracle's verdict ('ideal' or 'empty') with
     ``with_oracle``, else ``solve_ideal``'s (which the oracle decides on
     unsolved rows).
@@ -369,14 +371,16 @@ def ideal_value_sweep(spec: VopSpec, grid: Sequence[float], x_init,
     cfg = cfg or SolverConfig()
     grid = _sorted_grid(grid)
     alpha_under = cfg.alpha_tilde if alpha_under is None else alpha_under
+    source = "sampled" if alpha_under is None else "given"
     if alpha_under is None:
         mid = grid[len(grid) // 2]
         scfg = SamplingConfig(bracket_rtol=0.05, seed=cfg.rng_seed)
         try:
             alpha_under = global_infimum(spec, [grid[0], mid], 4, scfg).alpha
         except PropertyAbsent:  # the rows share no bound
-            alpha_under = math.nan
-    row_cfg = replace(cfg, alpha_tilde=None if math.isnan(alpha_under) else float(alpha_under))
+            alpha_under, source = math.nan, "floor"
+    bound = (_Sampled if source == "sampled" else float)(alpha_under)  # a sampled one stays so
+    row_cfg = replace(cfg, alpha_tilde=None if math.isnan(bound) else bound)
     t0 = time.perf_counter()
     rows, statuses = [], []
     x_start = as_vector(x_init)
@@ -394,5 +398,6 @@ def ideal_value_sweep(spec: VopSpec, grid: Sequence[float], x_init,
                                  bound_holds=False, solved=False, warm_start=x_start.copy(),
                                  value=np.full(spec.objective.dim_out, math.nan)))
         statuses.append(res.oracle.status if with_oracle else res.status)
-    meta = _sweep_meta(spec, cfg, True, t0, alpha_under=float(alpha_under), statuses=statuses)
+    meta = _sweep_meta(spec, cfg, True, t0, alpha_under=float(alpha_under), alpha_source=source,
+                       statuses=statuses)
     return SweepTable(rows=rows, meta=meta)

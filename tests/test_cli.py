@@ -622,7 +622,7 @@ BAD_FLAGS = {
     "float": ["", "abc", "nan", "-inf", "inf", "1e999", "1,2"],
     "--tol": ["0", "-1e-9"], "--alpha": ["1", "0.5", "-2"], "--alpha-tilde": ["1", "-3"],
     "--seed": ["", "abc", "1.5", "nan", "inf", "1e3", "-1", "-12"],
-    "--x-samples": ["", "abc", "2.5", "nan", "inf", "0", "-3", str(10**30)],
+    "--x-samples": ["", "abc", "2.5", "nan", "inf", "0", "-3", str(10**30), str(2**62)],
     "--x0": ["", "a,b", "nan,1", "1,inf", "1e999,0", "1", "1,2,3", "1,,2", "1;2"],
     "grid": ["", "0:1", "0:1:2:3", "a:b:c", "0:nan:3", "-inf:0:3", "0:1e999:3", "1:0:3",
              "0:1:0", "0:1:-2", "0:1:2.5", "0:1:" + "9" * 30],

@@ -125,7 +125,7 @@ def test_sampled_alpha_tilde_without_witnesses_leaves_the_verdict_to_the_oracle(
         dim = specs[i].objective.dim_in
         table = ideal_value_sweep(specs[i], list(KNOTS), np.zeros(dim), cfg)
         assert table.meta["statuses"] == [CERTIFIED_EMPTY] * 3
-        assert math.isnan(table.meta["alpha_under"])
+        assert math.isnan(table.meta["alpha_under"]) and table.meta["alpha_source"] == "floor"
     # svi vopt --p reports such a row as an answer, not a solver failure
     path = tmp_path / "spec4.json"
     write_problem_file(path, specs[4])

@@ -115,6 +115,56 @@ def test_one_vertex_distances_agree_bit_for_bit_on_every_entry_point(m):
         assert out.sum() > 100 and np.array_equal(sups[out], 0.5 + dist_many(Y[out], S))
 
 
+def test_distance_only_path_agrees_bit_for_bit_with_the_nearest_points(monkeypatch):
+    # the distance-only path (_nearest without points, _distance_rows) reads
+    # the same face table, chunks and LDP as the nearest points: every entry point
+    # that reads distances only (dist_many, a polytope constraint's
+    # distances and the merit's penalty) gives _nearest_rows' distances bit
+    # for bit on the same batch, and the constraint's project is project_dist
+    # to the byte, signed zeros included; in chunks at a small _FACE_CHUNK,
+    # and point by point by the LDP above _FACE_BUDGET
+    from svikit.setmaps import PolytopeSet, RotationScaled, SviProblem
+    rng = np.random.default_rng(7)
+    chunks = []
+    face_candidates = geometry._face_candidates
+    monkeypatch.setattr(geometry, "_face_candidates",
+                        lambda table, base, pts: chunks.append(len(pts))
+                        or face_candidates(table, base, pts))
+    CHUNK, BUDGET = geometry._FACE_CHUNK, geometry._FACE_BUDGET
+    for m, chunk, budget in ((2, CHUNK, BUDGET), (2, 24, BUDGET), (3, 100, BUDGET),
+                             (4, CHUNK, 3)):
+        monkeypatch.setattr(geometry, "_FACE_CHUNK", chunk)
+        monkeypatch.setattr(geometry, "_FACE_BUDGET", budget)
+        Y = np.vstack([3.0 * rng.standard_normal((60, m)), np.zeros((1, m)), -np.zeros((1, m))])
+        poly = VPolytope(rng.standard_normal((3, m)))
+        wedge = PolyCone(-np.abs(rng.standard_normal((2, m))))
+        for S in (poly, SumSet(poly, wedge), SumSet(VPolytope(poly.vertices[:1]), wedge), wedge):
+            ss = geometry._as_sumset(S)
+            chunks.clear()
+            want = geometry._nearest_rows(ss, Y)[1]
+            nearest_chunks = chunks[:]
+            assert geometry._distance_rows(ss, Y).tobytes() == want.tobytes()
+            assert chunks == 2 * nearest_chunks  # the same chunks, read twice
+            assert dist_many(Y, S).tobytes() == want.tobytes()
+            owner, base, gens, shift = geometry._table_for(ss)
+            assert (geometry._nearest(owner, base, gens, Y - shift, points=False).tobytes()
+                    == geometry._nearest(owner, base, gens, Y - shift)[1].tobytes())
+            if chunk < CHUNK:
+                assert len(nearest_chunks) > 1  # the batch was split
+            if budget < BUDGET:
+                assert vars(owner)["_faces"] is None and not nearest_chunks  # the LDP
+        constraint = PolytopeSet(VPolytope(poly.vertices))
+        assert constraint.distances(Y).tobytes() == dist_many(Y, poly).tobytes()
+        for y in Y[:20]:
+            got, want = constraint.project(y), project_dist(y, poly)
+            assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+        if m == 2:
+            at = SviProblem(matrix=RotationScaled(1.0), cone=orthant(2),
+                            constraint=constraint).at(0.3)
+            assert (at.merit_many(Y, 1.7).tobytes()
+                    == (at.merit_many(Y) + 1.7 * dist_many(Y, poly)).tobytes())
+
+
 def test_project_dist_wedge_matches_brute_force():
     wedge = PolyCone([[1.0, 1.0], [1.0, -1.0]])
     proj, d = project_dist([-1.0, 0.0], wedge)

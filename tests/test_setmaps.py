@@ -235,6 +235,18 @@ def test_constraint_data_validation():
     with pytest.raises(ValueError):  # reads x[2] of a 2-D input
         SviProblem(matrix=RotationScaled(1.0), cone=orthant(2),
                    h=ConcaveTerm((AbsComponent(a=0.0), AbsComponent(a=0.0, coord=2))))
+    # every family's public project and distances reject rows of another
+    # dimension and non-finite rows, which numpy would broadcast or carry as
+    # nan (a 1-D row against a 2-D box read as (5, 5): distance 5.657)
+    plane = (Box(np.zeros(2), np.ones(2)), Ball(np.zeros(2), 1.0),
+             PolytopeSet(VPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])))
+    for constraint in plane:
+        for rows in ([[5.0]], [[5.0, 0.0, 0.0]], [[math.nan, 0.0]], [[0.0, math.inf]]):
+            with pytest.raises(ValueError):
+                constraint.distances(rows)
+            with pytest.raises(ValueError):
+                constraint.project(rows[0])
+        assert constraint.distances([[2.0, 0.5]])[0] == constraint.project([2.0, 0.5])[1] > 0.0
 
 
 def test_ball_knot_tables_share_their_parameters():

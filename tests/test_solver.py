@@ -8,7 +8,7 @@ from svikit import solver
 from svikit.geometry import orthant
 from svikit.increase import SamplingConfig, global_infimum
 from svikit.problems import rotation_inclusion_problem, rotation_solution_path
-from svikit.setmaps import (Ball, Box, ConcaveTerm, AbsComponent, MatrixTable,
+from svikit.setmaps import (Ball, Box, ConcaveTerm, AbsComponent, MatrixTable, PolytopeSet,
                             RotationScaled, SviProblem, is_all_space, rotation_matrix)
 from svikit.solver import (RADIUS0, AlreadyFeasible, SolverConfig, StepOutcome, caristi_step,
                            segment_step, solve)
@@ -324,6 +324,50 @@ def test_constrained_solve_certificates(boxed_problem):
         _, d = boxed_problem.at(1.0).constraint.project(res.x_final)
         assert d <= 1e-8 / res.kappa + 1e-12
         assert res.bound_holds
+
+
+def test_a_constrained_solve_projects_each_iterate_once(boxed_problem, triangle_spec,
+                                                         monkeypatch):
+    # the loop projects the iterate once and builds both segment candidates
+    # from that projection; their identity check reads distances only
+    projected, starts = [], []
+    step = solver.caristi_step
+    monkeypatch.setattr(solver, "caristi_step", lambda fn, x, *a, **kw: starts.append(x.copy())
+                        or step(fn, x, *a, **kw))
+    for cls in (Box, PolytopeSet):
+        project = cls.project
+        monkeypatch.setattr(cls, "project", lambda self, x, project=project:
+                            projected.append(np.array(x, float)) or project(self, x))
+    runs = ((boxed_problem, 1.0, [4.0, 4.0], SolverConfig()),
+            (boxed_problem, 0.3, [-3.0, 2.0], SolverConfig(alpha_tilde=3.0, rng_seed=2)),
+            (triangle_spec, 0.4, [2.0, 1.5], SolverConfig(alpha_tilde=1.0 / SQRT2 + 1.0)),
+            (triangle_spec, 2.0, [-1.0, -3.0], SolverConfig(alpha_tilde=1.0 / SQRT2 + 1.0)))
+    restored = 0
+    for problem, p, x0, cfg in runs:
+        projected.clear(), starts.clear()
+        res = solve(problem, p, x0, cfg)
+        assert res.iterations > 0 and len(projected) == len(starts)
+        assert all(np.array_equal(a, b) for a, b in zip(projected, starts))
+        restored += sum(problem.at(p).constraint.distances(starts) > cfg.tol)
+    assert restored >= 4  # iterates outside R(p) took the segment candidates
+
+
+def test_the_loop_checks_the_segment_identity(boxed_problem):
+    # a constraint whose distance is not the projection's breaks the
+    # identity of the loop's segment candidates, as it does segment_step's
+    class Offset(Box):
+        def _distances(self, X):
+            return super()._distances(X) + 0.25
+
+    box = boxed_problem.constraint
+    problem = rotation_inclusion_problem(constraint=Offset(box.lower, box.upper))
+    with pytest.raises(RuntimeError, match="segment identity"):
+        solve(problem, 1.0, [4.0, 4.0], SolverConfig())
+    with pytest.raises(RuntimeError, match="segment identity"):
+        segment_step([4.0, 4.0], problem.constraint, 1.0)
+    x = np.array([4.0, 4.0])  # the public step is the loop's, from x's projection
+    assert segment_step(x, box, 1.0).tobytes() == solver._segment(
+        x, *box.project(x), box, 1.0).tobytes()
 
 
 def test_constrained_alpha_interval_validation(boxed_problem):

@@ -682,3 +682,24 @@ def test_ideal_value_sweep_alpha_order(triangle_spec, monkeypatch):
         runs[name] = seen[0]
     assert len(sampled) == 1  # only the last sweep estimates
     assert runs == {"keyword": DEC_TRIANGLE, "cfg": 9.0, "sampled": sampled[0]}
+
+
+def test_ideal_value_sweep_rows_keep_where_their_bound_came_from(monkeypatch):
+    # a sampled alpha_under bounds nothing: every row's run reads sampled and
+    # uncertified, and the table's meta names the source; a given one stays
+    # given and certified, at the same constants
+    runs = []
+    solve_ = vopt.solve
+    monkeypatch.setattr(vopt, "solve", lambda *a: runs.append(solve_(*a)) or runs[-1])
+    spec, grid = sine_deviation_spec(65), np.linspace(0.0, 1.0, 3)
+    sampled = ideal_value_sweep(spec, grid, [0.0])
+    assert sampled.meta["alpha_source"] == "sampled" and len(runs) == 3
+    assert [(r.alpha_source, r.caristi_certified) for r in runs] == [("sampled", False)] * 3
+    alpha_under, sampled_runs = sampled.meta["alpha_under"], runs[:]
+    runs.clear()
+    given = ideal_value_sweep(spec, grid, [0.0], alpha_under=alpha_under)
+    assert given.meta["alpha_source"] == "given"
+    assert [(r.alpha_source, r.caristi_certified) for r in runs] == [("given", True)] * 3
+    for a, b in zip(sampled_runs, runs):
+        assert np.array_equal(a.x_final, b.x_final) and a.alpha_used == b.alpha_used
+    assert [r.x.tolist() for r in sampled.rows] == [r.x.tolist() for r in given.rows]
