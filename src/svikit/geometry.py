@@ -22,9 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, islice
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -190,9 +190,62 @@ def _subsets(k: int, g: int, m: int):
                     yield i, B, J
 
 
+class _Gather(NamedTuple):
+    """A run of ``_subsets(k, g, m)`` as read-only gather indices into the
+    stack (base; gens; 0) of k + g + 1 rows: per subset its base vertex b0
+    (``first``), the rows of its m direction columns (``cols``; the zero row
+    pads the columns past its vertices and generators) and of what each is
+    measured from (``orig``: b0 for a base vertex, else the zero row), and
+    its base and column counts."""
+
+    first: np.ndarray
+    cols: np.ndarray
+    orig: np.ndarray
+    nbase: np.ndarray
+    ncols: np.ndarray
+
+
+def _gather(subsets, k: int, g: int, m: int) -> _Gather:
+    """The ``_Gather`` of a run of ``_subsets(k, g, m)``, in its order."""
+    first, cols, orig, shape = [], [], [], []
+    for i, B, J in subsets:
+        pad = [k + g] * (m - len(B) - len(J))
+        first.append(i)
+        cols.append([*B, *(k + j for j in J), *pad])
+        orig.append([i] * len(B) + [k + g] * (m - len(B)))
+        shape.append((len(B), len(B) + len(J)))
+    S = len(first)
+    out = _Gather(np.array(first, dtype=np.intp), np.array(cols, dtype=np.intp).reshape(S, m),
+                  np.array(orig, dtype=np.intp).reshape(S, m), *np.array(shape, dtype=np.intp).T)
+    for a in out:
+        a.flags.writeable = False  # a cached index serves every set of its shape
+    return out
+
+
+@lru_cache(maxsize=128)
+def _subset_index(k: int, g: int, m: int, budget: int) -> Optional[_Gather]:
+    """The ``_Gather`` of all of ``_subsets(k, g, m)``, cached per shape and
+    budget; None above ``budget`` subsets."""
+    run = list(islice(_subsets(k, g, m), budget + 1))
+    return _gather(run, k, g, m) if len(run) <= budget else None
+
+
+def _runs(k: int, g: int, m: int):
+    """The subsets of ``_subsets(k, g, m)`` in runs for ``_face_table``: the
+    cached index of all of them up to ``_FACE_BUDGET``, else runs of that
+    many, enumerated as they are walked and kept by no cache (a walk has no
+    bound on its length)."""
+    index = _subset_index(k, g, m, _FACE_BUDGET)
+    if index is not None:
+        return [index]
+    faces = _subsets(k, g, m)
+    return iter(lambda: list(islice(faces, _FACE_BUDGET)), [])
+
+
 def _face_table(base: np.ndarray, gens: Optional[np.ndarray], subsets):
     """Face table of conv(base rows) + cone(gens rows) over ``subsets``
-    (``_subsets``, all of them or a run of them).
+    (``_subsets``, all of them or a run of them, as (i, B, J) tuples or as
+    their ``_Gather``).
 
     The projection of y lies in the relative interior of a face, so by
     Caratheodory it is a nonnegative combination of a base vertex b0 and
@@ -212,20 +265,14 @@ def _face_table(base: np.ndarray, gens: Optional[np.ndarray], subsets):
     """
     k, m = base.shape
     gens = np.zeros((0, m)) if gens is None else gens
-    first, dirs, shape = [], [], []
-    for i, B, J in subsets:
-        D = np.zeros((m, m))
-        D[:, :len(B)] = (base[list(B)] - base[i]).T
-        D[:, len(B):len(B) + len(J)] = gens[list(J)].T
-        first.append(i)
-        dirs.append(D)
-        shape.append((len(B), len(B) + len(J)))
-    D = np.array(dirs)
-    nbase, ncols = np.array(shape).T
+    index = subsets if isinstance(subsets, _Gather) else _gather(subsets, k, len(gens), m)
+    # every direction matrix in one gather: b_i - b0 and g_j - 0, as columns
+    V = np.vstack([base, gens, np.zeros((1, m))])
+    D = (V[index.cols] - V[index.orig]).transpose(0, 2, 1)
     U, sv, Vt = np.linalg.svd(D)
-    keep = np.sum(sv > sv[:, :1] * m * np.finfo(float).eps, axis=1) == ncols
+    keep = np.sum(sv > sv[:, :1] * m * np.finfo(float).eps, axis=1) == index.ncols
     D, first, nbase, ncols, U, sv, Vt = (
-        a[keep] for a in (D, np.array(first), nbase, ncols, U, sv, Vt))
+        a[keep] for a in (D, index.first, index.nbase, index.ncols, U, sv, Vt))
     cols = np.arange(m)[None, :] < ncols[:, None]
     inv_sv = np.where(cols, 1.0 / np.where(cols, sv, 1.0), 0.0)
     P = (Vt.transpose(0, 2, 1) * inv_sv[:, None, :]) @ U.transpose(0, 2, 1)
@@ -254,9 +301,9 @@ def _faces(owner, base: np.ndarray, gens: Optional[np.ndarray]):
     ``_FACE_BUDGET`` faces."""
     if "_faces" not in vars(owner):
         k, m = base.shape
-        run = list(islice(_subsets(k, 0 if gens is None else len(gens), m), _FACE_BUDGET + 1))
-        object.__setattr__(owner, "_faces", _face_table(base, gens, run)
-                           if len(run) <= _FACE_BUDGET else None)
+        index = _subset_index(k, 0 if gens is None else len(gens), m, _FACE_BUDGET)
+        object.__setattr__(owner, "_faces",
+                           None if index is None else _face_table(base, gens, index))
     return vars(owner)["_faces"]
 
 
@@ -276,9 +323,7 @@ def _facets(owner, base: np.ndarray, gens: Optional[np.ndarray]):
         B, G = (base - origin) @ basis.T, G @ basis.T
         tables = [_faces(owner, base, gens) if d == m else None]
         if tables[0] is None:
-            faces = _subsets(k, len(G), d)
-            tables = (_face_table(B, G, run)
-                      for run in iter(lambda: list(islice(faces, _FACE_BUDGET)), []))
+            tables = (_face_table(B, G, run) for run in _runs(k, len(G), d))
         tol = _FACET_TOL * max(1.0, float(np.max(np.abs(B - B[0]), initial=0.0)))
         N, c = [Vt[d:], -Vt[d:]], [Vt[d:] @ base[0], -Vt[d:] @ base[0]]
         for b0, _, _, normal in tables if d else ():
@@ -684,8 +729,8 @@ def ball_sup_dist(A: VPolytope, s: float, D: SetLike) -> tuple[float, np.ndarray
     ss = _as_sumset(D)
     if A.dim != ss.dim:
         raise ValueError("dimension mismatch between polytope and target set")
-    if s < 0:
-        raise ValueError("enlargement radius must be nonnegative")
+    if not (math.isfinite(s) and s >= 0):
+        raise ValueError(f"enlargement radius must be finite and nonnegative, got {s}")
     sups, points = _sphere_max(A.vertices, s, ss)
     k = int(np.argmax(sups))
     return float(sups[k]), points[k]
@@ -699,8 +744,8 @@ def enlargement_inclusion(A: VPolytope, s: float, D: SetLike, r: float,
     and otherwise the point attaining it is the witness.  ``dirs`` and
     ``rounds`` are accepted and ignored.
     """
-    if r < 0:
-        raise ValueError("radii must be nonnegative")
+    if not (math.isfinite(r) and r >= 0):
+        raise ValueError(f"radii must be finite and nonnegative, got r = {r}")
     sup, pt = ball_sup_dist(A, s, D)
     holds = sup <= r + tol
     return InclusionResult(Verdict.HOLDS if holds else Verdict.FAILS, None if holds else pt, sup)

@@ -6,14 +6,15 @@ constants.
 The exact bound at a point x is bracketed by bisection on alpha: a witness u
 with  B(G(u), alpha*r) subset B(G(x) + C, r)  certifies alpha from below at
 radius r; exhausting the radius's one candidate list, drawn once per estimate
-with each candidate imaged once, refutes it from above.  The inclusion holds
-iff every vertex of G(u) lies (alpha - 1) r deep in G(x) + C (Radstrom's
-cancellation law).  The property is a small-radius one (it quantifies over
-all r in (0, delta] for some delta), so qualification requires witnesses at a
-few small radii (``QUALIFYING_RADII``) only.
+with each of its candidates imaged at most once, refutes it from above.  The
+inclusion holds iff every vertex of G(u) lies (alpha - 1) r deep in G(x) + C
+(Radstrom's cancellation law).  The property is a small-radius one (it
+quantifies over all r in (0, delta] for some delta), so qualification requires
+witnesses at a few small radii (``QUALIFYING_RADII``) only.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -123,7 +124,10 @@ class _Search:
     direction, and per radius one candidate list, drawn from ``rng`` at that
     radius's first check, with the worst signed depth of each candidate
     imaged so far (inf at x): the max over its image vertices of minus the least slack
-    or, where ``witness`` measures it, the distance; a lower bound once it fails."""
+    or, where ``witness`` measures it, the distance; a lower bound once it fails.
+    A list's candidates are imaged straight from it, each at most once; a
+    point on both lists (x + r d / 2 at 0.25 is x + r d at 0.125) is imaged
+    once per list."""
 
     def __init__(self, map_at: MapAt, cone: PolyCone, x: np.ndarray, cfg: SamplingConfig,
                  hint, rng: np.random.Generator):
@@ -133,7 +137,6 @@ class _Search:
         self.grads = _gradients(map_at, self.target, cone, x)
         self.units = unit_directions(len(x), cfg.directions)
         self.lists = {}  # radius -> (candidates, worst depths of the imaged prefix)
-        self.images = {}  # candidate bytes -> vertices; x + r d / 2 at 0.25 is x + r d at 0.125
 
     def witness(self, alpha: float, r: float) -> Optional[np.ndarray]:
         """The first candidate at radius r with alpha*r + worst <= r + tolerance,
@@ -142,8 +145,10 @@ class _Search:
         verdict is monotone in alpha.  An outside vertex is measured only if its
         violation sd passes at alpha = 1, r + sd <= r + tolerance: as alpha*r >= r
         in floats and its distance is at least sd, one failing there fails at every alpha."""
-        if alpha <= 1 or r <= 0:
-            raise ValueError("alpha must exceed 1" if alpha <= 1 else "radius must be positive")
+        if not (math.isfinite(alpha) and alpha > 1):
+            raise ValueError(f"alpha must be finite and exceed 1, got {alpha}")
+        if not (math.isfinite(r) and r > 0):
+            raise ValueError(f"radius must be finite and positive, got {r}")
         if r not in self.lists:
             U = _candidates(self.x, r, self.grads, self.hint, self.units, self.rng)
             self.lists[r] = U, np.empty(0)
@@ -153,12 +158,7 @@ class _Search:
                 return None
             block = U[len(worst):2 * len(worst) + 8]
             keep = row_norms(block - self.x) > 1e-15
-            images = []  # the kept rows' vertices, each candidate imaged once
-            for u in block[keep]:
-                key = u.tobytes()
-                if key not in self.images:
-                    self.images[key] = self.map_at(u).vertices
-                images.append(self.images[key])
+            images = [self.map_at(u).vertices for u in block[keep]]
             depth = np.full(len(block), np.inf)
             if images:  # checked images: their vertices are measured as they are
                 verts = np.concatenate(images)

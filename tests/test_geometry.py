@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 
 import mpmath
@@ -511,6 +511,20 @@ def test_dimension_mismatch_errors(plane_orthant):
         SumSet(VPolytope([[1.0, 2.0, 3.0]]), plane_orthant)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+def test_enlargement_radii_must_be_finite_and_nonnegative(plane_orthant, bad):
+    # a nan radius read FAILS with witness [nan, nan], a nan target radius
+    # FAILS with sup 0.0, and an infinite one gave the witness [-inf, nan]
+    A = VPolytope([[0.5, 0.5]])
+    with pytest.raises(ValueError, match="radius must be finite and nonnegative"):
+        ball_sup_dist(A, bad, plane_orthant)
+    with pytest.raises(ValueError, match="radius must be finite and nonnegative"):
+        enlargement_inclusion(A, bad, plane_orthant, 0.1)
+    with pytest.raises(ValueError, match="radii must be finite and nonnegative"):
+        enlargement_inclusion(A, 0.1, plane_orthant, bad)
+    assert enlargement_inclusion(A, 0.0, plane_orthant, 0.0).holds  # zero is a radius
+
+
 def test_sumset_distance_against_variational_inequality():
     # the projection onto a convex set is characterized by
     # <y - proj, z - proj> <= 0 for all z in the set
@@ -681,6 +695,101 @@ def test_cone_above_the_face_budget_uses_the_kernel(monkeypatch):
     assert wide_cone._faces is not None
     assert np.allclose(got, ref, atol=1e-12, rtol=0)
     assert np.allclose(got_sum, ref_sum, atol=1e-12, rtol=0)
+
+
+def reference_face_table(base, gens, subsets):
+    """``geometry._face_table`` with each subset's direction matrix filled
+    column block by column block, one subset at a time."""
+    k, m = base.shape
+    gens = np.zeros((0, m)) if gens is None else gens
+    first, dirs, shape = [], [], []
+    for i, B, J in subsets:
+        D = np.zeros((m, m))
+        D[:, :len(B)] = (base[list(B)] - base[i]).T
+        D[:, len(B):len(B) + len(J)] = gens[list(J)].T
+        first.append(i)
+        dirs.append(D)
+        shape.append((len(B), len(B) + len(J)))
+    D = np.array(dirs)
+    nbase, ncols = np.array(shape).T
+    U, sv, Vt = np.linalg.svd(D)
+    keep = np.sum(sv > sv[:, :1] * m * np.finfo(float).eps, axis=1) == ncols
+    D, first, nbase, ncols, U, sv, Vt = (
+        a[keep] for a in (D, np.array(first), nbase, ncols, U, sv, Vt))
+    cols = np.arange(m)[None, :] < ncols[:, None]
+    inv_sv = np.where(cols, 1.0 / np.where(cols, sv, 1.0), 0.0)
+    P = (Vt.transpose(0, 2, 1) * inv_sv[:, None, :]) @ U.transpose(0, 2, 1)
+    M = (U * cols[:, None, :]) @ U.transpose(0, 2, 1)
+    well = sv[:, 0] <= geometry._NORMAL_COND * sv[np.arange(len(D)), np.maximum(ncols - 1, 0)]
+    DT = D.transpose(0, 2, 1)
+    gram = DT @ D + np.eye(m) * ~cols[:, :, None]
+    P[well] = np.linalg.solve(gram[well], DT[well])
+    M[well] = D[well] @ P[well]
+    M[ncols == m] = np.eye(m)
+    base_sum = np.sum(P * (np.arange(m)[None, :] < nbase[:, None])[:, :, None], axis=1)
+    maps = np.concatenate([P, -base_sum[:, None, :], M], axis=1)
+    block = np.zeros((len(D), 2 * m + 1, k, m))
+    block[np.arange(len(D)), :, first] = maps
+    lower = np.append(np.zeros(m), -1.0)[:, None]
+    normal = U[np.arange(len(D)), :, np.minimum(ncols, m - 1)] * (ncols < m)[:, None]
+    return base[first], block.reshape(-1, k * m), lower, normal
+
+
+def assert_same_table(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()  # bit for bit, signed zeros included
+
+
+@pytest.mark.parametrize("budget", [512, 3])
+def test_face_tables_match_a_per_subset_assembly(monkeypatch, budget):
+    # every table a set builds (its face table, and the span-coordinate runs
+    # of its facet rows when it is not full-dimensional or above the budget)
+    # against the per-subset assembly of the same run of _subsets, in order
+    monkeypatch.setattr(geometry, "_FACE_BUDGET", budget)
+    built = []
+
+    def face_table(base, gens, subsets):
+        table = face_table_of(base, gens, subsets)
+        built.append((base, gens, table))
+        return table
+
+    face_table_of = geometry._face_table
+    monkeypatch.setattr(geometry, "_face_table", face_table)
+    rng = np.random.default_rng(17)
+    sets = [SumSet(VPolytope(rng.standard_normal((4, 3))))]  # a lone polytope
+    for _ in range(40):
+        m = int(rng.integers(1, 5))
+        base = rng.standard_normal((int(rng.integers(1, 5)), m))
+        try:
+            cone = PolyCone(rng.standard_normal((int(rng.integers(1, 4)), m)))
+        except ValueError:
+            cone = None  # the whole space
+        sets += [SumSet(VPolytope(base), None if rng.random() < 0.25 else cone),
+                 SumSet(VPolytope(base), PolyCone(-np.eye(m))),  # signed zeros
+                 degenerate_sumset(rng)]
+    spans = 0
+    for S in sets:
+        owner, base, gens, _ = geometry._table_for(S)
+        k, g, m = len(base), 0 if gens is None else len(gens), S.dim
+        built.clear()
+        geometry._faces(owner, base, gens)
+        geometry._facets(owner, base, gens)
+        full = list(geometry._subsets(k, g, m))
+        calls = built
+        if len(full) <= budget:  # the face table, which the facets reuse at d = m
+            assert built[0][0] is base
+            assert_same_table(built[0][2], reference_face_table(base, gens, full))
+            calls = built[1:]
+        dim = calls[0][0].shape[1] if calls else m
+        spans += dim < m
+        faces = geometry._subsets(k, g, dim)
+        runs = list(iter(lambda: list(islice(faces, budget)), []))
+        assert len(calls) == (0 if dim == m and len(full) <= budget else len(runs))
+        for (B, G, table), run in zip(calls, runs):
+            assert_same_table(table, reference_face_table(B, G, run))
+            assert_same_table(face_table_of(B, G, run), table)  # from tuples too
+    assert spans >= 10
 
 
 def test_sphere_max_above_the_face_budget(monkeypatch):

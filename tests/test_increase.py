@@ -300,7 +300,8 @@ def test_estimate_bound_matches_fresh_checks_bit_for_bit(seed):
 def test_estimate_bound_evaluates_the_shared_points_once(plane_orthant):
     # x, the 2n stencil points and each radius's hint and gradient candidates
     # are evaluated once per estimate, not once per witness check; the half
-    # hint step at r = 0.25 is the full one at r = 0.125, and it is imaged once
+    # hint step at r = 0.25 is the full one at r = 0.125, and it is imaged
+    # once per list, straight from it: twice
     Q, g = scaled_rotation(3.0, 0.7)
     hints = hints_for_matrix(Q, plane_orthant)
     x, cfg = np.array([0.3, -1.2]), SamplingConfig()
@@ -320,6 +321,7 @@ def test_estimate_bound_evaluates_the_shared_points_once(plane_orthant):
     want = {u.tobytes(): 1 for r in increase.QUALIFYING_RADII
             for u in [x + r * hints, x + 0.5 * r * hints, *(x - (r / n) * v for v, n in grads)]}
     assert len(want) == 7
+    want[(x + 0.125 * hints).tobytes()] = 2
     assert {u: calls[u] for u in want} == want
     # each radius draws one list, and each of its candidates is imaged at most once
     rng, units = increase._stable_seed(cfg.seed, None, x), unit_directions(2, cfg.directions)
@@ -395,6 +397,16 @@ def test_check_increase_validates_arguments(plane_orthant):
         check_increase(g, plane_orthant, [0.0, 0.0], 1.0, 1.0)
     with pytest.raises(ValueError):
         check_increase(g, plane_orthant, [0.0, 0.0], 2.0, 0.0)
+    # a non-finite alpha or radius is rejected, not searched for
+    for alpha, r in ((math.nan, 0.25), (math.inf, 0.25), (2.0, math.nan), (2.0, math.inf),
+                     (2.0, -math.inf)):
+        with pytest.raises(ValueError, match="alpha" if r == 0.25 else "radius"):
+            check_increase(g, plane_orthant, [0.3, -1.2], alpha, r)
+    s = increase._Search(g, plane_orthant, np.array([0.3, -1.2]), SamplingConfig(), None,
+                         np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        s.witness(math.nan, 0.25)
+    assert s.lists == {}  # no list was drawn
 
 
 # ---------------------------------------------------------------------------
