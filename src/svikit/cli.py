@@ -72,7 +72,8 @@ def _parse_vector(text: str, dim: int) -> np.ndarray:
 
 def start_stop_count(text: str) -> np.ndarray:
     """A grid flag's value, start:stop:count with inclusive endpoints (argparse reports a
-    part that does not parse, or a count past numpy's range, as its ValueError)."""
+    part that does not parse, or a count past numpy's range, as its ValueError, and a
+    grid that cannot be allocated by its flag)."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid spec {text!r} must be start:stop:count")
@@ -83,7 +84,10 @@ def start_stop_count(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"grid {text!r} has non-finite bounds")
     if start > stop:
         raise argparse.ArgumentTypeError(f"grid {text!r} runs downward; start exceeds stop")
-    return np.linspace(start, stop, count)
+    try:
+        return np.linspace(start, stop, count)
+    except MemoryError:
+        raise argparse.ArgumentTypeError(f"grid {text!r} cannot be allocated") from None
 
 
 def _load(args, kind=object):
@@ -213,7 +217,10 @@ def _cmd_estimate(args) -> int:
     # the draw of count x n float64 coordinates must fit numpy's largest array
     if args.x_samples * problem.dim_in > np.iinfo(np.intp).max // 8:
         raise UsageError(f"--x-samples {args.x_samples} draws more than numpy's largest array")
-    res = global_infimum(problem, grid, args.x_samples, SamplingConfig(seed=args.seed))
+    try:
+        res = global_infimum(problem, grid, args.x_samples, SamplingConfig(seed=args.seed))
+    except MemoryError:  # the count's draw, or the merits of all of it
+        raise UsageError(f"--x-samples {args.x_samples} draws more than can be allocated") from None
     for p, x, est in res.estimates:
         print(f"p = {p:.6f}  x = {np.asarray(x).tolist()}  "
               f"alpha in [{est.alpha_lo:.5f}, {est.alpha_hi:.5f}]")

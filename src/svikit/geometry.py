@@ -5,10 +5,11 @@ certificates.
 All sets live in R^m with m small (desk scale, m <= 4 typical).  Cones are
 finitely generated, polytopes are vertex lists.  Distances are exact up to
 floating point, and each set shape has one path (``_nearest_rows``), a whole
-batch of points at a time: row norms to a point, the closed form of a point
-plus the orthant, and for every other polytope-plus-cone its face table
-(``_face_table``), cached on the set.  Sets above the face budget, and a
-cone's construction checks (whole space, pointedness), take the one
+batch of points at a time and each row's answer independent of its batch:
+row norms to a point, the closed form of a point plus the orthant, and for
+every other polytope-plus-cone its face table (``_face_table``, an affine
+map of the point per face), cached on the set.  Sets above the face budget,
+and a cone's construction checks (whole space, pointedness), take the one
 least-distance kernel (``_ldp_project``): the least-distance problem (LDP)
 solved as one Lawson-Hanson NNLS (LH ch. 23), which reports its KKT residual.
 The face table also yields every set's facet rows (``_facets``), the cone's
@@ -254,14 +255,15 @@ def _face_table(base: np.ndarray, gens: Optional[np.ndarray], subsets):
     nonnegative weights gives a point of the set, so the distance is the
     least over the feasible candidates of all full-rank subsets.
 
-    Per subset, a (2m + 1) x m map of y - b0 gives its weights (zero-padded
-    to m), their negated base sum (b0 keeps 1 minus it) and its candidate
-    minus b0.  Returns the origins (S, m), the maps as one block matrix
-    (S * (2m + 1), k * m) acting on y - v stacked over the k vertices v, the
-    feasible lower bounds (m + 1, 1) of weights and negated base sum, and
-    per subset a unit vector orthogonal to its directions (S, m), a left
-    singular vector of the SVD, for the facet rows (``_facets``); zero for a
-    full-dimensional subset, which has none.
+    Per subset, the affine map T_f y + t_f, T_f = [P; -P's base sum; I - M]
+    ((2m + 1) x m, M its directions' projector) and t_f = -T_f b0, gives its
+    weights (zero-padded to m), their negated base sum (b0 keeps 1 minus it)
+    and its residual y - candidate, exactly 0 on a full-dimensional subset
+    (M = I).  Returns the origins b0 (S, m), the maps stacked as T
+    (S * (2m + 1), m) and t (S * (2m + 1), 1), the feasible lower bounds
+    (m + 1, 1), and per subset a unit vector orthogonal to its directions
+    (S, m), a left singular vector, for the facet rows (``_facets``); zero
+    for a full-dimensional subset, which has none.
     """
     k, m = base.shape
     gens = np.zeros((0, m)) if gens is None else gens
@@ -287,12 +289,12 @@ def _face_table(base: np.ndarray, gens: Optional[np.ndarray], subsets):
     M[well] = D[well] @ P[well]
     M[ncols == m] = np.eye(m)  # a full-dimensional face's candidate is y itself
     base_sum = np.sum(P * (np.arange(m)[None, :] < nbase[:, None])[:, :, None], axis=1)
-    maps = np.concatenate([P, -base_sum[:, None, :], M], axis=1)
-    block = np.zeros((len(D), 2 * m + 1, k, m))
-    block[np.arange(len(D)), :, first] = maps
+    T = np.concatenate([P, -base_sum[:, None, :], np.eye(m) - M], axis=1)
+    b0 = base[first]
+    t = -(T @ b0[:, :, None])[..., 0]
     lower = np.append(np.zeros(m), -1.0)[:, None]
     normal = U[np.arange(len(D)), :, np.minimum(ncols, m - 1)] * (ncols < m)[:, None]
-    return base[first], block.reshape(-1, k * m), lower, normal
+    return b0, T.reshape(-1, m), t.reshape(-1, 1), lower, normal
 
 
 def _faces(owner, base: np.ndarray, gens: Optional[np.ndarray]):
@@ -326,7 +328,7 @@ def _facets(owner, base: np.ndarray, gens: Optional[np.ndarray]):
             tables = (_face_table(B, G, run) for run in _runs(k, len(G), d))
         tol = _FACET_TOL * max(1.0, float(np.max(np.abs(B - B[0]), initial=0.0)))
         N, c = [Vt[d:], -Vt[d:]], [Vt[d:] @ base[0], -Vt[d:] @ base[0]]
-        for b0, _, _, normal in tables if d else ():
+        for b0, _, _, _, normal in tables if d else ():
             has = normal.any(axis=1)
             n, b0 = np.vstack([normal[has], -normal[has]]), np.vstack([b0[has], b0[has]])
             ok = (np.all(B @ n.T - np.sum(n * b0, axis=1) <= tol, axis=0)
@@ -337,45 +339,42 @@ def _facets(owner, base: np.ndarray, gens: Optional[np.ndarray]):
     return vars(owner)["_facets"]
 
 
-def _face_candidates(table, base: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every face's candidate for every row of pts (S, m, n), and whether its
-    weights are feasible (S, n): one matrix product, whose (S, 2m + 1, n) array
-    is freed on return (kept alive in ``_nearest``, it doubled distance times)."""
-    b0, block, lower, _ = table
-    n, m = pts.shape
-    rel = (pts.T[None, :, :] - base[:, :, None]).reshape(base.size, n)
-    out = (block @ rel).reshape(len(b0), 2 * m + 1, n)
-    return b0[:, :, None] + out[:, m + 1:], (out[:, :m + 1] >= lower).all(axis=1)
-
-
 def _nearest(owner, base: np.ndarray, gens: Optional[np.ndarray], pts: np.ndarray,
              points: bool = True):
-    """Nearest points of conv(base) + cone(gens) to the rows of pts and their
-    distances by the face table cached on ``owner``; the distances alone when not ``points``."""
+    """Nearest points y - r of conv(base) + cone(gens) to the rows y of pts,
+    r the least feasible residual of the face table cached on ``owner``, and
+    the distances |r|; the distances alone when not ``points``.  A chunk is
+    one product T Y' + t; a lone row is multiplied as two copies of itself,
+    the copy dropped, so that every row takes gemm's arithmetic whatever its
+    batch."""
     table = _faces(owner, base, gens)
     if table is None:
         out = [_ldp_project(y, base, gens)[:2] for y in pts]
         d = np.array([d for _, d in out])
         return (np.array([p for p, _ in out]).reshape(pts.shape), d) if points else d
-    step = max(1, _FACE_CHUNK // len(table[0]))
-    if len(pts) > step:
-        parts = [_nearest(owner, base, gens, pts[i:i + step], points)
-                 for i in range(0, len(pts), step)]
+    b0, T, t, lower, _ = table
+    n, m = pts.shape
+    step = max(1, _FACE_CHUNK // len(b0))
+    if n > step:
+        parts = [_nearest(owner, base, gens, pts[i:i + step], points) for i in range(0, n, step)]
         return ((np.vstack([p for p, _ in parts]), np.concatenate([d for _, d in parts]))
                 if points else np.concatenate(parts))
+    Y = pts if n > 1 else np.concatenate([pts, pts])  # gemv's last bits would differ
+    Z = (T @ Y.T)[:, :n]
+    Z += t  # in place: a second array of Z's size doubled the time at 512 rows
+    Z = Z.reshape(len(b0), 2 * m + 1, n)
+    r = Z[:, m + 1:]
+    d2 = np.add.reduce(r * r, axis=1)
     # only truly feasible weights: a candidate whose weights fall short of
     # zero by rounding lies outside the set and can read short of the
     # distance (2.8e-16 for a point 1.05e-12 outside); every vertex's own
     # face is feasible, so some candidate always is
-    cand, feasible = _face_candidates(table, base, pts)
-    r = pts.T - cand
-    d = np.sqrt(np.add.reduce(r * r, axis=1))
-    d[~feasible] = np.inf
+    d2[~(Z[:, :m + 1] >= lower).all(axis=1)] = np.inf
     if not points:
-        return d.min(axis=0)
-    best = d.argmin(axis=0)
-    i = np.arange(len(pts))
-    return cand[best, :, i], d[best, i]
+        return np.sqrt(d2.min(axis=0))
+    best = d2.argmin(axis=0)
+    i = np.arange(n)
+    return pts - r[best, :, i], np.sqrt(d2[best, i])
 
 
 # ---------------------------------------------------------------------------

@@ -312,21 +312,23 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
     path = 0.0
     retried = False
     iterations = 0
+    extras = None  # x's segment candidates: the back-off retry reuses them
     while iterations < cfg.max_iters:
-        extras = []
-        if constrained:  # one projection per iterate
-            proj, dx = constraint.project(x)
-            if dx > cfg.tol:
-                # exact feasibility restoration candidates (segment steps)
-                extras = [_segment(x, proj, dx, constraint, dx)]
-                if RADIUS0 < dx:
-                    extras.append(_segment(x, proj, dx, constraint, RADIUS0))
+        if extras is None:
+            extras = []
+            if constrained:  # one projection per iterate
+                proj, dx = constraint.project(x)
+                if dx > cfg.tol:
+                    # exact feasibility restoration candidates (segment steps)
+                    extras = [_segment(x, proj, dx, constraint, dx)]
+                    if RADIUS0 < dx:
+                        extras.append(_segment(x, proj, dx, constraint, RADIUS0))
         out = caristi_step(psit, x, fx, k_run, cfg, step_seed=iterations,
                            extra_candidates=extras)
         fx = out.merit
         if out.accepted:
             path += float(np.linalg.norm(out.u - x))
-            x = out.u
+            x, extras = out.u, None
             iterations += 1
             continue
         if out.converged or retried:

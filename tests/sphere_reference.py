@@ -16,14 +16,13 @@ from svikit.geometry import GEOM_TOL, SumSet, _as_sumset
 FEASIBLE_TOL = 1e-12
 
 
-def _feasible_candidates(table, base, pts):
-    """Every face's candidate for every row of pts (S, m, n), and whether its
-    weights are feasible to within FEASIBLE_TOL (S, n)."""
-    b0, block, lower, _ = table
+def _feasible_residuals(table, pts):
+    """Every face's residual y - candidate for every row y of pts (S, m, n),
+    and whether its weights are feasible to within FEASIBLE_TOL (S, n)."""
+    b0, T, t, lower, _ = table
     n, m = pts.shape
-    rel = (pts.T[None, :, :] - base[:, :, None]).reshape(-1, n)
-    out = (block @ rel).reshape(len(b0), 2 * m + 1, n)
-    return b0[:, :, None] + out[:, m + 1:], (out[:, :m + 1] >= lower - FEASIBLE_TOL).all(axis=1)
+    Z = (T @ pts.T + t).reshape(len(b0), 2 * m + 1, n)
+    return Z[:, m + 1:], (Z[:, :m + 1] >= lower - FEASIBLE_TOL).all(axis=1)
 
 
 def sphere_max(centers: np.ndarray, s: float, ss: SumSet):
@@ -54,10 +53,9 @@ def sphere_max(centers: np.ndarray, s: float, ss: SumSet):
                   for run in iter(lambda: list(islice(faces, geometry._FACE_BUDGET)), []))
     best, point = np.full(len(ctr), -math.inf), np.zeros_like(ctr)
     for table in tables:
-        normal = table[3]
-        cand, feasible = _feasible_candidates(table, base, ctr)
+        normal = table[4]
+        r, feasible = _feasible_residuals(table, ctr)
         feasible &= normal.any(axis=1)[:, None]  # a full-dimensional face has none
-        r = ctr.T[None, :, :] - cand
         norm = np.sqrt(np.add.reduce(r * r, axis=1))
         f, i = np.nonzero(feasible & (norm > 0.0))
         g, j = np.nonzero(feasible & (norm <= GEOM_TOL))
@@ -69,9 +67,11 @@ def sphere_max(centers: np.ndarray, s: float, ss: SumSet):
         # rounding tilts a small residual along its face; the normal at the
         # projection of c + s u is accurate to rounding
         proj, d = geometry._nearest(owner, base, gens, y)
-        out = d > 0.0
+        w = y - proj  # d is |w| only to rounding: the step takes |w| itself
+        out = w.any(axis=1)
         if out.any():
-            y = np.vstack([y, ctr[at[out]] + s * (y[out] - proj[out]) / d[out][:, None]])
+            w = w[out] / np.linalg.norm(w[out], axis=1, keepdims=True)
+            y = np.vstack([y, ctr[at[out]] + s * w])
             d = np.concatenate([d, geometry._nearest(owner, base, gens, y[len(d):])[1]])
             at = np.concatenate([at, at[out]])
         o = np.lexsort((-d, at))

@@ -88,9 +88,8 @@ def test_one_vertex_distances_agree_bit_for_bit_on_every_entry_point(m):
     # single base vertex), and the sphere max, whose sup at a centre outside
     # the set is s plus its distance.  Row norms for a point, the closed form
     # for a point plus the orthant, the face table for a point plus a wedge
-    # and for a polytope with and without a cone.  A face table's batched rows
-    # can differ from its one-row answers in the last bit, so there one-row
-    # entry points are compared with one-row distances
+    # and for a polytope with and without a cone (one-row entry points on the
+    # first 250 rows only: a table's one-row calls are the slow ones)
     rng = np.random.default_rng(0)
     Y = 3.0 * rng.standard_normal((4000, m))
     b = rng.standard_normal(m)
@@ -103,7 +102,7 @@ def test_one_vertex_distances_agree_bit_for_bit_on_every_entry_point(m):
              (base, None, None), (SumSet(base, wedge), None, None)]
     for i, (S, cone, shift) in enumerate(cases):
         many = dist_many(Y, S)
-        one = many if i < 3 else np.array([dist_many(y[None, :], S)[0] for y in Y[:250]])
+        one = many if i < 3 else many[:250]
         rows = Y[:len(one)]
         assert np.array_equal(one, [project_dist(y, S)[1] for y in rows])
         if cone is not None:
@@ -125,11 +124,10 @@ def test_distance_only_path_agrees_bit_for_bit_with_the_nearest_points(monkeypat
     # and point by point by the LDP above _FACE_BUDGET
     from svikit.setmaps import PolytopeSet, RotationScaled, SviProblem
     rng = np.random.default_rng(7)
-    chunks = []
-    face_candidates = geometry._face_candidates
-    monkeypatch.setattr(geometry, "_face_candidates",
-                        lambda table, base, pts: chunks.append(len(pts))
-                        or face_candidates(table, base, pts))
+    calls = []  # (rows, points) of each _nearest call: the batch, then its chunks
+    nearest = geometry._nearest
+    monkeypatch.setattr(geometry, "_nearest", lambda owner, base, gens, pts, points=True:
+                        calls.append((len(pts), points)) or nearest(owner, base, gens, pts, points))
     CHUNK, BUDGET = geometry._FACE_CHUNK, geometry._FACE_BUDGET
     for m, chunk, budget in ((2, CHUNK, BUDGET), (2, 24, BUDGET), (3, 100, BUDGET),
                              (4, CHUNK, 3)):
@@ -140,19 +138,21 @@ def test_distance_only_path_agrees_bit_for_bit_with_the_nearest_points(monkeypat
         wedge = PolyCone(-np.abs(rng.standard_normal((2, m))))
         for S in (poly, SumSet(poly, wedge), SumSet(VPolytope(poly.vertices[:1]), wedge), wedge):
             ss = geometry._as_sumset(S)
-            chunks.clear()
+            calls.clear()
             want = geometry._nearest_rows(ss, Y)[1]
-            nearest_chunks = chunks[:]
+            nearest_chunks = [rows for rows, _ in calls]
+            assert all(points for _, points in calls)
             assert geometry._distance_rows(ss, Y).tobytes() == want.tobytes()
-            assert chunks == 2 * nearest_chunks  # the same chunks, read twice
+            # the same chunks, read again without points
+            assert calls[len(nearest_chunks):] == [(rows, False) for rows in nearest_chunks]
             assert dist_many(Y, S).tobytes() == want.tobytes()
             owner, base, gens, shift = geometry._table_for(ss)
             assert (geometry._nearest(owner, base, gens, Y - shift, points=False).tobytes()
                     == geometry._nearest(owner, base, gens, Y - shift)[1].tobytes())
             if chunk < CHUNK:
-                assert len(nearest_chunks) > 1  # the batch was split
-            if budget < BUDGET:
-                assert vars(owner)["_faces"] is None and not nearest_chunks  # the LDP
+                assert len(nearest_chunks) > 2  # the batch, split into chunks
+            if budget < BUDGET:  # the LDP, on the whole batch
+                assert vars(owner)["_faces"] is None and nearest_chunks == [len(Y)]
         constraint = PolytopeSet(VPolytope(poly.vertices))
         assert constraint.distances(Y).tobytes() == dist_many(Y, poly).tobytes()
         for y in Y[:20]:
@@ -629,6 +629,58 @@ def test_distance_paths_match_the_ldp_kernel(seed):
             assert_kernel_matches(y, dist, origin, gens)
 
 
+def _checked_sets(rng):
+    """(kind, set) for m = 1..4: polytopes with a repeated vertex, pointed
+    cones, a polytope plus a cone, nearly parallel generators (alone and
+    with a polytope) and sets of lower dimension (a segment, and a segment
+    plus a ray along it)."""
+    for m in range(1, 5):
+        for _ in range(3):
+            base = rng.standard_normal((int(rng.integers(2, 5)), m)) * rng.uniform(0.5, 3.0)
+            repeated = VPolytope(np.vstack([base, base[:1]]))
+            yield "polytope", SumSet(repeated)
+            yield "cone", SumSet(VPolytope(np.zeros((1, m))), random_pointed_cone(rng, m))
+            yield "polytope plus cone", SumSet(repeated, random_pointed_cone(rng, m))
+            yield "segment", SumSet(VPolytope(base[:2]))
+            yield "segment plus ray", SumSet(VPolytope(base[:2]), PolyCone(base[1:2] - base[:1]))
+            if m > 1:
+                g = rng.standard_normal(m)
+                g /= np.linalg.norm(g)
+                parallel = PolyCone(np.vstack([g, g + 1e-7 * rng.standard_normal(m),
+                                               rng.standard_normal((m - 2, m))]))
+                yield "parallel", SumSet(VPolytope(np.zeros((1, m))), parallel)
+                yield "parallel", SumSet(VPolytope(base), parallel)
+
+
+def test_every_nearest_point_passes_an_independent_check():
+    # each nearest point P of the face table (_nearest_rows), checked without
+    # it: P lies in the set (the least-distance kernel puts it within
+    # 1e-12 scale), and y - P makes no acute angle with any vertex z - P or
+    # unit generator g, so no point of the set is nearer to y.  With nearly
+    # parallel generators the kernel itself errs by up to 7e-8; there
+    # membership is decided by the 50-digit face enumeration instead
+    rng = np.random.default_rng(35)
+    kinds = set()
+    for kind, S in _checked_sets(rng):
+        b, m = S.base.vertices, S.dim
+        gens = None if S.cone is None else S.cone.generators
+        unit = np.zeros((0, m)) if gens is None else gens / np.linalg.norm(gens, axis=1)[:, None]
+        Y = np.vstack([b[0] + 3.0 * rng.standard_normal((12, m)),  # far
+                       b + 1e-9 * rng.standard_normal(b.shape),  # near the vertices
+                       rng.dirichlet(np.ones(len(b)), 3) @ b])  # in the polytope
+        P = geometry._nearest_rows(S, Y)[0]
+        scale = max(1.0, float(np.max(np.abs(b))), float(np.max(np.abs(Y))))
+        for y, p in zip(Y, P):
+            out = _ldp_project(p, b, gens)[1]
+            if out > 1e-12 * scale and kind == "parallel":
+                out = mp_face_distance(p, b, gens)
+            assert out <= 1e-12 * scale, (kind, y)
+            assert np.max((b - p) @ (y - p)) <= 1e-12 * scale**2, (kind, y)
+            assert np.max(unit @ (y - p), initial=0.0) <= 1e-12 * scale, (kind, y)
+        kinds.add(kind)
+    assert len(kinds) == 6
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_cone_distances_match_scipy_nnls(seed):
@@ -727,12 +779,14 @@ def reference_face_table(base, gens, subsets):
     M[well] = D[well] @ P[well]
     M[ncols == m] = np.eye(m)
     base_sum = np.sum(P * (np.arange(m)[None, :] < nbase[:, None])[:, :, None], axis=1)
-    maps = np.concatenate([P, -base_sum[:, None, :], M], axis=1)
-    block = np.zeros((len(D), 2 * m + 1, k, m))
-    block[np.arange(len(D)), :, first] = maps
+    T, t = [], []
+    for f in range(len(D)):  # each face's affine map y -> T_f y + t_f, t_f = -T_f b0
+        T.append(np.vstack([P[f], -base_sum[f], np.eye(m) - M[f]]))
+        t.append(-(T[-1] @ base[first[f]]))
+    T, t = np.array(T).reshape(-1, m), np.array(t).reshape(-1, 1)
     lower = np.append(np.zeros(m), -1.0)[:, None]
     normal = U[np.arange(len(D)), :, np.minimum(ncols, m - 1)] * (ncols < m)[:, None]
-    return base[first], block.reshape(-1, k * m), lower, normal
+    return base[first], T, t, lower, normal
 
 
 def assert_same_table(got, want):

@@ -278,11 +278,9 @@ def _differential_runs(rotation_problem, boxed_problem, triangle_spec):
 
 def test_solve_matches_the_remeasuring_loop(rotation_problem, boxed_problem, triangle_spec,
                                             monkeypatch):
-    # handing each step the merit the run holds changes no field of any run
-    # whose held merits equal their one-row values.  A held merit that came
-    # from a batch row can differ from its one-row value in the last bits
-    # on a face-table cone (a row-dependent batch); those runs may move, and
-    # are counted and printed
+    # handing each step the merit the run holds changes no field of any run:
+    # a held merit that came from a batch row equals its one-row value bit
+    # for bit, on face-table cones too (a row never depends on its batch)
     original = caristi_step
     held = []
 
@@ -290,27 +288,19 @@ def test_solve_matches_the_remeasuring_loop(rotation_problem, boxed_problem, tri
         held.append(fx == float(merit_fn(np.asarray(x)[None, :])[0]))
         return original(merit_fn, x, fx, *args, **kwargs)
 
-    row_dependent, moved, stops = {}, {}, {}
+    stops = set()
     for kind, problem, p, x0, cfg in _differential_runs(rotation_problem, boxed_problem,
                                                         triangle_spec):
         monkeypatch.setattr("svikit.solver.caristi_step", step)
         held.clear()
         res = solve(problem, p, x0, cfg)
         monkeypatch.setattr("svikit.solver.caristi_step", original)
-        stops[kind, res.stop] = stops.get((kind, res.stop), 0) + 1
+        stops.add(res.stop)
         ours = (res.x_final.tobytes(), res.merit_final, res.iterations, res.path_length,
                 res.bound_rhs, res.stop)
-        same = ours == _remeasuring_solve(problem, p, x0, cfg)
-        if all(held):
-            assert same, (kind, p, x0)
-            continue
-        row_dependent[kind] = row_dependent.get(kind, 0) + 1
-        moved[kind] = moved.get(kind, 0) + (not same)
-    print(f"remeasuring-loop differential: stops {stops}; runs with a row-dependent held "
-          f"merit {row_dependent}, of which moved {moved}")
-    # the orthant cones' merits never depend on the batch
-    assert set(row_dependent) <= {"cone"}
-    assert {stop for _, stop in stops} == {"converged", "no_step", "max_iters"}
+        assert all(held), (kind, p, x0)
+        assert ours == _remeasuring_solve(problem, p, x0, cfg), (kind, p, x0)
+    assert stops == {"converged", "no_step", "max_iters"}
 
 
 def test_constrained_solve_certificates(boxed_problem):
@@ -328,8 +318,9 @@ def test_constrained_solve_certificates(boxed_problem):
 
 def test_a_constrained_solve_projects_each_iterate_once(boxed_problem, triangle_spec,
                                                          monkeypatch):
-    # the loop projects the iterate once and builds both segment candidates
-    # from that projection; their identity check reads distances only
+    # the loop projects each iterate once and builds both segment candidates
+    # from that projection; their identity check reads distances only.  The
+    # back-off retry steps from the same iterate and projects it no more
     projected, starts = [], []
     step = solver.caristi_step
     monkeypatch.setattr(solver, "caristi_step", lambda fn, x, *a, **kw: starts.append(x.copy())
@@ -346,10 +337,30 @@ def test_a_constrained_solve_projects_each_iterate_once(boxed_problem, triangle_
     for problem, p, x0, cfg in runs:
         projected.clear(), starts.clear()
         res = solve(problem, p, x0, cfg)
-        assert res.iterations > 0 and len(projected) == len(starts)
-        assert all(np.array_equal(a, b) for a, b in zip(projected, starts))
+        iterates = [x for i, x in enumerate(starts)
+                    if i == 0 or not np.array_equal(x, starts[i - 1])]
+        assert res.iterations > 0 and len(projected) == len(iterates) == res.iterations + 1
+        assert all(np.array_equal(a, b) for a, b in zip(projected, iterates))
         restored += sum(problem.at(p).constraint.distances(starts) > cfg.tol)
     assert restored >= 4  # iterates outside R(p) took the segment candidates
+
+
+def test_the_back_off_retry_reuses_the_iterates_projection(triangle_spec, monkeypatch):
+    # a constrained run that finds no step backs off once from the same
+    # iterate: one projection per iterate, and the retry's segment
+    # candidates are the first try's, the same arrays
+    projected, extras = [], []
+    step, project = solver.caristi_step, PolytopeSet.project
+    monkeypatch.setattr(solver, "caristi_step", lambda *a, extra_candidates=(), **kw:
+                        extras.append(extra_candidates)
+                        or step(*a, extra_candidates=extra_candidates, **kw))
+    monkeypatch.setattr(PolytopeSet, "project", lambda self, x: projected.append(x.copy())
+                        or project(self, x))
+    res = solve(triangle_spec, 0.4, [2.0, 1.5], SolverConfig(alpha_tilde=1.0 / SQRT2 + 1.0))
+    assert res.stop == "no_step" and len(extras) == res.iterations + 2  # it backed off
+    assert len(projected) == res.iterations + 1
+    assert extras[-1] is extras[-2]
+    assert np.array_equal(projected[-1], res.x_final)
 
 
 def test_the_loop_checks_the_segment_identity(boxed_problem):
