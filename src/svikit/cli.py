@@ -266,6 +266,7 @@ def _cmd_vopt(args) -> int:
         print(f"value = {res.value.tolist()}")
         print(f"merit_final = {res.merit_final:.3e}")
     print(f"alpha_source = {res.solve_result.alpha_source}")
+    print(f"caristi_certified = {str(res.solve_result.caristi_certified).lower()}")
     if args.oracle or res.status != FOUND:
         print(f"oracle = {res.oracle.status}")
     return EXIT_SOLVER if res.status == NOT_FOUND else EXIT_OK

@@ -232,21 +232,20 @@ def _subset_index(k: int, g: int, m: int, budget: int) -> Optional[_Gather]:
 
 
 def _runs(k: int, g: int, m: int):
-    """The subsets of ``_subsets(k, g, m)`` in runs for ``_face_table``: the
-    cached index of all of them up to ``_FACE_BUDGET``, else runs of that
-    many, enumerated as they are walked and kept by no cache (a walk has no
-    bound on its length)."""
+    """The subsets of ``_subsets(k, g, m)`` as ``_Gather`` runs for
+    ``_face_table``: the cached index of all of them up to ``_FACE_BUDGET``,
+    else runs of that many, enumerated as they are walked and kept by no
+    cache (a walk has no bound on its length)."""
     index = _subset_index(k, g, m, _FACE_BUDGET)
     if index is not None:
         return [index]
     faces = _subsets(k, g, m)
-    return iter(lambda: list(islice(faces, _FACE_BUDGET)), [])
+    return (_gather(run, k, g, m) for run in iter(lambda: list(islice(faces, _FACE_BUDGET)), []))
 
 
-def _face_table(base: np.ndarray, gens: Optional[np.ndarray], subsets):
-    """Face table of conv(base rows) + cone(gens rows) over ``subsets``
-    (``_subsets``, all of them or a run of them, as (i, B, J) tuples or as
-    their ``_Gather``).
+def _face_table(base: np.ndarray, gens: Optional[np.ndarray], index: _Gather):
+    """Face table of conv(base rows) + cone(gens rows) over the subsets of
+    ``index`` (the ``_Gather`` of all of ``_subsets`` or of a run of them).
 
     The projection of y lies in the relative interior of a face, so by
     Caratheodory it is a nonnegative combination of a base vertex b0 and
@@ -265,9 +264,8 @@ def _face_table(base: np.ndarray, gens: Optional[np.ndarray], subsets):
     (S, m), a left singular vector, for the facet rows (``_facets``); zero
     for a full-dimensional subset, which has none.
     """
-    k, m = base.shape
+    m = base.shape[1]
     gens = np.zeros((0, m)) if gens is None else gens
-    index = subsets if isinstance(subsets, _Gather) else _gather(subsets, k, len(gens), m)
     # every direction matrix in one gather: b_i - b0 and g_j - 0, as columns
     V = np.vstack([base, gens, np.zeros((1, m))])
     D = (V[index.cols] - V[index.orig]).transpose(0, 2, 1)

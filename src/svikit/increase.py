@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
 from .geometry import (PolyCone, SumSet, VPolytope, _distance_rows, _least_slack, as_vector,
                        numgrad, row_norms, seeded_rotation, unit_directions)
-from .geometry import hints_for_matrix  # noqa: F401  (callers import it from here too)
 from .setmaps import is_all_space
 
 MapAt = Callable[[np.ndarray], VPolytope]
@@ -46,13 +45,14 @@ class HypothesisViolated(ValueError):
 
 @dataclass
 class SamplingConfig:
-    """Budgets for witness search and alpha bracketing."""
+    """Witness-search budgets ``directions``, ``bracket_rtol`` and ``seed``; the
+    ``tolerance`` and the unread ``refinement_rounds`` are class constants."""
 
     directions: int = 128
-    refinement_rounds: int = 3  # unread; perfbench's witness recheck still passes it
-    tolerance: float = 1e-7
     bracket_rtol: float = 0.01  # stop when alpha_hi - alpha_lo <= rtol * alpha_lo
     seed: int = 0
+    tolerance: ClassVar[float] = 1e-7
+    refinement_rounds: ClassVar[int] = 3
 
 
 @dataclass

@@ -88,8 +88,7 @@ def _speculative_bisect(merit_many, tol: float, lo: float, hi: float, iters: int
     verdict the guess got wrong.  Every kept step is the step-by-step loop's,
     so the result equals its for any merit; the guess moves only the number
     of calls.  Rounds group t values differently from the loop, so a row's
-    merit must not depend on its batch-mates (true on the orthant; see the
-    README on face-table cones)."""
+    merit must not depend on its batch-mates, which holds on every shape."""
     misses = sorted((t, m) for t, m in samples if not m <= tol)[-2:]
     while iters > 0:
         g = lo

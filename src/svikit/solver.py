@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -51,20 +51,20 @@ class AlreadyFeasible(ValueError):
 
 @dataclass
 class SolverConfig:
-    """Descent-loop configuration.
+    """Descent-loop configuration; the iteration cap ``max_iters`` is a class constant.
 
     ``alpha_tilde`` is the increase (for vector optimization, decrease)
     bound; unset, it is the problem's ``declared_alpha``, else sampled (see
     ``solve``).  ``alpha`` is the descent constant: above 1 without
     constraints, inside ((alpha_tilde - ell + 1)/2, alpha_tilde - ell) with
     them, ell being the problem's ``ell``; unset, ``solve`` picks one.
-    """
+    ``tol`` is the merit at which a run converges; ``rng_seed`` seeds its steps."""
 
     alpha: Optional[float] = None
     alpha_tilde: Optional[float] = None
     tol: float = 1e-8
-    max_iters: int = 10_000
     rng_seed: int = 0
+    max_iters: ClassVar[int] = 10_000
 
 
 @dataclass(slots=True)

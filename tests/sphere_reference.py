@@ -48,8 +48,9 @@ def sphere_max(centers: np.ndarray, s: float, ss: SumSet):
     ctr = centers - shift
     tables = [geometry._faces(owner, base, gens)]
     if tables[0] is None:
-        faces = geometry._subsets(len(base), 0 if gens is None else len(gens), ss.dim)
-        tables = (geometry._face_table(base, gens, run)
+        shape = len(base), 0 if gens is None else len(gens), ss.dim
+        faces = geometry._subsets(*shape)
+        tables = (geometry._face_table(base, gens, geometry._gather(run, *shape))
                   for run in iter(lambda: list(islice(faces, geometry._FACE_BUDGET)), []))
     best, point = np.full(len(ctr), -math.inf), np.zeros_like(ctr)
     for table in tables:

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from svikit.geometry import (Verdict, VPolytope, ball_sup_dist,
-                             enlargement_inclusion, excess, orthant)
-from svikit.increase import (PropertyAbsent, estimate_bound,
-                             hints_for_matrix, hints_for_problem)
+                             enlargement_inclusion, excess, hints_for_matrix, orthant)
+from svikit.increase import PropertyAbsent, estimate_bound, hints_for_problem
 from svikit.parametric import continuity_report, sweep, write_csv
 from svikit.problems import (boxed_rotation_problem,
                              rotation_inclusion_problem,

@@ -93,7 +93,7 @@ def test_merit_many_on_face_table_cones():
             assert np.max(np.abs(got - ref), initial=0.0) <= 1e-14
 
 
-def test_merit_many_validates_at_the_boundary(rotation_problem, triangle_spec):
+def test_merit_many_validates_at_the_boundary(rotation_problem, triangle_spec, monkeypatch):
     with pytest.raises(ValueError):
         rotation_problem.at(0.0).merit_many(np.zeros((4, 3)))
     with pytest.raises(ValueError):
@@ -130,8 +130,9 @@ def test_merit_many_validates_at_the_boundary(rotation_problem, triangle_spec):
         with pytest.raises(ImageOverflow, match="the image at p = 2.0 has a merit"):
             huge.at(2.0).merit_many([[1.0, 1.0]])
         # a descent stops there, where inf + k*d <= inf would accept every step
+        monkeypatch.setattr(SolverConfig, "max_iters", 200)
         with pytest.raises(ImageOverflow, match="the image at p = 2.0 has a merit"):
-            solver.solve(huge, 2.0, [1.0, 1.0], SolverConfig(alpha=1.5, max_iters=200))
+            solver.solve(huge, 2.0, [1.0, 1.0], SolverConfig(alpha=1.5))
 
 
 def _knot_table_problem():

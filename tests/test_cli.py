@@ -72,6 +72,49 @@ def test_solve_verb_on_a_sampled_alpha_tilde_is_not_certified(problem_files, tmp
     assert lines[-2:] == ["alpha_source = declared", "caristi_certified = true"]
 
 
+# a start point per bundled file for svi solve, or svi vopt --p on a vector-optimization file
+CATALOG_RUNS = {"rotation": ("solve", "0.3", "1,1"), "boxed": ("solve", "0.3", "1,1"),
+                "triangle": ("vopt", "0.0", "0.3,0.3"), "deviation": ("vopt", "1.0", "0.84")}
+
+
+@pytest.mark.parametrize("name, declared", [
+    ("rotation", True), ("rotation", False), ("boxed", True), ("boxed", False),
+    ("triangle", False), ("deviation", False)])  # the vector-optimization files declare none
+def test_solve_and_verify_props_agree_on_alpha_tilde(problem_files, tmp_path, capsys, name,
+                                                     declared):
+    # each bundled file, and the same file with its declared_alpha removed:
+    # a declared alpha_tilde is the one the run uses, certified, and the one
+    # verify-props prints; without it the run is uncertified on a sampled or
+    # floor constant, and verify-props reads UNKNOWN
+    data = json.loads(open(problem_files[name]).read())
+    alpha = data.pop("declared_alpha", None)
+    if declared:
+        data["declared_alpha"] = alpha
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    verb, p, x0 = CATALOG_RUNS[name]
+    argv = [verb, "--problem", str(path), "--p", p, "--x0", x0]
+    assert main(argv) == 0
+    run = capsys.readouterr().out.splitlines()
+    assert main(["verify-props", "--problem", str(path)]) == 0
+    props = capsys.readouterr().out.splitlines()
+    if declared:
+        assert run[-2:] == ["alpha_source = declared", "caristi_certified = true"]
+        assert f"alpha_tilde = {alpha:.6g} (declared)" in props
+        # the run's constants are those of the declared value given as a flag
+        assert main([*argv, "--alpha-tilde", repr(alpha)]) == 0
+        constants = [l for l in run if l.startswith("alpha = ")]
+        assert constants == [l for l in capsys.readouterr().out.splitlines()
+                             if l.startswith("alpha = ")]
+    else:
+        source = [l for l in run if l.startswith("alpha_source = ")]
+        assert source in (["alpha_source = sampled"], ["alpha_source = floor"])
+        assert "caristi_certified = false" in run
+        assert ("UNKNOWN  alpha_tilde: none declared (svi estimate-inc brackets a sampled one)"
+                in props)
+        assert not any(l.startswith("alpha_tilde = ") for l in props)
+
+
 def test_solve_verb_exits_2_when_no_step_is_found(problem_files, capsys):
     # alpha = 15 asks for k = 14, and k = 7 after the retry: both above the
     # merit's Lipschitz bound ||M|| + ell = 3.5, so no step can pass the rule

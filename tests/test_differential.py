@@ -69,13 +69,14 @@ def _ideal_runs(rng: np.random.Generator, specs: int):
                 yield i, spec, p, oracle, x0
 
 
-def test_unsolved_ideal_runs_take_the_exact_oracles_verdict():
+def test_unsolved_ideal_runs_take_the_exact_oracles_verdict(monkeypatch):
     # every run that ends unsolved is CERTIFIED_EMPTY exactly when the oracle
     # finds no ideal point; every run carries that oracle result and its
     # solve result, and a found point is feasible with merit at most tol.
     # NOT_FOUND rows (the descent missed an ideal point) all stop for want of
     # a step; they and found rows the oracle calls empty are reported
-    cfg = SolverConfig(alpha_tilde=2.0, max_iters=200)
+    monkeypatch.setattr(SolverConfig, "max_iters", 200)
+    cfg = SolverConfig(alpha_tilde=2.0)
     counts = {}
     found_oracle_empty = 0
     for _, spec, p, oracle, x0 in _ideal_runs(np.random.default_rng(1606), 32):
@@ -97,7 +98,7 @@ def test_unsolved_ideal_runs_take_the_exact_oracles_verdict():
 
 
 def test_sampled_alpha_tilde_without_witnesses_leaves_the_verdict_to_the_oracle(
-        tmp_path, capsys):
+        tmp_path, capsys, monkeypatch):
     # with alpha_tilde sampled, no sampled point of specs 4 and 8 of this
     # draw has witnesses (PropertyAbsent), nor of spec 5 at p = 0 and at its
     # middle p: such a run descends best-effort on floor constants (alpha
@@ -106,7 +107,8 @@ def test_sampled_alpha_tilde_without_witnesses_leaves_the_verdict_to_the_oracle(
     # sweep over specs 4 and 8, whose one shared estimate finds no witnesses
     # either, gives every row its own bound, and the oracle calls each row
     # empty
-    cfg = SolverConfig(max_iters=200)
+    monkeypatch.setattr(SolverConfig, "max_iters", 200)  # undone before the CLI run below
+    cfg = SolverConfig()
     specs = {}
     for i, spec, p, oracle, x0 in _ideal_runs(np.random.default_rng(1606), 9):
         specs[i] = spec
@@ -126,6 +128,7 @@ def test_sampled_alpha_tilde_without_witnesses_leaves_the_verdict_to_the_oracle(
         table = ideal_value_sweep(specs[i], list(KNOTS), np.zeros(dim), cfg)
         assert table.meta["statuses"] == [CERTIFIED_EMPTY] * 3
         assert math.isnan(table.meta["alpha_under"]) and table.meta["alpha_source"] == "floor"
+    monkeypatch.undo()
     # svi vopt --p reports such a row as an answer, not a solver failure
     path = tmp_path / "spec4.json"
     write_problem_file(path, specs[4])

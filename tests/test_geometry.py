@@ -842,7 +842,9 @@ def test_face_tables_match_a_per_subset_assembly(monkeypatch, budget):
         assert len(calls) == (0 if dim == m and len(full) <= budget else len(runs))
         for (B, G, table), run in zip(calls, runs):
             assert_same_table(table, reference_face_table(B, G, run))
-            assert_same_table(face_table_of(B, G, run), table)  # from tuples too
+            # from the run's own gather too
+            assert_same_table(face_table_of(B, G, geometry._gather(run, len(B), len(G), dim)),
+                              table)
     assert spans >= 10
 
 

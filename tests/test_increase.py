@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from svikit import increase
 from svikit.geometry import (SumSet, VPolytope, _distance_rows, _least_slack, _nearest_rows,
-                             dist_many, enlargement_inclusion, numgrad, orthant, row_norms,
-                             unit_directions)
+                             dist_many, enlargement_inclusion, hints_for_matrix, numgrad,
+                             orthant, row_norms, unit_directions)
 from svikit.increase import (HypothesisViolated, PropertyAbsent,
                              SamplingConfig, check_increase, estimate_bound,
-                             global_infimum, hints_for_matrix, perturbed_bound)
+                             global_infimum, perturbed_bound)
 from svikit.problems import rotation_inclusion_problem
 from conftest import ROT_BOUND, PERTURBED_BOUND, random_pointed_cone
 from sphere_reference import ball_sup
@@ -99,23 +99,27 @@ def test_check_increase_matches_a_candidate_by_candidate_scan(seed):
     alpha, r = float(rng.uniform(1.02, 4.0)), float(rng.choice([1.0, 0.5, 0.125]))
     cfg = SamplingConfig(directions=16, seed=int(rng.integers(100)))
     hints = hints_for_matrix(mats[0], cone) if rng.random() < 0.5 else None
+    tol = SamplingConfig.tolerance
     if rng.random() < 0.3:  # a tolerance above (alpha - 1) r: vertices off G(x) + C may pass
-        cfg.tolerance = (alpha - 1.0) * r * rng.uniform(1.0, 3.0)
-    got = check_increase(map_at, cone, x, alpha, r, cfg, hints)
-    want = reference_check(map_at, cone, x, alpha, r, cfg, hints)
+        tol = (alpha - 1.0) * r * rng.uniform(1.0, 3.0)
+    with pytest.MonkeyPatch.context() as patch:  # a hypothesis test takes no fixture
+        patch.setattr(SamplingConfig, "tolerance", tol)
+        got = check_increase(map_at, cone, x, alpha, r, cfg, hints)
+        want = reference_check(map_at, cone, x, alpha, r, cfg, hints)
     assert (got is None) == (want is None)
     if got is not None:
         assert np.array_equal(got, want)
 
 
-def test_a_vertex_outside_within_the_tolerance_is_measured(plane_orthant):
+def test_a_vertex_outside_within_the_tolerance_is_measured(plane_orthant, monkeypatch):
     # alpha r + dist(v) <= r + tolerance decides a vertex off the target: at
     # (-0.1, -0.1) off the orthant, the cached depth is dist 0.1414, not the
     # facet violation 0.1
     g = lambda u: VPolytope(np.asarray(u, dtype=float)[None, :])
     v = np.array([[-0.1, -0.1]])
     for tol, holds in ((0.22, False), (0.25, True)):
-        s = increase._Search(g, plane_orthant, np.zeros(2), SamplingConfig(tolerance=tol), None,
+        monkeypatch.setattr(SamplingConfig, "tolerance", tol)
+        s = increase._Search(g, plane_orthant, np.zeros(2), SamplingConfig(), None,
                              np.random.default_rng(0))
         s.lists[1.0] = v, np.empty(0)  # a one-candidate list at r = 1
         assert (s.witness(1.1, 1.0) is not None) == holds
@@ -159,19 +163,21 @@ def test_witness_matches_measuring_every_outside_vertex(seed):
     cone, mats, map_at, x = random_fan_instance(rng)
     hints = hints_for_matrix(mats[0], cone) if rng.random() < 0.5 else None
     r = float(rng.choice([1.0, 0.5, *increase.QUALIFYING_RADII]))
-    tol = [0.0, SamplingConfig().tolerance,
+    tol = [0.0, SamplingConfig.tolerance,
            (rng.uniform(1.02, 4.0) - 1.0) * r * rng.uniform(1.0, 3.0)][seed % 3]
-    cfg = SamplingConfig(directions=16, tolerance=tol)
+    cfg = SamplingConfig(directions=16)
     s, ref = (increase._Search(map_at, cone, x, cfg, hints, np.random.default_rng(seed))
               for _ in range(2))
     alphas = [1.0 + 1e-12 * rng.uniform(0.01, 1.0) for _ in range(3)]
     alphas += [float(a) for a in rng.uniform(1.02, 4.0, 4)]
     if tol > 0:
         alphas += [1.0 + 4.0 * tol / r * rng.uniform(1e-3, 1.0) for _ in range(3)]
-    for alpha in rng.permutation(alphas):
-        got, want = s.witness(alpha, r), reference_witness(ref, alpha, r)
-        assert (got is None) == (want is None), (alpha, tol)
-        assert got is None or np.array_equal(got, want), (alpha, tol)
+    with pytest.MonkeyPatch.context() as patch:  # a hypothesis test takes no fixture
+        patch.setattr(SamplingConfig, "tolerance", tol)
+        for alpha in rng.permutation(alphas):
+            got, want = s.witness(alpha, r), reference_witness(ref, alpha, r)
+            assert (got is None) == (want is None), (alpha, tol)
+            assert got is None or np.array_equal(got, want), (alpha, tol)
 
 
 def test_witness_measures_only_blocks_with_a_vertex_within_the_tolerance(monkeypatch):
@@ -182,7 +188,9 @@ def test_witness_measures_only_blocks_with_a_vertex_within_the_tolerance(monkeyp
         rng = np.random.default_rng(seed)
         cone, mats, map_at, x = random_fan_instance(rng)
         r, alpha = 0.5, float(rng.uniform(1.02, 2.0))
-        cfg = SamplingConfig(directions=16, tolerance=[1e-7, (alpha - 1.0) * r * 1.5][seed % 2])
+        tol = [1e-7, (alpha - 1.0) * r * 1.5][seed % 2]
+        monkeypatch.setattr(SamplingConfig, "tolerance", tol)
+        cfg = SamplingConfig(directions=16)
         s = increase._Search(map_at, cone, x, cfg, None, np.random.default_rng(seed))
         calls = []
         monkeypatch.setattr(increase, "_distance_rows",
@@ -200,8 +208,8 @@ def test_witness_measures_only_blocks_with_a_vertex_within_the_tolerance(monkeyp
                                     if row_norms((u - x)[None])[0] > 1e-15])
             sd = -_least_slack(verts, s.target)
             outside += int((sd >= 0.0).any())
-            if ((sd >= 0.0) & (r + sd <= r + cfg.tolerance)).any():
-                want.append(verts[(sd >= 0.0) & (r + sd <= r + cfg.tolerance)])
+            if ((sd >= 0.0) & (r + sd <= r + tol)).any():
+                want.append(verts[(sd >= 0.0) & (r + sd <= r + tol)])
         assert len(calls) == len(want), seed
         assert all(np.array_equal(c, w) for c, w in zip(calls, want)), seed
         measured += len(calls)

@@ -154,10 +154,11 @@ def test_sweep_input_validation(rotation_problem):
         sweep(rotation_problem, [1.0, 0.5], [0.0, 0.0], cfg)
 
 
-def test_iteration_capped_rows_keep_the_last_iterate(rotation_problem):
+def test_iteration_capped_rows_keep_the_last_iterate(rotation_problem, monkeypatch):
     # a row that hits the cap above tol records where the run stopped and
     # its merit, and the next row starts there (and is solved from there)
-    cfg = SolverConfig(alpha=1.5, tol=1e-16, max_iters=2)
+    monkeypatch.setattr(SolverConfig, "max_iters", 2)
+    cfg = SolverConfig(alpha=1.5, tol=1e-16)
     start = np.array([-2.0, -1.0])
     table = sweep(rotation_problem, [0.0, 0.1], start, cfg)
     res = solve(rotation_problem, 0.0, start, cfg)
@@ -171,10 +172,11 @@ def test_iteration_capped_rows_keep_the_last_iterate(rotation_problem):
     assert second.solved
 
 
-def test_a_last_allowed_step_that_converges_is_converged(rotation_problem):
+def test_a_last_allowed_step_that_converges_is_converged(rotation_problem, monkeypatch):
     # the one allowed step from (50, 50) lands at merit 0: the run converged
     # and its sweep row is solved with a finite bound
-    cfg = SolverConfig(alpha=1.5, tol=1e-16, max_iters=1)
+    monkeypatch.setattr(SolverConfig, "max_iters", 1)
+    cfg = SolverConfig(alpha=1.5, tol=1e-16)
     res = solve(rotation_problem, 1.0, [50.0, 50.0], cfg)
     assert res.iterations == 1 and res.merit_final == 0.0
     assert res.stop == "converged"

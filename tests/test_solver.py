@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -167,21 +168,23 @@ def test_monotone_merit_and_telescoping(rotation_problem, monkeypatch):
 def test_every_descent_kind_keeps_the_certificate(rotation_problem, boxed_problem,
                                                   triangle_spec, monkeypatch):
     # converged, no_step and max_iters runs, unconstrained, constrained and
-    # on floor constants, with and without a back-off
+    # on floor constants, with and without a back-off; each run's last
+    # entry is its iteration cap
     stuck = SviProblem(matrix=MatrixTable(np.zeros((2, 2))), cone=orthant(2),
                        h=ConcaveTerm((AbsComponent(-1.0), AbsComponent(-1.0))),
                        declared_alpha=1.5)
-    runs = [(rotation_problem, 1.0, [-5.0, 2.0], SolverConfig(alpha=1.5)),
-            (rotation_problem, 1.0, [-5.0, 2.0], SolverConfig(alpha=1.5, tol=1e-16,
-                                                              max_iters=1)),
-            (rotation_problem, 0.3, [-1.0, -1.0], SolverConfig(alpha=1.9)),
-            (stuck, 0.0, [0.0, 0.0], SolverConfig(alpha=1.3)),
-            (boxed_problem, 1.0, [4.0, 4.0], SolverConfig()),
-            (boxed_problem, 0.3, [-3.0, 2.0], SolverConfig(rng_seed=2)),
-            (triangle_spec, 0.0, [0.3, 0.3], SolverConfig(alpha_tilde=1.0 + 1.0 / SQRT2)),
-            (triangle_spec, 2.0, [1.2, -0.4], SolverConfig(alpha_tilde=3.0, max_iters=300))]
+    cap = SolverConfig.max_iters
+    runs = [(rotation_problem, 1.0, [-5.0, 2.0], SolverConfig(alpha=1.5), cap),
+            (rotation_problem, 1.0, [-5.0, 2.0], SolverConfig(alpha=1.5, tol=1e-16), 1),
+            (rotation_problem, 0.3, [-1.0, -1.0], SolverConfig(alpha=1.9), cap),
+            (stuck, 0.0, [0.0, 0.0], SolverConfig(alpha=1.3), cap),
+            (boxed_problem, 1.0, [4.0, 4.0], SolverConfig(), cap),
+            (boxed_problem, 0.3, [-3.0, 2.0], SolverConfig(rng_seed=2), cap),
+            (triangle_spec, 0.0, [0.3, 0.3], SolverConfig(alpha_tilde=1.0 + 1.0 / SQRT2), cap),
+            (triangle_spec, 2.0, [1.2, -0.4], SolverConfig(alpha_tilde=3.0), 300)]
     stops = set()
-    for problem, p, x0, cfg in runs:
+    for problem, p, x0, cfg, max_iters in runs:
+        monkeypatch.setattr(SolverConfig, "max_iters", max_iters)
         steps = _step_spy(monkeypatch)
         res = solve(problem, p, x0, cfg)
         stops.add(res.stop)
@@ -248,32 +251,33 @@ def _remeasuring_solve(problem, p, x0, cfg):
 
 
 def _differential_runs(rotation_problem, boxed_problem, triangle_spec):
-    """(kind, problem, p, x0, cfg) of seeded runs: rotation, boxed rotation,
-    the triangle spec (certified and floor constants), inclusions on a
-    ``random_pointed_cone``, whose merit reads a face table, and rotation
-    runs that reach the iteration cap."""
+    """(kind, problem, p, x0, cfg, max_iters) of seeded runs: rotation, boxed
+    rotation, the triangle spec (certified and floor constants), inclusions
+    on a ``random_pointed_cone``, whose merit reads a face table, and
+    rotation runs that reach the iteration cap."""
     rng = np.random.default_rng(32)
+    cap = SolverConfig.max_iters
     for _ in range(40):
         yield ("rotation", rotation_problem, float(rng.uniform(0.0, 2.0 * math.pi)),
-               rng.uniform(-3.0, 3.0, 2), SolverConfig(alpha=1.5, rng_seed=int(rng.integers(100))))
+               rng.uniform(-3.0, 3.0, 2), SolverConfig(alpha=1.5, rng_seed=int(rng.integers(100))),
+               cap)
     for _ in range(20):
         yield ("boxed", boxed_problem, float(rng.uniform(0.0, 2.0 * math.pi)),
-               rng.uniform(-3.0, 3.0, 2), SolverConfig(rng_seed=int(rng.integers(100))))
+               rng.uniform(-3.0, 3.0, 2), SolverConfig(rng_seed=int(rng.integers(100))), cap)
     for _ in range(20):
         cfg = SolverConfig(alpha_tilde=float(rng.choice([1.0 + 1.0 / SQRT2, 3.0])),
-                           rng_seed=int(rng.integers(100)), max_iters=300)
+                           rng_seed=int(rng.integers(100)))
         yield ("triangle", triangle_spec, float(rng.uniform(0.0, 6.0)),
-               rng.uniform(-0.5, 1.5, 2), cfg)
+               rng.uniform(-0.5, 1.5, 2), cfg, 300)
     for _ in range(40):
         m = int(rng.integers(2, 4))
         cone = random_pointed_cone(rng, m)
         problem = SviProblem(matrix=MatrixTable(rng.standard_normal((m, m))), cone=cone)
-        cfg = SolverConfig(alpha=float(rng.uniform(1.05, 1.5)), max_iters=200,
-                           rng_seed=int(rng.integers(100)))
-        yield "cone", problem, 0.0, rng.uniform(-2.0, 2.0, m), cfg
+        cfg = SolverConfig(alpha=float(rng.uniform(1.05, 1.5)), rng_seed=int(rng.integers(100)))
+        yield "cone", problem, 0.0, rng.uniform(-2.0, 2.0, m), cfg, 200
     for _ in range(10):  # cut short by the iteration cap
         yield ("rotation", rotation_problem, float(rng.uniform(0.0, 2.0 * math.pi)),
-               rng.uniform(-6.0, 6.0, 2), SolverConfig(alpha=1.5, tol=1e-16, max_iters=1))
+               rng.uniform(-6.0, 6.0, 2), SolverConfig(alpha=1.5, tol=1e-16), 1)
 
 
 def test_solve_matches_the_remeasuring_loop(rotation_problem, boxed_problem, triangle_spec,
@@ -289,8 +293,9 @@ def test_solve_matches_the_remeasuring_loop(rotation_problem, boxed_problem, tri
         return original(merit_fn, x, fx, *args, **kwargs)
 
     stops = set()
-    for kind, problem, p, x0, cfg in _differential_runs(rotation_problem, boxed_problem,
-                                                        triangle_spec):
+    for kind, problem, p, x0, cfg, max_iters in _differential_runs(rotation_problem,
+                                                                   boxed_problem, triangle_spec):
+        monkeypatch.setattr(SolverConfig, "max_iters", max_iters)
         monkeypatch.setattr("svikit.solver.caristi_step", step)
         held.clear()
         res = solve(problem, p, x0, cfg)
@@ -400,10 +405,21 @@ def test_determinism(rotation_problem):
     assert a.merit_initial == b.merit_initial and a.merit_final == b.merit_final
 
 
-def test_max_iters_exceeded(rotation_problem):
+def test_configs_hold_only_the_options_callers_set():
+    # a new option is a deliberate edit here; the iteration cap, the witness
+    # tolerance and the unread refinement rounds are class constants
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "alpha", "alpha_tilde", "tol", "rng_seed"]
+    assert [f.name for f in dataclasses.fields(SamplingConfig)] == [
+        "directions", "bracket_rtol", "seed"]
+    assert (SolverConfig.max_iters, SamplingConfig.tolerance,
+            SamplingConfig.refinement_rounds) == (10_000, 1e-7, 3)
+
+
+def test_max_iters_exceeded(rotation_problem, monkeypatch):
     # one step from (-5, 2) leaves merit 0.51 (from (50, 50) it reaches 0)
-    res = solve(rotation_problem, 1.0, [-5.0, 2.0],
-                SolverConfig(alpha=1.5, tol=1e-16, max_iters=1))
+    monkeypatch.setattr(SolverConfig, "max_iters", 1)
+    res = solve(rotation_problem, 1.0, [-5.0, 2.0], SolverConfig(alpha=1.5, tol=1e-16))
     # the result carries the last iterate and its merit, as a no-step run does
     assert res.stop == "max_iters" and res.iterations == 1
     assert not np.array_equal(res.x_final, [-5.0, 2.0])

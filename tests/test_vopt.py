@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_pointed_cone
-from svikit.geometry import (PolyCone, SumSet, VPolytope, matvec_rows, orthant,
-                             project_dist)
+from svikit.geometry import (PolyCone, SumSet, VPolytope, hints_for_matrix, matvec_rows,
+                             orthant, project_dist)
 
 from svikit.increase import (PropertyAbsent, SamplingConfig, estimate_bound,
-                             global_infimum, hints_for_matrix, nonsolution_pairs)
+                             global_infimum, nonsolution_pairs)
 from svikit.problems import (deviation_vop_spec, sine_deviation_spec,
                              triangle_vop_spec)
 from svikit import vopt
@@ -539,10 +539,11 @@ def test_global_infimum_raises_only_when_every_sample_lacks_witnesses():
         global_infimum(spec, [1.0], [near])
 
 
-def test_capped_ideal_rows_keep_the_last_iterate(triangle_spec):
+def test_capped_ideal_rows_keep_the_last_iterate(triangle_spec, monkeypatch):
     # a row stopped by the iteration cap records its last iterate and that
     # iterate's merit; an unsolved row does not move the next row's start
-    cfg = SolverConfig(tol=1e-16, max_iters=1)
+    monkeypatch.setattr(SolverConfig, "max_iters", 1)
+    cfg = SolverConfig(tol=1e-16)
     table = ideal_value_sweep(triangle_spec, [0.0, 0.1], [0.3, 0.3], cfg,
                               alpha_under=DEC_TRIANGLE)
     run_cfg = replace(cfg, alpha_tilde=DEC_TRIANGLE)
