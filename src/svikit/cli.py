@@ -3,8 +3,9 @@
 Verbs: solve, sweep, estimate-inc, vopt, verify-props (the theorem's
 hypotheses and constants, read off the file).  Exit codes: 0 on success, 1 on
 usage/parse errors, 2 on solver failure or a hypothesis that reads FAIL, 3 on
-internal errors.  SVI_LOG sets the logging level (default warning); the one
-record is an internal error's traceback (the library logs nothing).
+internal errors.  SVI_LOG sets the logging level by name (default warning,
+which any name that is no level reads as); the one record is an internal
+error's traceback (the library logs nothing).
 """
 from __future__ import annotations
 
@@ -315,8 +316,10 @@ _VERBS = {
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("SVI_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    # only a level's name: logging's other upper-case names (BASIC_FORMAT,
+    # _STYLES) are no level, and basicConfig would raise on them
+    level = getattr(logging, os.environ.get("SVI_LOG", "warning").upper(), None)
+    logging.basicConfig(level=level if type(level) is int else logging.WARNING)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

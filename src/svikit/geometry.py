@@ -33,8 +33,21 @@ import numpy as np
 GEOM_TOL = 1e-9
 
 
+#: arrays of at most this many entries take ``all_finite``'s Python-float
+#: path, the cheaper one up to here: 0.38-0.57 us against numpy's 0.86 at
+#: 2-8 entries, 0.79 against 0.85 at 16 and 1.16 against 0.88 at 24
+#: (timeit, least of 5 runs; Python 3.11, numpy 2.4, 2-CPU x86-64 VM)
+_SMALL_FINITE = 16
+
+
 def all_finite(a: np.ndarray) -> bool:
-    """``np.isfinite(a).all()``, at half its cost on small arrays."""
+    """``np.isfinite(a).all()`` of a real array.  Up to ``_SMALL_FINITE``
+    entries it reads them as Python numbers (``math.isfinite`` over
+    ``tolist``): a one-row image checks its row and its vertices, 2-8
+    entries each, where numpy's fixed cost per call is most of the check.
+    Larger arrays count ``np.isfinite``'s hits, at half the cost of ``.all()``."""
+    if a.size <= _SMALL_FINITE:
+        return all(map(math.isfinite, a.ravel().tolist()))
     return np.count_nonzero(np.isfinite(a)) == a.size
 
 

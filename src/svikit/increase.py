@@ -43,9 +43,23 @@ class HypothesisViolated(ValueError):
     """A calculus hypothesis (e.g. the perturbation budget) fails."""
 
 
+def _check_int(name: str, value, least: int) -> None:
+    """Raise ValueError unless value is an integer (Python's or numpy's, not
+    a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    """Raise ValueError unless value is finite and above 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass
 class SamplingConfig:
-    """Witness-search budgets ``directions``, ``bracket_rtol`` and ``seed``; the
+    """Witness-search budgets ``directions`` (at least 1), ``bracket_rtol``
+    (finite, above 0) and ``seed`` (at least 0), checked at construction; the
     ``tolerance`` and the unread ``refinement_rounds`` are class constants."""
 
     directions: int = 128
@@ -53,6 +67,11 @@ class SamplingConfig:
     seed: int = 0
     tolerance: ClassVar[float] = 1e-7
     refinement_rounds: ClassVar[int] = 3
+
+    def __post_init__(self):
+        _check_int("directions", self.directions, 1)
+        _check_positive("bracket_rtol", self.bracket_rtol)
+        _check_int("seed", self.seed, 0)
 
 
 @dataclass

@@ -22,7 +22,8 @@ from typing import Callable, ClassVar, Optional
 import numpy as np
 
 from .geometry import as_vector, numgrad, row_norms, seeded_rotation, unit_directions
-from .increase import PropertyAbsent, SamplingConfig, global_infimum
+from .increase import (PropertyAbsent, SamplingConfig, _check_int, _check_positive,
+                       global_infimum)
 from .setmaps import is_all_space
 
 #: the sampled descent's first radius and its shrink factor per round
@@ -58,13 +59,24 @@ class SolverConfig:
     ``solve``).  ``alpha`` is the descent constant: above 1 without
     constraints, inside ((alpha_tilde - ell + 1)/2, alpha_tilde - ell) with
     them, ell being the problem's ``ell``; unset, ``solve`` picks one.
-    ``tol`` is the merit at which a run converges; ``rng_seed`` seeds its steps."""
+    ``tol`` is the merit at which a run converges; ``rng_seed`` seeds its steps.
+    Construction checks that alpha and alpha_tilde are None or finite (their
+    ranges are checked against the problem by ``solve``), tol finite and
+    above 0 and rng_seed an integer of at least 0."""
 
     alpha: Optional[float] = None
     alpha_tilde: Optional[float] = None
     tol: float = 1e-8
     rng_seed: int = 0
     max_iters: ClassVar[int] = 10_000
+
+    def __post_init__(self):
+        for name in ("alpha", "alpha_tilde"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be None or finite, got {value!r}")
+        _check_positive("tol", self.tol)
+        _check_int("rng_seed", self.rng_seed, 0)
 
 
 @dataclass(slots=True)

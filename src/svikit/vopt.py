@@ -358,9 +358,10 @@ def ideal_value_sweep(spec: VopSpec, grid: Sequence[float], x_init,
     row starts where the last solved one ended.  Every row runs at one
     decrease bound: ``alpha_under``, else ``cfg.alpha_tilde``, else
     ``global_infimum`` of the spec over the grid's first and middle
-    values.  When no sampled point has witnesses the rows share no bound:
-    each resolves its own, descending on floor constants where it finds
-    none, and ``meta["alpha_under"]`` is nan.  ``meta["alpha_source"]`` says
+    values; a given ``alpha_under`` must be finite (``solve`` checks its
+    range against the problem).  When no sampled point has witnesses the
+    rows share no bound: each resolves its own, descending on floor
+    constants where it finds none, and ``meta["alpha_under"]`` is nan.  ``meta["alpha_source"]`` says
     which: "given", "sampled" (every row's run then reads sampled,
     uncertified) or "floor" (no shared bound).  ``meta["statuses"]`` holds one
     status per row: the exact oracle's verdict ('ideal' or 'empty') with
@@ -370,6 +371,8 @@ def ideal_value_sweep(spec: VopSpec, grid: Sequence[float], x_init,
     stays only for callers that still pass it."""
     cfg = cfg or SolverConfig()
     grid = _sorted_grid(grid)
+    if alpha_under is not None and not math.isfinite(alpha_under):
+        raise ValueError(f"alpha_under must be None or finite, got {alpha_under!r}")
     alpha_under = cfg.alpha_tilde if alpha_under is None else alpha_under
     source = "sampled" if alpha_under is None else "given"
     if alpha_under is None:

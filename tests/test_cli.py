@@ -1,5 +1,6 @@
 import copy
 import json
+import logging
 import math
 import warnings
 
@@ -159,6 +160,24 @@ def test_unexpected_exception_is_an_internal_error(problem_files, monkeypatch, c
     rc = main(["solve", "--problem", problem_files["rotation"], "--p", "0", "--x0", "0,0"])
     assert rc == 3
     assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, level", [("basic_format", logging.WARNING),
+                                         ("_styles", logging.WARNING),
+                                         ("verbose", logging.WARNING), ("info", logging.INFO)])
+def test_svi_log_takes_level_names_only(problem_files, monkeypatch, capsys, name, level):
+    # logging.BASIC_FORMAT, a format string, made basicConfig raise outside
+    # main's try; a name that is no level falls back to warning.  The root
+    # logger gets no handler from the test runner here, so basicConfig acts
+    root = logging.getLogger()
+    monkeypatch.setattr(root, "handlers", [])
+    monkeypatch.setenv("SVI_LOG", name)
+    old = root.level
+    try:
+        assert main(["verify-props", "--problem", problem_files["rotation"]]) == 0
+        assert root.level == level
+    finally:
+        root.setLevel(old)
 
 
 def test_missing_problem_file_exit_code(capsys):

@@ -471,6 +471,27 @@ def test_a_generator_whose_norm_overflows_is_rejected():
     assert big.pointed
 
 
+def test_both_finiteness_paths_agree_with_numpy():
+    # all_finite reads up to _SMALL_FINITE entries as Python numbers and
+    # counts numpy's hits above: both give np.isfinite(a).all() on either
+    # side of the limit
+    limit = geometry._SMALL_FINITE
+    arrays = [np.empty(0), np.empty((0, 3)), np.zeros((2, 0), dtype=int)]
+    for size in (1, 2, limit - 1, limit, limit + 1, 2 * limit + 2):
+        base = np.linspace(-1.0, 1.0, size)
+        arrays += [np.arange(size), np.arange(size, dtype=np.uint8), base > 0.0,
+                   np.full(size, np.iinfo(np.int64).max), base.reshape(-1, 1),
+                   np.resize(base, (2, size))[:, ::-1]]  # a view that is not contiguous
+        for value in (math.nan, math.inf, -math.inf, -0.0, 1e308):
+            for i in {0, size // 2, size - 1}:
+                a = base.copy()
+                a[i] = value
+                arrays += [a, a.reshape(1, -1)]
+    for a in arrays:
+        assert geometry.all_finite(a) == bool(np.isfinite(a).all()), (a.dtype, a)
+    assert {a.size <= limit for a in arrays} == {True, False}
+
+
 def test_facets_describe_the_cone():
     # C = {y : W y >= 0} with unit rows: the identity for the orthant; for
     # random pointed cones (k < m generators among them), a half-plane and a

@@ -158,9 +158,14 @@ def reference_witness(s, alpha, r):
 def test_witness_matches_measuring_every_outside_vertex(seed):
     # an up-and-down alpha sequence on one _Search: alpha within 1e-12 of 1,
     # within 4 tol / r of 1 and in [1.02, 4]; tolerance 0, the default, or
-    # above (alpha - 1) r, where vertices off G(x) + C may pass
+    # above (alpha - 1) r, where vertices off G(x) + C may pass.  Every
+    # other seed's map images one vertex on one side of a plane through x and
+    # all of them on the other, so that a block's images differ in size
     rng = np.random.default_rng(seed)
     cone, mats, map_at, x = random_fan_instance(rng)
+    if seed % 2:
+        normal = rng.standard_normal(len(x))
+        map_at = lambda u: VPolytope((mats if normal @ (u - x) <= 0.0 else mats[:1]) @ u)
     hints = hints_for_matrix(mats[0], cone) if rng.random() < 0.5 else None
     r = float(rng.choice([1.0, 0.5, *increase.QUALIFYING_RADII]))
     tol = [0.0, SamplingConfig.tolerance,
@@ -341,11 +346,13 @@ def test_estimate_bound_evaluates_the_shared_points_once(plane_orthant):
 
 def test_estimate_bound_images_each_candidate_once(rotation_problem):
     # at most one image per candidate of each radius's list, plus x and the
-    # 2n stencil points: 2 (4 + 3 * 64) + 5 = 397 on the rotation instance
+    # 2n stencil points: 2 (4 + 3 * 64) + 5 = 397 on the rotation instance;
+    # each estimate's exact count is pinned, so that a change to the search's
+    # fixed costs shows it images the same candidates
     cfg, n = SamplingConfig(bracket_rtol=0.05, directions=64), 2
     cap = len(increase.QUALIFYING_RADII) * (4 + len(increase.MAGNITUDES) * cfg.directions)
     assert cap + 1 + 2 * n == 397
-    rng = np.random.default_rng(3)
+    rng, counts = np.random.default_rng(3), []
     for _ in range(6):
         p, x = float(rng.uniform(0.0, 2.0 * math.pi)), rng.uniform(-2.0, 2.0, n)
         calls = [0]
@@ -357,6 +364,8 @@ def test_estimate_bound_images_each_candidate_once(rotation_problem):
         estimate_bound(counted, rotation_problem.cone, x, cfg,
                        hints=increase.hints_for_problem(rotation_problem, p), p_for_seed=p)
         assert calls[0] <= cap + 1 + 2 * n
+        counts.append(calls[0])
+    assert counts == [257, 208, 209, 321, 209, 397]
 
 
 @settings(max_examples=40, deadline=None)

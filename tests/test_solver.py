@@ -416,6 +416,40 @@ def test_configs_hold_only_the_options_callers_set():
             SamplingConfig.refinement_rounds) == (10_000, 1e-7, 3)
 
 
+@pytest.mark.parametrize("config, bad", [
+    # on the rotation instance at p = 1 from the origin, alpha = nan stopped at
+    # no_step with bound_rhs nan yet certified, tol = nan reached merit 0 and
+    # reported no_step, and alpha = inf overflowed in caristi_step
+    (SolverConfig, {"alpha": math.nan}), (SolverConfig, {"alpha": math.inf}),
+    (SolverConfig, {"alpha_tilde": math.nan}), (SolverConfig, {"alpha_tilde": -math.inf}),
+    (SolverConfig, {"tol": math.nan}), (SolverConfig, {"tol": math.inf}),
+    (SolverConfig, {"tol": 0.0}), (SolverConfig, {"tol": -1e-8}),
+    (SolverConfig, {"rng_seed": -1}), (SolverConfig, {"rng_seed": 1.0}),
+    (SolverConfig, {"rng_seed": True}), (SolverConfig, {"rng_seed": np.bool_(False)}),
+    # directions = 0 divided by zero in unit_directions, -3 drew no direction
+    # and bracket_rtol = nan returned the unrefined bracket
+    (SamplingConfig, {"directions": 0}), (SamplingConfig, {"directions": -3}),
+    (SamplingConfig, {"directions": 64.0}), (SamplingConfig, {"directions": True}),
+    (SamplingConfig, {"bracket_rtol": math.nan}), (SamplingConfig, {"bracket_rtol": math.inf}),
+    (SamplingConfig, {"bracket_rtol": 0.0}), (SamplingConfig, {"seed": -1}),
+    (SamplingConfig, {"seed": 0.5}), (SamplingConfig, {"seed": False})])
+def test_configs_reject_values_that_cannot_certify(config, bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        config(**bad)
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        dataclasses.replace(config(), **bad)
+
+
+def test_configs_take_numpy_integers_and_sampled_bounds():
+    # range checks against the problem stay in solve; a sampled alpha_tilde
+    # keeps its type through replace
+    cfg = SolverConfig(alpha=0.5, alpha_tilde=solver._Sampled(2.5), rng_seed=np.int64(3))
+    cfg = dataclasses.replace(cfg, rng_seed=cfg.rng_seed + 1)
+    assert isinstance(cfg.alpha_tilde, solver._Sampled) and cfg.rng_seed == 4
+    scfg = SamplingConfig(directions=np.int32(8), seed=np.uint64(2), bracket_rtol=np.float64(0.5))
+    assert dataclasses.replace(scfg, seed=0).directions == 8
+
+
 def test_max_iters_exceeded(rotation_problem, monkeypatch):
     # one step from (-5, 2) leaves merit 0.51 (from (50, 50) it reaches 0)
     monkeypatch.setattr(SolverConfig, "max_iters", 1)

@@ -482,6 +482,14 @@ def test_ideal_value_sweep_rejects_an_empty_grid(triangle_spec):
             ideal_value_sweep(triangle_spec, [], [0.3, 0.3], alpha_under=alpha_under)
 
 
+def test_ideal_value_sweep_rejects_a_bound_that_is_not_finite(triangle_spec):
+    # checked under its own name before any row runs: nan would have read as
+    # "given" while every row resolved its own bound
+    for alpha_under in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha_under must be None or finite"):
+            ideal_value_sweep(triangle_spec, [0.0, 0.5], [0.3, 0.3], alpha_under=alpha_under)
+
+
 def test_ideal_value_sweep_triangle_plateau(triangle_spec):
     sub = np.linspace(math.pi / 2, 3 * math.pi / 4, 17)
     table = ideal_value_sweep(triangle_spec, sub, [0.3, 0.3],
