@@ -141,14 +141,16 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("estimate-inc", help="bracket the increase/decrease bound "
                         "(the problem kind picks which)")
     common(sp, out=True)
-    sp.add_argument("--p-grid", type=start_stop_count, default=None, help="start:stop:count")
-    sp.add_argument("--p", type=_finite, default=None)
+    at = sp.add_mutually_exclusive_group(required=True)
+    at.add_argument("--p-grid", type=start_stop_count, help="start:stop:count")
+    at.add_argument("--p", type=_finite)
     sp.add_argument("--x-samples", default=8, type=partial(_finite, above=0, kind=int))
 
     sp = sub.add_parser("vopt", help="ideal-efficiency solve or sweep")
     common(sp, solver=True, out=True)
-    sp.add_argument("--p", type=_finite, default=None)
-    sp.add_argument("--grid", type=start_stop_count, default=None, help="start:stop:count")
+    at = sp.add_mutually_exclusive_group(required=True)
+    at.add_argument("--p", type=_finite)
+    at.add_argument("--grid", type=start_stop_count, help="start:stop:count")
     sp.add_argument("--x0", required=True)
     sp.add_argument("--oracle", action="store_true",
                     help="print the exact oracle's verdict, or with --grid write it")
@@ -207,14 +209,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_estimate(args) -> int:
     problem = _load(args)
-    if args.p_grid is not None and args.p is not None:
-        raise UsageError("estimate-inc takes --p or --p-grid, not both")
-    if args.p_grid is not None:
-        grid = args.p_grid
-    elif args.p is not None:
-        grid = np.array([args.p])
-    else:
-        raise UsageError("estimate-inc needs --p or --p-grid")
+    grid = args.p_grid if args.p is None else np.array([args.p])
     # the draw of count x n float64 coordinates must fit numpy's largest array
     if args.x_samples * problem.dim_in > np.iinfo(np.intp).max // 8:
         raise UsageError(f"--x-samples {args.x_samples} draws more than numpy's largest array")
@@ -236,8 +231,6 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_vopt(args) -> int:
     spec = _load(args, VopSpec)
-    if args.p is not None and args.grid is not None:
-        raise UsageError("vopt takes --p or --grid, not both")
     if args.out is not None and args.grid is None:
         raise UsageError("vopt writes --out only for a --grid sweep")
     if args.orientation is not None:
@@ -258,8 +251,6 @@ def _cmd_vopt(args) -> int:
             write_csv(table, args.out, oracle_statuses=statuses)
             print(f"wrote {args.out}")
         return EXIT_OK
-    if args.p is None:
-        raise UsageError("vopt needs --p or --grid")
     res = solve_ideal(spec, args.p, x0, cfg)
     print(f"status = {res.status}")
     if res.status == FOUND:
@@ -286,7 +277,7 @@ def _cmd_verify(args) -> int:
     if spec:
         bound = problem.objective.lipschitz_bound
         check(ell >= bound * (1.0 - 1e-12), f"ell >= {bound:.6g}, the objective's Lipschitz bound")
-    alpha = getattr(problem, "declared_alpha", None)  # what solve uses without --alpha-tilde
+    alpha = problem.declared_alpha  # what solve uses without --alpha-tilde
     if alpha is None:
         check(None, "alpha_tilde: none declared (svi estimate-inc brackets a sampled one)")
     else:

@@ -15,8 +15,8 @@ solved as one Lawson-Hanson NNLS (LH ch. 23), which reports its KKT residual.
 The face table also yields every set's facet rows (``_facets``), the cone's
 ``PolyCone.facets`` among them, whose least slack is a point's depth, and
 with it the sup of the distance over a ball (``_sphere_max``).  Public
-functions check their points; the distance-only paths (``_distance_rows``,
-``PolyCone._distances``), which build no nearest point, trust their callers.
+functions check their points; the distance-only paths (``_nearest_rows``
+without points, ``PolyCone._distances``) trust their callers.
 """
 from __future__ import annotations
 
@@ -555,27 +555,24 @@ def _table_for(ss: SumSet):
     return ss, base, ss.cone.generators, 0.0
 
 
-def _nearest_rows(ss: SumSet, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nearest_rows(ss: SumSet, pts: np.ndarray, points: bool = True):
     """Nearest points of ss to the rows of pts (already checked), and their
-    distances, on the one path of the set's shape: row norms to a point, the
-    closed form of a point plus the orthant, else the face table (or the LDP)
-    of ``_table_for``."""
-    base = ss.base.vertices
-    if len(base) == 1 and (ss.cone is None or getattr(ss.cone, "_orthant")):
-        proj = (np.repeat(base, len(pts), axis=0) if ss.cone is None
-                else np.maximum(pts - base[0], 0.0) + base[0])
-        return proj, _distance_rows(ss, pts)
+    distances, or the distances alone when not ``points``, on the one path of
+    the set's shape: row norms to a point, the closed form of a point plus
+    the orthant, else the face table (or the LDP) of ``_table_for``."""
     owner, base, gens, shift = _table_for(ss)
-    proj, d = _nearest(owner, base, gens, pts - shift)
-    return proj + shift, d
-
-
-def _distance_rows(ss: SumSet, pts: np.ndarray) -> np.ndarray:
-    """``_nearest_rows``'s distances, with no nearest point built."""
-    owner, base, gens, shift = _table_for(ss)
-    if len(base) > 1:
+    if len(base) > 1 and not points:  # shift 0.0: pts as they are
         return _nearest(owner, base, gens, pts, False)
-    return row_norms(pts - base[0]) if gens is None else owner._distances(pts - shift)
+    if gens is None and len(base) == 1:  # a point
+        d = row_norms(pts - base[0])
+        return (np.repeat(base, len(pts), axis=0), d) if points else d
+    rel = pts - shift
+    if not points:  # a point plus a cone: the cone's own distances
+        return owner._distances(rel)
+    if getattr(owner, "_orthant", False):  # a point plus the orthant, in closed form
+        return np.maximum(rel, 0.0) + shift, owner._distances(rel)
+    proj, d = _nearest(owner, base, gens, rel)
+    return proj + shift, d  # + shift: a -0.0 coordinate reads 0.0
 
 
 def project_dist(y, S: SetLike) -> tuple[np.ndarray, float]:
@@ -592,9 +589,9 @@ def project_dist(y, S: SetLike) -> tuple[np.ndarray, float]:
 
 def dist_many(points: np.ndarray, S: SetLike) -> np.ndarray:
     """Distances of many points (rows) to S, vectorized over the batch, with
-    no nearest point built (``_distance_rows``)."""
+    no nearest point built (``_nearest_rows`` without points)."""
     ss = _as_sumset(S)
-    return _distance_rows(ss, _as_points(points, ss.dim))
+    return _nearest_rows(ss, _as_points(points, ss.dim), False)
 
 
 def excess(A: VPolytope, S: SetLike) -> float:

@@ -24,7 +24,7 @@ from typing import ClassVar, Optional, Union
 
 import numpy as np
 
-from .geometry import (PolyCone, SumSet, VPolytope, _as_points, _distance_rows, all_finite,
+from .geometry import (PolyCone, SumSet, VPolytope, _as_points, _nearest_rows, all_finite,
                        as_vector, hints_for_matrix, norm2, project_dist, row_norms)
 
 
@@ -498,7 +498,7 @@ class PolytopeSet(_Checked):
         return project_dist(x, self._sumset)
 
     def _distances(self, X: np.ndarray) -> np.ndarray:
-        return _distance_rows(self._sumset, X)
+        return _nearest_rows(self._sumset, X, False)
 
     def to_dict(self) -> dict:
         return {"variant": "polytope",
@@ -569,10 +569,10 @@ class ProblemAt:
 
     def merit_many(self, X, kappa: float = 0.0) -> np.ndarray:
         """Excess of F(p, x) beyond the cone, plus kappa * dist(x, R(p)) when
-        kappa > 0 (the constraint's exact distance), for every row x of X;
-        zero exactly on feasible solutions."""
-        if kappa < 0:
-            raise ValueError("penalty weight must be nonnegative")
+        kappa > 0 (the constraint's exact distance; kappa must be finite and
+        nonnegative), for every row x of X; zero exactly on feasible solutions."""
+        if not (math.isfinite(kappa) and kappa >= 0):
+            raise ValueError(f"penalty weight must be finite and nonnegative, got {kappa}")
         V = self.evaluate_many(X)  # checks X
         if not all_finite(V):  # finite points whose image overflows
             raise ImageOverflow(f"the image at p = {self.p} has non-finite coordinates")

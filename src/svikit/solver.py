@@ -84,12 +84,12 @@ class SolveResult:
     """End point of a run, why it stopped, and its certificate.
 
     ``stop`` is "converged" (merit at most tol), "no_step" (the back-off
-    retry found no step either) or "max_iters"; an unsolved run's
-    ``x_final`` and ``merit_final`` are its last iterate and that iterate's
-    (penalized) merit.  ``bound_rhs`` is the initial (penalized) merit
-    divided by the run's smallest acceptance constant; the telescoped path
-    length always satisfies it when every accepted step passed the
-    acceptance rule, whether or not the run converged.
+    retry found no step either, or alpha had no room to back off) or
+    "max_iters"; an unsolved run's ``x_final`` and ``merit_final`` are its
+    last iterate and that iterate's (penalized) merit.  ``bound_rhs`` is the
+    initial (penalized) merit divided by the run's smallest acceptance
+    constant; the telescoped path length always satisfies it when every
+    accepted step passed the acceptance rule, whether or not the run converged.
     ``merit_initial`` is that initial merit, from which the accepted steps
     telescope: ``path_length <= (merit_initial - merit_final) / descent_k``.
     ``alpha_source`` is where the constants came from: "given" (the config),
@@ -236,7 +236,7 @@ def _descent_constants(alpha_tilde, alpha, ell, constrained, best_effort):
     """(alpha, kappa, k, certified) of a run.  Unconstrained: alpha > 1, by
     default min(1.5, 0.9 alpha_tilde), or (1 + alpha_tilde)/2 when that is
     not above 1, and k = alpha - 1.  Constrained: alpha in the interval, by
-    default its midpoint, kappa = alpha_tilde - alpha and k = kappa - ell.
+    default its midpoint, kappa = alpha_tilde - alpha and k = kappa - ell > 0.
     Without these (an empty interval, or alpha_tilde None), a best-effort
     run takes floor constants: alpha nan, kappa max(1, ell/2) when
     constrained and 0 when not, and k = MIN_DESCENT."""
@@ -252,10 +252,10 @@ def _descent_constants(alpha_tilde, alpha, ell, constrained, best_effort):
         lo_a, hi_a = 0.5 * (alpha_tilde - ell + 1.0), alpha_tilde - ell
         if lo_a < hi_a:
             alpha = 0.5 * (lo_a + hi_a) if alpha is None else alpha
-            if not lo_a < alpha < hi_a:
-                raise DescentConstantsError(
-                    f"alpha={alpha} outside the mandated interval ({lo_a}, {hi_a})")
             kappa = alpha_tilde - alpha
+            if not (lo_a < alpha < hi_a and kappa > ell):  # k rounds to 0 next to hi_a
+                raise DescentConstantsError(f"alpha={alpha} outside the mandated interval "
+                                            f"({lo_a}, {hi_a}), or too near its end for k > 0")
             return alpha, kappa, kappa - ell, True
         if not best_effort:
             raise DescentConstantsError(
@@ -269,20 +269,20 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
 
     ``problem`` needs ``at(p)`` (the view at p: the run reads p's data only
     through its merit and constraint), ``ell`` (the Lipschitz budget of its
-    perturbation terms) and ``best_effort``; constrained mode engages
-    whenever the constraint is not the whole space (a non-finite p raises).
-    alpha_tilde is ``cfg.alpha_tilde``, else the problem's
-    ``declared_alpha``, else, when the constants need it, ``global_infimum``
-    over six seeded non-solutions at p (in R(p) when constrained); a
-    sampled one without witnesses raises ``PropertyAbsent`` unless the run
-    is best-effort.  A start that solves the problem (merit and distance to
-    R(p) at most tol) needs no sampled alpha_tilde: it returns with no step,
-    nan constants, kappa and ``bound_rhs`` 0, uncertified.  Each step gets
-    the merit the run holds; when none is found the run retries once at half
-    its k, measuring the merit at x again only if kappa moved.  Every run
-    that starts returns a result, converged or not (``SolveResult.stop``).
-    The certificate compares ||x_final - x0|| against the initial penalized
-    merit divided by the last k.
+    perturbation terms), ``declared_alpha`` (None if none) and ``best_effort``;
+    constrained mode engages whenever the constraint is not the whole space (a
+    non-finite p raises).  alpha_tilde is ``cfg.alpha_tilde``, else the
+    problem's ``declared_alpha``, else, when the constants need it,
+    ``global_infimum`` over six seeded non-solutions at p (in R(p) when
+    constrained); a sampled one without witnesses raises ``PropertyAbsent``
+    unless the run is best-effort.  A start that solves the problem (merit and
+    distance to R(p) at most tol) needs no sampled alpha_tilde: it returns with
+    no step, nan constants, kappa and ``bound_rhs`` 0, uncertified.  Each step
+    gets the merit the run holds; when none is found the run retries once at
+    half its k, measuring the merit at x again only if kappa moved, or stops
+    "no_step" if alpha has no room left.  Every run that starts returns a
+    result, converged or not (``SolveResult.stop``).  The certificate compares
+    ||x_final - x0|| against the initial penalized merit divided by the last k.
     """
     cfg = cfg or SolverConfig()
     x0 = as_vector(x0)
@@ -291,8 +291,7 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
     constrained = not is_all_space(constraint)
     ell = float(problem.ell)
     given = cfg.alpha_tilde is not None or (cfg.alpha is not None and not constrained)
-    alpha_tilde = (cfg.alpha_tilde if cfg.alpha_tilde is not None
-                   else getattr(problem, "declared_alpha", None))
+    alpha_tilde = cfg.alpha_tilde if cfg.alpha_tilde is not None else problem.declared_alpha
     # alpha alone decides an unconstrained run's constants
     sampled = isinstance(cfg.alpha_tilde, _Sampled) and (cfg.alpha is None or constrained)
     source = "sampled" if sampled else "given" if given else "declared"
@@ -347,18 +346,20 @@ def solve(problem, p: float, x0, cfg: Optional[SolverConfig] = None) -> SolveRes
             stop = out.status
             break
         retried = True
-        # alpha near its bound can starve the sampler: back off once,
-        # moving alpha halfway to its bound, which halves k
+        # alpha near its bound can starve the sampler: back off once, moving
+        # alpha halfway to its bound, which halves k; floor constants halve k
         if not mandated:
             k_run *= 0.5
-        elif not constrained:
-            alpha = 0.5 * (alpha + 1.0)
-            k_run = alpha - 1.0
         else:
-            alpha = 0.5 * (alpha + (alpha_tilde - ell))
-            kappa = alpha_tilde - alpha
-            k_run = kappa - ell
-            fx = float(psit(x[None, :])[0])  # the penalty moved with kappa
+            bound = alpha_tilde - ell if constrained else 1.0
+            try:  # a halfway alpha that leaves no k > 0 leaves no room to back off
+                alpha, kappa, k_run, _ = _descent_constants(
+                    alpha_tilde, 0.5 * (alpha + bound), ell, constrained, problem.best_effort)
+            except DescentConstantsError:
+                stop = out.status
+                break
+            if constrained:
+                fx = float(psit(x[None, :])[0])  # the penalty moved with kappa
         bound_rhs = psit0 / k_run
     else:  # out of iterations, though the last accepted step may have converged
         stop = "converged" if fx <= cfg.tol else "max_iters"

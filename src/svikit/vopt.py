@@ -179,6 +179,8 @@ class VopSpec(Parametric):
 
     #: a run descends on floor constants where the mandated ones are missing
     best_effort: ClassVar[bool] = True
+    #: a spec declares no decrease bound: ``solve`` samples one
+    declared_alpha: ClassVar[None] = None
     view: ClassVar[type] = VopAt
 
     objective: Objective

@@ -152,6 +152,33 @@ def test_sweep_verb_exits_2_on_unsolved_rows(tmp_path, capsys):
         assert f"unsolved_runs = {runs}" in out
 
 
+def test_a_back_off_with_no_room_left_is_a_solver_failure(tmp_path, capsys):
+    # alpha one float above 1: the back-off's halfway alpha rounds onto 1,
+    # so the run stops no_step rather than divide by k = 0
+    problem = rotation_inclusion_problem().to_dict()
+    problem["matrix"] = {"variant": "constant", "matrix": [[0.0, 0.0], [0.0, 0.0]]}
+    path = tmp_path / "zero_matrix.json"
+    path.write_text(json.dumps(problem))
+    alpha = ["--x0", "0.1,0.1", "--alpha", "1.0000000000000002"]
+    assert main(["solve", "--problem", str(path), "--p", "0.3", *alpha]) == 2
+    assert "solver failure: no_step" in capsys.readouterr().err
+    assert main(["sweep", "--problem", str(path), "--grid", "0:1:2", *alpha]) == 2
+    assert "rows = 2  solved = 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("verb, pair", [("estimate-inc", ("--p", "--p-grid")),
+                                        ("vopt", ("--p", "--grid"))])
+def test_a_flag_pair_takes_one_of_its_flags(problem_files, capsys, verb, pair):
+    # neither flag, or both, is a usage error that names the two
+    name, x0 = ("rotation", []) if verb == "estimate-inc" else ("triangle", ["--x0", "0.3,0.3"])
+    argv = [verb, "--problem", problem_files[name], *x0]
+    for given in ([], [pair[0], "0", pair[1], "0:1:3"]):
+        capsys.readouterr()
+        assert main([*argv, *given]) == 1
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in pair), err
+
+
 def test_unexpected_exception_is_an_internal_error(problem_files, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")

@@ -115,7 +115,7 @@ def test_one_vertex_distances_agree_bit_for_bit_on_every_entry_point(m):
 
 
 def test_distance_only_path_agrees_bit_for_bit_with_the_nearest_points(monkeypatch):
-    # the distance-only path (_nearest without points, _distance_rows) reads
+    # the distance-only path (_nearest and _nearest_rows without points) reads
     # the same face table, chunks and LDP as the nearest points: every entry point
     # that reads distances only (dist_many, a polytope constraint's
     # distances and the merit's penalty) gives _nearest_rows' distances bit
@@ -142,7 +142,7 @@ def test_distance_only_path_agrees_bit_for_bit_with_the_nearest_points(monkeypat
             want = geometry._nearest_rows(ss, Y)[1]
             nearest_chunks = [rows for rows, _ in calls]
             assert all(points for _, points in calls)
-            assert geometry._distance_rows(ss, Y).tobytes() == want.tobytes()
+            assert geometry._nearest_rows(ss, Y, False).tobytes() == want.tobytes()
             # the same chunks, read again without points
             assert calls[len(nearest_chunks):] == [(rows, False) for rows in nearest_chunks]
             assert dist_many(Y, S).tobytes() == want.tobytes()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from svikit import increase
-from svikit.geometry import (SumSet, VPolytope, _distance_rows, _least_slack, _nearest_rows,
+from svikit.geometry import (SumSet, VPolytope, _least_slack, _nearest_rows,
                              dist_many, enlargement_inclusion, hints_for_matrix, numgrad,
                              orthant, row_norms, unit_directions)
 from svikit.increase import (HypothesisViolated, PropertyAbsent,
@@ -186,7 +186,7 @@ def test_witness_matches_measuring_every_outside_vertex(seed):
 
 
 def test_witness_measures_only_blocks_with_a_vertex_within_the_tolerance(monkeypatch):
-    # _distance_rows runs once per block that holds an outside vertex whose
+    # _nearest_rows runs once per block that holds an outside vertex whose
     # violation passes at alpha = 1, and on those vertices only
     measured = outside = 0
     for seed in range(12):
@@ -198,8 +198,8 @@ def test_witness_measures_only_blocks_with_a_vertex_within_the_tolerance(monkeyp
         cfg = SamplingConfig(directions=16)
         s = increase._Search(map_at, cone, x, cfg, None, np.random.default_rng(seed))
         calls = []
-        monkeypatch.setattr(increase, "_distance_rows",
-                            lambda ss, pts: calls.append(pts) or _distance_rows(ss, pts))
+        monkeypatch.setattr(increase, "_nearest_rows", lambda ss, pts, points=True:
+                            calls.append(pts) or _nearest_rows(ss, pts, points))
         for a in (alpha, 1.5 * alpha, 1.0 + 1e-9):
             s.witness(a, r)
         monkeypatch.undo()

@@ -162,6 +162,15 @@ def test_threads_at_different_parameters_get_their_own_answers():
     assert sorted(done) == ps and not wrong
 
 
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -1.0])
+def test_the_penalty_weight_must_be_finite_and_nonnegative(kappa):
+    # a nan weight would read the unpenalized merit, an infinite one overflow
+    for view in (rotation_inclusion_problem().at(0.3),
+                 rotation_inclusion_problem(constraint=Box([-2.0, -2.0], [2.0, 2.0])).at(0.3)):
+        with pytest.raises(ValueError, match="penalty weight must be"):
+            view.merit_many([[3.0, 3.0]], kappa)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_a_non_finite_parameter_is_rejected_at_every_entry_point(bad):
     # one ValueError, raised by ``at`` when it would build the view, names p

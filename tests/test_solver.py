@@ -386,13 +386,24 @@ def test_the_loop_checks_the_segment_identity(boxed_problem):
         x, *box.project(x), box, 1.0).tobytes()
 
 
-def test_constrained_alpha_interval_validation(boxed_problem):
+def test_constrained_alpha_interval_validation(boxed_problem, triangle_spec):
     with pytest.raises(ValueError):
         solve(boxed_problem, 0.0, [0.0, 0.0],
               SolverConfig(alpha=1.5, alpha_tilde=1.56))
     with pytest.raises(ValueError):
         # empty interval without the escape hatch (the problem's ell is 0.5)
         solve(boxed_problem, 0.0, [0.0, 0.0], SolverConfig(alpha_tilde=1.2))
+    # alpha one float below alpha_tilde - ell, with ell > alpha_tilde / 2:
+    # inside the interval, but k = alpha_tilde - alpha - ell rounds to 0
+    spec, cfg = _tight_spec(triangle_spec, 1.044181965965463)
+    with pytest.raises(solver.DescentConstantsError, match="too near its end for k > 0"):
+        solve(spec, 0.0, [0.3, 0.3], cfg)
+
+
+def _tight_spec(spec, alpha):
+    # ell = 2.67..., so that alpha_tilde - alpha rounds next to the interval's end
+    return (dataclasses.replace(spec, objective_lipschitz=2.6766160976327056),
+            SolverConfig(alpha_tilde=3.720798063598169, alpha=alpha))
 
 
 def test_determinism(rotation_problem):
@@ -609,3 +620,34 @@ def test_back_off_halves_k_on_floor_constants(triangle_spec, monkeypatch):
     assert steps[1][0] == steps[0][0]
     assert res.kappa == 1.0 and math.isnan(res.alpha_used) and not res.caristi_certified
     assert res.alpha_source == "floor"
+
+
+def _zero_matrix_problem(**kwargs):
+    # the rotation instance with M = 0: its image stays off the cone, so the
+    # first steps shrink until the run backs off
+    return dataclasses.replace(rotation_inclusion_problem(**kwargs),
+                               matrix=MatrixTable(np.zeros((2, 2))))
+
+
+@pytest.mark.parametrize("case", ["unconstrained", "constrained", "tight"])
+def test_a_back_off_with_no_room_left_stops_no_step(monkeypatch, triangle_spec, case):
+    # alpha next to its bound: the halfway alpha rounds onto the bound (1, or
+    # alpha_tilde - ell), or, tight, just below it with k rounding to 0, so
+    # the run stops "no_step" without the retry, on the constants it ran with
+    p, x0 = (0.0, [0.3, 0.3]) if case == "tight" else (0.3, [0.1, 0.1])
+    if case == "tight":
+        problem, cfg = _tight_spec(triangle_spec, 1.0441819659654628)
+    elif case == "constrained":
+        problem = _zero_matrix_problem(constraint=Box([-2.0, -2.0], [2.0, 2.0]),
+                                       declared_alpha=1.6)
+        cfg = SolverConfig(alpha=float(np.nextafter(1.6 - 0.5, 0.0)))
+    else:
+        problem, cfg = _zero_matrix_problem(), SolverConfig(alpha=1.0000000000000002)
+    steps = _step_spy(monkeypatch, fail_first=True)
+    res = solve(problem, p, x0, cfg)
+    assert res.stop == "no_step" and len(steps) == 1
+    assert res.alpha_used == cfg.alpha and res.descent_k == steps[0][1] > 0.0
+    assert res.bound_rhs == res.merit_initial / res.descent_k
+    if case != "tight":  # unspied, these runs back off too, and stop the same way
+        monkeypatch.undo()
+        assert solve(problem, p, x0, cfg).stop == "no_step"
